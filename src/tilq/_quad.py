@@ -28,8 +28,8 @@ def simpson_weights(x: np.ndarray) -> np.ndarray:
     if m == 1:
         w[0] = w[1] = 0.5 * (x[1] - x[0])
         return w
-    start = 0
-    if m % 2 == 1:
+    start = m % 2
+    if start:
         # 3/8-style block over the first three intervals via two overlapping
         # quadratics: integrate [x0,x1] from the quadratic on (x0,x1,x2), then
         # the pair (x1,x2,x3) with the standard pair weights.
@@ -38,14 +38,14 @@ def simpson_weights(x: np.ndarray) -> np.ndarray:
         w[0] += h0 * h1 * (2 * h0 + 3 * h1) / (6 * h1 * (h0 + h1))
         w[1] += h0 * (h0 * h0 + 4 * h0 * h1 + 3 * h1 * h1) / (6 * h1 * (h0 + h1))
         w[2] += -h0 * h0 * h0 / (6 * h1 * (h0 + h1))
-        start = 1
-    for j in range(start, m, 2):
-        h0 = x[j + 1] - x[j]
-        h1 = x[j + 2] - x[j + 1]
-        s = h0 + h1
-        w[j] += s * (2 * h0 - h1) / (6 * h0)
-        w[j + 1] += s * s * s / (6 * h0 * h1)
-        w[j + 2] += s * (2 * h1 - h0) / (6 * h1)
+    # j, j + 1 and j + 2 each hold distinct indices, so += adds every pair
+    h = np.diff(x[start:])
+    h0, h1 = h[0::2], h[1::2]
+    s = h0 + h1
+    j = np.arange(start, m, 2)
+    w[j] += s * (2 * h0 - h1) / (6 * h0)
+    w[j + 1] += s * s * s / (6 * h0 * h1)
+    w[j + 2] += s * (2 * h1 - h0) / (6 * h1)
     return w
 
 

@@ -17,8 +17,8 @@ import numpy as np
 from ._quad import integrate
 from .errors import GridTooCoarseError, InvalidInputError
 from .problem import LQProblem
-from .equilibrium import build_policy
-from .riccati import RiccatiSolution, q_bar, q_bar_nodes
+from .equilibrium import build_policy, simulate
+from .riccati import RiccatiSolution, _engine_for, q_bar, q_bar_nodes
 
 
 @dataclass(frozen=True)
@@ -48,17 +48,11 @@ def from_riccati(p: LQProblem, P: RiccatiSolution, t0: float, x0) -> BvpSolution
     P(T) equals the terminal weight.
     """
     t0 = float(t0)
-    T = p.T
-    if not 0.0 <= t0 < T:
+    if not 0.0 <= t0 < p.T:
         raise InvalidInputError("from_riccati needs t0 in [0, T)")
-    x0 = np.asarray(x0, dtype=float).reshape(p.n)
-    pol = build_policy(p, P)
-    nodes = P.grid.nodes
-    tail = nodes[nodes > t0 + 1e-12 * (1 + T)]
-    ts = np.concatenate([[t0], tail])
-    X = pol.closed_loop.transition_from(t0, ts) @ x0
-    phi = np.einsum("kij,kj->ki", P.eval_many(ts), X)
-    return BvpSolution(ts, X, phi, t0, x0)
+    traj = simulate(build_policy(p, P), t0, x0)
+    phi = np.einsum("kij,kj->ki", P.eval_many(traj.nodes), traj.states)
+    return BvpSolution(traj.nodes, traj.states, phi, t0, traj.x0)
 
 
 def q_hat_quadratic(p: LQProblem, P: RiccatiSolution, sol: BvpSolution,
@@ -113,26 +107,14 @@ def _q_bar_at(p: LQProblem, P: RiccatiSolution, ts: np.ndarray) -> np.ndarray:
     """Corrected state weight at the given times, from the node table where
     aligned and by direct evaluation elsewhere."""
     gnodes = P.grid.nodes
-    table = None
+    j = np.clip(np.searchsorted(gnodes, ts), 1, gnodes.size - 1)
+    j -= np.abs(gnodes[j - 1] - ts) < np.abs(gnodes[j] - ts)
+    on_node = np.abs(gnodes[j] - ts) <= 1e-9 * (1 + p.T)
     out = np.empty((ts.size, p.n, p.n))
-    loose = []
-    idx = np.searchsorted(gnodes, ts)
-    idx = np.clip(idx, 0, gnodes.size - 1)
-    for k, t in enumerate(ts):
-        j = idx[k]
-        if j > 0 and abs(gnodes[j - 1] - t) < abs(gnodes[j] - t):
-            j -= 1
-        if abs(gnodes[j] - t) <= 1e-9 * (1 + p.T):
-            if table is None:
-                table = q_bar_nodes(p, P)
-            out[k] = table[j]
-        else:
-            loose.append((k, float(t)))
-    if loose:
-        from .propagators import closed_loop_coefficient, fundamental_solution
-        phi = fundamental_solution(closed_loop_coefficient(p, P), P.grid)
-        for k, t in loose:
-            out[k] = q_bar(p, P, phi, t)
+    if on_node.any():
+        out[on_node] = q_bar_nodes(p, P)[j[on_node]]
+    for k in np.flatnonzero(~on_node):
+        out[k] = q_bar(p, P, _engine_for(p, P).flow, float(ts[k]))
     return out
 
 

@@ -11,8 +11,6 @@ profitable deviation.
 from __future__ import annotations
 
 import inspect
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +19,8 @@ from ._quad import integrate
 from .errors import GridTooCoarseError, InvalidInputError
 from .grids import TimeGrid
 from .problem import LQProblem
-from .propagators import Propagator, closed_loop_coefficient, fundamental_solution
-from .riccati import RiccatiSolution
+from .propagators import Propagator, half_times, rk4_steps
+from .riccati import RiccatiSolution, _engine_for
 
 
 @dataclass(frozen=True)
@@ -51,8 +49,7 @@ class EquilibriumPolicy:
 
 def build_policy(p: LQProblem, P: RiccatiSolution) -> EquilibriumPolicy:
     """Assemble the equilibrium feedback and its closed-loop propagator."""
-    phi = fundamental_solution(closed_loop_coefficient(p, P), P.grid)
-    return EquilibriumPolicy(p, P, phi)
+    return EquilibriumPolicy(p, P, _engine_for(p, P).flow)
 
 
 @dataclass(frozen=True)
@@ -144,56 +141,43 @@ def _integrate_segment(p: LQProblem, seg: np.ndarray, x_start, ctrl):
     """Order-4 state integration on seg; returns node states and controls."""
     K = seg.size
     n, m = p.n, p.m
-    mids = 0.5 * (seg[:-1] + seg[1:])
-    hs = np.diff(seg)
-    An, Am = p.A.eval(seg), p.A.eval(mids)
-    Bn, Bm = p.B.eval(seg), p.B.eval(mids)
+    half = half_times(seg)
+    A, B = p.A.eval(half), p.B.eval(half)
     X = np.empty((K, n))
     X[0] = np.asarray(x_start, dtype=float).reshape(n)
-    if isinstance(ctrl, _LinearControl):
-        Cn = An + Bn @ ctrl.gain_many(seg)
-        Cm = Am + Bm @ ctrl.gain_many(mids)
+    if not isinstance(ctrl, _GenericControl):
+        if isinstance(ctrl, _LinearControl):
+            gains = ctrl.gain_many(half)
+            E, c = rk4_steps(seg, A + B @ gains)
+        else:
+            E, c = rk4_steps(seg, A, B @ ctrl.v)
         for i in range(K - 1):
-            h = hs[i]
-            x = X[i]
-            k1 = Cn[i] @ x
-            k2 = Cm[i] @ (x + 0.5 * h * k1)
-            k3 = Cm[i] @ (x + 0.5 * h * k2)
-            k4 = Cn[i + 1] @ (x + h * k3)
-            X[i + 1] = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        U = np.einsum("kij,kj->ki", ctrl.gain_many(seg), X)
-    elif isinstance(ctrl, _ConstantControl):
-        v = ctrl.v
-        bn, bm = Bn @ v, Bm @ v
-        for i in range(K - 1):
-            h = hs[i]
-            x = X[i]
-            k1 = An[i] @ x + bn[i]
-            k2 = Am[i] @ (x + 0.5 * h * k1) + bm[i]
-            k3 = Am[i] @ (x + 0.5 * h * k2) + bm[i]
-            k4 = An[i + 1] @ (x + h * k3) + bn[i + 1]
-            X[i + 1] = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        U = np.tile(v, (K, 1))
-    else:
-        fn = ctrl.fn
+            X[i + 1] = E[i] @ X[i] + c[i]
+        if isinstance(ctrl, _LinearControl):
+            return X, np.einsum("kij,kj->ki", gains[0::2], X)
+        return X, np.tile(ctrl.v, (K, 1))
+    fn = ctrl.fn
 
-        def u_at(s, x):
-            return np.asarray(fn(s, x), dtype=float).reshape(m)
+    def u_at(s, x):
+        return np.asarray(fn(s, x), dtype=float).reshape(m)
 
-        U = np.empty((K, m))
-        U[0] = u_at(seg[0], X[0])
-        for i in range(K - 1):
-            h = hs[i]
-            x = X[i]
-            k1 = An[i] @ x + Bn[i] @ U[i]
-            x2 = x + 0.5 * h * k1
-            k2 = Am[i] @ x2 + Bm[i] @ u_at(mids[i], x2)
-            x3 = x + 0.5 * h * k2
-            k3 = Am[i] @ x3 + Bm[i] @ u_at(mids[i], x3)
-            x4 = x + h * k3
-            k4 = An[i + 1] @ x4 + Bn[i + 1] @ u_at(seg[i + 1], x4)
-            X[i + 1] = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            U[i + 1] = u_at(seg[i + 1], X[i + 1])
+    An, Am, Bn, Bm = A[0::2], A[1::2], B[0::2], B[1::2]
+    hs = np.diff(seg)
+    U = np.empty((K, m))
+    U[0] = u_at(seg[0], X[0])
+    for i in range(K - 1):
+        h = hs[i]
+        s_mid = half[2 * i + 1]
+        x = X[i]
+        k1 = An[i] @ x + Bn[i] @ U[i]
+        x2 = x + 0.5 * h * k1
+        k2 = Am[i] @ x2 + Bm[i] @ u_at(s_mid, x2)
+        x3 = x + 0.5 * h * k2
+        k3 = Am[i] @ x3 + Bm[i] @ u_at(s_mid, x3)
+        x4 = x + h * k3
+        k4 = An[i + 1] @ x4 + Bn[i + 1] @ u_at(seg[i + 1], x4)
+        X[i + 1] = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        U[i + 1] = u_at(seg[i + 1], X[i + 1])
     return X, U
 
 
@@ -377,14 +361,6 @@ class PerturbationReport:
         }
 
 
-def _worker_count(n_tasks: int) -> int:
-    cap = os.environ.get("TILQ_THREADS")
-    workers = os.cpu_count() or 1
-    if cap:
-        workers = min(workers, max(1, int(cap)))
-    return max(1, min(workers, n_tasks))
-
-
 def equilibrium_certificate(p: LQProblem, pol: EquilibriumPolicy,
                             spec: SampleSpec | None = None) -> PerturbationReport:
     """Check the no-profitable-deviation property over a sample plan.
@@ -406,7 +382,7 @@ def equilibrium_certificate(p: LQProblem, pol: EquilibriumPolicy,
     kappa = spec.axis_scale
     # an eps probe needs >= 4 grid nodes inside [t, t+eps] to be resolvable
     h_floor = 4.0 * float(np.diff(pol.P.grid.nodes).max())
-    tasks = []
+    samples = []
     for t in times:
         t = float(t)
         if spec.eps_list is not None:
@@ -428,23 +404,11 @@ def equilibrium_certificate(p: LQProblem, pol: EquilibriumPolicy,
                 vset += probes
                 fe_set = {0} | set(range(len(vset) - len(probes), len(vset)))
                 for k, v in enumerate(vset):
-                    want_eps = spec.finite_eps and sgn > 0 and k in fe_set
-                    tasks.append((t, x, v, want_eps, eps))
-
-    def run(task):
-        t, x, v, want_eps, eps = task
-        cf = perturbation_limit_closed_form(p, pol, t, x, v)
-        fe = ext = None
-        if want_eps:
-            fe, ext = perturbation_limit_finite_eps(p, pol, t, x, v, eps)
-        return PerturbationSample(t, x, v, cf, fe, ext)
-
-    workers = _worker_count(len(tasks))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            samples = list(pool.map(run, tasks))
-    else:
-        samples = [run(task) for task in tasks]
+                    cf = perturbation_limit_closed_form(p, pol, t, x, v)
+                    fe = ext = None
+                    if spec.finite_eps and sgn > 0 and k in fe_set:
+                        fe, ext = perturbation_limit_finite_eps(p, pol, t, x, v, eps)
+                    samples.append(PerturbationSample(t, x, v, cf, fe, ext))
     worst_cf = min(s.closed_form for s in samples)
     exts = [s.extrapolated for s in samples if s.extrapolated is not None]
     worst_ext = min(exts) if exts else None

@@ -18,12 +18,17 @@ _COND_WARN = 1e12
 _COND_ERROR = 1e14
 
 
+def half_times(nodes: np.ndarray) -> np.ndarray:
+    """Nodes and interval midpoints interleaved: [node0, mid0, node1, ...]."""
+    out = np.empty(2 * nodes.size - 1)
+    out[0::2] = nodes
+    out[1::2] = 0.5 * (nodes[:-1] + nodes[1:])
+    return out
+
+
 def _coefficient_samples(coefficient, nodes):
     """C at all nodes and interval midpoints, stacked as (2K-1, n, n)."""
-    mids = 0.5 * (nodes[:-1] + nodes[1:])
-    times = np.empty(nodes.size + mids.size)
-    times[0::2] = nodes
-    times[1::2] = mids
+    times = half_times(nodes)
     if isinstance(coefficient, OneTimeMatrixFn):
         return coefficient.eval(times)
     sample = np.atleast_2d(np.asarray(coefficient(float(times[0])), dtype=float))
@@ -32,6 +37,32 @@ def _coefficient_samples(coefficient, nodes):
     for i, t in enumerate(times[1:], start=1):
         out[i] = coefficient(float(t))
     return out
+
+
+def rk4_steps(nodes: np.ndarray, C: np.ndarray, b: np.ndarray | None = None):
+    """Classical RK4 steps of x' = C(t) x + b(t), all intervals at once.
+
+    C (and b) are sampled at half_times(nodes), shapes (2K-1, n, n) and
+    (2K-1, n).  Returns (E, c) with x(nodes[i+1]) = E[i] x(nodes[i]) + c[i];
+    c is zero when b is None.
+    """
+    hs = np.diff(nodes)[:, None, None]
+    eye = np.eye(C.shape[-1])
+    C0, Cm, C1 = C[0:-1:2], C[1::2], C[2::2]
+    K1 = C0
+    K2 = Cm @ (eye + 0.5 * hs * K1)
+    K3 = Cm @ (eye + 0.5 * hs * K2)
+    K4 = C1 @ (eye + hs * K3)
+    E = eye + (hs / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
+    if b is None:
+        return E, np.zeros(E.shape[:2])
+    h = hs[:, 0]
+    b0, bm, b1 = b[0:-1:2], b[1::2], b[2::2]
+    k1 = b0
+    k2 = np.einsum("kij,kj->ki", Cm, 0.5 * h * k1) + bm
+    k3 = np.einsum("kij,kj->ki", Cm, 0.5 * h * k2) + bm
+    k4 = np.einsum("kij,kj->ki", C1, h * k3) + b1
+    return E, (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 class Propagator:
@@ -115,19 +146,9 @@ def fundamental_solution(coefficient, grid, *, samples=None) -> Propagator:
     C = _coefficient_samples(coefficient, nodes) if samples is None else np.asarray(samples, dtype=float)
     if C.shape[0] != 2 * nodes.size - 1:
         raise InvalidInputError("coefficient samples must cover nodes and midpoints")
-    n = C.shape[-1]
-    hs = np.diff(nodes)[:, None, None]
-    eye = np.eye(n)
-    C0 = C[0:-1:2]
-    Cm = C[1::2]
-    C1 = C[2::2]
-    K1 = C0
-    K2 = Cm @ (eye + 0.5 * hs * K1)
-    K3 = Cm @ (eye + 0.5 * hs * K2)
-    K4 = C1 @ (eye + hs * K3)
-    E = eye + (hs / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
-    U = np.empty((nodes.size, n, n))
-    U[0] = eye
+    E, _ = rk4_steps(nodes, C)
+    U = np.empty((nodes.size,) + E.shape[1:])
+    U[0] = np.eye(E.shape[-1])
     for i in range(nodes.size - 1):
         U[i + 1] = E[i] @ U[i]
     slopes = C[0::2] @ U

@@ -28,16 +28,16 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from ._quad import integrate, left_slice_weights, simpson_weights
 from .errors import InvalidInputError, NonconvergenceError
 from .grids import TimeGrid
 from .kernels import kernel_norms, matrix_norm, matrix_norm_many
 from .problem import LQProblem, validate_assumptions
-from .propagators import Propagator, closed_loop_coefficient, fundamental_solution
+from .propagators import Propagator, fundamental_solution, half_times
 
 
 def _sym(x):
@@ -50,12 +50,32 @@ def _exp(x: float) -> float:
     return math.inf if x > 709.0 else math.exp(x)
 
 
+def _local_cubic(nodes: np.ndarray, values: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Lagrange interpolation of values (first axis along nodes) at times ts.
+
+    Each time uses the min(4, K) nodes around it: two on either side of its
+    interval, shifted inward at the ends, so 2- and 3-node inputs get the
+    linear and quadratic interpolants.  Node times reproduce values exactly.
+    """
+    K = nodes.size
+    m = min(4, K)
+    i = np.searchsorted(nodes, ts, side="right") - 1
+    idx = np.clip(i - 1, 0, K - m)[:, None] + np.arange(m)
+    xs = nodes[idx]
+    w = np.ones(idx.shape)
+    for j in range(m):
+        for k in range(m):
+            if k != j:
+                w[:, j] *= (ts - xs[:, k]) / (xs[:, j] - xs[:, k])
+    return np.einsum("qj,qj...->q...", w, values[idx])
+
+
 class RiccatiSolution:
     """Symmetric matrix path P on a time grid with cubic interpolation.
 
-    values[i] is P at grid.nodes[i]; node access reproduces the stored
-    matrices exactly, off-node times use a cubic spline through the nodes.
-    meta carries solver diagnostics (constants, windows, contraction factors).
+    values[i] is P at grid.nodes[i], reproduced exactly at node times; other
+    times use the local cubic through the four nearest nodes.  meta carries
+    solver diagnostics (constants, windows, contraction factors).
     """
 
     def __init__(self, grid: TimeGrid, values, meta=None):
@@ -70,7 +90,7 @@ class RiccatiSolution:
         self.grid = grid
         self.values = values
         self.meta = dict(meta or {})
-        self._spline = None
+        self._engine = None
 
     @property
     def n(self) -> int:
@@ -83,13 +103,7 @@ class RiccatiSolution:
         nodes = self.grid.nodes
         if np.any(ts < nodes[0] - 1e-12) or np.any(ts > nodes[-1] + 1e-12):
             raise InvalidInputError("evaluation time outside [0, T]")
-        if self._spline is None:
-            self._spline = CubicSpline(nodes, self.values, axis=0)
-        out = np.asarray(self._spline(np.clip(ts, nodes[0], nodes[-1])))
-        idx = np.searchsorted(nodes, ts)
-        idx = np.clip(idx, 0, nodes.size - 1)
-        exact = nodes[idx] == ts
-        out[exact] = self.values[idx[exact]]
+        out = _local_cubic(nodes, self.values, np.clip(ts, nodes[0], nodes[-1]))
         return out[0] if scalar else out
 
     def __call__(self, t):
@@ -304,19 +318,18 @@ class _Diverged(Exception):
 
 
 class _Engine:
-    """Caches per-grid samples and runs fixed-point window iterations."""
+    """Caches per-grid samples and runs fixed-point window iterations.
 
-    def __init__(self, p: LQProblem, grid: TimeGrid):
+    The cached properties hold full-grid tables of the fixed solution values.
+    """
+
+    def __init__(self, p: LQProblem, grid: TimeGrid, values=None):
         self.p = p
         self.grid = grid
+        self.values = values
         nodes = grid.nodes
         self.nodes = nodes
-        K = nodes.size
-        mids = 0.5 * (nodes[:-1] + nodes[1:])
-        half = np.empty(2 * K - 1)
-        half[0::2] = nodes
-        half[1::2] = mids
-        self.half = half
+        self.half = half = half_times(nodes)
         self.A_half = p.A.eval(half)
         self.B_half = p.B.eval(half)
         self.M_half = p.M.eval(half, half)
@@ -356,19 +369,17 @@ class _Engine:
         rhs = np.swapaxes(self.B_nodes[a:], -1, -2) @ values[a:] + self.S_nodes[a:]
         return np.linalg.solve(self.M_nodes[a:], rhs)
 
-    def closed_loop_values(self, values: np.ndarray, a: int) -> np.ndarray:
+    def closed_loop(self, values: np.ndarray, a: int) -> Propagator:
         """Closed-loop fundamental solution U on nodes[a:], U(nodes[a]) = I."""
-        spline = CubicSpline(self.nodes[a:], values[a:], axis=0)
-        Pm = spline(self.half[2 * a:])
-        Pm[0::2] = values[a:]
+        Pm = _local_cubic(self.nodes[a:], values[a:], self.half[2 * a:])
         rhs = np.swapaxes(self.B_half[2 * a:], -1, -2) @ Pm + self.S_half[2 * a:]
         ups = np.linalg.solve(self.M_half[2 * a:], rhs)
         C = self.A_half[2 * a:] - self.B_half[2 * a:] @ ups
-        return fundamental_solution(None, self.nodes[a:], samples=C).values
+        return fundamental_solution(None, self.nodes[a:], samples=C)
 
     def f_diag(self, values: np.ndarray, a: int, b: int) -> np.ndarray:
         """F(s_i; s_i, P) for window nodes i in [a, b], tail from values."""
-        U = self.closed_loop_values(values, a)
+        U = self.closed_loop(values, a).values
         ups = self.upsilon_nodes(values, a)
         upsT = np.swapaxes(ups, -1, -2)
         out = np.empty((b - a + 1,) + (self.p.n, self.p.n))
@@ -446,6 +457,33 @@ class _Engine:
             "contraction_factor": max(factors) if factors else 0.0,
         }
 
+    @cached_property
+    def q_bar_table(self) -> np.ndarray:
+        """Effective state weight Q(s,s) - F(s; s, P) at every node."""
+        return _sym(self.Q_nodes - self.f_diag(self.values, 0, self.nodes.size - 1))
+
+    @cached_property
+    def integrand(self) -> np.ndarray:
+        """Right-hand-side integrand of the integral form at every node."""
+        ups = self.upsilon_nodes(self.values, 0)
+        quad = np.swapaxes(ups, -1, -2) @ self.M_nodes @ ups
+        AtP = np.swapaxes(self.A_half[0::2], -1, -2) @ self.values
+        return AtP + np.swapaxes(AtP, -1, -2) + self.q_bar_table - quad
+
+    @cached_property
+    def flow(self) -> Propagator:
+        """Closed-loop propagator of the fixed solution over the whole grid."""
+        return self.closed_loop(self.values, 0)
+
+
+def _engine_for(p: LQProblem, P: "RiccatiSolution") -> _Engine:
+    """The engine of (p, P), kept on P; another problem object replaces it,
+    so tables cached for one problem never answer for another."""
+    engine = P._engine
+    if engine is None or engine.p is not p:
+        engine = P._engine = _Engine(p, P.grid, P.values)
+    return engine
+
 
 @dataclass(frozen=True)
 class WindowIterate:
@@ -467,9 +505,7 @@ def picard_step(p: LQProblem, P: RiccatiSolution, window, boundary) -> WindowIte
     if a_idx >= b_idx:
         raise InvalidInputError("window must span at least one grid interval")
     boundary = _sym(np.atleast_2d(np.asarray(boundary, dtype=float)))
-    engine = _Engine(p, P.grid)
-    values = P.values.copy()
-    new = engine.picard_iterate(values, a_idx, b_idx, boundary)
+    new = _engine_for(p, P).picard_iterate(P.values, a_idx, b_idx, boundary)
     return WindowIterate(P.grid.nodes[a_idx:b_idx + 1].copy(), new)
 
 
@@ -570,32 +606,16 @@ def solve_riccati(p: LQProblem, g: TimeGrid, opts: SolveOptions | None = None
     return RiccatiSolution(g_solve, values, meta)
 
 
-def _integrand_nodes(p: LQProblem, P: RiccatiSolution, engine: _Engine) -> np.ndarray:
-    """Right-hand-side integrand of the integral form at all grid nodes."""
-    nodes = P.grid.nodes
-    K = nodes.size
-    F = engine.f_diag(P.values.copy(), 0, K - 1)
-    Qb = _sym(engine.Q_nodes - F)
-    ups = engine.upsilon_nodes(P.values, 0)
-    quad = np.swapaxes(ups, -1, -2) @ engine.M_nodes @ ups
-    Av = p.A.eval(nodes)
-    AtP = np.swapaxes(Av, -1, -2) @ P.values
-    return AtP + np.swapaxes(AtP, -1, -2) + Qb - quad
-
-
 def q_bar_nodes(p: LQProblem, P: RiccatiSolution) -> np.ndarray:
     """Effective state weight Q(s,s) - F(s; s, P) at every grid node."""
-    engine = _Engine(p, P.grid)
-    F = engine.f_diag(P.values.copy(), 0, P.grid.nodes.size - 1)
-    return _sym(engine.Q_nodes - F)
+    return _engine_for(p, P).q_bar_table.copy()
 
 
 def riccati_residual_profile(p: LQProblem, P: RiccatiSolution) -> np.ndarray:
     """Integral-equation defect at every grid node (row-sum norm)."""
-    engine = _Engine(p, P.grid)
-    I = _integrand_nodes(p, P, engine)
+    engine = _engine_for(p, P)
     W = left_slice_weights(P.grid.nodes)
-    integrals = np.tensordot(W, I, axes=(1, 0))
+    integrals = np.tensordot(W, engine.integrand, axes=(1, 0))
     defect = P.values - engine.G_T - integrals
     return matrix_norm_many(defect)
 
@@ -609,19 +629,17 @@ def riccati_residual(p: LQProblem, P: RiccatiSolution, t: float) -> float:
     nodes = P.grid.nodes
     if not nodes[0] <= t <= nodes[-1]:
         raise InvalidInputError("t outside [0, T]")
-    engine = _Engine(p, P.grid)
-    I = _integrand_nodes(p, P, engine)
+    engine = _engine_for(p, P)
+    I = engine.integrand
     G_T = engine.G_T
     idx = np.searchsorted(nodes, t)
     if idx < nodes.size and nodes[idx] == t:
-        wts = simpson_weights(nodes[idx:])
-        integral = np.tensordot(wts, I[idx:], axes=(0, 0))
+        integral = np.tensordot(engine.tail_weights(idx), I[idx:], axes=(0, 0))
         return float(matrix_norm(P.values[idx] - G_T - integral))
-    phi = fundamental_solution(closed_loop_coefficient(p, P), P.grid)
     Pt = P(t)
     At = p.A.eval(t)
     upst = upsilon(p, P, t)
-    It = At.T @ Pt + Pt @ At + q_bar(p, P, phi, t) - upst.T @ p.M.eval(t, t) @ upst
+    It = At.T @ Pt + Pt @ At + q_bar(p, P, engine.flow, t) - upst.T @ p.M.eval(t, t) @ upst
     ts = np.concatenate([[t], nodes[idx:]])
     stack = np.concatenate([It[None], I[idx:]])
     integral = integrate(stack, ts)

@@ -22,7 +22,7 @@ from tilq import (
 )
 from tilq.kernels import matrix_norm_many
 from tilq.propagators import closed_loop_coefficient
-from tilq.riccati import q_bar_nodes
+from tilq.riccati import RiccatiSolution, q_bar_nodes
 
 TANH1 = 0.7615941559557649  # tanh(1)
 
@@ -204,6 +204,53 @@ def test_window_override(tanh_problem):
     assert sol.meta["mode"] == "override"
     exact = np.tanh(1.0 - g.nodes)
     assert np.abs(sol.values[:, 0, 0] - exact).max() < 1e-7
+
+
+def test_one_interval_windows(tanh_problem):
+    # the last windows see 2- and 3-node tails; one-interval windows
+    # integrate by the trapezoid rule, hence the second-order bound
+    g = TimeGrid.uniform(1.0, 50)
+    sol = solve_riccati(tanh_problem, g, SolveOptions(window_override=g.h))
+    assert len(sol.meta["windows"]) == 50
+    assert np.abs(sol.values[:, 0, 0] - np.tanh(1.0 - g.nodes)).max() < 5e-5
+
+
+@pytest.mark.parametrize("num_intervals", [1, 2, 5])
+def test_eval_many_exact_on_low_degree_data(num_intervals):
+    # degree min(3, K - 1) data on a nonuniform grid is reproduced exactly
+    nodes = np.array([0.0, 0.3, 0.8, 0.9, 1.3, 1.5])[:num_intervals + 1]
+    coeffs = np.random.default_rng(7).standard_normal((min(3, num_intervals) + 1, 2, 2))
+
+    def f(ts):
+        return sum(c * ts[:, None, None] ** k for k, c in enumerate(coeffs))
+
+    sol = RiccatiSolution(TimeGrid(nodes), f(nodes))
+    ts = np.linspace(0.0, nodes[-1], 23)
+    np.testing.assert_allclose(sol.eval_many(ts), f(ts), rtol=0, atol=1e-13)
+
+
+def test_engine_cache_is_per_problem(hyperbolic_scalar):
+    p1 = hyperbolic_scalar
+    p2 = hyperbolic_problem(2.0, 1.0, 1.0, B=0.5, k=2.0, theta=1.0, T=1.0)
+    sol = solve_riccati(p1, TimeGrid.uniform(1.0, 40))
+
+    def uncached():
+        return RiccatiSolution(sol.grid, sol.values, sol.meta)
+
+    prof = riccati_residual_profile(p1, sol)
+    table = q_bar_nodes(p1, sol)
+    table_again = q_bar_nodes(p1, sol)
+    np.testing.assert_array_equal(riccati_residual_profile(p1, sol), prof)
+    np.testing.assert_array_equal(table_again, table)
+    table_again[:] = 0.0  # callers get a copy, not the cached table
+    np.testing.assert_array_equal(q_bar_nodes(p1, sol), table)
+    np.testing.assert_array_equal(prof, riccati_residual_profile(p1, uncached()))
+    # a second problem on the same solution gets its own answer
+    for fn in (riccati_residual_profile, q_bar_nodes):
+        np.testing.assert_array_equal(fn(p2, sol), fn(p2, uncached()))
+    assert np.abs(q_bar_nodes(p2, sol) - table).max() > 1e-3
+    assert riccati_residual(p2, sol, 0.31) == riccati_residual(p2, uncached(), 0.31)
+    np.testing.assert_array_equal(q_bar_nodes(p1, sol), table)
 
 
 def test_eval_many_between_nodes(tanh_solution):
