@@ -256,14 +256,18 @@ def perturbation_limit_closed_form(p: LQProblem, pol: EquilibriumPolicy,
 
 def perturbation_limit_finite_eps(p: LQProblem, pol: EquilibriumPolicy,
                                   t: float, x, v, eps_list,
-                                  grid: TimeGrid | None = None):
+                                  grid: TimeGrid | None = None, *,
+                                  baseline: dict | None = None):
     """Difference quotients (J(t,x;spliced) - J(t,x;policy))/eps and their
     linear-in-eps extrapolation.
 
     The spliced control holds the constant v on [t, t+eps] and follows the
     policy afterwards.  Both costs use the same segmentation (splice
     sub-grid refined to >= 17 nodes) so quadrature bias cancels in the
-    quotient.  Returns (dict eps -> quotient, extrapolated).
+    quotient.  The policy cost does not depend on v: baseline, a dict
+    eps -> J(t,x;policy) shared by calls at the same (t, x) and grid, is
+    filled on first use, so probing several v integrates it once per eps.
+    Returns (dict eps -> quotient, extrapolated).
     """
     g = grid if grid is not None else pol.P.grid
     t = float(t)
@@ -283,12 +287,14 @@ def perturbation_limit_finite_eps(p: LQProblem, pol: EquilibriumPolicy,
             raise GridTooCoarseError(
                 f"eps={e:g} spans only {covered} grid nodes; refine the grid "
                 f"(max spacing {hmax:g}) or increase eps")
+    baseline = {} if baseline is None else baseline
     quotients = {}
     for e in eps:
         bp = (t + e,)
         J_dev = cost(p, t, x, [v, pol], g, breakpoints=bp)
-        J_base = cost(p, t, x, [pol, pol], g, breakpoints=bp)
-        quotients[e] = (J_dev - J_base) / e
+        if e not in baseline:
+            baseline[e] = cost(p, t, x, [pol, pol], g, breakpoints=bp)
+        quotients[e] = (J_dev - baseline[e]) / e
     if len(eps) == 1:
         return quotients, float(quotients[eps[0]])
     e1, e2 = eps[-2], eps[-1]
@@ -403,11 +409,13 @@ def equilibrium_certificate(p: LQProblem, pol: EquilibriumPolicy,
                           for j in range(m) for sv in (1.0, -1.0)]
                 vset += probes
                 fe_set = {0} | set(range(len(vset) - len(probes), len(vset)))
+                baseline = {}
                 for k, v in enumerate(vset):
                     cf = perturbation_limit_closed_form(p, pol, t, x, v)
                     fe = ext = None
                     if spec.finite_eps and sgn > 0 and k in fe_set:
-                        fe, ext = perturbation_limit_finite_eps(p, pol, t, x, v, eps)
+                        fe, ext = perturbation_limit_finite_eps(
+                            p, pol, t, x, v, eps, baseline=baseline)
                     samples.append(PerturbationSample(t, x, v, cf, fe, ext))
     worst_cf = min(s.closed_form for s in samples)
     exts = [s.extrapolated for s in samples if s.extrapolated is not None]

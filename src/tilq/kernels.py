@@ -263,24 +263,26 @@ def finite_difference_dt(k: TwoTimeKernel, t: float, s: float, h: float,
     """First-argument partial of a kernel by finite differences.
 
     Uses a central stencil when t +/- h stays inside the triangle
-    {0 <= t <= s}, otherwise a second-order one-sided stencil; when the
-    admissible t-range [0, s] is shorter than 2h a first-order difference is
-    the only option.  With return_info=True a (matrix, stencil) pair comes
-    back, stencil in {"central", "forward", "backward", "first-order"}.
+    {0 <= t <= s}, otherwise a second-order one-sided stencil.  When the
+    admissible t-range [0, s] is shorter than 2h (s = 0 at the corner
+    included) no stencil fits inside it, so the second-order forward stencil
+    at t, t + h, t + 2h reaches past s; the kernel's closure must extend off
+    the triangle there, as the discount families do.  In the rare remaining
+    case a first-order difference is the only option.  With
+    return_info=True a (matrix, stencil) pair comes back, stencil in
+    {"central", "forward", "backward", "forward-extended", "first-order"}.
     """
     if not (0.0 <= t <= s <= k.horizon):
         raise InvalidInputError("finite_difference_dt needs 0 <= t <= s <= horizon")
     if not h > 0:
         raise InvalidInputError("step h must be positive")
-    if s <= 0.0:
-        raise InvalidInputError("derivative undefined: admissible t-range is a point")
     f = k.eval
     if t - h >= 0.0 and t + h <= s:
         val = (f(t + h, s) - f(t - h, s)) / (2 * h)
         info = "central"
-    elif t + 2 * h <= s:
+    elif t + 2 * h <= s or s < 2 * h:
         val = (-3.0 * f(t, s) + 4.0 * f(t + h, s) - f(t + 2 * h, s)) / (2 * h)
-        info = "forward"
+        info = "forward" if t + 2 * h <= s else "forward-extended"
     elif t - 2 * h >= 0.0:
         val = (3.0 * f(t, s) - 4.0 * f(t - h, s) + f(t - 2 * h, s)) / (2 * h)
         info = "backward"

@@ -317,6 +317,11 @@ class _Diverged(Exception):
     pass
 
 
+# rows per triangle block: a block pairs at most _ROW_BLOCK rows with the
+# K - i0 tail nodes, so f_diag never forms a K x K stack of matrices
+_ROW_BLOCK = 32
+
+
 class _Engine:
     """Caches per-grid samples and runs fixed-point window iterations.
 
@@ -342,8 +347,9 @@ class _Engine:
         self.G_T = _sym(p.G.eval(grid.T))
         self.psi = fundamental_solution(p.A, grid)
         self._tail_w = {}
-        self._rows = {}
         self._win_w = {}
+        self._window_key = None
+        self._window_blocks = None
 
     def tail_weights(self, i: int) -> np.ndarray:
         if i not in self._tail_w:
@@ -355,15 +361,6 @@ class _Engine:
         if key not in self._win_w:
             self._win_w[key] = left_slice_weights(self.nodes[a:b + 1])
         return self._win_w[key]
-
-    def partial_rows(self, i: int):
-        """Kernel first-argument partials at (s_i, nodes[i:]), cached."""
-        if i not in self._rows:
-            s = self.nodes[i]
-            ts = self.nodes[i:]
-            self._rows[i] = (self.p.Q.eval_dt(s, ts), self.p.M.eval_dt(s, ts),
-                             self.p.S.eval_dt(s, ts))
-        return self._rows[i]
 
     def upsilon_nodes(self, values: np.ndarray, a: int) -> np.ndarray:
         rhs = np.swapaxes(self.B_nodes[a:], -1, -2) @ values[a:] + self.S_nodes[a:]
@@ -377,30 +374,85 @@ class _Engine:
         C = self.A_half[2 * a:] - self.B_half[2 * a:] @ ups
         return fundamental_solution(None, self.nodes[a:], samples=C)
 
-    def f_diag(self, values: np.ndarray, a: int, b: int) -> np.ndarray:
-        """F(s_i; s_i, P) for window nodes i in [a, b], tail from values."""
+    def triangle_block(self, i0: int, i1: int) -> np.ndarray:
+        """Weighted kernel partials of the rows i0 <= i < i1 against the tail.
+
+        core[r - i0, :, i - i0, :] = W[i, r] [[Q_t, -S_t'], [-S_t, M_t]](s_i, r)
+        for r >= i and zero for r < i, with W[i] = tail_weights(i).  Tail
+        nodes lead, so one matrix product per tail node serves every row.
+        """
+        p, K = self.p, self.nodes.size
+        rows = np.arange(i0, i1)
+        lens = K - rows
+        row_of = np.repeat(rows, lens)
+        tail = np.arange(lens.sum()) - np.repeat(np.cumsum(lens) - lens - rows, lens)
+        s, r = self.nodes[row_of], self.nodes[tail]
+        w = np.concatenate([self.tail_weights(i) for i in rows])[:, None, None]
+        Sd = p.S.eval_dt(s, r)
+        pairs = np.block([[p.Q.eval_dt(s, r), -np.swapaxes(Sd, -1, -2)],
+                          [-Sd, p.M.eval_dt(s, r)]])
+        q = pairs.shape[-1]
+        core = np.zeros((K - i0, q, i1 - i0, q))
+        core[tail - i0, :, row_of - i0, :] = w * pairs
+        return core
+
+    def triangle_blocks(self, a: int, b: int):
+        """(i0, triangle_block) pairs covering rows [a, b], built one at a time."""
+        for i0 in range(a, b + 1, _ROW_BLOCK):
+            yield i0, self.triangle_block(i0, min(i0 + _ROW_BLOCK, b + 1))
+
+    def window_blocks(self, a: int, b: int) -> list:
+        """Triangle blocks of window [a, b], kept until another window asks."""
+        if self._window_key != (a, b):
+            self._window_blocks = None  # free the old window's before building
+            self._window_blocks = list(self.triangle_blocks(a, b))
+            self._window_key = (a, b)
+        return self._window_blocks
+
+    def f_diag(self, values: np.ndarray, a: int, b: int, blocks) -> np.ndarray:
+        """F(s_i; s_i, P) for window nodes i in [a, b], tail from values.
+
+        blocks are the (i0, triangle_block) pairs of rows [a, b].  In a
+        block, let U be the closed-loop flow from its first row,
+        U_r = Phi(r, s_i0).  Then Phi(r, s_i) = U_r U_i^{-1} takes the
+        conjugation out of the integral:
+
+            F_i = U_i^{-T} [ U_T' Gdot(s_i) U_T
+                             + sum_r W[i, r] L_r' core(s_i, r) L_r ] U_i^{-1},
+
+        L_r = [U_r; Ups_r U_r], core = [[Q_t, -S_t'], [-S_t, M_t]], so one
+        matrix product per tail node serves all rows of the block.  The flow
+        is anchored per block, not at the window start, so each U_i spans
+        fewer than _ROW_BLOCK intervals: inverting the flow of a whole window
+        would amplify rounding by its condition number squared.
+
+        Row i of W is tail_weights(i), composite Simpson on nodes[i:].  The
+        single-interval tail of row K-2 takes the trapezoid rule (second
+        order), not the borrowed quadratic of left_slice_weights; this keeps
+        the answers of the former per-row loop.
+        """
         U = self.closed_loop(values, a).values
         ups = self.upsilon_nodes(values, a)
-        upsT = np.swapaxes(ups, -1, -2)
-        out = np.empty((b - a + 1,) + (self.p.n, self.p.n))
-        for i in range(a, b + 1):
-            j = i - a
-            Qd, Md, Sd = self.partial_rows(i)
-            Phi = np.swapaxes(
-                np.linalg.solve(U[j].T, np.swapaxes(U[j:], -1, -2)), -1, -2)
-            uj = ups[j:]
-            ujT = upsT[j:]
-            core = Qd + ujT @ Md @ uj - ujT @ Sd - np.swapaxes(Sd, -1, -2) @ uj
-            integrand = np.swapaxes(Phi, -1, -2) @ core @ Phi
-            F = np.tensordot(self.tail_weights(i), integrand, axes=(0, 0))
-            PhiT = Phi[-1]
-            out[j] = PhiT.T @ self.Gd_nodes[i] @ PhiT + F
+        n, q = U.shape[-1], U.shape[-1] + ups.shape[1]
+        out = np.empty((b - a + 1, n, n))
+        for i0, core in blocks:
+            j0, rows = i0 - a, core.shape[2]
+            Ub = np.swapaxes(np.linalg.solve(U[j0].T, np.swapaxes(U[j0:], -1, -2)), -1, -2)
+            L = np.concatenate([Ub, ups[j0:] @ Ub], axis=1)
+            tail = L.shape[0]
+            inner = core.reshape(tail, q * rows, q) @ L
+            sums = L.reshape(tail * q, n).T @ inner.reshape(tail * q, rows * n)
+            acc = sums.reshape(n, rows, n).transpose(1, 0, 2) \
+                + Ub[-1].T @ self.Gd_nodes[i0:i0 + rows] @ Ub[-1]
+            UiT = np.swapaxes(Ub[:rows], -1, -2)
+            X = np.swapaxes(np.linalg.solve(UiT, acc), -1, -2)
+            out[j0:j0 + rows] = np.linalg.solve(UiT, X)
         return _sym(out)
 
     def picard_iterate(self, values: np.ndarray, a: int, b: int,
                        boundary: np.ndarray) -> np.ndarray:
         """One application of the window map; returns values on nodes[a:b+1]."""
-        F = self.f_diag(values, a, b)
+        F = self.f_diag(values, a, b, self.window_blocks(a, b))
         ups = self.upsilon_nodes(values, a)[:b - a + 1]
         quad = np.swapaxes(ups, -1, -2) @ self.M_nodes[a:b + 1] @ ups
         R = self.Q_nodes[a:b + 1] - F - quad
@@ -460,7 +512,9 @@ class _Engine:
     @cached_property
     def q_bar_table(self) -> np.ndarray:
         """Effective state weight Q(s,s) - F(s; s, P) at every node."""
-        return _sym(self.Q_nodes - self.f_diag(self.values, 0, self.nodes.size - 1))
+        last = self.nodes.size - 1
+        F = self.f_diag(self.values, 0, last, self.triangle_blocks(0, last))
+        return _sym(self.Q_nodes - F)
 
     @cached_property
     def integrand(self) -> np.ndarray:

@@ -178,3 +178,30 @@ def test_certificate_flags_corruption(hyperbolic_scalar, hyperbolic_solution):
     rep = equilibrium_certificate(hyperbolic_scalar, pol, spec)
     assert not rep.passed
     assert rep.worst_extrapolated < -1e-4
+
+
+def test_certificate_reuses_baseline_cost(hyperbolic_scalar, hyp_policy, monkeypatch):
+    # the policy cost is integrated once per (t, x, eps), not once per v,
+    # and the quotients equal the uncached ones bit for bit
+    import tilq.equilibrium as eq
+
+    calls = []
+    real_cost = eq.cost
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real_cost(*args, **kwargs)
+
+    spec = SampleSpec(times=(0.0, 0.4), eps_list=(0.08, 0.04))
+    monkeypatch.setattr(eq, "cost", counted)
+    rep = equilibrium_certificate(hyperbolic_scalar, hyp_policy, spec)
+    monkeypatch.undo()
+    probed = [s for s in rep.samples if s.finite_eps is not None]
+    states = {(s.t, tuple(s.x)) for s in probed}
+    assert len(probed) > len(states)
+    assert len(calls) == (len(probed) + len(states)) * len(spec.eps_list)
+    for s in probed:
+        fe, ext = perturbation_limit_finite_eps(
+            hyperbolic_scalar, hyp_policy, s.t, s.x, s.v, spec.eps_list)
+        assert fe == s.finite_eps
+        assert ext == s.extrapolated

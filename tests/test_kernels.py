@@ -97,3 +97,15 @@ def test_kernel_norms_two_time():
     nb = kernel_norms(k, g)
     np.testing.assert_allclose(nb.c_norm, 2.0)  # at (0, 1)
     np.testing.assert_allclose(nb.c1_norm, 3.0)  # sup |k| + sup |dk|
+
+
+def test_finite_difference_dt_at_the_corner():
+    # at s = 0 the admissible t-range is a point; the forward stencil
+    # reaches past s into the closure
+    k = TwoTimeKernel.from_callable(
+        lambda t, s: np.array([[np.exp(-0.5 * (s - t))]]), (1, 1), 1.0)
+    got, stencil = finite_difference_dt(k, 0.0, 0.0, 1e-6, return_info=True)
+    assert stencil == "forward-extended"
+    np.testing.assert_allclose(got, [[0.5]], atol=1e-8)
+    np.testing.assert_allclose(k.eval_dt(0.0, 0.0), [[0.5]], atol=1e-8)
+    assert finite_difference_dt(k, 0.1, 0.3, 1e-6, return_info=True)[1] == "central"

@@ -5,24 +5,32 @@ import pytest
 
 from tilq import (
     InvalidInputError,
+    LQProblem,
     NonconvergenceError,
+    OneTimeMatrixFn,
     SolveOptions,
     TimeGrid,
+    TwoTimeKernel,
     constant_problem,
     contraction_constants,
+    exponential_kernel,
     f_map,
     fundamental_solution,
+    hyperbolic_kernel,
     hyperbolic_problem,
+    hyperbolic_terminal,
     picard_step,
     q_bar,
     riccati_residual,
     riccati_residual_profile,
     solve_riccati,
     upsilon,
+    validate_assumptions,
 )
+from tilq._quad import simpson_weights
 from tilq.kernels import matrix_norm_many
 from tilq.propagators import closed_loop_coefficient
-from tilq.riccati import RiccatiSolution, q_bar_nodes
+from tilq.riccati import _ROW_BLOCK, RiccatiSolution, _Engine, q_bar_nodes
 
 TANH1 = 0.7615941559557649  # tanh(1)
 
@@ -280,3 +288,125 @@ def test_validation_gate():
     p = constant_problem(A=0.0, B=1.0, Q=1.0, S=0.0, M=-1.0, G=0.0, T=1.0)
     with pytest.raises(InvalidInputError):
         solve_riccati(p, TimeGrid.uniform(1.0, 32))
+
+
+def _coupled_problem(*, vectorized=True, b_scale=0.5):
+    """n=3, m=2 with every weight depending on the evaluation time, S too."""
+    rng = np.random.default_rng(3)
+    Q = hyperbolic_kernel(np.eye(3), 1.0, 1.0, 1.0)
+    if not vectorized:
+        Q = TwoTimeKernel.from_callable(
+            lambda t, s, k=Q: k.eval(t, s), (3, 3), 1.0,
+            dfn=lambda t, s, k=Q: k.eval_dt(t, s), symmetry_required=True)
+    return LQProblem(
+        A=OneTimeMatrixFn.constant(0.3 * rng.standard_normal((3, 3)), 1.0),
+        B=OneTimeMatrixFn.constant(b_scale * rng.standard_normal((3, 2)), 1.0),
+        Q=Q,
+        S=exponential_kernel(0.2 * rng.standard_normal((2, 3)), 0.7, 1.0,
+                             symmetry_required=False),
+        M=hyperbolic_kernel(np.array([[1.0, 0.2], [0.2, 0.8]]), 2.0, 0.5, 1.0),
+        G=hyperbolic_terminal(np.eye(3), 1.0, 1.0, 1.0),
+    )
+
+
+def _smooth_values(nodes):
+    C = np.array([[1.0, 0.3, 0.0], [0.3, 0.5, -0.2], [0.0, -0.2, 0.7]])
+    t = nodes[:, None, None]
+    return (0.5 + 0.5 * t) * np.eye(3) + 0.2 * np.sin(3.0 * t) * C
+
+
+def _loop_f_diag(engine, values, a, b):
+    """F(s_i; s_i, P) row by row: one solve for Phi(r, s_i) over each tail."""
+    p = engine.p
+    U = engine.closed_loop(values, a).values
+    ups = engine.upsilon_nodes(values, a)
+    upsT = np.swapaxes(ups, -1, -2)
+    out = np.empty((b - a + 1, p.n, p.n))
+    for i in range(a, b + 1):
+        j = i - a
+        s, ts = engine.nodes[i], engine.nodes[i:]
+        Qd, Md, Sd = p.Q.eval_dt(s, ts), p.M.eval_dt(s, ts), p.S.eval_dt(s, ts)
+        Phi = np.swapaxes(np.linalg.solve(U[j].T, np.swapaxes(U[j:], -1, -2)), -1, -2)
+        uj, ujT = ups[j:], upsT[j:]
+        core = Qd + ujT @ Md @ uj - ujT @ Sd - np.swapaxes(Sd, -1, -2) @ uj
+        integrand = np.swapaxes(Phi, -1, -2) @ core @ Phi
+        F = np.tensordot(simpson_weights(ts), integrand, axes=(0, 0))
+        out[j] = Phi[-1].T @ engine.Gd_nodes[i] @ Phi[-1] + F
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
+
+
+_UNIFORM = np.linspace(0.0, 1.0, 81)
+_NONUNIFORM = np.sort(np.concatenate([[0.0, 1.0], np.random.default_rng(5).uniform(0, 1, 79)]))
+
+
+@pytest.mark.parametrize("nodes, a, b, vectorized", [
+    (_UNIFORM, 0, 80, True),  # full grid, as behind q_bar_nodes
+    (_UNIFORM, 11, 11 + _ROW_BLOCK + 9, True),  # crosses a block edge mid-grid
+    (_UNIFORM, 79, 80, True),  # one-interval window: the trapezoid row K-2
+    (_NONUNIFORM, 0, 80, True),
+    (_NONUNIFORM, 30, 79, True),
+    (_UNIFORM, 5, 60, False),  # pair-by-pair callable kernel with dfn
+])
+def test_f_diag_matches_row_loop(nodes, a, b, vectorized):
+    p = _coupled_problem(vectorized=vectorized)
+    engine = _Engine(p, TimeGrid(nodes))
+    values = _smooth_values(nodes)
+    want = _loop_f_diag(engine, values, a, b)
+    got = engine.f_diag(values, a, b, engine.window_blocks(a, b))
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    full = engine.f_diag(values, a, b, engine.triangle_blocks(a, b))
+    np.testing.assert_array_equal(full, got)
+
+
+def test_f_diag_ill_conditioned_flow():
+    # a strongly contracting closed loop (condition ~3e8 over the grid): the
+    # row loop and the batched form both lose about cond * eps, but the flow
+    # must be re-anchored per row block; conjugating by the inverse of the
+    # flow from the window start instead amplifies rounding by cond^2
+    p = _coupled_problem(b_scale=1.0)
+    engine = _Engine(p, TimeGrid(_UNIFORM))
+    values = 2.0 * _smooth_values(_UNIFORM)
+    assert engine.closed_loop(values, 0).condition > 1e8
+    want = _loop_f_diag(engine, values, 0, 80)
+    got = engine.f_diag(values, 0, 80, engine.window_blocks(0, 80))
+    assert np.abs(got - want).max() <= 1e-7 * np.abs(want).max()
+
+
+def test_kernel_partials_once_per_window(hyperbolic_scalar):
+    # every iterate of a window reuses its partials: more iterations, no
+    # more eval_dt calls
+    calls = []
+    Q = hyperbolic_scalar.Q
+
+    def dfn(t, s):
+        calls.append(1)
+        return Q.eval_dt(t, s)
+
+    counted = TwoTimeKernel.from_callable(Q.eval, (1, 1), 1.0, dfn=dfn,
+                                          symmetry_required=True, vectorized=True)
+    p = LQProblem(A=hyperbolic_scalar.A, B=hyperbolic_scalar.B, Q=counted,
+                  S=hyperbolic_scalar.S, M=hyperbolic_scalar.M, G=hyperbolic_scalar.G)
+    g = TimeGrid.uniform(1.0, 80)
+    counts, iterations = [], []
+    for tol in (1e-4, 1e-12):
+        calls.clear()
+        sol = solve_riccati(p, g, SolveOptions(tol=tol, window_override=0.25))
+        counts.append(len(calls))
+        iterations.append(sol.meta["iterations_total"])
+    assert iterations[1] > iterations[0] + 8
+    assert counts[0] == counts[1]
+
+
+def test_derivative_free_kernel_validates_and_solves(hyperbolic_scalar):
+    # the finite-difference partial must work at the corner t = s = 0, which
+    # validation samples
+    ref = hyperbolic_scalar
+    Q = TwoTimeKernel.from_callable(lambda t, s: np.array([[1.0 / (1.0 + s - t)]]),
+                                    (1, 1), 1.0, symmetry_required=True)
+    assert Q.provenance == "finite-difference"
+    p = LQProblem(A=ref.A, B=ref.B, Q=Q, S=ref.S, M=ref.M, G=ref.G)
+    g = TimeGrid.uniform(1.0, 40)
+    assert validate_assumptions(p, g).hard_ok
+    got = solve_riccati(p, g)
+    want = solve_riccati(ref, g)
+    assert np.abs(got.values - want.values).max() < 1e-6
