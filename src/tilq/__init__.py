@@ -1,10 +1,10 @@
 """tilq: linear-quadratic control with evaluation-time-dependent weights.
 
 Solve the equilibrium Riccati integral equation by windowed fixed-point
-iteration, build the induced linear feedback policy, and verify it three
+iteration, build the induced linear feedback policy, and verify it four
 independent ways: integral-equation residuals, the forward-backward
-boundary value system, and first-order deviation certificates on the cost
-functional itself.
+boundary value system, the value identity, and first-order deviation
+certificates on the cost functional itself.
 """
 from .bvp import BvpSolution, bvp_residual, from_riccati, q_hat_quadratic
 from .equilibrium import (EquilibriumPolicy, PerturbationReport,

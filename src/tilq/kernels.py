@@ -50,7 +50,110 @@ def _as_batch(t) -> tuple[np.ndarray, bool]:
     raise InvalidInputError("time arguments must be scalars or 1-d arrays")
 
 
-class OneTimeMatrixFn:
+def _batch(t, s):
+    """(t, s, scalar) as 1-d arrays, s broadcast against t unless it is None."""
+    ts, scalar = _as_batch(t)
+    if s is None:
+        return ts, None, scalar
+    ss, s_scalar = _as_batch(s)
+    ts, ss = np.broadcast_arrays(ts, ss)
+    return ts, ss, scalar and s_scalar
+
+
+# stencil classes of _Coefficient._difference, by the kind code it returns
+_STENCILS = ("central", "forward", "forward-extended", "backward", "first-order")
+
+
+class _Coefficient:
+    """What one-time functions (time argument t, s=None) and two-time kernels
+    (t, s) share: bookkeeping, batched evaluation, the first-argument
+    derivative.  provenance is "analytic" when dfn was supplied, else
+    "finite-difference" (see _difference)."""
+
+    def __init__(self, fn, dims, horizon, dfn, vectorized):
+        self.dims = (int(dims[0]), int(dims[1]))
+        self.horizon = float(horizon)
+        if self.horizon <= 0:
+            raise InvalidInputError("horizon must be positive")
+        self._fn = fn
+        self._dfn = dfn
+        self._vectorized = bool(vectorized)
+        self.provenance = "finite-difference" if dfn is None else "analytic"
+
+    def _probe(self, *times):
+        """The value at one point, checked against the declared dims."""
+        probe = self.eval(*times)
+        if probe.shape != self.dims:
+            raise InvalidInputError(f"{type(self).__name__} returns shape {probe.shape},"
+                                    f" declared dims {self.dims}")
+        return probe
+
+    def _call(self, fn, t, s=None):
+        ts, ss, scalar = _batch(t, s)
+        args = (ts,) if ss is None else (ts, ss)
+        if self._vectorized:
+            out = np.asarray(fn(*args), dtype=float)
+        else:
+            out = np.stack([np.atleast_2d(np.asarray(fn(*map(float, a)), dtype=float))
+                            for a in zip(*args)])
+        if out.shape[-2:] != self.dims:
+            out = out.reshape(ts.shape + self.dims)
+        return out[0] if scalar else out
+
+    def eval(self, t, s=None):
+        return self._call(self._fn, t, s)
+
+    __call__ = eval
+
+    def eval_dt(self, t, s=None):
+        """Derivative in the (first) time argument."""
+        if self._dfn is not None:
+            return self._call(self._dfn, t, s)
+        ts, ss, scalar = _batch(t, s)
+        out = self._difference(ts, ss, max(1e-6, 1e-6 * self.horizon))[0]
+        return out[0] if scalar else out
+
+    def _difference(self, t, s, h):
+        """Second-order differences in t over the admissible range [0, u],
+        u = s for kernels (which need 0 <= t <= s <= horizon) and the
+        horizon for one-time functions; returns (values, kinds), kinds
+        indexing _STENCILS.
+
+        Central at t -/+ h when both stay in [0, u]; else forward at t, t+h,
+        t+2h when those do, or when u < 2h leaves no room for any stencil, so
+        the closure must extend past u (forward-extended); else backward; else
+        the first-order difference across [max(0, t-h), min(u, t+h)].  The
+        closure is called once per offset of each formula, whatever the batch.
+        """
+        if s is None:
+            u = np.full(t.shape, self.horizon)
+        elif not np.all((0.0 <= t) & (t <= s) & (s <= self.horizon)):
+            raise InvalidInputError("first-argument differences need 0 <= t <= s <= horizon")
+        else:
+            u = s
+        kinds = np.select([(t - h >= 0.0) & (t + h <= u), t + 2 * h <= u, u < 2 * h,
+                           t - 2 * h >= 0.0], [0, 1, 2, 3], 4)
+
+        def f(times, sel):
+            return self._call(self._fn, times, None if s is None else s[sel])
+
+        out = np.empty(t.shape + self.dims)
+        two_point = (kinds == 0) | (kinds == 4)  # central and first-order
+        if two_point.any():
+            tt = t[two_point]
+            lo, hi = np.maximum(0.0, tt - h), np.minimum(u[two_point], tt + h)
+            den = np.where(kinds[two_point] == 0, 2 * h, hi - lo)
+            out[two_point] = (f(hi, two_point) - f(lo, two_point)) / den[:, None, None]
+        one_sided = ~two_point  # forward (extended or not) with step d = h, backward d = -h
+        if one_sided.any():
+            tt = t[one_sided]
+            d = np.where(kinds[one_sided] == 3, -h, h)
+            out[one_sided] = (-3.0 * f(tt, one_sided) + 4.0 * f(tt + d, one_sided)
+                              - f(tt + 2 * d, one_sided)) / (2 * d)[:, None, None]
+        return out, kinds
+
+
+class OneTimeMatrixFn(_Coefficient):
     """Matrix-valued function of one time argument with a time derivative.
 
     Attributes
@@ -59,28 +162,17 @@ class OneTimeMatrixFn:
     horizon : float
     provenance : str
         "analytic" if eval_dt was supplied, "finite-difference" if it is the
-        built-in central-difference fallback (step max(1e-6, 1e-6*horizon),
-        one-sided at the ends of [0, horizon]).
+        built-in second-order difference (step max(1e-6, 1e-6*horizon),
+        central inside [0, horizon], one-sided at its ends).
     """
 
     def __init__(self, fn, dims, horizon, dfn=None, *, vectorized=False):
-        self.dims = (int(dims[0]), int(dims[1]))
-        self.horizon = float(horizon)
-        if self.horizon <= 0:
-            raise InvalidInputError("horizon must be positive")
-        self._fn = fn
-        self._vectorized = bool(vectorized)
-        if dfn is None:
-            self.provenance = "finite-difference"
-            self._dfn = None
-        else:
-            self.provenance = "analytic"
-            self._dfn = dfn
-        probe = self.eval(0.0)
-        if probe.shape != self.dims:
-            raise InvalidInputError(
-                f"function returns shape {probe.shape}, declared dims {self.dims}"
-            )
+        super().__init__(fn, dims, horizon, dfn, vectorized)
+        self._probe(0.0)
+
+    # also bound here, in the class's own namespace, where perfbench/tracer.py
+    # looks the public methods up
+    eval, eval_dt = _Coefficient.eval, _Coefficient.eval_dt
 
     @classmethod
     def constant(cls, value, horizon) -> "OneTimeMatrixFn":
@@ -127,46 +219,8 @@ class OneTimeMatrixFn:
     def from_callable(cls, fn, dims, horizon, dfn=None, *, vectorized=False):
         return cls(fn, dims, horizon, dfn, vectorized=vectorized)
 
-    def _call(self, fn, t):
-        ts, scalar = _as_batch(t)
-        if self._vectorized:
-            out = np.asarray(fn(ts), dtype=float)
-        else:
-            out = np.stack([np.atleast_2d(np.asarray(fn(float(ti)), dtype=float)) for ti in ts])
-        if out.shape[-2:] != self.dims:
-            out = out.reshape(ts.shape + self.dims)
-        return out[0] if scalar else out
 
-    def eval(self, t):
-        return self._call(self._fn, t)
-
-    __call__ = eval
-
-    def eval_dt(self, t):
-        if self._dfn is not None:
-            return self._call(self._dfn, t)
-        h = max(1e-6, 1e-6 * self.horizon)
-        ts, scalar = _as_batch(t)
-        out = np.empty(ts.shape + self.dims)
-        interior = (ts - h >= 0.0) & (ts + h <= self.horizon)
-        if np.any(interior):
-            ti = ts[interior]
-            out[interior] = (self._call(self._fn, ti + h)
-                             - self._call(self._fn, ti - h)) / (2 * h)
-        lo = ~interior & (ts - h < 0.0)
-        if np.any(lo):
-            ti = ts[lo]
-            out[lo] = (-3.0 * self._call(self._fn, ti) + 4.0 * self._call(self._fn, ti + h)
-                       - self._call(self._fn, ti + 2 * h)) / (2 * h)
-        hi = ~interior & ~lo
-        if np.any(hi):
-            ti = ts[hi]
-            out[hi] = (3.0 * self._call(self._fn, ti) - 4.0 * self._call(self._fn, ti - h)
-                       + self._call(self._fn, ti - 2 * h)) / (2 * h)
-        return out[0] if scalar else out
-
-
-class TwoTimeKernel:
+class TwoTimeKernel(_Coefficient):
     """Matrix-valued kernel of two times with a first-argument partial.
 
     eval(t, s) and eval_dt(t, s) are guaranteed on the closed triangle
@@ -177,30 +231,17 @@ class TwoTimeKernel:
 
     def __init__(self, fn, dims, horizon, dfn=None, *, symmetry_required=False,
                  vectorized=False):
-        self.dims = (int(dims[0]), int(dims[1]))
-        self.horizon = float(horizon)
-        if self.horizon <= 0:
-            raise InvalidInputError("horizon must be positive")
+        super().__init__(fn, dims, horizon, dfn, vectorized)
         self.symmetry_required = bool(symmetry_required)
-        self._fn = fn
-        self._vectorized = bool(vectorized)
-        if dfn is None:
-            self.provenance = "finite-difference"
-            self._dfn = None
-        else:
-            self.provenance = "analytic"
-            self._dfn = dfn
-        probe = self.eval(0.0, self.horizon)
-        if probe.shape != self.dims:
-            raise InvalidInputError(
-                f"kernel returns shape {probe.shape}, declared dims {self.dims}"
-            )
+        probe = self._probe(0.0, self.horizon)
         if self.symmetry_required:
             drift = float(np.abs(probe - probe.T).max())
             if drift > 1e-12 * (1.0 + float(np.abs(probe).max())):
                 raise InvalidInputError(
                     f"kernel declared symmetric but probe asymmetry is {drift:.3e}"
                 )
+
+    eval, eval_dt = _Coefficient.eval, _Coefficient.eval_dt
 
     @classmethod
     def constant(cls, value, horizon, *, symmetry_required=False) -> "TwoTimeKernel":
@@ -224,73 +265,26 @@ class TwoTimeKernel:
         return cls(fn, dims, horizon, dfn, symmetry_required=symmetry_required,
                    vectorized=vectorized)
 
-    def _call(self, fn, t, s):
-        ts, t_scalar = _as_batch(t)
-        ss, s_scalar = _as_batch(s)
-        ts, ss = np.broadcast_arrays(ts, ss)
-        if self._vectorized:
-            out = np.asarray(fn(ts, ss), dtype=float)
-        else:
-            out = np.stack([
-                np.atleast_2d(np.asarray(fn(float(ti), float(si)), dtype=float))
-                for ti, si in zip(ts, ss)
-            ])
-        if out.shape[-2:] != self.dims:
-            out = out.reshape(ts.shape + self.dims)
-        return out[0] if (t_scalar and s_scalar) else out
-
-    def eval(self, t, s):
-        return self._call(self._fn, t, s)
-
-    __call__ = eval
-
-    def eval_dt(self, t, s):
-        """Partial derivative in the first argument."""
-        if self._dfn is not None:
-            return self._call(self._dfn, t, s)
-        h = max(1e-6, 1e-6 * self.horizon)
-        ts, t_scalar = _as_batch(t)
-        ss, s_scalar = _as_batch(s)
-        ts, ss = np.broadcast_arrays(ts, ss)
-        out = np.stack([
-            finite_difference_dt(self, float(ti), float(si), h) for ti, si in zip(ts, ss)
-        ])
-        return out[0] if (t_scalar and s_scalar) else out
-
 
 def finite_difference_dt(k: TwoTimeKernel, t: float, s: float, h: float,
                          *, return_info: bool = False):
     """First-argument partial of a kernel by finite differences.
 
-    Uses a central stencil when t +/- h stays inside the triangle
-    {0 <= t <= s}, otherwise a second-order one-sided stencil.  When the
-    admissible t-range [0, s] is shorter than 2h (s = 0 at the corner
-    included) no stencil fits inside it, so the second-order forward stencil
-    at t, t + h, t + 2h reaches past s; the kernel's closure must extend off
-    the triangle there, as the discount families do.  In the rare remaining
-    case a first-order difference is the only option.  With
-    return_info=True a (matrix, stencil) pair comes back, stencil in
-    {"central", "forward", "backward", "forward-extended", "first-order"}.
+    The stencil of eval_dt without dfn, at one pair and with step h.  Uses a
+    central stencil when t +/- h stays inside the triangle {0 <= t <= s},
+    otherwise a second-order one-sided stencil.  When the admissible t-range
+    [0, s] is shorter than 2h (s = 0 at the corner included) no stencil fits
+    inside it, so the second-order forward stencil at t, t + h, t + 2h
+    reaches past s; the kernel's closure must extend off the triangle there,
+    as the discount families do.  In the rare remaining case a first-order
+    difference is the only option.  With return_info=True a (matrix,
+    stencil) pair comes back, stencil in {"central", "forward", "backward",
+    "forward-extended", "first-order"}.
     """
-    if not (0.0 <= t <= s <= k.horizon):
-        raise InvalidInputError("finite_difference_dt needs 0 <= t <= s <= horizon")
     if not h > 0:
         raise InvalidInputError("step h must be positive")
-    f = k.eval
-    if t - h >= 0.0 and t + h <= s:
-        val = (f(t + h, s) - f(t - h, s)) / (2 * h)
-        info = "central"
-    elif t + 2 * h <= s or s < 2 * h:
-        val = (-3.0 * f(t, s) + 4.0 * f(t + h, s) - f(t + 2 * h, s)) / (2 * h)
-        info = "forward" if t + 2 * h <= s else "forward-extended"
-    elif t - 2 * h >= 0.0:
-        val = (3.0 * f(t, s) - 4.0 * f(t - h, s) + f(t - 2 * h, s)) / (2 * h)
-        info = "backward"
-    else:
-        lo, hi = max(0.0, t - h), min(s, t + h)
-        val = (f(hi, s) - f(lo, s)) / (hi - lo)
-        info = "first-order"
-    return (val, info) if return_info else val
+    val, kinds = k._difference(np.array([float(t)]), np.array([float(s)]), h)
+    return (val[0], _STENCILS[kinds[0]]) if return_info else val[0]
 
 
 @dataclass(frozen=True)
@@ -319,25 +313,19 @@ def kernel_norms(k, g) -> NormBundle:
     integrates, in the first argument, the worst row-sum over the remaining
     second arguments (so a constant kernel gets T times its matrix norm).
     """
+    if not isinstance(k, _Coefficient):
+        raise InvalidInputError("kernel_norms expects a OneTimeMatrixFn or TwoTimeKernel")
     nodes = g.nodes
-    if isinstance(k, OneTimeMatrixFn):
-        vals = matrix_norm_many(k.eval(nodes))
-        dvals = matrix_norm_many(k.eval_dt(nodes))
-        if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(dvals))):
-            raise InvalidInputError("non-finite coefficient values on the grid")
-        c = float(vals.max())
-        return NormBundle(c, c + float(dvals.max()), float(integrate(vals, nodes)), c)
     if isinstance(k, TwoTimeKernel):
-        K = nodes.size
-        ii, jj = np.triu_indices(K)
-        vals = matrix_norm_many(k.eval(nodes[ii], nodes[jj]))
-        dvals = matrix_norm_many(k.eval_dt(nodes[ii], nodes[jj]))
-        if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(dvals))):
-            raise InvalidInputError("non-finite kernel values on the triangle")
-        c = float(vals.max())
-        rows = np.zeros((K, K))
-        rows[ii, jj] = vals
-        row_worst = rows.max(axis=1)
-        return NormBundle(c, c + float(dvals.max()),
-                          float(integrate(row_worst, nodes)), c)
-    raise InvalidInputError("kernel_norms expects a OneTimeMatrixFn or TwoTimeKernel")
+        ii, jj = np.triu_indices(nodes.size)
+        args = (nodes[ii], nodes[jj])
+    else:
+        ii, args = np.arange(nodes.size), (nodes,)
+    vals = matrix_norm_many(k.eval(*args))
+    dvals = matrix_norm_many(k.eval_dt(*args))
+    if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(dvals))):
+        raise InvalidInputError("non-finite coefficient values on the grid")
+    c = float(vals.max())
+    # pairs come row by row; the worst of each row (one-time: each value)
+    row_worst = np.maximum.reduceat(vals, np.searchsorted(ii, np.arange(nodes.size)))
+    return NormBundle(c, c + float(dvals.max()), float(integrate(row_worst, nodes)), c)

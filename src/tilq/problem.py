@@ -117,27 +117,30 @@ class ValidationReport:
         }
 
 
+def _point(points, i) -> tuple:
+    return tuple(points[i].tolist())
+
+
 def _worst_min_eig(stack, points):
     sym = 0.5 * (stack + np.swapaxes(stack, -1, -2))
     eigs = np.linalg.eigvalsh(sym).min(axis=-1)
     i = int(np.argmin(eigs))
-    return float(eigs[i]), points[i]
+    return float(eigs[i]), _point(points, i)
 
 
 def _worst_asymmetry(stack, points):
     gap = matrix_norm_many(stack - np.swapaxes(stack, -1, -2))
     i = int(np.argmax(gap))
-    return float(gap[i]), points[i]
+    return float(gap[i]), _point(points, i)
 
 
 def _worst_nonfinite(stack, points):
     mag = np.abs(stack).reshape(stack.shape[0], -1).max(axis=1)
     bad = ~np.isfinite(stack).reshape(stack.shape[0], -1).all(axis=1)
     if bad.any():
-        i = int(np.argmax(bad))
-        return float("inf"), points[i], False
+        return float("inf"), _point(points, int(np.argmax(bad))), False
     i = int(np.argmax(mag))
-    return float(mag[i]), points[i], True
+    return float(mag[i]), _point(points, i), True
 
 
 def validate_assumptions(p: LQProblem, g, tol: float = 1e-8) -> ValidationReport:
@@ -152,11 +155,9 @@ def validate_assumptions(p: LQProblem, g, tol: float = 1e-8) -> ValidationReport
     failed.
     """
     nodes = g.nodes
-    K = nodes.size
-    ii, jj = np.triu_indices(K)
+    ii, jj = np.triu_indices(nodes.size)
     tt, ss = nodes[ii], nodes[jj]
-    tri_pts = list(zip(tt.tolist(), ss.tolist()))
-    node_pts = [(float(t),) for t in nodes]
+    tri_pts, node_pts = np.column_stack([tt, ss]), nodes[:, None]
 
     A_vals = p.A.eval(nodes)
     B_vals = p.B.eval(nodes)
@@ -183,8 +184,8 @@ def validate_assumptions(p: LQProblem, g, tol: float = 1e-8) -> ValidationReport
     s_finite = s_finite and ok
     checks.append(CheckResult("H4-S-partial-finite", where, worst, ok, True))
 
-    m_scale = 1.0 + float(matrix_norm_many(M_vals).max()) if np.isfinite(M_vals).all() else 1.0
-    pd_floor = 1e-10 * float(matrix_norm_many(M_vals).max()) if np.isfinite(M_vals).all() else 0.0
+    m_norm = float(matrix_norm_many(M_vals).max()) if np.isfinite(M_vals).all() else 0.0
+    m_scale, pd_floor = 1.0 + m_norm, 1e-10 * m_norm
 
     worst, where = _worst_asymmetry(M_vals, tri_pts)
     checks.append(CheckResult("H2-M-symmetric", where, worst, worst <= tol * m_scale, True))
@@ -192,7 +193,8 @@ def validate_assumptions(p: LQProblem, g, tol: float = 1e-8) -> ValidationReport
     M_eigs = np.linalg.eigvalsh(M_sym).min(axis=-1)
     i = int(np.argmin(M_eigs))
     m_pd = bool(M_eigs[i] > pd_floor)
-    checks.append(CheckResult("H2-M-positive-definite", tri_pts[i], float(M_eigs[i]), m_pd, True))
+    checks.append(CheckResult("H2-M-positive-definite", _point(tri_pts, i), float(M_eigs[i]),
+                              m_pd, True))
 
     q_scale = 1.0 + float(matrix_norm_many(Q_vals).max())
     worst, where = _worst_asymmetry(Q_vals, tri_pts)
@@ -207,8 +209,11 @@ def validate_assumptions(p: LQProblem, g, tol: float = 1e-8) -> ValidationReport
 
     worst, where = _worst_min_eig(Qd_vals, tri_pts)
     checks.append(CheckResult("H5-Qt-psd", where, worst, worst >= -tol, False))
-    worst, where = _worst_min_eig(Md_vals, tri_pts)
-    checks.append(CheckResult("H5-Mt-psd", where, worst, worst >= -tol, False))
+    Md_sym = 0.5 * (Md_vals + np.swapaxes(Md_vals, -1, -2))
+    Md_eigs = np.linalg.eigvalsh(Md_sym).min(axis=-1)
+    i = int(np.argmin(Md_eigs))
+    worst = float(Md_eigs[i])
+    checks.append(CheckResult("H5-Mt-psd", _point(tri_pts, i), worst, worst >= -tol, False))
     worst, where = _worst_min_eig(Gd_vals, node_pts)
     checks.append(CheckResult("H5-Gdot-psd", where, worst, worst >= -tol, False))
 
@@ -222,15 +227,12 @@ def validate_assumptions(p: LQProblem, g, tol: float = 1e-8) -> ValidationReport
                                   note="skipped (M not PD or S not finite)"))
         skipped["H5-Q-SMS-psd"] = len(tri_pts)
 
-    Md_sym = 0.5 * (Md_vals + np.swapaxes(Md_vals, -1, -2))
-    Md_eigs = np.linalg.eigvalsh(Md_sym).min(axis=-1)
     live = Md_eigs > tol
     skipped["H5-Qt-combo-psd"] = int((~live).sum())
     if s_finite and live.any():
         Yd = np.linalg.solve(Md_sym[live], Sd_vals[live])
         combo = Qd_vals[live] - np.swapaxes(Sd_vals[live], -1, -2) @ Yd
-        pts = [tri_pts[i] for i in np.nonzero(live)[0]]
-        worst, where = _worst_min_eig(combo, pts)
+        worst, where = _worst_min_eig(combo, tri_pts[live])
         note = "" if live.all() else f"{int((~live).sum())} pairs skipped (M_t singular)"
         checks.append(CheckResult("H5-Qt-combo-psd", where, worst, worst >= -tol, False, note))
     else:

@@ -301,16 +301,16 @@ class SolveOptions:
     window_override: window width in time units; bypasses the width policy
         (divergence halving still active).
     validate: run assumption validation before solving.
-    guaranteed_max_refine: largest internal grid-refinement factor allowed
-        to resolve the certified width tau with >= min_window_nodes nodes.
     """
 
     tol: float | None = None
     max_iter: int = 200
     window_override: float | None = None
     validate: bool = True
-    guaranteed_max_refine: int = 10
-    min_window_nodes: int = 8
+
+
+_MIN_WINDOW_NODES = 8
+_GUARANTEED_MAX_REFINE = 10
 
 
 class _Diverged(Exception):
@@ -568,8 +568,8 @@ def solve_riccati(p: LQProblem, g: TimeGrid, opts: SolveOptions | None = None
     """Solve the equilibrium Riccati integral equation on grid g.
 
     Windows of the certified width tau are used whenever the grid resolves
-    them (>= opts.min_window_nodes nodes, refining internally up to
-    opts.guaranteed_max_refine); the contraction factor is then asserted
+    them (>= _MIN_WINDOW_NODES nodes, refining internally up to
+    _GUARANTEED_MAX_REFINE times); the contraction factor is then asserted
     <= 0.75 per window.  Otherwise practical windows of width T/4 march
     backward with halving on observed divergence.  Raises
     NonconvergenceError when an iteration cap or halving floor is hit.
@@ -594,12 +594,12 @@ def solve_riccati(p: LQProblem, g: TimeGrid, opts: SolveOptions | None = None
         width = float(opts.window_override)
         if not 0 < width <= g.T:
             raise InvalidInputError("window_override must lie in (0, T]")
-    elif cc.tau >= opts.min_window_nodes * g.h:
+    elif cc.tau >= _MIN_WINDOW_NODES * g.h:
         mode = "guaranteed"
         width = cc.tau
-    elif cc.tau > 0 and math.ceil(opts.min_window_nodes * g.h / cc.tau) \
-            <= opts.guaranteed_max_refine:
-        refined_by = math.ceil(opts.min_window_nodes * g.h / cc.tau)
+    elif cc.tau > 0 and math.ceil(_MIN_WINDOW_NODES * g.h / cc.tau) \
+            <= _GUARANTEED_MAX_REFINE:
+        refined_by = math.ceil(_MIN_WINDOW_NODES * g.h / cc.tau)
         g_solve = g.refine(refined_by)
         mode = "guaranteed"
         width = cc.tau
@@ -677,19 +677,19 @@ def riccati_residual_profile(p: LQProblem, P: RiccatiSolution) -> np.ndarray:
 def riccati_residual(p: LQProblem, P: RiccatiSolution, t: float) -> float:
     """Integral-equation defect ||P(t) - G(T) - int_t^T rhs|| at one time.
 
-    Grid nodes use the shared node integrand; off-node t adds the fractional
-    first interval with the nonlocal term evaluated at t itself.
+    At a grid node this is the entry of riccati_residual_profile; off-node t
+    adds the fractional first interval with the nonlocal term evaluated at t
+    itself.
     """
     nodes = P.grid.nodes
     if not nodes[0] <= t <= nodes[-1]:
         raise InvalidInputError("t outside [0, T]")
+    idx = np.searchsorted(nodes, t)
+    if idx < nodes.size and nodes[idx] == t:
+        return float(riccati_residual_profile(p, P)[idx])
     engine = _engine_for(p, P)
     I = engine.integrand
     G_T = engine.G_T
-    idx = np.searchsorted(nodes, t)
-    if idx < nodes.size and nodes[idx] == t:
-        integral = np.tensordot(engine.tail_weights(idx), I[idx:], axes=(0, 0))
-        return float(matrix_norm(P.values[idx] - G_T - integral))
     Pt = P(t)
     At = p.A.eval(t)
     upst = upsilon(p, P, t)

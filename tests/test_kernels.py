@@ -109,3 +109,105 @@ def test_finite_difference_dt_at_the_corner():
     np.testing.assert_allclose(got, [[0.5]], atol=1e-8)
     np.testing.assert_allclose(k.eval_dt(0.0, 0.0), [[0.5]], atol=1e-8)
     assert finite_difference_dt(k, 0.1, 0.3, 1e-6, return_info=True)[1] == "central"
+
+
+def _ladder_dt(k, t, s, h):
+    """The former per-pair finite difference: (value, stencil) at one pair."""
+    f = k.eval
+    if t - h >= 0.0 and t + h <= s:
+        return (f(t + h, s) - f(t - h, s)) / (2 * h), "central"
+    if t + 2 * h <= s or s < 2 * h:
+        val = (-3.0 * f(t, s) + 4.0 * f(t + h, s) - f(t + 2 * h, s)) / (2 * h)
+        return val, "forward" if t + 2 * h <= s else "forward-extended"
+    if t - 2 * h >= 0.0:
+        return (3.0 * f(t, s) - 4.0 * f(t - h, s) + f(t - 2 * h, s)) / (2 * h), "backward"
+    lo, hi = max(0.0, t - h), min(s, t + h)
+    return (f(hi, s) - f(lo, s)) / (hi - lo), "first-order"
+
+
+def _kink(x):
+    """Zero for x <= 0, slope 50 beyond: a stencil that crosses 0 shows."""
+    return 50.0 * np.maximum(x, 0.0)
+
+
+def _extending_kernel(**kw):
+    """A 2 x 2 kernel whose closure extends off the triangle with kinks at
+    t = 0 and t = s, so a stencil placed other than the ladder's shows."""
+    def fn(t, s):
+        t, s = np.asarray(t, dtype=float), np.asarray(s, dtype=float)
+        return np.stack([np.stack([np.exp(-0.5 * (s - t)) * np.cos(t), np.sin(2 * t + s)], -1),
+                         np.stack([t * t * s, 1.0 / (1.0 + s - t) + _kink(t - s) + _kink(-t)],
+                                  -1)], -2)
+    return TwoTimeKernel.from_callable(fn, (2, 2), 1.0, **kw)
+
+
+def test_batched_stencil_matches_pair_ladder():
+    # h = 1e-6 on [0, 1]; the nodes near 0 reach every stencil class, the
+    # forward-extended corner s < 2h and the first-order band 2h <= s < 3h
+    # included
+    h = 1e-6
+    nodes = np.unique(np.concatenate([[0.0, 0.5, 1.0, 1.5, 2.2, 2.5, 3.5] * np.array(h),
+                                      np.linspace(0.0, 1.0, 41), [1.0 - 0.5 * h]]))
+    ii, jj = np.triu_indices(nodes.size)
+    tt, ss = nodes[ii], nodes[jj]
+    for vectorized in (True, False):
+        k = _extending_kernel(vectorized=vectorized)
+        ladder = [_ladder_dt(k, float(t), float(s), h) for t, s in zip(tt, ss)]
+        want = np.stack([v for v, _ in ladder])
+        assert {label for _, label in ladder} == {
+            "central", "forward", "forward-extended", "backward", "first-order"}
+        got = k.eval_dt(tt, ss)
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+        for (t, s), (v, label) in zip(zip(tt[::7], ss[::7]), ladder[::7]):
+            got_v, got_label = finite_difference_dt(k, float(t), float(s), h, return_info=True)
+            assert got_label == label
+            np.testing.assert_allclose(got_v, v, rtol=1e-9, atol=1e-9 * np.abs(want).max())
+
+
+def test_derivative_free_triangle_calls_closure_a_few_times():
+    calls = []
+
+    def fn(t, s):
+        calls.append(np.size(t))
+        return np.exp(-0.5 * (s - t))[:, None, None] * np.eye(2)
+
+    k = TwoTimeKernel.from_callable(fn, (2, 2), 1.0, vectorized=True)
+    for K in (21, 201):
+        nodes = np.linspace(0.0, 1.0, K)
+        ii, jj = np.triu_indices(K)
+        calls.clear()
+        got = k.eval_dt(nodes[ii], nodes[jj])
+        assert len(calls) <= 10
+        assert sum(calls) <= 3 * ii.size
+        want = 0.5 * np.exp(-0.5 * (nodes[jj] - nodes[ii]))
+        np.testing.assert_allclose(got[:, 0, 0], want, atol=1e-8)
+        np.testing.assert_array_equal(got[:, 0, 1], 0.0)
+
+
+def test_one_time_differences_at_the_ends():
+    # one-sided stencils at t = 0 and t = T, central inside, on [0, 2]; the
+    # kinks outside [0, 2] show any stencil that leaves it
+    f = OneTimeMatrixFn.from_callable(
+        lambda t: np.stack([np.sin(3 * t), t ** 3 - t + _kink(t - 2.0) + _kink(-t)],
+                           -1)[:, None, :], (1, 2), 2.0, vectorized=True)
+    ts = np.array([0.0, 1e-6, 0.7, 2.0 - 1e-6, 2.0])
+    want = np.stack([3 * np.cos(3 * ts), 3 * ts ** 2 - 1], -1)[:, None, :]
+    np.testing.assert_allclose(f.eval_dt(ts), want, atol=1e-8)
+    np.testing.assert_allclose(f.eval_dt(2.0), want[-1], atol=1e-8)
+    np.testing.assert_allclose(f.eval_dt(0.0), want[0], atol=1e-8)
+
+
+def test_differences_outside_the_triangle_raise():
+    k = _extending_kernel()
+    for t, s in [(0.6, 0.3), (-0.1, 0.5), (0.5, 1.5)]:
+        with pytest.raises(InvalidInputError):
+            finite_difference_dt(k, t, s, 1e-6)
+        with pytest.raises(InvalidInputError):
+            k.eval_dt(np.array([0.1, t]), np.array([0.2, s]))
+    with pytest.raises(InvalidInputError):
+        finite_difference_dt(k, 0.1, 0.2, 0.0)
+    # an analytic partial is the closure's own business off the triangle
+    analytic = TwoTimeKernel.from_callable(
+        lambda t, s: np.array([[np.exp(t - s)]]), (1, 1), 1.0,
+        dfn=lambda t, s: np.array([[np.exp(t - s)]]))
+    np.testing.assert_allclose(analytic.eval_dt(0.6, 0.3), [[np.exp(0.3)]])

@@ -410,3 +410,22 @@ def test_derivative_free_kernel_validates_and_solves(hyperbolic_scalar):
     got = solve_riccati(p, g)
     want = solve_riccati(ref, g)
     assert np.abs(got.values - want.values).max() < 1e-6
+
+
+def _n3_problem():
+    """Hyperbolic n=3, m=2, k=theta=1 with A = 0.3 randn, B = randn (rng 0)."""
+    rng = np.random.default_rng(0)
+    A = 0.3 * rng.standard_normal((3, 3))
+    B = rng.standard_normal((3, 2))
+    return hyperbolic_problem(np.eye(3), np.eye(2), np.eye(3), A=A, B=B,
+                              k=1.0, theta=1.0, T=1.0)
+
+
+def test_node_residual_matches_profile(tanh_problem, tanh_solution):
+    # every node, K-2 included, integrates by the profile's rule
+    n3 = _n3_problem()
+    for p, sol in [(tanh_problem, tanh_solution),
+                   (n3, solve_riccati(n3, TimeGrid.uniform(1.0, 100)))]:
+        prof = riccati_residual_profile(p, sol)
+        got = [riccati_residual(p, sol, float(t)) for t in sol.grid.nodes]
+        np.testing.assert_allclose(got, prof, rtol=1e-9, atol=0.0)
