@@ -63,18 +63,50 @@ def left_slice_weights(x: np.ndarray) -> np.ndarray:
     endpoint borrows the preceding node so every row stays third-order exact
     (no trapezoid rows as long as x has at least three nodes).  Used for
     backward cumulative integrals.
+
+    Built without a loop over rows: in every slice simpson_weights places its
+    interval pairs flush with the right end, so each row is the one vector R
+    of right-aligned pair weights, except at its first node or, when the
+    slice has an odd interval count, its first three nodes (the 3/8 block).
+    Every entry sums the same one or two terms as simpson_weights(x[i:]), so
+    the rows are bit-identical to it.
     """
     x = np.asarray(x, dtype=float)
-    W = np.zeros((x.size, x.size))
-    for i in range(x.size - 1):
-        W[i, i:] = simpson_weights(x[i:])
-    i = x.size - 2
-    if i >= 1:
-        # quadratic through (x[i-1], x[i], x[i+1]) integrated over the last interval
-        g0 = x[i] - x[i - 1]
-        g1 = x[i + 1] - x[i]
-        W[i, i - 1:] = 0.0
-        W[i, i - 1] = -g1 * g1 * g1 / (6 * g0 * (g0 + g1))
-        W[i, i] = g1 * (g1 * g1 + 4 * g1 * g0 + 3 * g0 * g0) / (6 * g0 * (g0 + g1))
-        W[i, i + 1] = g1 * g0 * (2 * g1 + 3 * g0) / (6 * g0 * (g0 + g1))
+    K = x.size
+    if K < 3:
+        W = np.zeros((K, K))
+        if K == 2:
+            W[0] = 0.5 * (x[1] - x[0])
+        return W
+    h = np.diff(x)
+    h0, h1 = h[:-1], h[1:]  # the pair or block starting at node j
+    s = h0 + h1
+    a = s * (2 * h0 - h1) / (6 * h0)
+    b = s * s * s / (6 * h0 * h1)
+    c = s * (2 * h1 - h0) / (6 * h1)
+    R = np.zeros(K)
+    j = np.arange((K - 1) % 2, K - 2, 2)
+    R[j] = a[j]
+    R[j + 1] = b[j]
+    R[j + 2] += c[j]
+    W = np.triu(np.broadcast_to(R, (K, K)))
+    rows = np.arange(K - 2)
+    # an even slice starts with a pair, which has no left neighbour
+    even = rows[(K - 1 - rows) % 2 == 0]
+    W[even, even] = a[even]
+    # an odd slice starts with the 3/8 block, overlapping its first pair
+    odd = rows[(K - 1 - rows) % 2 == 1]
+    g0, g1 = h0[odd], h1[odd]
+    W[odd, odd] = g0 * g1 * (2 * g0 + 3 * g1) / (6 * g1 * (g0 + g1))
+    W[odd, odd + 1] = g0 * (g0 * g0 + 4 * g0 * g1 + 3 * g1 * g1) / (6 * g1 * (g0 + g1)) \
+        + a[odd + 1]
+    W[odd, odd + 2] = -g0 * g0 * g0 / (6 * g1 * (g0 + g1)) + b[odd + 1]
+    W[K - 2:] = 0.0
+    # quadratic through (x[i-1], x[i], x[i+1]) integrated over the last interval
+    i = K - 2
+    g0 = x[i] - x[i - 1]
+    g1 = x[i + 1] - x[i]
+    W[i, i - 1] = -g1 * g1 * g1 / (6 * g0 * (g0 + g1))
+    W[i, i] = g1 * (g1 * g1 + 4 * g1 * g0 + 3 * g0 * g0) / (6 * g0 * (g0 + g1))
+    W[i, i + 1] = g1 * g0 * (2 * g1 + 3 * g0) / (6 * g0 * (g0 + g1))
     return W

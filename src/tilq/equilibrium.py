@@ -7,6 +7,15 @@ order in eps, by the quadratic <M(t,t)(v - u(t,x)), v - u(t,x)>; the
 certificate checks that limit both in closed form and through difference
 quotients of the actual cost functional, so a wrong kernel shows up as a
 profitable deviation.
+
+The quotients integrate each deviated and baseline cost along its path only
+over the splice [t, t+eps].  From t+eps on both follow the linear policy
+with the weights frozen at t, so that remainder is the quadratic form
+x' Pi x of a tail value matrix Pi = Pi_t(t+eps) (see _tail_value_matrix),
+built once per (t, eps) and shared by every state and deviation there.  Pi
+is not P(t+eps): the discount is non-exponential, so the frozen weights
+differ from those P(t+eps) uses.  The value identity keeps the path-based
+cost, so it never depends on P.
 """
 from __future__ import annotations
 
@@ -15,12 +24,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quad import integrate
+from ._quad import integrate, simpson_weights
 from .errors import GridTooCoarseError, InvalidInputError
 from .grids import TimeGrid
 from .problem import LQProblem
 from .propagators import Propagator, half_times, rk4_steps
 from .riccati import RiccatiSolution, _engine_for
+
+# default node count below which cost, and the tail value matrix, refine a segment
+_MIN_SEGMENT_NODES = 17
 
 
 @dataclass(frozen=True)
@@ -191,8 +203,12 @@ def _running_cost(p: LQProblem, t_freeze: float, seg, X, U) -> float:
     return float(integrate(vals, seg))
 
 
+def _grid_nodes(p: LQProblem, grid: TimeGrid | None) -> np.ndarray:
+    return grid.nodes if grid is not None else TimeGrid.uniform(p.T, 400).nodes
+
+
 def cost(p: LQProblem, t: float, x, u, grid: TimeGrid | None = None, *,
-         breakpoints=(), min_segment_nodes: int = 17) -> float:
+         breakpoints=(), min_segment_nodes: int = _MIN_SEGMENT_NODES, tail=None) -> float:
     """Cost functional J(t, x; u) with weights frozen at evaluation time t.
 
     u is a control given as a policy object, a constant vector, a time
@@ -202,6 +218,13 @@ def cost(p: LQProblem, t: float, x, u, grid: TimeGrid | None = None, *,
     order-4 one-step scheme and the running cost uses composite Simpson
     quadrature segment by segment; segments shorter than min_segment_nodes
     grid nodes are refined to that count.
+
+    tail, an n x n value matrix, replaces the last segment: the path is
+    integrated only up to the last breakpoint b (which may equal T), and
+    the cost from there on is x(b)' tail x(b).  The last control of u is
+    the one tail values; it is not integrated.  With tail =
+    _tail_value_matrix(p, u[-1], t, b, grid) the result equals the cost
+    without tail up to rounding.
     """
     T = p.T
     t = float(t)
@@ -211,17 +234,27 @@ def cost(p: LQProblem, t: float, x, u, grid: TimeGrid | None = None, *,
     tiny = 1e-12 * (1.0 + T)
     if T - t <= tiny:
         return float(x @ p.G.eval(t) @ x)
-    gnodes = grid.nodes if grid is not None else TimeGrid.uniform(T, 400).nodes
-    cuts = sorted({float(b) for b in breakpoints if t + tiny < float(b) < T - tiny})
-    edges = [t, *cuts, T]
-    n_seg = len(edges) - 1
+    gnodes = _grid_nodes(p, grid)
+    bps = [float(b) for b in breakpoints]
+    end = T
+    if tail is not None:
+        end = max(bps, default=t)
+        if not t + tiny < end <= T + tiny:
+            raise InvalidInputError("a tail needs a last breakpoint in (t, T]")
+        end = min(end, T)
+        final = np.asarray(tail, dtype=float).reshape(p.n, p.n)
+    else:
+        final = p.G.eval(t)
+    cuts = sorted({b for b in bps if t + tiny < b < end - tiny})
+    edges = [t, *cuts, end]
+    n_ctrl = len(edges) - 1 + (tail is not None)
     if isinstance(u, (list, tuple)) and not isinstance(u, np.ndarray) \
             and u and not np.isscalar(u[0]):
-        if len(u) != n_seg:
+        if len(u) != n_ctrl:
             raise InvalidInputError("need one control per segment")
         ctrls = [_as_control(ui, p.m) for ui in u]
     else:
-        ctrls = [_as_control(u, p.m)] * n_seg
+        ctrls = [_as_control(u, p.m)] * n_ctrl
     total = 0.0
     xs = x
     for (a, b), ctrl in zip(zip(edges[:-1], edges[1:]), ctrls):
@@ -229,7 +262,36 @@ def cost(p: LQProblem, t: float, x, u, grid: TimeGrid | None = None, *,
         X, U = _integrate_segment(p, seg, xs, ctrl)
         total += _running_cost(p, t, seg, X, U)
         xs = X[-1]
-    return total + float(xs @ p.G.eval(t) @ xs)
+    return total + float(xs @ final @ xs)
+
+
+def _tail_value_matrix(p: LQProblem, pol: EquilibriumPolicy, t: float, b: float,
+                       grid: TimeGrid | None = None) -> np.ndarray:
+    """Pi with x' Pi x = cost of following pol on [b, T] from x, weights frozen at t.
+
+    On the segment cost builds for [b, T], with the closed-loop RK4 steps
+    Phi_k from b to node k, gain K and Simpson weights w_k:
+        Pi = sum_k w_k Phi_k' L_k Phi_k + Phi_K' G(t) Phi_K,
+        L = Q(t,.) + K'S(t,.) + S(t,.)'K + K'M(t,.)K.
+    """
+    T = p.T
+    if T - b <= 1e-12 * (1.0 + T):
+        return p.G.eval(t)
+    seg = _segment_nodes(_grid_nodes(p, grid), b, T, _MIN_SEGMENT_NODES)
+    half = half_times(seg)
+    gains = pol.gain_many(half)
+    E, _ = rk4_steps(seg, p.A.eval(half) + p.B.eval(half) @ gains)
+    Phi = np.empty((seg.size, p.n, p.n))
+    Phi[0] = np.eye(p.n)
+    for i in range(seg.size - 1):
+        Phi[i + 1] = E[i] @ Phi[i]
+    Kn = gains[0::2]
+    KnT = np.swapaxes(Kn, -1, -2)
+    KS = KnT @ p.S.eval(t, seg)
+    L = p.Q.eval(t, seg) + KS + np.swapaxes(KS, -1, -2) + KnT @ p.M.eval(t, seg) @ Kn
+    PhiT = np.swapaxes(Phi, -1, -2)
+    running = np.tensordot(simpson_weights(seg), PhiT @ L @ Phi, axes=(0, 0))
+    return running + PhiT[-1] @ p.G.eval(t) @ Phi[-1]
 
 
 def value_identity_gap(p: LQProblem, pol: EquilibriumPolicy, t: float, x,
@@ -240,6 +302,12 @@ def value_identity_gap(p: LQProblem, pol: EquilibriumPolicy, t: float, x,
     return abs(J - float(x @ pol.P(float(t)) @ x))
 
 
+def _closed_forms(gains, Ms, X, V) -> np.ndarray:
+    """<M w, w> with w = v - gain x, one row per stacked (gain, M, x, v)."""
+    W = V - (gains @ X[:, :, None])[:, :, 0]
+    return ((W[:, None, :] @ Ms) @ W[:, :, None])[:, 0, 0]
+
+
 def perturbation_limit_closed_form(p: LQProblem, pol: EquilibriumPolicy,
                                    t: float, x, v) -> float:
     """First-order cost change for deviating to v at (t, x).
@@ -247,26 +315,34 @@ def perturbation_limit_closed_form(p: LQProblem, pol: EquilibriumPolicy,
     Equals <M(t,t) w, w> with w = v - u(t, x): nonnegative, and zero exactly
     at the policy value.
     """
-    t = float(t)
-    x = np.asarray(x, dtype=float).reshape(p.n)
-    v = np.asarray(v, dtype=float).reshape(p.m)
-    w = v - pol.control(t, x)
-    return float(w @ p.M.eval(t, t) @ w)
+    ts = np.asarray([float(t)])
+    x = np.asarray(x, dtype=float).reshape(1, p.n)
+    v = np.asarray(v, dtype=float).reshape(1, p.m)
+    return float(_closed_forms(pol.gain_many(ts), p.M.eval(ts, ts), x, v)[0])
 
 
 def perturbation_limit_finite_eps(p: LQProblem, pol: EquilibriumPolicy,
                                   t: float, x, v, eps_list,
                                   grid: TimeGrid | None = None, *,
-                                  baseline: dict | None = None):
+                                  baseline: dict | None = None,
+                                  tails: dict | None = None):
     """Difference quotients (J(t,x;spliced) - J(t,x;policy))/eps and their
     linear-in-eps extrapolation.
 
     The spliced control holds the constant v on [t, t+eps] and follows the
     policy afterwards.  Both costs use the same segmentation (splice
     sub-grid refined to >= 17 nodes) so quadrature bias cancels in the
-    quotient.  The policy cost does not depend on v: baseline, a dict
-    eps -> J(t,x;policy) shared by calls at the same (t, x) and grid, is
-    filled on first use, so probing several v integrates it once per eps.
+    quotient.  Both are integrated along their paths only over the splice;
+    from t+eps on they follow the same policy with the weights frozen at t,
+    so that remainder is x(t+eps)' Pi x(t+eps) with the tail value matrix
+    Pi = _tail_value_matrix(p, pol, t, t+eps, grid), passed to cost as
+    tail.  Neither cost depends on P beyond the policy itself.
+
+    The policy cost does not depend on v, and Pi depends on neither x nor v:
+    baseline, a dict eps -> J(t,x;policy) shared by calls at the same (t, x)
+    and grid, and tails, a dict eps -> Pi shared by calls at the same t and
+    grid, are filled on first use, so probing several v integrates each
+    once per eps.
     Returns (dict eps -> quotient, extrapolated).
     """
     g = grid if grid is not None else pol.P.grid
@@ -288,12 +364,15 @@ def perturbation_limit_finite_eps(p: LQProblem, pol: EquilibriumPolicy,
                 f"eps={e:g} spans only {covered} grid nodes; refine the grid "
                 f"(max spacing {hmax:g}) or increase eps")
     baseline = {} if baseline is None else baseline
+    tails = {} if tails is None else tails
     quotients = {}
     for e in eps:
         bp = (t + e,)
-        J_dev = cost(p, t, x, [v, pol], g, breakpoints=bp)
+        if e not in tails:
+            tails[e] = _tail_value_matrix(p, pol, t, t + e, g)
+        J_dev = cost(p, t, x, [v, pol], g, breakpoints=bp, tail=tails[e])
         if e not in baseline:
-            baseline[e] = cost(p, t, x, [pol, pol], g, breakpoints=bp)
+            baseline[e] = cost(p, t, x, [pol, pol], g, breakpoints=bp, tail=tails[e])
         quotients[e] = (J_dev - baseline[e]) / e
     if len(eps) == 1:
         return quotients, float(quotients[eps[0]])
@@ -371,25 +450,28 @@ def equilibrium_certificate(p: LQProblem, pol: EquilibriumPolicy,
                             spec: SampleSpec | None = None) -> PerturbationReport:
     """Check the no-profitable-deviation property over a sample plan.
 
-    Closed-form quotients are evaluated for every sampled (t, x, v); the
-    finite-eps quotients — independent evidence through the actual cost
-    functional — run on the +axis states with deviations probing around the
-    policy value, which is where a wrong kernel becomes visible.  Passes
-    when every closed form is >= -tol_closed_form and every extrapolated
-    quotient is >= -tol_finite_eps.
+    Closed-form quotients are evaluated for every sampled (t, x, v), in one
+    batch with the gain and M(t,t) evaluated once per time; the finite-eps
+    quotients — independent evidence through the actual cost functional —
+    run on the +axis states with deviations probing around the policy
+    value, which is where a wrong kernel becomes visible.  They share one
+    tail value matrix per (t, eps) and one baseline cost per (t, x, eps).
+    Passes when every closed form is >= -tol_closed_form and every
+    extrapolated quotient is >= -tol_finite_eps.
     """
     spec = spec if spec is not None else SampleSpec()
     T = p.T
     n, m = p.n, p.m
     times = (np.asarray(spec.times, dtype=float) if spec.times is not None
              else np.linspace(0.0, 0.8 * T, 10))
+    gains = pol.gain_many(times)
     eye_n = np.eye(n)
     eye_m = np.eye(m)
     kappa = spec.axis_scale
     # an eps probe needs >= 4 grid nodes inside [t, t+eps] to be resolvable
     h_floor = 4.0 * float(np.diff(pol.P.grid.nodes).max())
-    samples = []
-    for t in times:
+    plan = []  # (time index, x, v, quotients, extrapolated) per sample
+    for it, t in enumerate(times):
         t = float(t)
         if spec.eps_list is not None:
             eps = tuple(spec.eps_list)
@@ -398,10 +480,11 @@ def equilibrium_certificate(p: LQProblem, pol: EquilibriumPolicy,
             eps = (base, 0.5 * base, 0.25 * base)
             eps = tuple(sorted({max(e, min(h_floor, base)) for e in eps},
                                reverse=True))
+        tails = {}
         for i in range(n):
             for sgn in (1.0, -1.0):
                 x = sgn * eye_n[i]
-                ubar = pol.control(t, x)
+                ubar = gains[it] @ x
                 eta = spec.probe_scale * (1.0 + float(np.abs(ubar).max()))
                 vset = [np.zeros(m)]
                 vset += [sv * kappa * eye_m[j] for j in range(m) for sv in (1.0, -1.0)]
@@ -411,12 +494,16 @@ def equilibrium_certificate(p: LQProblem, pol: EquilibriumPolicy,
                 fe_set = {0} | set(range(len(vset) - len(probes), len(vset)))
                 baseline = {}
                 for k, v in enumerate(vset):
-                    cf = perturbation_limit_closed_form(p, pol, t, x, v)
                     fe = ext = None
                     if spec.finite_eps and sgn > 0 and k in fe_set:
                         fe, ext = perturbation_limit_finite_eps(
-                            p, pol, t, x, v, eps, baseline=baseline)
-                    samples.append(PerturbationSample(t, x, v, cf, fe, ext))
+                            p, pol, t, x, v, eps, baseline=baseline, tails=tails)
+                    plan.append((it, x, v, fe, ext))
+    idx = np.array([s[0] for s in plan])
+    closed = _closed_forms(gains[idx], p.M.eval(times, times)[idx],
+                           np.array([s[1] for s in plan]), np.array([s[2] for s in plan]))
+    samples = [PerturbationSample(float(times[it]), x, v, float(cf), fe, ext)
+               for (it, x, v, fe, ext), cf in zip(plan, closed)]
     worst_cf = min(s.closed_form for s in samples)
     exts = [s.extrapolated for s in samples if s.extrapolated is not None]
     worst_ext = min(exts) if exts else None

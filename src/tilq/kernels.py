@@ -80,14 +80,6 @@ class _Coefficient:
         self._vectorized = bool(vectorized)
         self.provenance = "finite-difference" if dfn is None else "analytic"
 
-    def _probe(self, *times):
-        """The value at one point, checked against the declared dims."""
-        probe = self.eval(*times)
-        if probe.shape != self.dims:
-            raise InvalidInputError(f"{type(self).__name__} returns shape {probe.shape},"
-                                    f" declared dims {self.dims}")
-        return probe
-
     def _call(self, fn, t, s=None):
         ts, ss, scalar = _batch(t, s)
         args = (ts,) if ss is None else (ts, ss)
@@ -96,8 +88,13 @@ class _Coefficient:
         else:
             out = np.stack([np.atleast_2d(np.asarray(fn(*map(float, a)), dtype=float))
                             for a in zip(*args)])
-        if out.shape[-2:] != self.dims:
-            out = out.reshape(ts.shape + self.dims)
+        shape = ts.shape + self.dims
+        if out.shape != shape:
+            if out.size != ts.size * self.dims[0] * self.dims[1]:
+                raise InvalidInputError(
+                    f"{type(self).__name__} closure returns shape {out.shape} for"
+                    f" {ts.size} time(s), declared dims {self.dims}")
+            out = out.reshape(shape)
         return out[0] if scalar else out
 
     def eval(self, t, s=None):
@@ -168,7 +165,7 @@ class OneTimeMatrixFn(_Coefficient):
 
     def __init__(self, fn, dims, horizon, dfn=None, *, vectorized=False):
         super().__init__(fn, dims, horizon, dfn, vectorized)
-        self._probe(0.0)
+        self.eval(0.0)  # the closure's shape is checked in _call
 
     # also bound here, in the class's own namespace, where perfbench/tracer.py
     # looks the public methods up
@@ -233,7 +230,7 @@ class TwoTimeKernel(_Coefficient):
                  vectorized=False):
         super().__init__(fn, dims, horizon, dfn, vectorized)
         self.symmetry_required = bool(symmetry_required)
-        probe = self._probe(0.0, self.horizon)
+        probe = self.eval(0.0, self.horizon)
         if self.symmetry_required:
             drift = float(np.abs(probe - probe.T).max())
             if drift > 1e-12 * (1.0 + float(np.abs(probe).max())):

@@ -3,16 +3,22 @@ import pytest
 
 from tilq import (
     GridTooCoarseError,
+    InvalidInputError,
+    LQProblem,
+    RiccatiSolution,
     TimeGrid,
     build_policy,
     cost,
     equilibrium_certificate,
+    exponential_kernel,
+    hyperbolic_problem,
     perturbation_limit_closed_form,
     perturbation_limit_finite_eps,
     simulate,
+    solve_riccati,
     value_identity_gap,
 )
-from tilq.equilibrium import SampleSpec
+from tilq.equilibrium import SampleSpec, _tail_value_matrix
 
 TANH1 = 0.7615941559557649  # tanh(1)
 TANH1_SQ = 0.5800256583859739  # tanh(1)^2
@@ -26,6 +32,21 @@ def tanh_policy(tanh_problem, tanh_solution):
 @pytest.fixture(scope="module")
 def hyp_policy(hyperbolic_scalar, hyperbolic_solution):
     return build_policy(hyperbolic_scalar, hyperbolic_solution)
+
+
+def _n3_problem():
+    """Hyperbolic n=3, m=2, k=theta=1 with A = 0.3 randn, B = randn (rng 0)."""
+    rng = np.random.default_rng(0)
+    A = 0.3 * rng.standard_normal((3, 3))
+    B = rng.standard_normal((3, 2))
+    return hyperbolic_problem(np.eye(3), np.eye(2), np.eye(3), A=A, B=B,
+                              k=1.0, theta=1.0, T=1.0)
+
+
+@pytest.fixture(scope="module")
+def n3_policy():
+    p = _n3_problem()
+    return p, build_policy(p, solve_riccati(p, TimeGrid.uniform(1.0, 400)))
 
 
 def test_gain_equals_p_for_unit_weights(tanh_policy, tanh_solution):
@@ -205,3 +226,88 @@ def test_certificate_reuses_baseline_cost(hyperbolic_scalar, hyp_policy, monkeyp
             hyperbolic_scalar, hyp_policy, s.t, s.x, s.v, spec.eps_list)
         assert fe == s.finite_eps
         assert ext == s.extrapolated
+
+
+def test_tail_matrix_matches_path_cost(hyperbolic_scalar, hyp_policy, n3_policy):
+    # the remainder after the splice, x' Pi x, equals the cost integrated
+    # along the path; any linear policy will do, so the third case (a
+    # two-time S, which enters L through K'S + S'K) runs on a made-up P
+    n3 = n3_policy[0]
+    p_s = LQProblem(A=n3.A, B=n3.B, Q=n3.Q, M=n3.M, G=n3.G,
+                    S=exponential_kernel(0.3 * np.arange(6.0).reshape(2, 3) - 0.5,
+                                         0.7, 1.0, symmetry_required=False))
+    g = TimeGrid.uniform(1.0, 120)
+    t_n = g.nodes[:, None, None]
+    fake = RiccatiSolution(g, (1.0 + 0.5 * np.cos(2.0 * t_n)) * np.eye(3)
+                           + 0.1 * t_n * np.ones((3, 3)))
+    cases = [(hyperbolic_scalar, hyp_policy), n3_policy, (p_s, build_policy(p_s, fake))]
+    for p, pol in cases:
+        grid = pol.P.grid
+        states = [np.linspace(1.0, -0.5, p.n), -np.ones(p.n)]
+        for t, e in [(0.0, 0.1), (0.3125, 0.0390625), (0.5, 0.2), (0.75, 0.25)]:
+            b = t + e
+            tail = _tail_value_matrix(p, pol, t, b, grid)
+            for x in states:
+                for ctrls in ([0.7 * np.ones(p.m), pol], [pol, pol]):
+                    got = cost(p, t, x, ctrls, grid, breakpoints=(b,), tail=tail)
+                    # the path-based cost has no segment after a breakpoint at T
+                    path = ctrls if b < p.T else ctrls[:1]
+                    want = cost(p, t, x, path, grid, breakpoints=(b,))
+                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    # at t + eps = T the splice runs to the horizon and Pi is G(t)
+    p, pol = cases[0]
+    np.testing.assert_array_equal(_tail_value_matrix(p, pol, 0.75, 1.0), p.G.eval(0.75))
+    fe, _ = perturbation_limit_finite_eps(p, pol, 0.75, np.ones(1), np.zeros(1),
+                                          [0.25, 0.125])
+    assert set(fe) == {0.25, 0.125}
+    with pytest.raises(InvalidInputError):
+        cost(p, 0.5, np.ones(1), pol, tail=p.G.eval(0.5))
+
+
+def test_certificate_tail_matches_path_based(n3_policy, monkeypatch):
+    # the certificate through Pi against one whose costs integrate every
+    # tail along the path; closed forms bit-identical to w @ M(t,t) @ w
+    import tilq.equilibrium as eq
+
+    p, pol = n3_policy
+    rep = equilibrium_certificate(p, pol)
+    real_cost = eq.cost
+    monkeypatch.setattr(eq, "cost", lambda *a, tail=None, **k: real_cost(*a, **k))
+    path = equilibrium_certificate(p, pol)
+    monkeypatch.undo()
+    assert rep.worst_closed_form == path.worst_closed_form
+    assert abs(rep.worst_extrapolated - path.worst_extrapolated) <= 1e-10
+    assert rep.passed == path.passed
+    for s, sp in zip(rep.samples, path.samples, strict=True):
+        u = pol.control(s.t, s.x)
+        w = s.v - u
+        assert s.closed_form == float(w @ p.M.eval(s.t, s.t) @ w)
+        if s.finite_eps is not None:
+            for e, q in s.finite_eps.items():
+                assert abs(q - sp.finite_eps[e]) <= 1e-10
+            # probes sit at u(t, x) +/- eta e_j
+            if np.any(s.v):
+                eta = SampleSpec().probe_scale * (1.0 + np.abs(u).max())
+                assert np.count_nonzero(w) == 1
+                np.testing.assert_allclose(np.abs(w).max(), eta, rtol=1e-12)
+
+
+def test_certificate_builds_each_tail_once(n3_policy, monkeypatch):
+    # one Pi per (t, eps), shared by all states and deviations at t
+    import tilq.equilibrium as eq
+
+    p, pol = n3_policy
+    builds = []
+    real = eq._tail_value_matrix
+
+    def counted(*args, **kwargs):
+        builds.append(args[2:4])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(eq, "_tail_value_matrix", counted)
+    spec = SampleSpec(times=(0.0, 0.25, 0.5), eps_list=(0.1, 0.05))
+    rep = equilibrium_certificate(p, pol, spec)
+    monkeypatch.undo()
+    assert sum(s.finite_eps is not None for s in rep.samples) == 3 * p.n * (1 + 2 * p.m)
+    assert len(builds) == len(spec.times) * len(spec.eps_list)
+    assert len(set(builds)) == len(builds)

@@ -211,3 +211,21 @@ def test_differences_outside_the_triangle_raise():
         lambda t, s: np.array([[np.exp(t - s)]]), (1, 1), 1.0,
         dfn=lambda t, s: np.array([[np.exp(t - s)]]))
     np.testing.assert_allclose(analytic.eval_dt(0.6, 0.3), [[np.exp(0.3)]])
+
+
+@pytest.mark.parametrize("vectorized", [False, True])
+def test_closure_of_the_wrong_shape_is_refused(vectorized):
+    with pytest.raises(InvalidInputError, match=r"declared dims \(3, 3\)"):
+        TwoTimeKernel.from_callable(lambda t, s: np.eye(2), (3, 3), 1.0,
+                                    vectorized=vectorized)
+    with pytest.raises(InvalidInputError, match=r"declared dims \(3, 3\)"):
+        OneTimeMatrixFn.from_callable(lambda t: np.eye(2), (3, 3), 1.0,
+                                      vectorized=vectorized)
+    # a vectorized closure that ignores the batch returns too few values
+    flat = OneTimeMatrixFn.from_callable(lambda t: np.eye(2), (2, 2), 1.0,
+                                         vectorized=vectorized)
+    if vectorized:
+        with pytest.raises(InvalidInputError, match=r"declared dims \(2, 2\)"):
+            flat.eval(np.array([0.1, 0.2]))
+    else:
+        assert flat.eval(np.array([0.1, 0.2])).shape == (2, 2, 2)

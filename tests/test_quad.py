@@ -57,3 +57,27 @@ def test_left_slice_last_interval_quadratic():
     for k in range(3):
         exact = (x[-1] ** (k + 1) - x[i] ** (k + 1)) / (k + 1)
         np.testing.assert_allclose(W[i] @ x**k, exact, atol=1e-14)
+
+
+def _left_slice_weights_by_rows(x):
+    # the row-by-row construction the vectorized left_slice_weights replaces
+    W = np.zeros((x.size, x.size))
+    for i in range(x.size - 1):
+        W[i, i:] = simpson_weights(x[i:])
+    i = x.size - 2
+    if i >= 1:
+        g0 = x[i] - x[i - 1]
+        g1 = x[i + 1] - x[i]
+        W[i, i - 1:] = 0.0
+        W[i, i - 1] = -g1 * g1 * g1 / (6 * g0 * (g0 + g1))
+        W[i, i] = g1 * (g1 * g1 + 4 * g1 * g0 + 3 * g0 * g0) / (6 * g0 * (g0 + g1))
+        W[i, i + 1] = g1 * g0 * (2 * g1 + 3 * g0) / (6 * g0 * (g0 + g1))
+    return W
+
+
+def test_left_slice_weights_bit_identical_to_rows():
+    rng = np.random.default_rng(11)
+    sizes = list(range(7)) + list(rng.integers(7, 90, 200))
+    for K in sizes:
+        x = np.cumsum(rng.uniform(0.01, 1.0, K)) * rng.uniform(0.1, 10.0) - rng.uniform()
+        assert np.array_equal(left_slice_weights(x), _left_slice_weights_by_rows(x)), K
