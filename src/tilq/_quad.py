@@ -1,52 +1,70 @@
-"""Composite Simpson quadrature weights on sampled nodes.
+"""The local cubic on sampled nodes: interpolation and quadrature weights.
 
-All time integrals in the package go through these weights: composite Simpson
-on interval pairs, a 3/8 block absorbing the leftover when the interval count
-is odd, a plain trapezoid for a single interval.  Weight vectors (rather than
-a one-shot integrator) let the solver evaluate many left-endpoint slices of
-the same sampled integrand as one matrix product.
+One rule serves every time integral in the package: interval [x_j, x_j+1]
+is integrated exactly over the polynomial through the min(4, K) nodes
+around it, shifted inward at the ends, which is the interpolant of
+local_cubic.  2- and 3-node inputs take the line and the parabola; longer
+ones are exact for cubics, uniform or not.  Every weight vector or slice
+matrix is a sum of these interval weights.
 """
 from __future__ import annotations
 
 import numpy as np
 
+_ARANGE = np.arange(4)
+_ENDS_AND_MID = np.array([0.0, 0.5, 1.0])
+_SIMPSON = np.array([1.0, 4.0, 1.0]) / 6.0
+
+
+def _stencil(K: int, j: np.ndarray) -> np.ndarray:
+    """Indices of the min(4, K) nodes around each interval j, shifted inward
+    at the ends."""
+    m = min(4, K)
+    return np.minimum(np.maximum(j - 1, 0), K - m)[:, None] + _ARANGE[:m]
+
+
+def _lagrange(xs: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Basis values w[..., k] = prod_{l != k} (t - xs_l) / (xs_k - xs_l)."""
+    m = xs.shape[-1]
+    twice = np.concatenate([xs, xs], axis=-1)  # twice[..., k + s] is node k + s mod m
+    d = t[..., None] - twice
+    num, den = np.ones(d.shape[:-1] + (m,)), np.ones(xs.shape)
+    for s in range(1, m):
+        num *= d[..., s:s + m]
+        den *= xs - twice[..., s:s + m]
+    return num / den
+
+
+def local_cubic(nodes: np.ndarray, values: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Interpolate values (first axis along nodes) at times ts.
+
+    Node times reproduce values exactly: there the basis is exactly 1 and 0.
+    """
+    i = np.searchsorted(nodes, ts, side="right") - 1
+    idx = _stencil(nodes.size, i)
+    return np.einsum("qj,qj...->q...", _lagrange(nodes[idx], ts), values[idx])
+
+
+def _interval_weights(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """w[j] @ f(x[idx[j]]) = integral over [x_j, x_{j+1}] of the polynomial
+    through the nodes idx[j], for j < len(idx): Simpson's rule on the
+    interval, exact for that polynomial."""
+    n = idx.shape[0]
+    h = (x[1:n + 1] - x[:n])[:, None]
+    local = (x[idx] - x[:n, None]) / h  # the interval is [0, 1] here
+    return _SIMPSON @ _lagrange(local[:, None, :], _ENDS_AND_MID) * h
+
 
 def simpson_weights(x: np.ndarray) -> np.ndarray:
-    """Quadrature weights w with w @ f(x) ~= integral of f over [x[0], x[-1]].
-
-    Exact for cubics on interval pairs (and on the 3/8 block); the single
-    leftover interval of a 2-node input uses the trapezoid rule.  x must be
-    strictly increasing but need not be uniform.
+    """Weights w with w @ f(x) ~= integral of f over [x[0], x[-1]] by the
+    local cubic rule; x must be strictly increasing, not necessarily uniform.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError("x must be one-dimensional")
-    m = x.size - 1
-    w = np.zeros(x.size)
-    if m <= 0:
-        return w
-    if m == 1:
-        w[0] = w[1] = 0.5 * (x[1] - x[0])
-        return w
-    start = m % 2
-    if start:
-        # 3/8-style block over the first three intervals via two overlapping
-        # quadratics: integrate [x0,x1] from the quadratic on (x0,x1,x2), then
-        # the pair (x1,x2,x3) with the standard pair weights.
-        h0 = x[1] - x[0]
-        h1 = x[2] - x[1]
-        w[0] += h0 * h1 * (2 * h0 + 3 * h1) / (6 * h1 * (h0 + h1))
-        w[1] += h0 * (h0 * h0 + 4 * h0 * h1 + 3 * h1 * h1) / (6 * h1 * (h0 + h1))
-        w[2] += -h0 * h0 * h0 / (6 * h1 * (h0 + h1))
-    # j, j + 1 and j + 2 each hold distinct indices, so += adds every pair
-    h = np.diff(x[start:])
-    h0, h1 = h[0::2], h[1::2]
-    s = h0 + h1
-    j = np.arange(start, m, 2)
-    w[j] += s * (2 * h0 - h1) / (6 * h0)
-    w[j + 1] += s * s * s / (6 * h0 * h1)
-    w[j + 2] += s * (2 * h1 - h0) / (6 * h1)
-    return w
+    idx = _stencil(x.size, np.arange(x.size - 1))
+    w = np.bincount(idx.ravel(), _interval_weights(x, idx).ravel(), x.size)
+    return w.astype(float, copy=False)  # a 1-node input has no weights to add
 
 
 def integrate(values: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -58,55 +76,35 @@ def integrate(values: np.ndarray, x: np.ndarray) -> np.ndarray:
 def left_slice_weights(x: np.ndarray) -> np.ndarray:
     """Matrix W with W[i] @ f(x) ~= integral of f over [x[i], x[-1]].
 
-    Row i holds the composite Simpson weights of the slice starting at node i;
-    the last row is zero.  The single-interval slice next to the right
-    endpoint borrows the preceding node so every row stays third-order exact
-    (no trapezoid rows as long as x has at least three nodes).  Used for
-    backward cumulative integrals.
-
-    Built without a loop over rows: in every slice simpson_weights places its
-    interval pairs flush with the right end, so each row is the one vector R
-    of right-aligned pair weights, except at its first node or, when the
-    slice has an odd interval count, its first three nodes (the 3/8 block).
-    Every entry sums the same one or two terms as simpson_weights(x[i:]), so
-    the rows are bit-identical to it.
+    Row i sums the interval weights of x from interval i on, each with the
+    stencil simpson_weights(x) gives it, so the rows next to the right end
+    reach up to two nodes left of i.  The last row is zero.
     """
     x = np.asarray(x, dtype=float)
     K = x.size
-    if K < 3:
-        W = np.zeros((K, K))
-        if K == 2:
-            W[0] = 0.5 * (x[1] - x[0])
-        return W
-    h = np.diff(x)
-    h0, h1 = h[:-1], h[1:]  # the pair or block starting at node j
-    s = h0 + h1
-    a = s * (2 * h0 - h1) / (6 * h0)
-    b = s * s * s / (6 * h0 * h1)
-    c = s * (2 * h1 - h0) / (6 * h1)
-    R = np.zeros(K)
-    j = np.arange((K - 1) % 2, K - 2, 2)
-    R[j] = a[j]
-    R[j + 1] = b[j]
-    R[j + 2] += c[j]
-    W = np.triu(np.broadcast_to(R, (K, K)))
-    rows = np.arange(K - 2)
-    # an even slice starts with a pair, which has no left neighbour
-    even = rows[(K - 1 - rows) % 2 == 0]
-    W[even, even] = a[even]
-    # an odd slice starts with the 3/8 block, overlapping its first pair
-    odd = rows[(K - 1 - rows) % 2 == 1]
-    g0, g1 = h0[odd], h1[odd]
-    W[odd, odd] = g0 * g1 * (2 * g0 + 3 * g1) / (6 * g1 * (g0 + g1))
-    W[odd, odd + 1] = g0 * (g0 * g0 + 4 * g0 * g1 + 3 * g1 * g1) / (6 * g1 * (g0 + g1)) \
-        + a[odd + 1]
-    W[odd, odd + 2] = -g0 * g0 * g0 / (6 * g1 * (g0 + g1)) + b[odd + 1]
-    W[K - 2:] = 0.0
-    # quadratic through (x[i-1], x[i], x[i+1]) integrated over the last interval
-    i = K - 2
-    g0 = x[i] - x[i - 1]
-    g1 = x[i + 1] - x[i]
-    W[i, i - 1] = -g1 * g1 * g1 / (6 * g0 * (g0 + g1))
-    W[i, i] = g1 * (g1 * g1 + 4 * g1 * g0 + 3 * g0 * g0) / (6 * g0 * (g0 + g1))
-    W[i, i + 1] = g1 * g0 * (2 * g1 + 3 * g0) / (6 * g0 * (g0 + g1))
+    j = np.arange(K - 1)
+    idx = _stencil(K, j)
+    W = np.zeros((K, K))
+    W[j[:, None], idx] = _interval_weights(x, idx)
+    np.cumsum(W[::-1], axis=0, out=W[::-1])
+    return W
+
+
+def tail_slice_weights(x: np.ndarray) -> np.ndarray:
+    """Matrix W with W[i, i:] = simpson_weights(x[i:]), zero left of node i.
+
+    For integrands that exist only on [x[i], x[-1]].  A row of four or more
+    nodes is row i of left_slice_weights with interval i moved to the
+    one-sided stencil i..i+3; the last two are the parabola and the line.
+    """
+    x = np.asarray(x, dtype=float)
+    K = x.size
+    W = left_slice_weights(x)
+    j = np.arange(max(K - 3, 0))
+    shared, one_sided = _stencil(K, j), j[:, None] + _ARANGE
+    W[j[:, None], shared] -= _interval_weights(x, shared)
+    W[j[:, None], one_sided] += _interval_weights(x, one_sided)
+    for i in range(max(K - 3, 0), K - 1):
+        W[i, :i] = 0.0
+        W[i, i:] = simpson_weights(x[i:])
     return W

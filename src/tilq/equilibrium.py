@@ -215,9 +215,12 @@ def cost(p: LQProblem, t: float, x, u, grid: TimeGrid | None = None, *,
     function u(s), or a feedback u(s, x); with breakpoints it may also be a
     sequence of such controls, one per segment, so discontinuous splices are
     integrated exactly up to the scheme order.  The state follows the
-    order-4 one-step scheme and the running cost uses composite Simpson
-    quadrature segment by segment; segments shorter than min_segment_nodes
+    order-4 one-step scheme and the running cost uses the local cubic rule
+    of _quad segment by segment; segments shorter than min_segment_nodes
     grid nodes are refined to that count.
+
+    A breakpoint at T closes an empty last segment; its control, when u
+    lists one, is not integrated.
 
     tail, an n x n value matrix, replaces the last segment: the path is
     integrated only up to the last breakpoint b (which may equal T), and
@@ -247,14 +250,16 @@ def cost(p: LQProblem, t: float, x, u, grid: TimeGrid | None = None, *,
         final = p.G.eval(t)
     cuts = sorted({b for b in bps if t + tiny < b < end - tiny})
     edges = [t, *cuts, end]
-    n_ctrl = len(edges) - 1 + (tail is not None)
+    n_seg = len(edges) - 1
+    # a breakpoint at the end closes an empty segment; u may list its control
+    closed = any(abs(b - end) <= tiny for b in bps)
     if isinstance(u, (list, tuple)) and not isinstance(u, np.ndarray) \
             and u and not np.isscalar(u[0]):
-        if len(u) != n_ctrl:
+        if not n_seg <= len(u) <= n_seg + closed:
             raise InvalidInputError("need one control per segment")
         ctrls = [_as_control(ui, p.m) for ui in u]
     else:
-        ctrls = [_as_control(u, p.m)] * n_ctrl
+        ctrls = [_as_control(u, p.m)] * n_seg
     total = 0.0
     xs = x
     for (a, b), ctrl in zip(zip(edges[:-1], edges[1:]), ctrls):
@@ -270,7 +275,7 @@ def _tail_value_matrix(p: LQProblem, pol: EquilibriumPolicy, t: float, b: float,
     """Pi with x' Pi x = cost of following pol on [b, T] from x, weights frozen at t.
 
     On the segment cost builds for [b, T], with the closed-loop RK4 steps
-    Phi_k from b to node k, gain K and Simpson weights w_k:
+    Phi_k from b to node k, gain K and the quadrature weights w_k of cost:
         Pi = sum_k w_k Phi_k' L_k Phi_k + Phi_K' G(t) Phi_K,
         L = Q(t,.) + K'S(t,.) + S(t,.)'K + K'M(t,.)K.
     """

@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._quad import integrate, left_slice_weights, simpson_weights
+from ._quad import integrate, left_slice_weights, local_cubic, tail_slice_weights
 from .errors import InvalidInputError, NonconvergenceError
 from .grids import TimeGrid
 from .kernels import kernel_norms, matrix_norm, matrix_norm_many
@@ -48,26 +48,6 @@ def _exp(x: float) -> float:
     """exp that saturates to inf instead of raising; large exponents only
     ever shrink the certified window widths toward zero."""
     return math.inf if x > 709.0 else math.exp(x)
-
-
-def _local_cubic(nodes: np.ndarray, values: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    """Lagrange interpolation of values (first axis along nodes) at times ts.
-
-    Each time uses the min(4, K) nodes around it: two on either side of its
-    interval, shifted inward at the ends, so 2- and 3-node inputs get the
-    linear and quadratic interpolants.  Node times reproduce values exactly.
-    """
-    K = nodes.size
-    m = min(4, K)
-    i = np.searchsorted(nodes, ts, side="right") - 1
-    idx = np.clip(i - 1, 0, K - m)[:, None] + np.arange(m)
-    xs = nodes[idx]
-    w = np.ones(idx.shape)
-    for j in range(m):
-        for k in range(m):
-            if k != j:
-                w[:, j] *= (ts - xs[:, k]) / (xs[:, j] - xs[:, k])
-    return np.einsum("qj,qj...->q...", w, values[idx])
 
 
 class RiccatiSolution:
@@ -103,7 +83,7 @@ class RiccatiSolution:
         nodes = self.grid.nodes
         if np.any(ts < nodes[0] - 1e-12) or np.any(ts > nodes[-1] + 1e-12):
             raise InvalidInputError("evaluation time outside [0, T]")
-        out = _local_cubic(nodes, self.values, np.clip(ts, nodes[0], nodes[-1]))
+        out = local_cubic(nodes, self.values, np.clip(ts, nodes[0], nodes[-1]))
         return out[0] if scalar else out
 
     def __call__(self, t):
@@ -346,15 +326,15 @@ class _Engine:
         self.Gd_nodes = p.G.eval_dt(nodes)
         self.G_T = _sym(p.G.eval(grid.T))
         self.psi = fundamental_solution(p.A, grid)
-        self._tail_w = {}
         self._win_w = {}
         self._window_key = None
         self._window_blocks = None
 
-    def tail_weights(self, i: int) -> np.ndarray:
-        if i not in self._tail_w:
-            self._tail_w[i] = simpson_weights(self.nodes[i:])
-        return self._tail_w[i]
+    @cached_property
+    def tail_weights(self) -> np.ndarray:
+        """Row i integrates over [s_i, T] from nodes[i:] only: the tail
+        integrand of row i exists only there."""
+        return tail_slice_weights(self.nodes)
 
     def window_weights(self, a: int, b: int) -> np.ndarray:
         key = (a, b)
@@ -368,7 +348,7 @@ class _Engine:
 
     def closed_loop(self, values: np.ndarray, a: int) -> Propagator:
         """Closed-loop fundamental solution U on nodes[a:], U(nodes[a]) = I."""
-        Pm = _local_cubic(self.nodes[a:], values[a:], self.half[2 * a:])
+        Pm = local_cubic(self.nodes[a:], values[a:], self.half[2 * a:])
         rhs = np.swapaxes(self.B_half[2 * a:], -1, -2) @ Pm + self.S_half[2 * a:]
         ups = np.linalg.solve(self.M_half[2 * a:], rhs)
         C = self.A_half[2 * a:] - self.B_half[2 * a:] @ ups
@@ -378,7 +358,7 @@ class _Engine:
         """Weighted kernel partials of the rows i0 <= i < i1 against the tail.
 
         core[r - i0, :, i - i0, :] = W[i, r] [[Q_t, -S_t'], [-S_t, M_t]](s_i, r)
-        for r >= i and zero for r < i, with W[i] = tail_weights(i).  Tail
+        for r >= i and zero for r < i, with W = tail_weights.  Tail
         nodes lead, so one matrix product per tail node serves every row.
         """
         p, K = self.p, self.nodes.size
@@ -387,7 +367,7 @@ class _Engine:
         row_of = np.repeat(rows, lens)
         tail = np.arange(lens.sum()) - np.repeat(np.cumsum(lens) - lens - rows, lens)
         s, r = self.nodes[row_of], self.nodes[tail]
-        w = np.concatenate([self.tail_weights(i) for i in rows])[:, None, None]
+        w = self.tail_weights[row_of, tail][:, None, None]
         Sd = p.S.eval_dt(s, r)
         pairs = np.block([[p.Q.eval_dt(s, r), -np.swapaxes(Sd, -1, -2)],
                           [-Sd, p.M.eval_dt(s, r)]])
@@ -426,10 +406,9 @@ class _Engine:
         fewer than _ROW_BLOCK intervals: inverting the flow of a whole window
         would amplify rounding by its condition number squared.
 
-        Row i of W is tail_weights(i), composite Simpson on nodes[i:].  The
-        single-interval tail of row K-2 takes the trapezoid rule (second
-        order), not the borrowed quadratic of left_slice_weights; this keeps
-        the answers of the former per-row loop.
+        Row i of W is tail_weights[i], the local cubic rule on nodes[i:]
+        alone.  So the two-node tail of row K-2 is the trapezoid rule and the
+        three-node tail of row K-3 the parabola.
         """
         U = self.closed_loop(values, a).values
         ups = self.upsilon_nodes(values, a)
@@ -668,7 +647,7 @@ def q_bar_nodes(p: LQProblem, P: RiccatiSolution) -> np.ndarray:
 def riccati_residual_profile(p: LQProblem, P: RiccatiSolution) -> np.ndarray:
     """Integral-equation defect at every grid node (row-sum norm)."""
     engine = _engine_for(p, P)
-    W = left_slice_weights(P.grid.nodes)
+    W = engine.window_weights(0, P.grid.nodes.size - 1)
     integrals = np.tensordot(W, engine.integrand, axes=(1, 0))
     defect = P.values - engine.G_T - integrals
     return matrix_norm_many(defect)

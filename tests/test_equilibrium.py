@@ -131,6 +131,19 @@ def test_cost_spliced_segments(tanh_problem, tanh_policy):
     np.testing.assert_allclose(J_spliced, J, rtol=1e-10)
 
 
+def test_cost_breakpoint_at_horizon(hyperbolic_scalar, hyp_policy):
+    # a breakpoint at T closes an empty last segment whose control is unused,
+    # with or without tail
+    p, t, x, v = hyperbolic_scalar, 0.75, np.array([1.5]), np.array([0.3])
+    J = cost(p, t, x, v)
+    assert cost(p, t, x, [v, hyp_policy], breakpoints=(1.0,)) == J
+    assert cost(p, t, x, [v], breakpoints=(1.0,)) == J
+    got = cost(p, t, x, [v, hyp_policy], breakpoints=(1.0,), tail=p.G.eval(t))
+    np.testing.assert_allclose(got, J, rtol=1e-14)
+    with pytest.raises(InvalidInputError):
+        cost(p, t, x, [v, hyp_policy, v], breakpoints=(1.0,))
+
+
 def test_value_identity(tanh_problem, tanh_policy):
     # J(t, x; policy) = <P(t)x, x>; at t=0, x=1 this is tanh(1)
     J = cost(tanh_problem, 0.0, np.ones(1), tanh_policy)

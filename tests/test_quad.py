@@ -1,6 +1,11 @@
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
-from tilq._quad import integrate, left_slice_weights, simpson_weights
+from tilq._quad import integrate, left_slice_weights, simpson_weights, tail_slice_weights
+
+
+def _random_grid(rng, K, spread=(0.01, 1.0)):
+    return np.cumsum(rng.uniform(*spread, K)) * rng.uniform(0.1, 10.0) - rng.uniform()
 
 
 def test_exact_on_cubics_even_pairs():
@@ -10,10 +15,9 @@ def test_exact_on_cubics_even_pairs():
         np.testing.assert_allclose(got, 2.0 ** (k + 1) / (k + 1), rtol=1e-13)
 
 
-def test_exact_on_quadratics_odd_count():
-    # odd interval count goes through the leading three-interval block
+def test_exact_on_cubics_odd_count():
     x = np.linspace(0.0, 1.0, 8)
-    for k in range(3):
+    for k in range(4):
         got = simpson_weights(x) @ x**k
         np.testing.assert_allclose(got, 1.0 / (k + 1), rtol=1e-12)
 
@@ -39,14 +43,14 @@ def test_integrate_matrix_values():
     np.testing.assert_allclose(got, [[0.5, 1.0], [0.0, 1.0 / 3.0]], atol=1e-12)
 
 
-def test_left_slice_rows_match_direct_weights():
+def test_tail_slice_rows_match_direct_weights():
     rng = np.random.default_rng(7)
-    x = np.linspace(0.0, 1.0, 21)
-    f = rng.standard_normal(x.size)
-    W = left_slice_weights(x)
-    for i in range(0, x.size - 2):
-        np.testing.assert_allclose(W[i] @ f, simpson_weights(x[i:]) @ f[i:], atol=1e-14)
-    assert np.all(W[-1] == 0.0)
+    for x in [np.linspace(0.0, 1.0, 21)] + [_random_grid(rng, K) for K in range(7)]:
+        W = tail_slice_weights(x)
+        for i in range(x.size):
+            np.testing.assert_allclose(W[i, i:], simpson_weights(x[i:]),
+                                       rtol=1e-13, atol=1e-15 * np.ptp(x))
+            assert np.all(W[i, :i] == 0.0)
 
 
 def test_left_slice_last_interval_quadratic():
@@ -59,25 +63,60 @@ def test_left_slice_last_interval_quadratic():
         np.testing.assert_allclose(W[i] @ x**k, exact, atol=1e-14)
 
 
-def _left_slice_weights_by_rows(x):
-    # the row-by-row construction the vectorized left_slice_weights replaces
-    W = np.zeros((x.size, x.size))
-    for i in range(x.size - 1):
-        W[i, i:] = simpson_weights(x[i:])
-    i = x.size - 2
-    if i >= 1:
-        g0 = x[i] - x[i - 1]
-        g1 = x[i + 1] - x[i]
-        W[i, i - 1:] = 0.0
-        W[i, i - 1] = -g1 * g1 * g1 / (6 * g0 * (g0 + g1))
-        W[i, i] = g1 * (g1 * g1 + 4 * g1 * g0 + 3 * g0 * g0) / (6 * g0 * (g0 + g1))
-        W[i, i + 1] = g1 * g0 * (2 * g1 + 3 * g0) / (6 * g0 * (g0 + g1))
+def _left_slice_by_intervals(x):
+    # row i sums, over the intervals j >= i, the exact integrals on
+    # [x_j, x_j+1] of the Lagrange basis of the min(4, K) nodes around j
+    K = x.size
+    m = min(4, K)
+    W = np.zeros((K, K))
+    for j in range(K - 1):
+        idx = np.arange(m) + min(max(j - 1, 0), K - m)
+        u = x - x[j]  # the interval is [0, u[j + 1]]
+        for k in idx:
+            others = u[idx[idx != k]]
+            basis = npoly.polyfromroots(others) / np.prod(u[k] - others)
+            W[:j + 1, k] += npoly.polyval(u[j + 1], npoly.polyint(basis))
     return W
 
 
-def test_left_slice_weights_bit_identical_to_rows():
+def test_left_slice_rows_sum_interval_weights():
     rng = np.random.default_rng(11)
-    sizes = list(range(7)) + list(rng.integers(7, 90, 200))
-    for K in sizes:
-        x = np.cumsum(rng.uniform(0.01, 1.0, K)) * rng.uniform(0.1, 10.0) - rng.uniform()
-        assert np.array_equal(left_slice_weights(x), _left_slice_weights_by_rows(x)), K
+    for K in list(range(7)) + list(rng.integers(7, 60, 40)):
+        x = _random_grid(rng, K, spread=(0.2, 1.0))
+        W = left_slice_weights(x)
+        ref = _left_slice_by_intervals(x)
+        h = np.diff(x).min() if K > 1 else 1.0
+        np.testing.assert_allclose(W, ref, rtol=0.0, atol=1e-13 * h, err_msg=str(K))
+        if K:
+            np.testing.assert_allclose(W[0], simpson_weights(x), rtol=0.0, atol=1e-13 * h)
+            assert np.all(W[-1] == 0.0)
+
+
+def test_exact_on_cubics_every_slice():
+    # every left-slice row, and every tail row of four or more nodes, on
+    # uniform and random nonuniform grids
+    rng = np.random.default_rng(5)
+    grids = [np.linspace(-1.0, 2.0, K) for K in (4, 5, 6, 7, 12)]
+    grids += [_random_grid(rng, K) for K in range(4, 91)]
+    for x in grids:
+        L, T = left_slice_weights(x), tail_slice_weights(x)[:x.size - 3]
+        xc = x - x.mean()
+        for k in range(4):
+            exact = (xc[-1] ** (k + 1) - xc ** (k + 1)) / (k + 1)
+            tol = 1e-13 * (1.0 + np.abs(xc).max()) ** (k + 1)
+            np.testing.assert_allclose(L @ xc**k, exact, rtol=0.0, atol=tol)
+            np.testing.assert_allclose(T @ xc**k, exact[:x.size - 3], rtol=0.0, atol=tol)
+
+
+def test_short_inputs_lines_and_parabolas():
+    # two nodes integrate lines exactly, three nodes parabolas
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        for K in (2, 3):
+            x = _random_grid(rng, K)
+            for k in range(K):
+                exact = (x[-1] ** (k + 1) - x[0] ** (k + 1)) / (k + 1)
+                np.testing.assert_allclose(simpson_weights(x) @ x**k, exact,
+                                           rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(simpson_weights(np.array([0.0, 1.0, 2.0])),
+                               [1.0 / 3.0, 4.0 / 3.0, 1.0 / 3.0], rtol=1e-15)

@@ -1,9 +1,19 @@
 import json
 
 import numpy as np
+import pytest
 
-from tilq import TimeGrid, run_verification
+from tilq import TimeGrid, hyperbolic_problem, run_verification, solve_riccati
 from tilq.verify import default_state_samples
+
+
+def _n3_problem(seed):
+    """Hyperbolic n=3, m=2, k=theta=1 with A = 0.3 randn, B = randn."""
+    rng = np.random.default_rng(seed)
+    A = 0.3 * rng.standard_normal((3, 3))
+    B = rng.standard_normal((3, 2))
+    return hyperbolic_problem(np.eye(3), np.eye(2), np.eye(3), A=A, B=B,
+                              k=1.0, theta=1.0, T=1.0)
 
 
 def test_verification_passes_scalar(hyperbolic_scalar):
@@ -37,3 +47,23 @@ def test_default_state_samples(hyperbolic_scalar):
     for (a, xa), (b, xb) in zip(samples, again):
         assert a == b
         np.testing.assert_array_equal(xa, xb)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("N", [200, 400])
+def test_n3_passes_verification(seed, N):
+    # the BVP leg differentiates P, so an even/odd h^3 error next to T from
+    # the window quadrature would fail it at these grids
+    rep = run_verification(_n3_problem(seed), TimeGrid.uniform(1.0, N))
+    worst = max(max(leg["res_X"], leg["res_phi"]) / leg["tol"] for leg in rep.bvp)
+    assert rep.passed, f"BVP worst/tol {worst:.3g}"
+
+
+def test_n3_error_next_to_horizon_is_no_outlier():
+    p = _n3_problem(0)
+    coarse = solve_riccati(p, TimeGrid.uniform(1.0, 200))
+    fine = solve_riccati(p, TimeGrid.uniform(1.0, 800))
+    err = np.abs(coarse.values - fine.values[::4]).max(axis=(1, 2))
+    K = err.size
+    assert err[K - 2] / err[K - 3] <= 5.0
+    assert err[K - 4] / err[K - 3] <= 5.0
