@@ -73,6 +73,12 @@ def _check_keys(obj, allowed, path, errors) -> None:
             errors.append((f"{path}.{key}" if path else key, "unknown key"))
 
 
+def _finite(val) -> bool:
+    """val is a JSON number, not a bool, inside the float range."""
+    return (isinstance(val, (int, float)) and not isinstance(val, bool)
+            and abs(val) <= sys.float_info.max)
+
+
 def _number(obj, key, path, errors, *, default=None, required=False,
             minimum=None, integer=False, allow_none=False):
     if key not in obj:
@@ -85,11 +91,11 @@ def _number(obj, key, path, errors, *, default=None, required=False,
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         errors.append((f"{path}.{key}", "must be a number"))
         return default
+    if not _finite(val):
+        errors.append((f"{path}.{key}", "must be finite"))
+        return default
     if integer and int(val) != val:
         errors.append((f"{path}.{key}", "must be an integer"))
-        return default
-    if not np.isfinite(val):
-        errors.append((f"{path}.{key}", "must be finite"))
         return default
     if minimum is not None and val < minimum:
         errors.append((f"{path}.{key}", f"must be >= {minimum}"))
@@ -97,11 +103,20 @@ def _number(obj, key, path, errors, *, default=None, required=False,
     return int(val) if integer else float(val)
 
 
+def _vector(entry, path, errors):
+    """entry as a tuple of finite floats, or None with its issues recorded."""
+    if not isinstance(entry, list):
+        errors.append((path, "must be a list of numbers"))
+        return None
+    bad = [i for i, c in enumerate(entry) if not _finite(c)]
+    errors.extend((f"{path}[{i}]", "must be a finite number") for i in bad)
+    return None if bad else tuple(float(c) for c in entry)
+
+
 def _matrix(entry, path, shape, errors, *, symmetric=False):
-    arr = np.asarray(entry, dtype=object)
     try:
         arr = np.asarray(entry, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         errors.append((path, "must be a numeric matrix"))
         return None
     if arr.shape != shape:
@@ -293,11 +308,11 @@ def parse_config(text: str) -> RunConfig:
         sim_t0 = _number(sim_doc, "t0", "simulate", errors, default=0.0,
                          minimum=0.0) or 0.0
         if "x0" in sim_doc and n:
-            x0 = np.asarray(sim_doc["x0"], dtype=float).reshape(-1)
-            if x0.size != n or not np.all(np.isfinite(x0)):
+            x0 = _vector(sim_doc["x0"], "simulate.x0", errors)
+            if x0 is not None and len(x0) != n:
                 errors.append(("simulate.x0", f"must be a finite vector of length {n}"))
-            else:
-                sim_x0 = x0
+            elif x0 is not None:
+                sim_x0 = np.array(x0)
     if mode == "simulate":
         if sim_x0 is None:
             errors.append(("simulate.x0", "required for simulate mode"))
@@ -314,15 +329,16 @@ def parse_config(text: str) -> RunConfig:
                                    "eps_list", "finite_eps"}, "certificate",
                         errors)
             kwargs = {}
-            if cert_doc.get("times") is not None:
-                kwargs["times"] = tuple(float(t) for t in cert_doc["times"])
+            for key in ("times", "eps_list"):
+                if cert_doc.get(key) is not None:
+                    val = _vector(cert_doc[key], f"certificate.{key}", errors)
+                    if val is not None:
+                        kwargs[key] = val
             for key in ("axis_scale", "probe_scale"):
                 val = _number(cert_doc, key, "certificate", errors,
                               allow_none=True, minimum=0.0)
                 if val is not None:
                     kwargs[key] = val
-            if cert_doc.get("eps_list") is not None:
-                kwargs["eps_list"] = tuple(float(e) for e in cert_doc["eps_list"])
             if "finite_eps" in cert_doc:
                 kwargs["finite_eps"] = bool(cert_doc["finite_eps"])
             certificate = SampleSpec(**kwargs)

@@ -8,14 +8,12 @@ certificate checks that limit both in closed form and through difference
 quotients of the actual cost functional, so a wrong kernel shows up as a
 profitable deviation.
 
-The quotients integrate each deviated and baseline cost along its path only
-over the splice [t, t+eps].  From t+eps on both follow the linear policy
-with the weights frozen at t, so that remainder is the quadratic form
-x' Pi x of a tail value matrix Pi = Pi_t(t+eps) (see _tail_value_matrix),
-built once per (t, eps) and shared by every state and deviation there.  Pi
-is not P(t+eps): the discount is non-exponential, so the frozen weights
-differ from those P(t+eps) uses.  The value identity keeps the path-based
-cost, so it never depends on P.
+For a fixed (t, eps) both costs of a quotient are quadratic forms: the
+policy from (t, x) costs x' H_pol x, and holding v on [t, t+eps] first costs
+z' H_dev z with z = (x, v), since a held control is extra state with v' = 0.
+_value_matrix builds each on the segments cost integrates, so one pair per
+(t, eps) serves every state and deviation there; neither depends on P
+beyond the policy.  The value identity keeps the path-based cost.
 """
 from __future__ import annotations
 
@@ -28,10 +26,10 @@ from ._quad import integrate, simpson_weights
 from .errors import GridTooCoarseError, InvalidInputError
 from .grids import TimeGrid
 from .problem import LQProblem
-from .propagators import Propagator, half_times, rk4_steps
+from .propagators import Propagator, half_times, rk4_flow
 from .riccati import RiccatiSolution, _engine_for
 
-# default node count below which cost, and the tail value matrix, refine a segment
+# default node count below which cost and the value matrices refine a segment
 _MIN_SEGMENT_NODES = 17
 
 
@@ -149,25 +147,31 @@ def _segment_nodes(gnodes: np.ndarray, a: float, b: float, min_nodes: int
     return seg
 
 
+def _held(A, B) -> np.ndarray:
+    """Drift [[A, B], [0, 0]] of z = (x, v): a constant control as held state."""
+    return np.pad(np.concatenate([A, B], -1), ((0, 0), (0, B.shape[-1]), (0, 0)))
+
+
+def _weights(p: LQProblem, t: float, seg) -> np.ndarray:
+    """W = [[Q, S'], [S, M]](t, seg): the running cost of (x, u) is (x, u)' W (x, u)."""
+    S = p.S.eval(t, seg)
+    return np.block([[p.Q.eval(t, seg), np.swapaxes(S, -1, -2)], [S, p.M.eval(t, seg)]])
+
+
 def _integrate_segment(p: LQProblem, seg: np.ndarray, x_start, ctrl):
     """Order-4 state integration on seg; returns node states and controls."""
     K = seg.size
     n, m = p.n, p.m
     half = half_times(seg)
     A, B = p.A.eval(half), p.B.eval(half)
-    X = np.empty((K, n))
-    X[0] = np.asarray(x_start, dtype=float).reshape(n)
-    if not isinstance(ctrl, _GenericControl):
-        if isinstance(ctrl, _LinearControl):
-            gains = ctrl.gain_many(half)
-            E, c = rk4_steps(seg, A + B @ gains)
-        else:
-            E, c = rk4_steps(seg, A, B @ ctrl.v)
-        for i in range(K - 1):
-            X[i + 1] = E[i] @ X[i] + c[i]
-        if isinstance(ctrl, _LinearControl):
-            return X, np.einsum("kij,kj->ki", gains[0::2], X)
-        return X, np.tile(ctrl.v, (K, 1))
+    x_start = np.asarray(x_start, dtype=float).reshape(n)
+    if isinstance(ctrl, _LinearControl):
+        gains = ctrl.gain_many(half)
+        X = rk4_flow(seg, A + B @ gains) @ x_start
+        return X, np.einsum("kij,kj->ki", gains[0::2], X)
+    if isinstance(ctrl, _ConstantControl):
+        Z = rk4_flow(seg, _held(A, B)) @ np.concatenate([x_start, ctrl.v])
+        return Z[:, :n], Z[:, n:]
     fn = ctrl.fn
 
     def u_at(s, x):
@@ -175,6 +179,8 @@ def _integrate_segment(p: LQProblem, seg: np.ndarray, x_start, ctrl):
 
     An, Am, Bn, Bm = A[0::2], A[1::2], B[0::2], B[1::2]
     hs = np.diff(seg)
+    X = np.empty((K, n))
+    X[0] = x_start
     U = np.empty((K, m))
     U[0] = u_at(seg[0], X[0])
     for i in range(K - 1):
@@ -194,40 +200,26 @@ def _integrate_segment(p: LQProblem, seg: np.ndarray, x_start, ctrl):
 
 
 def _running_cost(p: LQProblem, t_freeze: float, seg, X, U) -> float:
-    Qr = p.Q.eval(t_freeze, seg)
-    Sr = p.S.eval(t_freeze, seg)
-    Mr = p.M.eval(t_freeze, seg)
-    vals = (np.einsum("ki,kij,kj->k", X, Qr, X)
-            + 2.0 * np.einsum("ki,kij,kj->k", U, Sr, X)
-            + np.einsum("ki,kij,kj->k", U, Mr, U))
+    Z = np.concatenate([X, U], axis=1)
+    vals = np.einsum("ki,kij,kj->k", Z, _weights(p, t_freeze, seg), Z)
     return float(integrate(vals, seg))
 
 
-def _grid_nodes(p: LQProblem, grid: TimeGrid | None) -> np.ndarray:
-    return grid.nodes if grid is not None else TimeGrid.uniform(p.T, 400).nodes
-
-
 def cost(p: LQProblem, t: float, x, u, grid: TimeGrid | None = None, *,
-         breakpoints=(), min_segment_nodes: int = _MIN_SEGMENT_NODES, tail=None) -> float:
+         breakpoints=(), min_segment_nodes: int = _MIN_SEGMENT_NODES) -> float:
     """Cost functional J(t, x; u) with weights frozen at evaluation time t.
 
     u is a control given as a policy object, a constant vector, a time
     function u(s), or a feedback u(s, x); with breakpoints it may also be a
     sequence of such controls, one per segment, so discontinuous splices are
     integrated exactly up to the scheme order.  The state follows the
-    order-4 one-step scheme and the running cost uses the local cubic rule
-    of _quad segment by segment; segments shorter than min_segment_nodes
-    grid nodes are refined to that count.
+    order-4 one-step scheme (RK4; a constant control rides along as held
+    state, a policy through its closed-loop flow) and the running cost uses
+    the local cubic rule of _quad segment by segment; segments shorter than
+    min_segment_nodes grid nodes are refined to that count.
 
     A breakpoint at T closes an empty last segment; its control, when u
     lists one, is not integrated.
-
-    tail, an n x n value matrix, replaces the last segment: the path is
-    integrated only up to the last breakpoint b (which may equal T), and
-    the cost from there on is x(b)' tail x(b).  The last control of u is
-    the one tail values; it is not integrated.  With tail =
-    _tail_value_matrix(p, u[-1], t, b, grid) the result equals the cost
-    without tail up to rounding.
     """
     T = p.T
     t = float(t)
@@ -237,22 +229,13 @@ def cost(p: LQProblem, t: float, x, u, grid: TimeGrid | None = None, *,
     tiny = 1e-12 * (1.0 + T)
     if T - t <= tiny:
         return float(x @ p.G.eval(t) @ x)
-    gnodes = _grid_nodes(p, grid)
+    gnodes = (grid if grid is not None else TimeGrid.uniform(T, 400)).nodes
     bps = [float(b) for b in breakpoints]
-    end = T
-    if tail is not None:
-        end = max(bps, default=t)
-        if not t + tiny < end <= T + tiny:
-            raise InvalidInputError("a tail needs a last breakpoint in (t, T]")
-        end = min(end, T)
-        final = np.asarray(tail, dtype=float).reshape(p.n, p.n)
-    else:
-        final = p.G.eval(t)
-    cuts = sorted({b for b in bps if t + tiny < b < end - tiny})
-    edges = [t, *cuts, end]
+    cuts = sorted({b for b in bps if t + tiny < b < T - tiny})
+    edges = [t, *cuts, T]
     n_seg = len(edges) - 1
-    # a breakpoint at the end closes an empty segment; u may list its control
-    closed = any(abs(b - end) <= tiny for b in bps)
+    # a breakpoint at T closes an empty segment; u may list its control
+    closed = any(abs(b - T) <= tiny for b in bps)
     if isinstance(u, (list, tuple)) and not isinstance(u, np.ndarray) \
             and u and not np.isscalar(u[0]):
         if not n_seg <= len(u) <= n_seg + closed:
@@ -267,36 +250,54 @@ def cost(p: LQProblem, t: float, x, u, grid: TimeGrid | None = None, *,
         X, U = _integrate_segment(p, seg, xs, ctrl)
         total += _running_cost(p, t, seg, X, U)
         xs = X[-1]
-    return total + float(xs @ final @ xs)
+    return total + float(xs @ p.G.eval(t) @ xs)
 
 
-def _tail_value_matrix(p: LQProblem, pol: EquilibriumPolicy, t: float, b: float,
-                       grid: TimeGrid | None = None) -> np.ndarray:
-    """Pi with x' Pi x = cost of following pol on [b, T] from x, weights frozen at t.
+def _value_matrix(seg: np.ndarray, C, L, final) -> np.ndarray:
+    """H with z' H z = the cost cost() integrates on seg from state z at seg[0].
 
-    On the segment cost builds for [b, T], with the closed-loop RK4 steps
-    Phi_k from b to node k, gain K and the quadrature weights w_k of cost:
-        Pi = sum_k w_k Phi_k' L_k Phi_k + Phi_K' G(t) Phi_K,
-        L = Q(t,.) + K'S(t,.) + S(t,.)'K + K'M(t,.)K.
+    The state follows z' = C z (C at half_times(seg)), the running cost is
+    z' L z (L at the nodes) and the end cost z' final z.  With the flow
+    Phi = rk4_flow(seg, C) and the weights w of the local cubic rule,
+        H = sum_k w_k Phi_k' L_k Phi_k + Phi_K' final Phi_K.
     """
-    T = p.T
-    if T - b <= 1e-12 * (1.0 + T):
-        return p.G.eval(t)
-    seg = _segment_nodes(_grid_nodes(p, grid), b, T, _MIN_SEGMENT_NODES)
-    half = half_times(seg)
-    gains = pol.gain_many(half)
-    E, _ = rk4_steps(seg, p.A.eval(half) + p.B.eval(half) @ gains)
-    Phi = np.empty((seg.size, p.n, p.n))
-    Phi[0] = np.eye(p.n)
-    for i in range(seg.size - 1):
-        Phi[i + 1] = E[i] @ Phi[i]
-    Kn = gains[0::2]
-    KnT = np.swapaxes(Kn, -1, -2)
-    KS = KnT @ p.S.eval(t, seg)
-    L = p.Q.eval(t, seg) + KS + np.swapaxes(KS, -1, -2) + KnT @ p.M.eval(t, seg) @ Kn
+    Phi = rk4_flow(seg, C)
     PhiT = np.swapaxes(Phi, -1, -2)
     running = np.tensordot(simpson_weights(seg), PhiT @ L @ Phi, axes=(0, 0))
-    return running + PhiT[-1] @ p.G.eval(t) @ Phi[-1]
+    return running + PhiT[-1] @ final @ Phi[-1]
+
+
+def _policy_segment(p: LQProblem, pol: EquilibriumPolicy, t: float, seg):
+    """A, B at half_times(seg), the weights W of _weights, and the policy's
+    drift A + B K and running weight [I; K]' W [I; K]."""
+    half = half_times(seg)
+    A, B = p.A.eval(half), p.B.eval(half)
+    gains = pol.gain_many(half)
+    W = _weights(p, t, seg)
+    IK = np.concatenate([np.broadcast_to(np.eye(p.n), (seg.size, p.n, p.n)),
+                         gains[0::2]], axis=-2)
+    return A, B, W, A + B @ gains, np.swapaxes(IK, -1, -2) @ W @ IK
+
+
+def _splice_matrices(p: LQProblem, pol: EquilibriumPolicy, t: float, b: float,
+                     gnodes: np.ndarray):
+    """(H_pol, H_dev) of the splice [t, b]: x' H_pol x = J(t, x; policy) and
+    z' H_dev z = J(t, x; v on [t, b], then policy) with z = (x, v), on the
+    segments cost uses with breakpoint b.
+
+    After b both follow the policy, whose cost from there is x' Pi x with
+    Pi = _value_matrix on [b, T] ending in G(t).  Pi is not P(b): the
+    weights stay frozen at t, and the discount is non-exponential.
+    """
+    T = p.T
+    Pi, end = p.G.eval(t), T
+    if T - b > 1e-12 * (1.0 + T):
+        seg = _segment_nodes(gnodes, b, T, _MIN_SEGMENT_NODES)
+        Pi, end = _value_matrix(seg, *_policy_segment(p, pol, t, seg)[3:], Pi), b
+    seg = _segment_nodes(gnodes, t, end, _MIN_SEGMENT_NODES)
+    A, B, W, C, L = _policy_segment(p, pol, t, seg)
+    return (_value_matrix(seg, C, L, Pi),
+            _value_matrix(seg, _held(A, B), W, np.pad(Pi, (0, p.m))))
 
 
 def value_identity_gap(p: LQProblem, pol: EquilibriumPolicy, t: float, x,
@@ -326,40 +327,16 @@ def perturbation_limit_closed_form(p: LQProblem, pol: EquilibriumPolicy,
     return float(_closed_forms(pol.gain_many(ts), p.M.eval(ts, ts), x, v)[0])
 
 
-def perturbation_limit_finite_eps(p: LQProblem, pol: EquilibriumPolicy,
-                                  t: float, x, v, eps_list,
-                                  grid: TimeGrid | None = None, *,
-                                  baseline: dict | None = None,
-                                  tails: dict | None = None):
-    """Difference quotients (J(t,x;spliced) - J(t,x;policy))/eps and their
-    linear-in-eps extrapolation.
-
-    The spliced control holds the constant v on [t, t+eps] and follows the
-    policy afterwards.  Both costs use the same segmentation (splice
-    sub-grid refined to >= 17 nodes) so quadrature bias cancels in the
-    quotient.  Both are integrated along their paths only over the splice;
-    from t+eps on they follow the same policy with the weights frozen at t,
-    so that remainder is x(t+eps)' Pi x(t+eps) with the tail value matrix
-    Pi = _tail_value_matrix(p, pol, t, t+eps, grid), passed to cost as
-    tail.  Neither cost depends on P beyond the policy itself.
-
-    The policy cost does not depend on v, and Pi depends on neither x nor v:
-    baseline, a dict eps -> J(t,x;policy) shared by calls at the same (t, x)
-    and grid, and tails, a dict eps -> Pi shared by calls at the same t and
-    grid, are filled on first use, so probing several v integrates each
-    once per eps.
-    Returns (dict eps -> quotient, extrapolated).
-    """
-    g = grid if grid is not None else pol.P.grid
-    t = float(t)
-    x = np.asarray(x, dtype=float).reshape(p.n)
-    v = np.asarray(v, dtype=float).reshape(p.m)
+def _spike_matrices(p: LQProblem, pol: EquilibriumPolicy, t: float, eps_list,
+                    grid: TimeGrid) -> dict:
+    """eps -> _splice_matrices at (t, t+eps), largest eps first, after checking
+    that each eps is positive, fits before T and spans >= 4 grid nodes."""
     eps = sorted({float(e) for e in eps_list}, reverse=True)
     if not eps or eps[-1] <= 0.0:
         raise InvalidInputError("eps_list must contain positive values")
     if t + eps[0] > p.T + 1e-12 * (1 + p.T):
         raise InvalidInputError("t + eps exceeds the horizon")
-    gnodes = g.nodes
+    gnodes = grid.nodes
     hmax = float(np.diff(gnodes).max())
     for e in eps:
         covered = int(np.count_nonzero(
@@ -368,22 +345,38 @@ def perturbation_limit_finite_eps(p: LQProblem, pol: EquilibriumPolicy,
             raise GridTooCoarseError(
                 f"eps={e:g} spans only {covered} grid nodes; refine the grid "
                 f"(max spacing {hmax:g}) or increase eps")
-    baseline = {} if baseline is None else baseline
-    tails = {} if tails is None else tails
-    quotients = {}
-    for e in eps:
-        bp = (t + e,)
-        if e not in tails:
-            tails[e] = _tail_value_matrix(p, pol, t, t + e, g)
-        J_dev = cost(p, t, x, [v, pol], g, breakpoints=bp, tail=tails[e])
-        if e not in baseline:
-            baseline[e] = cost(p, t, x, [pol, pol], g, breakpoints=bp, tail=tails[e])
-        quotients[e] = (J_dev - baseline[e]) / e
-    if len(eps) == 1:
-        return quotients, float(quotients[eps[0]])
-    e1, e2 = eps[-2], eps[-1]
-    q1, q2 = quotients[e1], quotients[e2]
-    return quotients, float((e1 * q2 - e2 * q1) / (e1 - e2))
+    return {e: _splice_matrices(p, pol, t, t + e, gnodes) for e in eps}
+
+
+def _quotients(mats: dict, x: np.ndarray, v: np.ndarray):
+    """(dict eps -> (J_dev - J_pol)/eps, linear-in-eps extrapolation)."""
+    z = np.concatenate([x, v])
+    quotients = {e: float(z @ H_dev @ z - x @ H_pol @ x) / e
+                 for e, (H_pol, H_dev) in mats.items()}
+    if len(quotients) == 1:
+        return quotients, next(iter(quotients.values()))
+    (e1, q1), (e2, q2) = list(quotients.items())[-2:]
+    return quotients, (e1 * q2 - e2 * q1) / (e1 - e2)
+
+
+def perturbation_limit_finite_eps(p: LQProblem, pol: EquilibriumPolicy,
+                                  t: float, x, v, eps_list,
+                                  grid: TimeGrid | None = None):
+    """Difference quotients (J(t,x;spliced) - J(t,x;policy))/eps and their
+    linear-in-eps extrapolation.
+
+    The spliced control holds the constant v on [t, t+eps] and follows the
+    policy afterwards.  Both costs are the ones cost integrates with the
+    breakpoint t+eps (splice sub-grid refined to >= 17 nodes), so
+    quadrature bias cancels in the quotient, but read as quadratic forms:
+    x' H_pol x and z' H_dev z with z = (x, v) (see _splice_matrices).
+    Neither depends on P beyond the policy itself.
+    Returns (dict eps -> quotient, extrapolated).
+    """
+    g = grid if grid is not None else pol.P.grid
+    mats = _spike_matrices(p, pol, float(t), eps_list, g)
+    return _quotients(mats, np.asarray(x, dtype=float).reshape(p.n),
+                      np.asarray(v, dtype=float).reshape(p.m))
 
 
 @dataclass(frozen=True)
@@ -459,8 +452,8 @@ def equilibrium_certificate(p: LQProblem, pol: EquilibriumPolicy,
     batch with the gain and M(t,t) evaluated once per time; the finite-eps
     quotients — independent evidence through the actual cost functional —
     run on the +axis states with deviations probing around the policy
-    value, which is where a wrong kernel becomes visible.  They share one
-    tail value matrix per (t, eps) and one baseline cost per (t, x, eps).
+    value, which is where a wrong kernel becomes visible.  They read every
+    quotient at t from one (H_pol, H_dev) pair per eps.
     Passes when every closed form is >= -tol_closed_form and every
     extrapolated quotient is >= -tol_finite_eps.
     """
@@ -485,7 +478,8 @@ def equilibrium_certificate(p: LQProblem, pol: EquilibriumPolicy,
             eps = (base, 0.5 * base, 0.25 * base)
             eps = tuple(sorted({max(e, min(h_floor, base)) for e in eps},
                                reverse=True))
-        tails = {}
+        mats = (_spike_matrices(p, pol, t, eps, pol.P.grid)
+                if spec.finite_eps else None)
         for i in range(n):
             for sgn in (1.0, -1.0):
                 x = sgn * eye_n[i]
@@ -497,12 +491,10 @@ def equilibrium_certificate(p: LQProblem, pol: EquilibriumPolicy,
                           for j in range(m) for sv in (1.0, -1.0)]
                 vset += probes
                 fe_set = {0} | set(range(len(vset) - len(probes), len(vset)))
-                baseline = {}
                 for k, v in enumerate(vset):
                     fe = ext = None
-                    if spec.finite_eps and sgn > 0 and k in fe_set:
-                        fe, ext = perturbation_limit_finite_eps(
-                            p, pol, t, x, v, eps, baseline=baseline, tails=tails)
+                    if mats is not None and sgn > 0 and k in fe_set:
+                        fe, ext = _quotients(mats, x, v)
                     plan.append((it, x, v, fe, ext))
     idx = np.array([s[0] for s in plan])
     closed = _closed_forms(gains[idx], p.M.eval(times, times)[idx],

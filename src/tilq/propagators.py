@@ -39,12 +39,11 @@ def _coefficient_samples(coefficient, nodes):
     return out
 
 
-def rk4_steps(nodes: np.ndarray, C: np.ndarray, b: np.ndarray | None = None):
-    """Classical RK4 steps of x' = C(t) x + b(t), all intervals at once.
+def rk4_flow(nodes: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Classical RK4 fundamental matrices of x' = C(t) x, all steps at once.
 
-    C (and b) are sampled at half_times(nodes), shapes (2K-1, n, n) and
-    (2K-1, n).  Returns (E, c) with x(nodes[i+1]) = E[i] x(nodes[i]) + c[i];
-    c is zero when b is None.
+    C is sampled at half_times(nodes), shape (2K-1, n, n).  Returns U of
+    shape (K, n, n) with U[0] = I and x(nodes[k]) = U[k] x(nodes[0]).
     """
     hs = np.diff(nodes)[:, None, None]
     eye = np.eye(C.shape[-1])
@@ -54,15 +53,11 @@ def rk4_steps(nodes: np.ndarray, C: np.ndarray, b: np.ndarray | None = None):
     K3 = Cm @ (eye + 0.5 * hs * K2)
     K4 = C1 @ (eye + hs * K3)
     E = eye + (hs / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
-    if b is None:
-        return E, np.zeros(E.shape[:2])
-    h = hs[:, 0]
-    b0, bm, b1 = b[0:-1:2], b[1::2], b[2::2]
-    k1 = b0
-    k2 = np.einsum("kij,kj->ki", Cm, 0.5 * h * k1) + bm
-    k3 = np.einsum("kij,kj->ki", Cm, 0.5 * h * k2) + bm
-    k4 = np.einsum("kij,kj->ki", C1, h * k3) + b1
-    return E, (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    U = np.empty((nodes.size,) + E.shape[1:])
+    U[0] = eye
+    for i in range(nodes.size - 1):
+        U[i + 1] = E[i] @ U[i]
+    return U
 
 
 class Propagator:
@@ -75,9 +70,8 @@ class Propagator:
         self.coefficient = coefficient
         self.dim = values.shape[-1]
         inv = np.linalg.inv(values)
-        conds = (np.abs(values).sum(-1).max(-1) * np.abs(inv).sum(-1).max(-1))
-        self.condition = float(conds.max())
-        self._node_conds = conds
+        self.condition = float(
+            (np.abs(values).sum(-1).max(-1) * np.abs(inv).sum(-1).max(-1)).max())
         if self.condition > _COND_WARN:
             warnings.warn(
                 f"propagator condition number {self.condition:.3e} exceeds {_COND_WARN:.0e};"
@@ -138,7 +132,8 @@ def fundamental_solution(coefficient, grid, *, samples=None) -> Propagator:
     grid : TimeGrid or 1-d increasing node array
     samples : optional precomputed C at nodes and midpoints, shape
         (2K-1, n, n) interleaved [node0, mid0, node1, mid1, ...]; bypasses
-        coefficient evaluation (the coefficient is still kept for slopes).
+        coefficient evaluation; the node slopes C(t_i) U(t_i) use these
+        samples too.
     """
     nodes = np.asarray(getattr(grid, "nodes", grid), dtype=float)
     if nodes.ndim != 1 or nodes.size < 2 or np.any(np.diff(nodes) <= 0):
@@ -146,11 +141,7 @@ def fundamental_solution(coefficient, grid, *, samples=None) -> Propagator:
     C = _coefficient_samples(coefficient, nodes) if samples is None else np.asarray(samples, dtype=float)
     if C.shape[0] != 2 * nodes.size - 1:
         raise InvalidInputError("coefficient samples must cover nodes and midpoints")
-    E, _ = rk4_steps(nodes, C)
-    U = np.empty((nodes.size,) + E.shape[1:])
-    U[0] = np.eye(E.shape[-1])
-    for i in range(nodes.size - 1):
-        U[i + 1] = E[i] @ U[i]
+    U = rk4_flow(nodes, C)
     slopes = C[0::2] @ U
     return Propagator(nodes, U, slopes, coefficient)
 

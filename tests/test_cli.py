@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from tilq.cli import ConfigError, parse_config
+from tilq.cli import ConfigError, main, parse_config
 
 BASE = {
     "schema_version": 1,
@@ -76,6 +76,25 @@ def test_parse_collects_all_errors():
     with pytest.raises(ConfigError) as exc:
         parse_config(json.dumps(bad))
     assert len(exc.value.errors) >= 2
+
+
+@pytest.mark.parametrize("section, key, value, path", [
+    ("simulate", "x0", ["a"], "simulate.x0[0]"),
+    ("simulate", "x0", [[1.0], 2.0], "simulate.x0[0]"),
+    ("certificate", "times", 0.5, "certificate.times"),
+    ("certificate", "times", ["a"], "certificate.times[0]"),
+    ("certificate", "eps_list", ["x"], "certificate.eps_list[0]"),
+    ("simulate", "x0", [10**400], "simulate.x0[0]"),
+    ("grid", "N", float("inf"), "grid.N"),
+    ("problem", "B", {"kind": "constant", "base": [[10**400]]}, "problem.B.base"),
+])
+def test_malformed_values_are_config_issues(tmp_path, capsys, section, key, value, path):
+    # exit 2 with the offending entry named, next to the other issues
+    bad = make_config(schema_version=3)
+    bad.setdefault(section, {})[key] = value
+    assert main(["--config", str(write(tmp_path, bad))]) == 2
+    issues = json.loads(capsys.readouterr().out)["error"]["issues"]
+    assert {"schema_version", path} <= {i["path"] for i in issues}
 
 
 def test_parse_hyperbolic_pole_guard():

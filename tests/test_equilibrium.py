@@ -7,6 +7,7 @@ from tilq import (
     LQProblem,
     RiccatiSolution,
     TimeGrid,
+    brute_force_cost,
     build_policy,
     cost,
     equilibrium_certificate,
@@ -18,7 +19,7 @@ from tilq import (
     solve_riccati,
     value_identity_gap,
 )
-from tilq.equilibrium import SampleSpec, _tail_value_matrix
+from tilq.equilibrium import SampleSpec, _splice_matrices
 
 TANH1 = 0.7615941559557649  # tanh(1)
 TANH1_SQ = 0.5800256583859739  # tanh(1)^2
@@ -41,6 +42,14 @@ def _n3_problem():
     B = rng.standard_normal((3, 2))
     return hyperbolic_problem(np.eye(3), np.eye(2), np.eye(3), A=A, B=B,
                               k=1.0, theta=1.0, T=1.0)
+
+
+def _two_time_s_problem():
+    """The n3 problem with a two-time cross weight S(t, s)."""
+    n3 = _n3_problem()
+    return LQProblem(A=n3.A, B=n3.B, Q=n3.Q, M=n3.M, G=n3.G,
+                     S=exponential_kernel(0.3 * np.arange(6.0).reshape(2, 3) - 0.5,
+                                          0.7, 1.0, symmetry_required=False))
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +125,22 @@ def test_cost_feedback_control_matches_policy(tanh_problem, tanh_policy):
     np.testing.assert_allclose(J_fb, J_pol, rtol=1e-9)
 
 
+def test_cost_held_control_matches_callable(n3_policy):
+    # a constant control rides along as held state; a time function u(s) = v
+    # takes the step-by-step RK4 path, so the two agree only if the held
+    # drift [[A, B], [0, 0]] is right (here A != 0 and m > 1); the second
+    # order brute-force witness checks the cross weight S
+    p, pol = n3_policy
+    x, v = np.array([0.5, -1.0, 2.0]), np.array([0.7, -0.3])
+    for u, w in [(v, lambda s: v), ([v, pol], [lambda s: v, pol])]:
+        np.testing.assert_allclose(cost(p, 0.2, x, u, breakpoints=(0.45,)),
+                                   cost(p, 0.2, x, w, breakpoints=(0.45,)),
+                                   rtol=1e-12)
+    p_s = _two_time_s_problem()
+    np.testing.assert_allclose(cost(p_s, 0.2, x, v),
+                               brute_force_cost(p_s, 0.2, x, v, refinement=16), rtol=1e-6)
+
+
 def test_cost_at_horizon_is_terminal(hyperbolic_scalar):
     x = np.array([2.0])
     got = cost(hyperbolic_scalar, 1.0, x, np.zeros(1))
@@ -132,14 +157,11 @@ def test_cost_spliced_segments(tanh_problem, tanh_policy):
 
 
 def test_cost_breakpoint_at_horizon(hyperbolic_scalar, hyp_policy):
-    # a breakpoint at T closes an empty last segment whose control is unused,
-    # with or without tail
+    # a breakpoint at T closes an empty last segment whose control is unused
     p, t, x, v = hyperbolic_scalar, 0.75, np.array([1.5]), np.array([0.3])
     J = cost(p, t, x, v)
     assert cost(p, t, x, [v, hyp_policy], breakpoints=(1.0,)) == J
     assert cost(p, t, x, [v], breakpoints=(1.0,)) == J
-    got = cost(p, t, x, [v, hyp_policy], breakpoints=(1.0,), tail=p.G.eval(t))
-    np.testing.assert_allclose(got, J, rtol=1e-14)
     with pytest.raises(InvalidInputError):
         cost(p, t, x, [v, hyp_policy, v], breakpoints=(1.0,))
 
@@ -214,9 +236,22 @@ def test_certificate_flags_corruption(hyperbolic_scalar, hyperbolic_solution):
     assert rep.worst_extrapolated < -1e-4
 
 
-def test_certificate_reuses_baseline_cost(hyperbolic_scalar, hyp_policy, monkeypatch):
-    # the policy cost is integrated once per (t, x, eps), not once per v,
-    # and the quotients equal the uncached ones bit for bit
+def _path_quotients(p, pol, t, x, v, eps):
+    """Quotients and extrapolation from two plain path-based cost calls per eps."""
+    g = pol.P.grid
+    q = {}
+    for e in sorted(eps, reverse=True):
+        bp = (t + e,)
+        dev = cost(p, t, x, [v, pol], g, breakpoints=bp)
+        base = cost(p, t, x, [pol, pol], g, breakpoints=bp)
+        q[e] = (dev - base) / e
+    (e1, q1), (e2, q2) = list(q.items())[-2:]
+    return q, (e1 * q2 - e2 * q1) / (e1 - e2)
+
+
+def test_certificate_makes_no_cost_call(hyperbolic_scalar, hyp_policy, monkeypatch):
+    # every quotient is read off the value matrices, and equals the one
+    # perturbation_limit_finite_eps gives for the same sample bit for bit
     import tilq.equilibrium as eq
 
     calls = []
@@ -230,10 +265,9 @@ def test_certificate_reuses_baseline_cost(hyperbolic_scalar, hyp_policy, monkeyp
     monkeypatch.setattr(eq, "cost", counted)
     rep = equilibrium_certificate(hyperbolic_scalar, hyp_policy, spec)
     monkeypatch.undo()
+    assert calls == []
     probed = [s for s in rep.samples if s.finite_eps is not None]
-    states = {(s.t, tuple(s.x)) for s in probed}
-    assert len(probed) > len(states)
-    assert len(calls) == (len(probed) + len(states)) * len(spec.eps_list)
+    assert len(probed) == len(spec.times) * 3
     for s in probed:
         fe, ext = perturbation_limit_finite_eps(
             hyperbolic_scalar, hyp_policy, s.t, s.x, s.v, spec.eps_list)
@@ -241,14 +275,11 @@ def test_certificate_reuses_baseline_cost(hyperbolic_scalar, hyp_policy, monkeyp
         assert ext == s.extrapolated
 
 
-def test_tail_matrix_matches_path_cost(hyperbolic_scalar, hyp_policy, n3_policy):
-    # the remainder after the splice, x' Pi x, equals the cost integrated
-    # along the path; any linear policy will do, so the third case (a
-    # two-time S, which enters L through K'S + S'K) runs on a made-up P
-    n3 = n3_policy[0]
-    p_s = LQProblem(A=n3.A, B=n3.B, Q=n3.Q, M=n3.M, G=n3.G,
-                    S=exponential_kernel(0.3 * np.arange(6.0).reshape(2, 3) - 0.5,
-                                         0.7, 1.0, symmetry_required=False))
+def test_value_matrices_match_path_cost(hyperbolic_scalar, hyp_policy, n3_policy):
+    # x' H_pol x and z' H_dev z, z = (x, v), equal the costs integrated along
+    # the path; any linear policy will do, so the third case (a two-time S,
+    # which enters through the cross weight) runs on a made-up P
+    p_s = _two_time_s_problem()
     g = TimeGrid.uniform(1.0, 120)
     t_n = g.nodes[:, None, None]
     fake = RiccatiSolution(g, (1.0 + 0.5 * np.cos(2.0 * t_n)) * np.eye(3)
@@ -257,67 +288,64 @@ def test_tail_matrix_matches_path_cost(hyperbolic_scalar, hyp_policy, n3_policy)
     for p, pol in cases:
         grid = pol.P.grid
         states = [np.linspace(1.0, -0.5, p.n), -np.ones(p.n)]
-        for t, e in [(0.0, 0.1), (0.3125, 0.0390625), (0.5, 0.2), (0.75, 0.25)]:
+        # the last two splices end at t + eps = T
+        for t, e in [(0.0, 0.1), (0.3125, 0.0390625), (0.5, 0.2), (0.75, 0.25),
+                     (0.5, 0.5)]:
             b = t + e
-            tail = _tail_value_matrix(p, pol, t, b, grid)
+            H_pol, H_dev = _splice_matrices(p, pol, t, b, grid.nodes)
             for x in states:
-                for ctrls in ([0.7 * np.ones(p.m), pol], [pol, pol]):
-                    got = cost(p, t, x, ctrls, grid, breakpoints=(b,), tail=tail)
-                    # the path-based cost has no segment after a breakpoint at T
-                    path = ctrls if b < p.T else ctrls[:1]
-                    want = cost(p, t, x, path, grid, breakpoints=(b,))
-                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
-    # at t + eps = T the splice runs to the horizon and Pi is G(t)
+                want = cost(p, t, x, [pol, pol], grid, breakpoints=(b,))
+                np.testing.assert_allclose(x @ H_pol @ x, want, rtol=1e-12, atol=0.0)
+                v = 0.7 * np.ones(p.m)
+                z = np.concatenate([x, v])
+                want = cost(p, t, x, [v, pol], grid, breakpoints=(b,))
+                np.testing.assert_allclose(z @ H_dev @ z, want, rtol=1e-12, atol=0.0)
     p, pol = cases[0]
-    np.testing.assert_array_equal(_tail_value_matrix(p, pol, 0.75, 1.0), p.G.eval(0.75))
     fe, _ = perturbation_limit_finite_eps(p, pol, 0.75, np.ones(1), np.zeros(1),
                                           [0.25, 0.125])
     assert set(fe) == {0.25, 0.125}
-    with pytest.raises(InvalidInputError):
-        cost(p, 0.5, np.ones(1), pol, tail=p.G.eval(0.5))
 
 
-def test_certificate_tail_matches_path_based(n3_policy, monkeypatch):
-    # the certificate through Pi against one whose costs integrate every
-    # tail along the path; closed forms bit-identical to w @ M(t,t) @ w
-    import tilq.equilibrium as eq
-
+def test_certificate_tail_matches_path_based(n3_policy):
+    # the certificate's quotients against two plain path-based cost calls
+    # each; closed forms bit-identical to w @ M(t,t) @ w
     p, pol = n3_policy
     rep = equilibrium_certificate(p, pol)
-    real_cost = eq.cost
-    monkeypatch.setattr(eq, "cost", lambda *a, tail=None, **k: real_cost(*a, **k))
-    path = equilibrium_certificate(p, pol)
-    monkeypatch.undo()
-    assert rep.worst_closed_form == path.worst_closed_form
-    assert abs(rep.worst_extrapolated - path.worst_extrapolated) <= 1e-10
-    assert rep.passed == path.passed
-    for s, sp in zip(rep.samples, path.samples, strict=True):
+    assert rep.passed
+    exts = []
+    for s in rep.samples:
         u = pol.control(s.t, s.x)
         w = s.v - u
         assert s.closed_form == float(w @ p.M.eval(s.t, s.t) @ w)
         if s.finite_eps is not None:
+            fe, ext = _path_quotients(p, pol, s.t, s.x, s.v, s.finite_eps)
+            assert list(fe) == list(s.finite_eps)
             for e, q in s.finite_eps.items():
-                assert abs(q - sp.finite_eps[e]) <= 1e-10
+                assert abs(q - fe[e]) <= 1e-10
+            assert abs(s.extrapolated - ext) <= 1e-10
+            exts.append(ext)
             # probes sit at u(t, x) +/- eta e_j
             if np.any(s.v):
                 eta = SampleSpec().probe_scale * (1.0 + np.abs(u).max())
                 assert np.count_nonzero(w) == 1
                 np.testing.assert_allclose(np.abs(w).max(), eta, rtol=1e-12)
+    assert abs(rep.worst_extrapolated - min(exts)) <= 1e-10
 
 
-def test_certificate_builds_each_tail_once(n3_policy, monkeypatch):
-    # one Pi per (t, eps), shared by all states and deviations at t
+def test_certificate_builds_each_splice_once(n3_policy, monkeypatch):
+    # one (H_pol, H_dev) pair per (t, eps), shared by all states and
+    # deviations at t
     import tilq.equilibrium as eq
 
     p, pol = n3_policy
     builds = []
-    real = eq._tail_value_matrix
+    real = eq._splice_matrices
 
     def counted(*args, **kwargs):
         builds.append(args[2:4])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(eq, "_tail_value_matrix", counted)
+    monkeypatch.setattr(eq, "_splice_matrices", counted)
     spec = SampleSpec(times=(0.0, 0.25, 0.5), eps_list=(0.1, 0.05))
     rep = equilibrium_certificate(p, pol, spec)
     monkeypatch.undo()
