@@ -90,16 +90,18 @@ def left_slice_weights(x: np.ndarray) -> np.ndarray:
     return W
 
 
-def tail_slice_weights(x: np.ndarray) -> np.ndarray:
+def tail_slice_weights(x: np.ndarray, left: np.ndarray | None = None) -> np.ndarray:
     """Matrix W with W[i, i:] = simpson_weights(x[i:]), zero left of node i.
 
     For integrands that exist only on [x[i], x[-1]].  A row of four or more
     nodes is row i of left_slice_weights with interval i moved to the
     one-sided stencil i..i+3; the last two are the parabola and the line.
+    left, if given, is left_slice_weights(x), which is then copied instead
+    of built.
     """
     x = np.asarray(x, dtype=float)
     K = x.size
-    W = left_slice_weights(x)
+    W = left_slice_weights(x) if left is None else left.copy()
     j = np.arange(max(K - 3, 0))
     shared, one_sided = _stencil(K, j), j[:, None] + _ARANGE
     W[j[:, None], shared] -= _interval_weights(x, shared)

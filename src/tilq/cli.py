@@ -103,6 +103,14 @@ def _number(obj, key, path, errors, *, default=None, required=False,
     return int(val) if integer else float(val)
 
 
+def _flag(obj, key, path, errors, default: bool) -> bool:
+    val = obj.get(key, default)
+    if not isinstance(val, bool):
+        errors.append((f"{path}.{key}", "must be true or false"))
+        return default
+    return val
+
+
 def _vector(entry, path, errors):
     """entry as a tuple of finite floats, or None with its issues recorded."""
     if not isinstance(entry, list):
@@ -300,10 +308,11 @@ def parse_config(text: str) -> RunConfig:
                                   errors, allow_none=True, minimum=0.0)
 
     sim_doc = doc.get("simulate", {})
-    sim_t0, sim_x0 = 0.0, None
+    sim_t0, sim_x0, x0_missing = 0.0, None, False
     if not isinstance(sim_doc, dict):
         errors.append(("simulate", "must be an object"))
     else:
+        x0_missing = "x0" not in sim_doc
         _check_keys(sim_doc, {"t0", "x0"}, "simulate", errors)
         sim_t0 = _number(sim_doc, "t0", "simulate", errors, default=0.0,
                          minimum=0.0) or 0.0
@@ -314,7 +323,7 @@ def parse_config(text: str) -> RunConfig:
             elif x0 is not None:
                 sim_x0 = np.array(x0)
     if mode == "simulate":
-        if sim_x0 is None:
+        if x0_missing:
             errors.append(("simulate.x0", "required for simulate mode"))
         if T is not None and not 0.0 <= sim_t0 < T:
             errors.append(("simulate.t0", "must lie in [0, T)"))
@@ -329,18 +338,22 @@ def parse_config(text: str) -> RunConfig:
                                    "eps_list", "finite_eps"}, "certificate",
                         errors)
             kwargs = {}
-            for key in ("times", "eps_list"):
+            for key, ok, rule in (
+                    ("times", lambda t: T is None or 0.0 <= t < T, "must lie in [0, T)"),
+                    ("eps_list", lambda e: e > 0.0, "must be positive")):
                 if cert_doc.get(key) is not None:
                     val = _vector(cert_doc[key], f"certificate.{key}", errors)
-                    if val is not None:
+                    bad = [i for i, c in enumerate(val or ()) if not ok(c)]
+                    errors.extend((f"certificate.{key}[{i}]", rule) for i in bad)
+                    if val is not None and not bad:
                         kwargs[key] = val
             for key in ("axis_scale", "probe_scale"):
                 val = _number(cert_doc, key, "certificate", errors,
                               allow_none=True, minimum=0.0)
                 if val is not None:
                     kwargs[key] = val
-            if "finite_eps" in cert_doc:
-                kwargs["finite_eps"] = bool(cert_doc["finite_eps"])
+            kwargs["finite_eps"] = _flag(cert_doc, "finite_eps", "certificate", errors,
+                                         SampleSpec.finite_eps)
             certificate = SampleSpec(**kwargs)
 
     cmp_doc = doc.get("compare", {})
@@ -374,7 +387,7 @@ def parse_config(text: str) -> RunConfig:
         errors.append(("debug", "must be an object"))
     else:
         _check_keys(dbg, {"corrupt_solution"}, "debug", errors)
-        corrupt = bool(dbg.get("corrupt_solution", False))
+        corrupt = _flag(dbg, "corrupt_solution", "debug", errors, False)
 
     if errors:
         raise ConfigError(errors)

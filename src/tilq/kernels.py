@@ -60,6 +60,24 @@ def _batch(t, s):
     return ts, ss, scalar and s_scalar
 
 
+# rows per triangle block: a block pairs at most _ROW_BLOCK rows with their
+# tails, so no stage forms a stack over all K(K+1)/2 node pairs
+_ROW_BLOCK = 32
+
+
+def _triangle_rows(K: int, a: int = 0, b: int | None = None):
+    """Row-major pair indices (ii, jj), ii <= jj < K, of rows a..b (default
+    the last), _ROW_BLOCK rows at a time: np.triu_indices(K) cut at row
+    boundaries."""
+    b = K - 1 if b is None else b
+    for i0 in range(a, b + 1, _ROW_BLOCK):
+        rows = np.arange(i0, min(i0 + _ROW_BLOCK, b + 1))
+        lens = K - rows
+        ii = np.repeat(rows, lens)
+        jj = np.arange(lens.sum()) - np.repeat(np.cumsum(lens) - lens - rows, lens)
+        yield ii, jj
+
+
 # stencil classes of _Coefficient._difference, by the kind code it returns
 _STENCILS = ("central", "forward", "forward-extended", "backward", "first-order")
 
@@ -306,23 +324,29 @@ class NormBundle:
 def kernel_norms(k, g) -> NormBundle:
     """NormBundle of a OneTimeMatrixFn or TwoTimeKernel sampled on grid g.
 
-    Two-time kernels are sampled on all triangle node pairs; their L^1 field
-    integrates, in the first argument, the worst row-sum over the remaining
-    second arguments (so a constant kernel gets T times its matrix norm).
+    Two-time kernels are sampled on all triangle node pairs, walked in blocks
+    of _ROW_BLOCK = 32 rows, so memory goes as O(32 K n^2) for K nodes; their
+    L^1 field integrates, in the first argument, the worst row-sum over the
+    remaining second arguments (so a constant kernel gets T times its matrix
+    norm).
     """
     if not isinstance(k, _Coefficient):
         raise InvalidInputError("kernel_norms expects a OneTimeMatrixFn or TwoTimeKernel")
     nodes = g.nodes
     if isinstance(k, TwoTimeKernel):
-        ii, jj = np.triu_indices(nodes.size)
-        args = (nodes[ii], nodes[jj])
+        blocks = ((ii, (nodes[ii], nodes[jj])) for ii, jj in _triangle_rows(nodes.size))
     else:
-        ii, args = np.arange(nodes.size), (nodes,)
-    vals = matrix_norm_many(k.eval(*args))
-    dvals = matrix_norm_many(k.eval_dt(*args))
-    if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(dvals))):
-        raise InvalidInputError("non-finite coefficient values on the grid")
-    c = float(vals.max())
-    # pairs come row by row; the worst of each row (one-time: each value)
-    row_worst = np.maximum.reduceat(vals, np.searchsorted(ii, np.arange(nodes.size)))
-    return NormBundle(c, c + float(dvals.max()), float(integrate(row_worst, nodes)), c)
+        blocks = [(np.arange(nodes.size), (nodes,))]
+    row_worst, d_sup = [], 0.0
+    for ii, args in blocks:
+        vals = matrix_norm_many(k.eval(*args))
+        dvals = matrix_norm_many(k.eval_dt(*args))
+        if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(dvals))):
+            raise InvalidInputError("non-finite coefficient values on the grid")
+        # pairs come row by row; the worst of each row (one-time: each value)
+        starts = np.searchsorted(ii, np.arange(ii[0], ii[-1] + 1))
+        row_worst.append(np.maximum.reduceat(vals, starts))
+        d_sup = max(d_sup, float(dvals.max()))
+    row_worst = np.concatenate(row_worst)
+    c = float(row_worst.max())
+    return NormBundle(c, c + d_sup, float(integrate(row_worst, nodes)), c)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidInputError, TimeConsistencyError
 from .grids import TimeGrid
-from .kernels import matrix_norm_many
+from .kernels import _triangle_rows, matrix_norm_many
 from .problem import LQProblem
 from .equilibrium import EquilibriumPolicy, _as_control, _ConstantControl, \
     _GenericControl, _LinearControl
@@ -39,11 +39,10 @@ def _time_consistency_defect(p: LQProblem, g: TimeGrid) -> float:
     sub = nodes[::step]
     if sub[-1] != nodes[-1]:
         sub = np.concatenate([sub, nodes[-1:]])
-    ii, jj = np.triu_indices(sub.size)
-    t, s = sub[ii], sub[jj]
     worst = 0.0
-    for k in (p.Q, p.M, p.S):
-        worst = max(worst, float(matrix_norm_many(k.eval_dt(t, s)).max()))
+    for ii, jj in _triangle_rows(sub.size):
+        for k in (p.Q, p.M, p.S):
+            worst = max(worst, float(matrix_norm_many(k.eval_dt(sub[ii], sub[jj])).max()))
     worst = max(worst, float(matrix_norm_many(p.G.eval_dt(sub)).max()))
     return worst
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError
-from .kernels import OneTimeMatrixFn, TwoTimeKernel, matrix_norm_many
+from .kernels import OneTimeMatrixFn, TwoTimeKernel, _triangle_rows, matrix_norm_many
 
 
 @dataclass(frozen=True)
@@ -121,26 +121,54 @@ def _point(points, i) -> tuple:
     return tuple(points[i].tolist())
 
 
-def _worst_min_eig(stack, points):
-    sym = 0.5 * (stack + np.swapaxes(stack, -1, -2))
-    eigs = np.linalg.eigvalsh(sym).min(axis=-1)
-    i = int(np.argmin(eigs))
-    return float(eigs[i]), _point(points, i)
+class _Worst:
+    """Running extreme of per-pair values over blocks, with its pair.
+
+    Ends where np.argmin (lowest=True) or np.argmax over the whole stack
+    would: a NaN wins, and among equal values the first pair does, so a later
+    block replaces the best only when it is strictly better.
+    """
+
+    def __init__(self, lowest: bool):
+        self.lowest = lowest
+        self.value, self.where = None, (0.0, 0.0)
+
+    def add(self, vals, points) -> None:
+        if vals.size == 0:
+            return
+        i = int(np.argmin(vals) if self.lowest else np.argmax(vals))
+        v = float(vals[i])
+        best = self.value
+        if best is None or (not math.isnan(best) and (
+                math.isnan(v) or (v < best if self.lowest else v > best))):
+            self.value, self.where = v, _point(points, i)
 
 
-def _worst_asymmetry(stack, points):
-    gap = matrix_norm_many(stack - np.swapaxes(stack, -1, -2))
-    i = int(np.argmax(gap))
-    return float(gap[i]), _point(points, i)
+def _min_eig(stack):
+    return np.linalg.eigvalsh(0.5 * (stack + np.swapaxes(stack, -1, -2))).min(axis=-1)
 
 
-def _worst_nonfinite(stack, points):
-    mag = np.abs(stack).reshape(stack.shape[0], -1).max(axis=1)
-    bad = ~np.isfinite(stack).reshape(stack.shape[0], -1).all(axis=1)
-    if bad.any():
-        return float("inf"), _point(points, int(np.argmax(bad))), False
-    i = int(np.argmax(mag))
-    return float(mag[i]), _point(points, i), True
+def _asymmetry(stack):
+    return matrix_norm_many(stack - np.swapaxes(stack, -1, -2))
+
+
+class _Nonfinite:
+    """Running check that a stack is finite: the first non-finite pair, else
+    the largest entry magnitude and its pair."""
+
+    def __init__(self):
+        self.bad, self.mag = _Worst(False), _Worst(False)
+
+    def add(self, stack, points) -> None:
+        flat = stack.reshape(stack.shape[0], -1)
+        self.bad.add((~np.isfinite(flat).all(axis=1)).astype(float), points)
+        self.mag.add(np.abs(flat).max(axis=1), points)
+
+    def result(self):
+        """(worst, where, finite)."""
+        if self.bad.value:
+            return float("inf"), self.bad.where, False
+        return self.mag.value, self.mag.where, True
 
 
 def validate_assumptions(p: LQProblem, g, tol: float = 1e-8) -> ValidationReport:
@@ -153,88 +181,126 @@ def validate_assumptions(p: LQProblem, g, tol: float = 1e-8) -> ValidationReport
     The combined check Q_t - S_t^T M_t^{-1} S_t is evaluated only at node
     pairs where M_t is PD beyond tol; fully skipped pairs are reported, never
     failed.
+
+    The triangle of node pairs is walked in blocks of 32 rows, each reduced
+    to running worst values before the next is evaluated, so memory goes as
+    O(32 K n^2) for K nodes.  Every worst value and its pair are those of the
+    whole triangle at once: ties go to the first pair in row-major order.
     """
     nodes = g.nodes
-    ii, jj = np.triu_indices(nodes.size)
-    tt, ss = nodes[ii], nodes[jj]
-    tri_pts, node_pts = np.column_stack([tt, ss]), nodes[:, None]
+    node_pts = nodes[:, None]
+
+    def node_check(stack, lowest):
+        worst = _Worst(lowest)
+        worst.add(_min_eig(stack) if lowest else _asymmetry(stack), node_pts)
+        return worst.value, worst.where
 
     A_vals = p.A.eval(nodes)
     B_vals = p.B.eval(nodes)
     G_vals = p.G.eval(nodes)
     Gd_vals = p.G.eval_dt(nodes)
-    Q_vals = p.Q.eval(tt, ss)
-    Qd_vals = p.Q.eval_dt(tt, ss)
-    S_vals = p.S.eval(tt, ss)
-    Sd_vals = p.S.eval_dt(tt, ss)
-    M_vals = p.M.eval(tt, ss)
-    Md_vals = p.M.eval_dt(tt, ss)
+
+    s_bad, sd_bad = _Nonfinite(), _Nonfinite()
+    m_asym, q_asym = _Worst(False), _Worst(False)
+    m_eig, q_eig, qd_eig, md_eig = _Worst(True), _Worst(True), _Worst(True), _Worst(True)
+    schur, combo = _Worst(True), _Worst(True)
+    m_finite, m_sup, q_sup = True, -np.inf, -np.inf
+    schur_live, combo_live, skipped_live = True, False, 0
+    for ii, jj in _triangle_rows(nodes.size):
+        tt, ss = nodes[ii], nodes[jj]
+        pts = np.column_stack([tt, ss])
+        Q_vals = p.Q.eval(tt, ss)
+        Qd_vals = p.Q.eval_dt(tt, ss)
+        S_vals = p.S.eval(tt, ss)
+        Sd_vals = p.S.eval_dt(tt, ss)
+        M_vals = p.M.eval(tt, ss)
+        Md_vals = p.M.eval_dt(tt, ss)
+
+        s_bad.add(S_vals, pts)
+        sd_bad.add(Sd_vals, pts)
+        s_finite = s_bad.bad.value == 0.0 and sd_bad.bad.value == 0.0  # so far
+        m_finite = m_finite and bool(np.isfinite(M_vals).all())
+        m_sup = np.maximum(m_sup, matrix_norm_many(M_vals).max())
+        q_sup = np.maximum(q_sup, matrix_norm_many(Q_vals).max())
+        m_asym.add(_asymmetry(M_vals), pts)
+        q_asym.add(_asymmetry(Q_vals), pts)
+        M_sym = 0.5 * (M_vals + np.swapaxes(M_vals, -1, -2))
+        M_eigs = np.linalg.eigvalsh(M_sym).min(axis=-1)
+        m_eig.add(M_eigs, pts)
+        q_eig.add(_min_eig(Q_vals), pts)
+        qd_eig.add(_min_eig(Qd_vals), pts)
+        Md_sym = 0.5 * (Md_vals + np.swapaxes(Md_vals, -1, -2))
+        Md_eigs = np.linalg.eigvalsh(Md_sym).min(axis=-1)
+        md_eig.add(Md_eigs, pts)
+
+        # the Schur check runs only while every block so far has finite S and
+        # M positive definite beyond the floor of the largest M so far: where
+        # the whole-triangle gate (m_pd and s_finite) passes, every block has
+        schur_live = schur_live and s_finite and bool(M_eigs.min() > 1e-10 * float(m_sup))
+        if schur_live:
+            Y = np.linalg.solve(M_sym, S_vals)
+            schur.add(_min_eig(Q_vals - np.swapaxes(S_vals, -1, -2) @ Y), pts)
+        live = Md_eigs > tol
+        skipped_live += int((~live).sum())
+        combo_live = combo_live or bool(live.any())
+        if s_finite and live.any():
+            Yd = np.linalg.solve(Md_sym[live], Sd_vals[live])
+            combo.add(_min_eig(Qd_vals[live] - np.swapaxes(Sd_vals[live], -1, -2) @ Yd),
+                      pts[live])
 
     checks = []
     skipped = {}
 
-    worst, where, ok = _worst_nonfinite(A_vals, node_pts)
-    checks.append(CheckResult("H1-A-finite", where, worst, ok, True))
-    worst, where, ok = _worst_nonfinite(B_vals, node_pts)
-    checks.append(CheckResult("H1-B-finite", where, worst, ok, True))
-    worst, where, ok = _worst_nonfinite(S_vals, tri_pts)
-    s_finite = ok
-    checks.append(CheckResult("H4-S-finite", where, worst, ok, True))
-    worst, where, ok = _worst_nonfinite(Sd_vals, tri_pts)
-    s_finite = s_finite and ok
-    checks.append(CheckResult("H4-S-partial-finite", where, worst, ok, True))
+    for name, stack in (("H1-A-finite", A_vals), ("H1-B-finite", B_vals)):
+        bad = _Nonfinite()
+        bad.add(stack, node_pts)
+        worst, where, ok = bad.result()
+        checks.append(CheckResult(name, where, worst, ok, True))
+    worst, where, s_ok = s_bad.result()
+    checks.append(CheckResult("H4-S-finite", where, worst, s_ok, True))
+    worst, where, sd_ok = sd_bad.result()
+    checks.append(CheckResult("H4-S-partial-finite", where, worst, sd_ok, True))
+    s_finite = s_ok and sd_ok
 
-    m_norm = float(matrix_norm_many(M_vals).max()) if np.isfinite(M_vals).all() else 0.0
+    m_norm = float(m_sup) if m_finite else 0.0
     m_scale, pd_floor = 1.0 + m_norm, 1e-10 * m_norm
+    worst = m_asym.value
+    checks.append(CheckResult("H2-M-symmetric", m_asym.where, worst, worst <= tol * m_scale,
+                              True))
+    m_pd = bool(m_eig.value > pd_floor)
+    checks.append(CheckResult("H2-M-positive-definite", m_eig.where, m_eig.value, m_pd, True))
 
-    worst, where = _worst_asymmetry(M_vals, tri_pts)
-    checks.append(CheckResult("H2-M-symmetric", where, worst, worst <= tol * m_scale, True))
-    M_sym = 0.5 * (M_vals + np.swapaxes(M_vals, -1, -2))
-    M_eigs = np.linalg.eigvalsh(M_sym).min(axis=-1)
-    i = int(np.argmin(M_eigs))
-    m_pd = bool(M_eigs[i] > pd_floor)
-    checks.append(CheckResult("H2-M-positive-definite", _point(tri_pts, i), float(M_eigs[i]),
-                              m_pd, True))
-
-    q_scale = 1.0 + float(matrix_norm_many(Q_vals).max())
-    worst, where = _worst_asymmetry(Q_vals, tri_pts)
-    checks.append(CheckResult("H3-Q-symmetric", where, worst, worst <= tol * q_scale, True))
-    worst, where = _worst_min_eig(Q_vals, tri_pts)
-    checks.append(CheckResult("H3-Q-psd", where, worst, worst >= -tol, True))
+    q_scale = 1.0 + float(q_sup)
+    worst = q_asym.value
+    checks.append(CheckResult("H3-Q-symmetric", q_asym.where, worst, worst <= tol * q_scale,
+                              True))
+    checks.append(CheckResult("H3-Q-psd", q_eig.where, q_eig.value, q_eig.value >= -tol, True))
     g_scale = 1.0 + float(matrix_norm_many(G_vals).max())
-    worst, where = _worst_asymmetry(G_vals, node_pts)
+    worst, where = node_check(G_vals, False)
     checks.append(CheckResult("H3-G-symmetric", where, worst, worst <= tol * g_scale, True))
-    worst, where = _worst_min_eig(G_vals, node_pts)
+    worst, where = node_check(G_vals, True)
     checks.append(CheckResult("H3-G-psd", where, worst, worst >= -tol, True))
 
-    worst, where = _worst_min_eig(Qd_vals, tri_pts)
-    checks.append(CheckResult("H5-Qt-psd", where, worst, worst >= -tol, False))
-    Md_sym = 0.5 * (Md_vals + np.swapaxes(Md_vals, -1, -2))
-    Md_eigs = np.linalg.eigvalsh(Md_sym).min(axis=-1)
-    i = int(np.argmin(Md_eigs))
-    worst = float(Md_eigs[i])
-    checks.append(CheckResult("H5-Mt-psd", _point(tri_pts, i), worst, worst >= -tol, False))
-    worst, where = _worst_min_eig(Gd_vals, node_pts)
+    checks.append(CheckResult("H5-Qt-psd", qd_eig.where, qd_eig.value, qd_eig.value >= -tol,
+                              False))
+    checks.append(CheckResult("H5-Mt-psd", md_eig.where, md_eig.value, md_eig.value >= -tol,
+                              False))
+    worst, where = node_check(Gd_vals, True)
     checks.append(CheckResult("H5-Gdot-psd", where, worst, worst >= -tol, False))
 
-    if m_pd and s_finite:
-        Y = np.linalg.solve(M_sym, S_vals)
-        schur = Q_vals - np.swapaxes(S_vals, -1, -2) @ Y
-        worst, where = _worst_min_eig(schur, tri_pts)
-        checks.append(CheckResult("H5-Q-SMS-psd", where, worst, worst >= -tol, False))
+    if m_pd and s_finite and schur_live:
+        checks.append(CheckResult("H5-Q-SMS-psd", schur.where, schur.value,
+                                  schur.value >= -tol, False))
     else:
         checks.append(CheckResult("H5-Q-SMS-psd", (0.0, 0.0), float("nan"), True, False,
                                   note="skipped (M not PD or S not finite)"))
-        skipped["H5-Q-SMS-psd"] = len(tri_pts)
+        skipped["H5-Q-SMS-psd"] = nodes.size * (nodes.size + 1) // 2
 
-    live = Md_eigs > tol
-    skipped["H5-Qt-combo-psd"] = int((~live).sum())
-    if s_finite and live.any():
-        Yd = np.linalg.solve(Md_sym[live], Sd_vals[live])
-        combo = Qd_vals[live] - np.swapaxes(Sd_vals[live], -1, -2) @ Yd
-        worst, where = _worst_min_eig(combo, tri_pts[live])
-        note = "" if live.all() else f"{int((~live).sum())} pairs skipped (M_t singular)"
-        checks.append(CheckResult("H5-Qt-combo-psd", where, worst, worst >= -tol, False, note))
+    skipped["H5-Qt-combo-psd"] = skipped_live
+    if s_finite and combo_live:
+        note = "" if not skipped_live else f"{skipped_live} pairs skipped (M_t singular)"
+        checks.append(CheckResult("H5-Qt-combo-psd", combo.where, combo.value,
+                                  combo.value >= -tol, False, note))
     else:
         checks.append(CheckResult("H5-Qt-combo-psd", (0.0, 0.0), float("nan"), True, False,
                                   note="skipped (M_t singular on the whole triangle)"))

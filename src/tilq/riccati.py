@@ -35,7 +35,7 @@ import numpy as np
 from ._quad import integrate, left_slice_weights, local_cubic, tail_slice_weights
 from .errors import InvalidInputError, NonconvergenceError
 from .grids import TimeGrid
-from .kernels import kernel_norms, matrix_norm, matrix_norm_many
+from .kernels import _triangle_rows, kernel_norms, matrix_norm, matrix_norm_many
 from .problem import LQProblem, validate_assumptions
 from .propagators import Propagator, fundamental_solution, half_times
 
@@ -159,7 +159,11 @@ class ContractionConstants:
 
 
 def contraction_constants(p: LQProblem, g: TimeGrid) -> ContractionConstants:
-    """Window-width certificate from grid-sampled coefficient norms."""
+    """Window-width certificate from grid-sampled coefficient norms.
+
+    The two-time norms and the bound on M^{-1} walk the triangle of node
+    pairs in blocks of 32 rows, so memory goes as O(32 K n^2) for K nodes.
+    """
     nodes = g.nodes
     T = g.T
     nA = kernel_norms(p.A, g)
@@ -168,8 +172,8 @@ def contraction_constants(p: LQProblem, g: TimeGrid) -> ContractionConstants:
     nQ = kernel_norms(p.Q, g)
     nS = kernel_norms(p.S, g)
     nM = kernel_norms(p.M, g)
-    ii, jj = np.triu_indices(nodes.size)
-    minv = float(matrix_norm_many(np.linalg.inv(p.M.eval(nodes[ii], nodes[jj]))).max())
+    minv = float(np.max([matrix_norm_many(np.linalg.inv(p.M.eval(nodes[ii], nodes[jj]))).max()
+                         for ii, jj in _triangle_rows(nodes.size)]))
 
     a1 = nA.l1_norm
     binf = nB.linf_norm
@@ -297,11 +301,6 @@ class _Diverged(Exception):
     pass
 
 
-# rows per triangle block: a block pairs at most _ROW_BLOCK rows with the
-# K - i0 tail nodes, so f_diag never forms a K x K stack of matrices
-_ROW_BLOCK = 32
-
-
 class _Engine:
     """Caches per-grid samples and runs fixed-point window iterations.
 
@@ -333,8 +332,9 @@ class _Engine:
     @cached_property
     def tail_weights(self) -> np.ndarray:
         """Row i integrates over [s_i, T] from nodes[i:] only: the tail
-        integrand of row i exists only there."""
-        return tail_slice_weights(self.nodes)
+        integrand of row i exists only there.  Built from the full-grid
+        window weights when the engine holds them (the residual profile's)."""
+        return tail_slice_weights(self.nodes, self._win_w.get((0, self.nodes.size - 1)))
 
     def window_weights(self, a: int, b: int) -> np.ndarray:
         key = (a, b)
@@ -354,18 +354,16 @@ class _Engine:
         C = self.A_half[2 * a:] - self.B_half[2 * a:] @ ups
         return fundamental_solution(None, self.nodes[a:], samples=C)
 
-    def triangle_block(self, i0: int, i1: int) -> np.ndarray:
-        """Weighted kernel partials of the rows i0 <= i < i1 against the tail.
+    def triangle_block(self, row_of: np.ndarray, tail: np.ndarray) -> np.ndarray:
+        """Weighted kernel partials of the rows i0 <= i < i1 against the tail,
+        for one block (row_of, tail) of kernels._triangle_rows.
 
         core[r - i0, :, i - i0, :] = W[i, r] [[Q_t, -S_t'], [-S_t, M_t]](s_i, r)
         for r >= i and zero for r < i, with W = tail_weights.  Tail
         nodes lead, so one matrix product per tail node serves every row.
         """
         p, K = self.p, self.nodes.size
-        rows = np.arange(i0, i1)
-        lens = K - rows
-        row_of = np.repeat(rows, lens)
-        tail = np.arange(lens.sum()) - np.repeat(np.cumsum(lens) - lens - rows, lens)
+        i0, i1 = int(row_of[0]), int(row_of[-1]) + 1
         s, r = self.nodes[row_of], self.nodes[tail]
         w = self.tail_weights[row_of, tail][:, None, None]
         Sd = p.S.eval_dt(s, r)
@@ -378,8 +376,8 @@ class _Engine:
 
     def triangle_blocks(self, a: int, b: int):
         """(i0, triangle_block) pairs covering rows [a, b], built one at a time."""
-        for i0 in range(a, b + 1, _ROW_BLOCK):
-            yield i0, self.triangle_block(i0, min(i0 + _ROW_BLOCK, b + 1))
+        for row_of, tail in _triangle_rows(self.nodes.size, a, b):
+            yield int(row_of[0]), self.triangle_block(row_of, tail)
 
     def window_blocks(self, a: int, b: int) -> list:
         """Triangle blocks of window [a, b], kept until another window asks."""

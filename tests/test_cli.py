@@ -97,6 +97,23 @@ def test_malformed_values_are_config_issues(tmp_path, capsys, section, key, valu
     assert {"schema_version", path} <= {i["path"] for i in issues}
 
 
+@pytest.mark.parametrize("updates, path", [
+    ({"certificate": {"finite_eps": "no"}}, "certificate.finite_eps"),
+    ({"certificate": {"finite_eps": 0}}, "certificate.finite_eps"),
+    ({"debug": {"corrupt_solution": "yes"}}, "debug.corrupt_solution"),
+    ({"certificate": {"times": [0.2, 1.0]}}, "certificate.times[1]"),
+    ({"certificate": {"times": [-0.1, 0.5]}}, "certificate.times[0]"),
+    ({"certificate": {"eps_list": [0.1, 0.0]}}, "certificate.eps_list[1]"),
+    ({"certificate": {"eps_list": [-0.05]}}, "certificate.eps_list[0]"),
+    ({"mode": "simulate", "simulate": {"x0": ["a"]}}, "simulate.x0[0]"),
+])
+def test_bad_config_values_are_one_issue_each(updates, path):
+    # refused when parsed, before any solve, as exactly one path-tagged issue
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(make_config(**updates)))
+    assert [p for p, _ in exc.value.errors] == [path]
+
+
 def test_parse_hyperbolic_pole_guard():
     bad = make_config()
     bad["problem"]["Q"] = {"kind": "hyperbolic", "base": [[1.0]], "k": -2.0,

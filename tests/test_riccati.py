@@ -28,9 +28,9 @@ from tilq import (
     validate_assumptions,
 )
 from tilq._quad import simpson_weights
-from tilq.kernels import matrix_norm_many
+from tilq.kernels import _ROW_BLOCK, matrix_norm_many
 from tilq.propagators import closed_loop_coefficient
-from tilq.riccati import _ROW_BLOCK, RiccatiSolution, _Engine, q_bar_nodes
+from tilq.riccati import RiccatiSolution, _Engine, q_bar_nodes
 
 TANH1 = 0.7615941559557649  # tanh(1)
 

@@ -1,0 +1,307 @@
+"""The row-block triangle walker against whole-triangle reductions.
+
+validate_assumptions, kernel_norms and the M^{-1} bound of
+contraction_constants walk the node-pair triangle 32 rows at a time.  The
+copies below reduce the whole triangle at once, as these functions did
+before; every report, norm and constant must match them bit for bit,
+including where a check's worst pair is and how ties between pairs break.
+"""
+import math
+import tracemalloc
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from tilq import (
+    InvalidInputError,
+    LQProblem,
+    NormBundle,
+    OneTimeMatrixFn,
+    TimeGrid,
+    TwoTimeKernel,
+    constant_problem,
+    contraction_constants,
+    hyperbolic_kernel,
+    hyperbolic_problem,
+    hyperbolic_terminal,
+    kernel_norms,
+    validate_assumptions,
+)
+from tilq import riccati
+from tilq._quad import integrate
+from tilq.kernels import _ROW_BLOCK, matrix_norm_many
+from tilq.problem import CheckResult, ValidationReport
+
+
+# --- whole-triangle copies ---------------------------------------------------
+
+def _point(points, i):
+    return tuple(points[i].tolist())
+
+
+def _worst_min_eig(stack, points):
+    sym = 0.5 * (stack + np.swapaxes(stack, -1, -2))
+    eigs = np.linalg.eigvalsh(sym).min(axis=-1)
+    i = int(np.argmin(eigs))
+    return float(eigs[i]), _point(points, i)
+
+
+def _worst_asymmetry(stack, points):
+    gap = matrix_norm_many(stack - np.swapaxes(stack, -1, -2))
+    i = int(np.argmax(gap))
+    return float(gap[i]), _point(points, i)
+
+
+def _worst_nonfinite(stack, points):
+    mag = np.abs(stack).reshape(stack.shape[0], -1).max(axis=1)
+    bad = ~np.isfinite(stack).reshape(stack.shape[0], -1).all(axis=1)
+    if bad.any():
+        return float("inf"), _point(points, int(np.argmax(bad))), False
+    i = int(np.argmax(mag))
+    return float(mag[i]), _point(points, i), True
+
+
+def whole_validate(p, g, tol=1e-8):
+    nodes = g.nodes
+    ii, jj = np.triu_indices(nodes.size)
+    tt, ss = nodes[ii], nodes[jj]
+    tri_pts, node_pts = np.column_stack([tt, ss]), nodes[:, None]
+    A_vals, B_vals = p.A.eval(nodes), p.B.eval(nodes)
+    G_vals, Gd_vals = p.G.eval(nodes), p.G.eval_dt(nodes)
+    Q_vals, Qd_vals = p.Q.eval(tt, ss), p.Q.eval_dt(tt, ss)
+    S_vals, Sd_vals = p.S.eval(tt, ss), p.S.eval_dt(tt, ss)
+    M_vals, Md_vals = p.M.eval(tt, ss), p.M.eval_dt(tt, ss)
+    checks, skipped = [], {}
+    worst, where, ok = _worst_nonfinite(A_vals, node_pts)
+    checks.append(CheckResult("H1-A-finite", where, worst, ok, True))
+    worst, where, ok = _worst_nonfinite(B_vals, node_pts)
+    checks.append(CheckResult("H1-B-finite", where, worst, ok, True))
+    worst, where, ok = _worst_nonfinite(S_vals, tri_pts)
+    s_finite = ok
+    checks.append(CheckResult("H4-S-finite", where, worst, ok, True))
+    worst, where, ok = _worst_nonfinite(Sd_vals, tri_pts)
+    s_finite = s_finite and ok
+    checks.append(CheckResult("H4-S-partial-finite", where, worst, ok, True))
+    m_norm = float(matrix_norm_many(M_vals).max()) if np.isfinite(M_vals).all() else 0.0
+    m_scale, pd_floor = 1.0 + m_norm, 1e-10 * m_norm
+    worst, where = _worst_asymmetry(M_vals, tri_pts)
+    checks.append(CheckResult("H2-M-symmetric", where, worst, worst <= tol * m_scale, True))
+    M_sym = 0.5 * (M_vals + np.swapaxes(M_vals, -1, -2))
+    M_eigs = np.linalg.eigvalsh(M_sym).min(axis=-1)
+    i = int(np.argmin(M_eigs))
+    m_pd = bool(M_eigs[i] > pd_floor)
+    checks.append(CheckResult("H2-M-positive-definite", _point(tri_pts, i), float(M_eigs[i]),
+                              m_pd, True))
+    q_scale = 1.0 + float(matrix_norm_many(Q_vals).max())
+    worst, where = _worst_asymmetry(Q_vals, tri_pts)
+    checks.append(CheckResult("H3-Q-symmetric", where, worst, worst <= tol * q_scale, True))
+    worst, where = _worst_min_eig(Q_vals, tri_pts)
+    checks.append(CheckResult("H3-Q-psd", where, worst, worst >= -tol, True))
+    g_scale = 1.0 + float(matrix_norm_many(G_vals).max())
+    worst, where = _worst_asymmetry(G_vals, node_pts)
+    checks.append(CheckResult("H3-G-symmetric", where, worst, worst <= tol * g_scale, True))
+    worst, where = _worst_min_eig(G_vals, node_pts)
+    checks.append(CheckResult("H3-G-psd", where, worst, worst >= -tol, True))
+    worst, where = _worst_min_eig(Qd_vals, tri_pts)
+    checks.append(CheckResult("H5-Qt-psd", where, worst, worst >= -tol, False))
+    Md_sym = 0.5 * (Md_vals + np.swapaxes(Md_vals, -1, -2))
+    Md_eigs = np.linalg.eigvalsh(Md_sym).min(axis=-1)
+    i = int(np.argmin(Md_eigs))
+    worst = float(Md_eigs[i])
+    checks.append(CheckResult("H5-Mt-psd", _point(tri_pts, i), worst, worst >= -tol, False))
+    worst, where = _worst_min_eig(Gd_vals, node_pts)
+    checks.append(CheckResult("H5-Gdot-psd", where, worst, worst >= -tol, False))
+    if m_pd and s_finite:
+        Y = np.linalg.solve(M_sym, S_vals)
+        schur = Q_vals - np.swapaxes(S_vals, -1, -2) @ Y
+        worst, where = _worst_min_eig(schur, tri_pts)
+        checks.append(CheckResult("H5-Q-SMS-psd", where, worst, worst >= -tol, False))
+    else:
+        checks.append(CheckResult("H5-Q-SMS-psd", (0.0, 0.0), float("nan"), True, False,
+                                  note="skipped (M not PD or S not finite)"))
+        skipped["H5-Q-SMS-psd"] = len(tri_pts)
+    live = Md_eigs > tol
+    skipped["H5-Qt-combo-psd"] = int((~live).sum())
+    if s_finite and live.any():
+        Yd = np.linalg.solve(Md_sym[live], Sd_vals[live])
+        combo = Qd_vals[live] - np.swapaxes(Sd_vals[live], -1, -2) @ Yd
+        worst, where = _worst_min_eig(combo, tri_pts[live])
+        note = "" if live.all() else f"{int((~live).sum())} pairs skipped (M_t singular)"
+        checks.append(CheckResult("H5-Qt-combo-psd", where, worst, worst >= -tol, False, note))
+    else:
+        checks.append(CheckResult("H5-Qt-combo-psd", (0.0, 0.0), float("nan"), True, False,
+                                  note="skipped (M_t singular on the whole triangle)"))
+    return ValidationReport(tuple(checks), pd_floor, float(tol), skipped)
+
+
+def whole_kernel_norms(k, g):
+    nodes = g.nodes
+    if isinstance(k, TwoTimeKernel):
+        ii, jj = np.triu_indices(nodes.size)
+        args = (nodes[ii], nodes[jj])
+    else:
+        ii, args = np.arange(nodes.size), (nodes,)
+    vals = matrix_norm_many(k.eval(*args))
+    dvals = matrix_norm_many(k.eval_dt(*args))
+    if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(dvals))):
+        raise InvalidInputError("non-finite coefficient values on the grid")
+    c = float(vals.max())
+    row_worst = np.maximum.reduceat(vals, np.searchsorted(ii, np.arange(nodes.size)))
+    return NormBundle(c, c + float(dvals.max()), float(integrate(row_worst, nodes)), c)
+
+
+# --- problems ----------------------------------------------------------------
+
+def _kernel(fn, dfn, dims, symmetric=False):
+    return TwoTimeKernel.from_callable(fn, dims, 1.0, dfn, symmetry_required=symmetric,
+                                       vectorized=True)
+
+
+def _scalar(f):
+    """A vectorized 1 x 1 closure from an elementwise function of (t, s)."""
+    return lambda t, s: f(np.asarray(t, dtype=float), np.asarray(s, dtype=float))[..., None, None]
+
+
+def _clean():
+    rng = np.random.default_rng(3)
+    return hyperbolic_problem(np.eye(2), np.eye(2), np.eye(2), A=0.3 * rng.standard_normal((2, 2)),
+                              B=rng.standard_normal((2, 2)), k=1.0, theta=1.0, T=1.0)
+
+
+def _indefinite_q():
+    return constant_problem(A=0.0, B=1.0, Q=-1.0, S=0.0, M=1.0, G=0.0, T=1.0)
+
+
+def _sign_condition():
+    # a weight growing in the lag flips the sign of its first-argument
+    # partial, most of all near t = 0.45, past the first block of rows; M
+    # falls in t, so ||M^{-1}|| is largest on the last row
+    base = constant_problem(A=0.0, B=1.0, Q=1.0, S=0.0, M=1.0, G=1.0, T=1.0)
+    Q = _kernel(_scalar(lambda t, s: np.exp(s - t) * (2.0 + np.sin(7 * t))),
+                _scalar(lambda t, s: np.exp(s - t) * (7 * np.cos(7 * t) - 2.0 - np.sin(7 * t))),
+                (1, 1), symmetric=True)
+    M = _kernel(_scalar(lambda t, s: 1.0 / (1.0 + t + 0 * s)),
+                _scalar(lambda t, s: -1.0 / (1.0 + t + 0 * s) ** 2), (1, 1), symmetric=True)
+    return LQProblem(A=base.A, B=base.B, Q=Q, S=base.S, M=M, G=base.G)
+
+
+def _nonfinite_s():
+    # S is NaN on the late rows (eval_dt derivative-free), Q on a band of
+    # them, so NaN pairs meet the running minima and maxima past block 0
+    base = _clean()
+    S = TwoTimeKernel.from_callable(
+        lambda t, s: np.where(t > 0.55, np.nan, s - t)[..., None, None] * np.ones((2, 2)),
+        (2, 2), 1.0, vectorized=True)
+    band = _scalar(lambda t, s: np.where((0.7 < t) & (t < 0.9), np.nan, 1.0))
+    Q = _kernel(lambda t, s: band(t, s) * base.Q.eval(t, s),
+                lambda t, s: band(t, s) * base.Q.eval_dt(t, s), (2, 2), symmetric=True)
+    return LQProblem(A=base.A, B=base.B, Q=Q, S=S, M=base.M, G=base.G)
+
+
+def _singular_mt():
+    # M_t = max(0, t - 0.5) (s - t): singular up to t = 0.5, PD beyond but
+    # on the diagonal
+    T = 1.0
+    M = _kernel(_scalar(lambda t, s: 1.0 + 0.5 * np.maximum(0.0, t - 0.5) ** 2 * (s - t)),
+                _scalar(lambda t, s: np.maximum(0.0, t - 0.5) * (s - t)
+                        - 0.5 * np.maximum(0.0, t - 0.5) ** 2), (1, 1), symmetric=True)
+    return LQProblem(A=OneTimeMatrixFn.constant(0.0, T), B=OneTimeMatrixFn.constant(1.0, T),
+                     Q=hyperbolic_kernel(np.eye(1), 1.0, 1.0, T),
+                     S=TwoTimeKernel.constant(np.zeros((1, 1)), T), M=M,
+                     G=hyperbolic_terminal(np.eye(1), 1.0, 1.0, T))
+
+
+def _all_ties():
+    # constant kernels: every pair ties, so every worst pair is the first one
+    return constant_problem(A=np.array([[0.1, 0.2], [0.0, -0.1]]), B=np.eye(2),
+                            Q=np.array([[2.0, 0.5], [0.5, 1.0]]), S=np.ones((2, 2)),
+                            M=np.array([[3.0, 1.0], [1.0, 2.0]]), G=np.eye(2), T=1.0)
+
+
+PROBLEMS = {"clean": _clean, "indefinite-q": _indefinite_q, "sign-condition": _sign_condition,
+            "nonfinite-s": _nonfinite_s, "singular-mt": _singular_mt, "all-ties": _all_ties}
+# K nodes: one row, one block, both sides of the first and second block edges
+SIZES = (1, 2, _ROW_BLOCK, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 1, 401)
+
+
+def _grid(K):
+    if K == 1:  # no TimeGrid has one node; both functions only read nodes
+        return SimpleNamespace(nodes=np.array([0.0]), T=0.0)
+    return TimeGrid.uniform(1.0, K - 1)
+
+
+def _one_block(K, a=0, b=None):
+    yield np.triu_indices(K)
+
+
+def _norms_or_error(k, g, norms):
+    try:
+        return norms(k, g)
+    except InvalidInputError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("K", SIZES)
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_walker_matches_whole_triangle(monkeypatch, name, K):
+    p, g = PROBLEMS[name](), _grid(K)
+    assert validate_assumptions(p, g).to_dict() == whole_validate(p, g).to_dict()
+    for k in (p.A, p.B, p.G, p.Q, p.S, p.M):
+        assert _norms_or_error(k, g, kernel_norms) == _norms_or_error(k, g, whole_kernel_norms)
+    if K == 1:
+        return
+    try:
+        got = contraction_constants(p, g).to_dict()
+    except InvalidInputError as exc:
+        got = str(exc)
+    monkeypatch.setattr(riccati, "kernel_norms", whole_kernel_norms)
+    monkeypatch.setattr(riccati, "_triangle_rows", _one_block)
+    try:
+        want = contraction_constants(p, g).to_dict()
+    except InvalidInputError as exc:
+        want = str(exc)
+    assert got == want
+
+
+def test_problems_reach_every_branch():
+    # the problems above fail, skip and tie where they are meant to
+    K = 401
+    g = _grid(K)
+    rep = {name: {c.assumption: c for c in validate_assumptions(make(), g).checks}
+           for name, make in PROBLEMS.items()}
+    assert all(c.passed for c in rep["clean"].values())
+    assert not rep["indefinite-q"]["H3-Q-psd"].passed
+    assert not rep["sign-condition"]["H5-Qt-psd"].passed
+    assert rep["nonfinite-s"]["H4-S-finite"].worst == math.inf
+    assert rep["nonfinite-s"]["H5-Q-SMS-psd"].note.startswith("skipped")
+    assert "pairs skipped" in rep["singular-mt"]["H5-Qt-combo-psd"].note
+    # worst pairs past the first block of 32 rows
+    late = (rep["sign-condition"]["H5-Qt-psd"], rep["nonfinite-s"]["H4-S-finite"],
+            rep["nonfinite-s"]["H3-Q-psd"], rep["singular-mt"]["H5-Qt-combo-psd"])
+    assert all(c.where[0] * (K - 1) >= _ROW_BLOCK for c in late)
+    assert {c.where for c in rep["all-ties"].values()} <= {(0.0, 0.0), (0.0,)}
+
+
+def _n3():
+    rng = np.random.default_rng(0)
+    A = 0.3 * rng.standard_normal((3, 3))
+    B = rng.standard_normal((3, 2))
+    return hyperbolic_problem(np.eye(3), np.eye(2), np.eye(3), A=A, B=B,
+                              k=1.0, theta=1.0, T=1.0)
+
+
+def _peak_mib(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_grows_as_block_times_nodes():
+    # whole-triangle stacks peaked at 243 and 64 MiB here
+    p, g = _n3(), TimeGrid.uniform(1.0, 800)
+    assert _peak_mib(validate_assumptions, p, g) <= 32.0
+    assert _peak_mib(contraction_constants, p, g) <= 16.0

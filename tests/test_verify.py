@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from tilq import TimeGrid, hyperbolic_problem, run_verification, solve_riccati
+from tilq import (RiccatiSolution, TimeGrid, hyperbolic_problem, riccati, run_verification,
+                  solve_riccati)
+from tilq import _quad
 from tilq.verify import default_state_samples
 
 
@@ -67,3 +69,21 @@ def test_n3_error_next_to_horizon_is_no_outlier():
     K = err.size
     assert err[K - 2] / err[K - 3] <= 5.0
     assert err[K - 4] / err[K - 3] <= 5.0
+
+
+def test_full_grid_left_slice_built_once(monkeypatch, hyperbolic_scalar, hyperbolic_solution):
+    # the residual profile's full-grid window weights also seed the tail
+    # weights of the nonlocal term
+    sol = hyperbolic_solution
+    sol = RiccatiSolution(sol.grid, sol.values, sol.meta)  # a fresh engine
+    sizes = []
+    build = _quad.left_slice_weights
+
+    def counted(x):
+        sizes.append(len(x))
+        return build(x)
+
+    monkeypatch.setattr(_quad, "left_slice_weights", counted)
+    monkeypatch.setattr(riccati, "left_slice_weights", counted)
+    run_verification(hyperbolic_scalar, sol.grid, solution=sol)
+    assert sizes == [sol.grid.nodes.size]
