@@ -35,10 +35,26 @@ def matrix_norm(m) -> float:
     return float(np.abs(m).sum(axis=1).max())
 
 
+def _columnwise(ufunc, a: np.ndarray) -> np.ndarray:
+    """ufunc.reduce(a, axis=-1), one column at a time.
+
+    numpy reduces a short last axis row by row, about ten times slower on
+    stacks of small matrices.  The order does not matter to minimum, maximum
+    and logical_and; numpy adds fewer than 8 terms in this same order.
+    """
+    if a.shape[-1] == 0:
+        return ufunc.reduce(a, axis=-1)
+    out = a[..., 0]
+    for j in range(1, a.shape[-1]):
+        out = ufunc(out, a[..., j])
+    return out
+
+
 def matrix_norm_many(stack: np.ndarray) -> np.ndarray:
     """Row-sum norms of a (..., n, m) stack, vectorized."""
-    stack = np.asarray(stack, dtype=float)
-    return np.abs(stack).sum(axis=-1).max(axis=-1)
+    a = np.abs(np.asarray(stack, dtype=float))
+    rows = _columnwise(np.add, a) if a.shape[-1] < 8 else a.sum(axis=-1)
+    return _columnwise(np.maximum, rows)
 
 
 def _as_batch(t) -> tuple[np.ndarray, bool]:
@@ -321,6 +337,39 @@ class NormBundle:
             raise InvalidInputError("c1_norm cannot be smaller than c_norm")
 
 
+class _RowWorst:
+    """Running reduction of a coefficient's sampled blocks to its NormBundle:
+    the worst row-sum norm of each row (one-time functions: of each value)
+    and the sup of the derivative's.
+
+    A non-finite value only marks the reduction; bundle() raises, so a walk
+    that also validates finishes its report first.
+    """
+
+    def __init__(self):
+        self.rows, self.d_sup, self.finite = [], 0.0, True
+
+    def add(self, ii, vals, dvals) -> None:
+        """Reduce one block: stacks vals and dvals over pairs whose first
+        indices ii come row by row."""
+        if not self.finite:
+            return
+        vals, dvals = matrix_norm_many(vals), matrix_norm_many(dvals)
+        if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(dvals))):
+            self.finite = False
+            return
+        starts = np.searchsorted(ii, np.arange(ii[0], ii[-1] + 1))
+        self.rows.append(np.maximum.reduceat(vals, starts))
+        self.d_sup = max(self.d_sup, float(dvals.max()))
+
+    def bundle(self, nodes) -> NormBundle:
+        if not self.finite:
+            raise InvalidInputError("non-finite coefficient values on the grid")
+        row_worst = np.concatenate(self.rows)
+        c = float(row_worst.max())
+        return NormBundle(c, c + self.d_sup, float(integrate(row_worst, nodes)), c)
+
+
 def kernel_norms(k, g) -> NormBundle:
     """NormBundle of a OneTimeMatrixFn or TwoTimeKernel sampled on grid g.
 
@@ -328,7 +377,8 @@ def kernel_norms(k, g) -> NormBundle:
     of _ROW_BLOCK = 32 rows, so memory goes as O(32 K n^2) for K nodes; their
     L^1 field integrates, in the first argument, the worst row-sum over the
     remaining second arguments (so a constant kernel gets T times its matrix
-    norm).
+    norm).  solve_riccati takes the norms of Q, S and M from the walk that
+    validates them, with the same reduction.
     """
     if not isinstance(k, _Coefficient):
         raise InvalidInputError("kernel_norms expects a OneTimeMatrixFn or TwoTimeKernel")
@@ -337,16 +387,9 @@ def kernel_norms(k, g) -> NormBundle:
         blocks = ((ii, (nodes[ii], nodes[jj])) for ii, jj in _triangle_rows(nodes.size))
     else:
         blocks = [(np.arange(nodes.size), (nodes,))]
-    row_worst, d_sup = [], 0.0
+    norms = _RowWorst()
     for ii, args in blocks:
-        vals = matrix_norm_many(k.eval(*args))
-        dvals = matrix_norm_many(k.eval_dt(*args))
-        if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(dvals))):
-            raise InvalidInputError("non-finite coefficient values on the grid")
-        # pairs come row by row; the worst of each row (one-time: each value)
-        starts = np.searchsorted(ii, np.arange(ii[0], ii[-1] + 1))
-        row_worst.append(np.maximum.reduceat(vals, starts))
-        d_sup = max(d_sup, float(dvals.max()))
-    row_worst = np.concatenate(row_worst)
-    c = float(row_worst.max())
-    return NormBundle(c, c + d_sup, float(integrate(row_worst, nodes)), c)
+        norms.add(ii, k.eval(*args), k.eval_dt(*args))
+        if not norms.finite:
+            break
+    return norms.bundle(nodes)

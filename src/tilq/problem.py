@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError
-from .kernels import OneTimeMatrixFn, TwoTimeKernel, _triangle_rows, matrix_norm_many
+from .kernels import (OneTimeMatrixFn, TwoTimeKernel, _columnwise, _RowWorst, _triangle_rows,
+                      matrix_norm_many)
 
 
 @dataclass(frozen=True)
@@ -145,7 +146,18 @@ class _Worst:
 
 
 def _min_eig(stack):
-    return np.linalg.eigvalsh(0.5 * (stack + np.swapaxes(stack, -1, -2))).min(axis=-1)
+    return _columnwise(np.minimum, np.linalg.eigvalsh(0.5 * (stack + np.swapaxes(stack, -1, -2))))
+
+
+def _reduced_min_eig(base_eigs, X, Y, W):
+    """Min eigenvalues of X - Y' W^{-1} Y per pair, given base_eigs, those of
+    X.  Where Y = 0 the two matrices are the same, so base_eigs is reused."""
+    out = base_eigs.copy()
+    live = Y.reshape(Y.shape[0], -1).any(axis=1)
+    if live.any():
+        Z = np.linalg.solve(W[live], Y[live])
+        out[live] = _min_eig(X[live] - np.swapaxes(Y[live], -1, -2) @ Z)
+    return out
 
 
 def _asymmetry(stack):
@@ -161,14 +173,186 @@ class _Nonfinite:
 
     def add(self, stack, points) -> None:
         flat = stack.reshape(stack.shape[0], -1)
-        self.bad.add((~np.isfinite(flat).all(axis=1)).astype(float), points)
-        self.mag.add(np.abs(flat).max(axis=1), points)
+        self.bad.add((~_columnwise(np.logical_and, np.isfinite(flat))).astype(float), points)
+        self.mag.add(_columnwise(np.maximum, np.abs(flat)), points)
 
     def result(self):
         """(worst, where, finite)."""
         if self.bad.value:
             return float("inf"), self.bad.where, False
         return self.mag.value, self.mag.where, True
+
+
+class _PairNorms:
+    """The two-time part of contraction_constants, reduced block by block:
+    the NormBundle reductions of Q, S and M and the sup of ||M^{-1}||.
+
+    A singular M is kept until minv() is read, like a non-finite value in a
+    bundle, so a walk that also validates finishes its report first.
+    """
+
+    def __init__(self):
+        self.Q, self.S, self.M = _RowWorst(), _RowWorst(), _RowWorst()
+        self._minv, self._singular = -np.inf, None
+
+    def add(self, ii, Q, Qd, S, Sd, M, Md) -> None:
+        self.Q.add(ii, Q, Qd)
+        self.S.add(ii, S, Sd)
+        self.M.add(ii, M, Md)
+        if self._singular is None:
+            try:
+                self._minv = np.maximum(self._minv,
+                                        matrix_norm_many(np.linalg.inv(M)).max())
+            except np.linalg.LinAlgError as exc:
+                self._singular = exc
+
+    def minv(self) -> float:
+        if self._singular is not None:
+            raise self._singular
+        return float(self._minv)
+
+
+class _PairChecks:
+    """Running reductions of the assumption checks over triangle blocks."""
+
+    def __init__(self, tol: float):
+        self.tol = tol
+        self.s_bad, self.sd_bad = _Nonfinite(), _Nonfinite()
+        self.m_asym, self.q_asym = _Worst(False), _Worst(False)
+        self.m_eig, self.q_eig = _Worst(True), _Worst(True)
+        self.qd_eig, self.md_eig = _Worst(True), _Worst(True)
+        self.schur, self.combo = _Worst(True), _Worst(True)
+        self.m_finite, self.m_sup, self.q_sup = True, -np.inf, -np.inf
+        self.schur_live, self.combo_live, self.skipped_live = True, False, 0
+
+    def add(self, pts, Q, Qd, S, Sd, M, Md) -> None:
+        self.s_bad.add(S, pts)
+        self.sd_bad.add(Sd, pts)
+        s_finite = self.s_bad.bad.value == 0.0 and self.sd_bad.bad.value == 0.0  # so far
+        self.m_finite = self.m_finite and bool(np.isfinite(M).all())
+        self.m_sup = np.maximum(self.m_sup, matrix_norm_many(M).max())
+        self.q_sup = np.maximum(self.q_sup, matrix_norm_many(Q).max())
+        self.m_asym.add(_asymmetry(M), pts)
+        self.q_asym.add(_asymmetry(Q), pts)
+        M_sym = 0.5 * (M + np.swapaxes(M, -1, -2))
+        M_eigs = _columnwise(np.minimum, np.linalg.eigvalsh(M_sym))
+        self.m_eig.add(M_eigs, pts)
+        q_eigs = _min_eig(Q)
+        self.q_eig.add(q_eigs, pts)
+        qd_eigs = _min_eig(Qd)
+        self.qd_eig.add(qd_eigs, pts)
+        Md_sym = 0.5 * (Md + np.swapaxes(Md, -1, -2))
+        Md_eigs = _columnwise(np.minimum, np.linalg.eigvalsh(Md_sym))
+        self.md_eig.add(Md_eigs, pts)
+
+        # the Schur check runs only while every block so far has finite S and
+        # M positive definite beyond the floor of the largest M so far: where
+        # the whole-triangle gate (m_pd and s_finite) passes, every block has
+        self.schur_live = self.schur_live and s_finite \
+            and bool(M_eigs.min() > 1e-10 * float(self.m_sup))
+        if self.schur_live:
+            self.schur.add(_reduced_min_eig(q_eigs, Q, S, M_sym), pts)
+        live = Md_eigs > self.tol
+        self.skipped_live += int((~live).sum())
+        self.combo_live = self.combo_live or bool(live.any())
+        if s_finite and live.any():
+            self.combo.add(_reduced_min_eig(qd_eigs[live], Qd[live], Sd[live], Md_sym[live]),
+                           pts[live])
+
+    def report(self, p: LQProblem, nodes) -> ValidationReport:
+        tol = self.tol
+        node_pts = nodes[:, None]
+
+        def node_check(stack, lowest):
+            worst = _Worst(lowest)
+            worst.add(_min_eig(stack) if lowest else _asymmetry(stack), node_pts)
+            return worst.value, worst.where
+
+        checks = []
+        skipped = {}
+
+        for name, stack in (("H1-A-finite", p.A.eval(nodes)), ("H1-B-finite", p.B.eval(nodes))):
+            bad = _Nonfinite()
+            bad.add(stack, node_pts)
+            worst, where, ok = bad.result()
+            checks.append(CheckResult(name, where, worst, ok, True))
+        worst, where, s_ok = self.s_bad.result()
+        checks.append(CheckResult("H4-S-finite", where, worst, s_ok, True))
+        worst, where, sd_ok = self.sd_bad.result()
+        checks.append(CheckResult("H4-S-partial-finite", where, worst, sd_ok, True))
+        s_finite = s_ok and sd_ok
+
+        m_norm = float(self.m_sup) if self.m_finite else 0.0
+        m_scale, pd_floor = 1.0 + m_norm, 1e-10 * m_norm
+        m_asym, m_eig = self.m_asym, self.m_eig
+        checks.append(CheckResult("H2-M-symmetric", m_asym.where, m_asym.value,
+                                  m_asym.value <= tol * m_scale, True))
+        m_pd = bool(m_eig.value > pd_floor)
+        checks.append(CheckResult("H2-M-positive-definite", m_eig.where, m_eig.value, m_pd,
+                                  True))
+
+        q_scale = 1.0 + float(self.q_sup)
+        q_asym, q_eig = self.q_asym, self.q_eig
+        checks.append(CheckResult("H3-Q-symmetric", q_asym.where, q_asym.value,
+                                  q_asym.value <= tol * q_scale, True))
+        checks.append(CheckResult("H3-Q-psd", q_eig.where, q_eig.value, q_eig.value >= -tol,
+                                  True))
+        G_vals = p.G.eval(nodes)
+        g_scale = 1.0 + float(matrix_norm_many(G_vals).max())
+        worst, where = node_check(G_vals, False)
+        checks.append(CheckResult("H3-G-symmetric", where, worst, worst <= tol * g_scale, True))
+        worst, where = node_check(G_vals, True)
+        checks.append(CheckResult("H3-G-psd", where, worst, worst >= -tol, True))
+
+        qd_eig, md_eig = self.qd_eig, self.md_eig
+        checks.append(CheckResult("H5-Qt-psd", qd_eig.where, qd_eig.value,
+                                  qd_eig.value >= -tol, False))
+        checks.append(CheckResult("H5-Mt-psd", md_eig.where, md_eig.value,
+                                  md_eig.value >= -tol, False))
+        worst, where = node_check(p.G.eval_dt(nodes), True)
+        checks.append(CheckResult("H5-Gdot-psd", where, worst, worst >= -tol, False))
+
+        schur = self.schur
+        if m_pd and s_finite and self.schur_live:
+            checks.append(CheckResult("H5-Q-SMS-psd", schur.where, schur.value,
+                                      schur.value >= -tol, False))
+        else:
+            checks.append(CheckResult("H5-Q-SMS-psd", (0.0, 0.0), float("nan"), True, False,
+                                      note="skipped (M not PD or S not finite)"))
+            skipped["H5-Q-SMS-psd"] = nodes.size * (nodes.size + 1) // 2
+
+        skipped_live, combo = self.skipped_live, self.combo
+        skipped["H5-Qt-combo-psd"] = skipped_live
+        if s_finite and self.combo_live:
+            note = "" if not skipped_live else f"{skipped_live} pairs skipped (M_t singular)"
+            checks.append(CheckResult("H5-Qt-combo-psd", combo.where, combo.value,
+                                      combo.value >= -tol, False, note))
+        else:
+            checks.append(CheckResult("H5-Qt-combo-psd", (0.0, 0.0), float("nan"), True, False,
+                                      note="skipped (M_t singular on the whole triangle)"))
+
+        return ValidationReport(tuple(checks), pd_floor, float(tol), skipped)
+
+
+def _triangle_pass(p: LQProblem, g, tol: float = 1e-8, validate: bool = True):
+    """(report, norms) from one walk of the triangle of node pairs.
+
+    Each block of 32 rows evaluates Q, S, M and their first-argument partials
+    once and feeds two running reductions: the ValidationReport of
+    validate_assumptions (report is None unless validate) and the two-time
+    norms of contraction_constants (a _PairNorms).
+    """
+    nodes = g.nodes
+    checks = _PairChecks(tol) if validate else None
+    norms = _PairNorms()
+    for ii, jj in _triangle_rows(nodes.size):
+        tt, ss = nodes[ii], nodes[jj]
+        stacks = (p.Q.eval(tt, ss), p.Q.eval_dt(tt, ss), p.S.eval(tt, ss),
+                  p.S.eval_dt(tt, ss), p.M.eval(tt, ss), p.M.eval_dt(tt, ss))
+        norms.add(ii, *stacks)
+        if checks is not None:
+            checks.add(np.column_stack([tt, ss]), *stacks)
+    return (None if checks is None else checks.report(p, nodes)), norms
 
 
 def validate_assumptions(p: LQProblem, g, tol: float = 1e-8) -> ValidationReport:
@@ -180,129 +364,14 @@ def validate_assumptions(p: LQProblem, g, tol: float = 1e-8) -> ValidationReport
     Schur-type combinations are advisory and only widen the certified class.
     The combined check Q_t - S_t^T M_t^{-1} S_t is evaluated only at node
     pairs where M_t is PD beyond tol; fully skipped pairs are reported, never
-    failed.
+    failed.  Where S (S_t) is zero at a pair, the Schur-type matrix is Q
+    (Q_t) itself, whose eigenvalues are reused.
 
     The triangle of node pairs is walked in blocks of 32 rows, each reduced
     to running worst values before the next is evaluated, so memory goes as
     O(32 K n^2) for K nodes.  Every worst value and its pair are those of the
     whole triangle at once: ties go to the first pair in row-major order.
+    solve_riccati takes this report and the two-time norms of
+    contraction_constants from one such walk.
     """
-    nodes = g.nodes
-    node_pts = nodes[:, None]
-
-    def node_check(stack, lowest):
-        worst = _Worst(lowest)
-        worst.add(_min_eig(stack) if lowest else _asymmetry(stack), node_pts)
-        return worst.value, worst.where
-
-    A_vals = p.A.eval(nodes)
-    B_vals = p.B.eval(nodes)
-    G_vals = p.G.eval(nodes)
-    Gd_vals = p.G.eval_dt(nodes)
-
-    s_bad, sd_bad = _Nonfinite(), _Nonfinite()
-    m_asym, q_asym = _Worst(False), _Worst(False)
-    m_eig, q_eig, qd_eig, md_eig = _Worst(True), _Worst(True), _Worst(True), _Worst(True)
-    schur, combo = _Worst(True), _Worst(True)
-    m_finite, m_sup, q_sup = True, -np.inf, -np.inf
-    schur_live, combo_live, skipped_live = True, False, 0
-    for ii, jj in _triangle_rows(nodes.size):
-        tt, ss = nodes[ii], nodes[jj]
-        pts = np.column_stack([tt, ss])
-        Q_vals = p.Q.eval(tt, ss)
-        Qd_vals = p.Q.eval_dt(tt, ss)
-        S_vals = p.S.eval(tt, ss)
-        Sd_vals = p.S.eval_dt(tt, ss)
-        M_vals = p.M.eval(tt, ss)
-        Md_vals = p.M.eval_dt(tt, ss)
-
-        s_bad.add(S_vals, pts)
-        sd_bad.add(Sd_vals, pts)
-        s_finite = s_bad.bad.value == 0.0 and sd_bad.bad.value == 0.0  # so far
-        m_finite = m_finite and bool(np.isfinite(M_vals).all())
-        m_sup = np.maximum(m_sup, matrix_norm_many(M_vals).max())
-        q_sup = np.maximum(q_sup, matrix_norm_many(Q_vals).max())
-        m_asym.add(_asymmetry(M_vals), pts)
-        q_asym.add(_asymmetry(Q_vals), pts)
-        M_sym = 0.5 * (M_vals + np.swapaxes(M_vals, -1, -2))
-        M_eigs = np.linalg.eigvalsh(M_sym).min(axis=-1)
-        m_eig.add(M_eigs, pts)
-        q_eig.add(_min_eig(Q_vals), pts)
-        qd_eig.add(_min_eig(Qd_vals), pts)
-        Md_sym = 0.5 * (Md_vals + np.swapaxes(Md_vals, -1, -2))
-        Md_eigs = np.linalg.eigvalsh(Md_sym).min(axis=-1)
-        md_eig.add(Md_eigs, pts)
-
-        # the Schur check runs only while every block so far has finite S and
-        # M positive definite beyond the floor of the largest M so far: where
-        # the whole-triangle gate (m_pd and s_finite) passes, every block has
-        schur_live = schur_live and s_finite and bool(M_eigs.min() > 1e-10 * float(m_sup))
-        if schur_live:
-            Y = np.linalg.solve(M_sym, S_vals)
-            schur.add(_min_eig(Q_vals - np.swapaxes(S_vals, -1, -2) @ Y), pts)
-        live = Md_eigs > tol
-        skipped_live += int((~live).sum())
-        combo_live = combo_live or bool(live.any())
-        if s_finite and live.any():
-            Yd = np.linalg.solve(Md_sym[live], Sd_vals[live])
-            combo.add(_min_eig(Qd_vals[live] - np.swapaxes(Sd_vals[live], -1, -2) @ Yd),
-                      pts[live])
-
-    checks = []
-    skipped = {}
-
-    for name, stack in (("H1-A-finite", A_vals), ("H1-B-finite", B_vals)):
-        bad = _Nonfinite()
-        bad.add(stack, node_pts)
-        worst, where, ok = bad.result()
-        checks.append(CheckResult(name, where, worst, ok, True))
-    worst, where, s_ok = s_bad.result()
-    checks.append(CheckResult("H4-S-finite", where, worst, s_ok, True))
-    worst, where, sd_ok = sd_bad.result()
-    checks.append(CheckResult("H4-S-partial-finite", where, worst, sd_ok, True))
-    s_finite = s_ok and sd_ok
-
-    m_norm = float(m_sup) if m_finite else 0.0
-    m_scale, pd_floor = 1.0 + m_norm, 1e-10 * m_norm
-    worst = m_asym.value
-    checks.append(CheckResult("H2-M-symmetric", m_asym.where, worst, worst <= tol * m_scale,
-                              True))
-    m_pd = bool(m_eig.value > pd_floor)
-    checks.append(CheckResult("H2-M-positive-definite", m_eig.where, m_eig.value, m_pd, True))
-
-    q_scale = 1.0 + float(q_sup)
-    worst = q_asym.value
-    checks.append(CheckResult("H3-Q-symmetric", q_asym.where, worst, worst <= tol * q_scale,
-                              True))
-    checks.append(CheckResult("H3-Q-psd", q_eig.where, q_eig.value, q_eig.value >= -tol, True))
-    g_scale = 1.0 + float(matrix_norm_many(G_vals).max())
-    worst, where = node_check(G_vals, False)
-    checks.append(CheckResult("H3-G-symmetric", where, worst, worst <= tol * g_scale, True))
-    worst, where = node_check(G_vals, True)
-    checks.append(CheckResult("H3-G-psd", where, worst, worst >= -tol, True))
-
-    checks.append(CheckResult("H5-Qt-psd", qd_eig.where, qd_eig.value, qd_eig.value >= -tol,
-                              False))
-    checks.append(CheckResult("H5-Mt-psd", md_eig.where, md_eig.value, md_eig.value >= -tol,
-                              False))
-    worst, where = node_check(Gd_vals, True)
-    checks.append(CheckResult("H5-Gdot-psd", where, worst, worst >= -tol, False))
-
-    if m_pd and s_finite and schur_live:
-        checks.append(CheckResult("H5-Q-SMS-psd", schur.where, schur.value,
-                                  schur.value >= -tol, False))
-    else:
-        checks.append(CheckResult("H5-Q-SMS-psd", (0.0, 0.0), float("nan"), True, False,
-                                  note="skipped (M not PD or S not finite)"))
-        skipped["H5-Q-SMS-psd"] = nodes.size * (nodes.size + 1) // 2
-
-    skipped["H5-Qt-combo-psd"] = skipped_live
-    if s_finite and combo_live:
-        note = "" if not skipped_live else f"{skipped_live} pairs skipped (M_t singular)"
-        checks.append(CheckResult("H5-Qt-combo-psd", combo.where, combo.value,
-                                  combo.value >= -tol, False, note))
-    else:
-        checks.append(CheckResult("H5-Qt-combo-psd", (0.0, 0.0), float("nan"), True, False,
-                                  note="skipped (M_t singular on the whole triangle)"))
-
-    return ValidationReport(tuple(checks), pd_floor, float(tol), skipped)
+    return _triangle_pass(p, g, tol)[0]

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 
 from .errors import IllConditionedError, InvalidInputError
-from .kernels import OneTimeMatrixFn
+from .kernels import OneTimeMatrixFn, matrix_norm_many
 
 _COND_WARN = 1e12
 _COND_ERROR = 1e14
@@ -60,6 +60,20 @@ def rk4_flow(nodes: np.ndarray, C: np.ndarray) -> np.ndarray:
     return U
 
 
+def flow_condition(values, inverses, *, stacklevel: int = 2) -> float:
+    """Largest ||U|| ||U^{-1}|| (row-sum norms) over a stack of flow values
+    and their inverses; warns when it exceeds 1e12.  stacklevel is that of
+    warnings.warn, counted from the caller of this function."""
+    cond = float((matrix_norm_many(values) * matrix_norm_many(inverses)).max())
+    if cond > _COND_WARN:
+        warnings.warn(
+            f"propagator condition number {cond:.3e} exceeds {_COND_WARN:.0e};"
+            " transitions over long spans may lose accuracy",
+            RuntimeWarning, stacklevel=stacklevel + 1,
+        )
+    return cond
+
+
 class Propagator:
     """Fundamental solution on a node array; see fundamental_solution."""
 
@@ -69,15 +83,7 @@ class Propagator:
         self.slopes = slopes
         self.coefficient = coefficient
         self.dim = values.shape[-1]
-        inv = np.linalg.inv(values)
-        self.condition = float(
-            (np.abs(values).sum(-1).max(-1) * np.abs(inv).sum(-1).max(-1)).max())
-        if self.condition > _COND_WARN:
-            warnings.warn(
-                f"propagator condition number {self.condition:.3e} exceeds {_COND_WARN:.0e};"
-                " transitions over long spans may lose accuracy",
-                RuntimeWarning, stacklevel=3,
-            )
+        self.condition = flow_condition(values, np.linalg.inv(values), stacklevel=3)
 
     def value_many(self, ts) -> np.ndarray:
         """U(t) for a 1-d array of times inside [nodes[0], nodes[-1]]."""

@@ -21,14 +21,24 @@ contraction on windows below the width tau certified by
 contraction_constants.  That certified width collapses numerically whenever
 B is nonzero, so by default the solver falls back to practical windows with
 divergence-triggered halving and records the observed contraction factors.
+
+Each node pair (s_i, r) is evaluated and reduced O(1) times per solve.  One
+walk of the triangle of node pairs, 32 rows at a time, both validates the
+problem and reduces the norms behind the contraction constants.  On a
+window [a, b] the nonlocal term splits at the first node c past b from
+which the closed loop reads solved nodes only: the tail r >= c is folded
+once per window into one n x n matrix per row, so each iterate integrates
+the flow and contracts the kernel partials on [a, c] alone.
 """
 from __future__ import annotations
 
 import csv
 import math
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +46,9 @@ from ._quad import integrate, left_slice_weights, local_cubic, tail_slice_weight
 from .errors import InvalidInputError, NonconvergenceError
 from .grids import TimeGrid
 from .kernels import _triangle_rows, kernel_norms, matrix_norm, matrix_norm_many
-from .problem import LQProblem, validate_assumptions
-from .propagators import Propagator, fundamental_solution, half_times
+from .problem import LQProblem, _triangle_pass
+from .propagators import (Propagator, flow_condition, fundamental_solution, half_times,
+                          rk4_flow)
 
 
 def _sym(x):
@@ -161,19 +172,25 @@ class ContractionConstants:
 def contraction_constants(p: LQProblem, g: TimeGrid) -> ContractionConstants:
     """Window-width certificate from grid-sampled coefficient norms.
 
-    The two-time norms and the bound on M^{-1} walk the triangle of node
-    pairs in blocks of 32 rows, so memory goes as O(32 K n^2) for K nodes.
+    The two-time norms (those of kernel_norms) and the bound on M^{-1} come
+    from one walk of the triangle of node pairs in blocks of 32 rows, so
+    memory goes as O(32 K n^2) for K nodes.  solve_riccati takes them from
+    the walk that validates the problem.
     """
+    return _constants(p, g, _triangle_pass(p, g, validate=False)[1])
+
+
+def _constants(p: LQProblem, g: TimeGrid, pair_norms) -> ContractionConstants:
+    """contraction_constants from the two-time norms of a triangle walk."""
     nodes = g.nodes
     T = g.T
     nA = kernel_norms(p.A, g)
     nB = kernel_norms(p.B, g)
     nG = kernel_norms(p.G, g)
-    nQ = kernel_norms(p.Q, g)
-    nS = kernel_norms(p.S, g)
-    nM = kernel_norms(p.M, g)
-    minv = float(np.max([matrix_norm_many(np.linalg.inv(p.M.eval(nodes[ii], nodes[jj]))).max()
-                         for ii, jj in _triangle_rows(nodes.size)]))
+    nQ = pair_norms.Q.bundle(nodes)
+    nS = pair_norms.S.bundle(nodes)
+    nM = pair_norms.M.bundle(nodes)
+    minv = pair_norms.minv()
 
     a1 = nA.l1_norm
     binf = nB.linf_norm
@@ -301,6 +318,40 @@ class _Diverged(Exception):
     pass
 
 
+def _contract(core, L) -> np.ndarray:
+    """sum_r L_r' core[r, :, k, :] L_r for every row k of a triangle block:
+    one matrix product per tail node serves all rows."""
+    tail, q, rows, _ = core.shape
+    n = L.shape[-1]
+    inner = core.reshape(tail, q * rows, q) @ L
+    sums = L.reshape(tail * q, n).T @ inner.reshape(tail * q, rows * n)
+    return sums.reshape(n, rows, n).transpose(1, 0, 2)
+
+
+def _anchored(U, U0) -> np.ndarray:
+    """U_r U0^{-1} for every r, from one factorization of U0: the transposes
+    U_r' stand side by side as the right-hand sides of U0' X = U_r'."""
+    k, n = U.shape[0], U.shape[-1]
+    X = np.linalg.solve(U0.T, U.transpose(2, 0, 1).reshape(n, k * n))
+    return X.reshape(n, k, n).transpose(1, 2, 0)
+
+
+class _Window(NamedTuple):
+    """What every iterate of window [a, b] shares; see _Engine.f_diag.
+
+    c is the split node, flow holds Phi(r, s_c) for r in nodes[c:] and
+    inverse their inverses.  blocks yields, per block of rows from i0,
+    (i0, core, Z): core holds the weighted kernel partials of the rows
+    against the columns [i0, c) (_Engine.triangle_block), Z the rows' tail
+    past c folded into one n x n matrix each.
+    """
+
+    c: int
+    flow: np.ndarray
+    inverse: np.ndarray
+    blocks: Iterable
+
+
 class _Engine:
     """Caches per-grid samples and runs fixed-point window iterations.
 
@@ -327,14 +378,17 @@ class _Engine:
         self.psi = fundamental_solution(p.A, grid)
         self._win_w = {}
         self._window_key = None
-        self._window_blocks = None
+        self._window = None
 
     @cached_property
     def tail_weights(self) -> np.ndarray:
         """Row i integrates over [s_i, T] from nodes[i:] only: the tail
-        integrand of row i exists only there.  Built from the full-grid
-        window weights when the engine holds them (the residual profile's)."""
-        return tail_slice_weights(self.nodes, self._win_w.get((0, self.nodes.size - 1)))
+        integrand of row i exists only there.  The engine of a solution
+        builds it from the full-grid window weights, which its residual
+        profile integrates with too, so they are built once whichever asks
+        first; a solving engine keeps no second K x K matrix."""
+        left = None if self.values is None else self.window_weights(0, self.nodes.size - 1)
+        return tail_slice_weights(self.nodes, left)
 
     def window_weights(self, a: int, b: int) -> np.ndarray:
         key = (a, b)
@@ -342,85 +396,128 @@ class _Engine:
             self._win_w[key] = left_slice_weights(self.nodes[a:b + 1])
         return self._win_w[key]
 
-    def upsilon_nodes(self, values: np.ndarray, a: int) -> np.ndarray:
-        rhs = np.swapaxes(self.B_nodes[a:], -1, -2) @ values[a:] + self.S_nodes[a:]
-        return np.linalg.solve(self.M_nodes[a:], rhs)
+    def upsilon_nodes(self, values: np.ndarray, lo: int, hi: int | None = None) -> np.ndarray:
+        """Ups = M^{-1}(B'P + S) at nodes[lo:hi]."""
+        sl = slice(lo, hi)
+        rhs = np.swapaxes(self.B_nodes[sl], -1, -2) @ values[sl] + self.S_nodes[sl]
+        return np.linalg.solve(self.M_nodes[sl], rhs)
+
+    def drift(self, values: np.ndarray, a: int, lo: int, hi: int) -> np.ndarray:
+        """Closed-loop drift A - B Ups at the half times of nodes lo..hi, P
+        interpolated by the local cubic on nodes[a:]."""
+        h = slice(2 * lo, 2 * hi + 1)
+        Pm = local_cubic(self.nodes[a:], values[a:], self.half[h])
+        rhs = np.swapaxes(self.B_half[h], -1, -2) @ Pm + self.S_half[h]
+        return self.A_half[h] - self.B_half[h] @ np.linalg.solve(self.M_half[h], rhs)
 
     def closed_loop(self, values: np.ndarray, a: int) -> Propagator:
         """Closed-loop fundamental solution U on nodes[a:], U(nodes[a]) = I."""
-        Pm = local_cubic(self.nodes[a:], values[a:], self.half[2 * a:])
-        rhs = np.swapaxes(self.B_half[2 * a:], -1, -2) @ Pm + self.S_half[2 * a:]
-        ups = np.linalg.solve(self.M_half[2 * a:], rhs)
-        C = self.A_half[2 * a:] - self.B_half[2 * a:] @ ups
-        return fundamental_solution(None, self.nodes[a:], samples=C)
+        samples = self.drift(values, a, a, self.nodes.size - 1)
+        return fundamental_solution(None, self.nodes[a:], samples=samples)
 
-    def triangle_block(self, row_of: np.ndarray, tail: np.ndarray) -> np.ndarray:
-        """Weighted kernel partials of the rows i0 <= i < i1 against the tail,
-        for one block (row_of, tail) of kernels._triangle_rows.
+    def split_node(self, b: int) -> int:
+        """The first node c past b from which the closed-loop drift reads
+        nodes b.. only: the local cubic at the midpoint of interval j reads
+        nodes min(j - 1, K - 4).., so c = b + 1 when b <= K - 4, else the
+        last node."""
+        K = self.nodes.size
+        return b + 1 if b <= K - 4 else K - 1
 
-        core[r - i0, :, i - i0, :] = W[i, r] [[Q_t, -S_t'], [-S_t, M_t]](s_i, r)
-        for r >= i and zero for r < i, with W = tail_weights.  Tail
-        nodes lead, so one matrix product per tail node serves every row.
+    def triangle_block(self, row_of: np.ndarray, tail: np.ndarray, c: int):
+        """Weighted kernel partials of the rows i0 <= i < i1 of one block
+        (row_of, tail) of kernels._triangle_rows, split at column c.
+
+        Returns (core, folded): core[r - i0, :, i - i0, :] = W[i, r]
+        [[Q_t, -S_t'], [-S_t, M_t]](s_i, r) for i <= r < c and zero for
+        r < i, with W = tail_weights; folded holds the columns r >= c in the
+        same way, at r - c.  Tail nodes lead, so one matrix product per tail
+        node serves every row.
         """
         p, K = self.p, self.nodes.size
         i0, i1 = int(row_of[0]), int(row_of[-1]) + 1
         s, r = self.nodes[row_of], self.nodes[tail]
         w = self.tail_weights[row_of, tail][:, None, None]
         Sd = p.S.eval_dt(s, r)
-        pairs = np.block([[p.Q.eval_dt(s, r), -np.swapaxes(Sd, -1, -2)],
-                          [-Sd, p.M.eval_dt(s, r)]])
+        pairs = w * np.block([[p.Q.eval_dt(s, r), -np.swapaxes(Sd, -1, -2)],
+                              [-Sd, p.M.eval_dt(s, r)]])
         q = pairs.shape[-1]
-        core = np.zeros((K - i0, q, i1 - i0, q))
-        core[tail - i0, :, row_of - i0, :] = w * pairs
-        return core
+        out = []
+        for lo, hi, sel in ((i0, c, tail < c), (c, K, tail >= c)):
+            dense = np.zeros((hi - lo, q, i1 - i0, q))
+            dense[tail[sel] - lo, :, row_of[sel] - i0, :] = pairs[sel]
+            out.append(dense)
+        return tuple(out)
 
-    def triangle_blocks(self, a: int, b: int):
-        """(i0, triangle_block) pairs covering rows [a, b], built one at a time."""
-        for row_of, tail in _triangle_rows(self.nodes.size, a, b):
-            yield int(row_of[0]), self.triangle_block(row_of, tail)
+    def window(self, values: np.ndarray, a: int, b: int) -> _Window:
+        """The _Window of rows [a, b], its blocks built one at a time.
 
-    def window_blocks(self, a: int, b: int) -> list:
-        """Triangle blocks of window [a, b], kept until another window asks."""
+        The flow past the split node c and Ups there read the solved nodes
+        only, so they are fixed while the window iterates; Z_i =
+        sum_{r >= c} W[i, r] Lt_r' core(s_i, r) Lt_r + Phi(T, s_c)' Gdot(s_i)
+        Phi(T, s_c), Lt_r = [Phi(r, s_c); Ups_r Phi(r, s_c)].
+        """
+        K = self.nodes.size
+        c = self.split_node(b)
+        flow = rk4_flow(self.nodes[c:], self.drift(values, a, c, K - 1))
+        ups = self.upsilon_nodes(values, c)
+        Lt = np.concatenate([flow, ups @ flow], axis=1)
+        end = flow[-1]
+
+        def blocks():
+            for row_of, tail in _triangle_rows(K, a, b):
+                i0, i1 = int(row_of[0]), int(row_of[-1]) + 1
+                core, folded = self.triangle_block(row_of, tail, c)
+                yield i0, core, _contract(folded, Lt) + end.T @ self.Gd_nodes[i0:i1] @ end
+
+        return _Window(c, flow, np.linalg.inv(flow), blocks())
+
+    def cached_window(self, values: np.ndarray, a: int, b: int) -> _Window:
+        """window(values, a, b) with its blocks listed, kept until another
+        window asks: every iterate of a window shares them."""
         if self._window_key != (a, b):
-            self._window_blocks = None  # free the old window's before building
-            self._window_blocks = list(self.triangle_blocks(a, b))
+            self._window = None  # free the old window's before building
+            win = self.window(values, a, b)
+            self._window = win._replace(blocks=list(win.blocks))
             self._window_key = (a, b)
-        return self._window_blocks
+        return self._window
 
-    def f_diag(self, values: np.ndarray, a: int, b: int, blocks) -> np.ndarray:
+    def f_diag(self, values: np.ndarray, a: int, b: int, window: _Window) -> np.ndarray:
         """F(s_i; s_i, P) for window nodes i in [a, b], tail from values.
 
-        blocks are the (i0, triangle_block) pairs of rows [a, b].  In a
-        block, let U be the closed-loop flow from its first row,
-        U_r = Phi(r, s_i0).  Then Phi(r, s_i) = U_r U_i^{-1} takes the
-        conjugation out of the integral:
+        window is the _Window of rows [a, b].  In a block of rows from i0,
+        let U_r = Phi(r, s_i0), the closed-loop flow of values.  Then
+        Phi(r, s_i) = U_r U_i^{-1} takes the conjugation out of the integral:
 
-            F_i = U_i^{-T} [ U_T' Gdot(s_i) U_T
-                             + sum_r W[i, r] L_r' core(s_i, r) L_r ] U_i^{-1},
+            F_i = U_i^{-T} [ sum_{i <= r < c} W[i, r] L_r' core(s_i, r) L_r
+                             + U_c' Z_i U_c ] U_i^{-1},
 
-        L_r = [U_r; Ups_r U_r], core = [[Q_t, -S_t'], [-S_t, M_t]], so one
-        matrix product per tail node serves all rows of the block.  The flow
-        is anchored per block, not at the window start, so each U_i spans
-        fewer than _ROW_BLOCK intervals: inverting the flow of a whole window
-        would amplify rounding by its condition number squared.
+        L_r = [U_r; Ups_r U_r], core = [[Q_t, -S_t'], [-S_t, M_t]].  The tail
+        past the split node c (window) is folded into Z_i once per window,
+        since Phi(r, s_i0) = Phi(r, s_c) U_c there; so an iterate runs RK4
+        and Ups on [a, c] only and contracts the pairs r < c.  The flow is
+        anchored per block, not at the window start, so each U_i spans fewer
+        than _ROW_BLOCK intervals: inverting the flow of a whole window would
+        amplify rounding by its condition number squared.  The condition
+        warning of Propagator still covers the flow over [s_a, T], composed
+        as Phi(r, s_c) U_c past c.
 
         Row i of W is tail_weights[i], the local cubic rule on nodes[i:]
         alone.  So the two-node tail of row K-2 is the trapezoid rule and the
         three-node tail of row K-3 the parabola.
         """
-        U = self.closed_loop(values, a).values
-        ups = self.upsilon_nodes(values, a)
-        n, q = U.shape[-1], U.shape[-1] + ups.shape[1]
+        c, flow, inverse, blocks = window
+        U = rk4_flow(self.nodes[a:c + 1], self.drift(values, a, a, c))
+        U_inv = np.linalg.inv(U)
+        flow_condition(np.concatenate([U, flow[1:] @ U[-1]]),
+                       np.concatenate([U_inv, U_inv[-1] @ inverse[1:]]))
+        ups = self.upsilon_nodes(values, a, c)
+        n = U.shape[-1]
         out = np.empty((b - a + 1, n, n))
-        for i0, core in blocks:
-            j0, rows = i0 - a, core.shape[2]
-            Ub = np.swapaxes(np.linalg.solve(U[j0].T, np.swapaxes(U[j0:], -1, -2)), -1, -2)
-            L = np.concatenate([Ub, ups[j0:] @ Ub], axis=1)
-            tail = L.shape[0]
-            inner = core.reshape(tail, q * rows, q) @ L
-            sums = L.reshape(tail * q, n).T @ inner.reshape(tail * q, rows * n)
-            acc = sums.reshape(n, rows, n).transpose(1, 0, 2) \
-                + Ub[-1].T @ self.Gd_nodes[i0:i0 + rows] @ Ub[-1]
+        for i0, core, Z in blocks:
+            j0, rows = i0 - a, Z.shape[0]
+            Ub = _anchored(U[j0:], U[j0])
+            L = np.concatenate([Ub[:-1], ups[j0:] @ Ub[:-1]], axis=1)
+            acc = _contract(core, L) + Ub[-1].T @ Z @ Ub[-1]
             UiT = np.swapaxes(Ub[:rows], -1, -2)
             X = np.swapaxes(np.linalg.solve(UiT, acc), -1, -2)
             out[j0:j0 + rows] = np.linalg.solve(UiT, X)
@@ -429,8 +526,8 @@ class _Engine:
     def picard_iterate(self, values: np.ndarray, a: int, b: int,
                        boundary: np.ndarray) -> np.ndarray:
         """One application of the window map; returns values on nodes[a:b+1]."""
-        F = self.f_diag(values, a, b, self.window_blocks(a, b))
-        ups = self.upsilon_nodes(values, a)[:b - a + 1]
+        F = self.f_diag(values, a, b, self.cached_window(values, a, b))
+        ups = self.upsilon_nodes(values, a, b + 1)
         quad = np.swapaxes(ups, -1, -2) @ self.M_nodes[a:b + 1] @ ups
         R = self.Q_nodes[a:b + 1] - F - quad
         UA = self.psi.values[a:b + 1]
@@ -490,7 +587,7 @@ class _Engine:
     def q_bar_table(self) -> np.ndarray:
         """Effective state weight Q(s,s) - F(s; s, P) at every node."""
         last = self.nodes.size - 1
-        F = self.f_diag(self.values, 0, last, self.triangle_blocks(0, last))
+        F = self.f_diag(self.values, 0, last, self.window(self.values, 0, last))
         return _sym(self.Q_nodes - F)
 
     @cached_property
@@ -550,10 +647,14 @@ def solve_riccati(p: LQProblem, g: TimeGrid, opts: SolveOptions | None = None
     <= 0.75 per window.  Otherwise practical windows of width T/4 march
     backward with halving on observed divergence.  Raises
     NonconvergenceError when an iteration cap or halving floor is hit.
+
+    Validation (opts.validate) and the two-time norms of the constants come
+    from one walk of the node-pair triangle; the report and constants equal
+    those of validate_assumptions and contraction_constants.
     """
     opts = opts or SolveOptions()
-    if opts.validate:
-        report = validate_assumptions(p, g)
+    report, pair_norms = _triangle_pass(p, g, validate=opts.validate)
+    if report is not None:
         if not report.hard_ok:
             bad = [c.assumption for c in report.checks if c.hard and not c.passed]
             raise InvalidInputError(f"problem fails structural assumptions: {bad}")
@@ -561,7 +662,7 @@ def solve_riccati(p: LQProblem, g: TimeGrid, opts: SolveOptions | None = None
             warnings.warn("advisory sign conditions failed; equilibrium certified"
                           " quantities may lose definiteness", RuntimeWarning,
                           stacklevel=2)
-    cc = contraction_constants(p, g)
+    cc = _constants(p, g, pair_norms)
     tol = opts.tol if opts.tol is not None else 1e-10 * (1.0 + cc.r)
 
     g_solve = g

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -346,30 +347,54 @@ _NONUNIFORM = np.sort(np.concatenate([[0.0, 1.0], np.random.default_rng(5).unifo
     (_NONUNIFORM, 0, 80, True),
     (_NONUNIFORM, 30, 79, True),
     (_UNIFORM, 5, 60, False),  # pair-by-pair callable kernel with dfn
+    # the tail past the split node b + 1 folded once per window
+    (_UNIFORM, 40, 76, True),  # b = K - 5
+    (_UNIFORM, 50, 77, True),  # b = K - 4, the last b that splits
+    (_UNIFORM, 60, 78, True),  # b = K - 3: the drift past b + 1 reads node b - 1
+    (_NONUNIFORM, 20, 60, True),
+    (_UNIFORM, 33, 70, False),
 ])
 def test_f_diag_matches_row_loop(nodes, a, b, vectorized):
     p = _coupled_problem(vectorized=vectorized)
     engine = _Engine(p, TimeGrid(nodes))
+    K = nodes.size
+    assert engine.split_node(b) == (b + 1 if b <= K - 4 else K - 1)
     values = _smooth_values(nodes)
     want = _loop_f_diag(engine, values, a, b)
-    got = engine.f_diag(values, a, b, engine.window_blocks(a, b))
+    cached = engine.cached_window(values, a, b)
+    got = engine.f_diag(values, a, b, cached)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-    full = engine.f_diag(values, a, b, engine.triangle_blocks(a, b))
-    np.testing.assert_array_equal(full, got)
+    # an iterate reuses the cached window, which equals a fresh one bit for bit
+    assert engine.cached_window(values, a, b) is cached
+    fresh = engine.window(values, a, b)
+    assert fresh.c == cached.c
+    np.testing.assert_array_equal(fresh.flow, cached.flow)
+    np.testing.assert_array_equal(fresh.inverse, cached.inverse)
+    fresh_blocks = list(fresh.blocks)
+    assert len(fresh_blocks) == len(cached.blocks)
+    for (i0, core, Z), (j0, core_c, Z_c) in zip(fresh_blocks, cached.blocks):
+        assert i0 == j0 and core.shape[0] == cached.c - i0  # in-window columns only
+        np.testing.assert_array_equal(core, core_c)
+        np.testing.assert_array_equal(Z, Z_c)
+    streamed = engine.f_diag(values, a, b, engine.window(values, a, b))
+    np.testing.assert_array_equal(streamed, got)
 
 
 def test_f_diag_ill_conditioned_flow():
     # a strongly contracting closed loop (condition ~3e8 over the grid): the
     # row loop and the batched form both lose about cond * eps, but the flow
     # must be re-anchored per row block; conjugating by the inverse of the
-    # flow from the window start instead amplifies rounding by cond^2
+    # flow from the window start instead amplifies rounding by cond^2.  On a
+    # mid-grid window the tail past the split node is folded through the
+    # fixed flow from that node, so the same bound holds there
     p = _coupled_problem(b_scale=1.0)
     engine = _Engine(p, TimeGrid(_UNIFORM))
     values = 2.0 * _smooth_values(_UNIFORM)
     assert engine.closed_loop(values, 0).condition > 1e8
-    want = _loop_f_diag(engine, values, 0, 80)
-    got = engine.f_diag(values, 0, 80, engine.window_blocks(0, 80))
-    assert np.abs(got - want).max() <= 1e-7 * np.abs(want).max()
+    for a, b in ((0, 80), (10, 60)):
+        want = _loop_f_diag(engine, values, a, b)
+        got = engine.f_diag(values, a, b, engine.cached_window(values, a, b))
+        assert np.abs(got - want).max() <= 1e-7 * np.abs(want).max()
 
 
 def test_kernel_partials_once_per_window(hyperbolic_scalar):
@@ -429,3 +454,29 @@ def test_node_residual_matches_profile(tanh_problem, tanh_solution):
         prof = riccati_residual_profile(p, sol)
         got = [riccati_residual(p, sol, float(t)) for t in sol.grid.nodes]
         np.testing.assert_allclose(got, prof, rtol=1e-9, atol=0.0)
+
+
+def test_solve_memory_keeps_in_window_columns():
+    # a window keeps its kernel partials against the in-window columns only
+    # and folds the tail past the split node; keeping every block against the
+    # whole tail peaked at 42.5 MiB here
+    p, g = _n3_problem(), TimeGrid.uniform(1.0, 800)
+    tracemalloc.start()
+    try:
+        solve_riccati(p, g, SolveOptions(validate=False))
+        peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert peak <= 36.0
+
+
+def test_condition_warning_covers_the_window_tail():
+    # S = diag(30, 0) makes the closed loop contract one state at a rate near
+    # 40 and barely move the other: the flow over [s_a, T] passes 1e12 for
+    # the early windows, while the flow over a window of width <= T/4 stays
+    # below e^10
+    p = constant_problem(A=np.zeros((2, 2)), B=np.eye(2), Q=np.diag([1000.0, 1.0]),
+                         S=np.diag([30.0, 0.0]), M=np.eye(2), G=np.eye(2), T=1.0)
+    with pytest.warns(RuntimeWarning, match="propagator condition number"):
+        sol = solve_riccati(p, TimeGrid.uniform(1.0, 100))
+    assert max(w["b"] - w["a"] for w in sol.meta["windows"]) <= 0.25

@@ -8,6 +8,8 @@ including where a check's worst pair is and how ties between pairs break.
 """
 import math
 import tracemalloc
+import warnings
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,7 +30,7 @@ from tilq import (
     kernel_norms,
     validate_assumptions,
 )
-from tilq import riccati
+from tilq import problem, riccati
 from tilq._quad import integrate
 from tilq.kernels import _ROW_BLOCK, matrix_norm_many
 from tilq.problem import CheckResult, ValidationReport
@@ -219,8 +221,21 @@ def _all_ties():
                             M=np.array([[3.0, 1.0], [1.0, 2.0]]), G=np.eye(2), T=1.0)
 
 
+def _mixed_s():
+    # S = max(0, t - 0.5) C and S_t = [t > 0.5] C: zero on the early rows and
+    # not on the late ones, inside one block of rows, so the Schur-type
+    # checks reuse the eigenvalues of Q and Q_t on some pairs and solve on
+    # the others
+    base = _clean()
+    C = np.array([[1.4, 0.7], [0.0, 1.4]])
+    S = _kernel(lambda t, s: (np.maximum(0.0, t - 0.5) + 0 * s)[..., None, None] * C,
+                lambda t, s: ((t > 0.5) + 0.0 * s)[..., None, None] * C, (2, 2))
+    return LQProblem(A=base.A, B=base.B, Q=base.Q, S=S, M=base.M, G=base.G)
+
+
 PROBLEMS = {"clean": _clean, "indefinite-q": _indefinite_q, "sign-condition": _sign_condition,
-            "nonfinite-s": _nonfinite_s, "singular-mt": _singular_mt, "all-ties": _all_ties}
+            "nonfinite-s": _nonfinite_s, "singular-mt": _singular_mt, "all-ties": _all_ties,
+            "mixed-s": _mixed_s}
 # K nodes: one row, one block, both sides of the first and second block edges
 SIZES = (1, 2, _ROW_BLOCK, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 1, 401)
 
@@ -256,7 +271,7 @@ def test_walker_matches_whole_triangle(monkeypatch, name, K):
     except InvalidInputError as exc:
         got = str(exc)
     monkeypatch.setattr(riccati, "kernel_norms", whole_kernel_norms)
-    monkeypatch.setattr(riccati, "_triangle_rows", _one_block)
+    monkeypatch.setattr(problem, "_triangle_rows", _one_block)
     try:
         want = contraction_constants(p, g).to_dict()
     except InvalidInputError as exc:
@@ -281,6 +296,12 @@ def test_problems_reach_every_branch():
             rep["nonfinite-s"]["H3-Q-psd"], rep["singular-mt"]["H5-Qt-combo-psd"])
     assert all(c.where[0] * (K - 1) >= _ROW_BLOCK for c in late)
     assert {c.where for c in rep["all-ties"].values()} <= {(0.0, 0.0), (0.0,)}
+    # mixed-s: the worst Schur-type pairs come from the solves where S and S_t
+    # are nonzero, the other pairs reuse the eigenvalues of Q and Q_t
+    mixed = rep["mixed-s"]
+    assert mixed["H5-Q-SMS-psd"].where[0] > 0.5 and mixed["H5-Qt-combo-psd"].where[0] > 0.5
+    assert mixed["H5-Q-SMS-psd"].worst < mixed["H3-Q-psd"].worst
+    assert mixed["H5-Qt-combo-psd"].worst < mixed["H5-Qt-psd"].worst
 
 
 def _n3():
@@ -305,3 +326,42 @@ def test_memory_grows_as_block_times_nodes():
     p, g = _n3(), TimeGrid.uniform(1.0, 800)
     assert _peak_mib(validate_assumptions, p, g) <= 32.0
     assert _peak_mib(contraction_constants, p, g) <= 16.0
+
+
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_validated_solve_walks_the_triangle_once(monkeypatch, name):
+    # validation, the norms of Q, S and M and the M^{-1} bound share one walk:
+    # M is evaluated once per off-diagonal node pair
+    base, g = PROBLEMS[name](), _grid(2 * _ROW_BLOCK + 1)
+    pairs = []
+
+    def M_fn(t, s):
+        pairs.extend(zip(np.atleast_1d(t).tolist(), np.atleast_1d(s).tolist()))
+        return base.M.eval(t, s)
+
+    M = TwoTimeKernel.from_callable(M_fn, base.M.dims, 1.0, dfn=base.M.eval_dt,
+                                    symmetry_required=True, vectorized=True)
+    p = LQProblem(A=base.A, B=base.B, Q=base.Q, S=base.S, M=M, G=base.G)
+    walks = []
+    rows = problem._triangle_rows
+
+    def counted(K, a=0, b=None):
+        walks.append((K, a, b))
+        return rows(K, a, b)
+
+    monkeypatch.setattr(problem, "_triangle_rows", counted)
+    pairs.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # failed sign conditions
+        try:
+            sol = riccati.solve_riccati(p, g)
+        except InvalidInputError:
+            sol = None
+    K = g.nodes.size
+    assert walks == [(K, 0, None)]
+    off_diagonal = Counter((t, s) for t, s in pairs if t < s)
+    assert len(off_diagonal) == K * (K - 1) // 2 and set(off_diagonal.values()) == {1}
+    if sol is None:  # the hard checks fail
+        assert not validate_assumptions(p, g).hard_ok
+    else:
+        assert sol.meta["constants"] == contraction_constants(p, g).to_dict()

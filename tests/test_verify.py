@@ -87,3 +87,31 @@ def test_full_grid_left_slice_built_once(monkeypatch, hyperbolic_scalar, hyperbo
     monkeypatch.setattr(riccati, "left_slice_weights", counted)
     run_verification(hyperbolic_scalar, sol.grid, solution=sol)
     assert sizes == [sol.grid.nodes.size]
+
+
+@pytest.mark.parametrize("first", ["q_bar_nodes", "riccati_residual_profile"])
+def test_left_slice_built_once_in_either_order(monkeypatch, hyperbolic_scalar, first):
+    # the nonlocal term's tail weights and the residual profile share the
+    # full-grid left slice whichever asks first; a solving engine keeps none
+    g = TimeGrid.uniform(1.0, 64)
+    sol = solve_riccati(hyperbolic_scalar, g)
+    sol = RiccatiSolution(sol.grid, sol.values, sol.meta)  # a fresh engine
+    K = sol.grid.nodes.size
+    sizes = []
+    build = _quad.left_slice_weights
+
+    def counted(x):
+        sizes.append(len(x))
+        return build(x)
+
+    monkeypatch.setattr(_quad, "left_slice_weights", counted)
+    monkeypatch.setattr(riccati, "left_slice_weights", counted)
+    calls = [riccati.q_bar_nodes, riccati.riccati_residual_profile]
+    if first == "riccati_residual_profile":
+        calls.reverse()
+    for call in calls:
+        call(hyperbolic_scalar, sol)
+    assert sizes == [K]
+    solving = riccati._Engine(hyperbolic_scalar, sol.grid)
+    solving.tail_weights
+    assert (0, K - 1) not in solving._win_w
