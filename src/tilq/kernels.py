@@ -50,11 +50,15 @@ def _columnwise(ufunc, a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _row_sums(stack: np.ndarray) -> np.ndarray:
+    """Sums of |entries| along each row of a (..., n, m) stack: (..., n)."""
+    a = np.abs(np.asarray(stack, dtype=float))
+    return _columnwise(np.add, a) if a.shape[-1] < 8 else a.sum(axis=-1)
+
+
 def matrix_norm_many(stack: np.ndarray) -> np.ndarray:
     """Row-sum norms of a (..., n, m) stack, vectorized."""
-    a = np.abs(np.asarray(stack, dtype=float))
-    rows = _columnwise(np.add, a) if a.shape[-1] < 8 else a.sum(axis=-1)
-    return _columnwise(np.maximum, rows)
+    return _columnwise(np.maximum, _row_sums(stack))
 
 
 def _as_batch(t) -> tuple[np.ndarray, bool]:
@@ -350,11 +354,10 @@ class _RowWorst:
         self.rows, self.d_sup, self.finite = [], 0.0, True
 
     def add(self, ii, vals, dvals) -> None:
-        """Reduce one block: stacks vals and dvals over pairs whose first
-        indices ii come row by row."""
+        """Reduce one block: the row-sum norms vals and dvals of the values
+        and derivatives at pairs whose first indices ii come row by row."""
         if not self.finite:
             return
-        vals, dvals = matrix_norm_many(vals), matrix_norm_many(dvals)
         if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(dvals))):
             self.finite = False
             return
@@ -389,7 +392,7 @@ def kernel_norms(k, g) -> NormBundle:
         blocks = [(np.arange(nodes.size), (nodes,))]
     norms = _RowWorst()
     for ii, args in blocks:
-        norms.add(ii, k.eval(*args), k.eval_dt(*args))
+        norms.add(ii, matrix_norm_many(k.eval(*args)), matrix_norm_many(k.eval_dt(*args)))
         if not norms.finite:
             break
     return norms.bundle(nodes)

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError
-from .kernels import (OneTimeMatrixFn, TwoTimeKernel, _columnwise, _RowWorst, _triangle_rows,
-                      matrix_norm_many)
+from .kernels import (OneTimeMatrixFn, TwoTimeKernel, _columnwise, _row_sums, _RowWorst,
+                      _triangle_rows, matrix_norm_many)
 
 
 @dataclass(frozen=True)
@@ -145,19 +145,100 @@ class _Worst:
             self.value, self.where = v, _point(points, i)
 
 
-def _min_eig(stack):
-    return _columnwise(np.minimum, np.linalg.eigvalsh(0.5 * (stack + np.swapaxes(stack, -1, -2))))
+# rounding allowance of the screening bounds, relative to the row-sum norm
+# (eigenvalues) or the condition bound (inverses): LAPACK's errors are a few
+# n eps times these, so a pair the widened bounds rule out is ruled out by the
+# computed values too
+_SLACK = 1e-12
+
+
+def _screened(fn, stack, lo, hi, subsets=(), also=None):
+    """fn(stack), per pair, evaluated only at the pairs that the bounds
+    lo <= value <= hi cannot rule out of a minimum; +inf at the others.
+
+    A pair is ruled out of a set of pairs when its lo exceeds the least hi of
+    the set: it is then neither the set's minimum nor the first of equal
+    minima, so a _Worst or a min over any such set of the result ends where
+    it would on fn(stack).  The sets are the whole stack and each boolean
+    mask in subsets; a pair is evaluated unless every set holding it rules
+    it out, and wherever `also` holds.  NaN bounds rule nothing out.
+    """
+    keep = ~(lo > hi.min())
+    if also is not None:
+        keep |= also
+    for s in subsets:
+        if s.any():
+            keep |= s & ~(lo > hi[s].min())
+    if keep.all():
+        return fn(stack)
+    out = np.full(lo.shape, np.inf)
+    if keep.any():
+        out[keep] = fn(stack[keep])
+    return out
+
+
+def _sym(stack):
+    return 0.5 * (stack + np.swapaxes(stack, -1, -2))
+
+
+def _eigvalsh_min(X):
+    return _columnwise(np.minimum, np.linalg.eigvalsh(X))
+
+
+def _gershgorin(X):
+    """Bounds lo <= lambda_min <= hi per pair of the symmetric stack X: the
+    least left end of a Gershgorin disc and the least diagonal entry, each
+    widened by _SLACK (1 + ||X||).  A non-finite entry makes them NaN or
+    infinite, so they rule that pair out of nothing."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        rows = _row_sums(X)
+        diag = np.diagonal(X, axis1=-2, axis2=-1)
+        slack = _SLACK * (1.0 + _columnwise(np.maximum, rows))
+        return (_columnwise(np.minimum, diag + np.abs(diag) - rows) - slack,
+                _columnwise(np.minimum, diag) + slack)
+
+
+def _min_eig(stack, subsets=()):
+    """Least eigenvalue of each pair's symmetric part, from eigvalsh only at
+    the pairs its Gershgorin bounds cannot rule out of the minimum of the
+    stack or of a subset (_screened); +inf at the others."""
+    X = _sym(stack)
+    return _screened(_eigvalsh_min, X, *_gershgorin(X), subsets)
+
+
+def _nonzero(stack):
+    return _columnwise(np.logical_or, stack.reshape(stack.shape[0], -1) != 0)
 
 
 def _reduced_min_eig(base_eigs, X, Y, W):
     """Min eigenvalues of X - Y' W^{-1} Y per pair, given base_eigs, those of
-    X.  Where Y = 0 the two matrices are the same, so base_eigs is reused."""
+    X.  Where Y = 0 the two matrices are the same, so base_eigs is reused;
+    base_eigs must then be exact on the pairs that may be the least of the
+    Y = 0 pairs.  The others are screened among themselves (_min_eig)."""
     out = base_eigs.copy()
-    live = Y.reshape(Y.shape[0], -1).any(axis=1)
+    live = _nonzero(Y)
     if live.any():
         Z = np.linalg.solve(W[live], Y[live])
         out[live] = _min_eig(X[live] - np.swapaxes(Y[live], -1, -2) @ Z)
     return out
+
+
+def _inv_norm_max(M, rows, norms):
+    """max ||M^{-1}|| over a stack, given its row sums and row-sum norms,
+    inverting only the pairs that the bounds cannot rule out of the max.
+
+    1/||M|| <= ||M^{-1}|| always, and ||M^{-1}|| <= 1/min_i(|m_ii| -
+    sum_{j != i} |m_ij|) (Varah's bound) where that margin exceeds 1e-8 ||M||,
+    else no upper bound.  Both are widened relatively by _SLACK (1 +
+    ||M|| hi), which covers LAPACK's rounding at that condition number.
+    The max is minus the min of -||M^{-1}||, screened by the negated bounds.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        margin = _columnwise(np.minimum, 2 * np.abs(np.diagonal(M, axis1=-2, axis2=-1)) - rows)
+        hi = np.where(margin > 1e-8 * norms, 1.0 / margin, np.inf)
+        rel = _SLACK * (1.0 + norms * hi)
+        lo, hi = (1.0 - rel) / norms, hi * (1.0 + rel)
+    return -_screened(lambda X: -matrix_norm_many(np.linalg.inv(X)), M, -hi, -lo).min()
 
 
 def _asymmetry(stack):
@@ -195,16 +276,19 @@ class _PairNorms:
         self.Q, self.S, self.M = _RowWorst(), _RowWorst(), _RowWorst()
         self._minv, self._singular = -np.inf, None
 
-    def add(self, ii, Q, Qd, S, Sd, M, Md) -> None:
-        self.Q.add(ii, Q, Qd)
-        self.S.add(ii, S, Sd)
-        self.M.add(ii, M, Md)
+    def add(self, ii, Q, Qd, S, Sd, M, Md):
+        """Reduce one block; returns the row-sum norms of Q and M per pair."""
+        q_norms, m_rows = matrix_norm_many(Q), _row_sums(M)
+        m_norms = _columnwise(np.maximum, m_rows)
+        self.Q.add(ii, q_norms, matrix_norm_many(Qd))
+        self.S.add(ii, matrix_norm_many(S), matrix_norm_many(Sd))
+        self.M.add(ii, m_norms, matrix_norm_many(Md))
         if self._singular is None:
             try:
-                self._minv = np.maximum(self._minv,
-                                        matrix_norm_many(np.linalg.inv(M)).max())
+                self._minv = np.maximum(self._minv, _inv_norm_max(M, m_rows, m_norms))
             except np.linalg.LinAlgError as exc:
                 self._singular = exc
+        return q_norms, m_norms
 
     def minv(self) -> float:
         if self._singular is not None:
@@ -225,25 +309,35 @@ class _PairChecks:
         self.m_finite, self.m_sup, self.q_sup = True, -np.inf, -np.inf
         self.schur_live, self.combo_live, self.skipped_live = True, False, 0
 
-    def add(self, pts, Q, Qd, S, Sd, M, Md) -> None:
+    def add(self, pts, Q, Qd, S, Sd, M, Md, q_norms, m_norms) -> None:
+        """Reduce one block: the stacks at pairs pts and the row-sum norms of
+        Q and M there.  Each eigenvalue stack is screened (_min_eig): a pair
+        goes to eigvalsh only where its bounds cannot rule it out of the
+        block's minimum, of the S = 0 (live S_t = 0) pairs whose Q (Q_t)
+        eigenvalues the Schur-type checks reuse, or of the M_t-live test."""
+        tol = self.tol
         self.s_bad.add(S, pts)
         self.sd_bad.add(Sd, pts)
         s_finite = self.s_bad.bad.value == 0.0 and self.sd_bad.bad.value == 0.0  # so far
         self.m_finite = self.m_finite and bool(np.isfinite(M).all())
-        self.m_sup = np.maximum(self.m_sup, matrix_norm_many(M).max())
-        self.q_sup = np.maximum(self.q_sup, matrix_norm_many(Q).max())
+        self.m_sup = np.maximum(self.m_sup, m_norms.max())
+        self.q_sup = np.maximum(self.q_sup, q_norms.max())
         self.m_asym.add(_asymmetry(M), pts)
         self.q_asym.add(_asymmetry(Q), pts)
-        M_sym = 0.5 * (M + np.swapaxes(M, -1, -2))
-        M_eigs = _columnwise(np.minimum, np.linalg.eigvalsh(M_sym))
+        M_eigs = _min_eig(M)
         self.m_eig.add(M_eigs, pts)
-        q_eigs = _min_eig(Q)
+        q_eigs = _min_eig(Q, (~_nonzero(S),))
         self.q_eig.add(q_eigs, pts)
-        qd_eigs = _min_eig(Qd)
-        self.qd_eig.add(qd_eigs, pts)
-        Md_sym = 0.5 * (Md + np.swapaxes(Md, -1, -2))
-        Md_eigs = _columnwise(np.minimum, np.linalg.eigvalsh(Md_sym))
+        # M_t is live where its least eigenvalue exceeds tol: the bounds decide
+        # it except where they straddle tol; a pair they rule out of the
+        # minimum reads +inf and is live unless hi <= tol
+        Md_sym = _sym(Md)
+        lo, hi = _gershgorin(Md_sym)
+        Md_eigs = _screened(_eigvalsh_min, Md_sym, lo, hi, also=(lo <= tol) & (hi > tol))
         self.md_eig.add(Md_eigs, pts)
+        live = (Md_eigs > tol) & (hi > tol)
+        qd_eigs = _min_eig(Qd, (live & ~_nonzero(Sd),))
+        self.qd_eig.add(qd_eigs, pts)
 
         # the Schur check runs only while every block so far has finite S and
         # M positive definite beyond the floor of the largest M so far: where
@@ -251,8 +345,7 @@ class _PairChecks:
         self.schur_live = self.schur_live and s_finite \
             and bool(M_eigs.min() > 1e-10 * float(self.m_sup))
         if self.schur_live:
-            self.schur.add(_reduced_min_eig(q_eigs, Q, S, M_sym), pts)
-        live = Md_eigs > self.tol
+            self.schur.add(_reduced_min_eig(q_eigs, Q, S, _sym(M)), pts)
         self.skipped_live += int((~live).sum())
         self.combo_live = self.combo_live or bool(live.any())
         if s_finite and live.any():
@@ -340,7 +433,10 @@ def _triangle_pass(p: LQProblem, g, tol: float = 1e-8, validate: bool = True):
     Each block of 32 rows evaluates Q, S, M and their first-argument partials
     once and feeds two running reductions: the ValidationReport of
     validate_assumptions (report is None unless validate) and the two-time
-    norms of contraction_constants (a _PairNorms).
+    norms of contraction_constants (a _PairNorms).  Both take the row-sum
+    norms of Q and M from one computation, and send a pair's matrix to
+    eigvalsh or inv only where bounds from those stacks cannot rule it out
+    of the block's extreme (_screened).
     """
     nodes = g.nodes
     checks = _PairChecks(tol) if validate else None
@@ -349,9 +445,9 @@ def _triangle_pass(p: LQProblem, g, tol: float = 1e-8, validate: bool = True):
         tt, ss = nodes[ii], nodes[jj]
         stacks = (p.Q.eval(tt, ss), p.Q.eval_dt(tt, ss), p.S.eval(tt, ss),
                   p.S.eval_dt(tt, ss), p.M.eval(tt, ss), p.M.eval_dt(tt, ss))
-        norms.add(ii, *stacks)
+        q_norms, m_norms = norms.add(ii, *stacks)
         if checks is not None:
-            checks.add(np.column_stack([tt, ss]), *stacks)
+            checks.add(np.column_stack([tt, ss]), *stacks, q_norms, m_norms)
     return (None if checks is None else checks.report(p, nodes)), norms
 
 
@@ -373,5 +469,17 @@ def validate_assumptions(p: LQProblem, g, tol: float = 1e-8) -> ValidationReport
     whole triangle at once: ties go to the first pair in row-major order.
     solve_riccati takes this report and the two-time norms of
     contraction_constants from one such walk.
+
+    Exact eigenvalues (eigvalsh) are computed only at the pairs that can set
+    a reported value.  Per pair, the Gershgorin discs bound the least
+    eigenvalue from below and the least diagonal entry bounds it from above,
+    both widened by 1e-12 (1 + row-sum norm) for rounding.  A pair goes to
+    eigvalsh unless its lower bound exceeds the least upper bound of its
+    block, and of the block's S = 0 pairs (live S_t = 0 pairs) whose Q (Q_t)
+    eigenvalues the Schur-type checks reuse; M_t also where its bounds
+    straddle tol.  The inverse of M, for contraction_constants, is likewise
+    formed only where 1/||M|| and Varah's bound 1/min_i(|m_ii| - sum_{j != i}
+    |m_ij|) leave a pair able to reach the block's largest ||M^{-1}||.  The
+    report is the same as with every pair evaluated.
     """
     return _triangle_pass(p, g, tol)[0]

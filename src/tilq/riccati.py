@@ -46,13 +46,9 @@ from ._quad import integrate, left_slice_weights, local_cubic, tail_slice_weight
 from .errors import InvalidInputError, NonconvergenceError
 from .grids import TimeGrid
 from .kernels import _triangle_rows, kernel_norms, matrix_norm, matrix_norm_many
-from .problem import LQProblem, _triangle_pass
+from .problem import LQProblem, _sym, _triangle_pass
 from .propagators import (Propagator, flow_condition, fundamental_solution, half_times,
                           rk4_flow)
-
-
-def _sym(x):
-    return 0.5 * (x + np.swapaxes(x, -1, -2))
 
 
 def _exp(x: float) -> float:
@@ -177,11 +173,12 @@ def contraction_constants(p: LQProblem, g: TimeGrid) -> ContractionConstants:
     memory goes as O(32 K n^2) for K nodes.  solve_riccati takes them from
     the walk that validates the problem.
     """
-    return _constants(p, g, _triangle_pass(p, g, validate=False)[1])
+    return _constants(p, g, _triangle_pass(p, g, validate=False)[1], fundamental_solution(p.A, g))
 
 
-def _constants(p: LQProblem, g: TimeGrid, pair_norms) -> ContractionConstants:
-    """contraction_constants from the two-time norms of a triangle walk."""
+def _constants(p: LQProblem, g: TimeGrid, pair_norms, psi: Propagator) -> ContractionConstants:
+    """contraction_constants from the two-time norms of a triangle walk and
+    the drift-only flow psi of A on g."""
     nodes = g.nodes
     T = g.T
     nA = kernel_norms(p.A, g)
@@ -212,7 +209,6 @@ def _constants(p: LQProblem, g: TimeGrid, pair_norms) -> ContractionConstants:
 
     # tau1: widest node span over which the drift-only flow stays uniformly
     # close to the identity, in both time directions
-    psi = fundamental_solution(p.A, g)
     U = psi.values
     bound = 1.0 / (2.0 * (1.0 + _exp(2 * beta)))
     eye = np.eye(p.n)
@@ -356,9 +352,10 @@ class _Engine:
     """Caches per-grid samples and runs fixed-point window iterations.
 
     The cached properties hold full-grid tables of the fixed solution values.
+    psi, the drift-only flow of A on grid, is built here unless given.
     """
 
-    def __init__(self, p: LQProblem, grid: TimeGrid, values=None):
+    def __init__(self, p: LQProblem, grid: TimeGrid, values=None, psi=None):
         self.p = p
         self.grid = grid
         self.values = values
@@ -375,7 +372,7 @@ class _Engine:
         self.Q_nodes = p.Q.eval(nodes, nodes)
         self.Gd_nodes = p.G.eval_dt(nodes)
         self.G_T = _sym(p.G.eval(grid.T))
-        self.psi = fundamental_solution(p.A, grid)
+        self.psi = fundamental_solution(p.A, grid) if psi is None else psi
         self._win_w = {}
         self._window_key = None
         self._window = None
@@ -662,7 +659,8 @@ def solve_riccati(p: LQProblem, g: TimeGrid, opts: SolveOptions | None = None
             warnings.warn("advisory sign conditions failed; equilibrium certified"
                           " quantities may lose definiteness", RuntimeWarning,
                           stacklevel=2)
-    cc = _constants(p, g, pair_norms)
+    psi = fundamental_solution(p.A, g)
+    cc = _constants(p, g, pair_norms, psi)
     tol = opts.tol if opts.tol is not None else 1e-10 * (1.0 + cc.r)
 
     g_solve = g
@@ -685,7 +683,7 @@ def solve_riccati(p: LQProblem, g: TimeGrid, opts: SolveOptions | None = None
         mode = "practical"
         width = g.T / 4.0
 
-    engine = _Engine(p, g_solve)
+    engine = _Engine(p, g_solve, psi=psi if g_solve is g else None)
     nodes = g_solve.nodes
     K = nodes.size
     values = np.broadcast_to(engine.G_T, (K,) + engine.G_T.shape).copy()

@@ -5,8 +5,12 @@ contraction_constants walk the node-pair triangle 32 rows at a time.  The
 copies below reduce the whole triangle at once, as these functions did
 before; every report, norm and constant must match them bit for bit,
 including where a check's worst pair is and how ties between pairs break.
+The walk sends a pair's matrix to eigvalsh or inv only where bounds cannot
+rule it out of a block's extreme; the last tests count those calls and
+check the screening helper against whole stacks.
 """
 import math
+import sys
 import tracemalloc
 import warnings
 from collections import Counter
@@ -14,6 +18,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tilq import (
     InvalidInputError,
@@ -32,7 +38,7 @@ from tilq import (
 )
 from tilq import problem, riccati
 from tilq._quad import integrate
-from tilq.kernels import _ROW_BLOCK, matrix_norm_many
+from tilq.kernels import _ROW_BLOCK, _row_sums, matrix_norm_many
 from tilq.problem import CheckResult, ValidationReport
 
 
@@ -233,9 +239,53 @@ def _mixed_s():
     return LQProblem(A=base.A, B=base.B, Q=base.Q, S=S, M=base.M, G=base.G)
 
 
+def _dense():
+    # hyperbolic kernels on random SPD bases with large off-diagonal entries:
+    # no row of Q, Q_t, M, M_t or Q - S'M^{-1}S is diagonally dominant at any
+    # pair, so the screening bounds rule no pair out
+    rng = np.random.default_rng(5)
+
+    def spd(n):
+        X = rng.standard_normal((n, n)) + 1.5
+        return X @ X.T + 0.2 * np.eye(n)
+
+    Q0, M0, G0 = spd(3), spd(2), spd(3)
+    S0 = 0.2 * rng.standard_normal((2, 3))
+    return hyperbolic_problem(Q0, M0, G0, A=0.3 * rng.standard_normal((3, 3)),
+                              B=0.3 * rng.standard_normal((3, 2)), S0=S0, k=1.0, theta=1.0,
+                              T=1.0)
+
+
+def _near_tie():
+    # weights that spread by less than the 1e-12 rounding allowance of the
+    # screening bounds where each block has its extreme: the least Q and Q_t
+    # on the diagonal pairs, the least M and the largest ||M^{-1}|| in the
+    # last column; M_t = (1e-8 +- 3e-12) I straddles tol = 1e-8, and an S of
+    # 1e-20 on the late rows makes the Schur-type values tie with those of Q
+    T = 1.0
+    C = np.array([[1.0, 2.0], [0.5, 1.0]])
+
+    def times(f, base):
+        return lambda t, s: f(np.asarray(t, dtype=float), np.asarray(s, dtype=float))[
+            ..., None, None] * base
+
+    Q = _kernel(times(lambda t, s: 1.0 + 0.5 * (s - t) + 1e-13 * np.sin(47 * t + 5 * s),
+                      np.diag([1.0, 3.0])),
+                times(lambda t, s: 0.2 + (s - t) + 1e-13 * np.cos(31 * t - 3 * s),
+                      np.diag([2.0, 1.0])), (2, 2), symmetric=True)
+    M = _kernel(times(lambda t, s: 2.0 - 0.5 * s + 1e-13 * np.cos(29 * t), np.eye(2)),
+                times(lambda t, s: 1e-8 + 3e-12 * np.sin(53 * t + 17 * s), np.eye(2)), (2, 2),
+                symmetric=True)
+    S = _kernel(times(lambda t, s: 1e-20 * (t > 0.5) + 0.0 * s, C),
+                times(lambda t, s: 0.0 * (t + s), C), (2, 2))
+    return LQProblem(A=OneTimeMatrixFn.constant(np.array([[0.1, 0.2], [0.0, -0.1]]), T),
+                     B=OneTimeMatrixFn.constant(np.eye(2), T), Q=Q, S=S, M=M,
+                     G=hyperbolic_terminal(np.eye(2), 1.0, 1.0, T))
+
+
 PROBLEMS = {"clean": _clean, "indefinite-q": _indefinite_q, "sign-condition": _sign_condition,
             "nonfinite-s": _nonfinite_s, "singular-mt": _singular_mt, "all-ties": _all_ties,
-            "mixed-s": _mixed_s}
+            "mixed-s": _mixed_s, "dense": _dense, "near-tie": _near_tie}
 # K nodes: one row, one block, both sides of the first and second block edges
 SIZES = (1, 2, _ROW_BLOCK, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 1, 401)
 
@@ -302,6 +352,13 @@ def test_problems_reach_every_branch():
     assert mixed["H5-Q-SMS-psd"].where[0] > 0.5 and mixed["H5-Qt-combo-psd"].where[0] > 0.5
     assert mixed["H5-Q-SMS-psd"].worst < mixed["H3-Q-psd"].worst
     assert mixed["H5-Qt-combo-psd"].worst < mixed["H5-Qt-psd"].worst
+    # near-tie: the least Q and Q_t are set by the 1e-13 wiggle on the
+    # diagonal pairs past the first block, and M_t is live on part of the triangle
+    tie = rep["near-tie"]
+    for name in ("H3-Q-psd", "H5-Qt-psd", "H5-Q-SMS-psd", "H5-Qt-combo-psd"):
+        t, s = tie[name].where
+        assert t == s and t * (K - 1) >= _ROW_BLOCK
+    assert "pairs skipped" in tie["H5-Qt-combo-psd"].note and tie["H5-Qt-combo-psd"].passed
 
 
 def _n3():
@@ -319,6 +376,121 @@ def _peak_mib(fn, *args):
         return tracemalloc.get_traced_memory()[1] / 2 ** 20
     finally:
         tracemalloc.stop()
+
+
+def _count_lapack(monkeypatch):
+    """Counter of the matrices that tilq.problem passes to eigvalsh and inv."""
+    counts = Counter()
+    for name in ("eigvalsh", "inv"):
+        def counted(a, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            if sys._getframe(1).f_globals.get("__name__") == "tilq.problem":
+                counts[_name] += int(np.prod(np.shape(a)[:-2]))
+            return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+def test_screening_sends_few_pairs_to_lapack(monkeypatch):
+    # n3 at N=400: the bounds rule out all but a few pairs of each block, so
+    # at most 1 % of the pair matrices of M, Q, Q_t and M_t reach eigvalsh
+    # and of M reach inv (S = 0, so no Schur-type matrix is formed)
+    p, g = _n3(), TimeGrid.uniform(1.0, 400)
+    counts = _count_lapack(monkeypatch)
+    riccati.solve_riccati(p, g)
+    pairs = g.nodes.size * (g.nodes.size + 1) // 2
+    assert 0 < counts["eigvalsh"] <= 0.01 * 4 * pairs
+    assert 0 < counts["inv"] <= 0.01 * pairs
+
+
+def test_dense_problem_is_not_screened(monkeypatch):
+    # dense: every pair matrix goes to eigvalsh (M, Q, Q_t, M_t and the
+    # Schur-type matrix) and to inv, as without the bounds
+    p, g = _dense(), _grid(2 * _ROW_BLOCK + 1)
+    counts = _count_lapack(monkeypatch)
+    validate_assumptions(p, g)
+    K = g.nodes.size
+    pairs = K * (K + 1) // 2
+    assert counts["eigvalsh"] >= 5 * pairs and counts["inv"] == pairs
+
+
+# --- the screening helper ------------------------------------------------------
+
+_FEW = [0.0, 0.1, -0.1, 1e-13, 0.5]  # few off-diagonal values, so pairs tie
+# kinds of pair matrices, repeated by weight: a NaN or a singular matrix
+# anywhere in a stack hides the rest from the comparison
+_KINDS = ["dominant"] * 4 + ["copy", "scaled"] * 2 + ["arbitrary", "singular", "near-singular",
+                                                       "nan"]
+
+
+@st.composite
+def _pair_stacks(draw):
+    """(stack, mask): 1 to 12 n x n matrices, n <= 4, and a subset of them.
+
+    Diagonally dominant matrices (which the bounds can rule out) with exact
+    and sub-1e-12 ties, arbitrary ones, exactly and nearly singular ones,
+    diagonally scaled ones and ones with a NaN entry."""
+    n = draw(st.integers(1, 4))
+    mats = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(_KINDS))
+        X = np.diag(draw(st.lists(st.sampled_from([0.25, 1.0, 1.0 + 1e-13, 2.0, 8.0, -1.0]),
+                                  min_size=n, max_size=n)))
+        X = X + np.array(draw(st.lists(st.sampled_from(_FEW), min_size=n * n,
+                                       max_size=n * n))).reshape(n, n) * (1 - np.eye(n))
+        if kind == "copy" and mats:
+            X = mats[draw(st.integers(0, len(mats) - 1))].copy()
+        elif kind == "arbitrary":
+            X = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n * n,
+                                       max_size=n * n))).reshape(n, n)
+        elif kind in ("singular", "near-singular"):
+            X[-1] = X[0] + (1e-14 if kind == "near-singular" else 0.0)
+        elif kind == "scaled":
+            D = np.diag(10.0 ** np.array(draw(st.lists(st.integers(-3, 3), min_size=n,
+                                                       max_size=n))))
+            X = D @ X @ D
+        elif kind == "nan":
+            X[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = np.nan
+        mats.append(X)
+    mask = np.array(draw(st.lists(st.booleans(), min_size=len(mats), max_size=len(mats))))
+    return np.array(mats), mask
+
+
+def _or_error(fn):
+    try:
+        return fn()
+    except np.linalg.LinAlgError as exc:  # eigvalsh of NaN, inv of singular
+        return str(exc)
+
+
+def _least(vals, subset):
+    i = int(np.argmin(vals[subset]))
+    return i, repr(vals[subset][i])
+
+
+# LAPACK rounds past the bounds themselves: the least eigenvalue of the
+# first matrix lies 2 ulp above its least diagonal entry, past the second's;
+# ||inv|| of the first lies 2 ulp above Varah's bound, past 1/||M|| of the
+# second.  Only the widened bounds keep the first pair in play.
+@example((np.array([[[1.5, 1e-9], [1e-9, 2.6]], [[np.nextafter(1.5, 2.0), 0.0], [0.0, 3.0]]]),
+          np.ones(2, dtype=bool)))
+@example((np.array([[[0.1, 0.01], [0.01, 0.1]], [[0.09, 0.0], [0.0, 0.09]]]),
+          np.ones(2, dtype=bool)))
+@settings(max_examples=300, deadline=None)
+@given(_pair_stacks())
+def test_screening_matches_whole_stack(case):
+    stack, mask = case
+    subsets = [s for s in (np.ones(mask.size, dtype=bool), mask) if s.any()]
+    exact = _or_error(
+        lambda: np.linalg.eigvalsh(0.5 * (stack + np.swapaxes(stack, -1, -2))).min(axis=-1))
+    screened = _or_error(lambda: problem._min_eig(stack, (mask,)))
+    if isinstance(exact, str):
+        assert screened == exact
+    else:
+        assert [_least(screened, s) for s in subsets] == [_least(exact, s) for s in subsets]
+    want = _or_error(lambda: repr(matrix_norm_many(np.linalg.inv(stack)).max()))
+    got = _or_error(lambda: repr(problem._inv_norm_max(stack, _row_sums(stack),
+                                                       matrix_norm_many(stack))))
+    assert got == want
 
 
 def test_memory_grows_as_block_times_nodes():
