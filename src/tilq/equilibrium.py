@@ -13,7 +13,11 @@ policy from (t, x) costs x' H_pol x, and holding v on [t, t+eps] first costs
 z' H_dev z with z = (x, v), since a held control is extra state with v' = 0.
 _value_matrix builds each on the segments cost integrates, so one pair per
 (t, eps) serves every state and deviation there; neither depends on P
-beyond the policy.  The value identity keeps the path-based cost.
+beyond the policy.  _splice_batch builds every pair of a certificate at
+once: the policy tables (A, B, gains) once on the union of all half-times,
+each distinct RK4 step once, and one stacked prefix loop each for the
+tails, the policy heads and the held heads, with the same numbers as a
+splice-by-splice build.  The value identity keeps the path-based cost.
 """
 from __future__ import annotations
 
@@ -26,7 +30,7 @@ from ._quad import integrate, simpson_weights
 from .errors import GridTooCoarseError, InvalidInputError
 from .grids import TimeGrid
 from .problem import LQProblem
-from .propagators import Propagator, half_times, rk4_flow
+from .propagators import Propagator, flow_prefix, half_times, rk4_flow, rk4_steps
 from .riccati import RiccatiSolution, _engine_for
 
 # default node count below which cost and the value matrices refine a segment
@@ -253,51 +257,115 @@ def cost(p: LQProblem, t: float, x, u, grid: TimeGrid | None = None, *,
     return total + float(xs @ p.G.eval(t) @ xs)
 
 
-def _value_matrix(seg: np.ndarray, C, L, final) -> np.ndarray:
-    """H with z' H z = the cost cost() integrates on seg from state z at seg[0].
+def _value_matrix(w: np.ndarray, Phi: np.ndarray, L, final) -> np.ndarray:
+    """H with z' H z = the cost cost() integrates on a segment from state z
+    at its start.
 
-    The state follows z' = C z (C at half_times(seg)), the running cost is
-    z' L z (L at the nodes) and the end cost z' final z.  With the flow
-    Phi = rk4_flow(seg, C) and the weights w of the local cubic rule,
+    The state follows the flow Phi (Phi[0] = I, one matrix per node), the
+    running cost is z' L z (L at the nodes) and the end cost z' final z.
+    With the weights w of the local cubic rule on the segment's nodes,
         H = sum_k w_k Phi_k' L_k Phi_k + Phi_K' final Phi_K.
     """
-    Phi = rk4_flow(seg, C)
     PhiT = np.swapaxes(Phi, -1, -2)
-    running = np.tensordot(simpson_weights(seg), PhiT @ L @ Phi, axes=(0, 0))
+    running = np.tensordot(w, PhiT @ L @ Phi, axes=(0, 0))
     return running + PhiT[-1] @ final @ Phi[-1]
 
 
-def _policy_segment(p: LQProblem, pol: EquilibriumPolicy, t: float, seg):
-    """A, B at half_times(seg), the weights W of _weights, and the policy's
-    drift A + B K and running weight [I; K]' W [I; K]."""
-    half = half_times(seg)
+def _stacked_flows(segs: list, drift, d: int) -> list:
+    """RK4 flows of the segments segs, all through one prefix loop.
+
+    drift(ts) gives the (d, d) drift at times ts among the segments' half
+    times.  A step matrix depends only on its interval, so each distinct
+    interval gets one; a shorter segment is padded with identity steps.
+    Returns one flow of shape (K, d, d) per segment, views into the stack.
+    """
+    if not segs:
+        return []
+    # an interval [lo, hi] as the key lo + i hi: numpy sorts complex numbers
+    # lexicographically, much faster than rows of a 2-d array
+    spans, which = np.unique(np.concatenate([seg[:-1] + 1j * seg[1:] for seg in segs]),
+                             return_inverse=True)
+    lo, hi = spans.real, spans.imag
+    E = np.concatenate([rk4_steps(hi - lo, drift(lo), drift(0.5 * (lo + hi)), drift(hi)),
+                        np.eye(d)[None]])
+    steps = np.full((max(seg.size for seg in segs) - 1, len(segs)), spans.size)
+    starts = np.cumsum([0] + [seg.size - 1 for seg in segs])
+    for j, (seg, a) in enumerate(zip(segs, starts)):
+        steps[:seg.size - 1, j] = which[a:a + seg.size - 1]
+    U = flow_prefix(E[steps])
+    return [U[:seg.size, j] for j, seg in enumerate(segs)]
+
+
+def _splice_batch(p: LQProblem, pol: EquilibriumPolicy, plan: list,
+                  gnodes: np.ndarray) -> list:
+    """(H_pol, H_dev) of every splice in plan, a list of (t, eps list): one
+    dict eps -> (H_pol, H_dev) per entry, in the order of its eps list.
+
+    x' H_pol x = J(t, x; policy) and z' H_dev z = J(t, x; v on [t, t+eps],
+    then policy) with z = (x, v), on the segments cost uses with breakpoint
+    t+eps: a head [t, t+eps] and a tail [t+eps, T], each refined to
+    _MIN_SEGMENT_NODES nodes when shorter, the tail empty when t+eps = T.
+    After t+eps both follow the policy, whose cost from there is x' Pi x,
+    Pi the value matrix of the tail ending in G(t).  Pi is not P(t+eps):
+    the weights stay frozen at t, and the discount is non-exponential.
+
+    The plan is one batch: A, B and the gains are evaluated once on the
+    union of every segment's half-times, W(t, .) and the policy's running
+    weight once per time on the union of that time's nodes, and the tails,
+    policy heads and held (n+m) heads each run through one stacked prefix
+    loop (_stacked_flows).  Every number is computed as for a single
+    splice, so a splice's matrices do not depend on what else the plan
+    holds.
+    """
+    T, n, m = p.T, p.n, p.m
+    groups = []  # per plan entry: (eps, head, tail or None) per eps
+    for t, eps in plan:
+        group = []
+        for e in eps:
+            b = t + e
+            tail = (_segment_nodes(gnodes, b, T, _MIN_SEGMENT_NODES)
+                    if T - b > 1e-12 * (1.0 + T) else None)
+            head = _segment_nodes(gnodes, t, b if tail is not None else T,
+                                  _MIN_SEGMENT_NODES)
+            group.append((e, head, tail))
+        groups.append(group)
+    heads = [head for group in groups for _, head, _ in group]
+    tails = [tail for group in groups for _, _, tail in group if tail is not None]
+    half = np.unique(np.concatenate([half_times(seg) for seg in heads + tails]))
     A, B = p.A.eval(half), p.B.eval(half)
     gains = pol.gain_many(half)
-    W = _weights(p, t, seg)
-    IK = np.concatenate([np.broadcast_to(np.eye(p.n), (seg.size, p.n, p.n)),
-                         gains[0::2]], axis=-2)
-    return A, B, W, A + B @ gains, np.swapaxes(IK, -1, -2) @ W @ IK
+    C = A + B @ gains
 
+    def policy_drift(ts):
+        return C[np.searchsorted(half, ts)]
 
-def _splice_matrices(p: LQProblem, pol: EquilibriumPolicy, t: float, b: float,
-                     gnodes: np.ndarray):
-    """(H_pol, H_dev) of the splice [t, b]: x' H_pol x = J(t, x; policy) and
-    z' H_dev z = J(t, x; v on [t, b], then policy) with z = (x, v), on the
-    segments cost uses with breakpoint b.
+    def held_drift(ts):
+        i = np.searchsorted(half, ts)
+        return _held(A[i], B[i])
 
-    After b both follow the policy, whose cost from there is x' Pi x with
-    Pi = _value_matrix on [b, T] ending in G(t).  Pi is not P(b): the
-    weights stay frozen at t, and the discount is non-exponential.
-    """
-    T = p.T
-    Pi, end = p.G.eval(t), T
-    if T - b > 1e-12 * (1.0 + T):
-        seg = _segment_nodes(gnodes, b, T, _MIN_SEGMENT_NODES)
-        Pi, end = _value_matrix(seg, *_policy_segment(p, pol, t, seg)[3:], Pi), b
-    seg = _segment_nodes(gnodes, t, end, _MIN_SEGMENT_NODES)
-    A, B, W, C, L = _policy_segment(p, pol, t, seg)
-    return (_value_matrix(seg, C, L, Pi),
-            _value_matrix(seg, _held(A, B), W, np.pad(Pi, (0, p.m))))
+    tail_flows = iter(_stacked_flows(tails, policy_drift, n))
+    pol_flows = iter(_stacked_flows(heads, policy_drift, n))
+    dev_flows = iter(_stacked_flows(heads, held_drift, n + m))
+    out = []
+    for (t, _), group in zip(plan, groups):
+        nodes = np.unique(np.concatenate(
+            [seg for _, head, tail in group for seg in (head, tail) if seg is not None]))
+        W = _weights(p, t, nodes)
+        IK = np.concatenate([np.broadcast_to(np.eye(n), (nodes.size, n, n)),
+                             gains[np.searchsorted(half, nodes)]], axis=-2)
+        L = np.swapaxes(IK, -1, -2) @ W @ IK
+        G = p.G.eval(t)
+        mats = {}
+        for e, head, tail in group:
+            Pi = G
+            if tail is not None:
+                Pi = _value_matrix(simpson_weights(tail), next(tail_flows),
+                                   L[np.searchsorted(nodes, tail)], G)
+            i, w = np.searchsorted(nodes, head), simpson_weights(head)
+            mats[e] = (_value_matrix(w, next(pol_flows), L[i], Pi),
+                       _value_matrix(w, next(dev_flows), W[i], np.pad(Pi, (0, m))))
+        out.append(mats)
+    return out
 
 
 def value_identity_gap(p: LQProblem, pol: EquilibriumPolicy, t: float, x,
@@ -327,16 +395,14 @@ def perturbation_limit_closed_form(p: LQProblem, pol: EquilibriumPolicy,
     return float(_closed_forms(pol.gain_many(ts), p.M.eval(ts, ts), x, v)[0])
 
 
-def _spike_matrices(p: LQProblem, pol: EquilibriumPolicy, t: float, eps_list,
-                    grid: TimeGrid) -> dict:
-    """eps -> _splice_matrices at (t, t+eps), largest eps first, after checking
-    that each eps is positive, fits before T and spans >= 4 grid nodes."""
+def _checked_eps(p: LQProblem, t: float, eps_list, gnodes: np.ndarray) -> tuple:
+    """eps_list without repeats, largest first, after checking that each eps
+    is positive, fits before T and spans >= 4 grid nodes."""
     eps = sorted({float(e) for e in eps_list}, reverse=True)
     if not eps or eps[-1] <= 0.0:
         raise InvalidInputError("eps_list must contain positive values")
     if t + eps[0] > p.T + 1e-12 * (1 + p.T):
         raise InvalidInputError("t + eps exceeds the horizon")
-    gnodes = grid.nodes
     hmax = float(np.diff(gnodes).max())
     for e in eps:
         covered = int(np.count_nonzero(
@@ -345,7 +411,7 @@ def _spike_matrices(p: LQProblem, pol: EquilibriumPolicy, t: float, eps_list,
             raise GridTooCoarseError(
                 f"eps={e:g} spans only {covered} grid nodes; refine the grid "
                 f"(max spacing {hmax:g}) or increase eps")
-    return {e: _splice_matrices(p, pol, t, t + e, gnodes) for e in eps}
+    return tuple(eps)
 
 
 def _quotients(mats: dict, x: np.ndarray, v: np.ndarray):
@@ -369,12 +435,13 @@ def perturbation_limit_finite_eps(p: LQProblem, pol: EquilibriumPolicy,
     policy afterwards.  Both costs are the ones cost integrates with the
     breakpoint t+eps (splice sub-grid refined to >= 17 nodes), so
     quadrature bias cancels in the quotient, but read as quadratic forms:
-    x' H_pol x and z' H_dev z with z = (x, v) (see _splice_matrices).
+    x' H_pol x and z' H_dev z with z = (x, v) (see _splice_batch).
     Neither depends on P beyond the policy itself.
     Returns (dict eps -> quotient, extrapolated).
     """
-    g = grid if grid is not None else pol.P.grid
-    mats = _spike_matrices(p, pol, float(t), eps_list, g)
+    gnodes = (grid if grid is not None else pol.P.grid).nodes
+    t = float(t)
+    [mats] = _splice_batch(p, pol, [(t, _checked_eps(p, t, eps_list, gnodes))], gnodes)
     return _quotients(mats, np.asarray(x, dtype=float).reshape(p.n),
                       np.asarray(v, dtype=float).reshape(p.m))
 
@@ -453,7 +520,8 @@ def equilibrium_certificate(p: LQProblem, pol: EquilibriumPolicy,
     quotients — independent evidence through the actual cost functional —
     run on the +axis states with deviations probing around the policy
     value, which is where a wrong kernel becomes visible.  They read every
-    quotient at t from one (H_pol, H_dev) pair per eps.
+    quotient at t from one (H_pol, H_dev) pair per eps, and one
+    _splice_batch builds the pairs of all times.
     Passes when every closed form is >= -tol_closed_form and every
     extrapolated quotient is >= -tol_finite_eps.
     """
@@ -466,20 +534,23 @@ def equilibrium_certificate(p: LQProblem, pol: EquilibriumPolicy,
     eye_n = np.eye(n)
     eye_m = np.eye(m)
     kappa = spec.axis_scale
-    # an eps probe needs >= 4 grid nodes inside [t, t+eps] to be resolvable
-    h_floor = 4.0 * float(np.diff(pol.P.grid.nodes).max())
+    mats_at = [None] * times.size  # per time: eps -> (H_pol, H_dev)
+    if spec.finite_eps:
+        gnodes = pol.P.grid.nodes
+        # an eps probe needs >= 4 grid nodes inside [t, t+eps] to be resolvable
+        h_floor = 4.0 * float(np.diff(gnodes).max())
+        spikes = []
+        for t in times:
+            t = float(t)
+            if spec.eps_list is not None:
+                eps = spec.eps_list
+            else:
+                base = min(0.1 * T, 0.25 * (T - t))
+                eps = {max(e, min(h_floor, base)) for e in (base, 0.5 * base, 0.25 * base)}
+            spikes.append((t, _checked_eps(p, t, eps, gnodes)))
+        mats_at = _splice_batch(p, pol, spikes, gnodes)
     plan = []  # (time index, x, v, quotients, extrapolated) per sample
-    for it, t in enumerate(times):
-        t = float(t)
-        if spec.eps_list is not None:
-            eps = tuple(spec.eps_list)
-        else:
-            base = min(0.1 * T, 0.25 * (T - t))
-            eps = (base, 0.5 * base, 0.25 * base)
-            eps = tuple(sorted({max(e, min(h_floor, base)) for e in eps},
-                               reverse=True))
-        mats = (_spike_matrices(p, pol, t, eps, pol.P.grid)
-                if spec.finite_eps else None)
+    for it, mats in enumerate(mats_at):
         for i in range(n):
             for sgn in (1.0, -1.0):
                 x = sgn * eye_n[i]

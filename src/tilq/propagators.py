@@ -39,25 +39,44 @@ def _coefficient_samples(coefficient, nodes):
     return out
 
 
-def rk4_flow(nodes: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Classical RK4 fundamental matrices of x' = C(t) x, all steps at once.
+def rk4_steps(hs: np.ndarray, C0: np.ndarray, Cm: np.ndarray, C1: np.ndarray
+              ) -> np.ndarray:
+    """Classical RK4 step matrices of x' = C(t) x, all steps at once.
 
-    C is sampled at half_times(nodes), shape (2K-1, n, n).  Returns U of
-    shape (K, n, n) with U[0] = I and x(nodes[k]) = U[k] x(nodes[0]).
+    Step i has length hs[i] and C sampled at its start, midpoint and end
+    (C0[i], Cm[i], C1[i], each of shape (n, n)).  Returns E of shape
+    (len(hs), n, n): x(start + hs[i]) = E[i] x(start).
     """
-    hs = np.diff(nodes)[:, None, None]
-    eye = np.eye(C.shape[-1])
-    C0, Cm, C1 = C[0:-1:2], C[1::2], C[2::2]
+    hs = hs[:, None, None]
+    eye = np.eye(C0.shape[-1])
     K1 = C0
     K2 = Cm @ (eye + 0.5 * hs * K1)
     K3 = Cm @ (eye + 0.5 * hs * K2)
     K4 = C1 @ (eye + hs * K3)
-    E = eye + (hs / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
-    U = np.empty((nodes.size,) + E.shape[1:])
-    U[0] = eye
-    for i in range(nodes.size - 1):
+    return eye + (hs / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
+
+
+def flow_prefix(E: np.ndarray) -> np.ndarray:
+    """Prefix products U[0] = I, U[i+1] = E[i] U[i] of step matrices.
+
+    E has shape (K-1, ..., n, n): axes between the step axis and the matrix
+    axes stack independent flows, which one loop over the steps advances
+    together.  Returns U of shape (K, ..., n, n).
+    """
+    U = np.empty((E.shape[0] + 1,) + E.shape[1:])
+    U[0] = np.eye(E.shape[-1])
+    for i in range(E.shape[0]):
         U[i + 1] = E[i] @ U[i]
     return U
+
+
+def rk4_flow(nodes: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Classical RK4 fundamental matrices of x' = C(t) x.
+
+    C is sampled at half_times(nodes), shape (2K-1, n, n).  Returns U of
+    shape (K, n, n) with U[0] = I and x(nodes[k]) = U[k] x(nodes[0]).
+    """
+    return flow_prefix(rk4_steps(np.diff(nodes), C[0:-1:2], C[1::2], C[2::2]))
 
 
 def flow_condition(values, inverses, *, stacklevel: int = 2) -> float:

@@ -545,7 +545,13 @@ class _Engine:
         values[a:b] = boundary
         diffs = []
         for it in range(1, max_iter + 1):
-            new = self.picard_iterate(values, a, b, boundary)
+            # a diverging iterate overflows or leaves a flow singular; the
+            # non-finite check below, or the except, makes that _Diverged
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    new = self.picard_iterate(values, a, b, boundary)
+            except np.linalg.LinAlgError as exc:
+                raise _Diverged(f"singular matrix in the iterate: {exc}") from exc
             if not np.all(np.isfinite(new)):
                 raise _Diverged("non-finite iterate")
             d = float(matrix_norm_many(new - values[a:b + 1]).max())

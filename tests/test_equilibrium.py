@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,10 @@ from tilq import (
     solve_riccati,
     value_identity_gap,
 )
-from tilq.equilibrium import SampleSpec, _splice_matrices
+import tilq.equilibrium as eq
+from tilq._quad import simpson_weights
+from tilq.equilibrium import SampleSpec, _splice_batch
+from tilq.propagators import half_times
 
 TANH1 = 0.7615941559557649  # tanh(1)
 TANH1_SQ = 0.5800256583859739  # tanh(1)^2
@@ -280,19 +285,16 @@ def test_value_matrices_match_path_cost(hyperbolic_scalar, hyp_policy, n3_policy
     # the path; any linear policy will do, so the third case (a two-time S,
     # which enters through the cross weight) runs on a made-up P
     p_s = _two_time_s_problem()
-    g = TimeGrid.uniform(1.0, 120)
-    t_n = g.nodes[:, None, None]
-    fake = RiccatiSolution(g, (1.0 + 0.5 * np.cos(2.0 * t_n)) * np.eye(3)
-                           + 0.1 * t_n * np.ones((3, 3)))
-    cases = [(hyperbolic_scalar, hyp_policy), n3_policy, (p_s, build_policy(p_s, fake))]
+    cases = [(hyperbolic_scalar, hyp_policy), n3_policy, (p_s, build_policy(p_s, _made_up_p()))]
+    # the last two splices end at t + eps = T
+    splices = [(0.0, 0.1), (0.3125, 0.0390625), (0.5, 0.2), (0.75, 0.25), (0.5, 0.5)]
+    plan = [(t, (e,)) for t, e in splices]
     for p, pol in cases:
         grid = pol.P.grid
         states = [np.linspace(1.0, -0.5, p.n), -np.ones(p.n)]
-        # the last two splices end at t + eps = T
-        for t, e in [(0.0, 0.1), (0.3125, 0.0390625), (0.5, 0.2), (0.75, 0.25),
-                     (0.5, 0.5)]:
+        for (t, e), mats in zip(splices, _splice_batch(p, pol, plan, grid.nodes)):
             b = t + e
-            H_pol, H_dev = _splice_matrices(p, pol, t, b, grid.nodes)
+            H_pol, H_dev = mats[e]
             for x in states:
                 want = cost(p, t, x, [pol, pol], grid, breakpoints=(b,))
                 np.testing.assert_allclose(x @ H_pol @ x, want, rtol=1e-12, atol=0.0)
@@ -304,6 +306,122 @@ def test_value_matrices_match_path_cost(hyperbolic_scalar, hyp_policy, n3_policy
     fe, _ = perturbation_limit_finite_eps(p, pol, 0.75, np.ones(1), np.zeros(1),
                                           [0.25, 0.125])
     assert set(fe) == {0.25, 0.125}
+
+
+def _made_up_p(g=None):
+    """A smooth symmetric 3 x 3 'P' on g (uniform, 120 intervals, by default):
+    the value matrices take any linear policy."""
+    g = g if g is not None else TimeGrid.uniform(1.0, 120)
+    t_n = g.nodes[:, None, None]
+    return RiccatiSolution(g, (1.0 + 0.5 * np.cos(2.0 * t_n)) * np.eye(3)
+                           + 0.1 * t_n * np.ones((3, 3)))
+
+
+# --- reference: one splice at a time, each flow by its own RK4 loop ------
+
+def _ref_rk4_flow(nodes, C):
+    hs = np.diff(nodes)[:, None, None]
+    eye = np.eye(C.shape[-1])
+    C0, Cm, C1 = C[0:-1:2], C[1::2], C[2::2]
+    K1 = C0
+    K2 = Cm @ (eye + 0.5 * hs * K1)
+    K3 = Cm @ (eye + 0.5 * hs * K2)
+    K4 = C1 @ (eye + hs * K3)
+    E = eye + (hs / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
+    U = np.empty((nodes.size,) + E.shape[1:])
+    U[0] = eye
+    for i in range(nodes.size - 1):
+        U[i + 1] = E[i] @ U[i]
+    return U
+
+
+def _ref_value_matrix(seg, C, L, final):
+    Phi = _ref_rk4_flow(seg, C)
+    PhiT = np.swapaxes(Phi, -1, -2)
+    running = np.tensordot(simpson_weights(seg), PhiT @ L @ Phi, axes=(0, 0))
+    return running + PhiT[-1] @ final @ Phi[-1]
+
+
+def _ref_policy_segment(p, pol, t, seg):
+    half = half_times(seg)
+    A, B = p.A.eval(half), p.B.eval(half)
+    gains = pol.gain_many(half)
+    W = eq._weights(p, t, seg)
+    IK = np.concatenate([np.broadcast_to(np.eye(p.n), (seg.size, p.n, p.n)),
+                         gains[0::2]], axis=-2)
+    return A, B, W, A + B @ gains, np.swapaxes(IK, -1, -2) @ W @ IK
+
+
+def _ref_splice_matrices(p, pol, t, b, gnodes):
+    T = p.T
+    Pi, end = p.G.eval(t), T
+    if T - b > 1e-12 * (1.0 + T):
+        seg = eq._segment_nodes(gnodes, b, T, eq._MIN_SEGMENT_NODES)
+        Pi, end = _ref_value_matrix(seg, *_ref_policy_segment(p, pol, t, seg)[3:], Pi), b
+    seg = eq._segment_nodes(gnodes, t, end, eq._MIN_SEGMENT_NODES)
+    A, B, W, C, L = _ref_policy_segment(p, pol, t, seg)
+    return (_ref_value_matrix(seg, C, L, Pi),
+            _ref_value_matrix(seg, eq._held(A, B), W, np.pad(Pi, (0, p.m))))
+
+
+def _assert_per_splice(p, pol, plan, gnodes, batch):
+    assert len(batch) == len(plan)
+    for (t, eps), mats in zip(plan, batch):
+        assert list(mats) == list(eps)
+        for e in eps:
+            want = _ref_splice_matrices(p, pol, t, t + e, gnodes)
+            for got, ref in zip(mats[e], want):
+                np.testing.assert_array_equal(got, ref)
+
+
+def test_splice_batch_matches_per_splice_build(n3_policy, monkeypatch):
+    # the batch evaluates each table once and runs the flows stacked, but
+    # computes every number as the splice-by-splice build did: bit for bit
+    p, pol = n3_policy
+    seen = []
+    real = eq._splice_batch
+
+    def recorded(*args):
+        seen.append((args, real(*args)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(eq, "_splice_batch", recorded)
+    # the default plan refines the smallest eps heads to 17 nodes
+    equilibrium_certificate(p, pol)
+    equilibrium_certificate(p, pol, SampleSpec(times=(0.0, 0.3, 0.6), eps_list=(0.2, 0.01)))
+    monkeypatch.undo()
+    assert len(seen) == 2
+    for (_, _, plan, gnodes), batch in seen:
+        _assert_per_splice(p, pol, plan, gnodes, batch)
+    # t + eps = T (an empty tail, one with the whole horizon as head) next to
+    # a short refined head
+    gnodes = pol.P.grid.nodes
+    plan = [(0.75, (0.25, 0.01)), (0.9, (0.1,)), (0.0, (1.0, 0.5))]
+    _assert_per_splice(p, pol, plan, gnodes, _splice_batch(p, pol, plan, gnodes))
+    # a two-time S on a random nonuniform grid
+    rng = np.random.default_rng(3)
+    g = TimeGrid(np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, 150)), [1.0]]))
+    p_s = _two_time_s_problem()
+    pol_s = build_policy(p_s, _made_up_p(g))
+    plan = [(float(g.nodes[3]), (0.2, 0.05, 0.01)), (0.37, (0.3,)), (0.6, (0.4,))]
+    _assert_per_splice(p_s, pol_s, plan, g.nodes, _splice_batch(p_s, pol_s, plan, g.nodes))
+
+
+def test_certificate_memory_is_flat_in_the_splices(n3_policy):
+    # the batch stacks steps and flows, not per-splice tables: the 30 tails
+    # take two stacks of 1601 x 30 x 3 x 3 doubles (7 MiB) at N = 1600;
+    # keeping A, B, W, C and L of every segment alive at once as well
+    # would grow with the number of segments times K
+    p, pol = n3_policy
+    g = TimeGrid.uniform(1.0, 1600)
+    fine = build_policy(p, RiccatiSolution(g, pol.P.eval_many(g.nodes)))
+    tracemalloc.start()
+    try:
+        equilibrium_certificate(p, fine)
+        peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16.0
 
 
 def test_certificate_tail_matches_path_based(n3_policy):
@@ -334,21 +452,21 @@ def test_certificate_tail_matches_path_based(n3_policy):
 
 def test_certificate_builds_each_splice_once(n3_policy, monkeypatch):
     # one (H_pol, H_dev) pair per (t, eps), shared by all states and
-    # deviations at t
-    import tilq.equilibrium as eq
-
+    # deviations at t, all from one batch
     p, pol = n3_policy
-    builds = []
-    real = eq._splice_matrices
+    plans = []
+    real = eq._splice_batch
 
-    def counted(*args, **kwargs):
-        builds.append(args[2:4])
-        return real(*args, **kwargs)
+    def counted(*args):
+        plans.append(args[2])
+        return real(*args)
 
-    monkeypatch.setattr(eq, "_splice_matrices", counted)
+    monkeypatch.setattr(eq, "_splice_batch", counted)
     spec = SampleSpec(times=(0.0, 0.25, 0.5), eps_list=(0.1, 0.05))
     rep = equilibrium_certificate(p, pol, spec)
     monkeypatch.undo()
     assert sum(s.finite_eps is not None for s in rep.samples) == 3 * p.n * (1 + 2 * p.m)
+    assert len(plans) == 1
+    builds = [(t, e) for t, eps in plans[0] for e in eps]
     assert len(builds) == len(spec.times) * len(spec.eps_list)
     assert len(set(builds)) == len(builds)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -480,3 +481,20 @@ def test_condition_warning_covers_the_window_tail():
     with pytest.warns(RuntimeWarning, match="propagator condition number"):
         sol = solve_riccati(p, TimeGrid.uniform(1.0, 100))
     assert max(w["b"] - w["a"] for w in sol.meta["windows"]) <= 0.25
+
+
+def test_diverging_window_emits_no_numpy_warning():
+    # A = 0.5 over T = 20 grows the flow past the double range inside a
+    # quarter-horizon window; such an iterate is rejected as non-finite, so
+    # the overflow it passes through is no warning.  P is not checked here.
+    one = np.eye(1)
+    p = hyperbolic_problem(one, one, one, A=0.5 * one, B=one, k=1.0, theta=1.0, T=20.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            solve_riccati(p, TimeGrid.uniform(20.0, 1700))
+        except NonconvergenceError:
+            pass
+    numpy_warnings = [str(w.message) for w in caught
+                      if issubclass(w.category, RuntimeWarning) and "encountered" in str(w.message)]
+    assert numpy_warnings == []
