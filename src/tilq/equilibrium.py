@@ -530,6 +530,8 @@ def equilibrium_certificate(p: LQProblem, pol: EquilibriumPolicy,
     n, m = p.n, p.m
     times = (np.asarray(spec.times, dtype=float) if spec.times is not None
              else np.linspace(0.0, 0.8 * T, 10))
+    if times.ndim != 1 or times.size == 0:
+        raise InvalidInputError("SampleSpec.times must be a non-empty sequence of times")
     gains = pol.gain_many(times)
     eye_n = np.eye(n)
     eye_m = np.eye(m)

@@ -3,7 +3,9 @@
 The propagator stores U at the grid nodes (classical fourth-order one-step
 Runge-Kutta per interval, U(nodes[0]) = I) plus the slopes C(t_i) U(t_i) for
 cubic Hermite dense output between nodes.  Transitions Phi(t, s) =
-U(t) U(s)^{-1} come from linear solves, never from stored inverses.
+U(t) U(s)^{-1} come from linear solves, never from stored inverses; the
+node inverses U^{-1} that the condition check needs are kept for callers
+that conjugate by the flow at the nodes themselves.
 """
 from __future__ import annotations
 
@@ -94,7 +96,10 @@ def flow_condition(values, inverses, *, stacklevel: int = 2) -> float:
 
 
 class Propagator:
-    """Fundamental solution on a node array; see fundamental_solution."""
+    """Fundamental solution on a node array; see fundamental_solution.
+
+    values[k] is U at nodes[k] and inverse[k] its inverse.
+    """
 
     def __init__(self, nodes, values, slopes, coefficient=None):
         self.nodes = np.asarray(nodes, dtype=float)
@@ -102,7 +107,8 @@ class Propagator:
         self.slopes = slopes
         self.coefficient = coefficient
         self.dim = values.shape[-1]
-        self.condition = flow_condition(values, np.linalg.inv(values), stacklevel=3)
+        self.inverse = np.linalg.inv(values)
+        self.condition = flow_condition(values, self.inverse, stacklevel=3)
 
     def value_many(self, ts) -> np.ndarray:
         """U(t) for a 1-d array of times inside [nodes[0], nodes[-1]]."""

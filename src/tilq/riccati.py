@@ -28,7 +28,15 @@ problem and reduces the norms behind the contraction constants.  On a
 window [a, b] the nonlocal term splits at the first node c past b from
 which the closed loop reads solved nodes only: the tail r >= c is folded
 once per window into one n x n matrix per row, so each iterate integrates
-the flow and contracts the kernel partials on [a, c] alone.
+the flow and contracts the kernel partials on [a, c] alone.  Those partials
+are evaluated once per window, on the rectangle of each 32-row block and its
+columns, and written in place into the layout the iterates contract.
+
+An iterate recomputes only what depends on the iterate: M^{-1}B' and
+M^{-1}S are tabulated when the engine is built and the inverse of the
+drift-only flow is kept from its condition check, so the gain, the drift
+and the window map multiply instead of solving.  Each window after the
+first starts from the local cubic through the solved nodes next to it.
 """
 from __future__ import annotations
 
@@ -45,7 +53,7 @@ import numpy as np
 from ._quad import integrate, left_slice_weights, local_cubic, tail_slice_weights
 from .errors import InvalidInputError, NonconvergenceError
 from .grids import TimeGrid
-from .kernels import _triangle_rows, kernel_norms, matrix_norm, matrix_norm_many
+from .kernels import _ROW_BLOCK, kernel_norms, matrix_norm, matrix_norm_many
 from .problem import LQProblem, _sym, _triangle_pass
 from .propagators import (Propagator, flow_condition, fundamental_solution, half_times,
                           rk4_flow)
@@ -351,8 +359,12 @@ class _Window(NamedTuple):
 class _Engine:
     """Caches per-grid samples and runs fixed-point window iterations.
 
-    The cached properties hold full-grid tables of the fixed solution values.
-    psi, the drift-only flow of A on grid, is built here unless given.
+    Construction tabulates what no iterate changes: A and B at the half
+    times (nodes and interval midpoints), the feedback tables M^{-1}B' and
+    M^{-1}S there (so Ups = MiBt P + MiS is a product, not a solve), M, Q and
+    Gdot at the nodes, and psi, the drift-only flow of A on grid with its
+    inverse, built here unless given.  The cached properties hold full-grid
+    tables of the fixed solution values.
     """
 
     def __init__(self, p: LQProblem, grid: TimeGrid, values=None, psi=None):
@@ -364,11 +376,18 @@ class _Engine:
         self.half = half = half_times(nodes)
         self.A_half = p.A.eval(half)
         self.B_half = p.B.eval(half)
-        self.M_half = p.M.eval(half, half)
-        self.S_half = p.S.eval(half, half)
-        self.B_nodes = self.B_half[0::2]
-        self.M_nodes = self.M_half[0::2]
-        self.S_nodes = self.S_half[0::2]
+        M_half = p.M.eval(half, half)
+        # feedback tables: Ups = M^{-1}B' P + M^{-1}S at every half time, so
+        # no iterate solves against M
+        try:
+            M_inv = np.linalg.inv(M_half)
+        except np.linalg.LinAlgError as exc:
+            raise InvalidInputError("M(s, s) is singular at a node or midpoint") from exc
+        self.MiBt_half = M_inv @ np.swapaxes(self.B_half, -1, -2)
+        self.MiS_half = M_inv @ p.S.eval(half, half)
+        self.MiBt_nodes = self.MiBt_half[0::2]
+        self.MiS_nodes = self.MiS_half[0::2]
+        self.M_nodes = M_half[0::2]
         self.Q_nodes = p.Q.eval(nodes, nodes)
         self.Gd_nodes = p.G.eval_dt(nodes)
         self.G_T = _sym(p.G.eval(grid.T))
@@ -394,18 +413,16 @@ class _Engine:
         return self._win_w[key]
 
     def upsilon_nodes(self, values: np.ndarray, lo: int, hi: int | None = None) -> np.ndarray:
-        """Ups = M^{-1}(B'P + S) at nodes[lo:hi]."""
+        """Ups = M^{-1}(B'P + S) at nodes[lo:hi], from the feedback tables."""
         sl = slice(lo, hi)
-        rhs = np.swapaxes(self.B_nodes[sl], -1, -2) @ values[sl] + self.S_nodes[sl]
-        return np.linalg.solve(self.M_nodes[sl], rhs)
+        return self.MiBt_nodes[sl] @ values[sl] + self.MiS_nodes[sl]
 
     def drift(self, values: np.ndarray, a: int, lo: int, hi: int) -> np.ndarray:
         """Closed-loop drift A - B Ups at the half times of nodes lo..hi, P
         interpolated by the local cubic on nodes[a:]."""
         h = slice(2 * lo, 2 * hi + 1)
         Pm = local_cubic(self.nodes[a:], values[a:], self.half[h])
-        rhs = np.swapaxes(self.B_half[h], -1, -2) @ Pm + self.S_half[h]
-        return self.A_half[h] - self.B_half[h] @ np.linalg.solve(self.M_half[h], rhs)
+        return self.A_half[h] - self.B_half[h] @ (self.MiBt_half[h] @ Pm + self.MiS_half[h])
 
     def closed_loop(self, values: np.ndarray, a: int) -> Propagator:
         """Closed-loop fundamental solution U on nodes[a:], U(nodes[a]) = I."""
@@ -420,30 +437,41 @@ class _Engine:
         K = self.nodes.size
         return b + 1 if b <= K - 4 else K - 1
 
-    def triangle_block(self, row_of: np.ndarray, tail: np.ndarray, c: int):
-        """Weighted kernel partials of the rows i0 <= i < i1 of one block
-        (row_of, tail) of kernels._triangle_rows, split at column c.
+    def triangle_block(self, i0: int, i1: int, c: int):
+        """Weighted kernel partials of the rows i0 <= i < i1 against the
+        columns r >= i0, split at column c.
 
         Returns (core, folded): core[r - i0, :, i - i0, :] = W[i, r]
-        [[Q_t, -S_t'], [-S_t, M_t]](s_i, r) for i <= r < c and zero for
-        r < i, with W = tail_weights; folded holds the columns r >= c in the
-        same way, at r - c.  Tail nodes lead, so one matrix product per tail
-        node serves every row.
+        [[Q_t, -S_t'], [-S_t, M_t]](s_i, r) for i0 <= r < c, with W =
+        tail_weights; folded holds the columns r >= c in the same way, at
+        r - c.  Tail nodes lead, so one matrix product per tail node serves
+        every row.  The kernels are evaluated once on the rectangle of rows
+        and columns, column by column, and each weighted block is written in
+        place.  A column left of the diagonal is clipped to the pair
+        (s_i, s_i): W[i, r] = 0 there, and no kernel sees t > s.  core and
+        folded are separate arrays, so a window that keeps its cores does not
+        keep the folded columns alive.
         """
-        p, K = self.p, self.nodes.size
-        i0, i1 = int(row_of[0]), int(row_of[-1]) + 1
-        s, r = self.nodes[row_of], self.nodes[tail]
-        w = self.tail_weights[row_of, tail][:, None, None]
-        Sd = p.S.eval_dt(s, r)
-        pairs = w * np.block([[p.Q.eval_dt(s, r), -np.swapaxes(Sd, -1, -2)],
-                              [-Sd, p.M.eval_dt(s, r)]])
-        q = pairs.shape[-1]
-        out = []
-        for lo, hi, sel in ((i0, c, tail < c), (c, K, tail >= c)):
-            dense = np.zeros((hi - lo, q, i1 - i0, q))
-            dense[tail[sel] - lo, :, row_of[sel] - i0, :] = pairs[sel]
-            out.append(dense)
-        return tuple(out)
+        p, nodes, K = self.p, self.nodes, self.nodes.size
+        n, m = p.n, p.m
+        rows, cols = i1 - i0, K - i0
+        i = np.arange(i0, i1)
+        s = np.broadcast_to(nodes[i], (cols, rows)).ravel()
+        r = nodes[np.maximum(np.arange(i0, K)[:, None], i)].ravel()
+        w = self.tail_weights[i0:i1, i0:].T.reshape(cols, rows, 1, 1)
+        # weighted in pair order (column, row), then moved to (column, :, row, :)
+        Qw = (w * p.Q.eval_dt(s, r).reshape(cols, rows, n, n)).transpose(0, 2, 1, 3)
+        Sw = (-w * p.S.eval_dt(s, r).reshape(cols, rows, m, n)).transpose(0, 2, 1, 3)
+        Mw = (w * p.M.eval_dt(s, r).reshape(cols, rows, m, m)).transpose(0, 2, 1, 3)
+        parts = []
+        for lo, hi in ((0, c - i0), (c - i0, cols)):
+            out = np.empty((hi - lo, n + m, rows, n + m))
+            out[:, :n, :, :n] = Qw[lo:hi]
+            out[:, :n, :, n:] = Sw[lo:hi].transpose(0, 3, 2, 1)
+            out[:, n:, :, :n] = Sw[lo:hi]
+            out[:, n:, :, n:] = Mw[lo:hi]
+            parts.append(out)
+        return tuple(parts)
 
     def window(self, values: np.ndarray, a: int, b: int) -> _Window:
         """The _Window of rows [a, b], its blocks built one at a time.
@@ -461,9 +489,9 @@ class _Engine:
         end = flow[-1]
 
         def blocks():
-            for row_of, tail in _triangle_rows(K, a, b):
-                i0, i1 = int(row_of[0]), int(row_of[-1]) + 1
-                core, folded = self.triangle_block(row_of, tail, c)
+            for i0 in range(a, b + 1, _ROW_BLOCK):
+                i1 = min(i0 + _ROW_BLOCK, b + 1)
+                core, folded = self.triangle_block(i0, i1, c)
                 yield i0, core, _contract(folded, Lt) + end.T @ self.Gd_nodes[i0:i1] @ end
 
         return _Window(c, flow, np.linalg.inv(flow), blocks())
@@ -494,9 +522,10 @@ class _Engine:
         and Ups on [a, c] only and contracts the pairs r < c.  The flow is
         anchored per block, not at the window start, so each U_i spans fewer
         than _ROW_BLOCK intervals: inverting the flow of a whole window would
-        amplify rounding by its condition number squared.  The condition
-        warning of Propagator still covers the flow over [s_a, T], composed
-        as Phi(r, s_c) U_c past c.
+        amplify rounding by its condition number squared.  The anchoring is
+        one solve per block, and one inverse of the block's U_i conjugates
+        its rows.  The condition warning of Propagator still covers the flow
+        over [s_a, T], composed as Phi(r, s_c) U_c past c.
 
         Row i of W is tail_weights[i], the local cubic rule on nodes[i:]
         alone.  So the two-node tail of row K-2 is the trapezoid rule and the
@@ -515,34 +544,45 @@ class _Engine:
             Ub = _anchored(U[j0:], U[j0])
             L = np.concatenate([Ub[:-1], ups[j0:] @ Ub[:-1]], axis=1)
             acc = _contract(core, L) + Ub[-1].T @ Z @ Ub[-1]
-            UiT = np.swapaxes(Ub[:rows], -1, -2)
-            X = np.swapaxes(np.linalg.solve(UiT, acc), -1, -2)
-            out[j0:j0 + rows] = np.linalg.solve(UiT, X)
+            Ui_inv = np.linalg.inv(Ub[:rows])
+            out[j0:j0 + rows] = np.swapaxes(Ui_inv, -1, -2) @ acc @ Ui_inv
         return _sym(out)
 
     def picard_iterate(self, values: np.ndarray, a: int, b: int,
                        boundary: np.ndarray) -> np.ndarray:
-        """One application of the window map; returns values on nodes[a:b+1]."""
+        """One application of the window map; returns values on nodes[a:b+1].
+
+        The map conjugates by the drift-only flow psi and its stored inverse.
+        """
         F = self.f_diag(values, a, b, self.cached_window(values, a, b))
         ups = self.upsilon_nodes(values, a, b + 1)
         quad = np.swapaxes(ups, -1, -2) @ self.M_nodes[a:b + 1] @ ups
         R = self.Q_nodes[a:b + 1] - F - quad
         UA = self.psi.values[a:b + 1]
-        UAT = np.swapaxes(UA, -1, -2)
-        Y = UAT @ R @ UA
+        Y = np.swapaxes(UA, -1, -2) @ R @ UA
         Sl = np.tensordot(self.window_weights(a, b), Y, axes=(1, 0))
         UAb = self.psi.values[b]
         C = (UAb.T @ boundary @ UAb) + Sl
-        X = np.linalg.solve(UAT, C)
-        new = np.swapaxes(np.linalg.solve(UAT, np.swapaxes(X, -1, -2)), -1, -2)
-        new = _sym(new)
+        UA_inv = self.psi.inverse[a:b + 1]
+        new = _sym(np.swapaxes(UA_inv, -1, -2) @ C @ UA_inv)
         new[-1] = boundary
         return new
 
     def run_window(self, values: np.ndarray, a: int, b: int, boundary: np.ndarray,
                    tol: float, max_iter: int, ball_cap: float) -> dict:
-        """Iterate window [a, b] to tolerance, mutating values in place."""
-        values[a:b] = boundary
+        """Iterate window [a, b] to tolerance, mutating values in place.
+
+        The window starts from the local cubic through the solved nodes
+        b..b+3, extrapolated to nodes[a:b].  The first window has no such
+        nodes, and an extrapolation that is not finite or leaves the a-priori
+        ball (ball_cap) is dropped; those windows start from boundary.
+        """
+        start = boundary
+        if b + 3 < self.nodes.size:
+            cubic = local_cubic(self.nodes[b:b + 4], values[b:b + 4], self.nodes[a:b])
+            if np.all(np.isfinite(cubic)) and float(matrix_norm_many(cubic).max()) <= ball_cap:
+                start = cubic
+        values[a:b] = start
         diffs = []
         for it in range(1, max_iter + 1):
             # a diverging iterate overflows or leaves a flow singular; the

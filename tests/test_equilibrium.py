@@ -241,6 +241,14 @@ def test_certificate_flags_corruption(hyperbolic_scalar, hyperbolic_solution):
     assert rep.worst_extrapolated < -1e-4
 
 
+
+@pytest.mark.parametrize("finite_eps", [True, False])
+def test_certificate_rejects_empty_times(hyperbolic_scalar, hyp_policy, finite_eps):
+    # no time to sample is an input error, with or without the eps quotients
+    spec = SampleSpec(times=(), finite_eps=finite_eps)
+    with pytest.raises(InvalidInputError, match="times"):
+        equilibrium_certificate(hyperbolic_scalar, hyp_policy, spec)
+
 def _path_quotients(p, pol, t, x, v, eps):
     """Quotients and extrapolation from two plain path-based cost calls per eps."""
     g = pol.P.grid

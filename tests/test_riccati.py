@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -29,7 +30,7 @@ from tilq import (
     upsilon,
     validate_assumptions,
 )
-from tilq._quad import simpson_weights
+from tilq._quad import local_cubic, simpson_weights
 from tilq.kernels import _ROW_BLOCK, matrix_norm_many
 from tilq.propagators import closed_loop_coefficient
 from tilq.riccati import RiccatiSolution, _Engine, q_bar_nodes
@@ -498,3 +499,155 @@ def test_diverging_window_emits_no_numpy_warning():
     numpy_warnings = [str(w.message) for w in caught
                       if issubclass(w.category, RuntimeWarning) and "encountered" in str(w.message)]
     assert numpy_warnings == []
+
+
+# --- the window pair blocks, the feedback tables and the warm start ------------
+
+def _scatter_block(engine, i0, i1, c):
+    """Reference build of _Engine.triangle_block: the kernels on the
+    triangle pairs of rows [i0, i1) only, packed with np.block, weighted by a
+    gather from tail_weights and scattered into zero-filled arrays."""
+    p, K = engine.p, engine.nodes.size
+    row_of = np.repeat(np.arange(i0, i1), K - np.arange(i0, i1))
+    tail = np.concatenate([np.arange(i, K) for i in range(i0, i1)])
+    s, r = engine.nodes[row_of], engine.nodes[tail]
+    w = engine.tail_weights[row_of, tail][:, None, None]
+    Sd = p.S.eval_dt(s, r)
+    pairs = w * np.block([[p.Q.eval_dt(s, r), -np.swapaxes(Sd, -1, -2)],
+                          [-Sd, p.M.eval_dt(s, r)]])
+    q = pairs.shape[-1]
+    out = []
+    for lo, hi, sel in ((i0, c, tail < c), (c, K, tail >= c)):
+        dense = np.zeros((hi - lo, q, i1 - i0, q))
+        dense[tail[sel] - lo, :, row_of[sel] - i0, :] = pairs[sel]
+        out.append(dense)
+    return tuple(out)
+
+
+def _on_triangle(k, dims, symmetric):
+    """k as a plain pointwise callable with finite-difference partials that
+    refuses every pair with t > s."""
+    def fn(t, s):
+        assert t <= s, (t, s)
+        return k.eval(t, s)
+
+    return TwoTimeKernel.from_callable(fn, dims, 1.0, symmetry_required=symmetric)
+
+
+def _guarded_problem():
+    p = _coupled_problem()
+    return LQProblem(A=p.A, B=p.B, Q=_on_triangle(p.Q, (3, 3), True),
+                     S=_on_triangle(p.S, (2, 3), False), M=_on_triangle(p.M, (2, 2), True),
+                     G=p.G)
+
+
+_K41, _K101 = np.linspace(0.0, 1.0, 41), np.linspace(0.0, 1.0, 101)
+_RANDOM41 = np.sort(np.concatenate([[0.0, 1.0], np.random.default_rng(8).uniform(0, 1, 39)]))
+_RANDOM101 = np.sort(np.concatenate([[0.0, 1.0], np.random.default_rng(8).uniform(0, 1, 99)]))
+
+
+@pytest.mark.parametrize("problem, nodes", [
+    ("n3", _K101), ("n3", _RANDOM101), ("guarded", _K41), ("guarded", _RANDOM41)])
+def test_triangle_block_matches_pair_scatter(problem, nodes):
+    p = _n3_problem() if problem == "n3" else _guarded_problem()
+    engine = _Engine(p, TimeGrid(nodes))
+    K = nodes.size
+    # (i0, i1, c): the last block of a window split at c = b + 1, an inner
+    # block, and the blocks of windows with b = K - 1 and b = K - 3, which
+    # split at c = K - 1
+    for i0, i1, c in [(1, 33, 33), (8, 20, 30), (K - 31, K, K - 1), (K - 26, K - 2, K - 1)]:
+        core, folded = engine.triangle_block(i0, i1, c)
+        want_core, want_folded = _scatter_block(engine, i0, i1, c)
+        assert core.shape == want_core.shape and folded.shape == want_folded.shape
+        np.testing.assert_array_equal(core, want_core)
+        np.testing.assert_array_equal(folded, want_folded)
+        # a window keeps its cores; they must not keep the folded columns
+        assert not np.shares_memory(core, folded)
+
+
+def test_picard_iterate_solves_against_neither_m_nor_psi(monkeypatch):
+    # one iterate of an n3 window at N=400 multiplies by the tabulated
+    # M^{-1}B', M^{-1}S and psi^{-1}; only the per-block anchoring of the
+    # closed-loop flow still solves
+    p, g = _n3_problem(), TimeGrid.uniform(1.0, 400)
+    engine = _Engine(p, g)
+    nodes = g.nodes
+    a, b = 200, 300
+    values = _smooth_values(nodes)
+    callers = []
+    real_solve = np.linalg.solve
+
+    def counted(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    engine.picard_iterate(values, a, b, values[b])
+    monkeypatch.undo()
+    assert set(callers) <= {"_anchored"}
+    assert len(callers) <= math.ceil((b - a + 1) / _ROW_BLOCK)
+
+    # the tables give the solve-based gain and closed-loop drift
+    def gain(ts, P):
+        rhs = np.swapaxes(p.B.eval(ts), -1, -2) @ P + p.S.eval(ts, ts)
+        return np.linalg.solve(p.M.eval(ts, ts), rhs)
+
+    def close(got, want):
+        return np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    assert close(engine.upsilon_nodes(values, a, b + 1), gain(nodes[a:b + 1], values[a:b + 1]))
+    half = engine.half[2 * a:2 * b + 1]
+    Pm = local_cubic(nodes[a:], values[a:], half)
+    want = p.A.eval(half) - p.B.eval(half) @ gain(half, Pm)
+    assert close(engine.drift(values, a, a, b), want)
+
+
+def test_validated_solve_memory_at_n1600():
+    # the window blocks are built in place, and a window's cores do not keep
+    # its folded columns: a core that viewed one buffer with the folded
+    # columns peaked at 137.8 MiB here, the pair-scatter build at 74.8 MiB
+    p, g = _n3_problem(), TimeGrid.uniform(1.0, 1600)
+    tracemalloc.start()
+    try:
+        solve_riccati(p, g)
+        peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert peak <= 72.0
+
+
+def test_windows_start_from_the_extrapolated_tail():
+    # each window after the first starts from the local cubic through the
+    # four solved nodes past it: 56 iterations from the boundary, 48 here
+    sol = solve_riccati(_n3_problem(), TimeGrid.uniform(1.0, 400))
+    assert len(sol.meta["windows"]) > 1
+    assert sol.meta["iterations_total"] <= 50
+
+
+def test_long_horizon_tight_tolerance():
+    # hyperbolic, A = 0.5 over T = 20: the warm start still reaches the
+    # right P(0) within two or three window halvings
+    one = np.eye(1)
+    p = hyperbolic_problem(one, one, one, A=0.5 * one, B=one, k=1.0, theta=1.0, T=20.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # condition warnings
+        sol = solve_riccati(p, TimeGrid.uniform(20.0, 1000), SolveOptions(tol=1e-10))
+    assert abs(sol.values[0, 0, 0] - 1.153849) <= 1e-6
+    assert sol.meta["halvings"] <= 3
+
+
+def test_m_singular_between_nodes_is_an_input_error():
+    # M(s, s) = 2 (s - h/2)^2 is positive at every node, so validation
+    # passes, but the feedback tables need M^{-1} at the first midpoint too
+    c = 0.5 / 32
+    M = TwoTimeKernel.from_callable(lambda t, s: np.array([[(t - c) ** 2 + (s - c) ** 2]]),
+                                    (1, 1), 1.0, dfn=lambda t, s: np.array([[2 * (t - c)]]),
+                                    symmetry_required=True)
+    one = OneTimeMatrixFn.constant(np.eye(1), 1.0)
+    p = LQProblem(A=OneTimeMatrixFn.constant(np.zeros((1, 1)), 1.0), B=one,
+                  Q=TwoTimeKernel.constant(np.eye(1), 1.0, symmetry_required=True),
+                  S=TwoTimeKernel.constant(np.zeros((1, 1)), 1.0), M=M, G=one)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # failed sign conditions
+        with pytest.raises(InvalidInputError, match="singular"):
+            solve_riccati(p, TimeGrid.uniform(1.0, 32))
