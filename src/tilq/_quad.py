@@ -4,8 +4,10 @@ One rule serves every time integral in the package: interval [x_j, x_j+1]
 is integrated exactly over the polynomial through the min(4, K) nodes
 around it, shifted inward at the ends, which is the interpolant of
 local_cubic.  2- and 3-node inputs take the line and the parabola; longer
-ones are exact for cubics, uniform or not.  Every weight vector or slice
-matrix is a sum of these interval weights.
+ones are exact for cubics, uniform or not.  Every weight is a sum of these
+interval weights, and none is kept in a K x K matrix: the integrals from
+every node to the end are reverse sums of interval integrals, and the rules
+on the tails x[i:] are one vector plus a K x 4 band.
 """
 from __future__ import annotations
 
@@ -73,40 +75,41 @@ def integrate(values: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.tensordot(w, np.asarray(values, dtype=float), axes=(0, 0))
 
 
-def left_slice_weights(x: np.ndarray) -> np.ndarray:
-    """Matrix W with W[i] @ f(x) ~= integral of f over [x[i], x[-1]].
+def tail_integrals(values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Integrals of sampled values (first axis runs along x) over [x[i], x[-1]]
+    for every i: the interval integrals of the rule of simpson_weights(x),
+    summed from the right end.  The last entry is zero."""
+    x = np.asarray(x, dtype=float)
+    values = np.asarray(values, dtype=float)
+    out = np.zeros(values.shape)
+    if x.size > 1:
+        idx = _stencil(x.size, np.arange(x.size - 1))
+        pieces = np.einsum("jk,jk...->j...", _interval_weights(x, idx), values[idx])
+        np.cumsum(pieces[::-1], axis=0, out=out[-2::-1])
+    return out
 
-    Row i sums the interval weights of x from interval i on, each with the
-    stencil simpson_weights(x) gives it, so the rows next to the right end
-    reach up to two nodes left of i.  The last row is zero.
+
+def tail_band(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(v, band): simpson_weights(x[i:]) is band[i, :min(4, K - i)] joined
+    with v[i + 4:], where v = simpson_weights(x), for every i < K.
+
+    A tail of four or more nodes integrates interval i on the one-sided
+    stencil i..i+3 and every later interval on the stencil of v, so only its
+    first four weights differ from v.  They are summed interval by interval,
+    as simpson_weights sums, so the two agree bit for bit.
     """
     x = np.asarray(x, dtype=float)
     K = x.size
-    j = np.arange(K - 1)
-    idx = _stencil(K, j)
-    W = np.zeros((K, K))
-    W[j[:, None], idx] = _interval_weights(x, idx)
-    np.cumsum(W[::-1], axis=0, out=W[::-1])
-    return W
-
-
-def tail_slice_weights(x: np.ndarray, left: np.ndarray | None = None) -> np.ndarray:
-    """Matrix W with W[i, i:] = simpson_weights(x[i:]), zero left of node i.
-
-    For integrands that exist only on [x[i], x[-1]].  A row of four or more
-    nodes is row i of left_slice_weights with interval i moved to the
-    one-sided stencil i..i+3; the last two are the parabola and the line.
-    left, if given, is left_slice_weights(x), which is then copied instead
-    of built.
-    """
-    x = np.asarray(x, dtype=float)
-    K = x.size
-    W = left_slice_weights(x) if left is None else left.copy()
-    j = np.arange(max(K - 3, 0))
-    shared, one_sided = _stencil(K, j), j[:, None] + _ARANGE
-    W[j[:, None], shared] -= _interval_weights(x, shared)
-    W[j[:, None], one_sided] += _interval_weights(x, one_sided)
-    for i in range(max(K - 3, 0), K - 1):
-        W[i, :i] = 0.0
-        W[i, i:] = simpson_weights(x[i:])
-    return W
+    v = simpson_weights(x)
+    rows = np.arange(max(K - 3, 0))  # the tails of four or more nodes
+    wide = np.zeros((K, 8))  # interval i + d, d <= 5, spans columns i..i+7
+    wide[rows[:, None], _ARANGE] = _interval_weights(x, rows[:, None] + _ARANGE)
+    idx = _stencil(K, np.arange(K - 1))
+    weights = _interval_weights(x, idx)
+    for d in range(1, 6):  # no interval past i + 5 reaches columns i..i+3
+        i = rows[:max(K - 1 - d, 0)]
+        wide[i[:, None], idx[i + d] - i[:, None]] += weights[i + d]
+    band = wide[:, :4].copy()
+    for i in range(max(K - 3, 0), K - 1):  # the parabola and the line
+        band[i, :K - i] = simpson_weights(x[i:])
+    return v, band

@@ -292,7 +292,7 @@ class _PairNorms:
 
     def minv(self) -> float:
         if self._singular is not None:
-            raise self._singular
+            raise InvalidInputError("M(t, s) is singular at a node pair") from self._singular
         return float(self._minv)
 
 

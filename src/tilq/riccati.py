@@ -30,7 +30,10 @@ which the closed loop reads solved nodes only: the tail r >= c is folded
 once per window into one n x n matrix per row, so each iterate integrates
 the flow and contracts the kernel partials on [a, c] alone.  Those partials
 are evaluated once per window, on the rectangle of each 32-row block and its
-columns, and written in place into the layout the iterates contract.
+columns, and written in place into the layout the iterates contract.  No
+K x K weight matrix is kept: the pair weights of row i are one full-grid
+vector plus a band of four next to the diagonal, and every integral to the
+end of a window or of the grid is a reverse sum of interval integrals.
 
 An iterate recomputes only what depends on the iterate: M^{-1}B' and
 M^{-1}S are tabulated when the engine is built and the inverse of the
@@ -50,7 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._quad import integrate, left_slice_weights, local_cubic, tail_slice_weights
+from ._quad import integrate, local_cubic, tail_band, tail_integrals
 from .errors import InvalidInputError, NonconvergenceError
 from .grids import TimeGrid
 from .kernels import _ROW_BLOCK, kernel_norms, matrix_norm, matrix_norm_many
@@ -363,8 +366,9 @@ class _Engine:
     times (nodes and interval midpoints), the feedback tables M^{-1}B' and
     M^{-1}S there (so Ups = MiBt P + MiS is a product, not a solve), M, Q and
     Gdot at the nodes, and psi, the drift-only flow of A on grid with its
-    inverse, built here unless given.  The cached properties hold full-grid
-    tables of the fixed solution values.
+    inverse, built here unless given.  The cached properties hold the tail
+    rules as a vector plus a K x 4 band and full-grid tables of the fixed
+    solution values.
     """
 
     def __init__(self, p: LQProblem, grid: TimeGrid, values=None, psi=None):
@@ -392,25 +396,13 @@ class _Engine:
         self.Gd_nodes = p.G.eval_dt(nodes)
         self.G_T = _sym(p.G.eval(grid.T))
         self.psi = fundamental_solution(p.A, grid) if psi is None else psi
-        self._win_w = {}
         self._window_key = None
         self._window = None
 
     @cached_property
-    def tail_weights(self) -> np.ndarray:
-        """Row i integrates over [s_i, T] from nodes[i:] only: the tail
-        integrand of row i exists only there.  The engine of a solution
-        builds it from the full-grid window weights, which its residual
-        profile integrates with too, so they are built once whichever asks
-        first; a solving engine keeps no second K x K matrix."""
-        left = None if self.values is None else self.window_weights(0, self.nodes.size - 1)
-        return tail_slice_weights(self.nodes, left)
-
-    def window_weights(self, a: int, b: int) -> np.ndarray:
-        key = (a, b)
-        if key not in self._win_w:
-            self._win_w[key] = left_slice_weights(self.nodes[a:b + 1])
-        return self._win_w[key]
+    def tail_rule(self) -> tuple[np.ndarray, np.ndarray]:
+        """tail_band(nodes): row i's pair weights, the rule on nodes[i:]."""
+        return tail_band(self.nodes)
 
     def upsilon_nodes(self, values: np.ndarray, lo: int, hi: int | None = None) -> np.ndarray:
         """Ups = M^{-1}(B'P + S) at nodes[lo:hi], from the feedback tables."""
@@ -442,8 +434,9 @@ class _Engine:
         columns r >= i0, split at column c.
 
         Returns (core, folded): core[r - i0, :, i - i0, :] = W[i, r]
-        [[Q_t, -S_t'], [-S_t, M_t]](s_i, r) for i0 <= r < c, with W =
-        tail_weights; folded holds the columns r >= c in the same way, at
+        [[Q_t, -S_t'], [-S_t, M_t]](s_i, r) for i0 <= r < c, where W[i] =
+        simpson_weights(nodes[i:]) is band[i] on columns i..i+3 and v past
+        them (tail_rule); folded holds the columns r >= c in the same way, at
         r - c.  Tail nodes lead, so one matrix product per tail node serves
         every row.  The kernels are evaluated once on the rectangle of rows
         and columns, column by column, and each weighted block is written in
@@ -458,7 +451,10 @@ class _Engine:
         i = np.arange(i0, i1)
         s = np.broadcast_to(nodes[i], (cols, rows)).ravel()
         r = nodes[np.maximum(np.arange(i0, K)[:, None], i)].ravel()
-        w = self.tail_weights[i0:i1, i0:].T.reshape(cols, rows, 1, 1)
+        v, band = self.tail_rule
+        d = np.arange(i0, K)[:, None] - i  # column minus row
+        w = np.where(d < 0, 0.0, np.where(d < 4, band[i, np.clip(d, 0, 3)], v[i0:, None]))
+        w = w[:, :, None, None]
         # weighted in pair order (column, row), then moved to (column, :, row, :)
         Qw = (w * p.Q.eval_dt(s, r).reshape(cols, rows, n, n)).transpose(0, 2, 1, 3)
         Sw = (-w * p.S.eval_dt(s, r).reshape(cols, rows, m, n)).transpose(0, 2, 1, 3)
@@ -506,10 +502,12 @@ class _Engine:
             self._window_key = (a, b)
         return self._window
 
-    def f_diag(self, values: np.ndarray, a: int, b: int, window: _Window) -> np.ndarray:
+    def f_diag(self, values: np.ndarray, a: int, b: int, window: _Window,
+               ups: np.ndarray) -> np.ndarray:
         """F(s_i; s_i, P) for window nodes i in [a, b], tail from values.
 
-        window is the _Window of rows [a, b].  In a block of rows from i0,
+        window is the _Window of rows [a, b] and ups[j] the gain Ups of values
+        at node a + j, for a + j < c at least.  In a block of rows from i0,
         let U_r = Phi(r, s_i0), the closed-loop flow of values.  Then
         Phi(r, s_i) = U_r U_i^{-1} takes the conjugation out of the integral:
 
@@ -527,22 +525,20 @@ class _Engine:
         its rows.  The condition warning of Propagator still covers the flow
         over [s_a, T], composed as Phi(r, s_c) U_c past c.
 
-        Row i of W is tail_weights[i], the local cubic rule on nodes[i:]
-        alone.  So the two-node tail of row K-2 is the trapezoid rule and the
-        three-node tail of row K-3 the parabola.
+        W[i] is the rule on nodes[i:] alone (triangle_block), so row K-2 is
+        the trapezoid rule and row K-3 the parabola.
         """
         c, flow, inverse, blocks = window
         U = rk4_flow(self.nodes[a:c + 1], self.drift(values, a, a, c))
         U_inv = np.linalg.inv(U)
         flow_condition(np.concatenate([U, flow[1:] @ U[-1]]),
                        np.concatenate([U_inv, U_inv[-1] @ inverse[1:]]))
-        ups = self.upsilon_nodes(values, a, c)
         n = U.shape[-1]
         out = np.empty((b - a + 1, n, n))
         for i0, core, Z in blocks:
             j0, rows = i0 - a, Z.shape[0]
             Ub = _anchored(U[j0:], U[j0])
-            L = np.concatenate([Ub[:-1], ups[j0:] @ Ub[:-1]], axis=1)
+            L = np.concatenate([Ub[:-1], ups[j0:c - a] @ Ub[:-1]], axis=1)
             acc = _contract(core, L) + Ub[-1].T @ Z @ Ub[-1]
             Ui_inv = np.linalg.inv(Ub[:rows])
             out[j0:j0 + rows] = np.swapaxes(Ui_inv, -1, -2) @ acc @ Ui_inv
@@ -552,17 +548,17 @@ class _Engine:
                        boundary: np.ndarray) -> np.ndarray:
         """One application of the window map; returns values on nodes[a:b+1].
 
-        The map conjugates by the drift-only flow psi and its stored inverse.
+        The map conjugates by psi and its stored inverse; Ups, computed once
+        on nodes a..max(b, c - 1), serves f_diag too.
         """
-        F = self.f_diag(values, a, b, self.cached_window(values, a, b))
-        ups = self.upsilon_nodes(values, a, b + 1)
+        ups = self.upsilon_nodes(values, a, max(self.split_node(b), b + 1))
+        F = self.f_diag(values, a, b, self.cached_window(values, a, b), ups)
+        ups = ups[:b + 1 - a]
         quad = np.swapaxes(ups, -1, -2) @ self.M_nodes[a:b + 1] @ ups
         R = self.Q_nodes[a:b + 1] - F - quad
         UA = self.psi.values[a:b + 1]
         Y = np.swapaxes(UA, -1, -2) @ R @ UA
-        Sl = np.tensordot(self.window_weights(a, b), Y, axes=(1, 0))
-        UAb = self.psi.values[b]
-        C = (UAb.T @ boundary @ UAb) + Sl
+        C = UA[-1].T @ boundary @ UA[-1] + tail_integrals(Y, self.nodes[a:b + 1])
         UA_inv = self.psi.inverse[a:b + 1]
         new = _sym(np.swapaxes(UA_inv, -1, -2) @ C @ UA_inv)
         new[-1] = boundary
@@ -630,7 +626,8 @@ class _Engine:
     def q_bar_table(self) -> np.ndarray:
         """Effective state weight Q(s,s) - F(s; s, P) at every node."""
         last = self.nodes.size - 1
-        F = self.f_diag(self.values, 0, last, self.window(self.values, 0, last))
+        F = self.f_diag(self.values, 0, last, self.window(self.values, 0, last),
+                        self.upsilon_nodes(self.values, 0))
         return _sym(self.Q_nodes - F)
 
     @cached_property
@@ -790,9 +787,7 @@ def q_bar_nodes(p: LQProblem, P: RiccatiSolution) -> np.ndarray:
 def riccati_residual_profile(p: LQProblem, P: RiccatiSolution) -> np.ndarray:
     """Integral-equation defect at every grid node (row-sum norm)."""
     engine = _engine_for(p, P)
-    W = engine.window_weights(0, P.grid.nodes.size - 1)
-    integrals = np.tensordot(W, engine.integrand, axes=(1, 0))
-    defect = P.values - engine.G_T - integrals
+    defect = P.values - engine.G_T - tail_integrals(engine.integrand, P.grid.nodes)
     return matrix_norm_many(defect)
 
 

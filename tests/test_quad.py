@@ -1,7 +1,7 @@
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from tilq._quad import integrate, left_slice_weights, simpson_weights, tail_slice_weights
+from tilq._quad import integrate, simpson_weights, tail_band, tail_integrals
 
 
 def _random_grid(rng, K, spread=(0.01, 1.0)):
@@ -43,24 +43,34 @@ def test_integrate_matrix_values():
     np.testing.assert_allclose(got, [[0.5, 1.0], [0.0, 1.0 / 3.0]], atol=1e-12)
 
 
+def _tail_rows(x):
+    """Row i of the tail rule, W[i, i:], from the band and the vector."""
+    v, band = tail_band(x)
+    return [np.concatenate([band[i, :min(4, x.size - i)], v[i + 4:]]) for i in range(x.size)]
+
+
 def test_tail_slice_rows_match_direct_weights():
+    # the band plus the vector is simpson_weights(x[i:]) bit for bit
     rng = np.random.default_rng(7)
-    for x in [np.linspace(0.0, 1.0, 21)] + [_random_grid(rng, K) for K in range(7)]:
-        W = tail_slice_weights(x)
-        for i in range(x.size):
-            np.testing.assert_allclose(W[i, i:], simpson_weights(x[i:]),
-                                       rtol=1e-13, atol=1e-15 * np.ptp(x))
-            assert np.all(W[i, :i] == 0.0)
+    grids = [np.linspace(0.0, 1.0, K) for K in (1, 2, 3, 4, 5, 21, 101)]
+    grids += [_random_grid(rng, K) for K in list(range(61)) + [200, 401]]
+    for x in grids:
+        v, band = tail_band(x)
+        assert band.shape == (x.size, 4)
+        np.testing.assert_array_equal(v, simpson_weights(x))
+        for i, row in enumerate(_tail_rows(x)):
+            np.testing.assert_array_equal(row, simpson_weights(x[i:]), err_msg=f"{x.size} {i}")
+            assert np.all(band[i, x.size - i:] == 0.0)
 
 
 def test_left_slice_last_interval_quadratic():
-    # the one-interval slice must stay exact for quadratics via the lookback node
+    # the one-interval tail integral must stay exact for quadratics via the
+    # lookback node
     x = np.linspace(0.0, 1.0, 11)
-    W = left_slice_weights(x)
     i = x.size - 2
     for k in range(3):
         exact = (x[-1] ** (k + 1) - x[i] ** (k + 1)) / (k + 1)
-        np.testing.assert_allclose(W[i] @ x**k, exact, atol=1e-14)
+        np.testing.assert_allclose(tail_integrals(x**k, x)[i], exact, atol=1e-14)
 
 
 def _left_slice_by_intervals(x):
@@ -80,32 +90,37 @@ def _left_slice_by_intervals(x):
 
 
 def test_left_slice_rows_sum_interval_weights():
+    # tail_integrals sums the interval integrals of the full-grid rule
     rng = np.random.default_rng(11)
-    for K in list(range(7)) + list(rng.integers(7, 60, 40)):
+    for K in list(range(61)) + list(rng.integers(7, 60, 20)):
         x = _random_grid(rng, K, spread=(0.2, 1.0))
-        W = left_slice_weights(x)
-        ref = _left_slice_by_intervals(x)
+        f = rng.standard_normal((K, 2, 3))
+        got = tail_integrals(f, x)
+        assert got.shape == f.shape
+        ref = np.tensordot(_left_slice_by_intervals(x), f, axes=(1, 0))
         h = np.diff(x).min() if K > 1 else 1.0
-        np.testing.assert_allclose(W, ref, rtol=0.0, atol=1e-13 * h, err_msg=str(K))
+        scale = 1e-13 * h * (1.0 + np.abs(f).sum(axis=0))
+        assert np.all(np.abs(got - ref) <= scale), K
         if K:
-            np.testing.assert_allclose(W[0], simpson_weights(x), rtol=0.0, atol=1e-13 * h)
-            assert np.all(W[-1] == 0.0)
+            assert np.all(np.abs(got[0] - integrate(f, x)) <= scale)
+            assert np.all(got[-1] == 0.0)
 
 
 def test_exact_on_cubics_every_slice():
-    # every left-slice row, and every tail row of four or more nodes, on
+    # every tail integral, and every tail row of four or more nodes, on
     # uniform and random nonuniform grids
     rng = np.random.default_rng(5)
     grids = [np.linspace(-1.0, 2.0, K) for K in (4, 5, 6, 7, 12)]
     grids += [_random_grid(rng, K) for K in range(4, 91)]
     for x in grids:
-        L, T = left_slice_weights(x), tail_slice_weights(x)[:x.size - 3]
+        rows = _tail_rows(x)[:x.size - 3]
         xc = x - x.mean()
         for k in range(4):
             exact = (xc[-1] ** (k + 1) - xc ** (k + 1)) / (k + 1)
             tol = 1e-13 * (1.0 + np.abs(xc).max()) ** (k + 1)
-            np.testing.assert_allclose(L @ xc**k, exact, rtol=0.0, atol=tol)
-            np.testing.assert_allclose(T @ xc**k, exact[:x.size - 3], rtol=0.0, atol=tol)
+            np.testing.assert_allclose(tail_integrals(xc**k, x), exact, rtol=0.0, atol=tol)
+            by_rows = [row @ xc[i:] ** k for i, row in enumerate(rows)]
+            np.testing.assert_allclose(by_rows, exact[:x.size - 3], rtol=0.0, atol=tol)
 
 
 def test_short_inputs_lines_and_parabolas():

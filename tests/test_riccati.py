@@ -364,7 +364,8 @@ def test_f_diag_matches_row_loop(nodes, a, b, vectorized):
     values = _smooth_values(nodes)
     want = _loop_f_diag(engine, values, a, b)
     cached = engine.cached_window(values, a, b)
-    got = engine.f_diag(values, a, b, cached)
+    ups = engine.upsilon_nodes(values, a)
+    got = engine.f_diag(values, a, b, cached, ups)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     # an iterate reuses the cached window, which equals a fresh one bit for bit
     assert engine.cached_window(values, a, b) is cached
@@ -378,7 +379,7 @@ def test_f_diag_matches_row_loop(nodes, a, b, vectorized):
         assert i0 == j0 and core.shape[0] == cached.c - i0  # in-window columns only
         np.testing.assert_array_equal(core, core_c)
         np.testing.assert_array_equal(Z, Z_c)
-    streamed = engine.f_diag(values, a, b, engine.window(values, a, b))
+    streamed = engine.f_diag(values, a, b, engine.window(values, a, b), ups)
     np.testing.assert_array_equal(streamed, got)
 
 
@@ -395,7 +396,8 @@ def test_f_diag_ill_conditioned_flow():
     assert engine.closed_loop(values, 0).condition > 1e8
     for a, b in ((0, 80), (10, 60)):
         want = _loop_f_diag(engine, values, a, b)
-        got = engine.f_diag(values, a, b, engine.cached_window(values, a, b))
+        got = engine.f_diag(values, a, b, engine.cached_window(values, a, b),
+                            engine.upsilon_nodes(values, a))
         assert np.abs(got - want).max() <= 1e-7 * np.abs(want).max()
 
 
@@ -505,13 +507,14 @@ def test_diverging_window_emits_no_numpy_warning():
 
 def _scatter_block(engine, i0, i1, c):
     """Reference build of _Engine.triangle_block: the kernels on the
-    triangle pairs of rows [i0, i1) only, packed with np.block, weighted by a
-    gather from tail_weights and scattered into zero-filled arrays."""
-    p, K = engine.p, engine.nodes.size
+    triangle pairs of rows [i0, i1) only, packed with np.block, weighted by
+    simpson_weights(nodes[i:]) row by row and scattered into zero-filled
+    arrays."""
+    p, nodes, K = engine.p, engine.nodes, engine.nodes.size
     row_of = np.repeat(np.arange(i0, i1), K - np.arange(i0, i1))
     tail = np.concatenate([np.arange(i, K) for i in range(i0, i1)])
-    s, r = engine.nodes[row_of], engine.nodes[tail]
-    w = engine.tail_weights[row_of, tail][:, None, None]
+    s, r = nodes[row_of], nodes[tail]
+    w = np.concatenate([simpson_weights(nodes[i:]) for i in range(i0, i1)])[:, None, None]
     Sd = p.S.eval_dt(s, r)
     pairs = w * np.block([[p.Q.eval_dt(s, r), -np.swapaxes(Sd, -1, -2)],
                           [-Sd, p.M.eval_dt(s, r)]])
@@ -651,3 +654,48 @@ def test_m_singular_between_nodes_is_an_input_error():
         warnings.simplefilter("ignore", RuntimeWarning)  # failed sign conditions
         with pytest.raises(InvalidInputError, match="singular"):
             solve_riccati(p, TimeGrid.uniform(1.0, 32))
+
+
+def test_m_singular_at_a_node_without_validation_is_an_input_error():
+    # M = 0: the bound on M^{-1} of the triangle walk meets it first
+    one = np.eye(1)
+    p = constant_problem(A=0 * one, B=one, Q=one, S=0 * one, M=0 * one, G=0 * one, T=1.0)
+    g = TimeGrid.uniform(1.0, 32)
+    with pytest.raises(InvalidInputError, match="singular"):
+        solve_riccati(p, g, SolveOptions(validate=False))
+    with pytest.raises(InvalidInputError, match="singular"):
+        contraction_constants(p, g)
+
+
+@pytest.mark.parametrize("a, b", [(200, 300), (380, 400)])  # b = K - 1 splits at K - 1
+def test_picard_iterate_computes_the_gain_once(monkeypatch, a, b):
+    # the window's fixed tail takes its gain once per window; each iterate
+    # then computes Ups once and shares it between f_diag and the quadratic
+    # term, with the map unchanged
+    p, g = _n3_problem(), TimeGrid.uniform(1.0, 400)
+    values = _smooth_values(g.nodes)
+    engine = _Engine(p, g)
+    engine.cached_window(values, a, b)
+    calls = []
+    real = _Engine.upsilon_nodes
+
+    def counted(self, *args):
+        calls.append(args[1:])
+        return real(self, *args)
+
+    monkeypatch.setattr(_Engine, "upsilon_nodes", counted)
+    got = engine.picard_iterate(values, a, b, values[b])
+    monkeypatch.undo()
+    assert len(calls) == 1
+    c = engine.split_node(b)
+    F = engine.f_diag(values, a, b, engine.cached_window(values, a, b),
+                      engine.upsilon_nodes(values, a, c))
+    ups = engine.upsilon_nodes(values, a, b + 1)
+    quad = np.swapaxes(ups, -1, -2) @ engine.M_nodes[a:b + 1] @ ups
+    U = engine.psi.values[a:b + 1]
+    Y = np.swapaxes(U, -1, -2) @ (engine.Q_nodes[a:b + 1] - F - quad) @ U
+    C = U[-1].T @ values[b] @ U[-1] + np.tensordot(simpson_weights(g.nodes[a:b + 1]), Y,
+                                                   axes=(0, 0))
+    first = engine.psi.inverse[a].T @ C @ engine.psi.inverse[a]
+    assert np.abs(got[0] - 0.5 * (first + first.T)).max() <= 1e-13 * np.abs(first).max()
+    np.testing.assert_array_equal(got[-1], values[b])

@@ -1,11 +1,11 @@
+import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from tilq import (RiccatiSolution, TimeGrid, hyperbolic_problem, riccati, run_verification,
-                  solve_riccati)
-from tilq import _quad
+from tilq import RiccatiSolution, TimeGrid, hyperbolic_problem, run_verification, solve_riccati
 from tilq.verify import default_state_samples
 
 
@@ -71,47 +71,21 @@ def test_n3_error_next_to_horizon_is_no_outlier():
     assert err[K - 4] / err[K - 3] <= 5.0
 
 
-def test_full_grid_left_slice_built_once(monkeypatch, hyperbolic_scalar, hyperbolic_solution):
-    # the residual profile's full-grid window weights also seed the tail
-    # weights of the nonlocal term
-    sol = hyperbolic_solution
+def test_verification_memory_at_n1600():
+    # the tail integrals are reverse sums and the pair weights a K x 4 band
+    # plus one vector: 2.0 MiB stay on the engine and the peak is 30.7 MiB;
+    # with K x K weight matrices they were 41.1 and 69.0 MiB
+    p, g = _n3_problem(0), TimeGrid.uniform(1.0, 1600)
+    sol = solve_riccati(p, g)
     sol = RiccatiSolution(sol.grid, sol.values, sol.meta)  # a fresh engine
-    sizes = []
-    build = _quad.left_slice_weights
-
-    def counted(x):
-        sizes.append(len(x))
-        return build(x)
-
-    monkeypatch.setattr(_quad, "left_slice_weights", counted)
-    monkeypatch.setattr(riccati, "left_slice_weights", counted)
-    run_verification(hyperbolic_scalar, sol.grid, solution=sol)
-    assert sizes == [sol.grid.nodes.size]
-
-
-@pytest.mark.parametrize("first", ["q_bar_nodes", "riccati_residual_profile"])
-def test_left_slice_built_once_in_either_order(monkeypatch, hyperbolic_scalar, first):
-    # the nonlocal term's tail weights and the residual profile share the
-    # full-grid left slice whichever asks first; a solving engine keeps none
-    g = TimeGrid.uniform(1.0, 64)
-    sol = solve_riccati(hyperbolic_scalar, g)
-    sol = RiccatiSolution(sol.grid, sol.values, sol.meta)  # a fresh engine
-    K = sol.grid.nodes.size
-    sizes = []
-    build = _quad.left_slice_weights
-
-    def counted(x):
-        sizes.append(len(x))
-        return build(x)
-
-    monkeypatch.setattr(_quad, "left_slice_weights", counted)
-    monkeypatch.setattr(riccati, "left_slice_weights", counted)
-    calls = [riccati.q_bar_nodes, riccati.riccati_residual_profile]
-    if first == "riccati_residual_profile":
-        calls.reverse()
-    for call in calls:
-        call(hyperbolic_scalar, sol)
-    assert sizes == [K]
-    solving = riccati._Engine(hyperbolic_scalar, sol.grid)
-    solving.tail_weights
-    assert (0, K - 1) not in solving._win_w
+    tracemalloc.start()
+    try:
+        assert run_verification(p, g, solution=sol).passed
+        with_engine, peak = tracemalloc.get_traced_memory()
+        sol._engine = None
+        gc.collect()
+        retained = with_engine - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained / 2 ** 20 <= 8.0
+    assert peak / 2 ** 20 <= 45.0
