@@ -18,7 +18,8 @@ from ._quad import integrate
 from .errors import GridTooCoarseError, InvalidInputError
 from .problem import LQProblem
 from .equilibrium import build_policy, simulate
-from .riccati import RiccatiSolution, _engine_for, q_bar, q_bar_nodes
+from .propagators import closed_loop_coefficient, fundamental_solution
+from .riccati import RiccatiSolution, q_bar, q_bar_nodes
 
 
 @dataclass(frozen=True)
@@ -105,7 +106,8 @@ def _derivative_matrix_apply(f: np.ndarray, h: float) -> np.ndarray:
 
 def _q_bar_at(p: LQProblem, P: RiccatiSolution, ts: np.ndarray) -> np.ndarray:
     """Corrected state weight at the given times, from the node table where
-    aligned and by direct evaluation elsewhere."""
+    aligned and by direct evaluation (q_bar along the closed-loop propagator
+    of P, built once) elsewhere."""
     gnodes = P.grid.nodes
     j = np.clip(np.searchsorted(gnodes, ts), 1, gnodes.size - 1)
     j -= np.abs(gnodes[j - 1] - ts) < np.abs(gnodes[j] - ts)
@@ -113,8 +115,11 @@ def _q_bar_at(p: LQProblem, P: RiccatiSolution, ts: np.ndarray) -> np.ndarray:
     out = np.empty((ts.size, p.n, p.n))
     if on_node.any():
         out[on_node] = q_bar_nodes(p, P)[j[on_node]]
-    for k in np.flatnonzero(~on_node):
-        out[k] = q_bar(p, P, _engine_for(p, P).flow, float(ts[k]))
+    off_node = np.flatnonzero(~on_node)
+    if off_node.size:
+        phi = fundamental_solution(closed_loop_coefficient(p, P), P.grid)
+        for k in off_node:
+            out[k] = q_bar(p, P, phi, float(ts[k]))
     return out
 
 

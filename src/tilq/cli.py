@@ -21,6 +21,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -139,24 +140,35 @@ def _matrix(entry, path, shape, errors, *, symmetric=False):
     return arr
 
 
-def _one_time(entry, path, shape, T, errors, *, symmetric=False,
-              terminal_families=False):
-    kinds = ("constant", "polynomial") + (
-        ("exponential", "hyperbolic") if terminal_families else ())
+# the entries each coefficient family reads besides "kind": its matrix (or
+# matrices), then its numbers
+_FAMILY_KEYS = {"constant": ("base",), "polynomial": ("coefficients",),
+                "exponential": ("base", "rho"), "hyperbolic": ("base", "k", "theta")}
+# factories by kind, each called as factory(base, *parameters, T)
+_ONE_TIME = {"constant": OneTimeMatrixFn.constant, "polynomial": OneTimeMatrixFn.polynomial}
+_TERMINAL = {**_ONE_TIME, "exponential": families.exponential_terminal,
+             "hyperbolic": families.hyperbolic_terminal}
+
+
+def _kernels(symmetric: bool) -> dict:
+    return {kind: partial(fn, symmetry_required=symmetric) for kind, fn in (
+        ("constant", TwoTimeKernel.constant), ("exponential", families.exponential_kernel),
+        ("hyperbolic", families.hyperbolic_kernel))}
+
+
+def _family(entry, path, shape, T, errors, factories, *, symmetric=False):
+    """The coefficient that entry declares from one of the families in
+    factories, or None with its issues recorded.  Each kind accepts its own
+    keys only."""
     if not isinstance(entry, dict):
         errors.append((path, "must be an object with a 'kind'"))
         return None
     kind = entry.get("kind")
-    if kind not in kinds:
-        errors.append((f"{path}.kind", f"must be one of {', '.join(kinds)}"))
+    if kind not in factories:
+        errors.append((f"{path}.kind", f"must be one of {', '.join(factories)}"))
         return None
-    if kind == "constant":
-        _check_keys(entry, {"kind", "base"}, path, errors)
-        base = _matrix(entry.get("base"), f"{path}.base", shape, errors,
-                       symmetric=symmetric)
-        return None if base is None else OneTimeMatrixFn.constant(base, T)
+    _check_keys(entry, {"kind", *_FAMILY_KEYS[kind]}, path, errors)
     if kind == "polynomial":
-        _check_keys(entry, {"kind", "coefficients"}, path, errors)
         coeffs = entry.get("coefficients")
         if not isinstance(coeffs, list) or not coeffs:
             errors.append((f"{path}.coefficients", "must be a non-empty list"))
@@ -168,57 +180,17 @@ def _one_time(entry, path, shape, T, errors, *, symmetric=False,
             if mat is None:
                 return None
             mats.append(mat)
-        return OneTimeMatrixFn.polynomial(mats, T)
-    _check_keys(entry, {"kind", "base", "rho", "k", "theta"}, path, errors)
+        return factories[kind](mats, T)
     base = _matrix(entry.get("base"), f"{path}.base", shape, errors,
                    symmetric=symmetric)
-    if kind == "exponential":
-        rho = _number(entry, "rho", path, errors, required=True)
-        if base is None or rho is None:
-            return None
-        return families.exponential_terminal(base, rho, T)
-    k = _number(entry, "k", path, errors, required=True)
-    theta = _number(entry, "theta", path, errors, required=True)
-    if base is None or k is None or theta is None:
+    params = [_number(entry, key, path, errors, required=True)
+              for key in _FAMILY_KEYS[kind][1:]]
+    if base is None or None in params:
         return None
-    if 1.0 + k * T <= 0.0:
+    if kind == "hyperbolic" and 1.0 + params[0] * T <= 0.0:
         errors.append((f"{path}.k", "needs 1 + k*T > 0"))
         return None
-    return families.hyperbolic_terminal(base, k, theta, T)
-
-
-def _two_time(entry, path, shape, T, errors, *, symmetric=False):
-    kinds = ("constant", "exponential", "hyperbolic")
-    if not isinstance(entry, dict):
-        errors.append((path, "must be an object with a 'kind'"))
-        return None
-    kind = entry.get("kind")
-    if kind not in kinds:
-        errors.append((f"{path}.kind", f"must be one of {', '.join(kinds)}"))
-        return None
-    allowed = {"kind", "base"} | ({"rho"} if kind == "exponential" else set()) \
-        | ({"k", "theta"} if kind == "hyperbolic" else set())
-    _check_keys(entry, allowed, path, errors)
-    base = _matrix(entry.get("base"), f"{path}.base", shape, errors,
-                   symmetric=symmetric)
-    if kind == "constant":
-        return None if base is None else TwoTimeKernel.constant(
-            base, T, symmetry_required=symmetric)
-    if kind == "exponential":
-        rho = _number(entry, "rho", path, errors, required=True)
-        if base is None or rho is None:
-            return None
-        return families.exponential_kernel(base, rho, T,
-                                           symmetry_required=symmetric)
-    k = _number(entry, "k", path, errors, required=True)
-    theta = _number(entry, "theta", path, errors, required=True)
-    if base is None or k is None or theta is None:
-        return None
-    if 1.0 + k * T <= 0.0:
-        errors.append((f"{path}.k", "needs 1 + k*T > 0"))
-        return None
-    return families.hyperbolic_kernel(base, k, theta, T,
-                                      symmetry_required=symmetric)
+    return factories[kind](base, *params, T)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -262,23 +234,23 @@ def parse_config(text: str) -> RunConfig:
         if n and m and T:
             zeros_nn = {"kind": "constant", "base": np.zeros((n, n)).tolist()}
             zeros_mn = {"kind": "constant", "base": np.zeros((m, n)).tolist()}
-            A = _one_time(prob.get("A", zeros_nn), "problem.A", (n, n), T, errors)
+            A = _family(prob.get("A", zeros_nn), "problem.A", (n, n), T, errors, _ONE_TIME)
             if "B" not in prob:
                 errors.append(("problem.B", "missing"))
                 B = None
             else:
-                B = _one_time(prob["B"], "problem.B", (n, m), T, errors)
+                B = _family(prob["B"], "problem.B", (n, m), T, errors, _ONE_TIME)
             for name in ("Q", "M", "G"):
                 if name not in prob:
                     errors.append((f"problem.{name}", "missing"))
-            Q = _two_time(prob.get("Q", zeros_nn), "problem.Q", (n, n), T,
-                          errors, symmetric=True)
-            S = _two_time(prob.get("S", zeros_mn), "problem.S", (m, n), T, errors)
-            M = _two_time(prob.get("M", {"kind": "constant",
-                                         "base": np.eye(m).tolist()}),
-                          "problem.M", (m, m), T, errors, symmetric=True)
-            G = _one_time(prob.get("G", zeros_nn), "problem.G", (n, n), T,
-                          errors, symmetric=True, terminal_families=True)
+            Q = _family(prob.get("Q", zeros_nn), "problem.Q", (n, n), T, errors,
+                        _kernels(True), symmetric=True)
+            S = _family(prob.get("S", zeros_mn), "problem.S", (m, n), T, errors,
+                        _kernels(False))
+            M = _family(prob.get("M", {"kind": "constant", "base": np.eye(m).tolist()}),
+                        "problem.M", (m, m), T, errors, _kernels(True), symmetric=True)
+            G = _family(prob.get("G", zeros_nn), "problem.G", (n, n), T, errors,
+                        _TERMINAL, symmetric=True)
             if not errors and all(c is not None for c in (A, B, Q, S, M, G)):
                 problem = LQProblem(A=A, B=B, Q=Q, S=S, M=M, G=G)
 

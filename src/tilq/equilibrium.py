@@ -1,10 +1,14 @@
 """Equilibrium feedback policy, simulation, cost evaluation, certificates.
 
 The policy is the linear feedback u(t, x) = gain(t) x derived from a solved
-Riccati kernel; its value satisfies J(t, x; u) = <P(t)x, x>.  Deviating to a
-constant control v on a short interval [t, t+eps] changes the cost, to first
-order in eps, by the quadratic <M(t,t)(v - u(t,x)), v - u(t,x)>; the
-certificate checks that limit both in closed form and through difference
+Riccati kernel, gain = -Ups with Ups from riccati.upsilon; its value
+satisfies J(t, x; u) = <P(t)x, x>.  simulate and cost run the policy's
+state through one integrator (_integrate_segment): RK4 on the closed-loop
+drift A + B gain, sampled at the nodes and midpoints of the path.
+
+Deviating to a constant control v on a short interval [t, t+eps] changes
+the cost, to first order in eps, by the quadratic
+<M(t,t)(v - u(t,x)), v - u(t,x)>; the certificate checks that limit both in closed form and through difference
 quotients of the actual cost functional, so a wrong kernel shows up as a
 profitable deviation.
 
@@ -30,28 +34,28 @@ from ._quad import integrate, simpson_weights
 from .errors import GridTooCoarseError, InvalidInputError
 from .grids import TimeGrid
 from .problem import LQProblem
-from .propagators import Propagator, flow_prefix, half_times, rk4_flow, rk4_steps
-from .riccati import RiccatiSolution, _engine_for
+from .propagators import flow_prefix, half_times, rk4_flow, rk4_steps
+from .riccati import RiccatiSolution, upsilon
 
-# default node count below which cost and the value matrices refine a segment
+# node count below which cost and the value matrices refine a segment
 _MIN_SEGMENT_NODES = 17
 
 
 @dataclass(frozen=True)
 class EquilibriumPolicy:
-    """Linear feedback u(t, x) = gain(t) x with its closed-loop flow."""
+    """Linear feedback u(t, x) = gain(t) x of a solved kernel P.
+
+    The gain is -Ups = -M(t,t)^{-1}(B(t)' P(t) + S(t,t)) (riccati.upsilon);
+    the closed loop is integrated where it is needed (simulate, cost), so
+    building a policy does no work.
+    """
 
     problem: LQProblem
     P: RiccatiSolution
-    closed_loop: Propagator
 
     def gain_many(self, ts) -> np.ndarray:
         """Gain matrices -M(t,t)^{-1}(B(t)' P(t) + S(t,t)) at times ts."""
-        ts = np.asarray(ts, dtype=float)
-        p = self.problem
-        Pv = self.P.eval_many(ts)
-        rhs = np.swapaxes(p.B.eval(ts), -1, -2) @ Pv + p.S.eval(ts, ts)
-        return -np.linalg.solve(p.M.eval(ts, ts), rhs)
+        return -upsilon(self.problem, self.P, ts)
 
     def gain(self, t) -> np.ndarray:
         return self.gain_many(np.asarray([float(t)]))[0]
@@ -62,8 +66,8 @@ class EquilibriumPolicy:
 
 
 def build_policy(p: LQProblem, P: RiccatiSolution) -> EquilibriumPolicy:
-    """Assemble the equilibrium feedback and its closed-loop propagator."""
-    return EquilibriumPolicy(p, P, _engine_for(p, P).flow)
+    """The equilibrium feedback of P."""
+    return EquilibriumPolicy(p, P)
 
 
 @dataclass(frozen=True)
@@ -88,7 +92,12 @@ class Trajectory:
 
 def simulate(pol: EquilibriumPolicy, t0: float, x0, g: TimeGrid | None = None
              ) -> Trajectory:
-    """Trajectory X(s) = Phi(s, t0) x0 under the policy, u(s) = gain(s) X(s)."""
+    """Trajectory X(s) = Phi(s, t0) x0 under the policy, u(s) = gain(s) X(s).
+
+    The path runs on t0 and the nodes past it (of g, else of the policy's
+    grid), by the RK4 steps that cost integrates a policy with: the flow
+    starts at t0 itself, so no transition is inverted or interpolated.
+    """
     p = pol.problem
     T = p.T
     t0 = float(t0)
@@ -100,8 +109,7 @@ def simulate(pol: EquilibriumPolicy, t0: float, x0, g: TimeGrid | None = None
     nodes = g.nodes if g is not None else pol.P.grid.nodes
     tail = nodes[nodes > t0 + 1e-12 * (1 + T)]
     ts = np.concatenate([[t0], tail])
-    X = pol.closed_loop.transition_from(t0, ts) @ x0
-    U = np.einsum("kij,kj->ki", pol.gain_many(ts), X)
+    X, U = _integrate_segment(p, ts, x0, _LinearControl(pol.gain_many))
     return Trajectory(ts, X, U, t0, x0)
 
 
@@ -210,7 +218,7 @@ def _running_cost(p: LQProblem, t_freeze: float, seg, X, U) -> float:
 
 
 def cost(p: LQProblem, t: float, x, u, grid: TimeGrid | None = None, *,
-         breakpoints=(), min_segment_nodes: int = _MIN_SEGMENT_NODES) -> float:
+         breakpoints=()) -> float:
     """Cost functional J(t, x; u) with weights frozen at evaluation time t.
 
     u is a control given as a policy object, a constant vector, a time
@@ -220,7 +228,7 @@ def cost(p: LQProblem, t: float, x, u, grid: TimeGrid | None = None, *,
     order-4 one-step scheme (RK4; a constant control rides along as held
     state, a policy through its closed-loop flow) and the running cost uses
     the local cubic rule of _quad segment by segment; segments shorter than
-    min_segment_nodes grid nodes are refined to that count.
+    _MIN_SEGMENT_NODES grid nodes are refined to that count.
 
     A breakpoint at T closes an empty last segment; its control, when u
     lists one, is not integrated.
@@ -250,7 +258,7 @@ def cost(p: LQProblem, t: float, x, u, grid: TimeGrid | None = None, *,
     total = 0.0
     xs = x
     for (a, b), ctrl in zip(zip(edges[:-1], edges[1:]), ctrls):
-        seg = _segment_nodes(gnodes, a, b, min_segment_nodes)
+        seg = _segment_nodes(gnodes, a, b, _MIN_SEGMENT_NODES)
         X, U = _integrate_segment(p, seg, xs, ctrl)
         total += _running_cost(p, t, seg, X, U)
         xs = X[-1]

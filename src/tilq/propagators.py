@@ -1,4 +1,5 @@
-"""Fundamental solutions of linear time-varying systems dU/dt = C(t) U.
+"""Fundamental solutions of linear time-varying systems dU/dt = C(t) U, and
+the feedback gain whose closed loop they integrate.
 
 The propagator stores U at the grid nodes (classical fourth-order one-step
 Runge-Kutta per interval, U(nodes[0]) = I) plus the slopes C(t_i) U(t_i) for
@@ -6,6 +7,10 @@ cubic Hermite dense output between nodes.  Transitions Phi(t, s) =
 U(t) U(s)^{-1} come from linear solves, never from stored inverses; the
 node inverses U^{-1} that the condition check needs are kept for callers
 that conjugate by the flow at the nodes themselves.
+
+feedback_tables is the one place that inverts M(s,s): every gain
+Ups = M(s,s)^{-1}(B(s)'P(s) + S(s,s)) in the package, and so every
+closed-loop drift A - B Ups, is MiBt P + MiS from its two tables.
 """
 from __future__ import annotations
 
@@ -101,11 +106,10 @@ class Propagator:
     values[k] is U at nodes[k] and inverse[k] its inverse.
     """
 
-    def __init__(self, nodes, values, slopes, coefficient=None):
+    def __init__(self, nodes, values, slopes):
         self.nodes = np.asarray(nodes, dtype=float)
         self.values = values
         self.slopes = slopes
-        self.coefficient = coefficient
         self.dim = values.shape[-1]
         self.inverse = np.linalg.inv(values)
         self.condition = flow_condition(values, self.inverse, stacklevel=3)
@@ -154,32 +158,43 @@ class Propagator:
         return self.transition_from(s, np.asarray([t]))[0]
 
 
-def fundamental_solution(coefficient, grid, *, samples=None) -> Propagator:
+def fundamental_solution(coefficient, grid) -> Propagator:
     """Propagator of dU/dt = C(t) U, U(first node) = I, on the given nodes.
 
     Parameters
     ----------
     coefficient : OneTimeMatrixFn or callable t -> (n, n) array
     grid : TimeGrid or 1-d increasing node array
-    samples : optional precomputed C at nodes and midpoints, shape
-        (2K-1, n, n) interleaved [node0, mid0, node1, mid1, ...]; bypasses
-        coefficient evaluation; the node slopes C(t_i) U(t_i) use these
-        samples too.
     """
     nodes = np.asarray(getattr(grid, "nodes", grid), dtype=float)
     if nodes.ndim != 1 or nodes.size < 2 or np.any(np.diff(nodes) <= 0):
         raise InvalidInputError("propagator needs at least two increasing nodes")
-    C = _coefficient_samples(coefficient, nodes) if samples is None else np.asarray(samples, dtype=float)
-    if C.shape[0] != 2 * nodes.size - 1:
-        raise InvalidInputError("coefficient samples must cover nodes and midpoints")
+    C = _coefficient_samples(coefficient, nodes)
     U = rk4_flow(nodes, C)
-    slopes = C[0::2] @ U
-    return Propagator(nodes, U, slopes, coefficient)
+    return Propagator(nodes, U, C[0::2] @ U)
+
+
+def feedback_tables(p, ts) -> tuple[np.ndarray, np.ndarray]:
+    """M(s,s)^{-1} B(s)' and M(s,s)^{-1} S(s,s) at every time s of the 1-d
+    array ts, shapes (k, m, n) each: the gain of a kernel P at those times
+    is Ups = MiBt P + MiS, a product, not a solve.
+
+    Raises InvalidInputError when M(s,s) is singular at one of the times.
+    """
+    ts = np.asarray(ts, dtype=float)
+    M = p.M.eval(ts, ts)
+    try:
+        M_inv = np.linalg.inv(M)
+    except np.linalg.LinAlgError as exc:
+        where = float(ts[np.argmin(np.abs(np.linalg.det(M)))])
+        raise InvalidInputError(f"M(s, s) is singular at s = {where:.6g}") from exc
+    return M_inv @ np.swapaxes(p.B.eval(ts), -1, -2), M_inv @ p.S.eval(ts, ts)
 
 
 def closed_loop_coefficient(p, P) -> OneTimeMatrixFn:
     """Drift of the state under the linear feedback induced by P:
-    A(t) - B(t) M(t,t)^{-1} (B(t)^T P(t) + S(t,t)).
+    A(t) - B(t) Ups(t), Ups = M(t,t)^{-1} (B(t)' P(t) + S(t,t)) from
+    feedback_tables.
 
     P must be callable on time arrays (node values with cubic interpolation,
     as produced by the equilibrium solver).
@@ -188,14 +203,8 @@ def closed_loop_coefficient(p, P) -> OneTimeMatrixFn:
         ts = np.asarray(ts, dtype=float)
         scalar = ts.ndim == 0
         ts = np.atleast_1d(ts)
-        A = p.A.eval(ts)
-        B = p.B.eval(ts)
-        Pv = P(ts)
-        if Pv.ndim == 2:
-            Pv = Pv[None]
-        rhs = np.swapaxes(B, -1, -2) @ Pv + p.S.eval(ts, ts)
-        ups = np.linalg.solve(p.M.eval(ts, ts), rhs)
-        out = A - B @ ups
+        MiBt, MiS = feedback_tables(p, ts)
+        out = p.A.eval(ts) - p.B.eval(ts) @ (MiBt @ P(ts) + MiS)
         return out[0] if scalar else out
 
     return OneTimeMatrixFn(fn, (p.n, p.n), p.T, vectorized=True)

@@ -58,8 +58,8 @@ from .errors import InvalidInputError, NonconvergenceError
 from .grids import TimeGrid
 from .kernels import _ROW_BLOCK, kernel_norms, matrix_norm, matrix_norm_many
 from .problem import LQProblem, _sym, _triangle_pass
-from .propagators import (Propagator, flow_condition, fundamental_solution, half_times,
-                          rk4_flow)
+from .propagators import (Propagator, closed_loop_coefficient, feedback_tables, flow_condition,
+                          fundamental_solution, half_times, rk4_flow)
 
 
 def _exp(x: float) -> float:
@@ -255,11 +255,14 @@ def _constants(p: LQProblem, g: TimeGrid, pair_norms, psi: Propagator) -> Contra
                                 tau1, float(tau2), float(tau3), float(tau), norms)
 
 
-def upsilon(p: LQProblem, P, s: float) -> np.ndarray:
-    """Feedback gain factor M(s,s)^{-1} (B(s)' P(s) + S(s,s)) at time s."""
-    B = p.B.eval(s)
-    rhs = B.T @ P(s) + p.S.eval(s, s)
-    return np.linalg.solve(p.M.eval(s, s), rhs)
+def upsilon(p: LQProblem, P, s) -> np.ndarray:
+    """Feedback gain factor M(s,s)^{-1} (B(s)' P(s) + S(s,s)) at a time s or
+    at each time of a 1-d array s, from feedback_tables."""
+    s = np.asarray(s, dtype=float)
+    ts = np.atleast_1d(s)
+    MiBt, MiS = feedback_tables(p, ts)
+    ups = MiBt @ P(ts) + MiS
+    return ups[0] if s.ndim == 0 else ups
 
 
 def f_map(p: LQProblem, P, phi: Propagator, t: float, s: float) -> np.ndarray:
@@ -282,10 +285,7 @@ def f_map(p: LQProblem, P, phi: Propagator, t: float, s: float) -> np.ndarray:
     PhiT = Phi[-1]
     Gd = p.G.eval_dt(s)
     F = PhiT.T @ Gd @ PhiT
-    Pv = P.eval_many(ts)
-    Bv = p.B.eval(ts)
-    rhs = np.swapaxes(Bv, -1, -2) @ Pv + p.S.eval(ts, ts)
-    ups = np.linalg.solve(p.M.eval(ts, ts), rhs)
+    ups = upsilon(p, P, ts)
     upsT = np.swapaxes(ups, -1, -2)
     Qd = p.Q.eval_dt(s, ts)
     Md = p.M.eval_dt(s, ts)
@@ -363,7 +363,7 @@ class _Engine:
     """Caches per-grid samples and runs fixed-point window iterations.
 
     Construction tabulates what no iterate changes: A and B at the half
-    times (nodes and interval midpoints), the feedback tables M^{-1}B' and
+    times (nodes and interval midpoints), the feedback_tables M^{-1}B' and
     M^{-1}S there (so Ups = MiBt P + MiS is a product, not a solve), M, Q and
     Gdot at the nodes, and psi, the drift-only flow of A on grid with its
     inverse, built here unless given.  The cached properties hold the tail
@@ -380,18 +380,11 @@ class _Engine:
         self.half = half = half_times(nodes)
         self.A_half = p.A.eval(half)
         self.B_half = p.B.eval(half)
-        M_half = p.M.eval(half, half)
-        # feedback tables: Ups = M^{-1}B' P + M^{-1}S at every half time, so
-        # no iterate solves against M
-        try:
-            M_inv = np.linalg.inv(M_half)
-        except np.linalg.LinAlgError as exc:
-            raise InvalidInputError("M(s, s) is singular at a node or midpoint") from exc
-        self.MiBt_half = M_inv @ np.swapaxes(self.B_half, -1, -2)
-        self.MiS_half = M_inv @ p.S.eval(half, half)
+        # Ups = MiBt P + MiS at every half time, so no iterate solves against M
+        self.MiBt_half, self.MiS_half = feedback_tables(p, half)
         self.MiBt_nodes = self.MiBt_half[0::2]
         self.MiS_nodes = self.MiS_half[0::2]
-        self.M_nodes = M_half[0::2]
+        self.M_nodes = p.M.eval(nodes, nodes)
         self.Q_nodes = p.Q.eval(nodes, nodes)
         self.Gd_nodes = p.G.eval_dt(nodes)
         self.G_T = _sym(p.G.eval(grid.T))
@@ -415,11 +408,6 @@ class _Engine:
         h = slice(2 * lo, 2 * hi + 1)
         Pm = local_cubic(self.nodes[a:], values[a:], self.half[h])
         return self.A_half[h] - self.B_half[h] @ (self.MiBt_half[h] @ Pm + self.MiS_half[h])
-
-    def closed_loop(self, values: np.ndarray, a: int) -> Propagator:
-        """Closed-loop fundamental solution U on nodes[a:], U(nodes[a]) = I."""
-        samples = self.drift(values, a, a, self.nodes.size - 1)
-        return fundamental_solution(None, self.nodes[a:], samples=samples)
 
     def split_node(self, b: int) -> int:
         """The first node c past b from which the closed-loop drift reads
@@ -638,11 +626,6 @@ class _Engine:
         AtP = np.swapaxes(self.A_half[0::2], -1, -2) @ self.values
         return AtP + np.swapaxes(AtP, -1, -2) + self.q_bar_table - quad
 
-    @cached_property
-    def flow(self) -> Propagator:
-        """Closed-loop propagator of the fixed solution over the whole grid."""
-        return self.closed_loop(self.values, 0)
-
 
 def _engine_for(p: LQProblem, P: "RiccatiSolution") -> _Engine:
     """The engine of (p, P), kept on P; another problem object replaces it,
@@ -810,7 +793,8 @@ def riccati_residual(p: LQProblem, P: RiccatiSolution, t: float) -> float:
     Pt = P(t)
     At = p.A.eval(t)
     upst = upsilon(p, P, t)
-    It = At.T @ Pt + Pt @ At + q_bar(p, P, engine.flow, t) - upst.T @ p.M.eval(t, t) @ upst
+    phi = fundamental_solution(closed_loop_coefficient(p, P), P.grid)
+    It = At.T @ Pt + Pt @ At + q_bar(p, P, phi, t) - upst.T @ p.M.eval(t, t) @ upst
     ts = np.concatenate([[t], nodes[idx:]])
     stack = np.concatenate([It[None], I[idx:]])
     integral = integrate(stack, ts)

@@ -114,6 +114,29 @@ def test_bad_config_values_are_one_issue_each(updates, path):
     assert [p for p, _ in exc.value.errors] == [path]
 
 
+@pytest.mark.parametrize("name, entry, paths", [
+    ("G", {"kind": "exponential", "base": [[1.0]], "rho": 1.0, "k": 1.0, "theta": 1.0},
+     ["problem.G.k", "problem.G.theta"]),
+    ("G", {"kind": "hyperbolic", "base": [[1.0]], "k": 1.0, "theta": 1.0, "rho": 0.5},
+     ["problem.G.rho"]),
+    ("G", {"kind": "constant", "base": [[1.0]], "coefficients": [[[1.0]]]},
+     ["problem.G.coefficients"]),
+    ("A", {"kind": "polynomial", "coefficients": [[[0.0]]], "base": [[0.0]]},
+     ["problem.A.base"]),
+    ("Q", {"kind": "exponential", "base": [[1.0]], "rho": 1.0, "k": 1.0}, ["problem.Q.k"]),
+])
+def test_family_keys_are_per_kind(name, entry, paths):
+    # one-time and two-time coefficients alike accept their own family's keys only
+    bad = make_config()
+    bad["problem"][name] = entry
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(bad))
+    assert exc.value.errors == [(path, "unknown key") for path in paths]
+    for key in paths:
+        del entry[key.rsplit(".", 1)[1]]
+    parse_config(json.dumps(bad))
+
+
 def test_parse_hyperbolic_pole_guard():
     bad = make_config()
     bad["problem"]["Q"] = {"kind": "hyperbolic", "base": [[1.0]], "k": -2.0,

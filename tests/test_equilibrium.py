@@ -87,6 +87,18 @@ def test_simulate_from_interior_time(tanh_policy):
     assert np.abs(tr.states[:, 0] - exact).max() < 1e-7
 
 
+def test_simulate_from_off_grid_time(tanh_policy):
+    # the policy path starts at t0 itself, between nodes, and then steps
+    # through the nodes past it
+    t0 = 0.3037
+    tr = simulate(tanh_policy, t0, np.array([1.5]))
+    assert tr.nodes[0] == t0 and np.all(np.diff(tr.nodes) > 0)
+    exact = 1.5 * np.cosh(1.0 - tr.nodes) / np.cosh(1.0 - t0)
+    assert np.abs(tr.states[:, 0] - exact).max() < 1e-7
+    np.testing.assert_allclose(tr.controls[:, 0], -np.tanh(1.0 - tr.nodes) * tr.states[:, 0],
+                               atol=1e-7)
+
+
 def test_trajectory_csv(tanh_policy):
     import io
 

@@ -14,6 +14,7 @@ from tilq import (
     SolveOptions,
     TimeGrid,
     TwoTimeKernel,
+    build_policy,
     constant_problem,
     contraction_constants,
     exponential_kernel,
@@ -26,13 +27,14 @@ from tilq import (
     q_bar,
     riccati_residual,
     riccati_residual_profile,
+    simulate,
     solve_riccati,
     upsilon,
     validate_assumptions,
 )
 from tilq._quad import local_cubic, simpson_weights
 from tilq.kernels import _ROW_BLOCK, matrix_norm_many
-from tilq.propagators import closed_loop_coefficient
+from tilq.propagators import closed_loop_coefficient, flow_condition, rk4_flow
 from tilq.riccati import RiccatiSolution, _Engine, q_bar_nodes
 
 TANH1 = 0.7615941559557649  # tanh(1)
@@ -112,6 +114,17 @@ def test_residual_detects_wrong_solution(tanh_problem, tanh_solution):
                           dict(tanh_solution.meta))
     prof = riccati_residual_profile(tanh_problem, bad)
     assert prof.max() > 1e-3
+
+
+@pytest.mark.parametrize("t", [0.0123, 0.3037, 0.77, 0.9037])
+def test_off_node_residual(tanh_problem, tanh_solution, t):
+    # off a node, the first fractional interval reads q_bar along the
+    # closed-loop propagator of P: small on the solution, large on a 5 % error.
+    # (Inside the last interval [t, T] has two points and integrates by the
+    # trapezoid rule: 2e-8 at t = 0.9951.)
+    assert riccati_residual(tanh_problem, tanh_solution, t) < 1e-8
+    bad = RiccatiSolution(tanh_solution.grid, tanh_solution.values * 1.05)
+    assert riccati_residual(tanh_problem, bad, t) > 1e-3
 
 
 def test_hand_constants_exact():
@@ -321,7 +334,7 @@ def _smooth_values(nodes):
 def _loop_f_diag(engine, values, a, b):
     """F(s_i; s_i, P) row by row: one solve for Phi(r, s_i) over each tail."""
     p = engine.p
-    U = engine.closed_loop(values, a).values
+    U = rk4_flow(engine.nodes[a:], engine.drift(values, a, a, engine.nodes.size - 1))
     ups = engine.upsilon_nodes(values, a)
     upsT = np.swapaxes(ups, -1, -2)
     out = np.empty((b - a + 1, p.n, p.n))
@@ -393,7 +406,8 @@ def test_f_diag_ill_conditioned_flow():
     p = _coupled_problem(b_scale=1.0)
     engine = _Engine(p, TimeGrid(_UNIFORM))
     values = 2.0 * _smooth_values(_UNIFORM)
-    assert engine.closed_loop(values, 0).condition > 1e8
+    U = rk4_flow(_UNIFORM, engine.drift(values, 0, 0, _UNIFORM.size - 1))
+    assert flow_condition(U, np.linalg.inv(U)) > 1e8
     for a, b in ((0, 80), (10, 60)):
         want = _loop_f_diag(engine, values, a, b)
         got = engine.f_diag(values, a, b, engine.cached_window(values, a, b),
@@ -654,6 +668,48 @@ def test_m_singular_between_nodes_is_an_input_error():
         warnings.simplefilter("ignore", RuntimeWarning)  # failed sign conditions
         with pytest.raises(InvalidInputError, match="singular"):
             solve_riccati(p, TimeGrid.uniform(1.0, 32))
+
+
+def test_m_singular_off_the_grid_is_an_input_error():
+    # M(s, s) = (s - 0.5025)^2 vanishes at no node or midpoint of the N=100
+    # grid, only between them; every gain read there is a typed error
+    c = 0.5025
+    M = TwoTimeKernel.from_callable(lambda t, s: np.array([[((t + s) / 2 - c) ** 2]]),
+                                    (1, 1), 1.0, dfn=lambda t, s: np.array([[(t + s) / 2 - c]]),
+                                    symmetry_required=True)
+    one = TwoTimeKernel.constant(np.eye(1), 1.0, symmetry_required=True)
+    p = LQProblem(A=OneTimeMatrixFn.constant(np.zeros((1, 1)), 1.0),
+                  B=OneTimeMatrixFn.constant(np.eye(1), 1.0), Q=one,
+                  S=TwoTimeKernel.constant(np.zeros((1, 1)), 1.0), M=M,
+                  G=OneTimeMatrixFn.constant(np.eye(1), 1.0))
+    g = TimeGrid.uniform(1.0, 100)
+    P = RiccatiSolution(g, np.tanh(1.0 - g.nodes)[:, None, None])
+    pol = build_policy(p, P)
+    calls = [lambda: upsilon(p, P, c), lambda: pol.gain_many([0.2, c]),
+             lambda: closed_loop_coefficient(p, P).eval(c), lambda: simulate(pol, c, [1.0])]
+    for call in calls:
+        with pytest.raises(InvalidInputError, match="singular at s = 0.5025"):
+            call()
+
+
+@pytest.mark.parametrize("problem", ["n3", "coupled"])
+def test_gain_matches_a_solve_off_the_grid(problem):
+    # the one gain, Ups = MiBt P + MiS from feedback_tables, against a solve
+    # with M(s, s) at random off-grid times; the policy's gain is -Ups
+    g = TimeGrid.uniform(1.0, 400)
+    if problem == "n3":
+        p = _n3_problem()
+        P = solve_riccati(p, g)
+    else:
+        p = _coupled_problem()
+        P = RiccatiSolution(g, _smooth_values(g.nodes))
+    ts = np.random.default_rng(11).uniform(0.0, 1.0, 40)
+    rhs = np.swapaxes(p.B.eval(ts), -1, -2) @ P(ts) + p.S.eval(ts, ts)
+    want = np.linalg.solve(p.M.eval(ts, ts), rhs)
+    got = upsilon(p, P, ts)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    np.testing.assert_array_equal(upsilon(p, P, ts[7]), got[7])
+    np.testing.assert_array_equal(build_policy(p, P).gain_many(ts), -got)
 
 
 def test_m_singular_at_a_node_without_validation_is_an_input_error():
