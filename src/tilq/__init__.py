@@ -27,7 +27,7 @@ from .oracle import ClassicalRiccatiSolution, brute_force_cost, classical_riccat
 from .problem import CheckResult, LQProblem, ValidationReport, validate_assumptions
 from .propagators import Propagator, closed_loop_coefficient, fundamental_solution
 from .riccati import (ContractionConstants, RiccatiSolution, SolveOptions,
-                      WindowIterate, contraction_constants, f_map, picard_step,
+                      WindowIterate, contraction_constants, picard_step,
                       q_bar, riccati_residual, riccati_residual_profile,
                       solve_riccati, upsilon)
 from .verify import VerificationReport, run_verification
@@ -52,7 +52,7 @@ __all__ = [
     "CheckResult", "LQProblem", "ValidationReport", "validate_assumptions",
     "Propagator", "closed_loop_coefficient", "fundamental_solution",
     "ContractionConstants", "RiccatiSolution", "SolveOptions", "WindowIterate",
-    "contraction_constants", "f_map", "picard_step", "q_bar",
+    "contraction_constants", "picard_step", "q_bar",
     "riccati_residual", "riccati_residual_profile", "solve_riccati", "upsilon",
     "VerificationReport", "run_verification",
     "__version__",

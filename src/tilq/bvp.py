@@ -18,8 +18,7 @@ from ._quad import integrate
 from .errors import GridTooCoarseError, InvalidInputError
 from .problem import LQProblem
 from .equilibrium import build_policy, simulate
-from .propagators import closed_loop_coefficient, fundamental_solution
-from .riccati import RiccatiSolution, q_bar, q_bar_nodes
+from .riccati import RiccatiSolution, q_bar
 
 
 @dataclass(frozen=True)
@@ -104,33 +103,14 @@ def _derivative_matrix_apply(f: np.ndarray, h: float) -> np.ndarray:
     return d
 
 
-def _q_bar_at(p: LQProblem, P: RiccatiSolution, ts: np.ndarray) -> np.ndarray:
-    """Corrected state weight at the given times, from the node table where
-    aligned and by direct evaluation (q_bar along the closed-loop propagator
-    of P, built once) elsewhere."""
-    gnodes = P.grid.nodes
-    j = np.clip(np.searchsorted(gnodes, ts), 1, gnodes.size - 1)
-    j -= np.abs(gnodes[j - 1] - ts) < np.abs(gnodes[j] - ts)
-    on_node = np.abs(gnodes[j] - ts) <= 1e-9 * (1 + p.T)
-    out = np.empty((ts.size, p.n, p.n))
-    if on_node.any():
-        out[on_node] = q_bar_nodes(p, P)[j[on_node]]
-    off_node = np.flatnonzero(~on_node)
-    if off_node.size:
-        phi = fundamental_solution(closed_loop_coefficient(p, P), P.grid)
-        for k in off_node:
-            out[k] = q_bar(p, P, phi, float(ts[k]))
-    return out
-
-
 def bvp_residual(p: LQProblem, P: RiccatiSolution, sol: BvpSolution
                  ) -> tuple[float, float]:
     """Max interior defect of the forward and backward equations.
 
     Derivatives come from order-4 finite differences on the (uniform) node
-    set; the backward weight uses the corrected state weight, valid along
-    pairs constructed from a Riccati solution.  Returns (res_X, res_phi) in
-    the max norm over interior nodes.
+    set; the backward weight uses the corrected state weight q_bar, valid
+    along pairs constructed from a Riccati solution.  Returns (res_X,
+    res_phi) in the max norm over interior nodes.
     """
     ts = sol.nodes
     if ts.size < 5:
@@ -155,7 +135,7 @@ def bvp_residual(p: LQProblem, P: RiccatiSolution, sol: BvpSolution
     C = An - Bn @ MinvS
     rhs_X = np.einsum("kij,kj->ki", C, X) \
         - np.einsum("kij,kj->ki", Bn @ MinvBt, phi)
-    Qb = _q_bar_at(p, P, ts)
+    Qb = q_bar(p, P, ts)
     W = Qb - np.swapaxes(Sn, -1, -2) @ MinvS
     rhs_phi = -np.einsum("kji,kj->ki", C, phi) - np.einsum("kij,kj->ki", W, X)
     res_X = float(np.abs(dX - rhs_X)[1:-1].max()) if ts.size > 2 else 0.0

@@ -27,10 +27,8 @@ import numpy as np
 
 from . import families
 from .equilibrium import SampleSpec, build_policy, simulate
-from .errors import (GridTooCoarseError, IllConditionedError,
-                     InvalidInputError, NonconvergenceError,
-                     NotPositiveDefiniteError, TilqError,
-                     TimeConsistencyError)
+from .errors import (GridTooCoarseError, InvalidInputError, NonconvergenceError,
+                     NotPositiveDefiniteError, TilqError, TimeConsistencyError)
 from .grids import TimeGrid
 from .kernels import OneTimeMatrixFn, TwoTimeKernel
 from .oracle import classical_riccati
@@ -560,7 +558,7 @@ def main(argv=None) -> int:
             GridTooCoarseError, InvalidInputError) as e:
         stdout.write(_json_bytes(_error_payload("invalid-input", e)))
         return 2
-    except (IllConditionedError, TilqError) as e:
+    except TilqError as e:
         stdout.write(_json_bytes(_error_payload("runtime", e)))
         return 2
     except Exception as e:  # noqa: BLE001 - last-resort diagnostics

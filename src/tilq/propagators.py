@@ -2,11 +2,11 @@
 the feedback gain whose closed loop they integrate.
 
 The propagator stores U at the grid nodes (classical fourth-order one-step
-Runge-Kutta per interval, U(nodes[0]) = I) plus the slopes C(t_i) U(t_i) for
-cubic Hermite dense output between nodes.  Transitions Phi(t, s) =
-U(t) U(s)^{-1} come from linear solves, never from stored inverses; the
-node inverses U^{-1} that the condition check needs are kept for callers
-that conjugate by the flow at the nodes themselves.
+Runge-Kutta per interval, U(nodes[0]) = I) and their inverses, which the
+condition check needs; callers conjugate by the flow at the nodes
+themselves.  It has no dense output between nodes and no transitions: the
+transition between nodes k and j is values[k] @ inverse[j], and a time off
+the nodes needs a grid that has it as a node.
 
 feedback_tables is the one place that inverts M(s,s): every gain
 Ups = M(s,s)^{-1}(B(s)'P(s) + S(s,s)) in the package, and so every
@@ -18,11 +18,10 @@ import warnings
 
 import numpy as np
 
-from .errors import IllConditionedError, InvalidInputError
+from .errors import InvalidInputError
 from .kernels import OneTimeMatrixFn, matrix_norm_many
 
 _COND_WARN = 1e12
-_COND_ERROR = 1e14
 
 
 def half_times(nodes: np.ndarray) -> np.ndarray:
@@ -106,56 +105,12 @@ class Propagator:
     values[k] is U at nodes[k] and inverse[k] its inverse.
     """
 
-    def __init__(self, nodes, values, slopes):
+    def __init__(self, nodes, values):
         self.nodes = np.asarray(nodes, dtype=float)
         self.values = values
-        self.slopes = slopes
         self.dim = values.shape[-1]
         self.inverse = np.linalg.inv(values)
         self.condition = flow_condition(values, self.inverse, stacklevel=3)
-
-    def value_many(self, ts) -> np.ndarray:
-        """U(t) for a 1-d array of times inside [nodes[0], nodes[-1]]."""
-        ts = np.asarray(ts, dtype=float)
-        lo, hi = self.nodes[0], self.nodes[-1]
-        span = hi - lo
-        if np.any(ts < lo - 1e-12 * (1 + span)) or np.any(ts > hi + 1e-12 * (1 + span)):
-            raise InvalidInputError("time outside the propagator range")
-        ts = np.clip(ts, lo, hi)
-        idx = np.searchsorted(self.nodes, ts, side="right") - 1
-        idx = np.clip(idx, 0, self.nodes.size - 2)
-        h = self.nodes[idx + 1] - self.nodes[idx]
-        theta = (ts - self.nodes[idx]) / h
-        exact = theta <= 1e-13
-        at_end = theta >= 1 - 1e-13
-        th = theta[:, None, None]
-        hh = h[:, None, None]
-        h00 = 2 * th**3 - 3 * th**2 + 1
-        h10 = th**3 - 2 * th**2 + th
-        h01 = -2 * th**3 + 3 * th**2
-        h11 = th**3 - th**2
-        out = (h00 * self.values[idx] + h10 * hh * self.slopes[idx]
-               + h01 * self.values[idx + 1] + h11 * hh * self.slopes[idx + 1])
-        out[exact] = self.values[idx[exact]]
-        out[at_end] = self.values[idx[at_end] + 1]
-        return out
-
-    def value(self, t) -> np.ndarray:
-        return self.value_many(np.asarray([t]))[0]
-
-    def transition_from(self, s: float, ts) -> np.ndarray:
-        """Phi(t, s) = U(t) U(s)^{-1} for each t in ts (batched)."""
-        Us = self.value(s)
-        cond = (np.abs(Us).sum(-1).max() * np.abs(np.linalg.inv(Us)).sum(-1).max())
-        if cond > _COND_ERROR:
-            raise IllConditionedError(
-                f"transition base point s={s} has condition {cond:.3e}", condition=cond)
-        V = self.value_many(np.asarray(ts, dtype=float))
-        return np.linalg.solve(Us.T, V.swapaxes(-1, -2)).swapaxes(-1, -2)
-
-    def transition(self, t: float, s: float) -> np.ndarray:
-        """State-transition matrix Phi(t, s); Phi(t, t) = I exactly at nodes."""
-        return self.transition_from(s, np.asarray([t]))[0]
 
 
 def fundamental_solution(coefficient, grid) -> Propagator:
@@ -169,9 +124,7 @@ def fundamental_solution(coefficient, grid) -> Propagator:
     nodes = np.asarray(getattr(grid, "nodes", grid), dtype=float)
     if nodes.ndim != 1 or nodes.size < 2 or np.any(np.diff(nodes) <= 0):
         raise InvalidInputError("propagator needs at least two increasing nodes")
-    C = _coefficient_samples(coefficient, nodes)
-    U = rk4_flow(nodes, C)
-    return Propagator(nodes, U, C[0::2] @ U)
+    return Propagator(nodes, rk4_flow(nodes, _coefficient_samples(coefficient, nodes)))
 
 
 def feedback_tables(p, ts) -> tuple[np.ndarray, np.ndarray]:

@@ -53,13 +53,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._quad import integrate, local_cubic, tail_band, tail_integrals
+from ._quad import local_cubic, tail_band, tail_integrals
 from .errors import InvalidInputError, NonconvergenceError
 from .grids import TimeGrid
 from .kernels import _ROW_BLOCK, kernel_norms, matrix_norm, matrix_norm_many
 from .problem import LQProblem, _sym, _triangle_pass
-from .propagators import (Propagator, closed_loop_coefficient, feedback_tables, flow_condition,
-                          fundamental_solution, half_times, rk4_flow)
+from .propagators import (Propagator, feedback_tables, flow_condition, fundamental_solution,
+                          half_times, rk4_flow)
 
 
 def _exp(x: float) -> float:
@@ -265,41 +265,6 @@ def upsilon(p: LQProblem, P, s) -> np.ndarray:
     return ups[0] if s.ndim == 0 else ups
 
 
-def f_map(p: LQProblem, P, phi: Propagator, t: float, s: float) -> np.ndarray:
-    """Nonlocal drift term F(t; s, P) along the closed-loop flow phi.
-
-    Integrates the first-argument partials of the weights, frozen at
-    evaluation time s, conjugated by phi over r in [t, T].  s > t requires
-    the kernels to extend beyond the triangle (the discount families do).
-    """
-    T = p.T
-    if not (0.0 <= t <= T + 1e-12):
-        raise InvalidInputError("f_map needs t in [0, T]")
-    nodes = P.grid.nodes
-    tail = nodes[nodes > t + 1e-12 * (1 + T)]
-    if tail.size == 0:
-        # t is at (or numerically at) the horizon: empty integral, identity flow
-        return _sym(p.G.eval_dt(s))
-    ts = np.concatenate([[t], tail])
-    Phi = phi.transition_from(t, ts)
-    PhiT = Phi[-1]
-    Gd = p.G.eval_dt(s)
-    F = PhiT.T @ Gd @ PhiT
-    ups = upsilon(p, P, ts)
-    upsT = np.swapaxes(ups, -1, -2)
-    Qd = p.Q.eval_dt(s, ts)
-    Md = p.M.eval_dt(s, ts)
-    Sd = p.S.eval_dt(s, ts)
-    core = Qd + upsT @ Md @ ups - upsT @ Sd - np.swapaxes(Sd, -1, -2) @ ups
-    integrand = np.swapaxes(Phi, -1, -2) @ core @ Phi
-    return _sym(F + integrate(integrand, ts))
-
-
-def q_bar(p: LQProblem, P, phi: Propagator, t: float) -> np.ndarray:
-    """Effective state weight Q(t,t) - F(t; t, P)."""
-    return _sym(p.Q.eval(t, t) - f_map(p, P, phi, t, t))
-
-
 @dataclass
 class SolveOptions:
     """Knobs for solve_riccati.
@@ -364,14 +329,13 @@ class _Engine:
 
     Construction tabulates what no iterate changes: A and B at the half
     times (nodes and interval midpoints), the feedback_tables M^{-1}B' and
-    M^{-1}S there (so Ups = MiBt P + MiS is a product, not a solve), M, Q and
-    Gdot at the nodes, and psi, the drift-only flow of A on grid with its
-    inverse, built here unless given.  The cached properties hold the tail
-    rules as a vector plus a K x 4 band and full-grid tables of the fixed
-    solution values.
+    M^{-1}S there (so Ups = MiBt P + MiS is a product, not a solve), and M, Q
+    and Gdot at the nodes.  The cached properties hold psi, the drift-only
+    flow of A that only the window map reads, the tail rules as a vector plus
+    a K x 4 band, and full-grid tables of the fixed solution values.
     """
 
-    def __init__(self, p: LQProblem, grid: TimeGrid, values=None, psi=None):
+    def __init__(self, p: LQProblem, grid: TimeGrid, values=None):
         self.p = p
         self.grid = grid
         self.values = values
@@ -388,9 +352,13 @@ class _Engine:
         self.Q_nodes = p.Q.eval(nodes, nodes)
         self.Gd_nodes = p.G.eval_dt(nodes)
         self.G_T = _sym(p.G.eval(grid.T))
-        self.psi = fundamental_solution(p.A, grid) if psi is None else psi
         self._window_key = None
         self._window = None
+
+    @cached_property
+    def psi(self) -> Propagator:
+        """The drift-only flow of A on the grid, with its inverse."""
+        return fundamental_solution(self.p.A, self.grid)
 
     @cached_property
     def tail_rule(self) -> tuple[np.ndarray, np.ndarray]:
@@ -709,7 +677,9 @@ def solve_riccati(p: LQProblem, g: TimeGrid, opts: SolveOptions | None = None
         mode = "practical"
         width = g.T / 4.0
 
-    engine = _Engine(p, g_solve, psi=psi if g_solve is g else None)
+    engine = _Engine(p, g_solve)
+    if g_solve is g:
+        engine.psi = psi
     nodes = g_solve.nodes
     K = nodes.size
     values = np.broadcast_to(engine.G_T, (K,) + engine.G_T.shape).copy()
@@ -767,6 +737,37 @@ def q_bar_nodes(p: LQProblem, P: RiccatiSolution) -> np.ndarray:
     return _engine_for(p, P).q_bar_table.copy()
 
 
+def q_bar(p: LQProblem, P: RiccatiSolution, ts) -> np.ndarray:
+    """Effective state weight Q(t,t) - F(t; t, P) at a time t or at each time
+    of a 1-d array ts in [0, T].
+
+    A time within 1e-9 (1 + T) of a grid node reads that node's row of
+    q_bar_nodes.  Every other time is inserted into the grid, P sampled there
+    by its local cubic, and one engine on the union of nodes and times gives
+    the rows of all of them: an inserted row integrates over t and the nodes
+    past it, with the closed-loop drift interpolated on the whole union.
+    """
+    ts = np.asarray(ts, dtype=float)
+    scalar = ts.ndim == 0
+    ts = np.atleast_1d(ts)
+    nodes = P.grid.nodes
+    tol = 1e-9 * (1 + p.T)
+    if np.any(ts < nodes[0] - tol) or np.any(ts > nodes[-1] + tol):
+        raise InvalidInputError("q_bar needs times in [0, T]")
+    j = np.clip(np.searchsorted(nodes, ts), 1, nodes.size - 1)
+    j -= np.abs(nodes[j - 1] - ts) < np.abs(nodes[j] - ts)
+    on_node = np.abs(nodes[j] - ts) <= tol
+    out = np.empty((ts.size, p.n, p.n))
+    if on_node.any():
+        out[on_node] = q_bar_nodes(p, P)[j[on_node]]
+    off = ts[~on_node]
+    if off.size:
+        union = np.union1d(nodes, off)
+        engine = _Engine(p, TimeGrid(union), P.eval_many(union))
+        out[~on_node] = engine.q_bar_table[np.searchsorted(union, off)]
+    return out[0] if scalar else out
+
+
 def riccati_residual_profile(p: LQProblem, P: RiccatiSolution) -> np.ndarray:
     """Integral-equation defect at every grid node (row-sum norm)."""
     engine = _engine_for(p, P)
@@ -777,25 +778,25 @@ def riccati_residual_profile(p: LQProblem, P: RiccatiSolution) -> np.ndarray:
 def riccati_residual(p: LQProblem, P: RiccatiSolution, t: float) -> float:
     """Integral-equation defect ||P(t) - G(T) - int_t^T rhs|| at one time.
 
-    At a grid node this is the entry of riccati_residual_profile; off-node t
-    adds the fractional first interval with the nonlocal term evaluated at t
-    itself.
+    At a grid node this is the entry of riccati_residual_profile.  Off a node,
+    t joins the nodes past it with the integrand at t from q_bar; in the last
+    interval the node before t joins too, so [t, T] is integrated on the
+    parabola through s_{K-2}, t and T, not on the line from t to T.
     """
     nodes = P.grid.nodes
     if not nodes[0] <= t <= nodes[-1]:
         raise InvalidInputError("t outside [0, T]")
-    idx = np.searchsorted(nodes, t)
+    idx = int(np.searchsorted(nodes, t))
     if idx < nodes.size and nodes[idx] == t:
         return float(riccati_residual_profile(p, P)[idx])
     engine = _engine_for(p, P)
-    I = engine.integrand
-    G_T = engine.G_T
     Pt = P(t)
     At = p.A.eval(t)
     upst = upsilon(p, P, t)
-    phi = fundamental_solution(closed_loop_coefficient(p, P), P.grid)
-    It = At.T @ Pt + Pt @ At + q_bar(p, P, phi, t) - upst.T @ p.M.eval(t, t) @ upst
-    ts = np.concatenate([[t], nodes[idx:]])
-    stack = np.concatenate([It[None], I[idx:]])
-    integral = integrate(stack, ts)
-    return float(matrix_norm(Pt - G_T - integral))
+    It = At.T @ Pt + Pt @ At + q_bar(p, P, t) - upst.T @ p.M.eval(t, t) @ upst
+    lo = min(idx, nodes.size - 2)
+    ts = np.concatenate([nodes[lo:idx], [t], nodes[idx:]])
+    I = engine.integrand
+    stack = np.concatenate([I[lo:idx], It[None], I[idx:]])
+    integral = tail_integrals(stack, ts)[idx - lo]
+    return float(matrix_norm(Pt - engine.G_T - integral))

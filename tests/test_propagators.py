@@ -4,55 +4,44 @@ from scipy.linalg import expm
 from tilq import OneTimeMatrixFn, TimeGrid, fundamental_solution
 
 
+def _transition(prop, g, t, s):
+    """Phi(t, s) = U(t) U(s)^{-1} between two node times of g."""
+    return prop.values[g.index_of(t)] @ prop.inverse[g.index_of(s)]
+
+
 def test_constant_coefficient_matches_expm(rng):
     A = rng.standard_normal((3, 3))
     g = TimeGrid.uniform(1.0, 128)
     prop = fundamental_solution(OneTimeMatrixFn.constant(A, 1.0), g)
     for t in (0.25, 0.5, 1.0):
-        np.testing.assert_allclose(prop.value(t), expm(A * t), rtol=1e-7, atol=1e-9)
+        i = g.index_of(t)
+        np.testing.assert_allclose(prop.values[i], expm(A * t), rtol=1e-7, atol=1e-9)
+        np.testing.assert_allclose(prop.inverse[i], expm(-A * t), rtol=1e-7, atol=1e-9)
 
 
 def test_transition_composition():
     # non-commuting time-varying coefficient pins the argument convention:
-    # transition(t, s) maps the state at s to the state at t
+    # Phi(t, s) maps the state at s to the state at t
     A0 = np.array([[0.0, 1.0], [0.0, 0.0]])
     A1 = np.array([[0.0, 0.0], [1.0, 0.0]])
     f = OneTimeMatrixFn.from_callable(lambda t: A0 + t * A1, (2, 2), 1.0)
-    g = TimeGrid.uniform(1.0, 128)
+    g = TimeGrid.uniform(1.0, 160)
     prop = fundamental_solution(f, g)
-    lhs = prop.transition(0.9, 0.2)
-    rhs = prop.transition(0.9, 0.6) @ prop.transition(0.6, 0.2)
+    lhs = _transition(prop, g, 0.9, 0.2)
+    rhs = _transition(prop, g, 0.9, 0.6) @ _transition(prop, g, 0.6, 0.2)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-9, atol=1e-11)
     # reverse transition inverts
     np.testing.assert_allclose(
-        prop.transition(0.2, 0.9) @ lhs, np.eye(2), rtol=1e-8, atol=1e-9)
+        _transition(prop, g, 0.2, 0.9) @ lhs, np.eye(2), rtol=1e-8, atol=1e-9)
 
 
 def test_time_varying_scalar_exact():
     # x' = 2t x has flow exp(t^2 - s^2)
     f = OneTimeMatrixFn.from_callable(lambda t: np.array([[2.0 * t]]), (1, 1), 1.0)
-    g = TimeGrid.uniform(1.0, 128)
+    g = TimeGrid.uniform(1.0, 160)
     prop = fundamental_solution(f, g)
-    got = prop.transition(0.8, 0.3)
+    got = _transition(prop, g, 0.8, 0.3)
     np.testing.assert_allclose(got, [[np.exp(0.64 - 0.09)]], rtol=1e-9)
-
-
-def test_dense_output_between_nodes(rng):
-    A = rng.standard_normal((2, 2)) * 0.5
-    g = TimeGrid.uniform(1.0, 32)
-    prop = fundamental_solution(OneTimeMatrixFn.constant(A, 1.0), g)
-    t = 0.5 * (g.nodes[3] + g.nodes[4])  # midpoint, not a node
-    np.testing.assert_allclose(prop.value(t), expm(A * t), rtol=1e-6, atol=1e-8)
-
-
-def test_value_many_matches_value(rng):
-    A = rng.standard_normal((2, 2)) * 0.3
-    g = TimeGrid.uniform(1.0, 16)
-    prop = fundamental_solution(OneTimeMatrixFn.constant(A, 1.0), g)
-    ts = np.array([0.0, 0.1, 0.5, 0.93, 1.0])
-    many = prop.value_many(ts)
-    for i, t in enumerate(ts):
-        np.testing.assert_allclose(many[i], prop.value(t), atol=1e-13)
 
 
 def test_rk4_convergence_order():
@@ -62,7 +51,7 @@ def test_rk4_convergence_order():
 
     def err(n):
         prop = fundamental_solution(f, TimeGrid.uniform(1.0, n))
-        return np.abs(prop.value(1.0) - ref).max()
+        return np.abs(prop.values[-1] - ref).max()
 
     # fourth order: halving h shrinks the error ~16x
     assert err(16) / err(32) > 8.0

@@ -17,9 +17,8 @@ from tilq import (
     build_policy,
     constant_problem,
     contraction_constants,
+    bvp_residual,
     exponential_kernel,
-    f_map,
-    fundamental_solution,
     hyperbolic_kernel,
     hyperbolic_problem,
     hyperbolic_terminal,
@@ -35,7 +34,9 @@ from tilq import (
 from tilq._quad import local_cubic, simpson_weights
 from tilq.kernels import _ROW_BLOCK, matrix_norm_many
 from tilq.propagators import closed_loop_coefficient, flow_condition, rk4_flow
+from tilq.bvp import BvpSolution
 from tilq.riccati import RiccatiSolution, _Engine, q_bar_nodes
+from tilq.verify import RICCATI_TOL
 
 TANH1 = 0.7615941559557649  # tanh(1)
 
@@ -68,31 +69,66 @@ def test_hyperbolic_decoupled_closed_form(hyperbolic_decoupled):
     np.testing.assert_allclose(sol(0.0)[0, 0], math.log(2.0) + 0.5, atol=1e-9)
 
 
-def test_f_map_analytic(hyperbolic_decoupled):
-    # closed form for B=0, k=theta=1: F(t; s) = (2-s)^-2 + (1+t-s)^-1 - (2-s)^-1
+def test_q_bar_closed_form(hyperbolic_decoupled):
+    # B = 0, k = theta = 1: F(t; t, P) = (2-t)^-2 + 1 - (2-t)^-1, so
+    # Q(t,t) - F = (2-t)^-1 - (2-t)^-2 on the nodes and off them, 0.9951 in
+    # the last interval included
     p = hyperbolic_decoupled
-    g = TimeGrid.uniform(1.0, 200)
-    sol = solve_riccati(p, g)
-    phi = fundamental_solution(closed_loop_coefficient(p, sol), sol.grid)
-
-    def exact(t, s):
-        return (2 - s) ** -2 + (1 + t - s) ** -1 - (2 - s) ** -1
-
-    for t, s in [(0.5, 0.5), (0.5, 0.25), (0.0, 0.0), (0.25, 0.1)]:
-        np.testing.assert_allclose(f_map(p, sol, phi, t, s)[0, 0], exact(t, s),
-                                   atol=1e-9)
-    # at the horizon the integral term vanishes and F = dG/dt
-    np.testing.assert_allclose(f_map(p, sol, phi, 1.0, 0.5)[0, 0], (2 - 0.5) ** -2,
-                               atol=1e-12)
+    sol = solve_riccati(p, TimeGrid.uniform(1.0, 200))
+    ts = np.array([0.0, 0.1234, 0.5, 0.77, 0.9951, 1.0])
+    exact = 1.0 / (2.0 - ts) - (2.0 - ts) ** -2
+    np.testing.assert_allclose(q_bar(p, sol, ts)[:, 0, 0], exact, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(q_bar(p, sol, 0.9951), [[exact[4]]], rtol=0, atol=1e-10)
 
 
-def test_q_bar_matches_nodes_table(hyperbolic_scalar, hyperbolic_solution):
+def test_q_bar_off_the_nodes_matches_a_finer_table():
+    # the odd nodes of a 4N grid are off the nodes of N = 400; away from the
+    # last two intervals their rows agree with the 4N solve's node table
+    p = _n3_problem()
+    coarse = solve_riccati(p, TimeGrid.uniform(1.0, 400))
+    fine = solve_riccati(p, TimeGrid.uniform(1.0, 1600))
+    idx = np.arange(1, 1592, 6)
+    got = q_bar(p, coarse, fine.grid.nodes[idx])
+    assert np.abs(got - q_bar_nodes(p, fine)[idx]).max() < 1e-8
+
+
+def test_q_bar_next_to_a_node_reads_its_row(hyperbolic_scalar, hyperbolic_solution):
     p, sol = hyperbolic_scalar, hyperbolic_solution
-    phi = fundamental_solution(closed_loop_coefficient(p, sol), sol.grid)
-    table = q_bar_nodes(p, sol)
-    for i in (0, 50, 120, 199):
-        t = float(sol.grid.nodes[i])
-        np.testing.assert_allclose(q_bar(p, sol, phi, t), table[i], atol=1e-9)
+    nodes, table = sol.grid.nodes, q_bar_nodes(p, sol)
+    i = np.array([0, 57, 199, 200])
+    got = q_bar(p, sol, nodes[i] + 1e-13)
+    np.testing.assert_array_equal(got, table[i])
+    np.testing.assert_array_equal(q_bar(p, sol, nodes[57] - 1e-13), table[57])
+
+
+@pytest.mark.parametrize("t", [-1e-3, 1.0 + 1e-3])
+def test_q_bar_outside_the_horizon_raises(hyperbolic_scalar, hyperbolic_solution, t):
+    with pytest.raises(InvalidInputError):
+        q_bar(hyperbolic_scalar, hyperbolic_solution, t)
+    with pytest.raises(InvalidInputError):
+        q_bar(hyperbolic_scalar, hyperbolic_solution, [0.5, t])
+
+
+def test_bvp_residual_off_the_grid(monkeypatch):
+    # a pair on 300 intervals against P on 400: two thirds of its times are
+    # off the nodes of P, and q_bar reads all of them from one engine
+    p = _n3_problem()
+    P = solve_riccati(p, TimeGrid.uniform(1.0, 400))
+    traj = simulate(build_policy(p, P), 0.0, [1.0, -0.5, 0.3], g=TimeGrid.uniform(1.0, 300))
+    phi = np.einsum("kij,kj->ki", P(traj.nodes), traj.states)
+    pair = BvpSolution(traj.nodes, traj.states, phi, 0.0, traj.x0)
+    q_bar_nodes(p, P)  # the engine of P, whose rows the shared nodes read
+    built = []
+    real = _Engine.__init__
+
+    def counted(self, *args):
+        built.append(args[1])
+        real(self, *args)
+
+    monkeypatch.setattr(_Engine, "__init__", counted)
+    res_X, res_phi = bvp_residual(p, P, pair)
+    assert len(built) == 1 and len(built[0]) == 401 + 200
+    assert res_X < 1e-7 and res_phi < 1e-6
 
 
 def test_upsilon_gain(tanh_problem, tanh_solution):
@@ -118,13 +154,25 @@ def test_residual_detects_wrong_solution(tanh_problem, tanh_solution):
 
 @pytest.mark.parametrize("t", [0.0123, 0.3037, 0.77, 0.9037])
 def test_off_node_residual(tanh_problem, tanh_solution, t):
-    # off a node, the first fractional interval reads q_bar along the
-    # closed-loop propagator of P: small on the solution, large on a 5 % error.
-    # (Inside the last interval [t, T] has two points and integrates by the
-    # trapezoid rule: 2e-8 at t = 0.9951.)
+    # off a node, the first fractional interval reads q_bar at t: small on
+    # the solution, large on a 5 % error
     assert riccati_residual(tanh_problem, tanh_solution, t) < 1e-8
     bad = RiccatiSolution(tanh_solution.grid, tanh_solution.values * 1.05)
     assert riccati_residual(tanh_problem, bad, t) > 1e-3
+
+
+def test_off_node_residual_in_the_last_interval_tanh(tanh_problem, tanh_solution):
+    # [t, T] is integrated on the parabola through s_{K-2}, t and T; the
+    # trapezoid on [t, T] alone reads 2e-8 here
+    assert riccati_residual(tanh_problem, tanh_solution, 0.9951) < 1e-10
+
+
+def test_off_node_residual_in_the_last_interval_n3():
+    # at T - 0.7h the trapezoid on [t, T] alone reads 1.7e-6, above
+    # RICCATI_TOL on a correct P; the parabola reads 1.2e-7
+    p = _n3_problem()
+    sol = solve_riccati(p, TimeGrid.uniform(1.0, 400))
+    assert riccati_residual(p, sol, 1.0 - 0.7 / 400) < 0.25 * RICCATI_TOL
 
 
 def test_hand_constants_exact():
@@ -686,7 +734,8 @@ def test_m_singular_off_the_grid_is_an_input_error():
     P = RiccatiSolution(g, np.tanh(1.0 - g.nodes)[:, None, None])
     pol = build_policy(p, P)
     calls = [lambda: upsilon(p, P, c), lambda: pol.gain_many([0.2, c]),
-             lambda: closed_loop_coefficient(p, P).eval(c), lambda: simulate(pol, c, [1.0])]
+             lambda: closed_loop_coefficient(p, P).eval(c), lambda: simulate(pol, c, [1.0]),
+             lambda: q_bar(p, P, c)]
     for call in calls:
         with pytest.raises(InvalidInputError, match="singular at s = 0.5025"):
             call()
