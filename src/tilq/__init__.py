@@ -13,9 +13,8 @@ from .equilibrium import (EquilibriumPolicy, PerturbationReport,
                           perturbation_limit_closed_form,
                           perturbation_limit_finite_eps, simulate,
                           value_identity_gap)
-from .errors import (GridTooCoarseError, IllConditionedError,
-                     InvalidInputError, NonconvergenceError,
-                     NotPositiveDefiniteError, TilqError,
+from .errors import (GridTooCoarseError, InvalidInputError,
+                     NonconvergenceError, NotPositiveDefiniteError, TilqError,
                      TimeConsistencyError)
 from .families import (constant_problem, exponential_kernel,
                        exponential_terminal, hyperbolic_kernel,
@@ -40,9 +39,8 @@ __all__ = [
     "SampleSpec", "Trajectory", "build_policy", "cost",
     "equilibrium_certificate", "perturbation_limit_closed_form",
     "perturbation_limit_finite_eps", "simulate", "value_identity_gap",
-    "GridTooCoarseError", "IllConditionedError", "InvalidInputError",
-    "NonconvergenceError", "NotPositiveDefiniteError", "TilqError",
-    "TimeConsistencyError",
+    "GridTooCoarseError", "InvalidInputError", "NonconvergenceError",
+    "NotPositiveDefiniteError", "TilqError", "TimeConsistencyError",
     "constant_problem", "exponential_kernel", "exponential_terminal",
     "hyperbolic_kernel", "hyperbolic_problem", "hyperbolic_terminal",
     "TimeGrid",

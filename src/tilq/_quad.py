@@ -1,4 +1,4 @@
-"""The local cubic on sampled nodes: interpolation and quadrature weights.
+"""Local polynomials on sampled nodes: interpolation, integrals, derivatives.
 
 One rule serves every time integral in the package: interval [x_j, x_j+1]
 is integrated exactly over the polynomial through the min(4, K) nodes
@@ -7,7 +7,8 @@ local_cubic.  2- and 3-node inputs take the line and the parabola; longer
 ones are exact for cubics, uniform or not.  Every weight is a sum of these
 interval weights, and none is kept in a K x K matrix: the integrals from
 every node to the end are reverse sums of interval integrals, and the rules
-on the tails x[i:] are one vector plus a K x 4 band.
+on the tails x[i:] are one vector plus a K x 4 band.  Derivatives at the
+nodes take the same kind of stencil, min(5, K) nodes around each node.
 """
 from __future__ import annotations
 
@@ -18,11 +19,11 @@ _ENDS_AND_MID = np.array([0.0, 0.5, 1.0])
 _SIMPSON = np.array([1.0, 4.0, 1.0]) / 6.0
 
 
-def _stencil(K: int, j: np.ndarray) -> np.ndarray:
-    """Indices of the min(4, K) nodes around each interval j, shifted inward
-    at the ends."""
-    m = min(4, K)
-    return np.minimum(np.maximum(j - 1, 0), K - m)[:, None] + _ARANGE[:m]
+def _stencil(K: int, j: np.ndarray, width: int = 4) -> np.ndarray:
+    """Indices of the min(width, K) nodes around each interval (width 4) or
+    node (width 5) j, shifted inward at the ends."""
+    m = min(width, K)
+    return np.minimum(np.maximum(j - (width - 1) // 2, 0), K - m)[:, None] + np.arange(m)
 
 
 def _lagrange(xs: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -45,6 +46,22 @@ def local_cubic(nodes: np.ndarray, values: np.ndarray, ts: np.ndarray) -> np.nda
     i = np.searchsorted(nodes, ts, side="right") - 1
     idx = _stencil(nodes.size, i)
     return np.einsum("qj,qj...->q...", _lagrange(nodes[idx], ts), values[idx])
+
+
+def derivative(x: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Derivative of sampled values (first axis runs along x) at every node:
+    that of the polynomial through the min(5, K) nodes around the node,
+    shifted inward at the ends, in barycentric form.  x must be strictly
+    increasing, not necessarily uniform."""
+    x = np.asarray(x, dtype=float)
+    K = x.size
+    idx = _stencil(K, np.arange(K), 5)
+    rows, here = np.arange(K), np.arange(K) - idx[:, 0]  # node i's place in its stencil
+    gaps = x[idx][:, :, None] - x[idx][:, None, :] + np.eye(idx.shape[1])  # x_k - x_l, 1 at k = l
+    bary = 1.0 / gaps.prod(axis=2)
+    weights = bary / bary[rows, here][:, None] / gaps[rows, here]
+    weights[rows, here] -= weights.sum(axis=1)  # 1 there becomes minus the others' sum
+    return np.einsum("ik,ik...->i...", weights, np.asarray(values, dtype=float)[idx])
 
 
 def _interval_weights(x: np.ndarray, idx: np.ndarray) -> np.ndarray:

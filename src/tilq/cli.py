@@ -270,8 +270,9 @@ def parse_config(text: str) -> RunConfig:
     else:
         _check_keys(solver_doc, {"tol", "max_iter", "window_override"},
                     "solver", errors)
-        tol = _number(solver_doc, "tol", "solver", errors, allow_none=True,
-                      minimum=0.0)
+        tol = _number(solver_doc, "tol", "solver", errors, allow_none=True)
+        if tol is not None and tol <= 0.0:
+            errors.append(("solver.tol", "must be positive"))
         max_iter = _number(solver_doc, "max_iter", "solver", errors,
                            default=200, minimum=1, integer=True) or 200
         window_override = _number(solver_doc, "window_override", "solver",
@@ -440,9 +441,6 @@ def run(cfg: RunConfig, *, quiet: bool = False, stdout=None) -> int:
                 f"advisory={'pass' if report.monotone_ok else 'fail'}")
         return 0 if report.hard_ok else 2
 
-    if cfg.mode == "simulate" and cfg.sim_x0 is None:
-        raise InvalidInputError("simulate mode needs simulate.x0 in the config")
-
     sol = solve_riccati(p, g, opts)
 
     if cfg.mode == "solve":
@@ -521,6 +519,23 @@ def _error_payload(kind: str, exc: Exception, **extra) -> dict:
     return payload
 
 
+def _with_overrides(text: str, args) -> str:
+    """The config text with the command-line overrides merged into its
+    document, for parse_config to validate with the rest; overrides that
+    have no object to go into are dropped, and parse_config reports why."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError:
+        return text
+    if isinstance(doc, dict):
+        for val, section, key in ((args.mode, None, "mode"), (args.out, "output", "dir"),
+                                  (args.grid, "grid", "N"), (args.tol, "solver", "tol")):
+            target = doc if section is None else doc.setdefault(section, {})
+            if val is not None and isinstance(target, dict):
+                target[key] = val
+    return json.dumps(doc)
+
+
 def main(argv=None) -> int:
     args = _parse_args(argv)
     stdout = sys.stdout
@@ -531,17 +546,7 @@ def main(argv=None) -> int:
         stdout.write(_json_bytes(_error_payload("config-io", e)))
         return 2
     try:
-        cfg = parse_config(text)
-        if args.mode:
-            cfg.mode = args.mode
-        if args.out:
-            cfg.out_dir = args.out
-        if args.grid:
-            if args.grid < 16:
-                raise ConfigError([("grid.N", "must be >= 16")])
-            cfg.grid = TimeGrid.uniform(cfg.grid.T, args.grid)
-        if args.tol is not None:
-            cfg.tol = args.tol
+        cfg = parse_config(_with_overrides(text, args))
         return run(cfg, quiet=args.quiet, stdout=stdout)
     except ConfigError as e:
         stdout.write(_json_bytes({"error": {

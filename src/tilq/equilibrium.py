@@ -32,7 +32,7 @@ import numpy as np
 
 from ._quad import integrate, simpson_weights
 from .errors import GridTooCoarseError, InvalidInputError
-from .grids import TimeGrid
+from .grids import TimeGrid, node_index
 from .problem import LQProblem
 from .propagators import flow_prefix, half_times, rk4_flow, rk4_steps
 from .riccati import RiccatiSolution, upsilon
@@ -96,19 +96,20 @@ def simulate(pol: EquilibriumPolicy, t0: float, x0, g: TimeGrid | None = None
 
     The path runs on t0 and the nodes past it (of g, else of the policy's
     grid), by the RK4 steps that cost integrates a policy with: the flow
-    starts at t0 itself, so no transition is inverted or interpolated.
+    starts at t0 itself, so no transition is inverted or interpolated.  A t0
+    that is a node by grids.node_index starts the path at that node.
     """
     p = pol.problem
-    T = p.T
+    nodes = g.nodes if g is not None else pol.P.grid.nodes
     t0 = float(t0)
-    if not 0.0 <= t0 < T:
+    i = int(node_index(nodes, t0))
+    t0 = float(nodes[i]) if i >= 0 else t0
+    if not 0.0 <= t0 < p.T:
         raise InvalidInputError("simulate needs t0 in [0, T)")
     x0 = np.asarray(x0, dtype=float).reshape(p.n)
     if not np.all(np.isfinite(x0)):
         raise InvalidInputError("x0 must be finite")
-    nodes = g.nodes if g is not None else pol.P.grid.nodes
-    tail = nodes[nodes > t0 + 1e-12 * (1 + T)]
-    ts = np.concatenate([[t0], tail])
+    ts = np.concatenate([[t0], nodes[nodes > t0]])
     X, U = _integrate_segment(p, ts, x0, _LinearControl(pol.gain_many))
     return Trajectory(ts, X, U, t0, x0)
 

@@ -17,14 +17,6 @@ class NotPositiveDefiniteError(TilqError, ValueError):
         self.where = where
 
 
-class IllConditionedError(TilqError, RuntimeError):
-    """A linear solve was refused because the matrix condition estimate is too large."""
-
-    def __init__(self, message, *, condition=None):
-        super().__init__(message)
-        self.condition = condition
-
-
 class NonconvergenceError(TilqError, RuntimeError):
     """Fixed-point iteration failed to converge; carries per-window diagnostics."""
 

@@ -1,9 +1,18 @@
-"""Time grids on [0, T]."""
+"""Time grids on [0, T], and the rule that says which node a time is."""
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import InvalidInputError
+
+
+def node_index(nodes: np.ndarray, ts) -> np.ndarray:
+    """For each time in ts, the index of the node within 1e-9 (1 + T) of it,
+    T = nodes[-1], else -1: such a time is that node.  Needs two nodes."""
+    ts = np.asarray(ts, dtype=float)
+    j = np.clip(np.searchsorted(nodes, ts), 1, nodes.size - 1)
+    j = j - (np.abs(nodes[j - 1] - ts) < np.abs(nodes[j] - ts))
+    return np.where(np.abs(nodes[j] - ts) <= 1e-9 * (1.0 + nodes[-1]), j, -1)
 
 
 class TimeGrid:
@@ -60,10 +69,10 @@ class TimeGrid:
         ]
         return TimeGrid(np.concatenate(pieces + [[self.T]]))
 
-    def index_of(self, t: float, tol: float = 1e-9) -> int:
-        """Index of the node equal to t (within tol), else raise."""
-        i = int(np.argmin(np.abs(self.nodes - t)))
-        if abs(self.nodes[i] - t) > tol * (1.0 + self.T):
+    def index_of(self, t: float) -> int:
+        """Index of the node t is (see node_index), else raise."""
+        i = int(node_index(self.nodes, t))
+        if i < 0:
             raise InvalidInputError(f"t={t!r} is not a grid node")
         return i
 

@@ -55,7 +55,7 @@ import numpy as np
 
 from ._quad import local_cubic, tail_band, tail_integrals
 from .errors import InvalidInputError, NonconvergenceError
-from .grids import TimeGrid
+from .grids import TimeGrid, node_index
 from .kernels import _ROW_BLOCK, kernel_norms, matrix_norm, matrix_norm_many
 from .problem import LQProblem, _sym, _triangle_pass
 from .propagators import (Propagator, feedback_tables, flow_condition, fundamental_solution,
@@ -637,13 +637,18 @@ def solve_riccati(p: LQProblem, g: TimeGrid, opts: SolveOptions | None = None
     _GUARANTEED_MAX_REFINE times); the contraction factor is then asserted
     <= 0.75 per window.  Otherwise practical windows of width T/4 march
     backward with halving on observed divergence.  Raises
-    NonconvergenceError when an iteration cap or halving floor is hit.
+    NonconvergenceError when an iteration cap or halving floor is hit, and
+    InvalidInputError for a tol outside (0, inf) or a max_iter below 1.
 
     Validation (opts.validate) and the two-time norms of the constants come
     from one walk of the node-pair triangle; the report and constants equal
     those of validate_assumptions and contraction_constants.
     """
     opts = opts or SolveOptions()
+    if opts.tol is not None and not 0.0 < opts.tol < math.inf:
+        raise InvalidInputError("tol must be positive and finite")
+    if opts.max_iter < 1:
+        raise InvalidInputError("max_iter must be >= 1")
     report, pair_norms = _triangle_pass(p, g, validate=opts.validate)
     if report is not None:
         if not report.hard_ok:
@@ -741,7 +746,7 @@ def q_bar(p: LQProblem, P: RiccatiSolution, ts) -> np.ndarray:
     """Effective state weight Q(t,t) - F(t; t, P) at a time t or at each time
     of a 1-d array ts in [0, T].
 
-    A time within 1e-9 (1 + T) of a grid node reads that node's row of
+    A time that is a grid node by grids.node_index reads that node's row of
     q_bar_nodes.  Every other time is inserted into the grid, P sampled there
     by its local cubic, and one engine on the union of nodes and times gives
     the rows of all of them: an inserted row integrates over t and the nodes
@@ -751,12 +756,10 @@ def q_bar(p: LQProblem, P: RiccatiSolution, ts) -> np.ndarray:
     scalar = ts.ndim == 0
     ts = np.atleast_1d(ts)
     nodes = P.grid.nodes
-    tol = 1e-9 * (1 + p.T)
-    if np.any(ts < nodes[0] - tol) or np.any(ts > nodes[-1] + tol):
+    j = node_index(nodes, ts)
+    on_node = j >= 0
+    if np.any(((ts < nodes[0]) | (ts > nodes[-1])) & ~on_node):
         raise InvalidInputError("q_bar needs times in [0, T]")
-    j = np.clip(np.searchsorted(nodes, ts), 1, nodes.size - 1)
-    j -= np.abs(nodes[j - 1] - ts) < np.abs(nodes[j] - ts)
-    on_node = np.abs(nodes[j] - ts) <= tol
     out = np.empty((ts.size, p.n, p.n))
     if on_node.any():
         out[on_node] = q_bar_nodes(p, P)[j[on_node]]
@@ -778,17 +781,18 @@ def riccati_residual_profile(p: LQProblem, P: RiccatiSolution) -> np.ndarray:
 def riccati_residual(p: LQProblem, P: RiccatiSolution, t: float) -> float:
     """Integral-equation defect ||P(t) - G(T) - int_t^T rhs|| at one time.
 
-    At a grid node this is the entry of riccati_residual_profile.  Off a node,
-    t joins the nodes past it with the integrand at t from q_bar; in the last
-    interval the node before t joins too, so [t, T] is integrated on the
-    parabola through s_{K-2}, t and T, not on the line from t to T.
+    At a grid node (grids.node_index) this is the entry of the profile.  Off
+    a node, t joins the nodes past it with the integrand at t from q_bar; in
+    the last interval the node before t joins too, so [t, T] is integrated on
+    the parabola through s_{K-2}, t and T, not on the line from t to T.
     """
     nodes = P.grid.nodes
-    if not nodes[0] <= t <= nodes[-1]:
+    i = int(node_index(nodes, t))
+    if i >= 0:
+        return float(riccati_residual_profile(p, P)[i])
+    if not nodes[0] < t < nodes[-1]:
         raise InvalidInputError("t outside [0, T]")
     idx = int(np.searchsorted(nodes, t))
-    if idx < nodes.size and nodes[idx] == t:
-        return float(riccati_residual_profile(p, P)[idx])
     engine = _engine_for(p, P)
     Pt = P(t)
     At = p.A.eval(t)

@@ -4,11 +4,15 @@ import pytest
 from tilq import (
     GridTooCoarseError,
     TimeGrid,
+    build_policy,
     bvp_residual,
     from_riccati,
+    hyperbolic_problem,
     q_hat_quadratic,
+    simulate,
     solve_riccati,
 )
+from tilq.bvp import BvpSolution
 
 
 def test_tanh_forward_backward_closed_form(tanh_problem, tanh_solution):
@@ -90,3 +94,44 @@ def test_csv_header(tanh_problem, tanh_solution):
     lines = buf.getvalue().strip().split("\n")
     assert lines[0] == "t,X_1,phi_1"
     assert len(lines) == sol.nodes.size + 1
+
+
+def _n3_problem():
+    rng = np.random.default_rng(0)
+    A = 0.3 * rng.standard_normal((3, 3))
+    B = rng.standard_normal((3, 2))
+    return hyperbolic_problem(np.eye(3), np.eye(2), np.eye(3), A=A, B=B,
+                              k=1.0, theta=1.0, T=1.0)
+
+
+@pytest.fixture(scope="module")
+def n3_solution():
+    p = _n3_problem()
+    return p, solve_riccati(p, TimeGrid.uniform(1.0, 400))
+
+
+def test_start_next_to_a_node_reads_the_node(n3_solution):
+    # t0 = s_100 - 1e-11 is s_100: a 1e-11 first interval, differentiated as
+    # it stands, would read res_phi 7e-6
+    p, P = n3_solution
+    s100 = float(P.grid.nodes[100])
+    x0 = np.array([1.0, -0.5, 0.3])
+    on = from_riccati(p, P, s100, x0)
+    near = from_riccati(p, P, s100 - 1e-11, x0)
+    assert near.t0 == s100
+    np.testing.assert_array_equal(near.nodes, on.nodes)
+    assert bvp_residual(p, P, near) == bvp_residual(p, P, on)
+    assert max(bvp_residual(p, P, on)) < 1e-7
+
+
+def test_residual_on_a_nonuniform_pair(n3_solution):
+    # the pair starts off the grid and runs on jittered nodes; the derivative
+    # stencil follows the nodes, so both residuals stay at the uniform level
+    p, P = n3_solution
+    rng = np.random.default_rng(3)
+    nodes = np.linspace(0.0, 1.0, 401)
+    nodes[1:-1] += 0.3 / 400 * rng.uniform(-1.0, 1.0, 399)
+    traj = simulate(build_policy(p, P), 0.2 + 0.3 / 400, [1.0, -0.5, 0.3], g=TimeGrid(nodes))
+    phi = np.einsum("kij,kj->ki", P(traj.nodes), traj.states)
+    pair = BvpSolution(traj.nodes, traj.states, phi, traj.t0, traj.x0)
+    assert max(bvp_residual(p, P, pair)) < 2e-6

@@ -106,6 +106,8 @@ def test_malformed_values_are_config_issues(tmp_path, capsys, section, key, valu
     ({"certificate": {"eps_list": [0.1, 0.0]}}, "certificate.eps_list[1]"),
     ({"certificate": {"eps_list": [-0.05]}}, "certificate.eps_list[0]"),
     ({"mode": "simulate", "simulate": {"x0": ["a"]}}, "simulate.x0[0]"),
+    ({"solver": {"tol": 0}}, "solver.tol"),
+    ({"solver": {"tol": -1e-8}}, "solver.tol"),
 ])
 def test_bad_config_values_are_one_issue_each(updates, path):
     # refused when parsed, before any solve, as exactly one path-tagged issue
@@ -247,3 +249,41 @@ def test_compare_oracle_mode(tmp_path):
 def test_missing_config_file(tmp_path):
     r = run_cli(tmp_path / "nope.json")
     assert r.returncode == 2
+
+
+def test_grid_override_keeps_the_refinement(tmp_path):
+    # --grid sets grid.N; the config's refinement still applies to it
+    cfg = make_config()
+    cfg["grid"] = {"N": 64, "refinement": 2}
+    out_dir = tmp_path / "out"
+    assert main(["--config", str(write(tmp_path, cfg)), "--grid", "40",
+                 "--out", str(out_dir), "--quiet"]) == 0
+    doc = json.loads((out_dir / "solution.json").read_text())
+    assert doc["grid"]["num_intervals"] == 80
+
+
+@pytest.mark.parametrize("flag, value, path", [
+    ("--grid", "0", "grid.N"),
+    ("--grid", "15", "grid.N"),
+    ("--tol", "-1", "solver.tol"),
+    ("--tol", "0", "solver.tol"),
+    ("--tol", "nan", "solver.tol"),
+])
+def test_bad_overrides_are_config_issues(tmp_path, capsys, flag, value, path):
+    # an override is validated with the document, as if the config said it
+    assert main(["--config", str(write(tmp_path, make_config())), flag, value]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "config"
+    assert [i["path"] for i in error["issues"]] == [path]
+
+
+def test_mode_override_is_validated_as_that_mode(tmp_path):
+    # a simulate config without x0 validates: the simulate rules are those
+    # of the config's own mode, which --mode replaces
+    cfg = make_config(mode="simulate")
+    out_dir = tmp_path / "out"
+    assert main(["--config", str(write(tmp_path, cfg)), "--mode", "validate",
+                 "--out", str(out_dir), "--quiet"]) == 0
+    assert json.loads((out_dir / "validation.json").read_text())["hard_ok"] is True
+    assert main(["--config", str(write(tmp_path, cfg)), "--quiet"]) == 2
+

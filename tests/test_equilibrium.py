@@ -99,6 +99,20 @@ def test_simulate_from_off_grid_time(tanh_policy):
                                atol=1e-7)
 
 
+def test_simulate_from_next_to_a_node_starts_there(tanh_policy):
+    # a t0 within 1e-9 (1 + T) of a node is that node, on either side; just
+    # before T it is T, which is no start
+    nodes = tanh_policy.P.grid.nodes
+    on = simulate(tanh_policy, nodes[60], np.array([1.5]))
+    for t0 in (nodes[60] - 1e-11, nodes[60] + 1e-10):
+        tr = simulate(tanh_policy, t0, np.array([1.5]))
+        assert tr.t0 == nodes[60]
+        np.testing.assert_array_equal(tr.nodes, on.nodes)
+        np.testing.assert_array_equal(tr.states, on.states)
+    with pytest.raises(InvalidInputError):
+        simulate(tanh_policy, 1.0 - 1e-11, np.array([1.5]))
+
+
 def test_trajectory_csv(tanh_policy):
     import io
 

@@ -1,7 +1,7 @@
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from tilq._quad import integrate, simpson_weights, tail_band, tail_integrals
+from tilq._quad import derivative, integrate, simpson_weights, tail_band, tail_integrals
 
 
 def _random_grid(rng, K, spread=(0.01, 1.0)):
@@ -135,3 +135,66 @@ def test_short_inputs_lines_and_parabolas():
                                            rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(simpson_weights(np.array([0.0, 1.0, 2.0])),
                                [1.0 / 3.0, 4.0 / 3.0, 1.0 / 3.0], rtol=1e-15)
+
+
+def _uniform_five_point(f, h):
+    """The fixed uniform-grid formulas: centred 5-point stencil inside, the
+    one-sided ones on the two nodes at each end."""
+    d = np.empty_like(f)
+    d[2:-2] = (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / (12.0 * h)
+    d[0] = (-25.0 * f[0] + 48.0 * f[1] - 36.0 * f[2] + 16.0 * f[3] - 3.0 * f[4]) / (12.0 * h)
+    d[1] = (-3.0 * f[0] - 10.0 * f[1] + 18.0 * f[2] - 6.0 * f[3] + f[4]) / (12.0 * h)
+    d[-2] = (3.0 * f[-1] + 10.0 * f[-2] - 18.0 * f[-3] + 6.0 * f[-4] - f[-5]) / (12.0 * h)
+    d[-1] = (25.0 * f[-1] - 48.0 * f[-2] + 36.0 * f[-3] - 16.0 * f[-4] + 3.0 * f[-5]) / (12.0 * h)
+    return d
+
+
+def test_derivative_exact_on_quartics():
+    rng = np.random.default_rng(11)
+    c = rng.standard_normal(5)
+    grids = [np.linspace(-1.0, 2.0, 9), np.linspace(0.0, 1.0, 5),
+             _random_grid(rng, 12), _random_grid(rng, 40, spread=(0.001, 1.0))]
+    for x in grids:
+        f = npoly.polyval(x, c)
+        want = npoly.polyval(x, npoly.polyder(c))
+        got = derivative(x, f)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
+
+
+def test_derivative_matches_uniform_five_point_formulas():
+    x = np.linspace(0.0, 1.0, 401)
+    f = np.stack([np.sin(3.0 * x), np.exp(x), np.cos(7.0 * x) * x], axis=1)
+    got = derivative(x, f)
+    want = _uniform_five_point(f, x[1] - x[0])
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_derivative_keeps_trailing_axes():
+    rng = np.random.default_rng(2)
+    x = _random_grid(rng, 30)
+    f = rng.standard_normal((30, 2, 3))
+    got = derivative(x, f)
+    assert got.shape == f.shape
+    np.testing.assert_allclose(got[:, 1, 2], derivative(x, f[:, 1, 2]), rtol=1e-14)
+
+
+def test_derivative_fourth_order_on_sin():
+    errs = []
+    for N in (20, 40, 80, 160):
+        x = np.linspace(0.0, 2.0, N + 1)
+        errs.append(np.abs(derivative(x, np.sin(x)) - np.cos(x)).max())
+    orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    assert np.all(orders > 3.7), orders
+
+
+def test_derivative_fourth_order_on_jittered_nodes():
+    rng = np.random.default_rng(3)
+    errs = []
+    for N in (40, 80, 160, 320):
+        x = np.linspace(0.0, 1.0, N + 1)
+        x[1:-1] += 0.3 / N * rng.uniform(-1.0, 1.0, N - 1)
+        errs.append(np.abs(derivative(x, np.exp(2.0 * x)) - 2.0 * np.exp(2.0 * x)).max())
+    # each draw of the jitter moves one halving's ratio, so take the slope
+    # over all three halvings
+    order = np.log2(errs[0] / errs[-1]) / 3.0
+    assert order > 3.7, errs

@@ -175,6 +175,20 @@ def test_off_node_residual_in_the_last_interval_n3():
     assert riccati_residual(p, sol, 1.0 - 0.7 / 400) < 0.25 * RICCATI_TOL
 
 
+def test_residual_one_ulp_from_a_node_reads_the_node():
+    # node 201 of the N = 400 grid is 0.5025000000000001; taken off the grid,
+    # 0.5025 would be integrated across a 1e-16-wide interval and read 3.9e-6,
+    # above RICCATI_TOL on a correct P whose profile reads 2.7e-9 there
+    p = _n3_problem()
+    sol = solve_riccati(p, TimeGrid.uniform(1.0, 400))
+    assert sol.grid.nodes[201] != 0.5025
+    profile = riccati_residual_profile(p, sol)
+    assert riccati_residual(p, sol, 0.5025) == profile[201] < RICCATI_TOL
+    assert riccati_residual(p, sol, 1.0 + 1e-12) == profile[-1]
+    with pytest.raises(InvalidInputError):
+        riccati_residual(p, sol, 1.0 + 1e-8)
+
+
 def test_hand_constants_exact():
     p = constant_problem(A=0.0, B=0.0, Q=1.0, S=0.0, M=1.0, G=1.0, T=1.0)
     cc = contraction_constants(p, TimeGrid.uniform(1.0, 64))
@@ -804,3 +818,14 @@ def test_picard_iterate_computes_the_gain_once(monkeypatch, a, b):
     first = engine.psi.inverse[a].T @ C @ engine.psi.inverse[a]
     assert np.abs(got[0] - 0.5 * (first + first.T)).max() <= 1e-13 * np.abs(first).max()
     np.testing.assert_array_equal(got[-1], values[b])
+
+
+@pytest.mark.parametrize("opts", [
+    SolveOptions(tol=0.0), SolveOptions(tol=-1.0), SolveOptions(tol=float("nan")),
+    SolveOptions(tol=float("inf")), SolveOptions(max_iter=0), SolveOptions(max_iter=-3),
+])
+def test_bad_solver_options_are_invalid_input(hyperbolic_scalar, opts):
+    # unchecked, these surface from inside the solve as a math domain
+    # ValueError, a ZeroDivisionError or an IndexError
+    with pytest.raises(InvalidInputError):
+        solve_riccati(hyperbolic_scalar, TimeGrid.uniform(1.0, 64), opts)

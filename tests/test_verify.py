@@ -61,6 +61,18 @@ def test_n3_passes_verification(seed, N):
     assert rep.passed, f"BVP worst/tol {worst:.3g}"
 
 
+@pytest.mark.parametrize("N", [400, 800])
+def test_n3_passes_verification_on_a_jittered_grid(N):
+    # interior nodes moved by up to 0.3 h: every leg, the BVP leg included,
+    # runs on the nonuniform nodes
+    rng = np.random.default_rng(3)
+    nodes = np.linspace(0.0, 1.0, N + 1)
+    nodes[1:-1] += 0.3 / N * rng.uniform(-1.0, 1.0, N - 1)
+    rep = run_verification(_n3_problem(0), TimeGrid(nodes))
+    assert rep.passed
+    assert max(max(leg["res_X"], leg["res_phi"]) for leg in rep.bvp) < 1e-6
+
+
 def test_n3_error_next_to_horizon_is_no_outlier():
     p = _n3_problem(0)
     coarse = solve_riccati(p, TimeGrid.uniform(1.0, 200))
