@@ -27,8 +27,8 @@ import numpy as np
 
 from . import families
 from .equilibrium import SampleSpec, build_policy, simulate
-from .errors import (GridTooCoarseError, InvalidInputError, NonconvergenceError,
-                     NotPositiveDefiniteError, TilqError, TimeConsistencyError)
+from .errors import (GridTooCoarseError, InvalidInputError, NonconvergenceError, TilqError,
+                     TimeConsistencyError)
 from .grids import TimeGrid
 from .kernels import OneTimeMatrixFn, TwoTimeKernel
 from .oracle import classical_riccati
@@ -276,7 +276,10 @@ def parse_config(text: str) -> RunConfig:
         max_iter = _number(solver_doc, "max_iter", "solver", errors,
                            default=200, minimum=1, integer=True) or 200
         window_override = _number(solver_doc, "window_override", "solver",
-                                  errors, allow_none=True, minimum=0.0)
+                                  errors, allow_none=True)
+        if window_override is not None and not (
+                window_override > 0.0 and (not T or window_override <= T)):
+            errors.append(("solver.window_override", "must lie in (0, T]"))
 
     sim_doc = doc.get("simulate", {})
     sim_t0, sim_x0, x0_missing = 0.0, None, False
@@ -559,8 +562,7 @@ def main(argv=None) -> int:
         stdout.write(_json_bytes(_error_payload(
             "nonconvergence", e, diagnostics=_json_safe(e.diagnostics))))
         return 3
-    except (NotPositiveDefiniteError, TimeConsistencyError,
-            GridTooCoarseError, InvalidInputError) as e:
+    except (TimeConsistencyError, GridTooCoarseError, InvalidInputError) as e:
         stdout.write(_json_bytes(_error_payload("invalid-input", e)))
         return 2
     except TilqError as e:

@@ -152,8 +152,13 @@ def _as_control(u, m: int):
 
 def _segment_nodes(gnodes: np.ndarray, a: float, b: float, min_nodes: int
                    ) -> np.ndarray:
-    tiny = 1e-13 * (1.0 + abs(b))
-    inner = gnodes[(gnodes > a + tiny) & (gnodes < b - tiny)]
+    """a, the grid nodes strictly between a and b, and b; a node that
+    grids.node_index calls a or b is left out, so no interval is a sliver.
+    min_nodes equally spaced nodes when that gives fewer."""
+    inner = (gnodes > a) & (gnodes < b)
+    ends = node_index(gnodes, [a, b])
+    inner[ends[ends >= 0]] = False
+    inner = gnodes[inner]
     seg = np.concatenate([[a], inner, [b]])
     if seg.size < min_nodes:
         seg = np.linspace(a, b, min_nodes)

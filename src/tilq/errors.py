@@ -9,8 +9,9 @@ class InvalidInputError(TilqError, ValueError):
     """Malformed or out-of-domain input (shapes, non-finite values, bad arguments)."""
 
 
-class NotPositiveDefiniteError(TilqError, ValueError):
-    """A matrix that must be positive definite is not, at the reported location."""
+class NotPositiveDefiniteError(InvalidInputError):
+    """A matrix that must be positive definite is not, at the reported location
+    (where: the node pair of the worst value)."""
 
     def __init__(self, message, *, where=None):
         super().__init__(message)

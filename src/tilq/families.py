@@ -24,17 +24,9 @@ def _base_matrix(base) -> np.ndarray:
 
 def _profile_kernel(base, horizon, profile, dprofile, *, symmetry_required):
     base = _base_matrix(base)
-
-    def fn(t, s):
-        lag = np.asarray(s, dtype=float) - np.asarray(t, dtype=float)
-        return profile(lag)[..., None, None] * base
-
-    def dfn(t, s):
-        lag = np.asarray(s, dtype=float) - np.asarray(t, dtype=float)
-        return dprofile(lag)[..., None, None] * base
-
-    return TwoTimeKernel(fn, base.shape, horizon, dfn,
-                         symmetry_required=symmetry_required, vectorized=True)
+    return TwoTimeKernel.lag(lambda lag: profile(lag)[..., None, None] * base, base.shape,
+                             horizon, lambda lag: dprofile(lag)[..., None, None] * base,
+                             symmetry_required=symmetry_required, vectorized=True)
 
 
 def exponential_kernel(base, rho, horizon, *, symmetry_required=True) -> TwoTimeKernel:

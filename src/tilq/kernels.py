@@ -98,6 +98,64 @@ def _triangle_rows(K: int, a: int = 0, b: int | None = None):
         yield ii, jj
 
 
+def _lag_table(nodes):
+    """The distinct float lags nodes[j] - nodes[i] of the triangle's node
+    pairs, sorted; None when there are more than _ROW_BLOCK * K of them, the
+    pairs a block of rows holds at most, so the table never outgrows a block.
+
+    Built one block of rows at a time, each block's lags made distinct
+    before they are merged with the others'.
+    """
+    def distinct(x):  # np.unique(x), which would import numpy.ma on first use
+        x = np.sort(x)
+        return x[np.concatenate(([True], x[1:] != x[:-1]))]
+
+    budget = _ROW_BLOCK * nodes.size
+    parts, held = [], 0
+    for ii, jj in _triangle_rows(nodes.size):
+        parts.append(distinct(nodes[jj] - nodes[ii]))
+        held += parts[-1].size
+        if held > budget:
+            parts = [distinct(np.concatenate(parts))]
+            held = parts[0].size
+            if held > budget:
+                return None
+    return distinct(np.concatenate(parts))
+
+
+class _Gather:
+    """The rows of a (F, entries) table at the entries index, gathered when
+    sliced, so a block holds only the rows in use."""
+
+    def __init__(self, table, index):
+        self.table, self.index = table, index
+
+    def __getitem__(self, rows):
+        return self.table[rows].take(self.index, axis=-1)
+
+
+def _walk(nodes, blocks, lag_only, scalars):
+    """(ii, jj, values) for each block (ii, jj) of triangle node pairs: values
+    sliced gives rows of the (F, pairs) per-pair scalars, where scalars(t, s)
+    gives the (F, entries) scalars of a table of pairs (t, s).
+
+    With lag_only (every kernel behind scalars depends on the lag alone) and
+    a grid of at most _ROW_BLOCK * K distinct lags, the table is the grid's
+    lag table (_lag_table) at the pairs (0, lag), whose s - t is that lag
+    exactly: scalars runs once, and each block finds its lags in the table.
+    Otherwise each block is its own table, and scalars runs on it just
+    before the block is yielded.
+    """
+    lags = _lag_table(nodes) if lag_only else None
+    if lags is None:
+        for ii, jj in blocks:
+            yield ii, jj, scalars(nodes[ii], nodes[jj])
+        return
+    table = scalars(np.zeros_like(lags), lags)
+    for ii, jj in blocks:
+        yield ii, jj, _Gather(table, np.searchsorted(lags, nodes[jj] - nodes[ii]))
+
+
 # stencil classes of _Coefficient._difference, by the kind code it returns
 _STENCILS = ("central", "forward", "forward-extended", "backward", "first-order")
 
@@ -120,20 +178,29 @@ class _Coefficient:
 
     def _call(self, fn, t, s=None):
         ts, ss, scalar = _batch(t, s)
-        args = (ts,) if ss is None else (ts, ss)
+        out = self._apply(fn, *self._args(ts, ss))
+        return out[0] if scalar else out
+
+    def _args(self, ts, ss):
+        """The closures' arguments at the times ts (and ss)."""
+        return (ts,) if ss is None else (ts, ss)
+
+    def _apply(self, fn, *args):
+        """fn at the 1-d argument arrays args, as one (size, *dims) stack."""
         if self._vectorized:
             out = np.asarray(fn(*args), dtype=float)
         else:
             out = np.stack([np.atleast_2d(np.asarray(fn(*map(float, a)), dtype=float))
                             for a in zip(*args)])
-        shape = ts.shape + self.dims
+        size = args[0].size
+        shape = (size,) + self.dims
         if out.shape != shape:
-            if out.size != ts.size * self.dims[0] * self.dims[1]:
+            if out.size != size * self.dims[0] * self.dims[1]:
                 raise InvalidInputError(
                     f"{type(self).__name__} closure returns shape {out.shape} for"
-                    f" {ts.size} time(s), declared dims {self.dims}")
+                    f" {size} time(s), declared dims {self.dims}")
             out = out.reshape(shape)
-        return out[0] if scalar else out
+        return out
 
     def eval(self, t, s=None):
         return self._call(self._fn, t, s)
@@ -170,7 +237,8 @@ class _Coefficient:
                            t - 2 * h >= 0.0], [0, 1, 2, 3], 4)
 
         def f(times, sel):
-            return self._call(self._fn, times, None if s is None else s[sel])
+            return self._apply(self._fn, times) if s is None else self._apply(
+                self._fn, times, s[sel])
 
         out = np.empty(t.shape + self.dims)
         two_point = (kinds == 0) | (kinds == 4)  # central and first-order
@@ -262,7 +330,11 @@ class TwoTimeKernel(_Coefficient):
     {0 <= t <= s <= horizon}; off-triangle evaluation is delegated to the
     closure.  symmetry_required marks kernels (weights Q, M) whose values
     must be symmetric; the check itself runs in problem validation.
+    lag_only is true for the kernels of TwoTimeKernel.lag, which depend on
+    (t, s) only through the lag s - t.
     """
+
+    lag_only = False
 
     def __init__(self, fn, dims, horizon, dfn=None, *, symmetry_required=False,
                  vectorized=False):
@@ -279,26 +351,62 @@ class TwoTimeKernel(_Coefficient):
     eval, eval_dt = _Coefficient.eval, _Coefficient.eval_dt
 
     @classmethod
+    def lag(cls, fn, dims, horizon, dfn=None, *, symmetry_required=False,
+            vectorized=False) -> "TwoTimeKernel":
+        """Kernel k(t, s) = fn(s - t): fn, and dfn if given, take the lag.
+
+        eval(t, s) computes the lag s - t and passes it in, so pairs with
+        equal float lags get equal values.  eval_dt is dfn(s - t) when dfn
+        is given (the first-argument partial, so minus the lag derivative
+        of fn), else the second-order difference of fn in the lag over
+        [0, horizon], negated.  A closure that is not vectorized is called
+        once per distinct lag of a batch.
+        """
+        return _LagKernel(fn, dims, horizon, dfn, symmetry_required=symmetry_required,
+                          vectorized=vectorized)
+
+    @classmethod
     def constant(cls, value, horizon, *, symmetry_required=False) -> "TwoTimeKernel":
         value = np.atleast_2d(np.asarray(value, dtype=float))
         zero = np.zeros_like(value)
 
-        def fn(t, s):
-            shape = np.broadcast_shapes(np.shape(t), np.shape(s))
-            return np.broadcast_to(value, shape + value.shape).copy()
+        def fn(lag):
+            return np.broadcast_to(value, lag.shape + value.shape).copy()
 
-        def dfn(t, s):
-            shape = np.broadcast_shapes(np.shape(t), np.shape(s))
-            return np.broadcast_to(zero, shape + value.shape).copy()
+        def dfn(lag):
+            return np.broadcast_to(zero, lag.shape + value.shape).copy()
 
-        return cls(fn, value.shape, horizon, dfn,
-                   symmetry_required=symmetry_required, vectorized=True)
+        return cls.lag(fn, value.shape, horizon, dfn,
+                       symmetry_required=symmetry_required, vectorized=True)
 
     @classmethod
     def from_callable(cls, fn, dims, horizon, dfn=None, *, symmetry_required=False,
                       vectorized=False):
         return cls(fn, dims, horizon, dfn, symmetry_required=symmetry_required,
                    vectorized=vectorized)
+
+
+class _LagKernel(TwoTimeKernel):
+    """The kernels of TwoTimeKernel.lag: the closures take the lag s - t."""
+
+    lag_only = True
+
+    def _args(self, ts, ss):
+        return (ss - ts,)
+
+    def _apply(self, fn, lag):
+        if self._vectorized:
+            return super()._apply(fn, lag)
+        distinct, inverse = np.unique(lag, return_inverse=True)
+        return super()._apply(fn, distinct)[inverse]
+
+    def _difference(self, t, s, h):
+        """Minus the one-time difference of the profile at the lags s - t,
+        the lag running over [0, horizon]; kinds name the lag's stencils."""
+        if not np.all((0.0 <= t) & (t <= s) & (s <= self.horizon)):
+            raise InvalidInputError("first-argument differences need 0 <= t <= s <= horizon")
+        out, kinds = super()._difference(s - t, None, h)
+        return -out, kinds
 
 
 def finite_difference_dt(k: TwoTimeKernel, t: float, s: float, h: float,
@@ -312,9 +420,11 @@ def finite_difference_dt(k: TwoTimeKernel, t: float, s: float, h: float,
     inside it, so the second-order forward stencil at t, t + h, t + 2h
     reaches past s; the kernel's closure must extend off the triangle there,
     as the discount families do.  In the rare remaining case a first-order
-    difference is the only option.  With return_info=True a (matrix,
-    stencil) pair comes back, stencil in {"central", "forward", "backward",
-    "forward-extended", "first-order"}.
+    difference is the only option.  A lag kernel (TwoTimeKernel.lag) is
+    differenced in the lag instead, over [0, horizon], and the stencil is
+    named in the lag.  With return_info=True a (matrix, stencil) pair comes
+    back, stencil in {"central", "forward", "backward", "forward-extended",
+    "first-order"}.
     """
     if not h > 0:
         raise InvalidInputError("step h must be positive")
@@ -380,19 +490,26 @@ def kernel_norms(k, g) -> NormBundle:
     of _ROW_BLOCK = 32 rows, so memory goes as O(32 K n^2) for K nodes; their
     L^1 field integrates, in the first argument, the worst row-sum over the
     remaining second arguments (so a constant kernel gets T times its matrix
-    norm).  solve_riccati takes the norms of Q, S and M from the walk that
-    validates them, with the same reduction.
+    norm).  A lag kernel (TwoTimeKernel.lag) is evaluated once per distinct
+    lag of the grid, where there are at most 32 K of them, and the blocks
+    read its norms from that table (_walk); other kernels are evaluated once
+    per pair.  solve_riccati takes the norms of Q, S and M from the walk
+    that validates them, with the same reduction.
     """
     if not isinstance(k, _Coefficient):
         raise InvalidInputError("kernel_norms expects a OneTimeMatrixFn or TwoTimeKernel")
     nodes = g.nodes
+
+    def scalars(*args):
+        return np.stack([matrix_norm_many(k.eval(*args)), matrix_norm_many(k.eval_dt(*args))])
+
     if isinstance(k, TwoTimeKernel):
-        blocks = ((ii, (nodes[ii], nodes[jj])) for ii, jj in _triangle_rows(nodes.size))
+        blocks = _walk(nodes, _triangle_rows(nodes.size), k.lag_only, scalars)
     else:
-        blocks = [(np.arange(nodes.size), (nodes,))]
+        blocks = [(np.arange(nodes.size), None, scalars(nodes))]
     norms = _RowWorst()
-    for ii, args in blocks:
-        norms.add(ii, matrix_norm_many(k.eval(*args)), matrix_norm_many(k.eval_dt(*args)))
+    for ii, _, values in blocks:
+        norms.add(ii, *values[:2])
         if not norms.finite:
             break
     return norms.bundle(nodes)

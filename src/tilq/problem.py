@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .kernels import (OneTimeMatrixFn, TwoTimeKernel, _columnwise, _row_sums, _RowWorst,
-                      _triangle_rows, matrix_norm_many)
+                      _triangle_rows, _walk, matrix_norm_many)
 
 
 @dataclass(frozen=True)
@@ -245,17 +245,24 @@ def _asymmetry(stack):
     return matrix_norm_many(stack - np.swapaxes(stack, -1, -2))
 
 
+def _nonfinite(stack):
+    """Per pair of a stack: 1.0 where an entry is not finite, else 0.0, and
+    the largest entry magnitude."""
+    flat = stack.reshape(stack.shape[0], -1)
+    return ((~_columnwise(np.logical_and, np.isfinite(flat))).astype(float),
+            _columnwise(np.maximum, np.abs(flat)))
+
+
 class _Nonfinite:
     """Running check that a stack is finite: the first non-finite pair, else
-    the largest entry magnitude and its pair."""
+    the largest entry magnitude and its pair, from _nonfinite's values."""
 
     def __init__(self):
         self.bad, self.mag = _Worst(False), _Worst(False)
 
-    def add(self, stack, points) -> None:
-        flat = stack.reshape(stack.shape[0], -1)
-        self.bad.add((~_columnwise(np.logical_and, np.isfinite(flat))).astype(float), points)
-        self.mag.add(_columnwise(np.maximum, np.abs(flat)), points)
+    def add(self, bad, mag, points) -> None:
+        self.bad.add(bad, points)
+        self.mag.add(mag, points)
 
     def result(self):
         """(worst, where, finite)."""
@@ -276,19 +283,24 @@ class _PairNorms:
         self.Q, self.S, self.M = _RowWorst(), _RowWorst(), _RowWorst()
         self._minv, self._singular = -np.inf, None
 
-    def add(self, ii, Q, Qd, S, Sd, M, Md):
-        """Reduce one block; returns the row-sum norms of Q and M per pair."""
-        q_norms, m_rows = matrix_norm_many(Q), _row_sums(M)
+    def scalars(self, Q, Qd, S, Sd, M, Md):
+        """The row-sum norms of the six stacks per entry of a table, the
+        rows of Q and M first, and the running sup of ||M^{-1}|| over it."""
+        m_rows = _row_sums(M)
         m_norms = _columnwise(np.maximum, m_rows)
-        self.Q.add(ii, q_norms, matrix_norm_many(Qd))
-        self.S.add(ii, matrix_norm_many(S), matrix_norm_many(Sd))
-        self.M.add(ii, m_norms, matrix_norm_many(Md))
         if self._singular is None:
             try:
                 self._minv = np.maximum(self._minv, _inv_norm_max(M, m_rows, m_norms))
             except np.linalg.LinAlgError as exc:
                 self._singular = exc
-        return q_norms, m_norms
+        return np.stack([matrix_norm_many(Q), m_norms, matrix_norm_many(Qd),
+                         matrix_norm_many(S), matrix_norm_many(Sd), matrix_norm_many(Md)])
+
+    def add(self, ii, q, m, qd, s, sd, md) -> None:
+        """Reduce one block: the norms of scalars() at its pairs."""
+        self.Q.add(ii, q, qd)
+        self.S.add(ii, s, sd)
+        self.M.add(ii, m, md)
 
     def minv(self) -> float:
         if self._singular is not None:
@@ -297,7 +309,13 @@ class _PairNorms:
 
 
 class _PairChecks:
-    """Running reductions of the assumption checks over triangle blocks."""
+    """Running reductions of the assumption checks over triangle blocks.
+
+    scalars() reduces a table of pairs to the per-pair values the checks
+    read; add() takes one block's values at its pairs.  Where every block
+    reads one table (lag kernels), what scalars() decides for the table
+    holds for the whole triangle at once.
+    """
 
     def __init__(self, tol: float):
         self.tol = tol
@@ -306,51 +324,70 @@ class _PairChecks:
         self.m_eig, self.q_eig = _Worst(True), _Worst(True)
         self.qd_eig, self.md_eig = _Worst(True), _Worst(True)
         self.schur, self.combo = _Worst(True), _Worst(True)
-        self.m_finite, self.m_sup, self.q_sup = True, -np.inf, -np.inf
+        self.m_finite, self.m_sup, self.q_sup, self.s_finite = True, -np.inf, -np.inf, True
         self.schur_live, self.combo_live, self.skipped_live = True, False, 0
 
-    def add(self, pts, Q, Qd, S, Sd, M, Md, q_norms, m_norms) -> None:
-        """Reduce one block: the stacks at pairs pts and the row-sum norms of
-        Q and M there.  Each eigenvalue stack is screened (_min_eig): a pair
-        goes to eigvalsh only where its bounds cannot rule it out of the
-        block's minimum, of the S = 0 (live S_t = 0) pairs whose Q (Q_t)
-        eigenvalues the Schur-type checks reuse, or of the M_t-live test."""
+    def scalars(self, Q, Qd, S, Sd, M, Md, q_norms, m_norms):
+        """The values add() takes, one row each, per entry of a table, given
+        the stacks there and the row-sum norms of Q and M.
+
+        Each eigenvalue stack is screened (_min_eig): an entry goes to
+        eigvalsh only where its bounds cannot rule it out of the table's
+        minimum, of the S = 0 (live S_t = 0) entries whose Q (Q_t)
+        eigenvalues the Schur-type checks reuse, or of the M_t-live test.
+        The Schur-type values read +inf where they are not computed: the
+        report reads them only where every table has computed them.
+        """
         tol = self.tol
-        self.s_bad.add(S, pts)
-        self.sd_bad.add(Sd, pts)
-        s_finite = self.s_bad.bad.value == 0.0 and self.sd_bad.bad.value == 0.0  # so far
+        s_bad, s_mag = _nonfinite(S)
+        sd_bad, sd_mag = _nonfinite(Sd)
+        self.s_finite = self.s_finite and not (s_bad.any() or sd_bad.any())  # so far
         self.m_finite = self.m_finite and bool(np.isfinite(M).all())
         self.m_sup = np.maximum(self.m_sup, m_norms.max())
         self.q_sup = np.maximum(self.q_sup, q_norms.max())
-        self.m_asym.add(_asymmetry(M), pts)
-        self.q_asym.add(_asymmetry(Q), pts)
         M_eigs = _min_eig(M)
-        self.m_eig.add(M_eigs, pts)
         q_eigs = _min_eig(Q, (~_nonzero(S),))
-        self.q_eig.add(q_eigs, pts)
         # M_t is live where its least eigenvalue exceeds tol: the bounds decide
-        # it except where they straddle tol; a pair they rule out of the
+        # it except where they straddle tol; an entry they rule out of the
         # minimum reads +inf and is live unless hi <= tol
         Md_sym = _sym(Md)
         lo, hi = _gershgorin(Md_sym)
         Md_eigs = _screened(_eigvalsh_min, Md_sym, lo, hi, also=(lo <= tol) & (hi > tol))
-        self.md_eig.add(Md_eigs, pts)
         live = (Md_eigs > tol) & (hi > tol)
         qd_eigs = _min_eig(Qd, (live & ~_nonzero(Sd),))
-        self.qd_eig.add(qd_eigs, pts)
 
-        # the Schur check runs only while every block so far has finite S and
+        # the Schur check runs only while every table so far has finite S and
         # M positive definite beyond the floor of the largest M so far: where
-        # the whole-triangle gate (m_pd and s_finite) passes, every block has
-        self.schur_live = self.schur_live and s_finite \
+        # the whole-triangle gate (m_pd and s_finite) passes, every table has
+        self.schur_live = self.schur_live and self.s_finite \
             and bool(M_eigs.min() > 1e-10 * float(self.m_sup))
-        if self.schur_live:
-            self.schur.add(_reduced_min_eig(q_eigs, Q, S, _sym(M)), pts)
-        self.skipped_live += int((~live).sum())
-        self.combo_live = self.combo_live or bool(live.any())
-        if s_finite and live.any():
-            self.combo.add(_reduced_min_eig(qd_eigs[live], Qd[live], Sd[live], Md_sym[live]),
-                           pts[live])
+        schur = _reduced_min_eig(q_eigs, Q, S, _sym(M)) if self.schur_live \
+            else np.full(M_eigs.shape, np.inf)
+        combo = np.full(M_eigs.shape, np.inf)
+        if self.s_finite and live.any():
+            combo[live] = _reduced_min_eig(qd_eigs[live], Qd[live], Sd[live], Md_sym[live])
+        return np.stack([s_bad, s_mag, sd_bad, sd_mag, _asymmetry(M), _asymmetry(Q), M_eigs,
+                         q_eigs, Md_eigs, live, qd_eigs, schur, combo])
+
+    def add(self, pts, s_bad, s_mag, sd_bad, sd_mag, m_asym, q_asym, m_eig, q_eig, md_eig,
+            live, qd_eig, schur, combo) -> None:
+        """Reduce one block: the rows of scalars() at its pairs pts."""
+        self.s_bad.add(s_bad, s_mag, pts)
+        self.sd_bad.add(sd_bad, sd_mag, pts)
+        self.m_asym.add(m_asym, pts)
+        self.q_asym.add(q_asym, pts)
+        self.m_eig.add(m_eig, pts)
+        self.q_eig.add(q_eig, pts)
+        self.md_eig.add(md_eig, pts)
+        self.qd_eig.add(qd_eig, pts)
+        self.schur.add(schur, pts)
+        live = live.astype(bool)
+        n_live = int(live.sum())
+        self.skipped_live += live.size - n_live
+        self.combo_live = self.combo_live or n_live > 0
+        if n_live < live.size:
+            combo, pts = combo[live], pts[live]
+        self.combo.add(combo, pts)
 
     def report(self, p: LQProblem, nodes) -> ValidationReport:
         tol = self.tol
@@ -366,7 +403,7 @@ class _PairChecks:
 
         for name, stack in (("H1-A-finite", p.A.eval(nodes)), ("H1-B-finite", p.B.eval(nodes))):
             bad = _Nonfinite()
-            bad.add(stack, node_pts)
+            bad.add(*_nonfinite(stack), node_pts)
             worst, where, ok = bad.result()
             checks.append(CheckResult(name, where, worst, ok, True))
         worst, where, s_ok = self.s_bad.result()
@@ -430,24 +467,37 @@ class _PairChecks:
 def _triangle_pass(p: LQProblem, g, tol: float = 1e-8, validate: bool = True):
     """(report, norms) from one walk of the triangle of node pairs.
 
-    Each block of 32 rows evaluates Q, S, M and their first-argument partials
-    once and feeds two running reductions: the ValidationReport of
-    validate_assumptions (report is None unless validate) and the two-time
-    norms of contraction_constants (a _PairNorms).  Both take the row-sum
-    norms of Q and M from one computation, and send a pair's matrix to
-    eigvalsh or inv only where bounds from those stacks cannot rule it out
-    of the block's extreme (_screened).
+    The walk (kernels._walk) goes 32 rows at a time and reads each block's
+    per-pair values from a table of pairs.  When Q, S and M are lag kernels
+    (TwoTimeKernel.lag) and the grid has at most 32 K distinct lags, the
+    table is the grid's distinct lags: the six stacks of Q, S, M and their
+    first-argument partials are evaluated, bounded and reduced to per-entry
+    values once per distinct lag, and each block gathers them by its lags.  Otherwise each block is its own table, so each node pair is
+    evaluated once.  The values feed two running reductions: the
+    ValidationReport of validate_assumptions (report is None unless
+    validate) and the two-time norms of contraction_constants (a
+    _PairNorms).  Both take the row-sum norms of Q and M from one
+    computation, and send a matrix to eigvalsh or inv only where bounds from
+    those stacks cannot rule it out of the table's extreme (_screened).
+    Either table gives the same report and norms, bit for bit.
     """
     nodes = g.nodes
     checks = _PairChecks(tol) if validate else None
     norms = _PairNorms()
-    for ii, jj in _triangle_rows(nodes.size):
-        tt, ss = nodes[ii], nodes[jj]
+
+    def scalars(tt, ss):
         stacks = (p.Q.eval(tt, ss), p.Q.eval_dt(tt, ss), p.S.eval(tt, ss),
                   p.S.eval_dt(tt, ss), p.M.eval(tt, ss), p.M.eval_dt(tt, ss))
-        q_norms, m_norms = norms.add(ii, *stacks)
+        values = norms.scalars(*stacks)
+        if checks is None:
+            return values
+        return np.concatenate([values, checks.scalars(*stacks, values[0], values[1])])
+
+    lag_only = p.Q.lag_only and p.S.lag_only and p.M.lag_only
+    for ii, jj, values in _walk(nodes, _triangle_rows(nodes.size), lag_only, scalars):
+        norms.add(ii, *values[:6])
         if checks is not None:
-            checks.add(np.column_stack([tt, ss]), *stacks, q_norms, m_norms)
+            checks.add(np.column_stack([nodes[ii], nodes[jj]]), *values[6:])
     return (None if checks is None else checks.report(p, nodes)), norms
 
 
@@ -465,21 +515,26 @@ def validate_assumptions(p: LQProblem, g, tol: float = 1e-8) -> ValidationReport
 
     The triangle of node pairs is walked in blocks of 32 rows, each reduced
     to running worst values before the next is evaluated, so memory goes as
-    O(32 K n^2) for K nodes.  Every worst value and its pair are those of the
-    whole triangle at once: ties go to the first pair in row-major order.
-    solve_riccati takes this report and the two-time norms of
-    contraction_constants from one such walk.
+    O(32 K n^2) for K nodes.  A block reads its per-pair values from a
+    table: the grid's distinct lags s - t when Q, S and M are lag kernels
+    (TwoTimeKernel.lag) and there are at most 32 K of them (1 364 for the
+    80 601 pairs of a uniform grid of 400 intervals on [0, 1]), else the
+    block's own pairs.  So the weights are evaluated, bounded and decomposed
+    once per distinct lag, or once per node pair.  Every worst value and
+    its pair are those of the whole triangle at once: ties go to the first
+    pair in row-major order.  solve_riccati takes this report and the
+    two-time norms of contraction_constants from one such walk.
 
-    Exact eigenvalues (eigvalsh) are computed only at the pairs that can set
-    a reported value.  Per pair, the Gershgorin discs bound the least
-    eigenvalue from below and the least diagonal entry bounds it from above,
-    both widened by 1e-12 (1 + row-sum norm) for rounding.  A pair goes to
-    eigvalsh unless its lower bound exceeds the least upper bound of its
-    block, and of the block's S = 0 pairs (live S_t = 0 pairs) whose Q (Q_t)
-    eigenvalues the Schur-type checks reuse; M_t also where its bounds
-    straddle tol.  The inverse of M, for contraction_constants, is likewise
-    formed only where 1/||M|| and Varah's bound 1/min_i(|m_ii| - sum_{j != i}
-    |m_ij|) leave a pair able to reach the block's largest ||M^{-1}||.  The
-    report is the same as with every pair evaluated.
+    Exact eigenvalues (eigvalsh) are computed only at the table entries that
+    can set a reported value.  Per entry, the Gershgorin discs bound the
+    least eigenvalue from below and the least diagonal entry bounds it from
+    above, both widened by 1e-12 (1 + row-sum norm) for rounding.  An entry
+    goes to eigvalsh unless its lower bound exceeds the least upper bound of
+    its table, and of the table's S = 0 entries (live S_t = 0 entries) whose
+    Q (Q_t) eigenvalues the Schur-type checks reuse; M_t also where its
+    bounds straddle tol.  The inverse of M, for contraction_constants, is
+    likewise formed only where 1/||M|| and Varah's bound 1/min_i(|m_ii| -
+    sum_{j != i} |m_ij|) leave an entry able to reach the table's largest
+    ||M^{-1}||.  The report is the same as with every pair evaluated.
     """
     return _triangle_pass(p, g, tol)[0]

@@ -22,9 +22,12 @@ contraction_constants.  That certified width collapses numerically whenever
 B is nonzero, so by default the solver falls back to practical windows with
 divergence-triggered halving and records the observed contraction factors.
 
-Each node pair (s_i, r) is evaluated and reduced O(1) times per solve.  One
-walk of the triangle of node pairs, 32 rows at a time, both validates the
-problem and reduces the norms behind the contraction constants.  On a
+Each node pair (s_i, r) is reduced O(1) times per solve.  One walk of the
+triangle of node pairs, 32 rows at a time, both validates the problem and
+reduces the norms behind the contraction constants.  It evaluates and
+bounds the weights once per node pair, or, when Q, S and M are lag kernels
+(TwoTimeKernel.lag), once per distinct lag s_j - s_i of the grid, and each
+block reads its values from that table (problem._triangle_pass).  On a
 window [a, b] the nonlocal term splits at the first node c past b from
 which the closed loop reads solved nodes only: the tail r >= c is folded
 once per window into one n x n matrix per row, so each iterate integrates
@@ -54,7 +57,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._quad import local_cubic, tail_band, tail_integrals
-from .errors import InvalidInputError, NonconvergenceError
+from .errors import InvalidInputError, NonconvergenceError, NotPositiveDefiniteError
 from .grids import TimeGrid, node_index
 from .kernels import _ROW_BLOCK, kernel_norms, matrix_norm, matrix_norm_many
 from .problem import LQProblem, _sym, _triangle_pass
@@ -99,7 +102,8 @@ class RiccatiSolution:
         scalar = ts.ndim == 0
         ts = np.atleast_1d(ts)
         nodes = self.grid.nodes
-        if np.any(ts < nodes[0] - 1e-12) or np.any(ts > nodes[-1] + 1e-12):
+        outside = ts[(ts < nodes[0]) | (ts > nodes[-1])]
+        if np.any(node_index(nodes, outside) < 0):
             raise InvalidInputError("evaluation time outside [0, T]")
         out = local_cubic(nodes, self.values, np.clip(ts, nodes[0], nodes[-1]))
         return out[0] if scalar else out
@@ -638,7 +642,10 @@ def solve_riccati(p: LQProblem, g: TimeGrid, opts: SolveOptions | None = None
     <= 0.75 per window.  Otherwise practical windows of width T/4 march
     backward with halving on observed divergence.  Raises
     NonconvergenceError when an iteration cap or halving floor is hit, and
-    InvalidInputError for a tol outside (0, inf) or a max_iter below 1.
+    InvalidInputError for a tol outside (0, inf), a max_iter below 1, a
+    window_override outside (0, T] or a problem that fails a hard check of
+    validate_assumptions; when M is not positive definite that error is a
+    NotPositiveDefiniteError whose where is the check's node pair.
 
     Validation (opts.validate) and the two-time norms of the constants come
     from one walk of the node-pair triangle; the report and constants equal
@@ -649,11 +656,17 @@ def solve_riccati(p: LQProblem, g: TimeGrid, opts: SolveOptions | None = None
         raise InvalidInputError("tol must be positive and finite")
     if opts.max_iter < 1:
         raise InvalidInputError("max_iter must be >= 1")
+    if opts.window_override is not None and not 0 < opts.window_override <= g.T:
+        raise InvalidInputError("window_override must lie in (0, T]")
     report, pair_norms = _triangle_pass(p, g, validate=opts.validate)
     if report is not None:
         if not report.hard_ok:
-            bad = [c.assumption for c in report.checks if c.hard and not c.passed]
-            raise InvalidInputError(f"problem fails structural assumptions: {bad}")
+            bad = {c.assumption: c for c in report.checks if c.hard and not c.passed}
+            message = f"problem fails structural assumptions: {list(bad)}"
+            if "H2-M-positive-definite" in bad:
+                raise NotPositiveDefiniteError(message,
+                                               where=bad["H2-M-positive-definite"].where)
+            raise InvalidInputError(message)
         if not report.monotone_ok:
             warnings.warn("advisory sign conditions failed; equilibrium certified"
                           " quantities may lose definiteness", RuntimeWarning,
@@ -667,8 +680,6 @@ def solve_riccati(p: LQProblem, g: TimeGrid, opts: SolveOptions | None = None
     if opts.window_override is not None:
         mode = "override"
         width = float(opts.window_override)
-        if not 0 < width <= g.T:
-            raise InvalidInputError("window_override must lie in (0, T]")
     elif cc.tau >= _MIN_WINDOW_NODES * g.h:
         mode = "guaranteed"
         width = cc.tau

@@ -287,3 +287,21 @@ def test_mode_override_is_validated_as_that_mode(tmp_path):
     assert json.loads((out_dir / "validation.json").read_text())["hard_ok"] is True
     assert main(["--config", str(write(tmp_path, cfg)), "--quiet"]) == 2
 
+
+
+@pytest.mark.parametrize("window", [0, -0.25, 1.5])
+def test_window_override_outside_the_horizon_is_a_config_issue(tmp_path, capsys, window):
+    # refused with the document, as the one issue, before any solve
+    cfg = make_config(solver={"window_override": window})
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(cfg))
+    assert [p for p, _ in exc.value.errors] == ["solver.window_override"]
+    assert main(["--config", str(write(tmp_path, cfg)), "--quiet"]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "config"
+    assert [i["path"] for i in error["issues"]] == ["solver.window_override"]
+
+
+def test_window_override_of_the_whole_horizon_is_accepted():
+    assert parse_config(json.dumps(make_config(solver={"window_override": 1.0}))) \
+        .window_override == 1.0

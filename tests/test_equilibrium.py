@@ -504,3 +504,14 @@ def test_certificate_builds_each_splice_once(n3_policy, monkeypatch):
     builds = [(t, e) for t, eps in plans[0] for e in eps]
     assert len(builds) == len(spec.times) * len(spec.eps_list)
     assert len(set(builds)) == len(builds)
+
+
+def test_value_leg_has_no_sliver_segment(n3_policy):
+    # a start 1e-11 below node 100 is that node by grids.node_index, so the
+    # cost integrates from it over the node's intervals instead of a 1e-11
+    # sliver first (the sliver read 5.5e-12 against 8.4e-11 from the node)
+    p, pol = n3_policy
+    s = pol.P.grid.nodes[100]
+    x = np.array([1.0, -0.5, 0.3])
+    at_node = value_identity_gap(p, pol, s, x)
+    assert abs(value_identity_gap(p, pol, s - 1e-11, x) - at_node) <= 1e-13

@@ -1,0 +1,251 @@
+"""Lag kernels (TwoTimeKernel.lag) and the triangle walk on distinct lags.
+
+When Q, S and M depend on (t, s) only through s - t, problem._triangle_pass
+evaluates and bounds them once per distinct float lag of the grid and each
+block of rows reads its pairs' values from that table.  The same closures
+behind TwoTimeKernel.from_callable are walked pair by pair; reports,
+constants and the solved P must match those bit for bit.
+"""
+import tracemalloc
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from tilq import (
+    InvalidInputError,
+    LQProblem,
+    TimeGrid,
+    TwoTimeKernel,
+    contraction_constants,
+    exponential_kernel,
+    exponential_terminal,
+    hyperbolic_problem,
+    kernel_norms,
+    solve_riccati,
+    validate_assumptions,
+)
+from tilq.kernels import _ROW_BLOCK, _lag_table, finite_difference_dt
+
+
+def _n3():
+    rng = np.random.default_rng(0)
+    A = 0.3 * rng.standard_normal((3, 3))
+    B = rng.standard_normal((3, 2))
+    return hyperbolic_problem(np.eye(3), np.eye(2), np.eye(3), A=A, B=B,
+                              k=1.0, theta=1.0, T=1.0)
+
+
+def _s_lag():
+    # exponential Q and M with a constant nonzero S, so the Schur-type
+    # check solves on every entry (and passes)
+    n3 = _n3()
+    return LQProblem(A=n3.A, B=n3.B, Q=exponential_kernel(np.eye(3), 0.7, 1.0),
+                     S=TwoTimeKernel.constant(0.1 * np.arange(6.0).reshape(2, 3) - 0.2, 1.0),
+                     M=exponential_kernel(np.array([[1.0, 0.2], [0.2, 0.8]]), 0.7, 1.0),
+                     G=exponential_terminal(np.eye(3), 0.7, 1.0))
+
+
+def _profile(base, calls=None, name=""):
+    """A plain, non-vectorized hyperbolic profile and its t-partial in the lag."""
+    def fn(lag):
+        if calls is not None:
+            calls[name] += 1
+        return base / (1.0 + lag)
+
+    def dfn(lag):
+        if calls is not None:
+            calls[name + "_t"] += 1
+        return base / (1.0 + lag) ** 2
+
+    return fn, dfn
+
+
+def _plain(calls=None):
+    """n3 with Q and M declared by plain non-vectorized lag callables."""
+    n3 = _n3()
+    Qf, Qd = _profile(np.eye(3), calls, "Q")
+    Mf, Md = _profile(np.eye(2), calls, "M")
+    return LQProblem(A=n3.A, B=n3.B,
+                     Q=TwoTimeKernel.lag(Qf, (3, 3), 1.0, Qd, symmetry_required=True),
+                     S=n3.S, M=TwoTimeKernel.lag(Mf, (2, 2), 1.0, Md, symmetry_required=True),
+                     G=n3.G)
+
+
+def _pair_kernel(k):
+    """k's values behind from_callable: a pair kernel, walked pair by pair."""
+    return TwoTimeKernel.from_callable(k.eval, k.dims, k.horizon, k.eval_dt,
+                                       symmetry_required=k.symmetry_required, vectorized=True)
+
+
+def _pairwise(p):
+    return LQProblem(A=p.A, B=p.B, Q=_pair_kernel(p.Q), S=_pair_kernel(p.S),
+                     M=_pair_kernel(p.M), G=p.G)
+
+
+def _plain_pairwise():
+    # the same closures as _plain, given the lag s - t by from_callable
+    n3 = _n3()
+
+    def pair(base, dims):
+        fn, dfn = _profile(base)
+        return TwoTimeKernel.from_callable(lambda t, s: fn(s - t), dims, 1.0,
+                                           lambda t, s: dfn(s - t), symmetry_required=True)
+
+    return LQProblem(A=n3.A, B=n3.B, Q=pair(np.eye(3), (3, 3)), S=n3.S,
+                     M=pair(np.eye(2), (2, 2)), G=n3.G)
+
+
+def _jittered(N, seed=3):
+    """TimeGrid.uniform(1, N) with its interior nodes moved by 0.3 h U(-1, 1)."""
+    nodes = np.linspace(0.0, 1.0, N + 1)
+    nodes[1:-1] += 0.3 / N * np.random.default_rng(seed).uniform(-1.0, 1.0, N - 1)
+    return TimeGrid(nodes)
+
+
+CASES = {"n3": (_n3, lambda: _pairwise(_n3())),
+         "s-lag": (_s_lag, lambda: _pairwise(_s_lag())),
+         "plain": (_plain, _plain_pairwise)}
+
+
+@pytest.mark.parametrize("name, N", [("n3", 64), ("n3", 400), ("s-lag", 64), ("s-lag", 400),
+                                     ("plain", 64), ("plain", 200)])
+def test_lag_walk_matches_the_pair_walk(name, N):
+    lag, pair = (make() for make in CASES[name])
+    g = TimeGrid.uniform(1.0, N)
+    assert lag.Q.lag_only and lag.S.lag_only and lag.M.lag_only
+    assert not pair.Q.lag_only and _lag_table(g.nodes) is not None
+    assert validate_assumptions(lag, g).to_dict() == validate_assumptions(pair, g).to_dict()
+    assert contraction_constants(lag, g).to_dict() == contraction_constants(pair, g).to_dict()
+    for a, b in ((lag.Q, pair.Q), (lag.S, pair.S), (lag.M, pair.M)):
+        assert kernel_norms(a, g) == kernel_norms(b, g)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_lag_solve_matches_the_pair_solve(name):
+    lag, pair = (make() for make in CASES[name])
+    g = TimeGrid.uniform(1.0, 200)
+    got, want = solve_riccati(lag, g), solve_riccati(pair, g)
+    np.testing.assert_array_equal(got.values, want.values)
+    assert got.meta == want.meta
+
+
+def test_lag_closure_is_called_per_distinct_lag():
+    # a validated solve at N=200: the walk calls each value closure once
+    # per distinct lag (and once more for the diagonal), each partial once
+    # per distinct lag and then per distinct lag of each window's blocks;
+    # the pair walk alone calls each closure once per node pair
+    calls = Counter()
+    g = TimeGrid.uniform(1.0, 200)
+    p = _plain(calls)
+    calls.clear()
+    solve_riccati(p, g)
+    lags = _lag_table(g.nodes).size
+    K = g.nodes.size
+    assert lags == 655 and K * (K + 1) // 2 == 20301
+    assert calls["Q"] <= lags + 2 and calls["M"] <= lags + 2
+    assert calls["Q_t"] <= 5 * lags and calls["M_t"] <= 5 * lags
+
+
+def test_jittered_grid_takes_the_pair_table():
+    # moving the interior nodes makes almost every pair's lag its own, far
+    # past the 32 K entries a block holds, so each block is its own table
+    g = _jittered(400)
+    assert _lag_table(g.nodes) is None
+    lag, pair = _n3(), _pairwise(_n3())
+    assert validate_assumptions(lag, g).to_dict() == validate_assumptions(pair, g).to_dict()
+    assert contraction_constants(lag, g).to_dict() == contraction_constants(pair, g).to_dict()
+    assert kernel_norms(lag.Q, g) == kernel_norms(pair.Q, g)
+
+
+def test_lag_walk_holds_no_array_over_the_pairs():
+    # N=3200: the lags of the 5 124 801 node pairs alone would take 39 MiB
+    # as float64; the walk holds the 11 358 distinct lags, their values and
+    # one block's rows at a time (16 MiB here; 65 MiB pair by pair)
+    p, g = _n3(), TimeGrid.uniform(1.0, 3200)
+    tracemalloc.start()
+    try:
+        validate_assumptions(p, g)
+        peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24.0
+
+
+def test_lag_table_holds_each_distinct_lag_once():
+    for g in (TimeGrid.uniform(1.0, 400), TimeGrid.uniform(3.0, 2 * _ROW_BLOCK + 1),
+              _jittered(40)):
+        K = g.nodes.size
+        ii, jj = np.triu_indices(K)
+        want = np.unique(g.nodes[jj] - g.nodes[ii])
+        table = _lag_table(g.nodes)
+        if want.size > _ROW_BLOCK * K:
+            assert table is None
+            continue
+        np.testing.assert_array_equal(table, want)
+    # the count of a uniform grid of 400 intervals on [0, 1]
+    assert _lag_table(TimeGrid.uniform(1.0, 400).nodes).size == 1364
+
+
+def test_lag_kernel_evaluates_the_lag():
+    fn, dfn = _profile(np.array([[1.0, 0.5], [0.5, 2.0]]))
+    k = TwoTimeKernel.lag(fn, (2, 2), 1.0, dfn, symmetry_required=True)
+    t, s = np.array([0.0, 0.25, 0.5]), np.array([0.5, 0.75, 1.0])
+    np.testing.assert_array_equal(k.eval(t, s), np.stack([fn(x) for x in s - t]))
+    np.testing.assert_array_equal(k.eval_dt(0.2, 0.7), dfn(0.7 - 0.2))
+    assert k.provenance == "analytic" and k.lag_only and isinstance(k, TwoTimeKernel)
+    assert not TwoTimeKernel.from_callable(lambda t, s: fn(s - t), (2, 2), 1.0).lag_only
+    assert TwoTimeKernel.constant(np.eye(2), 1.0).lag_only
+
+
+def test_non_vectorized_lag_closure_runs_once_per_distinct_lag():
+    calls = Counter()
+    k = TwoTimeKernel.lag(_profile(np.eye(1), calls, "k")[0], (1, 1), 1.0)
+    calls.clear()
+    nodes = np.linspace(0.0, 1.0, 11)
+    ii, jj = np.triu_indices(nodes.size)
+    lags = nodes[jj] - nodes[ii]
+    got = k.eval(nodes[ii], nodes[jj])
+    assert calls["k"] == np.unique(lags).size < lags.size
+    np.testing.assert_array_equal(got[:, 0, 0], 1.0 / (1.0 + lags))
+
+
+@pytest.mark.parametrize("vectorized", [False, True])
+def test_lag_difference_depends_on_the_lag_alone(vectorized):
+    # without dfn the t-partial is minus the lag difference of the profile,
+    # so two pairs with the same float lag get the same partial, at the
+    # corner t = s = 0 and at t = 0, s = T included
+    base = np.array([[1.0, 0.3], [0.3, 2.0]])
+    if vectorized:
+        k = TwoTimeKernel.lag(lambda lag: np.exp(-0.5 * lag)[:, None, None] * base, (2, 2),
+                              1.0, vectorized=True)
+    else:
+        k = TwoTimeKernel.lag(lambda lag: np.exp(-0.5 * lag) * base, (2, 2), 1.0)
+    assert k.provenance == "finite-difference"
+    nodes = np.linspace(0.0, 1.0, 9)
+    ii, jj = np.triu_indices(nodes.size)
+    t, s = nodes[ii], nodes[jj]
+    got = k.eval_dt(t, s)
+    want = 0.5 * np.exp(-0.5 * (s - t))[:, None, None] * base
+    np.testing.assert_allclose(got, want, atol=1e-8)
+    lags = s - t
+    for lag in np.unique(lags):
+        same = got[lags == lag]
+        assert np.all(same == same[0])
+    val, stencil = finite_difference_dt(k, 0.0, 0.0, 1e-6, return_info=True)
+    np.testing.assert_array_equal(val, k.eval_dt(0.0, 0.0))
+    assert stencil == "forward"  # forward in the lag, so backward in t
+    assert finite_difference_dt(k, 0.0, 1.0, 1e-6, return_info=True)[1] == "backward"
+    assert finite_difference_dt(k, 0.3, 0.6, 1e-6, return_info=True)[1] == "central"
+    with pytest.raises(InvalidInputError):  # off the triangle, as for pair kernels
+        k.eval_dt(0.6, 0.3)
+
+
+def test_lag_kernel_norms_on_the_table():
+    # kernel_norms of a lag kernel reads the lag table; a constant kernel's
+    # L^1 norm stays T times its matrix norm
+    g = TimeGrid.uniform(2.0, 100)
+    k = TwoTimeKernel.constant(np.array([[1.0, -2.0], [0.0, 1.0]]), 2.0)
+    nb = kernel_norms(k, g)
+    assert nb.c_norm == 3.0 and nb.c1_norm == 3.0
+    np.testing.assert_allclose(nb.l1_norm, 6.0, rtol=1e-12)

@@ -10,6 +10,7 @@ from tilq import (
     InvalidInputError,
     LQProblem,
     NonconvergenceError,
+    NotPositiveDefiniteError,
     OneTimeMatrixFn,
     SolveOptions,
     TimeGrid,
@@ -31,6 +32,7 @@ from tilq import (
     upsilon,
     validate_assumptions,
 )
+from tilq import riccati
 from tilq._quad import local_cubic, simpson_weights
 from tilq.kernels import _ROW_BLOCK, matrix_norm_many
 from tilq.propagators import closed_loop_coefficient, flow_condition, rk4_flow
@@ -829,3 +831,44 @@ def test_bad_solver_options_are_invalid_input(hyperbolic_scalar, opts):
     # ValueError, a ZeroDivisionError or an IndexError
     with pytest.raises(InvalidInputError):
         solve_riccati(hyperbolic_scalar, TimeGrid.uniform(1.0, 64), opts)
+
+
+@pytest.mark.parametrize("window", [0.0, -0.5, 1.5])
+def test_window_override_is_refused_before_the_walk(monkeypatch, tanh_problem, window):
+    def walk(*args, **kwargs):
+        raise AssertionError("the triangle walk ran")
+
+    monkeypatch.setattr(riccati, "_triangle_pass", walk)
+    with pytest.raises(InvalidInputError, match="window_override"):
+        solve_riccati(tanh_problem, TimeGrid.uniform(1.0, 32),
+                      SolveOptions(window_override=window))
+
+
+def test_eval_many_takes_a_time_next_to_the_ends_as_the_end():
+    # within 1e-9 (1 + T) of 0 or T a time is that node (grids.node_index)
+    p, g = _n3_problem(), TimeGrid.uniform(1.0, 400)
+    sol = solve_riccati(p, g)
+    np.testing.assert_array_equal(sol(1.0 + 5e-10), sol.values[-1])
+    np.testing.assert_array_equal(sol.eval_many([-5e-10, 0.5, 1.0 + 5e-10])[[0, 2]],
+                                  sol.values[[0, -1]])
+    for t in (1.0 + 1e-8, -1e-8):
+        with pytest.raises(InvalidInputError, match="outside"):
+            sol(t)
+
+
+def test_m_not_positive_definite_raises_its_type():
+    # the typed error is an InvalidInputError, so callers and the CLI's
+    # exit code 2 see no change; where is the failing check's pair
+    p = constant_problem(A=0.0, B=1.0, Q=1.0, S=0.0, M=-1.0, G=0.0, T=1.0)
+    g = TimeGrid.uniform(1.0, 32)
+    with pytest.raises(NotPositiveDefiniteError) as exc:
+        solve_riccati(p, g)
+    assert isinstance(exc.value, InvalidInputError)
+    check = {c.assumption: c for c in validate_assumptions(p, g).checks}
+    assert exc.value.where == check["H2-M-positive-definite"].where == (0.0, 0.0)
+    assert "H2-M-positive-definite" in str(exc.value)
+    # another hard failure keeps the plain type
+    q_bad = constant_problem(A=0.0, B=1.0, Q=-1.0, S=0.0, M=1.0, G=0.0, T=1.0)
+    with pytest.raises(InvalidInputError) as exc:
+        solve_riccati(q_bad, g)
+    assert not isinstance(exc.value, NotPositiveDefiniteError)

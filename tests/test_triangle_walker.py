@@ -403,15 +403,27 @@ def test_screening_sends_few_pairs_to_lapack(monkeypatch):
     assert 0 < counts["inv"] <= 0.01 * pairs
 
 
+def _pair_kernel(k):
+    """k's values behind from_callable, so the walk reads them pair by pair."""
+    return TwoTimeKernel.from_callable(k.eval, k.dims, k.horizon, k.eval_dt,
+                                       symmetry_required=k.symmetry_required, vectorized=True)
+
+
 def test_dense_problem_is_not_screened(monkeypatch):
-    # dense: every pair matrix goes to eigvalsh (M, Q, Q_t, M_t and the
-    # Schur-type matrix) and to inv, as without the bounds
-    p, g = _dense(), _grid(2 * _ROW_BLOCK + 1)
-    counts = _count_lapack(monkeypatch)
-    validate_assumptions(p, g)
+    # dense: every matrix the walk evaluates goes to eigvalsh (M, Q, Q_t,
+    # M_t and the Schur-type matrix) and to inv, as without the bounds.
+    # Its kernels depend on the lag alone, so the walk evaluates one matrix
+    # per distinct lag; behind from_callable, one per node pair
+    lag, g = _dense(), _grid(2 * _ROW_BLOCK + 1)
+    pair = LQProblem(A=lag.A, B=lag.B, Q=_pair_kernel(lag.Q), S=_pair_kernel(lag.S),
+                     M=_pair_kernel(lag.M), G=lag.G)
     K = g.nodes.size
-    pairs = K * (K + 1) // 2
-    assert counts["eigvalsh"] >= 5 * pairs and counts["inv"] == pairs
+    ii, jj = np.triu_indices(K)
+    counts = _count_lapack(monkeypatch)
+    for p, matrices in ((pair, K * (K + 1) // 2), (lag, np.unique(g.nodes[jj] - g.nodes[ii]).size)):
+        counts.clear()
+        validate_assumptions(p, g)
+        assert counts["eigvalsh"] >= 5 * matrices and counts["inv"] == matrices
 
 
 def test_singular_iterate_is_a_diverged_window():
