@@ -2,9 +2,14 @@
 
 The policy is the linear feedback u(t, x) = gain(t) x derived from a solved
 Riccati kernel, gain = -Ups with Ups from riccati.upsilon; its value
-satisfies J(t, x; u) = <P(t)x, x>.  simulate and cost run the policy's
-state through one integrator (_integrate_segment): RK4 on the closed-loop
-drift A + B gain, sampled at the nodes and midpoints of the path.
+satisfies J(t, x; u) = <P(t)x, x>.
+
+Every control here is affine in the state, u(s, x) = gain(s) x + shift(s)
+(_AffineControl): a policy gives the gain, a constant vector or a time
+function u(s) the shift.  simulate and cost run every one through one
+integrator (_integrate_segment): propagators.rk4_flow on the drift
+A + B gain sampled at the nodes and midpoints of the path, a shift riding
+along as held state z = (x, 1) with drift [[A + B gain, B shift], [0, 0]].
 
 Deviating to a constant control v on a short interval [t, t+eps] changes
 the cost, to first order in eps, by the quadratic
@@ -25,7 +30,6 @@ splice-by-splice build.  The value identity keeps the path-based cost.
 """
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,12 +37,17 @@ import numpy as np
 from ._quad import integrate, simpson_weights
 from .errors import GridTooCoarseError, InvalidInputError
 from .grids import TimeGrid, node_index
+from .kernels import _unique
 from .problem import LQProblem
 from .propagators import flow_prefix, half_times, rk4_flow, rk4_steps
 from .riccati import RiccatiSolution, upsilon
 
 # node count below which cost and the value matrices refine a segment
 _MIN_SEGMENT_NODES = 17
+# the certificate passes when no closed form and no extrapolated quotient
+# is below minus these
+CLOSED_FORM_TOL = 1e-10
+FINITE_EPS_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -110,44 +119,56 @@ def simulate(pol: EquilibriumPolicy, t0: float, x0, g: TimeGrid | None = None
     if not np.all(np.isfinite(x0)):
         raise InvalidInputError("x0 must be finite")
     ts = np.concatenate([[t0], nodes[nodes > t0]])
-    X, U = _integrate_segment(p, ts, x0, _LinearControl(pol.gain_many))
+    X, U = _integrate_segment(p, ts, x0, _AffineControl(gain=pol.gain_many))
     return Trajectory(ts, X, U, t0, x0)
 
 
-class _LinearControl:
-    def __init__(self, gain_many):
-        self.gain_many = gain_many
+@dataclass(frozen=True)
+class _AffineControl:
+    """u(s, x) = gain(s) x + shift(s): gain(ts) and shift(ts) give the (k, m, n)
+    gains and (k, m) shifts at the times of a 1-d array ts; None is no term."""
+
+    gain: object = None
+    shift: object = None
+
+    def tables(self, p: LQProblem, ts: np.ndarray) -> tuple:
+        """(D, K) at the times ts: the state z follows z' = D z and u = K z.
+
+        With a gain alone z = x, D = A + B gain and K = gain.  A shift rides
+        along as held state z = (x, 1): D = [[A + B gain, B shift], [0, 0]]
+        and K = [gain, shift].
+        """
+        A, B = p.A.eval(ts), p.B.eval(ts)
+        K = np.zeros((ts.size, p.m, p.n)) if self.gain is None else self.gain(ts)
+        if self.shift is not None:
+            K = np.concatenate([K, self.shift(ts)[..., None]], axis=-1)
+            A = np.pad(A, ((0, 0), (0, 1), (0, 1)))
+            B = np.pad(B, ((0, 0), (0, 1), (0, 0)))
+        return A + B @ K, K
 
 
-class _ConstantControl:
-    def __init__(self, v):
-        self.v = v
-
-
-class _GenericControl:
-    def __init__(self, fn):
-        self.fn = fn
-
-
-def _as_control(u, m: int):
-    if isinstance(u, (_LinearControl, _ConstantControl, _GenericControl)):
-        return u
+def _as_control(u, m: int) -> _AffineControl:
+    """A policy as its gain; a time function u(s) or a constant vector as the
+    shift.  A callable is called with the time alone, so a feedback u(s, x)
+    is refused."""
     if isinstance(u, EquilibriumPolicy):
-        return _LinearControl(u.gain_many)
-    if isinstance(u, (np.ndarray, list, tuple, float, int)):
-        return _ConstantControl(np.asarray(u, dtype=float).reshape(m))
+        return _AffineControl(gain=u.gain_many)
     if callable(u):
-        try:
-            params = list(inspect.signature(u).parameters.values())
-            positional = [q for q in params
-                          if q.kind in (q.POSITIONAL_ONLY, q.POSITIONAL_OR_KEYWORD)]
-            variadic = any(q.kind == q.VAR_POSITIONAL for q in params)
-        except (TypeError, ValueError):
-            positional, variadic = [None, None], False
-        if variadic or len(positional) >= 2:
-            return _GenericControl(u)
-        return _GenericControl(lambda s, x, _u=u: _u(s))
-    raise InvalidInputError("control must be a policy, a constant vector, or a callable")
+        def shift(ts):
+            try:
+                return np.array([np.asarray(u(float(s)), dtype=float).reshape(m) for s in ts])
+            except (TypeError, ValueError) as exc:
+                raise InvalidInputError(
+                    f"a control function is called as u(s), giving {m} values: {exc}") from exc
+        return _AffineControl(shift=shift)
+    try:
+        v = np.asarray(u, dtype=float).reshape(m)
+    except (TypeError, ValueError):
+        v = None
+    if v is None or not np.all(np.isfinite(v)):
+        raise InvalidInputError(f"a control is a policy, a time function u(s) or a "
+                                f"finite constant vector of {m} values")
+    return _AffineControl(shift=lambda ts: np.broadcast_to(v, (ts.size, m)))
 
 
 def _segment_nodes(gnodes: np.ndarray, a: float, b: float, min_nodes: int
@@ -176,45 +197,14 @@ def _weights(p: LQProblem, t: float, seg) -> np.ndarray:
     return np.block([[p.Q.eval(t, seg), np.swapaxes(S, -1, -2)], [S, p.M.eval(t, seg)]])
 
 
-def _integrate_segment(p: LQProblem, seg: np.ndarray, x_start, ctrl):
-    """Order-4 state integration on seg; returns node states and controls."""
-    K = seg.size
-    n, m = p.n, p.m
-    half = half_times(seg)
-    A, B = p.A.eval(half), p.B.eval(half)
-    x_start = np.asarray(x_start, dtype=float).reshape(n)
-    if isinstance(ctrl, _LinearControl):
-        gains = ctrl.gain_many(half)
-        X = rk4_flow(seg, A + B @ gains) @ x_start
-        return X, np.einsum("kij,kj->ki", gains[0::2], X)
-    if isinstance(ctrl, _ConstantControl):
-        Z = rk4_flow(seg, _held(A, B)) @ np.concatenate([x_start, ctrl.v])
-        return Z[:, :n], Z[:, n:]
-    fn = ctrl.fn
-
-    def u_at(s, x):
-        return np.asarray(fn(s, x), dtype=float).reshape(m)
-
-    An, Am, Bn, Bm = A[0::2], A[1::2], B[0::2], B[1::2]
-    hs = np.diff(seg)
-    X = np.empty((K, n))
-    X[0] = x_start
-    U = np.empty((K, m))
-    U[0] = u_at(seg[0], X[0])
-    for i in range(K - 1):
-        h = hs[i]
-        s_mid = half[2 * i + 1]
-        x = X[i]
-        k1 = An[i] @ x + Bn[i] @ U[i]
-        x2 = x + 0.5 * h * k1
-        k2 = Am[i] @ x2 + Bm[i] @ u_at(s_mid, x2)
-        x3 = x + 0.5 * h * k2
-        k3 = Am[i] @ x3 + Bm[i] @ u_at(s_mid, x3)
-        x4 = x + h * k3
-        k4 = An[i + 1] @ x4 + Bn[i + 1] @ u_at(seg[i + 1], x4)
-        X[i + 1] = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        U[i + 1] = u_at(seg[i + 1], X[i + 1])
-    return X, U
+def _integrate_segment(p: LQProblem, seg: np.ndarray, x_start: np.ndarray,
+                       ctrl: _AffineControl):
+    """State and control at the nodes of seg from x_start: RK4 (rk4_flow) on
+    the drift of ctrl.tables, so a gain alone runs the n x n closed-loop
+    flow and a shift the held state z = (x, 1)."""
+    D, K = ctrl.tables(p, half_times(seg))
+    Z = rk4_flow(seg, D) @ np.concatenate([x_start, np.ones(D.shape[-1] - p.n)])
+    return Z[:, :p.n], np.einsum("kij,kj->ki", K[0::2], Z)
 
 
 def _running_cost(p: LQProblem, t_freeze: float, seg, X, U) -> float:
@@ -227,14 +217,15 @@ def cost(p: LQProblem, t: float, x, u, grid: TimeGrid | None = None, *,
          breakpoints=()) -> float:
     """Cost functional J(t, x; u) with weights frozen at evaluation time t.
 
-    u is a control given as a policy object, a constant vector, a time
-    function u(s), or a feedback u(s, x); with breakpoints it may also be a
-    sequence of such controls, one per segment, so discontinuous splices are
-    integrated exactly up to the scheme order.  The state follows the
-    order-4 one-step scheme (RK4; a constant control rides along as held
-    state, a policy through its closed-loop flow) and the running cost uses
-    the local cubic rule of _quad segment by segment; segments shorter than
-    _MIN_SEGMENT_NODES grid nodes are refined to that count.
+    u is an affine control u(s, x) = gain(s) x + shift(s): a policy object
+    (the gain), a constant vector or a time function u(s) (the shift); a
+    callable is called with the time alone, so a feedback u(s, x) is refused
+    with InvalidInputError.  With breakpoints u may also be a sequence of
+    such controls, one per segment, so discontinuous splices are integrated
+    exactly up to the scheme order.  The state follows RK4 (a policy through
+    its closed-loop flow, a shift as held state z = (x, 1)) and the running
+    cost uses the local cubic rule of _quad segment by segment; segments
+    shorter than _MIN_SEGMENT_NODES grid nodes are refined to that count.
 
     A breakpoint at T closes an empty last segment; its control, when u
     lists one, is not integrated.
@@ -244,6 +235,8 @@ def cost(p: LQProblem, t: float, x, u, grid: TimeGrid | None = None, *,
     if not 0.0 <= t <= T + 1e-12 * (1 + T):
         raise InvalidInputError("cost needs t in [0, T]")
     x = np.asarray(x, dtype=float).reshape(p.n)
+    if not np.all(np.isfinite(x)):
+        raise InvalidInputError("cost needs a finite state x")
     tiny = 1e-12 * (1.0 + T)
     if T - t <= tiny:
         return float(x @ p.G.eval(t) @ x)
@@ -254,8 +247,7 @@ def cost(p: LQProblem, t: float, x, u, grid: TimeGrid | None = None, *,
     n_seg = len(edges) - 1
     # a breakpoint at T closes an empty segment; u may list its control
     closed = any(abs(b - T) <= tiny for b in bps)
-    if isinstance(u, (list, tuple)) and not isinstance(u, np.ndarray) \
-            and u and not np.isscalar(u[0]):
+    if isinstance(u, (list, tuple)) and u and not np.isscalar(u[0]):
         if not n_seg <= len(u) <= n_seg + closed:
             raise InvalidInputError("need one control per segment")
         ctrls = [_as_control(ui, p.m) for ui in u]
@@ -345,7 +337,7 @@ def _splice_batch(p: LQProblem, pol: EquilibriumPolicy, plan: list,
         groups.append(group)
     heads = [head for group in groups for _, head, _ in group]
     tails = [tail for group in groups for _, _, tail in group if tail is not None]
-    half = np.unique(np.concatenate([half_times(seg) for seg in heads + tails]))
+    half = _unique(np.concatenate([half_times(seg) for seg in heads + tails]))
     A, B = p.A.eval(half), p.B.eval(half)
     gains = pol.gain_many(half)
     C = A + B @ gains
@@ -362,7 +354,7 @@ def _splice_batch(p: LQProblem, pol: EquilibriumPolicy, plan: list,
     dev_flows = iter(_stacked_flows(heads, held_drift, n + m))
     out = []
     for (t, _), group in zip(plan, groups):
-        nodes = np.unique(np.concatenate(
+        nodes = _unique(np.concatenate(
             [seg for _, head, tail in group for seg in (head, tail) if seg is not None]))
         W = _weights(p, t, nodes)
         IK = np.concatenate([np.broadcast_to(np.eye(n), (nodes.size, n, n)),
@@ -478,8 +470,6 @@ class SampleSpec:
     probe_scale: float = 0.1
     eps_list: tuple | None = None
     finite_eps: bool = True
-    tol_closed_form: float = 1e-10
-    tol_finite_eps: float = 1e-4
 
 
 @dataclass(frozen=True)
@@ -536,16 +526,18 @@ def equilibrium_certificate(p: LQProblem, pol: EquilibriumPolicy,
     value, which is where a wrong kernel becomes visible.  They read every
     quotient at t from one (H_pol, H_dev) pair per eps, and one
     _splice_batch builds the pairs of all times.
-    Passes when every closed form is >= -tol_closed_form and every
-    extrapolated quotient is >= -tol_finite_eps.
+    Passes when every closed form is >= -CLOSED_FORM_TOL and every
+    extrapolated quotient is >= -FINITE_EPS_TOL.  Raises InvalidInputError
+    unless spec.times is a non-empty sequence of times in [0, T).
     """
     spec = spec if spec is not None else SampleSpec()
     T = p.T
     n, m = p.n, p.m
     times = (np.asarray(spec.times, dtype=float) if spec.times is not None
              else np.linspace(0.0, 0.8 * T, 10))
-    if times.ndim != 1 or times.size == 0:
-        raise InvalidInputError("SampleSpec.times must be a non-empty sequence of times")
+    if times.ndim != 1 or times.size == 0 or not np.all((times >= 0.0) & (times < T)):
+        raise InvalidInputError("SampleSpec.times must be a non-empty sequence of times"
+                                " in [0, T)")
     gains = pol.gain_many(times)
     eye_n = np.eye(n)
     eye_m = np.eye(m)
@@ -591,8 +583,8 @@ def equilibrium_certificate(p: LQProblem, pol: EquilibriumPolicy,
     worst_cf = min(s.closed_form for s in samples)
     exts = [s.extrapolated for s in samples if s.extrapolated is not None]
     worst_ext = min(exts) if exts else None
-    passed = worst_cf >= -spec.tol_closed_form and (
-        worst_ext is None or worst_ext >= -spec.tol_finite_eps)
+    passed = worst_cf >= -CLOSED_FORM_TOL and (
+        worst_ext is None or worst_ext >= -FINITE_EPS_TOL)
     return PerturbationReport(samples, bool(passed), float(worst_cf),
                               None if worst_ext is None else float(worst_ext),
-                              spec.tol_closed_form, spec.tol_finite_eps)
+                              CLOSED_FORM_TOL, FINITE_EPS_TOL)

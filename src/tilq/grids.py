@@ -48,8 +48,11 @@ class TimeGrid:
 
     @classmethod
     def uniform(cls, T: float, num_intervals: int) -> "TimeGrid":
-        if not (num_intervals >= 1 and float(T) > 0):
-            raise InvalidInputError("uniform grid needs T > 0 and num_intervals >= 1")
+        if not isinstance(num_intervals, (int, np.integer)) or num_intervals < 1:
+            raise InvalidInputError(
+                f"uniform grid needs an integer num_intervals >= 1, not {num_intervals!r}")
+        if not float(T) > 0:
+            raise InvalidInputError("uniform grid needs T > 0")
         return cls(np.linspace(0.0, float(T), num_intervals + 1))
 
     @property

@@ -98,6 +98,13 @@ def _triangle_rows(K: int, a: int = 0, b: int | None = None):
         yield ii, jj
 
 
+def _unique(x: np.ndarray) -> np.ndarray:
+    """np.unique(x) of a 1-d array, without the numpy.ma import that
+    np.unique does on first use."""
+    x = np.sort(x)
+    return x[np.concatenate(([True], x[1:] != x[:-1]))]
+
+
 def _lag_table(nodes):
     """The distinct float lags nodes[j] - nodes[i] of the triangle's node
     pairs, sorted; None when there are more than _ROW_BLOCK * K of them, the
@@ -106,21 +113,17 @@ def _lag_table(nodes):
     Built one block of rows at a time, each block's lags made distinct
     before they are merged with the others'.
     """
-    def distinct(x):  # np.unique(x), which would import numpy.ma on first use
-        x = np.sort(x)
-        return x[np.concatenate(([True], x[1:] != x[:-1]))]
-
     budget = _ROW_BLOCK * nodes.size
     parts, held = [], 0
     for ii, jj in _triangle_rows(nodes.size):
-        parts.append(distinct(nodes[jj] - nodes[ii]))
+        parts.append(_unique(nodes[jj] - nodes[ii]))
         held += parts[-1].size
         if held > budget:
-            parts = [distinct(np.concatenate(parts))]
+            parts = [_unique(np.concatenate(parts))]
             held = parts[0].size
             if held > budget:
                 return None
-    return distinct(np.concatenate(parts))
+    return _unique(np.concatenate(parts))
 
 
 class _Gather:

@@ -17,8 +17,8 @@ from .errors import InvalidInputError, TimeConsistencyError
 from .grids import TimeGrid
 from .kernels import _triangle_rows, matrix_norm_many
 from .problem import LQProblem
-from .equilibrium import EquilibriumPolicy, _as_control, _ConstantControl, \
-    _GenericControl, _LinearControl
+from .propagators import half_times
+from .equilibrium import _as_control
 
 
 @dataclass(frozen=True)
@@ -62,10 +62,7 @@ def classical_riccati(p: LQProblem, g: TimeGrid) -> ClassicalRiccatiSolution:
             "the classical equation is not a valid reference here")
     nodes = g.nodes
     K = nodes.size
-    mids = 0.5 * (nodes[:-1] + nodes[1:])
-    half = np.empty(2 * K - 1)
-    half[0::2] = nodes
-    half[1::2] = mids
+    half = half_times(nodes)
     Ah = p.A.eval(half)
     Bh = p.B.eval(half)
     Mh = p.M.eval(half, half)
@@ -94,10 +91,13 @@ def classical_riccati(p: LQProblem, g: TimeGrid) -> ClassicalRiccatiSolution:
 def brute_force_cost(p: LQProblem, t: float, x, u, refinement: int = 8) -> float:
     """Direct cost evaluation on a refinement-times-finer uniform grid.
 
-    The state follows an explicit order-2 scheme (Heun) and the running
-    cost uses trapezoid quadrature; both choices differ on purpose from the
-    order-4 path so the two evaluations are independent witnesses.  The
-    fine grid has 64 * refinement intervals on [t, T].
+    u is any control cost takes, read the same way: the affine control
+    u(s, x) = gain(s) x + shift(s) of a policy (gain), a constant vector or
+    a time function u(s) (shift).  The state follows an explicit order-2
+    scheme (Heun) on x' = (A + B gain) x + B shift and the running cost uses
+    trapezoid quadrature; both choices differ on purpose from the order-4
+    path so the two evaluations are independent witnesses.  The fine grid
+    has 64 * refinement intervals on [t, T].
     """
     refinement = int(refinement)
     if refinement < 4:
@@ -107,46 +107,22 @@ def brute_force_cost(p: LQProblem, t: float, x, u, refinement: int = 8) -> float
     if not 0.0 <= t <= T + 1e-12 * (1 + T):
         raise InvalidInputError("cost needs t in [0, T]")
     x = np.asarray(x, dtype=float).reshape(p.n)
+    if not np.all(np.isfinite(x)):
+        raise InvalidInputError("cost needs a finite state x")
     if T - t <= 1e-12 * (1 + T):
         return float(x @ p.G.eval(t) @ x)
     ts = np.linspace(t, T, 64 * refinement + 1)
-    K = ts.size
-    An = p.A.eval(ts)
-    Bn = p.B.eval(ts)
-    ctrl = _as_control(u, p.m)
-    X = np.empty((K, p.n))
-    X[0] = x
-    if isinstance(ctrl, _LinearControl):
-        C = An + Bn @ ctrl.gain_many(ts)
-        for i in range(K - 1):
-            h = ts[i + 1] - ts[i]
-            f0 = C[i] @ X[i]
-            X[i + 1] = X[i] + 0.5 * h * (f0 + C[i + 1] @ (X[i] + h * f0))
-        U = np.einsum("kij,kj->ki", ctrl.gain_many(ts), X)
-    elif isinstance(ctrl, _ConstantControl):
-        b = Bn @ ctrl.v
-        for i in range(K - 1):
-            h = ts[i + 1] - ts[i]
-            f0 = An[i] @ X[i] + b[i]
-            X[i + 1] = X[i] + 0.5 * h * (f0 + An[i + 1] @ (X[i] + h * f0) + b[i + 1])
-        U = np.tile(ctrl.v, (K, 1))
-    else:
-        fn = ctrl.fn
-        U = np.empty((K, p.m))
-        U[0] = np.asarray(fn(ts[0], X[0]), dtype=float).reshape(p.m)
-        for i in range(K - 1):
-            h = ts[i + 1] - ts[i]
-            f0 = An[i] @ X[i] + Bn[i] @ U[i]
-            xp = X[i] + h * f0
-            up = np.asarray(fn(ts[i + 1], xp), dtype=float).reshape(p.m)
-            X[i + 1] = X[i] + 0.5 * h * (f0 + An[i + 1] @ xp + Bn[i + 1] @ up)
-            U[i + 1] = np.asarray(fn(ts[i + 1], X[i + 1]), dtype=float).reshape(p.m)
-    Qr = p.Q.eval(t, ts)
-    Sr = p.S.eval(t, ts)
-    Mr = p.M.eval(t, ts)
-    vals = (np.einsum("ki,kij,kj->k", X, Qr, X)
-            + 2.0 * np.einsum("ki,kij,kj->k", U, Sr, X)
-            + np.einsum("ki,kij,kj->k", U, Mr, U))
+    D, K = _as_control(u, p.m).tables(p, ts)
+    Z = np.empty((ts.size, D.shape[-1]))
+    Z[0] = np.concatenate([x, np.ones(D.shape[-1] - p.n)])
+    for i in range(ts.size - 1):
+        h = ts[i + 1] - ts[i]
+        f0 = D[i] @ Z[i]
+        Z[i + 1] = Z[i] + 0.5 * h * (f0 + D[i + 1] @ (Z[i] + h * f0))
+    X, U = Z[:, :p.n], np.einsum("kij,kj->ki", K, Z)
+    vals = (np.einsum("ki,kij,kj->k", X, p.Q.eval(t, ts), X)
+            + 2.0 * np.einsum("ki,kij,kj->k", U, p.S.eval(t, ts), X)
+            + np.einsum("ki,kij,kj->k", U, p.M.eval(t, ts), U))
     running = float(np.trapezoid(vals, ts)) if hasattr(np, "trapezoid") \
         else float(np.trapz(vals, ts))
     return running + float(X[-1] @ p.G.eval(t) @ X[-1])

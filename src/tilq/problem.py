@@ -464,6 +464,12 @@ class _PairChecks:
         return ValidationReport(tuple(checks), pd_floor, float(tol), skipped)
 
 
+def _check_horizon(p: LQProblem, g) -> None:
+    """Refuse a grid g whose last node is not the horizon p.T."""
+    if abs(g.T - p.T) > 1e-12 * (1.0 + p.T):
+        raise InvalidInputError(f"grid ends at {g.T!r}, not at the horizon T = {p.T!r}")
+
+
 def _triangle_pass(p: LQProblem, g, tol: float = 1e-8, validate: bool = True):
     """(report, norms) from one walk of the triangle of node pairs.
 
@@ -536,5 +542,7 @@ def validate_assumptions(p: LQProblem, g, tol: float = 1e-8) -> ValidationReport
     likewise formed only where 1/||M|| and Varah's bound 1/min_i(|m_ii| -
     sum_{j != i} |m_ij|) leave an entry able to reach the table's largest
     ||M^{-1}||.  The report is the same as with every pair evaluated.
+    A grid that does not end at p.T is an InvalidInputError.
     """
+    _check_horizon(p, g)
     return _triangle_pass(p, g, tol)[0]

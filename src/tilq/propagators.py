@@ -19,6 +19,7 @@ import warnings
 import numpy as np
 
 from .errors import InvalidInputError
+from .grids import TimeGrid
 from .kernels import OneTimeMatrixFn, matrix_norm_many
 
 _COND_WARN = 1e12
@@ -29,19 +30,6 @@ def half_times(nodes: np.ndarray) -> np.ndarray:
     out = np.empty(2 * nodes.size - 1)
     out[0::2] = nodes
     out[1::2] = 0.5 * (nodes[:-1] + nodes[1:])
-    return out
-
-
-def _coefficient_samples(coefficient, nodes):
-    """C at all nodes and interval midpoints, stacked as (2K-1, n, n)."""
-    times = half_times(nodes)
-    if isinstance(coefficient, OneTimeMatrixFn):
-        return coefficient.eval(times)
-    sample = np.atleast_2d(np.asarray(coefficient(float(times[0])), dtype=float))
-    out = np.empty((times.size,) + sample.shape)
-    out[0] = sample
-    for i, t in enumerate(times[1:], start=1):
-        out[i] = coefficient(float(t))
     return out
 
 
@@ -113,18 +101,13 @@ class Propagator:
         self.condition = flow_condition(values, self.inverse, stacklevel=3)
 
 
-def fundamental_solution(coefficient, grid) -> Propagator:
-    """Propagator of dU/dt = C(t) U, U(first node) = I, on the given nodes.
-
-    Parameters
-    ----------
-    coefficient : OneTimeMatrixFn or callable t -> (n, n) array
-    grid : TimeGrid or 1-d increasing node array
-    """
-    nodes = np.asarray(getattr(grid, "nodes", grid), dtype=float)
-    if nodes.ndim != 1 or nodes.size < 2 or np.any(np.diff(nodes) <= 0):
-        raise InvalidInputError("propagator needs at least two increasing nodes")
-    return Propagator(nodes, rk4_flow(nodes, _coefficient_samples(coefficient, nodes)))
+def fundamental_solution(coefficient: OneTimeMatrixFn, grid: TimeGrid) -> Propagator:
+    """Propagator of dU/dt = C(t) U, U(0) = I, on the nodes of grid; C is
+    sampled at their half_times.  Any other type of coefficient or grid is
+    an InvalidInputError."""
+    if not isinstance(coefficient, OneTimeMatrixFn) or not isinstance(grid, TimeGrid):
+        raise InvalidInputError("fundamental_solution takes a OneTimeMatrixFn and a TimeGrid")
+    return Propagator(grid.nodes, rk4_flow(grid.nodes, coefficient.eval(half_times(grid.nodes))))
 
 
 def feedback_tables(p, ts) -> tuple[np.ndarray, np.ndarray]:

@@ -60,7 +60,7 @@ from ._quad import local_cubic, tail_band, tail_integrals
 from .errors import InvalidInputError, NonconvergenceError, NotPositiveDefiniteError
 from .grids import TimeGrid, node_index
 from .kernels import _ROW_BLOCK, kernel_norms, matrix_norm, matrix_norm_many
-from .problem import LQProblem, _sym, _triangle_pass
+from .problem import LQProblem, _check_horizon, _sym, _triangle_pass
 from .propagators import (Propagator, feedback_tables, flow_condition, fundamental_solution,
                           half_times, rk4_flow)
 
@@ -101,6 +101,8 @@ class RiccatiSolution:
         ts = np.asarray(ts, dtype=float)
         scalar = ts.ndim == 0
         ts = np.atleast_1d(ts)
+        if not np.all(np.isfinite(ts)):
+            raise InvalidInputError("evaluation times ts must be finite")
         nodes = self.grid.nodes
         outside = ts[(ts < nodes[0]) | (ts > nodes[-1])]
         if np.any(node_index(nodes, outside) < 0):
@@ -186,8 +188,10 @@ def contraction_constants(p: LQProblem, g: TimeGrid) -> ContractionConstants:
     The two-time norms (those of kernel_norms) and the bound on M^{-1} come
     from one walk of the triangle of node pairs in blocks of 32 rows, so
     memory goes as O(32 K n^2) for K nodes.  solve_riccati takes them from
-    the walk that validates the problem.
+    the walk that validates the problem.  A grid that does not end at p.T
+    is an InvalidInputError.
     """
+    _check_horizon(p, g)
     return _constants(p, g, _triangle_pass(p, g, validate=False)[1], fundamental_solution(p.A, g))
 
 
@@ -263,6 +267,8 @@ def upsilon(p: LQProblem, P, s) -> np.ndarray:
     """Feedback gain factor M(s,s)^{-1} (B(s)' P(s) + S(s,s)) at a time s or
     at each time of a 1-d array s, from feedback_tables."""
     s = np.asarray(s, dtype=float)
+    if not np.all(np.isfinite(s)):
+        raise InvalidInputError("upsilon needs finite times s")
     ts = np.atleast_1d(s)
     MiBt, MiS = feedback_tables(p, ts)
     ups = MiBt @ P(ts) + MiS
@@ -642,15 +648,17 @@ def solve_riccati(p: LQProblem, g: TimeGrid, opts: SolveOptions | None = None
     <= 0.75 per window.  Otherwise practical windows of width T/4 march
     backward with halving on observed divergence.  Raises
     NonconvergenceError when an iteration cap or halving floor is hit, and
-    InvalidInputError for a tol outside (0, inf), a max_iter below 1, a
-    window_override outside (0, T] or a problem that fails a hard check of
-    validate_assumptions; when M is not positive definite that error is a
-    NotPositiveDefiniteError whose where is the check's node pair.
+    InvalidInputError for a grid that does not end at p.T, a tol outside
+    (0, inf), a max_iter below 1, a window_override outside (0, T] or a
+    problem that fails a hard check of validate_assumptions; when M is not
+    positive definite that error is a NotPositiveDefiniteError whose where
+    is the check's node pair.
 
     Validation (opts.validate) and the two-time norms of the constants come
     from one walk of the node-pair triangle; the report and constants equal
     those of validate_assumptions and contraction_constants.
     """
+    _check_horizon(p, g)
     opts = opts or SolveOptions()
     if opts.tol is not None and not 0.0 < opts.tol < math.inf:
         raise InvalidInputError("tol must be positive and finite")

@@ -17,7 +17,7 @@ from .bvp import bvp_residual, from_riccati
 from .equilibrium import (PerturbationReport, SampleSpec, build_policy,
                           equilibrium_certificate, value_identity_gap)
 from .grids import TimeGrid
-from .problem import LQProblem
+from .problem import LQProblem, _check_horizon
 from .riccati import (RiccatiSolution, SolveOptions, riccati_residual_profile,
                       solve_riccati)
 
@@ -65,23 +65,24 @@ def default_state_samples(p: LQProblem, g: TimeGrid, count: int = 5):
 
 def run_verification(p: LQProblem, g: TimeGrid,
                      opts: SolveOptions | None = None,
-                     samples=None,
                      sample_spec: SampleSpec | None = None,
                      solution: RiccatiSolution | None = None
                      ) -> VerificationReport:
-    """Solve (unless a solution is supplied) and check all equivalence legs."""
+    """Solve (unless a solution is supplied) and check all equivalence legs
+    at the states of default_state_samples.  A grid g or solution.grid that
+    does not end at p.T is an InvalidInputError."""
+    _check_horizon(p, g)
+    if solution is not None:
+        _check_horizon(p, solution.grid)
     sol = solution if solution is not None else solve_riccati(p, g, opts)
     profile = riccati_residual_profile(p, sol)
     r_max = float(profile.max())
     riccati_leg = {"max_residual": r_max, "tol": RICCATI_TOL,
                    "pass": bool(r_max <= RICCATI_TOL)}
     pol = build_policy(p, sol)
-    if samples is None:
-        samples = default_state_samples(p, sol.grid)
     bvp_leg = []
     value_leg = []
-    for t0, x0 in samples:
-        x0 = np.asarray(x0, dtype=float).reshape(p.n)
+    for t0, x0 in default_state_samples(p, sol.grid):
         pair = from_riccati(p, sol, t0, x0)
         res_X, res_phi = bvp_residual(p, sol, pair)
         tol = BVP_TOL * (1.0 + float(np.abs(x0).max()))

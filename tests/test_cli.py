@@ -1,5 +1,6 @@
 import copy
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -305,3 +306,15 @@ def test_window_override_outside_the_horizon_is_a_config_issue(tmp_path, capsys,
 def test_window_override_of_the_whole_horizon_is_accepted():
     assert parse_config(json.dumps(make_config(solver={"window_override": 1.0}))) \
         .window_override == 1.0
+
+
+def test_cold_verify_does_not_import_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma on first use, 10-14 ms of a cold CLI run;
+    # the package sorts and masks instead (kernels._unique)
+    code = ("import sys; from tilq.cli import main; "
+            "code = main(['--config', 'demos/configs/hyperbolic_verify.json', '--mode', "
+            f"'verify', '--out', {str(tmp_path / 'out')!r}, '--quiet']); "
+            "print(code, 'numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=pathlib.Path(__file__).resolve().parents[1])
+    assert out.stdout.strip() == "0 False"

@@ -149,27 +149,55 @@ def test_cost_time_function_control(tanh_problem):
     np.testing.assert_allclose(got, exact, rtol=1e-8)
 
 
-def test_cost_feedback_control_matches_policy(tanh_problem, tanh_policy):
+def test_cost_refuses_a_feedback_callable(tanh_problem, tanh_policy):
+    # every control is affine in the state: a callable is a time function
+    # u(s), called with the time alone, so a feedback u(s, x) is refused by
+    # cost and by the brute-force oracle alike
     x = np.array([0.8])
-    J_pol = cost(tanh_problem, 0.0, x, tanh_policy)
-    J_fb = cost(tanh_problem, 0.0, x, lambda s, y: tanh_policy.control(s, y))
-    np.testing.assert_allclose(J_fb, J_pol, rtol=1e-9)
+    for fn in (cost, brute_force_cost):
+        with pytest.raises(InvalidInputError, match=r"u\(s\)"):
+            fn(tanh_problem, 0.0, x, lambda s, y: tanh_policy.control(s, y))
+    for bad in (lambda s: np.ones(2), np.ones(2), [np.nan], None, "v"):
+        with pytest.raises(InvalidInputError):
+            cost(tanh_problem, 0.0, x, bad)
 
 
-def test_cost_held_control_matches_callable(n3_policy):
-    # a constant control rides along as held state; a time function u(s) = v
-    # takes the step-by-step RK4 path, so the two agree only if the held
-    # drift [[A, B], [0, 0]] is right (here A != 0 and m > 1); the second
-    # order brute-force witness checks the cross weight S
+def _ivp_cost(p, t, x, controls, edges):
+    """J(t, x; u) by scipy's solve_ivp (DOP853), the running cost riding
+    along as one more state: controls[i](s, x) holds on [edges[i], edges[i+1]]."""
+    from scipy.integrate import solve_ivp
+
+    def rhs(s, y, u):
+        xs = y[:p.n]
+        us = u(s, xs)
+        run = (xs @ p.Q.eval(t, s) @ xs + 2.0 * us @ p.S.eval(t, s) @ xs
+               + us @ p.M.eval(t, s) @ us)
+        return np.append(p.A.eval(s) @ xs + p.B.eval(s) @ us, run)
+
+    y = np.append(x, 0.0)
+    for a, b, u in zip(edges[:-1], edges[1:], controls):
+        y = solve_ivp(rhs, (a, b), y, method="DOP853", args=(u,),
+                      rtol=1e-12, atol=1e-13).y[:, -1]
+    return y[p.n] + y[:p.n] @ p.G.eval(t) @ y[:p.n]
+
+
+def test_cost_shift_controls_match_an_ode_reference(n3_policy):
+    # a constant and a time function ride along as held state z = (x, 1);
+    # scipy's DOP853 on x' = A x + B u with the running cost as extra state
+    # checks the held drift [[A, B u], [0, 0]] with A != 0 and m = 2, spliced
+    # with the policy at a breakpoint, and the cross weight through a
+    # two-time S
     p, pol = n3_policy
     x, v = np.array([0.5, -1.0, 2.0]), np.array([0.7, -0.3])
-    for u, w in [(v, lambda s: v), ([v, pol], [lambda s: v, pol])]:
-        np.testing.assert_allclose(cost(p, 0.2, x, u, breakpoints=(0.45,)),
-                                   cost(p, 0.2, x, w, breakpoints=(0.45,)),
-                                   rtol=1e-12)
-    p_s = _two_time_s_problem()
-    np.testing.assert_allclose(cost(p_s, 0.2, x, v),
-                               brute_force_cost(p_s, 0.2, x, v, refinement=16), rtol=1e-6)
+    wave = lambda s: v * np.cos(3.0 * s)
+    feedback = lambda s, y: pol.control(s, y)
+    cases = [(p, v, [lambda s, y: v], (0.2, 1.0)),
+             (p, wave, [lambda s, y: wave(s)], (0.2, 1.0)),
+             (p, [v, pol], [lambda s, y: v, feedback], (0.2, 0.45, 1.0)),
+             (_two_time_s_problem(), v, [lambda s, y: v], (0.2, 1.0))]
+    for prob, u, ref, edges in cases:
+        np.testing.assert_allclose(cost(prob, 0.2, x, u, breakpoints=edges[1:-1]),
+                                   _ivp_cost(prob, 0.2, x, ref, edges), rtol=1e-10)
 
 
 def test_cost_at_horizon_is_terminal(hyperbolic_scalar):
@@ -274,6 +302,25 @@ def test_certificate_rejects_empty_times(hyperbolic_scalar, hyp_policy, finite_e
     spec = SampleSpec(times=(), finite_eps=finite_eps)
     with pytest.raises(InvalidInputError, match="times"):
         equilibrium_certificate(hyperbolic_scalar, hyp_policy, spec)
+
+
+@pytest.mark.parametrize("t", [np.nan, 1.0, -0.1, np.inf])
+@pytest.mark.parametrize("finite_eps", [True, False])
+def test_certificate_rejects_times_outside_the_horizon(hyperbolic_scalar, hyp_policy, t,
+                                                       finite_eps):
+    # nan used to read "spans only 0 grid nodes", T "eps_list must contain
+    # positive values"
+    spec = SampleSpec(times=(0.2, t), finite_eps=finite_eps)
+    with pytest.raises(InvalidInputError, match=r"times .*\[0, T\)"):
+        equilibrium_certificate(hyperbolic_scalar, hyp_policy, spec)
+
+
+def test_cost_refuses_a_non_finite_state(tanh_problem):
+    # a NaN state used to come back as a NaN cost; simulate refused it already
+    for fn in (cost, brute_force_cost):
+        with pytest.raises(InvalidInputError, match="finite state x"):
+            fn(tanh_problem, 0.0, [np.nan], np.zeros(1))
+
 
 def _path_quotients(p, pol, t, x, v, eps):
     """Quotients and extrapolation from two plain path-based cost calls per eps."""

@@ -56,3 +56,10 @@ def test_node_index_one_rule_for_every_time():
     assert g.index_of(nodes[9] - 1.9e-9) == 9
     with pytest.raises(InvalidInputError):
         g.index_of(nodes[9] - 2.1e-9)
+
+
+@pytest.mark.parametrize("count", [2.5, 4.0, "8", None, 0])
+def test_uniform_needs_an_integer_count(count):
+    # a float count used to reach np.linspace and raise a raw TypeError
+    with pytest.raises(InvalidInputError, match="num_intervals"):
+        TimeGrid.uniform(1.0, count)

@@ -1,7 +1,8 @@
 import numpy as np
+import pytest
 from scipy.linalg import expm
 
-from tilq import OneTimeMatrixFn, TimeGrid, fundamental_solution
+from tilq import InvalidInputError, OneTimeMatrixFn, TimeGrid, fundamental_solution
 
 
 def _transition(prop, g, t, s):
@@ -64,3 +65,12 @@ def test_closed_loop_coefficient(tanh_solution, tanh_problem):
     # A - B M^{-1} (B'P + S) = -tanh(1 - t) for the scalar instance
     np.testing.assert_allclose(c.eval(0.0), [[-np.tanh(1.0)]], atol=1e-7)
     np.testing.assert_allclose(c.eval(1.0), [[0.0]], atol=1e-7)
+
+
+def test_fundamental_solution_takes_a_coefficient_fn_and_a_grid():
+    # a plain callable or a bare node array is no longer sampled
+    A = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    f, g = OneTimeMatrixFn.constant(A, 1.0), TimeGrid.uniform(1.0, 8)
+    for coefficient, grid in [(lambda t: A, g), (A, g), (f, g.nodes), (f, [0.0, 0.5, 1.0])]:
+        with pytest.raises(InvalidInputError, match="OneTimeMatrixFn and a TimeGrid"):
+            fundamental_solution(coefficient, grid)

@@ -872,3 +872,106 @@ def test_m_not_positive_definite_raises_its_type():
     with pytest.raises(InvalidInputError) as exc:
         solve_riccati(q_bad, g)
     assert not isinstance(exc.value, NotPositiveDefiniteError)
+
+
+# --- every divergence branch of the window march ------------------------------
+
+def _crawling_picard(steps):
+    """An _Engine.picard_iterate whose k-th call moves every window node but
+    the pinned last one by steps(k): a window map with a chosen contraction."""
+    calls = []
+
+    def fake(self, values, a, b, boundary):
+        new = values[a:b + 1] + steps(len(calls))
+        calls.append(1)
+        new[-1] = boundary
+        return new
+
+    return fake
+
+
+def _recorded_divergences(monkeypatch):
+    seen = []
+
+    class Recorded(riccati._Diverged):
+        def __init__(self, message):
+            seen.append(message)
+            super().__init__(message)
+
+    monkeypatch.setattr(riccati, "_Diverged", Recorded)
+    return seen
+
+
+def test_projected_nonconvergence_halves_a_practical_window(monkeypatch, hyperbolic_scalar):
+    # eight iterates are not enough for the first quarter-horizon window at
+    # factor ~0.1: the projection gives up early and the window is halved
+    seen = _recorded_divergences(monkeypatch)
+    g = TimeGrid.uniform(1.0, 200)
+    sol = solve_riccati(hyperbolic_scalar, g, SolveOptions(max_iter=8))
+    assert sol.meta["mode"] == "practical" and sol.meta["halvings"] == 1
+    assert [m.split(" (")[0] for m in seen] == ["projected nonconvergence"]
+    assert np.abs(sol.values - solve_riccati(hyperbolic_scalar, g).values).max() <= 1e-9
+
+
+def test_divergence_in_a_certified_window_is_an_error(monkeypatch, hyperbolic_decoupled):
+    # no real certified window needs more than three iterates, so the map
+    # crawls at factor 0.99: projected nonconvergence, and no halving
+    monkeypatch.setattr(_Engine, "picard_iterate", _crawling_picard(lambda k: 1e-3 * 0.99 ** k))
+    with pytest.raises(NonconvergenceError, match="divergence inside a certified window: "
+                                                  "projected nonconvergence") as exc:
+        solve_riccati(hyperbolic_decoupled, TimeGrid.uniform(1.0, 200))
+    assert exc.value.diagnostics["mode"] == "guaranteed"
+
+
+def test_window_halving_exhausted(monkeypatch, tanh_problem):
+    # a practical window that never converges is halved down to one interval
+    monkeypatch.setattr(_Engine, "picard_iterate", _crawling_picard(lambda k: 1e-3 * 0.99 ** k))
+    with pytest.raises(NonconvergenceError, match="window halving exhausted") as exc:
+        solve_riccati(tanh_problem, TimeGrid.uniform(1.0, 64))
+    assert exc.value.diagnostics["mode"] == "practical"
+    assert 0 < exc.value.diagnostics["halvings"] < 40
+
+
+def test_slow_contraction_on_a_certified_window_is_an_error(monkeypatch, hyperbolic_decoupled):
+    # the window converges, but at an observed factor 0.9 > 0.75
+    steps = [1e-3, 9e-4]
+    monkeypatch.setattr(_Engine, "picard_iterate",
+                        _crawling_picard(lambda k: steps[k] if k < len(steps) else 0.0))
+    with pytest.raises(NonconvergenceError, match="contraction factor 0.900 exceeds 0.75"):
+        solve_riccati(hyperbolic_decoupled, TimeGrid.uniform(1.0, 200))
+
+
+# --- grids that end elsewhere than the horizon, non-finite times --------------
+
+@pytest.mark.parametrize("T_grid", [2.0, 0.5])
+def test_a_grid_off_the_horizon_is_refused_before_any_evaluation(monkeypatch, T_grid):
+    # a T = 2 grid on a T = 1 problem used to return P(0) = tanh 2, not tanh 1
+    from tilq import problem, run_verification, verify
+
+    p = constant_problem(0, 1, 1, None, 1, 0, 1.0)
+    g, right = TimeGrid.uniform(T_grid, 100), TimeGrid.uniform(1.0, 100)
+
+    def evaluated(*args, **kwargs):
+        raise AssertionError("evaluated before the horizon check")
+
+    for module, name in [(riccati, "_triangle_pass"), (problem, "_triangle_pass"),
+                         (riccati, "fundamental_solution"),
+                         (verify, "riccati_residual_profile")]:
+        monkeypatch.setattr(module, name, evaluated)
+    wrong_solution = RiccatiSolution(g, np.zeros((101, 1, 1)))
+    for call in (lambda: solve_riccati(p, g), lambda: validate_assumptions(p, g),
+                 lambda: contraction_constants(p, g), lambda: run_verification(p, g),
+                 lambda: run_verification(p, right, solution=wrong_solution)):
+        with pytest.raises(InvalidInputError, match="horizon"):
+            call()
+
+
+def test_non_finite_times_are_refused(tanh_problem, tanh_solution):
+    # each used to return NaN
+    pol = build_policy(tanh_problem, tanh_solution)
+    for call in (lambda: tanh_solution.eval_many(np.nan),
+                 lambda: tanh_solution([0.5, np.nan]),
+                 lambda: upsilon(tanh_problem, tanh_solution, np.nan),
+                 lambda: pol.gain_many(np.array([0.2, np.inf]))):
+        with pytest.raises(InvalidInputError, match="finite"):
+            call()
