@@ -38,14 +38,26 @@ def _lagrange(xs: np.ndarray, t: np.ndarray) -> np.ndarray:
     return num / den
 
 
+def cubic_rule(nodes: np.ndarray, ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(idx, basis) of local_cubic(nodes, ., ts): the stencil of each time
+    and its Lagrange basis there, for values on any nodes that share them."""
+    idx = _stencil(nodes.size, np.searchsorted(nodes, ts, side="right") - 1)
+    return idx, _lagrange(nodes[idx], ts)
+
+
+def apply_cubic(rule: tuple[np.ndarray, np.ndarray], values: np.ndarray) -> np.ndarray:
+    """local_cubic through a cubic_rule: values (first axis along its nodes)
+    at its times."""
+    idx, basis = rule
+    return np.einsum("qj,qj...->q...", basis, values[idx])
+
+
 def local_cubic(nodes: np.ndarray, values: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """Interpolate values (first axis along nodes) at times ts.
 
     Node times reproduce values exactly: there the basis is exactly 1 and 0.
     """
-    i = np.searchsorted(nodes, ts, side="right") - 1
-    idx = _stencil(nodes.size, i)
-    return np.einsum("qj,qj...->q...", _lagrange(nodes[idx], ts), values[idx])
+    return apply_cubic(cubic_rule(nodes, ts), values)
 
 
 def derivative(x: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -74,6 +86,13 @@ def _interval_weights(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return _SIMPSON @ _lagrange(local[:, None, :], _ENDS_AND_MID) * h
 
 
+def interval_rule(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(idx, w): w[j] @ f(x[idx[j]]) integrates f over [x_j, x_{j+1}], for
+    every interval j of x, by the local cubic rule."""
+    idx = _stencil(x.size, np.arange(x.size - 1))
+    return idx, _interval_weights(x, idx)
+
+
 def simpson_weights(x: np.ndarray) -> np.ndarray:
     """Weights w with w @ f(x) ~= integral of f over [x[0], x[-1]] by the
     local cubic rule; x must be strictly increasing, not necessarily uniform.
@@ -81,8 +100,8 @@ def simpson_weights(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError("x must be one-dimensional")
-    idx = _stencil(x.size, np.arange(x.size - 1))
-    w = np.bincount(idx.ravel(), _interval_weights(x, idx).ravel(), x.size)
+    idx, weights = interval_rule(x)
+    w = np.bincount(idx.ravel(), weights.ravel(), x.size)
     return w.astype(float, copy=False)  # a 1-node input has no weights to add
 
 
@@ -96,12 +115,16 @@ def tail_integrals(values: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Integrals of sampled values (first axis runs along x) over [x[i], x[-1]]
     for every i: the interval integrals of the rule of simpson_weights(x),
     summed from the right end.  The last entry is zero."""
-    x = np.asarray(x, dtype=float)
+    return tail_sums(interval_rule(np.asarray(x, dtype=float)), values)
+
+
+def tail_sums(rule: tuple[np.ndarray, np.ndarray], values: np.ndarray) -> np.ndarray:
+    """tail_integrals through an interval_rule of the nodes of values."""
+    idx, weights = rule
     values = np.asarray(values, dtype=float)
     out = np.zeros(values.shape)
-    if x.size > 1:
-        idx = _stencil(x.size, np.arange(x.size - 1))
-        pieces = np.einsum("jk,jk...->j...", _interval_weights(x, idx), values[idx])
+    if idx.shape[0]:
+        pieces = np.einsum("jk,jk...->j...", weights, values[idx])
         np.cumsum(pieces[::-1], axis=0, out=out[-2::-1])
     return out
 
@@ -121,8 +144,7 @@ def tail_band(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows = np.arange(max(K - 3, 0))  # the tails of four or more nodes
     wide = np.zeros((K, 8))  # interval i + d, d <= 5, spans columns i..i+7
     wide[rows[:, None], _ARANGE] = _interval_weights(x, rows[:, None] + _ARANGE)
-    idx = _stencil(K, np.arange(K - 1))
-    weights = _interval_weights(x, idx)
+    idx, weights = interval_rule(x)
     for d in range(1, 6):  # no interval past i + 5 reaches columns i..i+3
         i = rows[:max(K - 1 - d, 0)]
         wide[i[:, None], idx[i + d] - i[:, None]] += weights[i + d]

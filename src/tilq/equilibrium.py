@@ -461,7 +461,9 @@ class SampleSpec:
     probe_scale: relative offset of the policy-centered deviations
         v = u(t,x) +/- eta e_j, eta = probe_scale * (1 + |u(t,x)|_inf).
     eps_list: quotient widths; None picks (b, b/2, b/4) with
-        b = min(0.1 T, 0.25 (T - t)) per time.
+        b = min(0.1 T, 0.25 (T - t)) per time, each raised to at least
+        min(4 h_max, b) and to the width from t to the 4th node at or after
+        it (T - t when there is none), so that it spans 4 nodes.
     finite_eps: also evaluate difference quotients (on the +axis states).
     """
 
@@ -547,14 +549,16 @@ def equilibrium_certificate(p: LQProblem, pol: EquilibriumPolicy,
         gnodes = pol.P.grid.nodes
         # an eps probe needs >= 4 grid nodes inside [t, t+eps] to be resolvable
         h_floor = 4.0 * float(np.diff(gnodes).max())
+        # the width from each t to the 4th node at or after it, capped by T - t
+        fourth = np.searchsorted(gnodes, times - 1e-12, side="left") + 3
+        reach = gnodes[np.minimum(fourth, gnodes.size - 1)] - times
         spikes = []
-        for t in times:
-            t = float(t)
+        for t, floor in zip(times.tolist(), reach.tolist()):
             if spec.eps_list is not None:
                 eps = spec.eps_list
             else:
                 base = min(0.1 * T, 0.25 * (T - t))
-                eps = {max(e, min(h_floor, base)) for e in (base, 0.5 * base, 0.25 * base)}
+                eps = {max(e, min(h_floor, base), floor) for e in (base, 0.5 * base, 0.25 * base)}
             spikes.append((t, _checked_eps(p, t, eps, gnodes)))
         mats_at = _splice_batch(p, pol, spikes, gnodes)
     plan = []  # (time index, x, v, quotients, extrapolated) per sample

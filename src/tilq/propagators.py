@@ -59,8 +59,8 @@ def flow_prefix(E: np.ndarray) -> np.ndarray:
     """
     U = np.empty((E.shape[0] + 1,) + E.shape[1:])
     U[0] = np.eye(E.shape[-1])
-    for i in range(E.shape[0]):
-        U[i + 1] = E[i] @ U[i]
+    for e, u, nxt in zip(E, U[:-1], U[1:]):
+        np.matmul(e, u, out=nxt)
     return U
 
 

@@ -18,9 +18,12 @@ The solver marches backward from T in windows, iterating on each window the
 flow-conjugated integral map (boundary value propagated with the drift-only
 flow plus a windowed integral of the effective weight), which is a
 contraction on windows below the width tau certified by
-contraction_constants.  That certified width collapses numerically whenever
-B is nonzero, so by default the solver falls back to practical windows with
-divergence-triggered halving and records the observed contraction factors.
+contraction_constants.  Certified windows iterate that map plainly.  The
+certified width collapses numerically whenever B is nonzero, so by default
+the solver falls back to practical windows of width T/4, which it halves on
+observed divergence.  A practical window iterates the map with type-II
+Anderson mixing of depth 5 (Walker & Ni 2011): fewer map applications than
+plain Picard, and convergence where the plain map expands.
 
 Each node pair (s_i, r) is reduced O(1) times per solve.  One walk of the
 triangle of node pairs, 32 rows at a time, both validates the problem and
@@ -41,8 +44,12 @@ end of a window or of the grid is a reverse sum of interval integrals.
 An iterate recomputes only what depends on the iterate: M^{-1}B' and
 M^{-1}S are tabulated when the engine is built and the inverse of the
 drift-only flow is kept from its condition check, so the gain, the drift
-and the window map multiply instead of solving.  Each window after the
-first starts from the local cubic through the solved nodes next to it.
+and the window map multiply instead of solving.  A window builds once the
+cubic basis its drift interpolates by, the interval weights its map
+integrates by, and its kernel partials, one array per kernel (none for an
+S_t that is zero on the block); the condition of the closed-loop flow is
+checked once per accepted window.  Each window after the first starts from
+the local cubic through the solved nodes next to it.
 """
 from __future__ import annotations
 
@@ -56,7 +63,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._quad import local_cubic, tail_band, tail_integrals
+from ._quad import (apply_cubic, cubic_rule, interval_rule, local_cubic, tail_band,
+                    tail_integrals, tail_sums)
 from .errors import InvalidInputError, NonconvergenceError, NotPositiveDefiniteError
 from .grids import TimeGrid, node_index
 from .kernels import _ROW_BLOCK, kernel_norms, matrix_norm, matrix_norm_many
@@ -228,17 +236,15 @@ def _constants(p: LQProblem, g: TimeGrid, pair_norms, psi: Propagator) -> Contra
 
     # tau1: widest node span over which the drift-only flow stays uniformly
     # close to the identity, in both time directions
-    U = psi.values
+    U, U_inv = psi.values, psi.inverse
     bound = 1.0 / (2.0 * (1.0 + _exp(2 * beta)))
     eye = np.eye(p.n)
 
     def span_ok(w: int) -> bool:
         if w == 0:
             return True
-        fwd = np.linalg.solve(np.swapaxes(U[:-w], -1, -2), np.swapaxes(U[w:], -1, -2))
-        bwd = np.linalg.solve(np.swapaxes(U[w:], -1, -2), np.swapaxes(U[:-w], -1, -2))
-        worst = max(matrix_norm_many(np.swapaxes(fwd, -1, -2) - eye).max(),
-                    matrix_norm_many(np.swapaxes(bwd, -1, -2) - eye).max())
+        worst = max(matrix_norm_many(U[w:] @ U_inv[:-w] - eye).max(),
+                    matrix_norm_many(U[:-w] @ U_inv[w:] - eye).max())
         return bool(worst <= bound)
 
     lo, hi = 0, nodes.size - 1
@@ -280,9 +286,12 @@ class SolveOptions:
     """Knobs for solve_riccati.
 
     tol: fixed-point tolerance in the grid sup norm (default 1e-10*(1+r)).
-    max_iter: per-window iteration cap, error when hit.
+    max_iter: per-window cap on the map applications of the iteration,
+        error when hit; a practical or override window applies the map once
+        more when it has converged, to accept a plain image of the mixed
+        iterates (_Engine.run_window).
     window_override: window width in time units; bypasses the width policy
-        (divergence halving still active).
+        (divergence halving and Anderson mixing still active).
     validate: run assumption validation before solving.
     """
 
@@ -300,14 +309,73 @@ class _Diverged(Exception):
     pass
 
 
-def _contract(core, L) -> np.ndarray:
-    """sum_r L_r' core[r, :, k, :] L_r for every row k of a triangle block:
-    one matrix product per tail node serves all rows."""
-    tail, q, rows, _ = core.shape
-    n = L.shape[-1]
-    inner = core.reshape(tail, q * rows, q) @ L
-    sums = L.reshape(tail * q, n).T @ inner.reshape(tail * q, rows * n)
+_MIX_DEPTH = 5
+_SPAN = 2 * _MIX_DEPTH  # iterates over which a window must make progress
+
+
+class _Anderson:
+    """Type-II Anderson mixing of depth _MIX_DEPTH (Walker & Ni 2011) for a
+    window's free nodes: the next iterate is the plain image g_k less the
+    combination gamma of past image differences whose residual differences
+    best cancel the residual f_k = g_k - x_k in the least-squares sense.
+    gamma solves the depth x depth normal equations."""
+
+    def __init__(self, ball_cap: float):
+        self.ball_cap = ball_cap
+        self.xs, self.gs = [], []
+
+    def mix(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """The mixed iterate after x and its plain image g, symmetrised; g
+        itself when the normal equations are singular or the mixed iterate
+        is not finite or leaves the ball."""
+        self.xs = self.xs[-_MIX_DEPTH:] + [x.flatten()]
+        self.gs = self.gs[-_MIX_DEPTH:] + [g.flatten()]
+        if len(self.xs) < 2:
+            return g
+        G = np.array(self.gs)
+        F = G - np.array(self.xs)
+        dF, dG = np.diff(F, axis=0), np.diff(G, axis=0)
+        try:
+            gamma = np.linalg.solve(dF @ dF.T, dF @ F[-1])
+        except np.linalg.LinAlgError:
+            return g
+        with np.errstate(over="ignore", invalid="ignore"):
+            mixed = _sym((G[-1] - gamma @ dG).reshape(g.shape))
+            if np.all(np.isfinite(mixed)) \
+                    and float(matrix_norm_many(mixed).max()) <= self.ball_cap:
+                return mixed
+        return g
+
+
+class _Pairs(NamedTuple):
+    """Weighted kernel partials of a triangle block, one array per kernel in
+    the layout (tail, p, rows, q): Q holds W Q_t, S holds -W S_t (None when
+    it is zero at every pair of the block), M holds W M_t."""
+
+    Q: np.ndarray
+    S: np.ndarray | None
+    M: np.ndarray
+
+
+def _pair_sum(block, left, right) -> np.ndarray:
+    """sum_r left_r' block[r, :, k, :] right_r for every row k of a triangle
+    block: one matrix product per tail node serves all rows."""
+    tail, p, rows, q = block.shape
+    n = right.shape[-1]
+    inner = block.reshape(tail, p * rows, q) @ right
+    sums = left.reshape(tail * p, n).T @ inner.reshape(tail * p, rows * n)
     return sums.reshape(n, rows, n).transpose(1, 0, 2)
+
+
+def _contract(pairs: _Pairs, X, Y) -> np.ndarray:
+    """sum_r L_r' core_r L_r for every row of a triangle block, L_r = [X_r;
+    Y_r] and core_r = [[Q, S'], [S, M]]: the S terms are one product and its
+    transpose, and a block without S skips them."""
+    out = _pair_sum(pairs.Q, X, X) + _pair_sum(pairs.M, Y, Y)
+    if pairs.S is not None:
+        cross = _pair_sum(pairs.S, Y, X)
+        out += cross + np.swapaxes(cross, -1, -2)
+    return out
 
 
 def _anchored(U, U0) -> np.ndarray:
@@ -322,15 +390,20 @@ class _Window(NamedTuple):
     """What every iterate of window [a, b] shares; see _Engine.f_diag.
 
     c is the split node, flow holds Phi(r, s_c) for r in nodes[c:] and
-    inverse their inverses.  blocks yields, per block of rows from i0,
-    (i0, core, Z): core holds the weighted kernel partials of the rows
-    against the columns [i0, c) (_Engine.triangle_block), Z the rows' tail
-    past c folded into one n x n matrix each.
+    inverse their inverses.  cubic is the cubic_rule of the closed-loop
+    drift (_Engine.drift) at the half times of nodes a..c, on nodes[a:], and
+    rule the interval_rule of nodes[a:b+1], which the window map integrates
+    by.  blocks yields, per block of rows from i0, (i0, core, Z): core holds
+    the weighted kernel partials of the rows against the columns [i0, c) as
+    _Pairs (_Engine.triangle_block), Z the rows' tail past c folded into one
+    n x n matrix each.
     """
 
     c: int
     flow: np.ndarray
     inverse: np.ndarray
+    cubic: tuple
+    rule: tuple
     blocks: Iterable
 
 
@@ -380,11 +453,14 @@ class _Engine:
         sl = slice(lo, hi)
         return self.MiBt_nodes[sl] @ values[sl] + self.MiS_nodes[sl]
 
-    def drift(self, values: np.ndarray, a: int, lo: int, hi: int) -> np.ndarray:
+    def drift(self, values: np.ndarray, a: int, lo: int, hi: int, cubic=None) -> np.ndarray:
         """Closed-loop drift A - B Ups at the half times of nodes lo..hi, P
-        interpolated by the local cubic on nodes[a:]."""
+        interpolated by the local cubic on nodes[a:]; cubic, when given, is
+        the cubic_rule of those times on those nodes."""
         h = slice(2 * lo, 2 * hi + 1)
-        Pm = local_cubic(self.nodes[a:], values[a:], self.half[h])
+        if cubic is None:
+            cubic = cubic_rule(self.nodes[a:], self.half[h])
+        Pm = apply_cubic(cubic, values[a:])
         return self.A_half[h] - self.B_half[h] @ (self.MiBt_half[h] @ Pm + self.MiS_half[h])
 
     def split_node(self, b: int) -> int:
@@ -395,21 +471,22 @@ class _Engine:
         K = self.nodes.size
         return b + 1 if b <= K - 4 else K - 1
 
-    def triangle_block(self, i0: int, i1: int, c: int):
+    def triangle_block(self, i0: int, i1: int, c: int) -> tuple[_Pairs, _Pairs]:
         """Weighted kernel partials of the rows i0 <= i < i1 against the
         columns r >= i0, split at column c.
 
-        Returns (core, folded): core[r - i0, :, i - i0, :] = W[i, r]
-        [[Q_t, -S_t'], [-S_t, M_t]](s_i, r) for i0 <= r < c, where W[i] =
-        simpson_weights(nodes[i:]) is band[i] on columns i..i+3 and v past
-        them (tail_rule); folded holds the columns r >= c in the same way, at
-        r - c.  Tail nodes lead, so one matrix product per tail node serves
-        every row.  The kernels are evaluated once on the rectangle of rows
-        and columns, column by column, and each weighted block is written in
-        place.  A column left of the diagonal is clipped to the pair
-        (s_i, s_i): W[i, r] = 0 there, and no kernel sees t > s.  core and
-        folded are separate arrays, so a window that keeps its cores does not
-        keep the folded columns alive.
+        Returns (core, folded), each a _Pairs: core.Q[r - i0, :, i - i0, :]
+        = W[i, r] Q_t(s_i, r), core.S the same of -S_t and core.M of M_t, for
+        i0 <= r < c, where W[i] = simpson_weights(nodes[i:]) is band[i] on
+        columns i..i+3 and v past them (tail_rule); folded holds the columns
+        r >= c in the same way, at r - c.  Tail nodes lead, so one matrix
+        product per tail node serves every row.  The kernels are evaluated
+        once on the rectangle of rows and columns, column by column.  A
+        column left of the diagonal is clipped to the pair (s_i, s_i):
+        W[i, r] = 0 there, and no kernel sees t > s.  A part whose S_t is
+        zero at every pair it holds has S = None.  core and folded are separate
+        arrays, so a window that keeps its cores does not keep the folded
+        columns alive.
         """
         p, nodes, K = self.p, self.nodes, self.nodes.size
         n, m = p.n, p.m
@@ -420,20 +497,22 @@ class _Engine:
         v, band = self.tail_rule
         d = np.arange(i0, K)[:, None] - i  # column minus row
         w = np.where(d < 0, 0.0, np.where(d < 4, band[i, np.clip(d, 0, 3)], v[i0:, None]))
-        w = w[:, :, None, None]
-        # weighted in pair order (column, row), then moved to (column, :, row, :)
-        Qw = (w * p.Q.eval_dt(s, r).reshape(cols, rows, n, n)).transpose(0, 2, 1, 3)
-        Sw = (-w * p.S.eval_dt(s, r).reshape(cols, rows, m, n)).transpose(0, 2, 1, 3)
-        Mw = (w * p.M.eval_dt(s, r).reshape(cols, rows, m, m)).transpose(0, 2, 1, 3)
-        parts = []
-        for lo, hi in ((0, c - i0), (c - i0, cols)):
-            out = np.empty((hi - lo, n + m, rows, n + m))
-            out[:, :n, :, :n] = Qw[lo:hi]
-            out[:, :n, :, n:] = Sw[lo:hi].transpose(0, 3, 2, 1)
-            out[:, n:, :, :n] = Sw[lo:hi]
-            out[:, n:, :, n:] = Mw[lo:hi]
-            parts.append(out)
-        return tuple(parts)
+        # kernels in pair order (column, row), read through transposed views
+        # (column, :, row, :) and weighted into arrays of that layout
+        w = w[:, None, :, None]
+        Qd = p.Q.eval_dt(s, r).reshape(cols, rows, n, n).transpose(0, 2, 1, 3)
+        Sd = p.S.eval_dt(s, r).reshape(cols, rows, m, n).transpose(0, 2, 1, 3)
+        Md = p.M.eval_dt(s, r).reshape(cols, rows, m, m).transpose(0, 2, 1, 3)
+
+        def part(lo, hi):
+            def laid(weights, pairs):
+                return np.multiply(weights[lo:hi], pairs[lo:hi],
+                                   out=np.empty(pairs[lo:hi].shape))
+
+            S = laid(-w, Sd) if Sd[lo:hi].any() else None
+            return _Pairs(laid(w, Qd), S, laid(w, Md))
+
+        return part(0, c - i0), part(c - i0, cols)
 
     def window(self, values: np.ndarray, a: int, b: int) -> _Window:
         """The _Window of rows [a, b], its blocks built one at a time.
@@ -446,17 +525,19 @@ class _Engine:
         K = self.nodes.size
         c = self.split_node(b)
         flow = rk4_flow(self.nodes[c:], self.drift(values, a, c, K - 1))
-        ups = self.upsilon_nodes(values, c)
-        Lt = np.concatenate([flow, ups @ flow], axis=1)
+        ups_flow = self.upsilon_nodes(values, c) @ flow
         end = flow[-1]
 
         def blocks():
             for i0 in range(a, b + 1, _ROW_BLOCK):
                 i1 = min(i0 + _ROW_BLOCK, b + 1)
                 core, folded = self.triangle_block(i0, i1, c)
-                yield i0, core, _contract(folded, Lt) + end.T @ self.Gd_nodes[i0:i1] @ end
+                yield i0, core, _contract(folded, flow, ups_flow) \
+                    + end.T @ self.Gd_nodes[i0:i1] @ end
 
-        return _Window(c, flow, np.linalg.inv(flow), blocks())
+        return _Window(c, flow, np.linalg.inv(flow),
+                       cubic_rule(self.nodes[a:], self.half[2 * a:2 * c + 1]),
+                       interval_rule(self.nodes[a:b + 1]), blocks())
 
     def cached_window(self, values: np.ndarray, a: int, b: int) -> _Window:
         """window(values, a, b) with its blocks listed, kept until another
@@ -480,35 +561,47 @@ class _Engine:
             F_i = U_i^{-T} [ sum_{i <= r < c} W[i, r] L_r' core(s_i, r) L_r
                              + U_c' Z_i U_c ] U_i^{-1},
 
-        L_r = [U_r; Ups_r U_r], core = [[Q_t, -S_t'], [-S_t, M_t]].  The tail
-        past the split node c (window) is folded into Z_i once per window,
-        since Phi(r, s_i0) = Phi(r, s_c) U_c there; so an iterate runs RK4
-        and Ups on [a, c] only and contracts the pairs r < c.  The flow is
-        anchored per block, not at the window start, so each U_i spans fewer
-        than _ROW_BLOCK intervals: inverting the flow of a whole window would
+        L_r = [U_r; Ups_r U_r], core = [[Q_t, -S_t'], [-S_t, M_t]], which
+        _contract sums kernel by kernel (a block without S_t skips its two
+        terms).  The tail past the split node c (window) is folded into Z_i
+        once per window, since Phi(r, s_i0) = Phi(r, s_c) U_c there; so an
+        iterate runs RK4 and Ups on [a, c] only, with the drift's cubic basis
+        of the window, and contracts the pairs r < c.  The flow is anchored
+        per block, not at the window start, so each U_i spans fewer than
+        _ROW_BLOCK intervals: inverting the flow of a whole window would
         amplify rounding by its condition number squared.  The anchoring is
         one solve per block, and one inverse of the block's U_i conjugates
-        its rows.  The condition warning of Propagator still covers the flow
-        over [s_a, T], composed as Phi(r, s_c) U_c past c.
+        its rows.  The condition of the flow over [s_a, T] is not checked
+        here: run_window checks it once on the accepted values, and
+        q_bar_table on its own (check_condition).
 
         W[i] is the rule on nodes[i:] alone (triangle_block), so row K-2 is
         the trapezoid rule and row K-3 the parabola.
         """
-        c, flow, inverse, blocks = window
-        U = rk4_flow(self.nodes[a:c + 1], self.drift(values, a, a, c))
-        U_inv = np.linalg.inv(U)
-        flow_condition(np.concatenate([U, flow[1:] @ U[-1]]),
-                       np.concatenate([U_inv, U_inv[-1] @ inverse[1:]]))
+        c = window.c
+        U = self.closed_flow(values, a, window)
         n = U.shape[-1]
         out = np.empty((b - a + 1, n, n))
-        for i0, core, Z in blocks:
+        for i0, core, Z in window.blocks:
             j0, rows = i0 - a, Z.shape[0]
             Ub = _anchored(U[j0:], U[j0])
-            L = np.concatenate([Ub[:-1], ups[j0:c - a] @ Ub[:-1]], axis=1)
-            acc = _contract(core, L) + Ub[-1].T @ Z @ Ub[-1]
+            acc = _contract(core, Ub[:-1], ups[j0:c - a] @ Ub[:-1]) + Ub[-1].T @ Z @ Ub[-1]
             Ui_inv = np.linalg.inv(Ub[:rows])
             out[j0:j0 + rows] = np.swapaxes(Ui_inv, -1, -2) @ acc @ Ui_inv
         return _sym(out)
+
+    def closed_flow(self, values: np.ndarray, a: int, window: _Window) -> np.ndarray:
+        """Phi(r, s_a) of the closed loop of values for r in nodes[a:c+1]."""
+        c = window.c
+        return rk4_flow(self.nodes[a:c + 1], self.drift(values, a, a, c, window.cubic))
+
+    def check_condition(self, values: np.ndarray, a: int, window: _Window) -> None:
+        """flow_condition of the closed loop of values over [s_a, T], composed
+        as Phi(r, s_c) U_c past the split node; warns as Propagator does."""
+        U = self.closed_flow(values, a, window)
+        U_inv = np.linalg.inv(U)
+        flow_condition(np.concatenate([U, window.flow[1:] @ U[-1]]),
+                       np.concatenate([U_inv, U_inv[-1] @ window.inverse[1:]]))
 
     def picard_iterate(self, values: np.ndarray, a: int, b: int,
                        boundary: np.ndarray) -> np.ndarray:
@@ -517,27 +610,46 @@ class _Engine:
         The map conjugates by psi and its stored inverse; Ups, computed once
         on nodes a..max(b, c - 1), serves f_diag too.
         """
-        ups = self.upsilon_nodes(values, a, max(self.split_node(b), b + 1))
-        F = self.f_diag(values, a, b, self.cached_window(values, a, b), ups)
+        window = self.cached_window(values, a, b)
+        ups = self.upsilon_nodes(values, a, max(window.c, b + 1))
+        F = self.f_diag(values, a, b, window, ups)
         ups = ups[:b + 1 - a]
         quad = np.swapaxes(ups, -1, -2) @ self.M_nodes[a:b + 1] @ ups
         R = self.Q_nodes[a:b + 1] - F - quad
         UA = self.psi.values[a:b + 1]
         Y = np.swapaxes(UA, -1, -2) @ R @ UA
-        C = UA[-1].T @ boundary @ UA[-1] + tail_integrals(Y, self.nodes[a:b + 1])
+        C = UA[-1].T @ boundary @ UA[-1] + tail_sums(window.rule, Y)
         UA_inv = self.psi.inverse[a:b + 1]
         new = _sym(np.swapaxes(UA_inv, -1, -2) @ C @ UA_inv)
         new[-1] = boundary
         return new
 
     def run_window(self, values: np.ndarray, a: int, b: int, boundary: np.ndarray,
-                   tol: float, max_iter: int, ball_cap: float) -> dict:
+                   tol: float, max_iter: int, ball_cap: float, mix: bool) -> dict:
         """Iterate window [a, b] to tolerance, mutating values in place.
 
         The window starts from the local cubic through the solved nodes
         b..b+3, extrapolated to nodes[a:b].  The first window has no such
         nodes, and an extrapolation that is not finite or leaves the a-priori
         ball (ball_cap) is dropped; those windows start from boundary.
+
+        Every iterate applies the window map once (picard_iterate), and the
+        window stops when one application moves the iterate by at most tol.
+        With mix (practical and override windows) the next iterate is the
+        Anderson mixture of the last images (_Anderson), not the image
+        itself, and the window accepts one more plain image of the image
+        that stopped it.  Without mix (certified windows) it iterates the
+        plain map that the constants certify.  "iterations" counts every
+        map application.
+
+        Mixed diffs are not monotone, so progress is that of the best diff:
+        a window diverges (_Diverged) when its best diff has not fallen over
+        the last _SPAN applications, or when its rate over them projects
+        past max_iter, as it does when an image is not finite, leaves a
+        flow singular or leaves the ball.  Reaching max_iter is a
+        NonconvergenceError.  The contraction factor is the largest ratio of
+        successive diffs of a plain window, and the ratio of the two plain
+        steps that end a mixed one.
         """
         start = boundary
         if b + 3 < self.nodes.size:
@@ -545,55 +657,70 @@ class _Engine:
             if np.all(np.isfinite(cubic)) and float(matrix_norm_many(cubic).max()) <= ball_cap:
                 start = cubic
         values[a:b] = start
+        mixer = _Anderson(ball_cap) if mix else None
         diffs = []
         for it in range(1, max_iter + 1):
-            # a diverging iterate overflows or leaves a flow singular; the
-            # non-finite check below, or the except, makes that _Diverged
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    new = self.picard_iterate(values, a, b, boundary)
-            except np.linalg.LinAlgError as exc:
-                raise _Diverged(f"singular matrix in the iterate: {exc}") from exc
-            if not np.all(np.isfinite(new)):
-                raise _Diverged("non-finite iterate")
+            new = self._mapped(values, a, b, boundary)
             d = float(matrix_norm_many(new - values[a:b + 1]).max())
-            values[a:b + 1] = new
             diffs.append(d)
             if d <= tol:
                 break
             if float(matrix_norm_many(new).max()) > ball_cap:
                 raise _Diverged("iterate left the a-priori ball")
-            if len(diffs) >= 3 and diffs[-1] > diffs[-2] > diffs[-3] \
-                    and diffs[-1] > 100 * tol:
-                raise _Diverged("iterate differences growing")
-            if len(diffs) >= 8:
-                f = (diffs[-1] / diffs[-8]) ** (1.0 / 7.0)
+            if len(diffs) > _SPAN:
+                f = (min(diffs[-_SPAN:]) / min(diffs[:-_SPAN])) ** (1.0 / _SPAN)
                 if f >= 1.0:
-                    raise _Diverged("no contraction over the last iterates")
-                needed = math.log(tol / diffs[-1]) / math.log(f)
-                if it + needed > max_iter:
+                    raise _Diverged(f"no progress over the last {_SPAN} iterates")
+                if it + math.log(tol / min(diffs)) / math.log(f) > max_iter:
                     raise _Diverged(
                         f"projected nonconvergence (observed factor ~{f:.3f})")
+            if mixer is not None:
+                new[:-1] = mixer.mix(values[a:b], new[:-1])
+            values[a:b + 1] = new
         else:
             raise NonconvergenceError(
                 f"window [{self.nodes[a]:.6g}, {self.nodes[b]:.6g}] did not reach"
                 f" tol={tol:.3e} in {max_iter} iterations (last diff {diffs[-1]:.3e})",
                 diagnostics={"window": [float(self.nodes[a]), float(self.nodes[b])],
                              "diffs": diffs})
-        factors = [diffs[k] / diffs[k - 1] for k in range(1, len(diffs))
-                   if diffs[k - 1] > 0]
+        values[a:b + 1] = new
+        if mixer is not None:
+            new = self._mapped(values, a, b, boundary)
+            diffs.append(float(matrix_norm_many(new - values[a:b + 1]).max()))
+            values[a:b + 1] = new
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                self.check_condition(values, a, self.cached_window(values, a, b))
+        except np.linalg.LinAlgError as exc:
+            raise _Diverged(f"singular closed-loop flow: {exc}") from exc
+        # the last two diffs of a mixed window are the only plain pair
+        plain = range(1, len(diffs)) if mixer is None else [len(diffs) - 1]
+        factors = [diffs[k] / diffs[k - 1] for k in plain if diffs[k - 1] > 0]
         return {
             "a": float(self.nodes[a]), "b": float(self.nodes[b]),
             "iterations": len(diffs), "final_diff": diffs[-1],
             "contraction_factor": max(factors) if factors else 0.0,
         }
 
+    def _mapped(self, values: np.ndarray, a: int, b: int, boundary: np.ndarray) -> np.ndarray:
+        """picard_iterate, with a diverging iterate made _Diverged: it
+        overflows, or leaves a flow singular."""
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                new = self.picard_iterate(values, a, b, boundary)
+        except np.linalg.LinAlgError as exc:
+            raise _Diverged(f"singular matrix in the iterate: {exc}") from exc
+        if not np.all(np.isfinite(new)):
+            raise _Diverged("non-finite iterate")
+        return new
+
     @cached_property
     def q_bar_table(self) -> np.ndarray:
         """Effective state weight Q(s,s) - F(s; s, P) at every node."""
         last = self.nodes.size - 1
-        F = self.f_diag(self.values, 0, last, self.window(self.values, 0, last),
-                        self.upsilon_nodes(self.values, 0))
+        window = self.window(self.values, 0, last)
+        self.check_condition(self.values, 0, window)
+        F = self.f_diag(self.values, 0, last, window, self.upsilon_nodes(self.values, 0))
         return _sym(self.Q_nodes - F)
 
     @cached_property
@@ -644,9 +771,10 @@ def solve_riccati(p: LQProblem, g: TimeGrid, opts: SolveOptions | None = None
 
     Windows of the certified width tau are used whenever the grid resolves
     them (>= _MIN_WINDOW_NODES nodes, refining internally up to
-    _GUARANTEED_MAX_REFINE times); the contraction factor is then asserted
-    <= 0.75 per window.  Otherwise practical windows of width T/4 march
-    backward with halving on observed divergence.  Raises
+    _GUARANTEED_MAX_REFINE times); they iterate the plain map, and the
+    contraction factor is then asserted <= 0.75 per window.  Otherwise
+    practical windows of width T/4 march backward with Anderson mixing and
+    halving on observed divergence (_Engine.run_window).  Raises
     NonconvergenceError when an iteration cap or halving floor is hit, and
     InvalidInputError for a grid that does not end at p.T, a tol outside
     (0, inf), a max_iter below 1, a window_override outside (0, T] or a
@@ -718,7 +846,7 @@ def solve_riccati(p: LQProblem, g: TimeGrid, opts: SolveOptions | None = None
         a_idx = min(a_idx, pos - 1)
         try:
             info = engine.run_window(values, a_idx, pos, values[pos].copy(),
-                                     tol, opts.max_iter, ball_cap)
+                                     tol, opts.max_iter, ball_cap, mode != "guaranteed")
         except _Diverged as exc:
             if mode == "guaranteed":
                 raise NonconvergenceError(

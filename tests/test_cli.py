@@ -318,3 +318,15 @@ def test_cold_verify_does_not_import_numpy_ma(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, cwd=pathlib.Path(__file__).resolve().parents[1])
     assert out.stdout.strip() == "0 False"
+
+
+def test_coarse_grid_verify_takes_eps_that_span_four_nodes(tmp_path):
+    # the default eps plan took eps = 0.05 at the late sample times, 3 nodes
+    # of a 64-interval grid, and exited 2 with "eps=0.05 spans only 3 grid
+    # nodes"; each default eps is now at least the width to the 4th node
+    config = pathlib.Path(__file__).resolve().parents[1] / "demos/configs/hyperbolic_verify.json"
+    for N in (32, 50, 64):
+        out_dir = tmp_path / str(N)
+        assert main(["--config", str(config), "--mode", "verify", "--grid", str(N),
+                     "--out", str(out_dir), "--quiet"]) == 0
+        assert json.loads((out_dir / "verification.json").read_text())["pass"] is True

@@ -74,3 +74,17 @@ def test_fundamental_solution_takes_a_coefficient_fn_and_a_grid():
     for coefficient, grid in [(lambda t: A, g), (A, g), (f, g.nodes), (f, [0.0, 0.5, 1.0])]:
         with pytest.raises(InvalidInputError, match="OneTimeMatrixFn and a TimeGrid"):
             fundamental_solution(coefficient, grid)
+
+
+def test_flow_prefix_matches_the_step_loop():
+    # the products are written into their slots; each is E[i] @ U[i] bit for
+    # bit, for one flow and for stacked independent flows
+    from tilq.propagators import flow_prefix
+
+    rng = np.random.default_rng(4)
+    for shape in ((30, 3, 3), (30, 4, 2, 2)):
+        E = np.eye(shape[-1]) + 0.1 * rng.standard_normal(shape)
+        want = [np.broadcast_to(np.eye(shape[-1]), shape[1:])]
+        for e in E:
+            want.append(e @ want[-1])
+        np.testing.assert_array_equal(flow_prefix(E), np.array(want))

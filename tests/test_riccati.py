@@ -33,7 +33,8 @@ from tilq import (
     validate_assumptions,
 )
 from tilq import riccati
-from tilq._quad import local_cubic, simpson_weights
+from tilq._quad import (apply_cubic, local_cubic, simpson_weights, tail_integrals,
+                        tail_sums)
 from tilq.kernels import _ROW_BLOCK, matrix_norm_many
 from tilq.propagators import closed_loop_coefficient, flow_condition, rk4_flow
 from tilq.bvp import BvpSolution
@@ -453,11 +454,33 @@ def test_f_diag_matches_row_loop(nodes, a, b, vectorized):
     fresh_blocks = list(fresh.blocks)
     assert len(fresh_blocks) == len(cached.blocks)
     for (i0, core, Z), (j0, core_c, Z_c) in zip(fresh_blocks, cached.blocks):
-        assert i0 == j0 and core.shape[0] == cached.c - i0  # in-window columns only
-        np.testing.assert_array_equal(core, core_c)
+        assert i0 == j0 and core.S is not None  # this problem's S_t is nonzero
+        for block, block_c in zip(core, core_c):  # Q, S and M
+            assert block.shape[0] == cached.c - i0  # in-window columns only
+            np.testing.assert_array_equal(block, block_c)
         np.testing.assert_array_equal(Z, Z_c)
     streamed = engine.f_diag(values, a, b, engine.window(values, a, b), ups)
     np.testing.assert_array_equal(streamed, got)
+
+
+@pytest.mark.parametrize("nodes", [_UNIFORM, _NONUNIFORM])
+def test_window_rules_reproduce_local_cubic_and_tail_integrals(nodes):
+    # a window builds the drift's cubic basis and the map's interval weights
+    # once; the iterates that read them get local_cubic and tail_integrals
+    # bit for bit, on windows that split at b + 1 and at the last node
+    engine = _Engine(_coupled_problem(), TimeGrid(nodes))
+    values = _smooth_values(nodes)
+    Y = np.random.default_rng(2).standard_normal(values.shape)
+    for a, b in [(0, 80), (11, 52), (60, 78), (79, 80)]:
+        window = engine.cached_window(values, a, b)
+        c = window.c
+        half = engine.half[2 * a:2 * c + 1]
+        np.testing.assert_array_equal(apply_cubic(window.cubic, values[a:]),
+                                      local_cubic(nodes[a:], values[a:], half))
+        np.testing.assert_array_equal(engine.drift(values, a, a, c, window.cubic),
+                                      engine.drift(values, a, a, c))
+        np.testing.assert_array_equal(tail_sums(window.rule, Y[a:b + 1]),
+                                      tail_integrals(Y[a:b + 1], nodes[a:b + 1]))
 
 
 def test_f_diag_ill_conditioned_flow():
@@ -584,24 +607,24 @@ def test_diverging_window_emits_no_numpy_warning():
 # --- the window pair blocks, the feedback tables and the warm start ------------
 
 def _scatter_block(engine, i0, i1, c):
-    """Reference build of _Engine.triangle_block: the kernels on the
-    triangle pairs of rows [i0, i1) only, packed with np.block, weighted by
+    """Reference build of _Engine.triangle_block: Q_t, -S_t and M_t on the
+    triangle pairs of rows [i0, i1) only, weighted by
     simpson_weights(nodes[i:]) row by row and scattered into zero-filled
-    arrays."""
+    arrays, one per kernel, for the columns before c and from c."""
     p, nodes, K = engine.p, engine.nodes, engine.nodes.size
     row_of = np.repeat(np.arange(i0, i1), K - np.arange(i0, i1))
     tail = np.concatenate([np.arange(i, K) for i in range(i0, i1)])
     s, r = nodes[row_of], nodes[tail]
     w = np.concatenate([simpson_weights(nodes[i:]) for i in range(i0, i1)])[:, None, None]
-    Sd = p.S.eval_dt(s, r)
-    pairs = w * np.block([[p.Q.eval_dt(s, r), -np.swapaxes(Sd, -1, -2)],
-                          [-Sd, p.M.eval_dt(s, r)]])
-    q = pairs.shape[-1]
+    kernels = (w * p.Q.eval_dt(s, r), w * -p.S.eval_dt(s, r), w * p.M.eval_dt(s, r))
     out = []
     for lo, hi, sel in ((i0, c, tail < c), (c, K, tail >= c)):
-        dense = np.zeros((hi - lo, q, i1 - i0, q))
-        dense[tail[sel] - lo, :, row_of[sel] - i0, :] = pairs[sel]
-        out.append(dense)
+        part = []
+        for pairs in kernels:
+            dense = np.zeros((hi - lo, pairs.shape[1], i1 - i0, pairs.shape[2]))
+            dense[tail[sel] - lo, :, row_of[sel] - i0, :] = pairs[sel]
+            part.append(dense)
+        out.append(part)
     return tuple(out)
 
 
@@ -637,13 +660,20 @@ def test_triangle_block_matches_pair_scatter(problem, nodes):
     # block, and the blocks of windows with b = K - 1 and b = K - 3, which
     # split at c = K - 1
     for i0, i1, c in [(1, 33, 33), (8, 20, 30), (K - 31, K, K - 1), (K - 26, K - 2, K - 1)]:
-        core, folded = engine.triangle_block(i0, i1, c)
-        want_core, want_folded = _scatter_block(engine, i0, i1, c)
-        assert core.shape == want_core.shape and folded.shape == want_folded.shape
-        np.testing.assert_array_equal(core, want_core)
-        np.testing.assert_array_equal(folded, want_folded)
+        got = engine.triangle_block(i0, i1, c)
+        for part, want_part in zip(got, _scatter_block(engine, i0, i1, c)):
+            for name, block, want in zip(part._fields, part, want_part):
+                if block is None:  # only a zero S_t is left out
+                    assert name == "S" and not want.any()
+                    continue
+                assert block.shape == want.shape and block.flags.c_contiguous
+                np.testing.assert_array_equal(block, want)
+        core, folded = got
+        # n3 has S = 0: no S block is stored; the guarded S_t is nonzero
+        assert (core.S is None and folded.S is None) == (problem == "n3")
         # a window keeps its cores; they must not keep the folded columns
-        assert not np.shares_memory(core, folded)
+        for block, other in zip(core, folded):
+            assert block is None or not np.shares_memory(block, other)
 
 
 def test_picard_iterate_solves_against_neither_m_nor_psi(monkeypatch):
@@ -699,22 +729,26 @@ def test_validated_solve_memory_at_n1600():
 
 def test_windows_start_from_the_extrapolated_tail():
     # each window after the first starts from the local cubic through the
-    # four solved nodes past it: 56 iterations from the boundary, 48 here
+    # four solved nodes past it: 56 plain iterations from the boundary, 48
+    # plain ones here, and 37 map applications with mixing (33 mixed and
+    # one accepting plain step per window)
     sol = solve_riccati(_n3_problem(), TimeGrid.uniform(1.0, 400))
     assert len(sol.meta["windows"]) > 1
-    assert sol.meta["iterations_total"] <= 50
+    assert sol.meta["iterations_total"] <= 40
 
 
 def test_long_horizon_tight_tolerance():
-    # hyperbolic, A = 0.5 over T = 20: the warm start still reaches the
-    # right P(0) within two or three window halvings
+    # hyperbolic, A = 0.5 over T = 20: the plain window map expands here
+    # (factor ~1.5), and plain Picard needed two halvings, 17 windows and
+    # 226 iterations at N = 1000; mixed windows converge at full width
     one = np.eye(1)
     p = hyperbolic_problem(one, one, one, A=0.5 * one, B=one, k=1.0, theta=1.0, T=20.0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # condition warnings
-        sol = solve_riccati(p, TimeGrid.uniform(20.0, 1000), SolveOptions(tol=1e-10))
-    assert abs(sol.values[0, 0, 0] - 1.153849) <= 1e-6
-    assert sol.meta["halvings"] <= 3
+    for N in (1000, 2000):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # condition warnings
+            sol = solve_riccati(p, TimeGrid.uniform(20.0, N), SolveOptions(tol=1e-10))
+        assert abs(sol.values[0, 0, 0] - 1.153849) <= 1e-6
+        assert sol.meta["halvings"] == 0 and len(sol.meta["windows"]) == 4
 
 
 def test_m_singular_between_nodes_is_an_input_error():
@@ -902,15 +936,47 @@ def _recorded_divergences(monkeypatch):
     return seen
 
 
-def test_projected_nonconvergence_halves_a_practical_window(monkeypatch, hyperbolic_scalar):
-    # eight iterates are not enough for the first quarter-horizon window at
-    # factor ~0.1: the projection gives up early and the window is halved
+def test_projected_nonconvergence_halves_a_practical_window(monkeypatch):
+    # the first quarter-horizon window of the T = 20 case needs 45 mixed
+    # iterates; at max_iter = 40 the rate of its best diff projects past the
+    # cap, so the window is halved once, and the halves converge
+    one = np.eye(1)
+    p = hyperbolic_problem(one, one, one, A=0.5 * one, B=one, k=1.0, theta=1.0, T=20.0)
+    g = TimeGrid.uniform(20.0, 1000)
     seen = _recorded_divergences(monkeypatch)
-    g = TimeGrid.uniform(1.0, 200)
-    sol = solve_riccati(hyperbolic_scalar, g, SolveOptions(max_iter=8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # condition warnings
+        sol = solve_riccati(p, g, SolveOptions(tol=1e-10, max_iter=40))
+        full = solve_riccati(p, g, SolveOptions(tol=1e-10))
     assert sol.meta["mode"] == "practical" and sol.meta["halvings"] == 1
     assert [m.split(" (")[0] for m in seen] == ["projected nonconvergence"]
-    assert np.abs(sol.values - solve_riccati(hyperbolic_scalar, g).values).max() <= 1e-9
+    assert full.meta["halvings"] == 0
+    assert np.abs(sol.values - full.values).max() <= 1e-8
+
+
+def test_a_stalled_practical_window_is_halved(monkeypatch, hyperbolic_scalar):
+    # a map that moves the iterate by the same amount every time makes no
+    # progress over _SPAN iterates (mixing has nothing to combine: every
+    # residual difference is zero); the window is halved, and the real map
+    # then solves as without the stall
+    real = _Engine.picard_iterate
+    stall = _crawling_picard(lambda k: 1e-3)
+    calls = []
+
+    def first_stalls(self, values, a, b, boundary):
+        calls.append(1)
+        if len(calls) <= riccati._SPAN + 1:
+            return stall(self, values, a, b, boundary)
+        return real(self, values, a, b, boundary)
+
+    seen = _recorded_divergences(monkeypatch)
+    g = TimeGrid.uniform(1.0, 200)
+    want = solve_riccati(hyperbolic_scalar, g)
+    monkeypatch.setattr(_Engine, "picard_iterate", first_stalls)
+    sol = solve_riccati(hyperbolic_scalar, g)
+    assert sol.meta["mode"] == "practical" and sol.meta["halvings"] == 1
+    assert seen == [f"no progress over the last {riccati._SPAN} iterates"]
+    assert np.abs(sol.values - want.values).max() <= 1e-9
 
 
 def test_divergence_in_a_certified_window_is_an_error(monkeypatch, hyperbolic_decoupled):
@@ -930,6 +996,46 @@ def test_window_halving_exhausted(monkeypatch, tanh_problem):
         solve_riccati(tanh_problem, TimeGrid.uniform(1.0, 64))
     assert exc.value.diagnostics["mode"] == "practical"
     assert 0 < exc.value.diagnostics["halvings"] < 40
+
+
+def test_a_singular_flow_at_acceptance_halves_the_window(monkeypatch, tanh_problem):
+    # the condition check inverts the closed-loop flow of the accepted
+    # values once per window; a flow singular there diverges the window, as
+    # it did inside an iterate, and no raw LinAlgError leaves the solve
+    real = _Engine.check_condition
+    calls = []
+
+    def first_singular(self, values, a, window):
+        calls.append(1)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real(self, values, a, window)
+
+    seen = _recorded_divergences(monkeypatch)
+    monkeypatch.setattr(_Engine, "check_condition", first_singular)
+    sol = solve_riccati(tanh_problem, TimeGrid.uniform(1.0, 64))
+    assert sol.meta["halvings"] == 1
+    assert seen == ["singular closed-loop flow: Singular matrix"]
+
+
+def test_only_practical_windows_mix(monkeypatch, hyperbolic_decoupled, tanh_problem):
+    # criterion 6 certifies the plain map on a certified window, so those
+    # iterate plain Picard; practical and override windows mix
+    calls = []
+    real = riccati._Anderson.mix
+
+    def counted(self, x, g):
+        calls.append(1)
+        return real(self, x, g)
+
+    monkeypatch.setattr(riccati._Anderson, "mix", counted)
+    g = TimeGrid.uniform(1.0, 200)
+    assert solve_riccati(hyperbolic_decoupled, g).meta["mode"] == "guaranteed"
+    assert calls == []
+    for opts in (None, SolveOptions(window_override=0.5)):
+        calls.clear()
+        solve_riccati(tanh_problem, g, opts)
+        assert calls
 
 
 def test_slow_contraction_on_a_certified_window_is_an_error(monkeypatch, hyperbolic_decoupled):
