@@ -20,7 +20,7 @@ from .problem import LQProblem
 from .equilibrium import build_policy, simulate
 from .grids import node_index
 from .propagators import feedback_tables
-from .riccati import RiccatiSolution, q_bar
+from .riccati import RiccatiSolution, _write_csv, q_bar
 
 
 @dataclass(frozen=True)
@@ -35,12 +35,8 @@ class BvpSolution:
 
     def to_csv(self, fh) -> None:
         n = self.X.shape[1]
-        cols = (["t"] + [f"X_{i + 1}" for i in range(n)]
-                + [f"phi_{i + 1}" for i in range(n)])
-        fh.write(",".join(cols) + "\n")
-        for k in range(self.nodes.size):
-            row = [self.nodes[k], *self.X[k], *self.phi[k]]
-            fh.write(",".join(format(float(val), ".17g") for val in row) + "\n")
+        names = [f"X_{i + 1}" for i in range(n)] + [f"phi_{i + 1}" for i in range(n)]
+        _write_csv(fh, names, self.nodes, self.X, self.phi)
 
 
 def from_riccati(p: LQProblem, P: RiccatiSolution, t0: float, x0) -> BvpSolution:

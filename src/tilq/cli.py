@@ -30,10 +30,11 @@ from .equilibrium import SampleSpec, build_policy, simulate
 from .errors import (GridTooCoarseError, InvalidInputError, NonconvergenceError, TilqError,
                      TimeConsistencyError)
 from .grids import TimeGrid
-from .kernels import OneTimeMatrixFn, TwoTimeKernel
+from .kernels import OneTimeMatrixFn, TwoTimeKernel, matrix_norm_many
 from .oracle import classical_riccati
 from .problem import LQProblem, validate_assumptions
-from .riccati import RiccatiSolution, SolveOptions, _json_safe, solve_riccati
+from .riccati import (RiccatiSolution, SolveOptions, _json_safe, _write_csv,
+                      solve_riccati)
 from .verify import run_verification
 
 MODES = ("validate", "solve", "verify", "simulate", "compare-oracle")
@@ -59,17 +60,9 @@ class RunConfig:
     window_override: float | None
     sim_t0: float
     sim_x0: np.ndarray | None
-    certificate: SampleSpec | None
-    compare_tol: float | None
+    certificate: SampleSpec
     out_dir: str | None
-    formats: tuple
     corrupt_solution: bool
-
-
-def _check_keys(obj, allowed, path, errors) -> None:
-    for key in obj:
-        if key not in allowed:
-            errors.append((f"{path}.{key}" if path else key, "unknown key"))
 
 
 def _finite(val) -> bool:
@@ -78,46 +71,92 @@ def _finite(val) -> bool:
             and abs(val) <= sys.float_info.max)
 
 
-def _number(obj, key, path, errors, *, default=None, required=False,
-            minimum=None, integer=False, allow_none=False):
-    if key not in obj:
-        if required:
+# A parser takes (value, path, errors) and returns the parsed value, or None
+# with its issues recorded.
+def _number(*, minimum=None, above=None, integer=False, nullable=False):
+    """Parser of a finite number, an int when integer, >= minimum and > above;
+    null reads as None when nullable."""
+    def parse(val, path, errors):
+        if val is None and nullable:
+            return None
+        issue = ("must be a finite number" if not _finite(val)
+                 else "must be an integer" if integer and int(val) != val
+                 else f"must be >= {minimum:g}" if minimum is not None and val < minimum
+                 else f"must be > {above:g}" if above is not None and val <= above
+                 else None)
+        if issue:
+            errors.append((path, issue))
+            return None
+        return int(val) if integer else float(val)
+    return parse
+
+
+def _flag(val, path, errors):
+    if isinstance(val, bool):
+        return val
+    errors.append((path, "must be true or false"))
+    return None
+
+
+def _vector(*, nullable=False):
+    """Parser of a list of finite numbers, read as a tuple of floats."""
+    def parse(val, path, errors):
+        if val is None and nullable:
+            return None
+        if not isinstance(val, list):
+            errors.append((path, "must be a list of numbers"))
+            return None
+        bad = [i for i, c in enumerate(val) if not _finite(c)]
+        errors.extend((f"{path}[{i}]", "must be a finite number") for i in bad)
+        return None if bad else tuple(float(c) for c in val)
+    return parse
+
+
+_REQUIRED = object()  # the default of an entry that must be given
+
+# section -> key -> (default, parser); every section is optional
+_SECTIONS = {
+    "grid": {"N": (400, _number(minimum=16, integer=True))},
+    "solver": {"tol": (None, _number(above=0.0, nullable=True)),
+               "max_iter": (200, _number(minimum=1, integer=True)),
+               "window_override": (None, _number(nullable=True))},
+    "simulate": {"t0": (0.0, _number(minimum=0.0)), "x0": (None, _vector())},
+    "certificate": {"times": (None, _vector(nullable=True)),
+                    "eps_list": (None, _vector(nullable=True)),
+                    "finite_eps": (SampleSpec.finite_eps, _flag)},
+    "output": {"dir": (None, lambda val, path, errors: None if val is None else str(val))},
+    "debug": {"corrupt_solution": (False, _flag)},
+}
+_PROBLEM = {"n": (_REQUIRED, _number(minimum=1, integer=True)),
+            "m": (_REQUIRED, _number(minimum=1, integer=True)),
+            "T": (1.0, _number(above=0.0))}
+# each coefficient family's matrix entry and numbers besides "kind"
+_FAMILIES = {"constant": ("base", {}), "polynomial": ("coefficients", {}),
+             "exponential": ("base", {"rho": (_REQUIRED, _number(minimum=0.0))}),
+             "hyperbolic": ("base", {"k": (_REQUIRED, _number(minimum=0.0)),
+                                     "theta": (_REQUIRED, _number(above=0.0))})}
+
+
+def _entries(obj, path, spec, errors, *, also=()) -> dict:
+    """key -> obj[key] read by the key's parser, or its default, for each key
+    of spec; an obj that is neither an object nor null (read as {}), a key
+    outside spec and also, and a missing required key are issues."""
+    if not isinstance(obj, dict):
+        if obj is not None:
+            errors.append((path, "must be an object"))
+        obj = {}
+    errors.extend((f"{path}.{key}", "unknown key") for key in obj
+                  if key not in spec and key not in also)
+    out = {}
+    for key, (default, parse) in spec.items():
+        if key in obj:
+            out[key] = parse(obj[key], f"{path}.{key}", errors)
+        elif default is _REQUIRED:
             errors.append((f"{path}.{key}", "missing"))
-        return default
-    val = obj[key]
-    if val is None and allow_none:
-        return None
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        errors.append((f"{path}.{key}", "must be a number"))
-        return default
-    if not _finite(val):
-        errors.append((f"{path}.{key}", "must be finite"))
-        return default
-    if integer and int(val) != val:
-        errors.append((f"{path}.{key}", "must be an integer"))
-        return default
-    if minimum is not None and val < minimum:
-        errors.append((f"{path}.{key}", f"must be >= {minimum}"))
-        return default
-    return int(val) if integer else float(val)
-
-
-def _flag(obj, key, path, errors, default: bool) -> bool:
-    val = obj.get(key, default)
-    if not isinstance(val, bool):
-        errors.append((f"{path}.{key}", "must be true or false"))
-        return default
-    return val
-
-
-def _vector(entry, path, errors):
-    """entry as a tuple of finite floats, or None with its issues recorded."""
-    if not isinstance(entry, list):
-        errors.append((path, "must be a list of numbers"))
-        return None
-    bad = [i for i, c in enumerate(entry) if not _finite(c)]
-    errors.extend((f"{path}[{i}]", "must be a finite number") for i in bad)
-    return None if bad else tuple(float(c) for c in entry)
+            out[key] = None
+        else:
+            out[key] = default
+    return out
 
 
 def _matrix(entry, path, shape, errors, *, symmetric=False):
@@ -138,11 +177,7 @@ def _matrix(entry, path, shape, errors, *, symmetric=False):
     return arr
 
 
-# the entries each coefficient family reads besides "kind": its matrix (or
-# matrices), then its numbers
-_FAMILY_KEYS = {"constant": ("base",), "polynomial": ("coefficients",),
-                "exponential": ("base", "rho"), "hyperbolic": ("base", "k", "theta")}
-# factories by kind, each called as factory(base, *parameters, T)
+# factories by kind, each called as factory(matrix, *numbers, T)
 _ONE_TIME = {"constant": OneTimeMatrixFn.constant, "polynomial": OneTimeMatrixFn.polynomial}
 _TERMINAL = {**_ONE_TIME, "exponential": families.exponential_terminal,
              "hyperbolic": families.hyperbolic_terminal}
@@ -152,6 +187,13 @@ def _kernels(symmetric: bool) -> dict:
     return {kind: partial(fn, symmetry_required=symmetric) for kind, fn in (
         ("constant", TwoTimeKernel.constant), ("exponential", families.exponential_kernel),
         ("hyperbolic", families.hyperbolic_kernel))}
+
+
+# problem coefficient -> (shape as its two dimensions, factories by kind,
+# symmetric); A and S are zero when absent, the others must be given
+_COEFFICIENTS = {"A": ("nn", _ONE_TIME, False), "B": ("nm", _ONE_TIME, False),
+                 "Q": ("nn", _kernels(True), True), "S": ("mn", _kernels(False), False),
+                 "M": ("mm", _kernels(True), True), "G": ("nn", _TERMINAL, True)}
 
 
 def _family(entry, path, shape, T, errors, factories, *, symmetric=False):
@@ -165,30 +207,43 @@ def _family(entry, path, shape, T, errors, factories, *, symmetric=False):
     if kind not in factories:
         errors.append((f"{path}.kind", f"must be one of {', '.join(factories)}"))
         return None
-    _check_keys(entry, {"kind", *_FAMILY_KEYS[kind]}, path, errors)
+    key, spec = _FAMILIES[kind]
+    params = list(_entries(entry, path, spec, errors, also=("kind", key)).values())
     if kind == "polynomial":
         coeffs = entry.get("coefficients")
         if not isinstance(coeffs, list) or not coeffs:
             errors.append((f"{path}.coefficients", "must be a non-empty list"))
             return None
-        mats = []
-        for d, c in enumerate(coeffs):
-            mat = _matrix(c, f"{path}.coefficients[{d}]", shape, errors,
-                          symmetric=symmetric)
-            if mat is None:
-                return None
-            mats.append(mat)
-        return factories[kind](mats, T)
-    base = _matrix(entry.get("base"), f"{path}.base", shape, errors,
-                   symmetric=symmetric)
-    params = [_number(entry, key, path, errors, required=True)
-              for key in _FAMILY_KEYS[kind][1:]]
+        mats = [_matrix(c, f"{path}.coefficients[{d}]", shape, errors, symmetric=symmetric)
+                for d, c in enumerate(coeffs)]
+        return None if any(mat is None for mat in mats) else factories[kind](mats, T)
+    base = _matrix(entry.get("base"), f"{path}.base", shape, errors, symmetric=symmetric)
     if base is None or None in params:
         return None
-    if kind == "hyperbolic" and 1.0 + params[0] * T <= 0.0:
-        errors.append((f"{path}.k", "needs 1 + k*T > 0"))
-        return None
     return factories[kind](base, *params, T)
+
+
+def _problem(prob, errors):
+    """(problem, n, T) from the problem section; problem is None, and n or T
+    too when unreadable, with the issues recorded."""
+    nums = _entries(prob, "problem", _PROBLEM, errors, also=_COEFFICIENTS)
+    n, m, T = nums["n"], nums["m"], nums["T"]
+    if not (n and m and T):
+        return None, n, T
+    dims = {"n": n, "m": m}
+    coeffs = {}
+    for name, (axes, factories, symmetric) in _COEFFICIENTS.items():
+        shape = (dims[axes[0]], dims[axes[1]])
+        if name in prob:
+            coeffs[name] = _family(prob[name], f"problem.{name}", shape, T, errors,
+                                   factories, symmetric=symmetric)
+        elif name in ("A", "S"):
+            coeffs[name] = factories["constant"](np.zeros(shape), T)
+        else:
+            errors.append((f"problem.{name}", "missing"))
+    if errors or any(c is None for c in coeffs.values()):
+        return None, n, T
+    return LQProblem(**coeffs), n, T
 
 
 def parse_config(text: str) -> RunConfig:
@@ -204,175 +259,47 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError([("$", f"not valid JSON: {e}")]) from e
     if not isinstance(doc, dict):
         raise ConfigError([("$", "top level must be an object")])
-    _check_keys(doc, {"schema_version", "mode", "problem", "grid", "solver",
-                      "simulate", "certificate", "compare", "output", "debug"},
-                "", errors)
+    errors.extend((key, "unknown key") for key in doc
+                  if key not in {"schema_version", "mode", "problem", *_SECTIONS})
     if doc.get("schema_version") != 1:
         errors.append(("schema_version", "must be 1"))
     mode = doc.get("mode", "solve")
     if mode not in MODES:
         errors.append(("mode", f"must be one of {', '.join(MODES)}"))
-
-    prob = doc.get("problem")
-    problem = None
-    n = m = None
-    T = None
-    if not isinstance(prob, dict):
+    problem = n = T = None
+    if isinstance(doc.get("problem"), dict):
+        problem, n, T = _problem(doc["problem"], errors)
+    else:
         errors.append(("problem", "missing or not an object"))
-    else:
-        _check_keys(prob, {"n", "m", "T", "A", "B", "Q", "S", "M", "G"},
-                    "problem", errors)
-        n = _number(prob, "n", "problem", errors, required=True, minimum=1,
-                    integer=True)
-        m = _number(prob, "m", "problem", errors, required=True, minimum=1,
-                    integer=True)
-        T = _number(prob, "T", "problem", errors, default=1.0, minimum=0.0)
-        if T is not None and T <= 0.0:
-            errors.append(("problem.T", "must be positive"))
-        if n and m and T:
-            zeros_nn = {"kind": "constant", "base": np.zeros((n, n)).tolist()}
-            zeros_mn = {"kind": "constant", "base": np.zeros((m, n)).tolist()}
-            A = _family(prob.get("A", zeros_nn), "problem.A", (n, n), T, errors, _ONE_TIME)
-            if "B" not in prob:
-                errors.append(("problem.B", "missing"))
-                B = None
-            else:
-                B = _family(prob["B"], "problem.B", (n, m), T, errors, _ONE_TIME)
-            for name in ("Q", "M", "G"):
-                if name not in prob:
-                    errors.append((f"problem.{name}", "missing"))
-            Q = _family(prob.get("Q", zeros_nn), "problem.Q", (n, n), T, errors,
-                        _kernels(True), symmetric=True)
-            S = _family(prob.get("S", zeros_mn), "problem.S", (m, n), T, errors,
-                        _kernels(False))
-            M = _family(prob.get("M", {"kind": "constant", "base": np.eye(m).tolist()}),
-                        "problem.M", (m, m), T, errors, _kernels(True), symmetric=True)
-            G = _family(prob.get("G", zeros_nn), "problem.G", (n, n), T, errors,
-                        _TERMINAL, symmetric=True)
-            if not errors and all(c is not None for c in (A, B, Q, S, M, G)):
-                problem = LQProblem(A=A, B=B, Q=Q, S=S, M=M, G=G)
+    cfg = {name: _entries(doc.get(name), name, spec, errors)
+           for name, spec in _SECTIONS.items()}
 
-    grid_doc = doc.get("grid", {})
-    N, refinement = 400, 1
-    if not isinstance(grid_doc, dict):
-        errors.append(("grid", "must be an object"))
-    else:
-        _check_keys(grid_doc, {"N", "refinement"}, "grid", errors)
-        N = _number(grid_doc, "N", "grid", errors, default=400, minimum=16,
-                    integer=True) or 400
-        refinement = _number(grid_doc, "refinement", "grid", errors, default=1,
-                             minimum=1, integer=True) or 1
-
-    solver_doc = doc.get("solver", {})
-    tol, max_iter, window_override = None, 200, None
-    if not isinstance(solver_doc, dict):
-        errors.append(("solver", "must be an object"))
-    else:
-        _check_keys(solver_doc, {"tol", "max_iter", "window_override"},
-                    "solver", errors)
-        tol = _number(solver_doc, "tol", "solver", errors, allow_none=True)
-        if tol is not None and tol <= 0.0:
-            errors.append(("solver.tol", "must be positive"))
-        max_iter = _number(solver_doc, "max_iter", "solver", errors,
-                           default=200, minimum=1, integer=True) or 200
-        window_override = _number(solver_doc, "window_override", "solver",
-                                  errors, allow_none=True)
-        if window_override is not None and not (
-                window_override > 0.0 and (not T or window_override <= T)):
-            errors.append(("solver.window_override", "must lie in (0, T]"))
-
-    sim_doc = doc.get("simulate", {})
-    sim_t0, sim_x0, x0_missing = 0.0, None, False
-    if not isinstance(sim_doc, dict):
-        errors.append(("simulate", "must be an object"))
-    else:
-        x0_missing = "x0" not in sim_doc
-        _check_keys(sim_doc, {"t0", "x0"}, "simulate", errors)
-        sim_t0 = _number(sim_doc, "t0", "simulate", errors, default=0.0,
-                         minimum=0.0) or 0.0
-        if "x0" in sim_doc and n:
-            x0 = _vector(sim_doc["x0"], "simulate.x0", errors)
-            if x0 is not None and len(x0) != n:
-                errors.append(("simulate.x0", f"must be a finite vector of length {n}"))
-            elif x0 is not None:
-                sim_x0 = np.array(x0)
+    # the rules that read more than one entry
+    solver, sim, cert = cfg["solver"], cfg["simulate"], cfg["certificate"]
+    window = solver["window_override"]
+    if window is not None and not (window > 0.0 and (T is None or window <= T)):
+        errors.append(("solver.window_override", "must lie in (0, T]"))
+    if sim["x0"] is not None and n and len(sim["x0"]) != n:
+        errors.append(("simulate.x0", f"must be a finite vector of length {n}"))
     if mode == "simulate":
-        if x0_missing:
+        sim_doc = doc.get("simulate")
+        if not (isinstance(sim_doc, dict) and "x0" in sim_doc):
             errors.append(("simulate.x0", "required for simulate mode"))
-        if T is not None and not 0.0 <= sim_t0 < T:
+        if T is not None and sim["t0"] is not None and sim["t0"] >= T:
             errors.append(("simulate.t0", "must lie in [0, T)"))
-
-    cert_doc = doc.get("certificate")
-    certificate = None
-    if cert_doc is not None:
-        if not isinstance(cert_doc, dict):
-            errors.append(("certificate", "must be an object"))
-        else:
-            _check_keys(cert_doc, {"times", "axis_scale", "probe_scale",
-                                   "eps_list", "finite_eps"}, "certificate",
-                        errors)
-            kwargs = {}
-            for key, ok, rule in (
-                    ("times", lambda t: T is None or 0.0 <= t < T, "must lie in [0, T)"),
-                    ("eps_list", lambda e: e > 0.0, "must be positive")):
-                if cert_doc.get(key) is not None:
-                    val = _vector(cert_doc[key], f"certificate.{key}", errors)
-                    bad = [i for i, c in enumerate(val or ()) if not ok(c)]
-                    errors.extend((f"certificate.{key}[{i}]", rule) for i in bad)
-                    if val is not None and not bad:
-                        kwargs[key] = val
-            for key in ("axis_scale", "probe_scale"):
-                val = _number(cert_doc, key, "certificate", errors,
-                              allow_none=True, minimum=0.0)
-                if val is not None:
-                    kwargs[key] = val
-            kwargs["finite_eps"] = _flag(cert_doc, "finite_eps", "certificate", errors,
-                                         SampleSpec.finite_eps)
-            certificate = SampleSpec(**kwargs)
-
-    cmp_doc = doc.get("compare", {})
-    compare_tol = None
-    if not isinstance(cmp_doc, dict):
-        errors.append(("compare", "must be an object"))
-    else:
-        _check_keys(cmp_doc, {"tol"}, "compare", errors)
-        compare_tol = _number(cmp_doc, "tol", "compare", errors,
-                              allow_none=True, minimum=0.0)
-
-    out_doc = doc.get("output", {})
-    out_dir, formats = None, ("csv", "json")
-    if not isinstance(out_doc, dict):
-        errors.append(("output", "must be an object"))
-    else:
-        _check_keys(out_doc, {"dir", "formats"}, "output", errors)
-        if out_doc.get("dir") is not None:
-            out_dir = str(out_doc["dir"])
-        if "formats" in out_doc:
-            fmts = out_doc["formats"]
-            if not isinstance(fmts, list) or not all(
-                    f in ("csv", "json") for f in fmts):
-                errors.append(("output.formats", "must be a list drawn from csv, json"))
-            else:
-                formats = tuple(fmts)
-
-    dbg = doc.get("debug", {})
-    corrupt = False
-    if not isinstance(dbg, dict):
-        errors.append(("debug", "must be an object"))
-    else:
-        _check_keys(dbg, {"corrupt_solution"}, "debug", errors)
-        corrupt = _flag(dbg, "corrupt_solution", "debug", errors, False)
+    for key, ok, rule in (("times", lambda t: T is None or 0.0 <= t < T, "must lie in [0, T)"),
+                          ("eps_list", lambda e: e > 0.0, "must be positive")):
+        errors.extend((f"certificate.{key}[{i}]", rule)
+                      for i, c in enumerate(cert[key] or ()) if not ok(c))
 
     if errors:
         raise ConfigError(errors)
-    grid = TimeGrid.uniform(T, int(N))
-    if refinement > 1:
-        grid = grid.refine(int(refinement))
-    return RunConfig(problem=problem, grid=grid, mode=mode, tol=tol,
-                     max_iter=int(max_iter), window_override=window_override,
-                     sim_t0=sim_t0, sim_x0=sim_x0, certificate=certificate,
-                     compare_tol=compare_tol, out_dir=out_dir, formats=formats,
-                     corrupt_solution=corrupt)
+    return RunConfig(problem=problem, grid=TimeGrid.uniform(T, cfg["grid"]["N"]), mode=mode,
+                     tol=solver["tol"], max_iter=solver["max_iter"], window_override=window,
+                     sim_t0=sim["t0"],
+                     sim_x0=None if sim["x0"] is None else np.array(sim["x0"]),
+                     certificate=SampleSpec(**cert), out_dir=cfg["output"]["dir"],
+                     corrupt_solution=cfg["debug"]["corrupt_solution"])
 
 
 def _json_bytes(obj) -> str:
@@ -380,9 +307,8 @@ def _json_bytes(obj) -> str:
 
 
 class _Emitter:
-    def __init__(self, out_dir, formats, quiet, stdout):
+    def __init__(self, out_dir, quiet, stdout):
         self.out_dir = out_dir
-        self.formats = formats
         self.quiet = quiet
         self.stdout = stdout
         if out_dir:
@@ -394,14 +320,14 @@ class _Emitter:
 
     def emit_json(self, name: str, obj) -> None:
         text = _json_bytes(obj)
-        if self.out_dir and "json" in self.formats:
+        if self.out_dir:
             with open(os.path.join(self.out_dir, name), "w") as fh:
                 fh.write(text)
-        elif not self.out_dir and not self.quiet:
+        elif not self.quiet:
             self.stdout.write(text)
 
     def emit_csv(self, name: str, writer) -> None:
-        if self.out_dir and "csv" in self.formats:
+        if self.out_dir:
             with open(os.path.join(self.out_dir, name), "w") as fh:
                 writer(fh)
 
@@ -417,22 +343,9 @@ def _corrupt(sol: RiccatiSolution) -> RiccatiSolution:
     return RiccatiSolution(g, values, meta)
 
 
-def _gain_csv(pol, grid):
-    def write(fh):
-        m, n = pol.problem.m, pol.problem.n
-        cols = ["t"] + [f"gain_{i + 1}_{j + 1}" for i in range(m) for j in range(n)]
-        fh.write(",".join(cols) + "\n")
-        gains = pol.gain_many(grid.nodes)
-        for t, gmat in zip(grid.nodes, gains):
-            row = [format(float(t), ".17g")]
-            row += [format(float(v), ".17g") for v in gmat.reshape(-1)]
-            fh.write(",".join(row) + "\n")
-    return write
-
-
 def run(cfg: RunConfig, *, quiet: bool = False, stdout=None) -> int:
     """Execute a validated RunConfig; returns the process exit code."""
-    out = _Emitter(cfg.out_dir, cfg.formats, quiet, stdout or sys.stdout)
+    out = _Emitter(cfg.out_dir, quiet, stdout or sys.stdout)
     p, g = cfg.problem, cfg.grid
     opts = SolveOptions(tol=cfg.tol, max_iter=cfg.max_iter,
                         window_override=cfg.window_override)
@@ -450,7 +363,9 @@ def run(cfg: RunConfig, *, quiet: bool = False, stdout=None) -> int:
         pol = build_policy(p, sol)
         out.emit_json("solution.json", sol.to_json_dict())
         out.emit_csv("solution.csv", sol.to_csv)
-        out.emit_csv("gain.csv", _gain_csv(pol, g))
+        out.emit_csv("gain.csv", lambda fh: _write_csv(
+            fh, [f"gain_{i + 1}_{j + 1}" for i in range(p.m) for j in range(p.n)],
+            g.nodes, pol.gain_many(g.nodes)))
         out.emit_json("meta.json", _json_safe(sol.meta))
         out.say(f"solve: ok windows={len(sol.meta.get('windows', []))} "
                 f"iterations={sol.meta.get('iterations_total')} "
@@ -487,8 +402,7 @@ def run(cfg: RunConfig, *, quiet: bool = False, stdout=None) -> int:
     if cfg.mode == "compare-oracle":
         ref = classical_riccati(p, g)
         dev = float(np.abs(sol.values - ref.values).max())
-        r = float(sol.meta.get("constants", {}).get("r", 0.0))
-        tol = cfg.compare_tol if cfg.compare_tol is not None else 1e-6 * (1.0 + r)
+        tol = 1e-6 * (1.0 + float(matrix_norm_many(ref.values).max()))
         ok = dev <= tol
         out.emit_json("compare.json", {
             "kind": "oracle_comparison",

@@ -40,7 +40,7 @@ from .grids import TimeGrid, node_index
 from .kernels import _unique
 from .problem import LQProblem
 from .propagators import flow_prefix, half_times, rk4_flow, rk4_steps
-from .riccati import RiccatiSolution, upsilon
+from .riccati import RiccatiSolution, _write_csv, upsilon
 
 # node count below which cost and the value matrices refine a segment
 _MIN_SEGMENT_NODES = 17
@@ -48,6 +48,8 @@ _MIN_SEGMENT_NODES = 17
 # is below minus these
 CLOSED_FORM_TOL = 1e-10
 FINITE_EPS_TOL = 1e-4
+# relative offset of the certificate's policy-centered deviations (SampleSpec)
+PROBE_SCALE = 0.1
 
 
 @dataclass(frozen=True)
@@ -90,13 +92,9 @@ class Trajectory:
     x0: np.ndarray
 
     def to_csv(self, fh) -> None:
-        n = self.states.shape[1]
-        m = self.controls.shape[1]
-        cols = ["t"] + [f"x_{i + 1}" for i in range(n)] + [f"u_{j + 1}" for j in range(m)]
-        fh.write(",".join(cols) + "\n")
-        for k in range(self.nodes.size):
-            row = [self.nodes[k], *self.states[k], *self.controls[k]]
-            fh.write(",".join(format(float(val), ".17g") for val in row) + "\n")
+        names = ([f"x_{i + 1}" for i in range(self.states.shape[1])]
+                 + [f"u_{j + 1}" for j in range(self.controls.shape[1])])
+        _write_csv(fh, names, self.nodes, self.states, self.controls)
 
 
 def simulate(pol: EquilibriumPolicy, t0: float, x0, g: TimeGrid | None = None
@@ -456,10 +454,11 @@ def perturbation_limit_finite_eps(p: LQProblem, pol: EquilibriumPolicy,
 class SampleSpec:
     """Sampling plan for the deviation certificate.
 
+    At each time t and state x = +/- e_i the deviations are v = 0, the axis
+    deviations v = +/- e_j and the policy-centered v = u(t,x) +/- eta e_j,
+    eta = PROBE_SCALE (1 + |u(t,x)|_inf).
+
     times: evaluation times (default 10 points spanning [0, 0.8 T]).
-    axis_scale: magnitude of the raw axis deviations v = +/- kappa e_j.
-    probe_scale: relative offset of the policy-centered deviations
-        v = u(t,x) +/- eta e_j, eta = probe_scale * (1 + |u(t,x)|_inf).
     eps_list: quotient widths; None picks (b, b/2, b/4) with
         b = min(0.1 T, 0.25 (T - t)) per time, each raised to at least
         min(4 h_max, b) and to the width from t to the 4th node at or after
@@ -468,8 +467,6 @@ class SampleSpec:
     """
 
     times: tuple | None = None
-    axis_scale: float = 1.0
-    probe_scale: float = 0.1
     eps_list: tuple | None = None
     finite_eps: bool = True
 
@@ -543,7 +540,6 @@ def equilibrium_certificate(p: LQProblem, pol: EquilibriumPolicy,
     gains = pol.gain_many(times)
     eye_n = np.eye(n)
     eye_m = np.eye(m)
-    kappa = spec.axis_scale
     mats_at = [None] * times.size  # per time: eps -> (H_pol, H_dev)
     if spec.finite_eps:
         gnodes = pol.P.grid.nodes
@@ -567,9 +563,9 @@ def equilibrium_certificate(p: LQProblem, pol: EquilibriumPolicy,
             for sgn in (1.0, -1.0):
                 x = sgn * eye_n[i]
                 ubar = gains[it] @ x
-                eta = spec.probe_scale * (1.0 + float(np.abs(ubar).max()))
+                eta = PROBE_SCALE * (1.0 + float(np.abs(ubar).max()))
                 vset = [np.zeros(m)]
-                vset += [sv * kappa * eye_m[j] for j in range(m) for sv in (1.0, -1.0)]
+                vset += [sv * eye_m[j] for j in range(m) for sv in (1.0, -1.0)]
                 probes = [ubar + sv * eta * eye_m[j]
                           for j in range(m) for sv in (1.0, -1.0)]
                 vset += probes

@@ -29,25 +29,32 @@ def _profile_kernel(base, horizon, profile, dprofile, *, symmetry_required):
                              symmetry_required=symmetry_required, vectorized=True)
 
 
-def exponential_kernel(base, rho, horizon, *, symmetry_required=True) -> TwoTimeKernel:
-    """k(t, s) = e^{-rho*(s-t)} * base."""
+def _profile_terminal(base, horizon, profile, dprofile):
+    """G(t) = profile(T - t) * base, with dG/dt = dprofile(T - t) * base."""
+    base = _base_matrix(base)
+    T = float(horizon)
+
+    def at_lag(fn):
+        return lambda t: fn(T - np.asarray(t, dtype=float))[..., None, None] * base
+
+    return OneTimeMatrixFn(at_lag(profile), base.shape, horizon, at_lag(dprofile),
+                           vectorized=True)
+
+
+def _exponential_profile(rho):
+    """e^{-rho*lag} and its derivative in t, rho*e^{-rho*lag}, for lag = s - t."""
     rho = float(rho)
     if rho < 0:
         raise InvalidInputError("rho must be >= 0")
-    return _profile_kernel(
-        base, horizon,
-        lambda lag: np.exp(-rho * lag),
-        lambda lag: rho * np.exp(-rho * lag),
-        symmetry_required=symmetry_required,
-    )
+    return (lambda lag: np.exp(-rho * lag)), (lambda lag: rho * np.exp(-rho * lag))
 
 
-def hyperbolic_kernel(base, k, theta, horizon, *, symmetry_required=True) -> TwoTimeKernel:
-    """k(t, s) = (1 + k*(s-t))^{-theta} * base."""
+def _hyperbolic_profile(k, theta):
+    """(1 + k*lag)^{-theta} and its derivative in t, k*theta*(1 + k*lag)^{-theta-1}."""
     k = float(k)
     theta = float(theta)
     if k < 0 or theta <= 0:
-        raise InvalidInputError("hyperbolic kernel needs k >= 0 and theta > 0")
+        raise InvalidInputError("hyperbolic profile needs k >= 0 and theta > 0")
 
     def profile(lag):
         u = 1.0 + k * lag
@@ -61,47 +68,29 @@ def hyperbolic_kernel(base, k, theta, horizon, *, symmetry_required=True) -> Two
             raise InvalidInputError("hyperbolic profile undefined: 1 + k*(s-t) <= 0")
         return k * theta * u ** (-theta - 1.0)
 
-    return _profile_kernel(base, horizon, profile, dprofile,
+    return profile, dprofile
+
+
+def exponential_kernel(base, rho, horizon, *, symmetry_required=True) -> TwoTimeKernel:
+    """k(t, s) = e^{-rho*(s-t)} * base."""
+    return _profile_kernel(base, horizon, *_exponential_profile(rho),
+                           symmetry_required=symmetry_required)
+
+
+def hyperbolic_kernel(base, k, theta, horizon, *, symmetry_required=True) -> TwoTimeKernel:
+    """k(t, s) = (1 + k*(s-t))^{-theta} * base."""
+    return _profile_kernel(base, horizon, *_hyperbolic_profile(k, theta),
                            symmetry_required=symmetry_required)
 
 
 def exponential_terminal(base, rho, horizon) -> OneTimeMatrixFn:
     """G(t) = e^{-rho*(T-t)} * base, with dG/dt = rho*G >= 0 for PSD base."""
-    base = _base_matrix(base)
-    rho = float(rho)
-    if rho < 0:
-        raise InvalidInputError("rho must be >= 0")
-    T = float(horizon)
-
-    def fn(t):
-        t = np.asarray(t, dtype=float)
-        return np.exp(-rho * (T - t))[..., None, None] * base
-
-    def dfn(t):
-        t = np.asarray(t, dtype=float)
-        return rho * np.exp(-rho * (T - t))[..., None, None] * base
-
-    return OneTimeMatrixFn(fn, base.shape, horizon, dfn, vectorized=True)
+    return _profile_terminal(base, horizon, *_exponential_profile(rho))
 
 
 def hyperbolic_terminal(base, k, theta, horizon) -> OneTimeMatrixFn:
     """G(t) = (1 + k*(T-t))^{-theta} * base, increasing toward T for PSD base."""
-    base = _base_matrix(base)
-    k = float(k)
-    theta = float(theta)
-    if k < 0 or theta <= 0:
-        raise InvalidInputError("hyperbolic weight needs k >= 0 and theta > 0")
-    T = float(horizon)
-
-    def fn(t):
-        u = 1.0 + k * (T - np.asarray(t, dtype=float))
-        return (u ** -theta)[..., None, None] * base
-
-    def dfn(t):
-        u = 1.0 + k * (T - np.asarray(t, dtype=float))
-        return (k * theta * u ** (-theta - 1.0))[..., None, None] * base
-
-    return OneTimeMatrixFn(fn, base.shape, horizon, dfn, vectorized=True)
+    return _profile_terminal(base, horizon, *_hyperbolic_profile(k, theta))
 
 
 def constant_problem(A, B, Q, S, M, G, T) -> LQProblem:

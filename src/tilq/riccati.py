@@ -53,7 +53,6 @@ the local cubic through the solved nodes next to it.
 """
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from collections.abc import Iterable
@@ -122,13 +121,10 @@ class RiccatiSolution:
         return self.eval_many(t)
 
     def to_csv(self, fh) -> None:
-        """Write t plus row-major entries P_i_j with 17 significant digits."""
+        """Write t plus row-major entries P_i_j (_write_csv)."""
         n = self.n
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t"] + [f"P_{i+1}_{j+1}" for i in range(n) for j in range(n)])
-        for t, mat in zip(self.grid.nodes, self.values):
-            writer.writerow([format(t, ".17g")]
-                            + [format(v, ".17g") for v in mat.reshape(-1)])
+        _write_csv(fh, [f"P_{i+1}_{j+1}" for i in range(n) for j in range(n)],
+                  self.grid.nodes, self.values)
 
     def to_json_dict(self) -> dict:
         return {
@@ -142,6 +138,16 @@ class RiccatiSolution:
             "values": [[float(v) for v in mat.reshape(-1)] for mat in self.values],
             "meta": _json_safe(self.meta),
         }
+
+
+def _write_csv(fh, names, nodes, *tables) -> None:
+    """Write the CSV of columns t and names: per node, its time and the
+    row-major entries of each table's row there, to 17 significant digits."""
+    fh.write(",".join(["t", *names]) + "\n")
+    rows = np.hstack([np.reshape(nodes, (-1, 1))]
+                     + [np.reshape(tab, (len(nodes), -1)) for tab in tables])
+    for row in rows.tolist():
+        fh.write(",".join(format(val, ".17g") for val in row) + "\n")
 
 
 def _json_safe(obj):
@@ -889,6 +895,13 @@ def q_bar_nodes(p: LQProblem, P: RiccatiSolution) -> np.ndarray:
     return _engine_for(p, P).q_bar_table.copy()
 
 
+def _union_engine(p: LQProblem, P: RiccatiSolution, ts) -> _Engine:
+    """The engine on the union of P's nodes and the times ts, P sampled at
+    the inserted times by its local cubic."""
+    union = np.union1d(P.grid.nodes, ts)
+    return _Engine(p, TimeGrid(union), P.eval_many(union))
+
+
 def q_bar(p: LQProblem, P: RiccatiSolution, ts) -> np.ndarray:
     """Effective state weight Q(t,t) - F(t; t, P) at a time t or at each time
     of a 1-d array ts in [0, T].
@@ -912,26 +925,28 @@ def q_bar(p: LQProblem, P: RiccatiSolution, ts) -> np.ndarray:
         out[on_node] = q_bar_nodes(p, P)[j[on_node]]
     off = ts[~on_node]
     if off.size:
-        union = np.union1d(nodes, off)
-        engine = _Engine(p, TimeGrid(union), P.eval_many(union))
-        out[~on_node] = engine.q_bar_table[np.searchsorted(union, off)]
+        engine = _union_engine(p, P, off)
+        out[~on_node] = engine.q_bar_table[np.searchsorted(engine.nodes, off)]
     return out[0] if scalar else out
+
+
+def _defects(engine: _Engine) -> np.ndarray:
+    """Integral-equation defect at every node of the engine (row-sum norm)."""
+    integrals = tail_integrals(engine.integrand, engine.nodes)
+    return matrix_norm_many(engine.values - engine.G_T - integrals)
 
 
 def riccati_residual_profile(p: LQProblem, P: RiccatiSolution) -> np.ndarray:
     """Integral-equation defect at every grid node (row-sum norm)."""
-    engine = _engine_for(p, P)
-    defect = P.values - engine.G_T - tail_integrals(engine.integrand, P.grid.nodes)
-    return matrix_norm_many(defect)
+    return _defects(_engine_for(p, P))
 
 
 def riccati_residual(p: LQProblem, P: RiccatiSolution, t: float) -> float:
     """Integral-equation defect ||P(t) - G(T) - int_t^T rhs|| at one time.
 
     At a grid node (grids.node_index) this is the entry of the profile.  Off
-    a node, t joins the nodes past it with the integrand at t from q_bar; in
-    the last interval the node before t joins too, so [t, T] is integrated on
-    the parabola through s_{K-2}, t and T, not on the line from t to T.
+    a node, it is the entry at t of the profile on the grid with t inserted,
+    the engine q_bar reads there: one nonlocal pass.
     """
     nodes = P.grid.nodes
     i = int(node_index(nodes, t))
@@ -939,15 +954,5 @@ def riccati_residual(p: LQProblem, P: RiccatiSolution, t: float) -> float:
         return float(riccati_residual_profile(p, P)[i])
     if not nodes[0] < t < nodes[-1]:
         raise InvalidInputError("t outside [0, T]")
-    idx = int(np.searchsorted(nodes, t))
-    engine = _engine_for(p, P)
-    Pt = P(t)
-    At = p.A.eval(t)
-    upst = upsilon(p, P, t)
-    It = At.T @ Pt + Pt @ At + q_bar(p, P, t) - upst.T @ p.M.eval(t, t) @ upst
-    lo = min(idx, nodes.size - 2)
-    ts = np.concatenate([nodes[lo:idx], [t], nodes[idx:]])
-    I = engine.integrand
-    stack = np.concatenate([I[lo:idx], It[None], I[idx:]])
-    integral = tail_integrals(stack, ts)[idx - lo]
-    return float(matrix_norm(Pt - engine.G_T - integral))
+    engine = _union_engine(p, P, [t])
+    return float(_defects(engine)[np.searchsorted(engine.nodes, t)])

@@ -1,11 +1,13 @@
 import copy
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
+from tilq import cli
 from tilq.cli import ConfigError, main, parse_config
 
 BASE = {
@@ -247,20 +249,63 @@ def test_compare_oracle_mode(tmp_path):
     assert doc["max_deviation"] <= doc["tol"]
 
 
+def test_compare_tolerance_reads_the_reference_not_the_a_priori_bound(tmp_path):
+    # on T = 20, 1e-6 (1 + r) with r ~ 1e10 read 1.02e4, so compare-oracle
+    # passed any P within 1e4 of the reference; the tolerance now scales
+    # with the largest reference node, 1e-6 (1 + 1.618)
+    cfg = make_config(mode="compare-oracle", grid={"N": 1000})
+    cfg["problem"].update(T=20.0, A={"kind": "constant", "base": [[0.5]]},
+                          G={"kind": "constant", "base": [[1.0]]})
+    out_dir = tmp_path / "out"
+    assert main(["--config", str(write(tmp_path, cfg)), "--tol", "1e-10",
+                 "--out", str(out_dir), "--quiet"]) == 0
+    doc = json.loads((out_dir / "compare.json").read_text())
+    assert doc["max_deviation"] <= doc["tol"] < 1e-5
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("grid", "refinement", 2),
+    ("output", "formats", ["csv"]),
+    ("compare", "tol", 1e-3),
+    ("certificate", "axis_scale", 1.0),
+    ("certificate", "probe_scale", 0.1),
+])
+def test_options_without_a_caller_are_unknown_keys(section, key, value):
+    # each is a constant now; the compare section went with its one key
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(make_config(**{section: {key: value}})))
+    path = section if section == "compare" else f"{section}.{key}"
+    assert exc.value.errors == [(path, "unknown key")]
+
+
+def test_every_documented_key_parses():
+    # the README's example config with its list of every section key at its
+    # default: the same keys as the parser's table, the same defaults, and
+    # the whole document parses
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    part = readme.split("## Command line")[1].split("\n## ")[0]
+    example, sections = [json.loads(b) for b in re.findall(r"```json\n(.*?)```", part, re.S)]
+    assert {name: set(keys) for name, keys in sections.items()} == \
+        {name: set(spec) for name, spec in cli._SECTIONS.items()}
+    for name, keys in sections.items():
+        for key, value in keys.items():
+            assert (name, key) == ("simulate", "x0") or value == cli._SECTIONS[name][key][0]
+    cfg = parse_config(json.dumps({**example, **sections, "mode": "simulate"}))
+    assert cfg.grid.num_intervals == 400 and cfg.sim_x0.tolist() == [1.0]
+
+
 def test_missing_config_file(tmp_path):
     r = run_cli(tmp_path / "nope.json")
     assert r.returncode == 2
 
 
-def test_grid_override_keeps_the_refinement(tmp_path):
-    # --grid sets grid.N; the config's refinement still applies to it
-    cfg = make_config()
-    cfg["grid"] = {"N": 64, "refinement": 2}
+def test_grid_override_sets_the_intervals(tmp_path):
+    # --grid replaces the config's grid.N
     out_dir = tmp_path / "out"
-    assert main(["--config", str(write(tmp_path, cfg)), "--grid", "40",
+    assert main(["--config", str(write(tmp_path, make_config())), "--grid", "40",
                  "--out", str(out_dir), "--quiet"]) == 0
     doc = json.loads((out_dir / "solution.json").read_text())
-    assert doc["grid"]["num_intervals"] == 80
+    assert doc["grid"]["num_intervals"] == 40
 
 
 @pytest.mark.parametrize("flag, value, path", [

@@ -525,7 +525,7 @@ def test_certificate_tail_matches_path_based(n3_policy):
             exts.append(ext)
             # probes sit at u(t, x) +/- eta e_j
             if np.any(s.v):
-                eta = SampleSpec().probe_scale * (1.0 + np.abs(u).max())
+                eta = eq.PROBE_SCALE * (1.0 + np.abs(u).max())
                 assert np.count_nonzero(w) == 1
                 np.testing.assert_allclose(np.abs(w).max(), eta, rtol=1e-12)
     assert abs(rep.worst_extrapolated - min(exts)) <= 1e-10

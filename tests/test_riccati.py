@@ -1038,6 +1038,42 @@ def test_only_practical_windows_mix(monkeypatch, hyperbolic_decoupled, tanh_prob
         assert calls
 
 
+def _first_iterate_singular(monkeypatch):
+    # picard_iterate raises LinAlgError on its first call, then runs as usual
+    real = _Engine.picard_iterate
+    calls = []
+
+    def first_singular(self, values, a, b, boundary):
+        calls.append(1)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real(self, values, a, b, boundary)
+
+    monkeypatch.setattr(_Engine, "picard_iterate", first_singular)
+
+
+def test_a_singular_iterate_halves_a_practical_window(monkeypatch, tanh_problem):
+    # a LinAlgError inside an iterate diverges the window, which is halved
+    g = TimeGrid.uniform(1.0, 64)
+    want = solve_riccati(tanh_problem, g)
+    seen = _recorded_divergences(monkeypatch)
+    _first_iterate_singular(monkeypatch)
+    sol = solve_riccati(tanh_problem, g)
+    assert sol.meta["mode"] == "practical" and sol.meta["halvings"] == 1
+    assert seen == ["singular matrix in the iterate: Singular matrix"]
+    # other windows, the same fixed point to the iteration tolerance
+    assert np.abs(sol.values - want.values).max() <= 10.0 * want.meta["tol"]
+
+
+def test_a_singular_iterate_in_a_certified_window_is_an_error(monkeypatch,
+                                                              hyperbolic_decoupled):
+    _first_iterate_singular(monkeypatch)
+    with pytest.raises(NonconvergenceError, match="divergence inside a certified window: "
+                                                  "singular matrix in the iterate") as exc:
+        solve_riccati(hyperbolic_decoupled, TimeGrid.uniform(1.0, 200))
+    assert exc.value.diagnostics["mode"] == "guaranteed"
+
+
 def test_slow_contraction_on_a_certified_window_is_an_error(monkeypatch, hyperbolic_decoupled):
     # the window converges, but at an observed factor 0.9 > 0.75
     steps = [1e-3, 9e-4]
