@@ -112,6 +112,14 @@ def _vector(*, nullable=False):
     return parse
 
 
+def _text(val, path, errors):
+    """Parser of a string or null (read as None)."""
+    if val is None or isinstance(val, str):
+        return val
+    errors.append((path, "must be a string or null"))
+    return None
+
+
 _REQUIRED = object()  # the default of an entry that must be given
 
 # section -> key -> (default, parser); every section is optional
@@ -124,7 +132,7 @@ _SECTIONS = {
     "certificate": {"times": (None, _vector(nullable=True)),
                     "eps_list": (None, _vector(nullable=True)),
                     "finite_eps": (SampleSpec.finite_eps, _flag)},
-    "output": {"dir": (None, lambda val, path, errors: None if val is None else str(val))},
+    "output": {"dir": (None, _text)},
     "debug": {"corrupt_solution": (False, _flag)},
 }
 _PROBLEM = {"n": (_REQUIRED, _number(minimum=1, integer=True)),
@@ -291,6 +299,8 @@ def parse_config(text: str) -> RunConfig:
                           ("eps_list", lambda e: e > 0.0, "must be positive")):
         errors.extend((f"certificate.{key}[{i}]", rule)
                       for i, c in enumerate(cert[key] or ()) if not ok(c))
+        if cert[key] == ():
+            errors.append((f"certificate.{key}", "must not be empty"))
 
     if errors:
         raise ConfigError(errors)

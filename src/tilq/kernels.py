@@ -9,6 +9,7 @@ matrix norm sampled at grid nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,58 +106,74 @@ def _unique(x: np.ndarray) -> np.ndarray:
     return x[np.concatenate(([True], x[1:] != x[:-1]))]
 
 
-def _lag_table(nodes):
-    """The distinct float lags nodes[j] - nodes[i] of the triangle's node
-    pairs, sorted; None when there are more than _ROW_BLOCK * K of them, the
-    pairs a block of rows holds at most, so the table never outgrows a block.
+class _Table(NamedTuple):
+    """Entries of the triangle of node pairs, as a walk evaluates them: the
+    closures' arguments (t, s), the times of the first pair in row-major
+    order that each entry stands for (at), and the number of pairs it
+    stands for (count; one each when None)."""
+
+    t: np.ndarray
+    s: np.ndarray
+    at: tuple
+    count: np.ndarray | None = None
+
+    def where(self, i) -> tuple:
+        return tuple(float(a[i]) for a in self.at)
+
+
+def _distinct(lags, ii, jj, count=None):
+    """(lags, ii, jj, count) of the distinct values of lags, sorted, for
+    entries at the node pairs (ii, jj) that stand for count pairs each (one
+    when None).  A stable sort keeps equal lags in entry order, so the pair
+    of the first entry wins."""
+    order = np.argsort(lags, kind="stable")
+    lags = lags[order]
+    starts = np.flatnonzero(np.concatenate(([True], lags[1:] != lags[:-1])))
+    first = order[starts]
+    n = (np.diff(starts, append=lags.size) if count is None
+         else np.add.reduceat(count[order], starts))
+    return lags[starts], ii[first], jj[first], n
+
+
+def _lag_table(nodes) -> _Table | None:
+    """The table of the distinct float lags nodes[j] - nodes[i] of the
+    triangle's node pairs, sorted, at the pairs (0, lag), whose s - t is
+    that lag exactly; None when there are more than _ROW_BLOCK * K of them,
+    the pairs a block of rows holds at most, so the table never outgrows a
+    block.
 
     Built one block of rows at a time, each block's lags made distinct
-    before they are merged with the others'.
+    before they are merged with the others', earlier blocks first.
     """
     budget = _ROW_BLOCK * nodes.size
     parts, held = [], 0
     for ii, jj in _triangle_rows(nodes.size):
-        parts.append(_unique(nodes[jj] - nodes[ii]))
-        held += parts[-1].size
+        parts.append(_distinct(nodes[jj] - nodes[ii], ii, jj))
+        held += parts[-1][0].size
         if held > budget:
-            parts = [_unique(np.concatenate(parts))]
-            held = parts[0].size
+            parts = [_distinct(*map(np.concatenate, zip(*parts)))]
+            held = parts[0][0].size
             if held > budget:
                 return None
-    return _unique(np.concatenate(parts))
+    lags, ii, jj, count = _distinct(*map(np.concatenate, zip(*parts)))
+    return _Table(np.zeros_like(lags), lags, (nodes[ii], nodes[jj]), count)
 
 
-class _Gather:
-    """The rows of a (F, entries) table at the entries index, gathered when
-    sliced, so a block holds only the rows in use."""
-
-    def __init__(self, table, index):
-        self.table, self.index = table, index
-
-    def __getitem__(self, rows):
-        return self.table[rows].take(self.index, axis=-1)
-
-
-def _walk(nodes, blocks, lag_only, scalars):
-    """(ii, jj, values) for each block (ii, jj) of triangle node pairs: values
-    sliced gives rows of the (F, pairs) per-pair scalars, where scalars(t, s)
-    gives the (F, entries) scalars of a table of pairs (t, s).
-
-    With lag_only (every kernel behind scalars depends on the lag alone) and
-    a grid of at most _ROW_BLOCK * K distinct lags, the table is the grid's
-    lag table (_lag_table) at the pairs (0, lag), whose s - t is that lag
-    exactly: scalars runs once, and each block finds its lags in the table.
-    Otherwise each block is its own table, and scalars runs on it just
-    before the block is yielded.
-    """
-    lags = _lag_table(nodes) if lag_only else None
-    if lags is None:
+def _tables(nodes, blocks, lag_only):
+    """The tables of a walk of the triangle of node pairs, given its blocks
+    (ii, jj) of row-major pairs: with lag_only (every kernel walked depends
+    on the lag alone) and a grid of at most _ROW_BLOCK * K distinct lags,
+    the lag table (_lag_table) in the row-major order of its first pairs,
+    so a reduction that keeps the first of equal values keeps the first
+    pair of the triangle; else each block as its own table."""
+    lag = _lag_table(nodes) if lag_only else None
+    if lag is None:
         for ii, jj in blocks:
-            yield ii, jj, scalars(nodes[ii], nodes[jj])
+            t, s = nodes[ii], nodes[jj]
+            yield _Table(t, s, (t, s))
         return
-    table = scalars(np.zeros_like(lags), lags)
-    for ii, jj in blocks:
-        yield ii, jj, _Gather(table, np.searchsorted(lags, nodes[jj] - nodes[ii]))
+    order = np.lexsort(lag.at[::-1])
+    yield _Table(lag.t[order], lag.s[order], tuple(a[order] for a in lag.at), lag.count[order])
 
 
 # stencil classes of _Coefficient._difference, by the kind code it returns
@@ -454,36 +471,27 @@ class NormBundle:
             raise InvalidInputError("c1_norm cannot be smaller than c_norm")
 
 
-class _RowWorst:
-    """Running reduction of a coefficient's sampled blocks to its NormBundle:
-    the worst row-sum norm of each row (one-time functions: of each value)
-    and the sup of the derivative's.
+def _lag_row_worst(nodes, lags, vals):
+    """max_{j >= i} of vals at the lag nodes[j] - nodes[i], for each row i,
+    given vals at the sorted distinct lags of the grid's node pairs.
 
-    A non-finite value only marks the reduction; bundle() raises, so a walk
-    that also validates finishes its report first.
+    Row i holds some of the lags up to its last, nodes[-1] - nodes[i], so
+    the largest value up to there bounds its worst, and is it where the row
+    holds the last lag with that value: its node j then lies next to where
+    nodes[i] + lag falls in nodes.  Values monotone in the lag, as discounts
+    are, pass that test on every row; the other rows are read pair by pair.
     """
-
-    def __init__(self):
-        self.rows, self.d_sup, self.finite = [], 0.0, True
-
-    def add(self, ii, vals, dvals) -> None:
-        """Reduce one block: the row-sum norms vals and dvals of the values
-        and derivatives at pairs whose first indices ii come row by row."""
-        if not self.finite:
-            return
-        if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(dvals))):
-            self.finite = False
-            return
-        starts = np.searchsorted(ii, np.arange(ii[0], ii[-1] + 1))
-        self.rows.append(np.maximum.reduceat(vals, starts))
-        self.d_sup = max(self.d_sup, float(dvals.max()))
-
-    def bundle(self, nodes) -> NormBundle:
-        if not self.finite:
-            raise InvalidInputError("non-finite coefficient values on the grid")
-        row_worst = np.concatenate(self.rows)
-        c = float(row_worst.max())
-        return NormBundle(c, c + self.d_sup, float(integrate(row_worst, nodes)), c)
+    K = nodes.size
+    top = np.maximum.accumulate(vals)
+    last = np.maximum.accumulate(np.where(vals == top, np.arange(vals.size), 0))
+    end = np.searchsorted(lags, nodes[-1] - nodes, side="right") - 1
+    worst, lag = top[end], lags[last[end]]
+    j, held = np.searchsorted(nodes, nodes + lag), np.zeros(K, dtype=bool)
+    for d in (-1, 0, 1):
+        held |= nodes[np.clip(j + d, np.arange(K), K - 1)] - nodes == lag
+    for i in np.flatnonzero(~held):
+        worst[i] = vals[np.searchsorted(lags, nodes[i:] - nodes[i])].max()
+    return worst
 
 
 def kernel_norms(k, g) -> NormBundle:
@@ -494,25 +502,34 @@ def kernel_norms(k, g) -> NormBundle:
     L^1 field integrates, in the first argument, the worst row-sum over the
     remaining second arguments (so a constant kernel gets T times its matrix
     norm).  A lag kernel (TwoTimeKernel.lag) is evaluated once per distinct
-    lag of the grid, where there are at most 32 K of them, and the blocks
-    read its norms from that table (_walk); other kernels are evaluated once
-    per pair.  solve_riccati takes the norms of Q, S and M from the walk
-    that validates them, with the same reduction.
+    lag of the grid, where there are at most 32 K of them (_lag_table), and
+    each row's worst norm is read from that table (_lag_row_worst); other
+    kernels are evaluated once per pair.  solve_riccati takes the C and C^1
+    norms of Q, S and M from the walk that validates them.
     """
     if not isinstance(k, _Coefficient):
         raise InvalidInputError("kernel_norms expects a OneTimeMatrixFn or TwoTimeKernel")
     nodes = g.nodes
 
-    def scalars(*args):
-        return np.stack([matrix_norm_many(k.eval(*args)), matrix_norm_many(k.eval_dt(*args))])
+    def norms(*args):
+        """The row-sum norms of the values at args, the sup of the derivative's."""
+        vals, dvals = matrix_norm_many(k.eval(*args)), matrix_norm_many(k.eval_dt(*args))
+        if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(dvals))):
+            raise InvalidInputError("non-finite coefficient values on the grid")
+        return vals, float(dvals.max())
 
-    if isinstance(k, TwoTimeKernel):
-        blocks = _walk(nodes, _triangle_rows(nodes.size), k.lag_only, scalars)
+    if not isinstance(k, TwoTimeKernel):
+        row_worst, d_sup = norms(nodes)
+    elif k.lag_only and (lag := _lag_table(nodes)) is not None:
+        vals, d_sup = norms(lag.t, lag.s)
+        row_worst = _lag_row_worst(nodes, lag.s, vals)
     else:
-        blocks = [(np.arange(nodes.size), None, scalars(nodes))]
-    norms = _RowWorst()
-    for ii, _, values in blocks:
-        norms.add(ii, *values[:2])
-        if not norms.finite:
-            break
-    return norms.bundle(nodes)
+        rows, d_sup = [], 0.0
+        for ii, jj in _triangle_rows(nodes.size):
+            vals, d = norms(nodes[ii], nodes[jj])
+            d_sup = max(d_sup, d)
+            starts = np.searchsorted(ii, np.arange(ii[0], ii[-1] + 1))
+            rows.append(np.maximum.reduceat(vals, starts))
+        row_worst = np.concatenate(rows)
+    c = float(row_worst.max())
+    return NormBundle(c, c + d_sup, float(integrate(row_worst, nodes)), c)

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInputError
-from .kernels import (OneTimeMatrixFn, TwoTimeKernel, _columnwise, _row_sums, _RowWorst,
-                      _triangle_rows, _walk, matrix_norm_many)
+from .kernels import (OneTimeMatrixFn, TwoTimeKernel, _columnwise, _row_sums, _Table, _tables,
+                      _triangle_rows, matrix_norm_many)
 
 
 @dataclass(frozen=True)
@@ -118,31 +118,28 @@ class ValidationReport:
         }
 
 
-def _point(points, i) -> tuple:
-    return tuple(points[i].tolist())
-
-
 class _Worst:
-    """Running extreme of per-pair values over blocks, with its pair.
+    """Running extreme of per-entry values over the tables of a walk, with
+    the pair where it is.
 
-    Ends where np.argmin (lowest=True) or np.argmax over the whole stack
-    would: a NaN wins, and among equal values the first pair does, so a later
-    block replaces the best only when it is strictly better.
+    Ends where np.argmin (lowest=True) or np.argmax over the whole triangle
+    would: a NaN wins, and among equal values the first pair does.  A later
+    table replaces the best only when it is strictly better, and within a
+    table the first entry wins, whose first pair comes first (_tables).
     """
 
     def __init__(self, lowest: bool):
         self.lowest = lowest
         self.value, self.where = None, (0.0, 0.0)
 
-    def add(self, vals, points) -> None:
-        if vals.size == 0:
-            return
+    def add(self, vals, table) -> None:
+        """Reduce the values at one table's entries."""
         i = int(np.argmin(vals) if self.lowest else np.argmax(vals))
         v = float(vals[i])
         best = self.value
         if best is None or (not math.isnan(best) and (
                 math.isnan(v) or (v < best if self.lowest else v > best))):
-            self.value, self.where = v, _point(points, i)
+            self.value, self.where = v, table.where(i)
 
 
 # rounding allowance of the screening bounds, relative to the row-sum norm
@@ -245,47 +242,29 @@ def _asymmetry(stack):
     return matrix_norm_many(stack - np.swapaxes(stack, -1, -2))
 
 
-def _nonfinite(stack):
-    """Per pair of a stack: 1.0 where an entry is not finite, else 0.0, and
-    the largest entry magnitude."""
+def _finite(stack):
+    """Per entry of a stack: the largest entry magnitude, +inf where an entry
+    is not finite."""
     flat = stack.reshape(stack.shape[0], -1)
-    return ((~_columnwise(np.logical_and, np.isfinite(flat))).astype(float),
-            _columnwise(np.maximum, np.abs(flat)))
-
-
-class _Nonfinite:
-    """Running check that a stack is finite: the first non-finite pair, else
-    the largest entry magnitude and its pair, from _nonfinite's values."""
-
-    def __init__(self):
-        self.bad, self.mag = _Worst(False), _Worst(False)
-
-    def add(self, bad, mag, points) -> None:
-        self.bad.add(bad, points)
-        self.mag.add(mag, points)
-
-    def result(self):
-        """(worst, where, finite)."""
-        if self.bad.value:
-            return float("inf"), self.bad.where, False
-        return self.mag.value, self.mag.where, True
+    return np.where(_columnwise(np.logical_and, np.isfinite(flat)),
+                    _columnwise(np.maximum, np.abs(flat)), np.inf)
 
 
 class _PairNorms:
-    """The two-time part of contraction_constants, reduced block by block:
-    the NormBundle reductions of Q, S and M and the sup of ||M^{-1}||.
+    """The two-time part of contraction_constants, reduced table by table:
+    the sups of the row-sum norms of Q, S and M and of their first-argument
+    partials, and the sup of ||M^{-1}||.
 
-    A singular M is kept until minv() is read, like a non-finite value in a
-    bundle, so a walk that also validates finishes its report first.
+    A non-finite norm or a singular M raises only when norms() reads it, so
+    a walk that also validates finishes its report first.
     """
 
     def __init__(self):
-        self.Q, self.S, self.M = _RowWorst(), _RowWorst(), _RowWorst()
+        self.sups = np.full(6, -np.inf)  # Q, Q_t, S, S_t, M, M_t
         self._minv, self._singular = -np.inf, None
 
-    def scalars(self, Q, Qd, S, Sd, M, Md):
-        """The row-sum norms of the six stacks per entry of a table, the
-        rows of Q and M first, and the running sup of ||M^{-1}|| over it."""
+    def add(self, Q, Qd, S, Sd, M, Md) -> None:
+        """Reduce one table's stacks."""
         m_rows = _row_sums(M)
         m_norms = _columnwise(np.maximum, m_rows)
         if self._singular is None:
@@ -293,43 +272,64 @@ class _PairNorms:
                 self._minv = np.maximum(self._minv, _inv_norm_max(M, m_rows, m_norms))
             except np.linalg.LinAlgError as exc:
                 self._singular = exc
-        return np.stack([matrix_norm_many(Q), m_norms, matrix_norm_many(Qd),
-                         matrix_norm_many(S), matrix_norm_many(Sd), matrix_norm_many(Md)])
+        self.sups = np.maximum(self.sups, [
+            v.max() for v in (matrix_norm_many(Q), matrix_norm_many(Qd), matrix_norm_many(S),
+                              matrix_norm_many(Sd), m_norms, matrix_norm_many(Md))])
 
-    def add(self, ii, q, m, qd, s, sd, md) -> None:
-        """Reduce one block: the norms of scalars() at its pairs."""
-        self.Q.add(ii, q, qd)
-        self.S.add(ii, s, sd)
-        self.M.add(ii, m, md)
-
-    def minv(self) -> float:
+    def norms(self) -> dict:
+        """The C and C^1 norms of Q, S and M and the sup of ||M^{-1}||, under
+        the names of ContractionConstants.norms."""
+        out = {}
+        for name, c, d in zip("QSM", self.sups[::2], self.sups[1::2]):
+            if not (np.isfinite(c) and np.isfinite(d)):
+                raise InvalidInputError("non-finite coefficient values on the grid")
+            out[f"{name}_c"], out[f"{name}_c1"] = float(c), float(c + d)
         if self._singular is not None:
             raise InvalidInputError("M(t, s) is singular at a node pair") from self._singular
-        return float(self._minv)
+        out["M_inv_c"] = float(self._minv)
+        return out
+
+
+# the checks of validate_assumptions in report order: name -> (hard, the
+# stack whose worst value is reduced, rule).  A symmetric rule passes when the
+# worst asymmetry is at most tol (1 + the stack's sup norm), pd when the least
+# eigenvalue of M exceeds 1e-10 sup ||M||, psd when the least eigenvalue is at
+# least -tol, and finite when no entry is NaN or infinite.
+_CHECKS = {
+    "H1-A-finite": (True, "A", "finite"),
+    "H1-B-finite": (True, "B", "finite"),
+    "H4-S-finite": (True, "S", "finite"),
+    "H4-S-partial-finite": (True, "S_t", "finite"),
+    "H2-M-symmetric": (True, "M", "symmetric"),
+    "H2-M-positive-definite": (True, "M", "pd"),
+    "H3-Q-symmetric": (True, "Q", "symmetric"),
+    "H3-Q-psd": (True, "Q", "psd"),
+    "H3-G-symmetric": (True, "G", "symmetric"),
+    "H3-G-psd": (True, "G", "psd"),
+    "H5-Qt-psd": (False, "Q_t", "psd"),
+    "H5-Mt-psd": (False, "M_t", "psd"),
+    "H5-Gdot-psd": (False, "G_t", "psd"),
+    "H5-Q-SMS-psd": (False, "Q - S'M^{-1}S", "psd"),
+    "H5-Qt-combo-psd": (False, "Q_t - S_t'M_t^{-1}S_t", "psd"),
+}
 
 
 class _PairChecks:
-    """Running reductions of the assumption checks over triangle blocks.
-
-    scalars() reduces a table of pairs to the per-pair values the checks
-    read; add() takes one block's values at its pairs.  Where every block
-    reads one table (lag kernels), what scalars() decides for the table
-    holds for the whole triangle at once.
-    """
+    """Running reductions of the checks (_CHECKS) over the tables of a
+    triangle walk, one add() per table; report() adds the one-time checks.
+    Where the walk has one table (lag kernels), what add() decides for it
+    holds for the whole triangle at once."""
 
     def __init__(self, tol: float):
         self.tol = tol
-        self.s_bad, self.sd_bad = _Nonfinite(), _Nonfinite()
-        self.m_asym, self.q_asym = _Worst(False), _Worst(False)
-        self.m_eig, self.q_eig = _Worst(True), _Worst(True)
-        self.qd_eig, self.md_eig = _Worst(True), _Worst(True)
-        self.schur, self.combo = _Worst(True), _Worst(True)
-        self.m_finite, self.m_sup, self.q_sup, self.s_finite = True, -np.inf, -np.inf, True
+        self.worst = {name: _Worst(rule in ("pd", "psd"))
+                      for name, (_, _, rule) in _CHECKS.items()}
+        self.m_finite, self.s_finite = True, True
         self.schur_live, self.combo_live, self.skipped_live = True, False, 0
 
-    def scalars(self, Q, Qd, S, Sd, M, Md, q_norms, m_norms):
-        """The values add() takes, one row each, per entry of a table, given
-        the stacks there and the row-sum norms of Q and M.
+    def add(self, table, Q, Qd, S, Sd, M, Md, sups) -> None:
+        """Reduce one table, given the stacks at its entries and the sups of
+        _PairNorms over the tables so far, this one included.
 
         Each eigenvalue stack is screened (_min_eig): an entry goes to
         eigvalsh only where its bounds cannot rule it out of the table's
@@ -339,12 +339,9 @@ class _PairChecks:
         report reads them only where every table has computed them.
         """
         tol = self.tol
-        s_bad, s_mag = _nonfinite(S)
-        sd_bad, sd_mag = _nonfinite(Sd)
-        self.s_finite = self.s_finite and not (s_bad.any() or sd_bad.any())  # so far
+        s_fin, sd_fin = _finite(S), _finite(Sd)
+        self.s_finite = self.s_finite and bool(s_fin.max() < np.inf and sd_fin.max() < np.inf)
         self.m_finite = self.m_finite and bool(np.isfinite(M).all())
-        self.m_sup = np.maximum(self.m_sup, m_norms.max())
-        self.q_sup = np.maximum(self.q_sup, q_norms.max())
         M_eigs = _min_eig(M)
         q_eigs = _min_eig(Q, (~_nonzero(S),))
         # M_t is live where its least eigenvalue exceeds tol: the bounds decide
@@ -360,107 +357,65 @@ class _PairChecks:
         # M positive definite beyond the floor of the largest M so far: where
         # the whole-triangle gate (m_pd and s_finite) passes, every table has
         self.schur_live = self.schur_live and self.s_finite \
-            and bool(M_eigs.min() > 1e-10 * float(self.m_sup))
+            and bool(M_eigs.min() > 1e-10 * float(sups[4]))
         schur = _reduced_min_eig(q_eigs, Q, S, _sym(M)) if self.schur_live \
             else np.full(M_eigs.shape, np.inf)
-        combo = np.full(M_eigs.shape, np.inf)
         if self.s_finite and live.any():
+            # +inf off the live entries: a live entry is computed, so the
+            # least value and its first entry are those of the live entries
+            combo = np.full(M_eigs.shape, np.inf)
             combo[live] = _reduced_min_eig(qd_eigs[live], Qd[live], Sd[live], Md_sym[live])
-        return np.stack([s_bad, s_mag, sd_bad, sd_mag, _asymmetry(M), _asymmetry(Q), M_eigs,
-                         q_eigs, Md_eigs, live, qd_eigs, schur, combo])
+            self.worst["H5-Qt-combo-psd"].add(combo, table)
+        for name, vals in (("H4-S-finite", s_fin), ("H4-S-partial-finite", sd_fin),
+                           ("H2-M-symmetric", _asymmetry(M)), ("H2-M-positive-definite", M_eigs),
+                           ("H3-Q-symmetric", _asymmetry(Q)), ("H3-Q-psd", q_eigs),
+                           ("H5-Qt-psd", qd_eigs), ("H5-Mt-psd", Md_eigs),
+                           ("H5-Q-SMS-psd", schur)):
+            self.worst[name].add(vals, table)
+        self.skipped_live += int((~live).sum() if table.count is None
+                                 else table.count[~live].sum())
+        self.combo_live = self.combo_live or bool(live.any())
 
-    def add(self, pts, s_bad, s_mag, sd_bad, sd_mag, m_asym, q_asym, m_eig, q_eig, md_eig,
-            live, qd_eig, schur, combo) -> None:
-        """Reduce one block: the rows of scalars() at its pairs pts."""
-        self.s_bad.add(s_bad, s_mag, pts)
-        self.sd_bad.add(sd_bad, sd_mag, pts)
-        self.m_asym.add(m_asym, pts)
-        self.q_asym.add(q_asym, pts)
-        self.m_eig.add(m_eig, pts)
-        self.q_eig.add(q_eig, pts)
-        self.md_eig.add(md_eig, pts)
-        self.qd_eig.add(qd_eig, pts)
-        self.schur.add(schur, pts)
-        live = live.astype(bool)
-        n_live = int(live.sum())
-        self.skipped_live += live.size - n_live
-        self.combo_live = self.combo_live or n_live > 0
-        if n_live < live.size:
-            combo, pts = combo[live], pts[live]
-        self.combo.add(combo, pts)
+    def report(self, p: LQProblem, nodes, sups) -> ValidationReport:
+        """The report, given the sups of _PairNorms over the whole walk."""
+        tol, worst = self.tol, self.worst
+        G = p.G.eval(nodes)
+        at_nodes = _Table(nodes, None, (nodes,))
+        for name, vals in (("H1-A-finite", _finite(p.A.eval(nodes))),
+                           ("H1-B-finite", _finite(p.B.eval(nodes))),
+                           ("H3-G-symmetric", _asymmetry(G)), ("H3-G-psd", _min_eig(G)),
+                           ("H5-Gdot-psd", _min_eig(p.G.eval_dt(nodes)))):
+            worst[name].add(vals, at_nodes)
 
-    def report(self, p: LQProblem, nodes) -> ValidationReport:
-        tol = self.tol
-        node_pts = nodes[:, None]
-
-        def node_check(stack, lowest):
-            worst = _Worst(lowest)
-            worst.add(_min_eig(stack) if lowest else _asymmetry(stack), node_pts)
-            return worst.value, worst.where
-
+        m_norm = float(sups[4]) if self.m_finite else 0.0
+        pd_floor = 1e-10 * m_norm
+        sup = {"M": m_norm, "Q": float(sups[0]), "G": float(matrix_norm_many(G).max())}
+        rules = {"finite": lambda v, stack: v < math.inf,
+                 "symmetric": lambda v, stack: v <= tol * (1.0 + sup[stack]),
+                 "pd": lambda v, stack: v > pd_floor,
+                 "psd": lambda v, stack: v >= -tol}
+        s_finite = worst["H4-S-finite"].value < math.inf \
+            and worst["H4-S-partial-finite"].value < math.inf
+        m_pd = bool(worst["H2-M-positive-definite"].value > pd_floor)
+        skipped_live = self.skipped_live
+        # the gated checks: name -> (open, note when open, note when not)
+        gates = {
+            "H5-Q-SMS-psd": (m_pd and s_finite and self.schur_live, "",
+                             "skipped (M not PD or S not finite)"),
+            "H5-Qt-combo-psd": (s_finite and self.combo_live,
+                                f"{skipped_live} pairs skipped (M_t singular)" if skipped_live
+                                else "", "skipped (M_t singular on the whole triangle)"),
+        }
         checks = []
-        skipped = {}
-
-        for name, stack in (("H1-A-finite", p.A.eval(nodes)), ("H1-B-finite", p.B.eval(nodes))):
-            bad = _Nonfinite()
-            bad.add(*_nonfinite(stack), node_pts)
-            worst, where, ok = bad.result()
-            checks.append(CheckResult(name, where, worst, ok, True))
-        worst, where, s_ok = self.s_bad.result()
-        checks.append(CheckResult("H4-S-finite", where, worst, s_ok, True))
-        worst, where, sd_ok = self.sd_bad.result()
-        checks.append(CheckResult("H4-S-partial-finite", where, worst, sd_ok, True))
-        s_finite = s_ok and sd_ok
-
-        m_norm = float(self.m_sup) if self.m_finite else 0.0
-        m_scale, pd_floor = 1.0 + m_norm, 1e-10 * m_norm
-        m_asym, m_eig = self.m_asym, self.m_eig
-        checks.append(CheckResult("H2-M-symmetric", m_asym.where, m_asym.value,
-                                  m_asym.value <= tol * m_scale, True))
-        m_pd = bool(m_eig.value > pd_floor)
-        checks.append(CheckResult("H2-M-positive-definite", m_eig.where, m_eig.value, m_pd,
-                                  True))
-
-        q_scale = 1.0 + float(self.q_sup)
-        q_asym, q_eig = self.q_asym, self.q_eig
-        checks.append(CheckResult("H3-Q-symmetric", q_asym.where, q_asym.value,
-                                  q_asym.value <= tol * q_scale, True))
-        checks.append(CheckResult("H3-Q-psd", q_eig.where, q_eig.value, q_eig.value >= -tol,
-                                  True))
-        G_vals = p.G.eval(nodes)
-        g_scale = 1.0 + float(matrix_norm_many(G_vals).max())
-        worst, where = node_check(G_vals, False)
-        checks.append(CheckResult("H3-G-symmetric", where, worst, worst <= tol * g_scale, True))
-        worst, where = node_check(G_vals, True)
-        checks.append(CheckResult("H3-G-psd", where, worst, worst >= -tol, True))
-
-        qd_eig, md_eig = self.qd_eig, self.md_eig
-        checks.append(CheckResult("H5-Qt-psd", qd_eig.where, qd_eig.value,
-                                  qd_eig.value >= -tol, False))
-        checks.append(CheckResult("H5-Mt-psd", md_eig.where, md_eig.value,
-                                  md_eig.value >= -tol, False))
-        worst, where = node_check(p.G.eval_dt(nodes), True)
-        checks.append(CheckResult("H5-Gdot-psd", where, worst, worst >= -tol, False))
-
-        schur = self.schur
-        if m_pd and s_finite and self.schur_live:
-            checks.append(CheckResult("H5-Q-SMS-psd", schur.where, schur.value,
-                                      schur.value >= -tol, False))
-        else:
-            checks.append(CheckResult("H5-Q-SMS-psd", (0.0, 0.0), float("nan"), True, False,
-                                      note="skipped (M not PD or S not finite)"))
-            skipped["H5-Q-SMS-psd"] = nodes.size * (nodes.size + 1) // 2
-
-        skipped_live, combo = self.skipped_live, self.combo
+        for name, (hard, stack, rule) in _CHECKS.items():
+            is_open, note, closed_note = gates.get(name, (True, "", ""))
+            w = worst[name]
+            checks.append(CheckResult(name, w.where, w.value, rules[rule](w.value, stack), hard,
+                                      note) if is_open else
+                          CheckResult(name, (0.0, 0.0), float("nan"), True, hard, closed_note))
+        skipped = {} if gates["H5-Q-SMS-psd"][0] else {
+            "H5-Q-SMS-psd": nodes.size * (nodes.size + 1) // 2}
         skipped["H5-Qt-combo-psd"] = skipped_live
-        if s_finite and self.combo_live:
-            note = "" if not skipped_live else f"{skipped_live} pairs skipped (M_t singular)"
-            checks.append(CheckResult("H5-Qt-combo-psd", combo.where, combo.value,
-                                      combo.value >= -tol, False, note))
-        else:
-            checks.append(CheckResult("H5-Qt-combo-psd", (0.0, 0.0), float("nan"), True, False,
-                                      note="skipped (M_t singular on the whole triangle)"))
-
         return ValidationReport(tuple(checks), pd_floor, float(tol), skipped)
 
 
@@ -473,13 +428,14 @@ def _check_horizon(p: LQProblem, g) -> None:
 def _triangle_pass(p: LQProblem, g, tol: float = 1e-8, validate: bool = True):
     """(report, norms) from one walk of the triangle of node pairs.
 
-    The walk (kernels._walk) goes 32 rows at a time and reads each block's
-    per-pair values from a table of pairs.  When Q, S and M are lag kernels
-    (TwoTimeKernel.lag) and the grid has at most 32 K distinct lags, the
-    table is the grid's distinct lags: the six stacks of Q, S, M and their
-    first-argument partials are evaluated, bounded and reduced to per-entry
-    values once per distinct lag, and each block gathers them by its lags.  Otherwise each block is its own table, so each node pair is
-    evaluated once.  The values feed two running reductions: the
+    The walk (kernels._tables) evaluates Q, S, M and their first-argument
+    partials on one table of entries at a time, and reduces each table once.
+    When Q, S and M are lag kernels (TwoTimeKernel.lag) and the grid has at
+    most 32 K distinct lags, the one table is the grid's distinct lags, each
+    standing for its pairs: the first of them sets where a worst value is
+    and their count what a skipped check counts, so no node pair is touched
+    after the table is built.  Otherwise each block of 32 rows is its own
+    table, so each node pair is evaluated once.  The reductions are the
     ValidationReport of validate_assumptions (report is None unless
     validate) and the two-time norms of contraction_constants (a
     _PairNorms).  Both take the row-sum norms of Q and M from one
@@ -490,21 +446,13 @@ def _triangle_pass(p: LQProblem, g, tol: float = 1e-8, validate: bool = True):
     nodes = g.nodes
     checks = _PairChecks(tol) if validate else None
     norms = _PairNorms()
-
-    def scalars(tt, ss):
-        stacks = (p.Q.eval(tt, ss), p.Q.eval_dt(tt, ss), p.S.eval(tt, ss),
-                  p.S.eval_dt(tt, ss), p.M.eval(tt, ss), p.M.eval_dt(tt, ss))
-        values = norms.scalars(*stacks)
-        if checks is None:
-            return values
-        return np.concatenate([values, checks.scalars(*stacks, values[0], values[1])])
-
     lag_only = p.Q.lag_only and p.S.lag_only and p.M.lag_only
-    for ii, jj, values in _walk(nodes, _triangle_rows(nodes.size), lag_only, scalars):
-        norms.add(ii, *values[:6])
+    for table in _tables(nodes, _triangle_rows(nodes.size), lag_only):
+        stacks = [f(table.t, table.s) for k in (p.Q, p.S, p.M) for f in (k.eval, k.eval_dt)]
+        norms.add(*stacks)
         if checks is not None:
-            checks.add(np.column_stack([nodes[ii], nodes[jj]]), *values[6:])
-    return (None if checks is None else checks.report(p, nodes)), norms
+            checks.add(table, *stacks, norms.sups)
+    return (None if checks is None else checks.report(p, nodes, norms.sups)), norms
 
 
 def validate_assumptions(p: LQProblem, g, tol: float = 1e-8) -> ValidationReport:
@@ -519,17 +467,17 @@ def validate_assumptions(p: LQProblem, g, tol: float = 1e-8) -> ValidationReport
     failed.  Where S (S_t) is zero at a pair, the Schur-type matrix is Q
     (Q_t) itself, whose eigenvalues are reused.
 
-    The triangle of node pairs is walked in blocks of 32 rows, each reduced
+    The triangle of node pairs is walked one table at a time, each reduced
     to running worst values before the next is evaluated, so memory goes as
-    O(32 K n^2) for K nodes.  A block reads its per-pair values from a
-    table: the grid's distinct lags s - t when Q, S and M are lag kernels
-    (TwoTimeKernel.lag) and there are at most 32 K of them (1 364 for the
-    80 601 pairs of a uniform grid of 400 intervals on [0, 1]), else the
-    block's own pairs.  So the weights are evaluated, bounded and decomposed
-    once per distinct lag, or once per node pair.  Every worst value and
-    its pair are those of the whole triangle at once: ties go to the first
-    pair in row-major order.  solve_riccati takes this report and the
-    two-time norms of contraction_constants from one such walk.
+    O(32 K n^2) for K nodes.  When Q, S and M are lag kernels
+    (TwoTimeKernel.lag) and there are at most 32 K distinct lags s - t (1 364
+    for the 80 601 pairs of a uniform grid of 400 intervals on [0, 1]), the
+    one table is those lags, each standing for its pairs; else each block of
+    32 rows is its own table.  So the weights are evaluated, bounded and
+    decomposed once per distinct lag, or once per node pair.  Every worst
+    value and its pair are those of the whole triangle at once: ties go to
+    the first pair in row-major order.  solve_riccati takes this report and
+    the two-time norms of contraction_constants from one such walk.
 
     Exact eigenvalues (eigvalsh) are computed only at the table entries that
     can set a reported value.  Per entry, the Gershgorin discs bound the

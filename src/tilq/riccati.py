@@ -29,8 +29,8 @@ Each node pair (s_i, r) is reduced O(1) times per solve.  One walk of the
 triangle of node pairs, 32 rows at a time, both validates the problem and
 reduces the norms behind the contraction constants.  It evaluates and
 bounds the weights once per node pair, or, when Q, S and M are lag kernels
-(TwoTimeKernel.lag), once per distinct lag s_j - s_i of the grid, and each
-block reads its values from that table (problem._triangle_pass).  On a
+(TwoTimeKernel.lag), once per distinct lag s_j - s_i of the grid, and
+reduces that table as it stands (problem._triangle_pass).  On a
 window [a, b] the nonlocal term splits at the first node c past b from
 which the closed loop reads solved nodes only: the tail r >= c is folded
 once per window into one n x n matrix per row, so each iterate integrates
@@ -217,24 +217,23 @@ def _constants(p: LQProblem, g: TimeGrid, pair_norms, psi: Propagator) -> Contra
     nA = kernel_norms(p.A, g)
     nB = kernel_norms(p.B, g)
     nG = kernel_norms(p.G, g)
-    nQ = pair_norms.Q.bundle(nodes)
-    nS = pair_norms.S.bundle(nodes)
-    nM = pair_norms.M.bundle(nodes)
-    minv = pair_norms.minv()
+    two = pair_norms.norms()
+    minv = two["M_inv_c"]
 
     a1 = nA.l1_norm
     binf = nB.linf_norm
-    r = math.exp(2 * a1) * (nG.c_norm + T * nQ.c_norm)
-    rho = minv * (4 * r * binf + nS.c_norm)
+    r = math.exp(2 * a1) * (nG.c_norm + T * two["Q_c"])
+    rho = minv * (4 * r * binf + two["S_c"])
     beta = a1 + T * rho * binf
     omega = a1 + 2 * T * rho * binf
     gamma = minv * (1 + binf) ** 2 * (
-        nG.c1_norm + T * nQ.c1_norm + (1 + 2 * T * rho) * (2 * rho * nM.c1_norm + nS.c1_norm)
+        nG.c1_norm + T * two["Q_c1"]
+        + (1 + 2 * T * rho) * (2 * rho * two["M_c1"] + two["S_c1"])
     )
 
     den2 = 2 * _exp(4 * beta) * (
-        rho * rho * nM.c_norm + nG.c1_norm + T * nQ.c1_norm
-        + T * rho * (rho * nM.c1_norm + 2 * nS.c1_norm) + nQ.c_norm
+        rho * rho * two["M_c"] + nG.c1_norm + T * two["Q_c1"]
+        + T * rho * (rho * two["M_c1"] + 2 * two["S_c1"]) + two["Q_c"]
     )
     tau2 = r / den2 if den2 > 0 else math.inf
     den3 = 4 * _exp(2 * a1) * (rho * binf + 2 * T * gamma * _exp(4 * omega))
@@ -247,8 +246,6 @@ def _constants(p: LQProblem, g: TimeGrid, pair_norms, psi: Propagator) -> Contra
     eye = np.eye(p.n)
 
     def span_ok(w: int) -> bool:
-        if w == 0:
-            return True
         worst = max(matrix_norm_many(U[w:] @ U_inv[:-w] - eye).max(),
                     matrix_norm_many(U[:-w] @ U_inv[w:] - eye).max())
         return bool(worst <= bound)
@@ -266,11 +263,7 @@ def _constants(p: LQProblem, g: TimeGrid, pair_norms, psi: Propagator) -> Contra
     tau1 = float((nodes[lo:] - nodes[:nodes.size - lo]).min()) if lo > 0 else 0.0
 
     tau = min(tau1, tau2, tau3)
-    norms = {
-        "A_l1": a1, "B_linf": binf, "G_c": nG.c_norm, "G_c1": nG.c1_norm,
-        "Q_c": nQ.c_norm, "Q_c1": nQ.c1_norm, "S_c": nS.c_norm, "S_c1": nS.c1_norm,
-        "M_c": nM.c_norm, "M_c1": nM.c1_norm, "M_inv_c": minv,
-    }
+    norms = {"A_l1": a1, "B_linf": binf, "G_c": nG.c_norm, "G_c1": nG.c1_norm, **two}
     return ContractionConstants(r, rho, beta, omega, gamma,
                                 tau1, float(tau2), float(tau3), float(tau), norms)
 

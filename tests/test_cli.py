@@ -111,12 +111,30 @@ def test_malformed_values_are_config_issues(tmp_path, capsys, section, key, valu
     ({"mode": "simulate", "simulate": {"x0": ["a"]}}, "simulate.x0[0]"),
     ({"solver": {"tol": 0}}, "solver.tol"),
     ({"solver": {"tol": -1e-8}}, "solver.tol"),
+    ({"certificate": {"times": []}}, "certificate.times"),
+    ({"certificate": {"eps_list": []}}, "certificate.eps_list"),
+    ({"output": {"dir": 5}}, "output.dir"),
+    ({"output": {"dir": {"a": 1}}}, "output.dir"),
 ])
 def test_bad_config_values_are_one_issue_each(updates, path):
     # refused when parsed, before any solve, as exactly one path-tagged issue
     with pytest.raises(ConfigError) as exc:
         parse_config(json.dumps(make_config(**updates)))
     assert [p for p, _ in exc.value.errors] == [path]
+
+
+@pytest.mark.parametrize("out_dir", [5, {"a": 1}])
+def test_output_dir_that_is_not_a_string_creates_nothing(tmp_path, monkeypatch, capsys, out_dir):
+    # a number or an object is not read as a directory name, so nothing is
+    # written under the working directory
+    cfg = write(tmp_path, make_config(output={"dir": out_dir}))
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main(["--config", str(cfg)]) == 2
+    issues = json.loads(capsys.readouterr().out)["error"]["issues"]
+    assert [i["path"] for i in issues] == ["output.dir"]
+    assert list(work.iterdir()) == []
 
 
 @pytest.mark.parametrize("name, entry, paths", [

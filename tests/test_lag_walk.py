@@ -140,7 +140,7 @@ def test_lag_closure_is_called_per_distinct_lag():
     p = _plain(calls)
     calls.clear()
     solve_riccati(p, g)
-    lags = _lag_table(g.nodes).size
+    lags = _lag_table(g.nodes).s.size
     K = g.nodes.size
     assert lags == 655 and K * (K + 1) // 2 == 20301
     assert calls["Q"] <= lags + 2 and calls["M"] <= lags + 2
@@ -160,8 +160,9 @@ def test_jittered_grid_takes_the_pair_table():
 
 def test_lag_walk_holds_no_array_over_the_pairs():
     # N=3200: the lags of the 5 124 801 node pairs alone would take 39 MiB
-    # as float64; the walk holds the 11 358 distinct lags, their values and
-    # one block's rows at a time (16 MiB here; 65 MiB pair by pair)
+    # as float64; the walk holds the 11 358 distinct lags with their first
+    # pairs, counts and values, and while it builds that table one block's
+    # rows at a time (10.4 MiB here; 65 MiB pair by pair)
     p, g = _n3(), TimeGrid.uniform(1.0, 3200)
     tracemalloc.start()
     try:
@@ -169,22 +170,27 @@ def test_lag_walk_holds_no_array_over_the_pairs():
         peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
     finally:
         tracemalloc.stop()
-    assert peak <= 24.0
+    assert peak <= 12.0
 
 
 def test_lag_table_holds_each_distinct_lag_once():
+    # each distinct lag once, sorted, with the first of its pairs in
+    # row-major order and the number of its pairs
     for g in (TimeGrid.uniform(1.0, 400), TimeGrid.uniform(3.0, 2 * _ROW_BLOCK + 1),
               _jittered(40)):
         K = g.nodes.size
         ii, jj = np.triu_indices(K)
-        want = np.unique(g.nodes[jj] - g.nodes[ii])
+        want, first, count = np.unique(g.nodes[jj] - g.nodes[ii], return_index=True,
+                                       return_counts=True)
         table = _lag_table(g.nodes)
         if want.size > _ROW_BLOCK * K:
             assert table is None
             continue
-        np.testing.assert_array_equal(table, want)
+        np.testing.assert_array_equal(table.s, want)
+        np.testing.assert_array_equal(table.at, (g.nodes[ii[first]], g.nodes[jj[first]]))
+        np.testing.assert_array_equal(table.count, count)
     # the count of a uniform grid of 400 intervals on [0, 1]
-    assert _lag_table(TimeGrid.uniform(1.0, 400).nodes).size == 1364
+    assert _lag_table(TimeGrid.uniform(1.0, 400).nodes).s.size == 1364
 
 
 def test_lag_kernel_evaluates_the_lag():
@@ -239,6 +245,22 @@ def test_lag_difference_depends_on_the_lag_alone(vectorized):
     assert finite_difference_dt(k, 0.3, 0.6, 1e-6, return_info=True)[1] == "central"
     with pytest.raises(InvalidInputError):  # off the triangle, as for pair kernels
         k.eval_dt(0.6, 0.3)
+
+
+@pytest.mark.parametrize("g", [TimeGrid.uniform(1.0, 400),
+                               TimeGrid.uniform(1.0, 2 * _ROW_BLOCK + 1), _jittered(40)],
+                         ids=["uniform-400", "uniform-65", "jittered-40"])
+def test_lag_kernel_norms_match_the_pair_norms_off_monotone(g):
+    # kernel_norms takes a row's worst from the largest value at the lags up
+    # to the row's last where the row holds that lag; a lag profile that
+    # rises and falls fails that on most rows, which are read pair by pair
+    profiles = {"bump": (lambda l: np.exp(-50.0 * (l - 0.37) ** 2),
+                         lambda l: 100.0 * (l - 0.37) * np.exp(-50.0 * (l - 0.37) ** 2)),
+                "wave": (lambda l: 2.0 + np.sin(37.0 * l), lambda l: -37.0 * np.cos(37.0 * l))}
+    for fn, dfn in profiles.values():
+        k = TwoTimeKernel.lag(lambda l: fn(l)[:, None, None], (1, 1), 1.0,
+                              lambda l: dfn(l)[:, None, None], vectorized=True)
+        assert kernel_norms(k, g) == kernel_norms(_pair_kernel(k), g)
 
 
 def test_lag_kernel_norms_on_the_table():

@@ -202,6 +202,28 @@ def test_hand_constants_exact():
     assert cc.tau == 1.0 / 16.0
 
 
+def test_tau1_is_the_widest_span_a_scan_finds():
+    # tau1 is the widest node span w over which the drift-only flow U stays
+    # within 1 / (2 (1 + e^{2 beta})) of the identity, in both directions;
+    # a drift of 0.5 leaves the span 16 of 64 nodes, which the bisection
+    # reaches by moving its lower end up
+    p = constant_problem(A=0.5, B=0.0, Q=1.0, S=0.0, M=1.0, G=1.0, T=1.0)
+    g = TimeGrid.uniform(1.0, 64)
+    cc = contraction_constants(p, g)
+    U = riccati.fundamental_solution(p.A, g)
+    U, U_inv = U.values, U.inverse
+    bound = 1.0 / (2.0 * (1.0 + math.exp(2.0 * cc.beta_bar)))
+    eye, K = np.eye(1), g.nodes.size
+
+    def span_ok(w):
+        return max(matrix_norm_many(U[w:] @ U_inv[:-w] - eye).max(),
+                   matrix_norm_many(U[:-w] @ U_inv[w:] - eye).max()) <= bound
+
+    widest = max(w for w in range(1, K) if span_ok(w))
+    assert widest == 16
+    assert cc.tau1 == 0.25 == float((g.nodes[widest:] - g.nodes[:K - widest]).min())
+
+
 def test_constants_survive_extreme_instances():
     # stiff discounting blows the exponentials past the float range; the
     # certificate must degrade to tau ~ 0, not raise

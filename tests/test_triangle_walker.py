@@ -221,6 +221,25 @@ def _singular_mt():
                      G=hyperbolic_terminal(np.eye(1), 1.0, 1.0, T))
 
 
+def _singular_mt_lag():
+    # lag kernels: M_t = max(0, 0.5 - (s - t)) is PD below the lag 0.5 and
+    # singular beyond, and S_t = -0.1, so the walk's one table skips the
+    # lags from 0.5 on, and the skipped count adds up the pairs of each
+    T = 1.0
+
+    def lag(fn, dfn, symmetric=False):
+        return TwoTimeKernel.lag(lambda l: fn(l)[:, None, None], (1, 1), T,
+                                 lambda l: dfn(l)[:, None, None], symmetry_required=symmetric,
+                                 vectorized=True)
+
+    M = lag(lambda l: 1.0 + 0.5 * np.maximum(0.0, 0.5 - l) ** 2,
+            lambda l: np.maximum(0.0, 0.5 - l), symmetric=True)
+    S = lag(lambda l: 0.1 * (1.0 + l), lambda l: np.full(l.shape, -0.1))
+    return LQProblem(A=OneTimeMatrixFn.constant(0.0, T), B=OneTimeMatrixFn.constant(1.0, T),
+                     Q=hyperbolic_kernel(np.eye(1), 1.0, 1.0, T), S=S, M=M,
+                     G=hyperbolic_terminal(np.eye(1), 1.0, 1.0, T))
+
+
 def _all_ties():
     # constant kernels: every pair ties, so every worst pair is the first one
     return constant_problem(A=np.array([[0.1, 0.2], [0.0, -0.1]]), B=np.eye(2),
@@ -285,7 +304,8 @@ def _near_tie():
 
 
 PROBLEMS = {"clean": _clean, "indefinite-q": _indefinite_q, "sign-condition": _sign_condition,
-            "nonfinite-s": _nonfinite_s, "singular-mt": _singular_mt, "all-ties": _all_ties,
+            "nonfinite-s": _nonfinite_s, "singular-mt": _singular_mt,
+            "singular-mt-lag": _singular_mt_lag, "all-ties": _all_ties,
             "mixed-s": _mixed_s, "dense": _dense, "near-tie": _near_tie}
 # K nodes: one row, one block, both sides of the first and second block edges
 SIZES = (1, 2, _ROW_BLOCK, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 1, 401)
@@ -349,6 +369,15 @@ def test_problems_reach_every_branch():
     assert rep["nonfinite-s"]["H4-S-finite"].worst == math.inf
     assert rep["nonfinite-s"]["H5-Q-SMS-psd"].note.startswith("skipped")
     assert "pairs skipped" in rep["singular-mt"]["H5-Qt-combo-psd"].note
+    # singular-mt-lag: a lag kernel problem, so one table; its skipped pairs
+    # are those whose lag is 0.5 or more, less the few where M_t exceeds tol
+    lag_p = PROBLEMS["singular-mt-lag"]()
+    assert lag_p.Q.lag_only and lag_p.S.lag_only and lag_p.M.lag_only
+    ii, jj = np.triu_indices(K)
+    skipped = validate_assumptions(lag_p, g).skipped_pairs["H5-Qt-combo-psd"]
+    assert skipped == int((0.5 - (g.nodes[jj] - g.nodes[ii]) <= 1e-8).sum()) > K
+    note = rep["singular-mt-lag"]["H5-Qt-combo-psd"].note
+    assert note == f"{skipped} pairs skipped (M_t singular)"
     # worst pairs past the first block of 32 rows
     late = (rep["sign-condition"]["H5-Qt-psd"], rep["nonfinite-s"]["H4-S-finite"],
             rep["nonfinite-s"]["H3-Q-psd"], rep["singular-mt"]["H5-Qt-combo-psd"])
