@@ -57,7 +57,6 @@ class RunConfig:
     mode: str
     tol: float | None
     max_iter: int
-    window_override: float | None
     sim_t0: float
     sim_x0: np.ndarray | None
     certificate: SampleSpec
@@ -126,12 +125,10 @@ _REQUIRED = object()  # the default of an entry that must be given
 _SECTIONS = {
     "grid": {"N": (400, _number(minimum=16, integer=True))},
     "solver": {"tol": (None, _number(above=0.0, nullable=True)),
-               "max_iter": (200, _number(minimum=1, integer=True)),
-               "window_override": (None, _number(nullable=True))},
+               "max_iter": (200, _number(minimum=1, integer=True))},
     "simulate": {"t0": (0.0, _number(minimum=0.0)), "x0": (None, _vector())},
     "certificate": {"times": (None, _vector(nullable=True)),
-                    "eps_list": (None, _vector(nullable=True)),
-                    "finite_eps": (SampleSpec.finite_eps, _flag)},
+                    "eps_list": (None, _vector(nullable=True))},
     "output": {"dir": (None, _text)},
     "debug": {"corrupt_solution": (False, _flag)},
 }
@@ -284,9 +281,6 @@ def parse_config(text: str) -> RunConfig:
 
     # the rules that read more than one entry
     solver, sim, cert = cfg["solver"], cfg["simulate"], cfg["certificate"]
-    window = solver["window_override"]
-    if window is not None and not (window > 0.0 and (T is None or window <= T)):
-        errors.append(("solver.window_override", "must lie in (0, T]"))
     if sim["x0"] is not None and n and len(sim["x0"]) != n:
         errors.append(("simulate.x0", f"must be a finite vector of length {n}"))
     if mode == "simulate":
@@ -305,8 +299,7 @@ def parse_config(text: str) -> RunConfig:
     if errors:
         raise ConfigError(errors)
     return RunConfig(problem=problem, grid=TimeGrid.uniform(T, cfg["grid"]["N"]), mode=mode,
-                     tol=solver["tol"], max_iter=solver["max_iter"], window_override=window,
-                     sim_t0=sim["t0"],
+                     tol=solver["tol"], max_iter=solver["max_iter"], sim_t0=sim["t0"],
                      sim_x0=None if sim["x0"] is None else np.array(sim["x0"]),
                      certificate=SampleSpec(**cert), out_dir=cfg["output"]["dir"],
                      corrupt_solution=cfg["debug"]["corrupt_solution"])
@@ -357,8 +350,7 @@ def run(cfg: RunConfig, *, quiet: bool = False, stdout=None) -> int:
     """Execute a validated RunConfig; returns the process exit code."""
     out = _Emitter(cfg.out_dir, quiet, stdout or sys.stdout)
     p, g = cfg.problem, cfg.grid
-    opts = SolveOptions(tol=cfg.tol, max_iter=cfg.max_iter,
-                        window_override=cfg.window_override)
+    opts = SolveOptions(tol=cfg.tol, max_iter=cfg.max_iter)
 
     if cfg.mode == "validate":
         report = validate_assumptions(p, g)

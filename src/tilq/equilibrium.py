@@ -463,12 +463,10 @@ class SampleSpec:
         b = min(0.1 T, 0.25 (T - t)) per time, each raised to at least
         min(4 h_max, b) and to the width from t to the 4th node at or after
         it (T - t when there is none), so that it spans 4 nodes.
-    finite_eps: also evaluate difference quotients (on the +axis states).
     """
 
     times: tuple | None = None
     eps_list: tuple | None = None
-    finite_eps: bool = True
 
 
 @dataclass(frozen=True)
@@ -497,7 +495,7 @@ class PerturbationReport:
     samples: list
     passed: bool
     worst_closed_form: float
-    worst_extrapolated: float | None
+    worst_extrapolated: float
     tol_closed_form: float
     tol_finite_eps: float
 
@@ -540,25 +538,23 @@ def equilibrium_certificate(p: LQProblem, pol: EquilibriumPolicy,
     gains = pol.gain_many(times)
     eye_n = np.eye(n)
     eye_m = np.eye(m)
-    mats_at = [None] * times.size  # per time: eps -> (H_pol, H_dev)
-    if spec.finite_eps:
-        gnodes = pol.P.grid.nodes
-        # an eps probe needs >= 4 grid nodes inside [t, t+eps] to be resolvable
-        h_floor = 4.0 * float(np.diff(gnodes).max())
-        # the width from each t to the 4th node at or after it, capped by T - t
-        fourth = np.searchsorted(gnodes, times - 1e-12, side="left") + 3
-        reach = gnodes[np.minimum(fourth, gnodes.size - 1)] - times
-        spikes = []
-        for t, floor in zip(times.tolist(), reach.tolist()):
-            if spec.eps_list is not None:
-                eps = spec.eps_list
-            else:
-                base = min(0.1 * T, 0.25 * (T - t))
-                eps = {max(e, min(h_floor, base), floor) for e in (base, 0.5 * base, 0.25 * base)}
-            spikes.append((t, _checked_eps(p, t, eps, gnodes)))
-        mats_at = _splice_batch(p, pol, spikes, gnodes)
+    gnodes = pol.P.grid.nodes
+    # an eps probe needs >= 4 grid nodes inside [t, t+eps] to be resolvable
+    h_floor = 4.0 * float(np.diff(gnodes).max())
+    # the width from each t to the 4th node at or after it, capped by T - t
+    fourth = np.searchsorted(gnodes, times - 1e-12, side="left") + 3
+    reach = gnodes[np.minimum(fourth, gnodes.size - 1)] - times
+    spikes = []
+    for t, floor in zip(times.tolist(), reach.tolist()):
+        if spec.eps_list is not None:
+            eps = spec.eps_list
+        else:
+            base = min(0.1 * T, 0.25 * (T - t))
+            eps = {max(e, min(h_floor, base), floor) for e in (base, 0.5 * base, 0.25 * base)}
+        spikes.append((t, _checked_eps(p, t, eps, gnodes)))
     plan = []  # (time index, x, v, quotients, extrapolated) per sample
-    for it, mats in enumerate(mats_at):
+    # mats: eps -> (H_pol, H_dev) at time it
+    for it, mats in enumerate(_splice_batch(p, pol, spikes, gnodes)):
         for i in range(n):
             for sgn in (1.0, -1.0):
                 x = sgn * eye_n[i]
@@ -572,7 +568,7 @@ def equilibrium_certificate(p: LQProblem, pol: EquilibriumPolicy,
                 fe_set = {0} | set(range(len(vset) - len(probes), len(vset)))
                 for k, v in enumerate(vset):
                     fe = ext = None
-                    if mats is not None and sgn > 0 and k in fe_set:
+                    if sgn > 0 and k in fe_set:
                         fe, ext = _quotients(mats, x, v)
                     plan.append((it, x, v, fe, ext))
     idx = np.array([s[0] for s in plan])
@@ -581,10 +577,7 @@ def equilibrium_certificate(p: LQProblem, pol: EquilibriumPolicy,
     samples = [PerturbationSample(float(times[it]), x, v, float(cf), fe, ext)
                for (it, x, v, fe, ext), cf in zip(plan, closed)]
     worst_cf = min(s.closed_form for s in samples)
-    exts = [s.extrapolated for s in samples if s.extrapolated is not None]
-    worst_ext = min(exts) if exts else None
-    passed = worst_cf >= -CLOSED_FORM_TOL and (
-        worst_ext is None or worst_ext >= -FINITE_EPS_TOL)
-    return PerturbationReport(samples, bool(passed), float(worst_cf),
-                              None if worst_ext is None else float(worst_ext),
+    worst_ext = min(s.extrapolated for s in samples if s.extrapolated is not None)
+    passed = worst_cf >= -CLOSED_FORM_TOL and worst_ext >= -FINITE_EPS_TOL
+    return PerturbationReport(samples, bool(passed), float(worst_cf), float(worst_ext),
                               CLOSED_FORM_TOL, FINITE_EPS_TOL)

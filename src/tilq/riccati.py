@@ -23,7 +23,10 @@ certified width collapses numerically whenever B is nonzero, so by default
 the solver falls back to practical windows of width T/4, which it halves on
 observed divergence.  A practical window iterates the map with type-II
 Anderson mixing of depth 5 (Walker & Ni 2011): fewer map applications than
-plain Picard, and convergence where the plain map expands.
+plain Picard, and convergence where the plain map expands.  In both regimes
+a window stops only when one application of the map to a plain image moves
+it by at most tol, so every accepted window is a fixed point of its map to
+tol.
 
 Each node pair (s_i, r) is reduced O(1) times per solve.  One walk of the
 triangle of node pairs, 32 rows at a time, both validates the problem and
@@ -284,19 +287,17 @@ def upsilon(p: LQProblem, P, s) -> np.ndarray:
 class SolveOptions:
     """Knobs for solve_riccati.
 
-    tol: fixed-point tolerance in the grid sup norm (default 1e-10*(1+r)).
-    max_iter: per-window cap on the map applications of the iteration,
-        error when hit; a practical or override window applies the map once
-        more when it has converged, to accept a plain image of the mixed
-        iterates (_Engine.run_window).
-    window_override: window width in time units; bypasses the width policy
-        (divergence halving and Anderson mixing still active).
+    tol: fixed-point tolerance in the grid sup norm; a window stops when one
+        map application to a plain image moves it by at most tol (default
+        1e-10*(1 + ||G(T)|| + T sup||Q||)).
+    max_iter: per-window cap on the map applications, counting those to
+        the plain images that close a mixed window (_Engine.run_window);
+        error when hit.
     validate: run assumption validation before solving.
     """
 
     tol: float | None = None
     max_iter: int = 200
-    window_override: float | None = None
     validate: bool = True
 
 
@@ -633,22 +634,24 @@ class _Engine:
         ball (ball_cap) is dropped; those windows start from boundary.
 
         Every iterate applies the window map once (picard_iterate), and the
-        window stops when one application moves the iterate by at most tol.
-        With mix (practical and override windows) the next iterate is the
-        Anderson mixture of the last images (_Anderson), not the image
-        itself, and the window accepts one more plain image of the image
-        that stopped it.  Without mix (certified windows) it iterates the
-        plain map that the constants certify.  "iterations" counts every
-        map application.
+        window stops when an application to a plain image, or to the start,
+        moves it by at most tol; it accepts that image.  Without mix
+        (certified windows) every iterate is the plain image the constants
+        certify.  With mix (practical windows) the next iterate is the
+        Anderson mixture of the last images (_Anderson); once an application
+        moves a mixed iterate by at most tol, its plain image is the next
+        iterate, and if that image moves by more than tol, mixing resumes.
+        "iterations" counts every map application.
 
-        Mixed diffs are not monotone, so progress is that of the best diff:
-        a window diverges (_Diverged) when its best diff has not fallen over
-        the last _SPAN applications, or when its rate over them projects
-        past max_iter, as it does when an image is not finite, leaves a
-        flow singular or leaves the ball.  Reaching max_iter is a
-        NonconvergenceError.  The contraction factor is the largest ratio of
-        successive diffs of a plain window, and the ratio of the two plain
-        steps that end a mixed one.
+        Mixed diffs are not monotone, so progress is that of the best diff
+        since the start or the last closing image that moved by more than
+        tol: a window diverges (_Diverged) when its best diff has not fallen
+        over the last _SPAN applications, or when its rate over them
+        projects past max_iter, as it does when an image is not finite,
+        leaves a flow singular or leaves the ball.  Reaching max_iter is a
+        NonconvergenceError.  The contraction factor is the largest ratio
+        of successive diffs of a plain window, and the ratio of the last two
+        diffs of a mixed one, whose last is a plain image's.
         """
         start = boundary
         if b + 3 < self.nodes.size:
@@ -657,24 +660,33 @@ class _Engine:
                 start = cubic
         values[a:b] = start
         mixer = _Anderson(ball_cap) if mix else None
+        plain = True  # values[a:b + 1] is the start or a plain image
         diffs = []
+        since = 0  # the progress rules read diffs[since:]
         for it in range(1, max_iter + 1):
             new = self._mapped(values, a, b, boundary)
             d = float(matrix_norm_many(new - values[a:b + 1]).max())
             diffs.append(d)
             if d <= tol:
-                break
-            if float(matrix_norm_many(new).max()) > ball_cap:
-                raise _Diverged("iterate left the a-priori ball")
-            if len(diffs) > _SPAN:
-                f = (min(diffs[-_SPAN:]) / min(diffs[:-_SPAN])) ** (1.0 / _SPAN)
-                if f >= 1.0:
-                    raise _Diverged(f"no progress over the last {_SPAN} iterates")
-                if it + math.log(tol / min(diffs)) / math.log(f) > max_iter:
-                    raise _Diverged(
-                        f"projected nonconvergence (observed factor ~{f:.3f})")
-            if mixer is not None:
-                new[:-1] = mixer.mix(values[a:b], new[:-1])
+                if plain:
+                    break
+                plain = True  # the mixed iterate's image is checked next
+            else:
+                if float(matrix_norm_many(new).max()) > ball_cap:
+                    raise _Diverged("iterate left the a-priori ball")
+                if plain and mixer is not None:
+                    since = len(diffs) - 1  # mixing (re)starts here
+                recent = diffs[since:]
+                if len(recent) > _SPAN:
+                    f = (min(recent[-_SPAN:]) / min(recent[:-_SPAN])) ** (1.0 / _SPAN)
+                    if f >= 1.0:
+                        raise _Diverged(f"no progress over the last {_SPAN} iterates")
+                    if it + math.log(tol / min(recent)) / math.log(f) > max_iter:
+                        raise _Diverged(
+                            f"projected nonconvergence (observed factor ~{f:.3f})")
+                if mixer is not None:
+                    new[:-1] = mixer.mix(values[a:b], new[:-1])
+                    plain = False
             values[a:b + 1] = new
         else:
             raise NonconvergenceError(
@@ -683,18 +695,14 @@ class _Engine:
                 diagnostics={"window": [float(self.nodes[a]), float(self.nodes[b])],
                              "diffs": diffs})
         values[a:b + 1] = new
-        if mixer is not None:
-            new = self._mapped(values, a, b, boundary)
-            diffs.append(float(matrix_norm_many(new - values[a:b + 1]).max()))
-            values[a:b + 1] = new
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 self.check_condition(values, a, self.cached_window(values, a, b))
         except np.linalg.LinAlgError as exc:
             raise _Diverged(f"singular closed-loop flow: {exc}") from exc
-        # the last two diffs of a mixed window are the only plain pair
-        plain = range(1, len(diffs)) if mixer is None else [len(diffs) - 1]
-        factors = [diffs[k] / diffs[k - 1] for k in plain if diffs[k - 1] > 0]
+        first = 1 if mixer is None else max(1, len(diffs) - 1)
+        factors = [diffs[k] / diffs[k - 1]
+                   for k in range(first, len(diffs)) if diffs[k - 1] > 0]
         return {
             "a": float(self.nodes[a]), "b": float(self.nodes[b]),
             "iterations": len(diffs), "final_diff": diffs[-1],
@@ -773,13 +781,15 @@ def solve_riccati(p: LQProblem, g: TimeGrid, opts: SolveOptions | None = None
     _GUARANTEED_MAX_REFINE times); they iterate the plain map, and the
     contraction factor is then asserted <= 0.75 per window.  Otherwise
     practical windows of width T/4 march backward with Anderson mixing and
-    halving on observed divergence (_Engine.run_window).  Raises
+    halving on observed divergence (_Engine.run_window); meta["mode"] names
+    the regime.  Every window stops when a map application to a plain image
+    moves it by at most tol, by default 1e-10 (1 + ||G(T)|| + T sup||Q||):
+    a scale of the problem's weights, not of the a-priori bound r.  Raises
     NonconvergenceError when an iteration cap or halving floor is hit, and
     InvalidInputError for a grid that does not end at p.T, a tol outside
-    (0, inf), a max_iter below 1, a window_override outside (0, T] or a
-    problem that fails a hard check of validate_assumptions; when M is not
-    positive definite that error is a NotPositiveDefiniteError whose where
-    is the check's node pair.
+    (0, inf), a max_iter below 1 or a problem that fails a hard check of
+    validate_assumptions; when M is not positive definite that error is a
+    NotPositiveDefiniteError whose where is the check's node pair.
 
     Validation (opts.validate) and the two-time norms of the constants come
     from one walk of the node-pair triangle; the report and constants equal
@@ -791,8 +801,6 @@ def solve_riccati(p: LQProblem, g: TimeGrid, opts: SolveOptions | None = None
         raise InvalidInputError("tol must be positive and finite")
     if opts.max_iter < 1:
         raise InvalidInputError("max_iter must be >= 1")
-    if opts.window_override is not None and not 0 < opts.window_override <= g.T:
-        raise InvalidInputError("window_override must lie in (0, T]")
     report, pair_norms = _triangle_pass(p, g, validate=opts.validate)
     if report is not None:
         if not report.hard_ok:
@@ -808,14 +816,10 @@ def solve_riccati(p: LQProblem, g: TimeGrid, opts: SolveOptions | None = None
                           stacklevel=2)
     psi = fundamental_solution(p.A, g)
     cc = _constants(p, g, pair_norms, psi)
-    tol = opts.tol if opts.tol is not None else 1e-10 * (1.0 + cc.r)
 
     g_solve = g
     refined_by = 1
-    if opts.window_override is not None:
-        mode = "override"
-        width = float(opts.window_override)
-    elif cc.tau >= _MIN_WINDOW_NODES * g.h:
+    if cc.tau >= _MIN_WINDOW_NODES * g.h:
         mode = "guaranteed"
         width = cc.tau
     elif cc.tau > 0 and math.ceil(_MIN_WINDOW_NODES * g.h / cc.tau) \
@@ -834,6 +838,8 @@ def solve_riccati(p: LQProblem, g: TimeGrid, opts: SolveOptions | None = None
     nodes = g_solve.nodes
     K = nodes.size
     values = np.broadcast_to(engine.G_T, (K,) + engine.G_T.shape).copy()
+    tol = opts.tol if opts.tol is not None \
+        else 1e-10 * (1.0 + matrix_norm(engine.G_T) + g.T * cc.norms["Q_c"])
     ball_cap = 4.0 * cc.r + 2.0 * matrix_norm(engine.G_T) + 1.0
 
     windows = []

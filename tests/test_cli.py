@@ -287,13 +287,31 @@ def test_compare_tolerance_reads_the_reference_not_the_a_priori_bound(tmp_path):
     ("compare", "tol", 1e-3),
     ("certificate", "axis_scale", 1.0),
     ("certificate", "probe_scale", 0.1),
+    ("certificate", "finite_eps", False),
+    ("solver", "window_override", 0.5),
 ])
 def test_options_without_a_caller_are_unknown_keys(section, key, value):
-    # each is a constant now; the compare section went with its one key
+    # each is a constant now, or its one behaviour went (the solver's widths
+    # are its own, and the certificate always takes the eps quotients); the
+    # compare section went with its one key
     with pytest.raises(ConfigError) as exc:
         parse_config(json.dumps(make_config(**{section: {key: value}})))
     path = section if section == "compare" else f"{section}.{key}"
     assert exc.value.errors == [(path, "unknown key")]
+
+
+@pytest.mark.parametrize("window", [0, -0.25, 1.5])
+def test_window_override_outside_the_horizon_is_a_config_issue(tmp_path, capsys, window):
+    # the key is unknown now, so any value is refused with the document, as
+    # the one issue, before any solve
+    cfg = make_config(solver={"window_override": window})
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.dumps(cfg))
+    assert exc.value.errors == [("solver.window_override", "unknown key")]
+    assert main(["--config", str(write(tmp_path, cfg)), "--quiet"]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error["type"] == "config"
+    assert [i["path"] for i in error["issues"]] == ["solver.window_override"]
 
 
 def test_every_documented_key_parses():
@@ -350,25 +368,6 @@ def test_mode_override_is_validated_as_that_mode(tmp_path):
                  "--out", str(out_dir), "--quiet"]) == 0
     assert json.loads((out_dir / "validation.json").read_text())["hard_ok"] is True
     assert main(["--config", str(write(tmp_path, cfg)), "--quiet"]) == 2
-
-
-
-@pytest.mark.parametrize("window", [0, -0.25, 1.5])
-def test_window_override_outside_the_horizon_is_a_config_issue(tmp_path, capsys, window):
-    # refused with the document, as the one issue, before any solve
-    cfg = make_config(solver={"window_override": window})
-    with pytest.raises(ConfigError) as exc:
-        parse_config(json.dumps(cfg))
-    assert [p for p, _ in exc.value.errors] == ["solver.window_override"]
-    assert main(["--config", str(write(tmp_path, cfg)), "--quiet"]) == 2
-    error = json.loads(capsys.readouterr().out)["error"]
-    assert error["type"] == "config"
-    assert [i["path"] for i in error["issues"]] == ["solver.window_override"]
-
-
-def test_window_override_of_the_whole_horizon_is_accepted():
-    assert parse_config(json.dumps(make_config(solver={"window_override": 1.0}))) \
-        .window_override == 1.0
 
 
 def test_cold_verify_does_not_import_numpy_ma(tmp_path):

@@ -296,21 +296,18 @@ def test_certificate_flags_corruption(hyperbolic_scalar, hyperbolic_solution):
 
 
 
-@pytest.mark.parametrize("finite_eps", [True, False])
-def test_certificate_rejects_empty_times(hyperbolic_scalar, hyp_policy, finite_eps):
-    # no time to sample is an input error, with or without the eps quotients
-    spec = SampleSpec(times=(), finite_eps=finite_eps)
+def test_certificate_rejects_empty_times(hyperbolic_scalar, hyp_policy):
+    # no time to sample is an input error
+    spec = SampleSpec(times=())
     with pytest.raises(InvalidInputError, match="times"):
         equilibrium_certificate(hyperbolic_scalar, hyp_policy, spec)
 
 
 @pytest.mark.parametrize("t", [np.nan, 1.0, -0.1, np.inf])
-@pytest.mark.parametrize("finite_eps", [True, False])
-def test_certificate_rejects_times_outside_the_horizon(hyperbolic_scalar, hyp_policy, t,
-                                                       finite_eps):
+def test_certificate_rejects_times_outside_the_horizon(hyperbolic_scalar, hyp_policy, t):
     # nan used to read "spans only 0 grid nodes", T "eps_list must contain
     # positive values"
-    spec = SampleSpec(times=(0.2, t), finite_eps=finite_eps)
+    spec = SampleSpec(times=(0.2, t))
     with pytest.raises(InvalidInputError, match=r"times .*\[0, T\)"):
         equilibrium_certificate(hyperbolic_scalar, hyp_policy, spec)
 

@@ -19,7 +19,9 @@ from tilq import (
     constant_problem,
     contraction_constants,
     bvp_residual,
+    classical_riccati,
     exponential_kernel,
+    exponential_terminal,
     hyperbolic_kernel,
     hyperbolic_problem,
     hyperbolic_terminal,
@@ -309,21 +311,17 @@ def test_nonconvergence_diagnostics(tanh_problem):
     assert exc.value.diagnostics
 
 
-def test_window_override(tanh_problem):
-    g = TimeGrid.uniform(1.0, 100)
-    sol = solve_riccati(tanh_problem, g, SolveOptions(window_override=0.5))
-    assert sol.meta["mode"] == "override"
-    exact = np.tanh(1.0 - g.nodes)
-    assert np.abs(sol.values[:, 0, 0] - exact).max() < 1e-7
-
-
 def test_one_interval_windows(tanh_problem):
     # the last windows see 2- and 3-node tails; one-interval windows
     # integrate by the trapezoid rule, hence the second-order bound
     g = TimeGrid.uniform(1.0, 50)
-    sol = solve_riccati(tanh_problem, g, SolveOptions(window_override=g.h))
-    assert len(sol.meta["windows"]) == 50
-    assert np.abs(sol.values[:, 0, 0] - np.tanh(1.0 - g.nodes)).max() < 5e-5
+    engine = _Engine(tanh_problem, g)
+    values = np.broadcast_to(engine.G_T, (g.nodes.size, 1, 1)).copy()
+    for pos in range(g.nodes.size - 1, 0, -1):
+        info = engine.run_window(values, pos - 1, pos, values[pos].copy(),
+                                 tol=2e-10, max_iter=200, ball_cap=5.0, mix=True)
+        assert info["final_diff"] <= 2e-10
+    assert np.abs(values[:, 0, 0] - np.tanh(1.0 - g.nodes)).max() < 5e-5
 
 
 @pytest.mark.parametrize("num_intervals", [1, 2, 5])
@@ -542,7 +540,8 @@ def test_kernel_partials_once_per_window(hyperbolic_scalar):
     counts, iterations = [], []
     for tol in (1e-4, 1e-12):
         calls.clear()
-        sol = solve_riccati(p, g, SolveOptions(tol=tol, window_override=0.25))
+        sol = solve_riccati(p, g, SolveOptions(tol=tol))
+        assert sol.meta["mode"] == "practical"
         counts.append(len(calls))
         iterations.append(sol.meta["iterations_total"])
     assert iterations[1] > iterations[0] + 8
@@ -609,18 +608,20 @@ def test_condition_warning_covers_the_window_tail():
     assert max(w["b"] - w["a"] for w in sol.meta["windows"]) <= 0.25
 
 
-def test_diverging_window_emits_no_numpy_warning():
-    # A = 0.5 over T = 20 grows the flow past the double range inside a
+def test_diverging_window_emits_no_numpy_warning(monkeypatch):
+    # A = 1 over T = 20 grows the flow past the double range inside a
     # quarter-horizon window; such an iterate is rejected as non-finite, so
     # the overflow it passes through is no warning.  P is not checked here.
     one = np.eye(1)
-    p = hyperbolic_problem(one, one, one, A=0.5 * one, B=one, k=1.0, theta=1.0, T=20.0)
+    p = hyperbolic_problem(one, one, one, A=one, B=one, k=1.0, theta=1.0, T=20.0)
+    seen = _recorded_divergences(monkeypatch)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            solve_riccati(p, TimeGrid.uniform(20.0, 1700))
+            solve_riccati(p, TimeGrid.uniform(20.0, 1000))
         except NonconvergenceError:
             pass
+    assert "non-finite iterate" in seen
     numpy_warnings = [str(w.message) for w in caught
                       if issubclass(w.category, RuntimeWarning) and "encountered" in str(w.message)]
     assert numpy_warnings == []
@@ -751,26 +752,67 @@ def test_validated_solve_memory_at_n1600():
 
 def test_windows_start_from_the_extrapolated_tail():
     # each window after the first starts from the local cubic through the
-    # four solved nodes past it: 56 plain iterations from the boundary, 48
-    # plain ones here, and 37 map applications with mixing (33 mixed and
-    # one accepting plain step per window)
+    # four solved nodes past it: 57 plain iterations from the boundary, 50
+    # plain ones here, and 39 map applications with mixing (45 from the
+    # boundary)
     sol = solve_riccati(_n3_problem(), TimeGrid.uniform(1.0, 400))
     assert len(sol.meta["windows"]) > 1
     assert sol.meta["iterations_total"] <= 40
+
+
+def _long_horizon_problem(T=20.0, rho=None):
+    """A = 0.5, B = Q0 = M0 = G0 = 1 over [0, T]: hyperbolic weights, k = theta
+    = 1, or exponential ones of rate rho."""
+    one = np.eye(1)
+    if rho is None:
+        return hyperbolic_problem(one, one, one, A=0.5 * one, B=one, k=1.0, theta=1.0, T=T)
+    return LQProblem(A=OneTimeMatrixFn.constant(0.5 * one, T),
+                     B=OneTimeMatrixFn.constant(one, T),
+                     Q=exponential_kernel(one, rho, T), S=TwoTimeKernel.constant(0 * one, T),
+                     M=exponential_kernel(one, rho, T), G=exponential_terminal(one, rho, T))
 
 
 def test_long_horizon_tight_tolerance():
     # hyperbolic, A = 0.5 over T = 20: the plain window map expands here
     # (factor ~1.5), and plain Picard needed two halvings, 17 windows and
     # 226 iterations at N = 1000; mixed windows converge at full width
-    one = np.eye(1)
-    p = hyperbolic_problem(one, one, one, A=0.5 * one, B=one, k=1.0, theta=1.0, T=20.0)
+    p = _long_horizon_problem()
     for N in (1000, 2000):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # condition warnings
             sol = solve_riccati(p, TimeGrid.uniform(20.0, N), SolveOptions(tol=1e-10))
         assert abs(sol.values[0, 0, 0] - 1.153849) <= 1e-6
         assert sol.meta["halvings"] == 0 and len(sol.meta["windows"]) == 4
+        # the image that closes each mixed window is a fixed point to tol
+        for w in sol.meta["windows"]:
+            assert w["final_diff"] <= sol.meta["tol"]
+
+
+@pytest.mark.parametrize("N", [1000, 2000])
+def test_long_horizon_default_options_solve_every_node(N):
+    # the default tol reads the weights, not the a-priori bound r (1e10
+    # here), so no window stops far from its fixed point; checked on the
+    # whole residual profile, since P(0) came out right while P(15) did not
+    p = _long_horizon_problem()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # condition warnings
+        sol = solve_riccati(p, TimeGrid.uniform(20.0, N))
+    assert sol.meta["tol"] <= 1e-8
+    assert riccati_residual_profile(p, sol).max() <= 1e-6
+
+
+@pytest.mark.parametrize("rho, T, N", [(1.0, 20.0, 1000), (1.0, 20.0, 2000),
+                                       (0.2, 50.0, 2500)])
+def test_exponential_weights_match_the_shifted_classical_riccati(rho, T, N):
+    # with Q, M and G discounted as exp(-rho (s - t)) the problem is time
+    # consistent, and its P solves the classical Riccati equation with A
+    # shifted to A - rho/2: an exact reference with a nonzero nonlocal term
+    g = TimeGrid.uniform(T, N)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # condition warnings
+        sol = solve_riccati(_long_horizon_problem(T, rho), g)
+    ref = classical_riccati(constant_problem(0.5 - rho / 2, 1.0, 1.0, 0.0, 1.0, 1.0, T), g)
+    assert np.abs(sol.values - ref.values).max() <= 1e-6
 
 
 def test_m_singular_between_nodes_is_an_input_error():
@@ -889,17 +931,6 @@ def test_bad_solver_options_are_invalid_input(hyperbolic_scalar, opts):
         solve_riccati(hyperbolic_scalar, TimeGrid.uniform(1.0, 64), opts)
 
 
-@pytest.mark.parametrize("window", [0.0, -0.5, 1.5])
-def test_window_override_is_refused_before_the_walk(monkeypatch, tanh_problem, window):
-    def walk(*args, **kwargs):
-        raise AssertionError("the triangle walk ran")
-
-    monkeypatch.setattr(riccati, "_triangle_pass", walk)
-    with pytest.raises(InvalidInputError, match="window_override"):
-        solve_riccati(tanh_problem, TimeGrid.uniform(1.0, 32),
-                      SolveOptions(window_override=window))
-
-
 def test_eval_many_takes_a_time_next_to_the_ends_as_the_end():
     # within 1e-9 (1 + T) of 0 or T a time is that node (grids.node_index)
     p, g = _n3_problem(), TimeGrid.uniform(1.0, 400)
@@ -959,11 +990,10 @@ def _recorded_divergences(monkeypatch):
 
 
 def test_projected_nonconvergence_halves_a_practical_window(monkeypatch):
-    # the first quarter-horizon window of the T = 20 case needs 45 mixed
-    # iterates; at max_iter = 40 the rate of its best diff projects past the
-    # cap, so the window is halved once, and the halves converge
-    one = np.eye(1)
-    p = hyperbolic_problem(one, one, one, A=0.5 * one, B=one, k=1.0, theta=1.0, T=20.0)
+    # the first quarter-horizon window of the T = 20 case needs 53 map
+    # applications; at max_iter = 40 the rate of its best diff projects past
+    # the cap, so the window is halved once, and the halves converge
+    p = _long_horizon_problem()
     g = TimeGrid.uniform(20.0, 1000)
     seen = _recorded_divergences(monkeypatch)
     with warnings.catch_warnings():
@@ -974,6 +1004,34 @@ def test_projected_nonconvergence_halves_a_practical_window(monkeypatch):
     assert [m.split(" (")[0] for m in seen] == ["projected nonconvergence"]
     assert full.meta["halvings"] == 0
     assert np.abs(sol.values - full.values).max() <= 1e-8
+
+
+def test_a_closing_image_that_moves_resumes_mixing(monkeypatch, tanh_problem):
+    # the first window's second application barely moves its mixed
+    # iterate, so the plain image of that iterate is checked by one more
+    # application; that one moves by 1e-3, so the window mixes on, with the
+    # real map, until a plain image moves by at most tol: no halving, and
+    # the window's last application is within tol
+    real = _Engine.picard_iterate
+    steps = [1e-3, 0.0, 1e-3]
+    crawl = _crawling_picard(lambda k: steps[k])
+    calls = []
+
+    def closing_moves_once(self, values, a, b, boundary):
+        calls.append(1)
+        if len(calls) <= len(steps):
+            return crawl(self, values, a, b, boundary)
+        return real(self, values, a, b, boundary)
+
+    seen = _recorded_divergences(monkeypatch)
+    g = TimeGrid.uniform(1.0, 64)
+    want = solve_riccati(tanh_problem, g)
+    monkeypatch.setattr(_Engine, "picard_iterate", closing_moves_once)
+    sol = solve_riccati(tanh_problem, g)
+    first = sol.meta["windows"][0]
+    assert sol.meta["mode"] == "practical" and seen == []
+    assert first["iterations"] > len(steps) and first["final_diff"] <= sol.meta["tol"]
+    assert np.abs(sol.values - want.values).max() <= 1e-9
 
 
 def test_a_stalled_practical_window_is_halved(monkeypatch, hyperbolic_scalar):
@@ -1042,7 +1100,7 @@ def test_a_singular_flow_at_acceptance_halves_the_window(monkeypatch, tanh_probl
 
 def test_only_practical_windows_mix(monkeypatch, hyperbolic_decoupled, tanh_problem):
     # criterion 6 certifies the plain map on a certified window, so those
-    # iterate plain Picard; practical and override windows mix
+    # iterate plain Picard; practical windows mix
     calls = []
     real = riccati._Anderson.mix
 
@@ -1054,10 +1112,8 @@ def test_only_practical_windows_mix(monkeypatch, hyperbolic_decoupled, tanh_prob
     g = TimeGrid.uniform(1.0, 200)
     assert solve_riccati(hyperbolic_decoupled, g).meta["mode"] == "guaranteed"
     assert calls == []
-    for opts in (None, SolveOptions(window_override=0.5)):
-        calls.clear()
-        solve_riccati(tanh_problem, g, opts)
-        assert calls
+    assert solve_riccati(tanh_problem, g).meta["mode"] == "practical"
+    assert calls
 
 
 def _first_iterate_singular(monkeypatch):
