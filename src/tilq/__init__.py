@@ -22,7 +22,7 @@ from .families import (constant_problem, exponential_kernel,
 from .grids import TimeGrid
 from .kernels import (NormBundle, OneTimeMatrixFn, TwoTimeKernel,
                       kernel_norms, matrix_norm)
-from .oracle import ClassicalRiccatiSolution, brute_force_cost, classical_riccati
+from .oracle import brute_force_cost, classical_riccati
 from .problem import CheckResult, LQProblem, ValidationReport, validate_assumptions
 from .propagators import Propagator, closed_loop_coefficient, fundamental_solution
 from .riccati import (ContractionConstants, RiccatiSolution, SolveOptions,
@@ -46,7 +46,7 @@ __all__ = [
     "TimeGrid",
     "NormBundle", "OneTimeMatrixFn", "TwoTimeKernel", "kernel_norms",
     "matrix_norm",
-    "ClassicalRiccatiSolution", "brute_force_cost", "classical_riccati",
+    "brute_force_cost", "classical_riccati",
     "CheckResult", "LQProblem", "ValidationReport", "validate_assumptions",
     "Propagator", "closed_loop_coefficient", "fundamental_solution",
     "ContractionConstants", "RiccatiSolution", "SolveOptions", "WindowIterate",

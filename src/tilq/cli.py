@@ -367,7 +367,7 @@ def run(cfg: RunConfig, *, quiet: bool = False, stdout=None) -> int:
         out.emit_csv("solution.csv", sol.to_csv)
         out.emit_csv("gain.csv", lambda fh: _write_csv(
             fh, [f"gain_{i + 1}_{j + 1}" for i in range(p.m) for j in range(p.n)],
-            g.nodes, pol.gain_many(g.nodes)))
+            sol.grid.nodes, pol.gain_many(sol.grid.nodes)))
         out.emit_json("meta.json", _json_safe(sol.meta))
         out.say(f"solve: ok windows={len(sol.meta.get('windows', []))} "
                 f"iterations={sol.meta.get('iterations_total')} "
@@ -402,7 +402,7 @@ def run(cfg: RunConfig, *, quiet: bool = False, stdout=None) -> int:
         return 0
 
     if cfg.mode == "compare-oracle":
-        ref = classical_riccati(p, g)
+        ref = classical_riccati(p, sol.grid)
         dev = float(np.abs(sol.values - ref.values).max())
         tol = 1e-6 * (1.0 + float(matrix_norm_many(ref.values).max()))
         ok = dev <= tol

@@ -5,6 +5,11 @@ the closed triangle {0 <= t <= s <= T} (evaluation outside the triangle is
 permitted whenever the underlying closure extends, which the discount
 families do).  All norms are grid approximations built from the row-sum
 matrix norm sampled at grid nodes.
+
+_tables is the one walk of the triangle of node pairs that reductions read:
+validation and the contraction norms (problem._triangle_pass), kernel_norms
+and the time-consistency test of oracle.classical_riccati.  It hands out
+the grid's distinct lags as one table, or blocks of 32 rows.
 """
 from __future__ import annotations
 
@@ -471,41 +476,15 @@ class NormBundle:
             raise InvalidInputError("c1_norm cannot be smaller than c_norm")
 
 
-def _lag_row_worst(nodes, lags, vals):
-    """max_{j >= i} of vals at the lag nodes[j] - nodes[i], for each row i,
-    given vals at the sorted distinct lags of the grid's node pairs.
-
-    Row i holds some of the lags up to its last, nodes[-1] - nodes[i], so
-    the largest value up to there bounds its worst, and is it where the row
-    holds the last lag with that value: its node j then lies next to where
-    nodes[i] + lag falls in nodes.  Values monotone in the lag, as discounts
-    are, pass that test on every row; the other rows are read pair by pair.
-    """
-    K = nodes.size
-    top = np.maximum.accumulate(vals)
-    last = np.maximum.accumulate(np.where(vals == top, np.arange(vals.size), 0))
-    end = np.searchsorted(lags, nodes[-1] - nodes, side="right") - 1
-    worst, lag = top[end], lags[last[end]]
-    j, held = np.searchsorted(nodes, nodes + lag), np.zeros(K, dtype=bool)
-    for d in (-1, 0, 1):
-        held |= nodes[np.clip(j + d, np.arange(K), K - 1)] - nodes == lag
-    for i in np.flatnonzero(~held):
-        worst[i] = vals[np.searchsorted(lags, nodes[i:] - nodes[i])].max()
-    return worst
-
-
 def kernel_norms(k, g) -> NormBundle:
     """NormBundle of a OneTimeMatrixFn or TwoTimeKernel sampled on grid g.
 
-    Two-time kernels are sampled on all triangle node pairs, walked in blocks
-    of _ROW_BLOCK = 32 rows, so memory goes as O(32 K n^2) for K nodes; their
-    L^1 field integrates, in the first argument, the worst row-sum over the
-    remaining second arguments (so a constant kernel gets T times its matrix
-    norm).  A lag kernel (TwoTimeKernel.lag) is evaluated once per distinct
-    lag of the grid, where there are at most 32 K of them (_lag_table), and
-    each row's worst norm is read from that table (_lag_row_worst); other
-    kernels are evaluated once per pair.  solve_riccati takes the C and C^1
-    norms of Q, S and M from the walk that validates them.
+    Two-time kernels are sampled on all triangle node pairs, walked one table
+    of _ROW_BLOCK = 32 rows at a time (_tables), so memory goes as
+    O(32 K n^2) for K nodes; their L^1 field integrates, in the first
+    argument, the worst row-sum over the remaining second arguments (so a
+    constant kernel gets T times its matrix norm).  solve_riccati takes the
+    C and C^1 norms of Q, S and M from the walk that validates them.
     """
     if not isinstance(k, _Coefficient):
         raise InvalidInputError("kernel_norms expects a OneTimeMatrixFn or TwoTimeKernel")
@@ -520,15 +499,12 @@ def kernel_norms(k, g) -> NormBundle:
 
     if not isinstance(k, TwoTimeKernel):
         row_worst, d_sup = norms(nodes)
-    elif k.lag_only and (lag := _lag_table(nodes)) is not None:
-        vals, d_sup = norms(lag.t, lag.s)
-        row_worst = _lag_row_worst(nodes, lag.s, vals)
     else:
         rows, d_sup = [], 0.0
-        for ii, jj in _triangle_rows(nodes.size):
-            vals, d = norms(nodes[ii], nodes[jj])
+        for table in _tables(nodes, _triangle_rows(nodes.size), lag_only=False):
+            vals, d = norms(table.t, table.s)
             d_sup = max(d_sup, d)
-            starts = np.searchsorted(ii, np.arange(ii[0], ii[-1] + 1))
+            starts = np.flatnonzero(np.concatenate(([True], table.t[1:] != table.t[:-1])))
             rows.append(np.maximum.reduceat(vals, starts))
         row_worst = np.concatenate(rows)
     c = float(row_worst.max())

@@ -2,65 +2,50 @@
 
 classical_riccati integrates the standard backward matrix Riccati equation,
 which is a valid reference exactly when all evaluation-time dependence is
-absent (constant-in-first-argument kernels, constant terminal weight).
+absent (constant-in-first-argument kernels, constant terminal weight).  It
+reads the weights' partials at every node pair of the grid, or every
+distinct lag, on the walk that validation reads (problem._weight_tables),
+and answers with a RiccatiSolution.
 brute_force_cost evaluates the cost functional with a deliberately different
 scheme — order-2 state integration and trapezoid quadrature on a finer grid
 — so agreement with the order-4 path is evidence rather than tautology.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidInputError, TimeConsistencyError
 from .grids import TimeGrid
-from .kernels import _triangle_rows, matrix_norm_many
-from .problem import LQProblem
+from .kernels import matrix_norm_many
+from .problem import LQProblem, _check_horizon, _weight_tables
 from .propagators import half_times
+from .riccati import RiccatiSolution
 from .equilibrium import _as_control
 
 
-@dataclass(frozen=True)
-class ClassicalRiccatiSolution:
-    """Reference kernel P_ref on a grid; P_ref(T) equals the terminal weight."""
+def classical_riccati(p: LQProblem, g: TimeGrid) -> RiccatiSolution:
+    """Backward order-4 integration of the standard Riccati equation, as a
+    RiccatiSolution on g with meta {"reference": "classical"}.
 
-    grid: TimeGrid
-    values: np.ndarray
-
-    def __call__(self, t: float) -> np.ndarray:
-        i = self.grid.index_of(float(t))
-        return self.values[i]
-
-
-def _time_consistency_defect(p: LQProblem, g: TimeGrid) -> float:
-    nodes = g.nodes
-    step = max(1, nodes.size // 40)
-    sub = nodes[::step]
-    if sub[-1] != nodes[-1]:
-        sub = np.concatenate([sub, nodes[-1:]])
-    worst = 0.0
-    for ii, jj in _triangle_rows(sub.size):
-        for k in (p.Q, p.M, p.S):
-            worst = max(worst, float(matrix_norm_many(k.eval_dt(sub[ii], sub[jj])).max()))
-    worst = max(worst, float(matrix_norm_many(p.G.eval_dt(sub)).max()))
-    return worst
-
-
-def classical_riccati(p: LQProblem, g: TimeGrid) -> ClassicalRiccatiSolution:
-    """Backward order-4 integration of the standard Riccati equation.
-
-    Valid only for time-consistent data: all first-argument kernel partials
-    and the terminal-weight derivative must vanish (checked on the grid,
-    tolerance 1e-12), otherwise the classical equation is simply the wrong
-    reference and the call is rejected.
+    Valid only for time-consistent data: the first-argument partials of Q,
+    S and M must vanish at every node pair of g (at every distinct lag of g
+    when all three are lag kernels), and the derivative of G at every node.
+    A row-sum norm that is not <= 1e-12, NaN included, raises
+    TimeConsistencyError: the classical equation is then simply the wrong
+    reference.  A non-finite integration, or a grid that does not end at
+    p.T, raises InvalidInputError.
     """
-    defect = _time_consistency_defect(p, g)
-    if defect > 1e-12:
+    _check_horizon(p, g)
+    nodes = g.nodes
+    defect = matrix_norm_many(p.G.eval_dt(nodes)).max()
+    for table in _weight_tables(p, nodes):
+        # np.max, not max: a NaN partial must stay NaN
+        defect = np.max([defect] + [matrix_norm_many(k.eval_dt(table.t, table.s)).max()
+                                    for k in (p.Q, p.S, p.M)])
+    if not defect <= 1e-12:
         raise TimeConsistencyError(
             f"kernels depend on evaluation time (max partial {defect:.3e}); "
             "the classical equation is not a valid reference here")
-    nodes = g.nodes
     K = nodes.size
     half = half_times(nodes)
     Ah = p.A.eval(half)
@@ -85,7 +70,7 @@ def classical_riccati(p: LQProblem, g: TimeGrid) -> ClassicalRiccatiSolution:
         k4 = rhs(2 * i - 2, P - h * k3)
         P0 = P - (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         values[i - 1] = 0.5 * (P0 + P0.T)
-    return ClassicalRiccatiSolution(g, values)
+    return RiccatiSolution(g, values, {"reference": "classical"})
 
 
 def brute_force_cost(p: LQProblem, t: float, x, u, refinement: int = 8) -> float:

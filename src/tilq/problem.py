@@ -425,10 +425,19 @@ def _check_horizon(p: LQProblem, g) -> None:
         raise InvalidInputError(f"grid ends at {g.T!r}, not at the horizon T = {p.T!r}")
 
 
+def _weight_tables(p: LQProblem, nodes):
+    """The tables (kernels._tables) of a walk of the triangle of node pairs
+    that evaluates the weights Q, S and M of p: the grid's distinct lags
+    when all three are lag kernels (TwoTimeKernel.lag), else blocks of 32
+    rows."""
+    return _tables(nodes, _triangle_rows(nodes.size),
+                   p.Q.lag_only and p.S.lag_only and p.M.lag_only)
+
+
 def _triangle_pass(p: LQProblem, g, tol: float = 1e-8, validate: bool = True):
     """(report, norms) from one walk of the triangle of node pairs.
 
-    The walk (kernels._tables) evaluates Q, S, M and their first-argument
+    The walk (_weight_tables) evaluates Q, S, M and their first-argument
     partials on one table of entries at a time, and reduces each table once.
     When Q, S and M are lag kernels (TwoTimeKernel.lag) and the grid has at
     most 32 K distinct lags, the one table is the grid's distinct lags, each
@@ -446,8 +455,7 @@ def _triangle_pass(p: LQProblem, g, tol: float = 1e-8, validate: bool = True):
     nodes = g.nodes
     checks = _PairChecks(tol) if validate else None
     norms = _PairNorms()
-    lag_only = p.Q.lag_only and p.S.lag_only and p.M.lag_only
-    for table in _tables(nodes, _triangle_rows(nodes.size), lag_only):
+    for table in _weight_tables(p, nodes):
         stacks = [f(table.t, table.s) for k in (p.Q, p.S, p.M) for f in (k.eval, k.eval_dt)]
         norms.add(*stacks)
         if checks is not None:

@@ -267,6 +267,29 @@ def test_compare_oracle_mode(tmp_path):
     assert doc["max_deviation"] <= doc["tol"]
 
 
+def _weak_feedback(tmp_path, mode):
+    # B = 0.01 at N = 32: guaranteed mode refines the grid 3 times to solve
+    cfg = make_config(mode=mode, grid={"N": 32})
+    cfg["problem"]["B"]["base"] = [[0.01]]
+    out_dir = tmp_path / mode
+    assert main(["--config", str(write(tmp_path, cfg)), "--out", str(out_dir),
+                 "--quiet"]) == 0
+    return out_dir
+
+
+def test_compare_oracle_on_a_refined_solve(tmp_path):
+    doc = json.loads((_weak_feedback(tmp_path, "compare-oracle") / "compare.json").read_text())
+    assert doc["max_deviation"] <= doc["tol"]
+
+
+def test_gain_and_solution_share_the_refined_grid(tmp_path):
+    out_dir = _weak_feedback(tmp_path, "solve")
+    assert json.loads((out_dir / "meta.json").read_text())["refined_by"] == 3
+    rows = [len((out_dir / name).read_text().splitlines())
+            for name in ("solution.csv", "gain.csv")]
+    assert rows == [3 * 32 + 2] * 2
+
+
 def test_compare_tolerance_reads_the_reference_not_the_a_priori_bound(tmp_path):
     # on T = 20, 1e-6 (1 + r) with r ~ 1e10 read 1.02e4, so compare-oracle
     # passed any P within 1e4 of the reference; the tolerance now scales

@@ -264,8 +264,7 @@ def test_lag_kernel_norms_match_the_pair_norms_off_monotone(g):
 
 
 def test_lag_kernel_norms_on_the_table():
-    # kernel_norms of a lag kernel reads the lag table; a constant kernel's
-    # L^1 norm stays T times its matrix norm
+    # a constant lag kernel's L^1 norm stays T times its matrix norm
     g = TimeGrid.uniform(2.0, 100)
     k = TwoTimeKernel.constant(np.array([[1.0, -2.0], [0.0, 1.0]]), 2.0)
     nb = kernel_norms(k, g)

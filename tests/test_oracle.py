@@ -4,8 +4,11 @@ from scipy.linalg import expm
 
 from tilq import (
     InvalidInputError,
+    LQProblem,
+    RiccatiSolution,
     TimeConsistencyError,
     TimeGrid,
+    TwoTimeKernel,
     brute_force_cost,
     classical_riccati,
     constant_problem,
@@ -18,6 +21,7 @@ TANH1 = 0.7615941559557649  # tanh(1)
 def test_classical_tanh():
     p = constant_problem(A=0.0, B=1.0, Q=1.0, S=0.0, M=1.0, G=0.0, T=1.0)
     ref = classical_riccati(p, TimeGrid.uniform(1.0, 400))
+    assert isinstance(ref, RiccatiSolution) and ref.meta == {"reference": "classical"}
     np.testing.assert_allclose(ref(0.0)[0, 0], TANH1, atol=1e-9)
 
 
@@ -37,6 +41,49 @@ def test_classical_lyapunov_closed_form(rng):
 def test_classical_rejects_time_inconsistent(hyperbolic_scalar):
     with pytest.raises(TimeConsistencyError):
         classical_riccati(hyperbolic_scalar, TimeGrid.uniform(1.0, 50))
+
+
+def _with_q(p, fn, dfn):
+    Q = TwoTimeKernel.from_callable(fn, (1, 1), p.T, dfn, symmetry_required=True,
+                                    vectorized=True)
+    return LQProblem(A=p.A, B=p.B, Q=Q, S=p.S, M=p.M, G=p.G)
+
+
+def test_classical_checks_every_node_pair():
+    # Q(t, s) = 1 + bump(t)/2, the bump supported in (0.0275, 0.0475): no node
+    # of every tenth of a 400-interval grid lies in there, but seven nodes do
+    def bump(t):
+        u = (t - 0.0375) / 0.01
+        inside = np.abs(u) < 1.0
+        w = np.where(inside, 1.0 - u ** 2, 1.0)
+        b = np.where(inside, np.exp(1.0 - 1.0 / w), 0.0)
+        return b, b * (-2.0 * u / w ** 2) / 0.01
+
+    p = _with_q(constant_problem(A=0.0, B=1.0, Q=1.0, S=0.0, M=1.0, G=0.0, T=1.0),
+                lambda t, s: (1.0 + 0.5 * bump(t)[0])[:, None, None],
+                lambda t, s: (0.5 * bump(t)[1])[:, None, None])
+    with pytest.raises(TimeConsistencyError):
+        classical_riccati(p, TimeGrid.uniform(1.0, 400))
+
+
+def test_classical_refuses_a_nan_partial():
+    p = _with_q(constant_problem(A=0.0, B=1.0, Q=1.0, S=0.0, M=1.0, G=0.0, T=1.0),
+                lambda t, s: np.ones((t.size, 1, 1)),
+                lambda t, s: np.where(t > 0.5, np.nan, 0.0)[:, None, None])
+    with pytest.raises(TimeConsistencyError):
+        classical_riccati(p, TimeGrid.uniform(1.0, 400))
+
+
+def test_classical_refuses_a_non_finite_integration():
+    p = constant_problem(A=1e100, B=0.0, Q=0.0, S=0.0, M=1.0, G=1.0, T=1.0)
+    with np.errstate(all="ignore"), pytest.raises(InvalidInputError):
+        classical_riccati(p, TimeGrid.uniform(1.0, 20))
+
+
+def test_classical_refuses_a_grid_past_the_horizon():
+    p = constant_problem(A=0.0, B=1.0, Q=1.0, S=0.0, M=1.0, G=0.0, T=1.0)
+    with pytest.raises(InvalidInputError, match="horizon"):
+        classical_riccati(p, TimeGrid.uniform(2.0, 100))
 
 
 def test_classical_solution_symmetric_psd(rng):
