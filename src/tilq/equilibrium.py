@@ -38,7 +38,7 @@ from ._quad import integrate, simpson_weights
 from .errors import GridTooCoarseError, InvalidInputError
 from .grids import TimeGrid, node_index
 from .kernels import _unique
-from .problem import LQProblem
+from .problem import LQProblem, _check_horizon
 from .propagators import flow_prefix, half_times, rk4_flow, rk4_steps
 from .riccati import RiccatiSolution, _write_csv, upsilon
 
@@ -63,6 +63,9 @@ class EquilibriumPolicy:
 
     problem: LQProblem
     P: RiccatiSolution
+
+    def __post_init__(self):
+        _check_horizon(self.problem, self.P.grid)
 
     def gain_many(self, ts) -> np.ndarray:
         """Gain matrices -M(t,t)^{-1}(B(t)' P(t) + S(t,t)) at times ts."""
@@ -104,9 +107,12 @@ def simulate(pol: EquilibriumPolicy, t0: float, x0, g: TimeGrid | None = None
     The path runs on t0 and the nodes past it (of g, else of the policy's
     grid), by the RK4 steps that cost integrates a policy with: the flow
     starts at t0 itself, so no transition is inverted or interpolated.  A t0
-    that is a node by grids.node_index starts the path at that node.
+    that is a node by grids.node_index starts the path at that node.  A g
+    that does not end at the horizon is an InvalidInputError.
     """
     p = pol.problem
+    if g is not None:
+        _check_horizon(p, g)
     nodes = g.nodes if g is not None else pol.P.grid.nodes
     t0 = float(t0)
     i = int(node_index(nodes, t0))

@@ -91,13 +91,11 @@ def _batch(t, s):
 _ROW_BLOCK = 32
 
 
-def _triangle_rows(K: int, a: int = 0, b: int | None = None):
-    """Row-major pair indices (ii, jj), ii <= jj < K, of rows a..b (default
-    the last), _ROW_BLOCK rows at a time: np.triu_indices(K) cut at row
-    boundaries."""
-    b = K - 1 if b is None else b
-    for i0 in range(a, b + 1, _ROW_BLOCK):
-        rows = np.arange(i0, min(i0 + _ROW_BLOCK, b + 1))
+def _triangle_rows(K: int):
+    """Row-major pair indices (ii, jj), ii <= jj < K, _ROW_BLOCK rows at a
+    time: np.triu_indices(K) cut at row boundaries."""
+    for i0 in range(0, K, _ROW_BLOCK):
+        rows = np.arange(i0, min(i0 + _ROW_BLOCK, K))
         lens = K - rows
         ii = np.repeat(rows, lens)
         jj = np.arange(lens.sum()) - np.repeat(np.cumsum(lens) - lens - rows, lens)
@@ -164,16 +162,16 @@ def _lag_table(nodes) -> _Table | None:
     return _Table(np.zeros_like(lags), lags, (nodes[ii], nodes[jj]), count)
 
 
-def _tables(nodes, blocks, lag_only):
-    """The tables of a walk of the triangle of node pairs, given its blocks
-    (ii, jj) of row-major pairs: with lag_only (every kernel walked depends
-    on the lag alone) and a grid of at most _ROW_BLOCK * K distinct lags,
-    the lag table (_lag_table) in the row-major order of its first pairs,
-    so a reduction that keeps the first of equal values keeps the first
-    pair of the triangle; else each block as its own table."""
+def _tables(nodes, lag_only):
+    """The tables of a walk of the triangle of node pairs: with lag_only
+    (every kernel walked depends on the lag alone) and a grid of at most
+    _ROW_BLOCK * K distinct lags, the lag table (_lag_table) in the
+    row-major order of its first pairs, so a reduction that keeps the first
+    of equal values keeps the first pair of the triangle; else each block
+    of _triangle_rows as its own table."""
     lag = _lag_table(nodes) if lag_only else None
     if lag is None:
-        for ii, jj in blocks:
+        for ii, jj in _triangle_rows(nodes.size):
             t, s = nodes[ii], nodes[jj]
             yield _Table(t, s, (t, s))
         return
@@ -501,7 +499,7 @@ def kernel_norms(k, g) -> NormBundle:
         row_worst, d_sup = norms(nodes)
     else:
         rows, d_sup = [], 0.0
-        for table in _tables(nodes, _triangle_rows(nodes.size), lag_only=False):
+        for table in _tables(nodes, lag_only=False):
             vals, d = norms(table.t, table.s)
             d_sup = max(d_sup, d)
             starts = np.flatnonzero(np.concatenate(([True], table.t[1:] != table.t[:-1])))

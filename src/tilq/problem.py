@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .kernels import (OneTimeMatrixFn, TwoTimeKernel, _columnwise, _row_sums, _Table, _tables,
-                      _triangle_rows, matrix_norm_many)
+                      matrix_norm_many)
 
 
 @dataclass(frozen=True)
@@ -430,8 +430,7 @@ def _weight_tables(p: LQProblem, nodes):
     that evaluates the weights Q, S and M of p: the grid's distinct lags
     when all three are lag kernels (TwoTimeKernel.lag), else blocks of 32
     rows."""
-    return _tables(nodes, _triangle_rows(nodes.size),
-                   p.Q.lag_only and p.S.lag_only and p.M.lag_only)
+    return _tables(nodes, p.Q.lag_only and p.S.lag_only and p.M.lag_only)
 
 
 def _triangle_pass(p: LQProblem, g, tol: float = 1e-8, validate: bool = True):

@@ -90,14 +90,18 @@ def flow_condition(values, inverses, *, stacklevel: int = 2) -> float:
 class Propagator:
     """Fundamental solution on a node array; see fundamental_solution.
 
-    values[k] is U at nodes[k] and inverse[k] its inverse.
+    values[k] is U at nodes[k] and inverse[k] its inverse; a U that is
+    singular to working precision is an InvalidInputError.
     """
 
     def __init__(self, nodes, values):
         self.nodes = np.asarray(nodes, dtype=float)
         self.values = values
         self.dim = values.shape[-1]
-        self.inverse = np.linalg.inv(values)
+        try:
+            self.inverse = np.linalg.inv(values)
+        except np.linalg.LinAlgError as exc:
+            raise InvalidInputError(f"the flow cannot be inverted on this grid: {exc}") from exc
         self.condition = flow_condition(values, self.inverse, stacklevel=3)
 
 

@@ -18,15 +18,16 @@ The solver marches backward from T in windows, iterating on each window the
 flow-conjugated integral map (boundary value propagated with the drift-only
 flow plus a windowed integral of the effective weight), which is a
 contraction on windows below the width tau certified by
-contraction_constants.  Certified windows iterate that map plainly.  The
-certified width collapses numerically whenever B is nonzero, so by default
-the solver falls back to practical windows of width T/4, which it halves on
-observed divergence.  A practical window iterates the map with type-II
-Anderson mixing of depth 5 (Walker & Ni 2011): fewer map applications than
-plain Picard, and convergence where the plain map expands.  In both regimes
-a window stops only when one application of the map to a plain image moves
-it by at most tol, so every accepted window is a fixed point of its map to
-tol.
+contraction_constants.  It conjugates by the drift-only flow of A on its
+own window, anchored at the window start: no solve inverts a flow over the
+whole horizon.  Certified windows iterate that map plainly.  The certified
+width collapses numerically whenever B is nonzero, so by default the solver
+falls back to practical windows of width T/4, which it halves on observed
+divergence.  A practical window iterates the map with type-II Anderson
+mixing of depth 5 (Walker & Ni 2011): fewer map applications than plain
+Picard, and convergence where the plain map expands.  In both regimes a
+window stops only when one application of the map to a plain image moves it
+by at most tol, so every accepted window is a fixed point of its map to tol.
 
 Each node pair (s_i, r) is reduced O(1) times per solve.  One walk of the
 triangle of node pairs, 32 rows at a time, both validates the problem and
@@ -45,11 +46,11 @@ vector plus a band of four next to the diagonal, and every integral to the
 end of a window or of the grid is a reverse sum of interval integrals.
 
 An iterate recomputes only what depends on the iterate: M^{-1}B' and
-M^{-1}S are tabulated when the engine is built and the inverse of the
-drift-only flow is kept from its condition check, so the gain, the drift
-and the window map multiply instead of solving.  A window builds once the
-cubic basis its drift interpolates by, the interval weights its map
-integrates by, and its kernel partials, one array per kernel (none for an
+M^{-1}S are tabulated when the engine is built and each window keeps the
+inverse of its drift-only flow, so the gain, the drift and the window map
+multiply instead of solving.  A window builds once the cubic basis its
+drift interpolates by, the interval weights its map integrates by, its
+drift-only flow and its kernel partials, one array per kernel (none for an
 S_t that is zero on the block); the condition of the closed-loop flow is
 checked once per accepted window.  Each window after the first starts from
 the local cubic through the solved nodes next to it.
@@ -71,8 +72,7 @@ from .errors import InvalidInputError, NonconvergenceError, NotPositiveDefiniteE
 from .grids import TimeGrid, node_index
 from .kernels import _ROW_BLOCK, kernel_norms, matrix_norm, matrix_norm_many
 from .problem import LQProblem, _check_horizon, _sym, _triangle_pass
-from .propagators import (Propagator, feedback_tables, flow_condition, fundamental_solution,
-                          half_times, rk4_flow)
+from .propagators import feedback_tables, flow_condition, half_times, rk4_flow
 
 
 def _exp(x: float) -> float:
@@ -177,6 +177,7 @@ class ContractionConstants:
     of radius 2r; beta_bar / omega_bar bound flow growth; gamma_bar is the
     Lipschitz scale of the nonlocal term; tau = min(tau1, tau2, tau3) is the
     certified window width (contraction factor <= 1/2 on windows <= tau).
+    All three are norm bounds; tau1 is the Gronwall width (_constants).
     """
 
     r: float
@@ -205,16 +206,15 @@ def contraction_constants(p: LQProblem, g: TimeGrid) -> ContractionConstants:
     The two-time norms (those of kernel_norms) and the bound on M^{-1} come
     from one walk of the triangle of node pairs in blocks of 32 rows, so
     memory goes as O(32 K n^2) for K nodes.  solve_riccati takes them from
-    the walk that validates the problem.  A grid that does not end at p.T
-    is an InvalidInputError.
+    the walk that validates the problem; no flow is integrated.  A grid
+    that does not end at p.T is an InvalidInputError.
     """
     _check_horizon(p, g)
-    return _constants(p, g, _triangle_pass(p, g, validate=False)[1], fundamental_solution(p.A, g))
+    return _constants(p, g, _triangle_pass(p, g, validate=False)[1])
 
 
-def _constants(p: LQProblem, g: TimeGrid, pair_norms, psi: Propagator) -> ContractionConstants:
-    """contraction_constants from the two-time norms of a triangle walk and
-    the drift-only flow psi of A on g."""
+def _constants(p: LQProblem, g: TimeGrid, pair_norms) -> ContractionConstants:
+    """contraction_constants from the two-time norms of a triangle walk."""
     nodes = g.nodes
     T = g.T
     nA = kernel_norms(p.A, g)
@@ -242,27 +242,17 @@ def _constants(p: LQProblem, g: TimeGrid, pair_norms, psi: Propagator) -> Contra
     den3 = 4 * _exp(2 * a1) * (rho * binf + 2 * T * gamma * _exp(4 * omega))
     tau3 = 1.0 / den3 if den3 > 0 else math.inf
 
-    # tau1: widest node span over which the drift-only flow stays uniformly
-    # close to the identity, in both time directions
-    U, U_inv = psi.values, psi.inverse
+    # tau1, the Gronwall width: ||Phi(t, s) - I|| <= e^{|t - s| sup||A||} - 1
+    # for the drift-only flow in both directions, so the widest node span no
+    # longer than log1p(bound) / sup||A|| (every span when A = 0) keeps it
+    # within bound of I.  Bisection over span lengths: lo passes, hi = K is
+    # longer than any span
     bound = 1.0 / (2.0 * (1.0 + _exp(2 * beta)))
-    eye = np.eye(p.n)
-
-    def span_ok(w: int) -> bool:
-        worst = max(matrix_norm_many(U[w:] @ U_inv[:-w] - eye).max(),
-                    matrix_norm_many(U[:-w] @ U_inv[w:] - eye).max())
-        return bool(worst <= bound)
-
-    lo, hi = 0, nodes.size - 1
-    if span_ok(hi):
-        lo = hi
-    else:
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if span_ok(mid):
-                lo = mid
-            else:
-                hi = mid
+    reach = math.log1p(bound) / nA.c_norm if nA.c_norm > 0 else math.inf
+    lo, hi = 0, nodes.size
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if (nodes[mid:] - nodes[:-mid]).max() <= reach else (lo, mid)
     tau1 = float((nodes[lo:] - nodes[:nodes.size - lo]).min()) if lo > 0 else 0.0
 
     tau = min(tau1, tau2, tau3)
@@ -396,7 +386,8 @@ class _Window(NamedTuple):
     by.  blocks yields, per block of rows from i0, (i0, core, Z): core holds
     the weighted kernel partials of the rows against the columns [i0, c) as
     _Pairs (_Engine.triangle_block), Z the rows' tail past c folded into one
-    n x n matrix each.
+    n x n matrix each.  conj (cached_window only) holds the drift-only flow
+    V_j = Phi_A(s_j, s_a) on nodes[a:b+1] and its inverses.
     """
 
     c: int
@@ -405,6 +396,7 @@ class _Window(NamedTuple):
     cubic: tuple
     rule: tuple
     blocks: Iterable
+    conj: tuple | None = None
 
 
 class _Engine:
@@ -413,9 +405,9 @@ class _Engine:
     Construction tabulates what no iterate changes: A and B at the half
     times (nodes and interval midpoints), the feedback_tables M^{-1}B' and
     M^{-1}S there (so Ups = MiBt P + MiS is a product, not a solve), and M, Q
-    and Gdot at the nodes.  The cached properties hold psi, the drift-only
-    flow of A that only the window map reads, the tail rules as a vector plus
-    a K x 4 band, and full-grid tables of the fixed solution values.
+    and Gdot at the nodes.  The cached properties hold the tail rules as a
+    vector plus a K x 4 band and full-grid tables of the fixed solution
+    values.  No drift-only flow spans the grid: each window has its own.
     """
 
     def __init__(self, p: LQProblem, grid: TimeGrid, values=None):
@@ -437,11 +429,6 @@ class _Engine:
         self.G_T = _sym(p.G.eval(grid.T))
         self._window_key = None
         self._window = None
-
-    @cached_property
-    def psi(self) -> Propagator:
-        """The drift-only flow of A on the grid, with its inverse."""
-        return fundamental_solution(self.p.A, self.grid)
 
     @cached_property
     def tail_rule(self) -> tuple[np.ndarray, np.ndarray]:
@@ -540,12 +527,13 @@ class _Engine:
                        interval_rule(self.nodes[a:b + 1]), blocks())
 
     def cached_window(self, values: np.ndarray, a: int, b: int) -> _Window:
-        """window(values, a, b) with its blocks listed, kept until another
-        window asks: every iterate of a window shares them."""
+        """window(values, a, b) with its blocks listed and its conj, kept
+        until another window asks: every iterate of a window shares them."""
         if self._window_key != (a, b):
             self._window = None  # free the old window's before building
             win = self.window(values, a, b)
-            self._window = win._replace(blocks=list(win.blocks))
+            V = rk4_flow(self.nodes[a:b + 1], self.A_half[2 * a:2 * b + 1])
+            self._window = win._replace(blocks=list(win.blocks), conj=(V, np.linalg.inv(V)))
             self._window_key = (a, b)
         return self._window
 
@@ -597,7 +585,7 @@ class _Engine:
 
     def check_condition(self, values: np.ndarray, a: int, window: _Window) -> None:
         """flow_condition of the closed loop of values over [s_a, T], composed
-        as Phi(r, s_c) U_c past the split node; warns as Propagator does."""
+        as Phi(r, s_c) U_c past the split node (warns via flow_condition)."""
         U = self.closed_flow(values, a, window)
         U_inv = np.linalg.inv(U)
         flow_condition(np.concatenate([U, window.flow[1:] @ U[-1]]),
@@ -607,8 +595,10 @@ class _Engine:
                        boundary: np.ndarray) -> np.ndarray:
         """One application of the window map; returns values on nodes[a:b+1].
 
-        The map conjugates by psi and its stored inverse; Ups, computed once
-        on nodes a..max(b, c - 1), serves f_diag too.
+        The map conjugates by the window's drift-only flow V_j = Phi_A(s_j,
+        s_a) and its stored inverse (_Window.conj), so rounding grows with
+        the flow's condition over the window, not over [0, s_b].  Ups,
+        computed once on nodes a..max(b, c - 1), serves f_diag too.
         """
         window = self.cached_window(values, a, b)
         ups = self.upsilon_nodes(values, a, max(window.c, b + 1))
@@ -616,11 +606,10 @@ class _Engine:
         ups = ups[:b + 1 - a]
         quad = np.swapaxes(ups, -1, -2) @ self.M_nodes[a:b + 1] @ ups
         R = self.Q_nodes[a:b + 1] - F - quad
-        UA = self.psi.values[a:b + 1]
-        Y = np.swapaxes(UA, -1, -2) @ R @ UA
-        C = UA[-1].T @ boundary @ UA[-1] + tail_sums(window.rule, Y)
-        UA_inv = self.psi.inverse[a:b + 1]
-        new = _sym(np.swapaxes(UA_inv, -1, -2) @ C @ UA_inv)
+        V, V_inv = window.conj
+        Y = np.swapaxes(V, -1, -2) @ R @ V
+        C = V[-1].T @ boundary @ V[-1] + tail_sums(window.rule, Y)
+        new = _sym(np.swapaxes(V_inv, -1, -2) @ C @ V_inv)
         new[-1] = boundary
         return new
 
@@ -741,7 +730,9 @@ class _Engine:
 
 def _engine_for(p: LQProblem, P: "RiccatiSolution") -> _Engine:
     """The engine of (p, P), kept on P; another problem object replaces it,
-    so tables cached for one problem never answer for another."""
+    so tables cached for one problem never answer for another; a P whose
+    grid does not end at p.T is an InvalidInputError."""
+    _check_horizon(p, P.grid)
     engine = P._engine
     if engine is None or engine.p is not p:
         engine = P._engine = _Engine(p, P.grid, P.values)
@@ -814,8 +805,7 @@ def solve_riccati(p: LQProblem, g: TimeGrid, opts: SolveOptions | None = None
             warnings.warn("advisory sign conditions failed; equilibrium certified"
                           " quantities may lose definiteness", RuntimeWarning,
                           stacklevel=2)
-    psi = fundamental_solution(p.A, g)
-    cc = _constants(p, g, pair_norms, psi)
+    cc = _constants(p, g, pair_norms)
 
     g_solve = g
     refined_by = 1
@@ -833,8 +823,6 @@ def solve_riccati(p: LQProblem, g: TimeGrid, opts: SolveOptions | None = None
         width = g.T / 4.0
 
     engine = _Engine(p, g_solve)
-    if g_solve is g:
-        engine.psi = psi
     nodes = g_solve.nodes
     K = nodes.size
     values = np.broadcast_to(engine.G_T, (K,) + engine.G_T.shape).copy()
@@ -896,7 +884,8 @@ def q_bar_nodes(p: LQProblem, P: RiccatiSolution) -> np.ndarray:
 
 def _union_engine(p: LQProblem, P: RiccatiSolution, ts) -> _Engine:
     """The engine on the union of P's nodes and the times ts, P sampled at
-    the inserted times by its local cubic."""
+    the inserted times by its local cubic; the horizon rule of _engine_for."""
+    _check_horizon(p, P.grid)
     union = np.union1d(P.grid.nodes, ts)
     return _Engine(p, TimeGrid(union), P.eval_many(union))
 

@@ -251,9 +251,10 @@ def test_lag_difference_depends_on_the_lag_alone(vectorized):
                                TimeGrid.uniform(1.0, 2 * _ROW_BLOCK + 1), _jittered(40)],
                          ids=["uniform-400", "uniform-65", "jittered-40"])
 def test_lag_kernel_norms_match_the_pair_norms_off_monotone(g):
-    # kernel_norms takes a row's worst from the largest value at the lags up
-    # to the row's last where the row holds that lag; a lag profile that
-    # rises and falls fails that on most rows, which are read pair by pair
+    # kernel_norms reduces every two-time kernel, lag or not, on the 32-row
+    # blocks of the triangle walk, each row's worst taken over its own
+    # pairs; a lag profile that rises and falls, whose worst is at no fixed
+    # lag of a row, reads the same norms as its pair kernel
     profiles = {"bump": (lambda l: np.exp(-50.0 * (l - 0.37) ** 2),
                          lambda l: 100.0 * (l - 0.37) * np.exp(-50.0 * (l - 0.37) ** 2)),
                 "wave": (lambda l: 2.0 + np.sin(37.0 * l), lambda l: -37.0 * np.cos(37.0 * l))}

@@ -88,3 +88,11 @@ def test_flow_prefix_matches_the_step_loop():
         for e in E:
             want.append(e @ want[-1])
         np.testing.assert_array_equal(flow_prefix(E), np.array(want))
+
+
+def test_a_flow_singular_to_working_precision_is_an_input_error():
+    # the saddle [[0, 2], [1, 0]] over T = 20 grows the flow to ~e^{28}, and
+    # inverting it raised numpy's LinAlgError
+    f = OneTimeMatrixFn.constant([[0.0, 2.0], [1.0, 0.0]], 20.0)
+    with pytest.raises(InvalidInputError, match="cannot be inverted on this grid"):
+        fundamental_solution(f, TimeGrid.uniform(20.0, 2000))

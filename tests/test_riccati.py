@@ -22,6 +22,7 @@ from tilq import (
     classical_riccati,
     exponential_kernel,
     exponential_terminal,
+    fundamental_solution,
     hyperbolic_kernel,
     hyperbolic_problem,
     hyperbolic_terminal,
@@ -38,7 +39,7 @@ from tilq import riccati
 from tilq._quad import (apply_cubic, local_cubic, simpson_weights, tail_integrals,
                         tail_sums)
 from tilq.kernels import _ROW_BLOCK, matrix_norm_many
-from tilq.propagators import closed_loop_coefficient, flow_condition, rk4_flow
+from tilq.propagators import closed_loop_coefficient, flow_condition, half_times, rk4_flow
 from tilq.bvp import BvpSolution
 from tilq.riccati import RiccatiSolution, _Engine, q_bar_nodes
 from tilq.verify import RICCATI_TOL
@@ -212,7 +213,7 @@ def test_tau1_is_the_widest_span_a_scan_finds():
     p = constant_problem(A=0.5, B=0.0, Q=1.0, S=0.0, M=1.0, G=1.0, T=1.0)
     g = TimeGrid.uniform(1.0, 64)
     cc = contraction_constants(p, g)
-    U = riccati.fundamental_solution(p.A, g)
+    U = fundamental_solution(p.A, g)
     U, U_inv = U.values, U.inverse
     bound = 1.0 / (2.0 * (1.0 + math.exp(2.0 * cc.beta_bar)))
     eye, K = np.eye(1), g.nodes.size
@@ -224,6 +225,29 @@ def test_tau1_is_the_widest_span_a_scan_finds():
     widest = max(w for w in range(1, K) if span_ok(w))
     assert widest == 16
     assert cc.tau1 == 0.25 == float((g.nodes[widest:] - g.nodes[:K - widest]).min())
+
+
+def test_tau1_is_the_gronwall_width_on_a_matrix_drift():
+    # ||A|| = 0.2 (row sums) and beta = 0.2: tau1 is the widest node span no
+    # longer than log1p(bound) / 0.2 = 0.914, which is 58 of 64 intervals.
+    # The flow scan finds 61 (0.953125): the Gronwall width is never wider,
+    # and it certifies the same bound on every span up to it
+    p = constant_problem(A=0.1 * np.array([[0.0, 2.0], [1.0, 0.0]]), B=np.zeros((2, 2)),
+                         Q=np.eye(2), S=None, M=np.eye(2), G=np.eye(2), T=1.0)
+    g = TimeGrid.uniform(1.0, 64)
+    cc = contraction_constants(p, g)
+    assert cc.tau1 == 0.90625
+    flow = fundamental_solution(p.A, g)
+    U, U_inv = flow.values, flow.inverse
+    bound = 1.0 / (2.0 * (1.0 + math.exp(2.0 * cc.beta_bar)))
+    eye, K = np.eye(2), g.nodes.size
+
+    def worst(w):
+        return max(matrix_norm_many(U[w:] @ U_inv[:-w] - eye).max(),
+                   matrix_norm_many(U[:-w] @ U_inv[w:] - eye).max())
+
+    assert all(worst(w) <= bound for w in range(1, 59))
+    assert max(w for w in range(1, K) if worst(w) <= bound) == 61
 
 
 def test_constants_survive_extreme_instances():
@@ -701,8 +725,8 @@ def test_triangle_block_matches_pair_scatter(problem, nodes):
 
 def test_picard_iterate_solves_against_neither_m_nor_psi(monkeypatch):
     # one iterate of an n3 window at N=400 multiplies by the tabulated
-    # M^{-1}B', M^{-1}S and psi^{-1}; only the per-block anchoring of the
-    # closed-loop flow still solves
+    # M^{-1}B', M^{-1}S and the inverse of the window's drift-only flow; only
+    # the per-block anchoring of the closed-loop flow still solves
     p, g = _n3_problem(), TimeGrid.uniform(1.0, 400)
     engine = _Engine(p, g)
     nodes = g.nodes
@@ -815,6 +839,53 @@ def test_exponential_weights_match_the_shifted_classical_riccati(rho, T, N):
     assert np.abs(sol.values - ref.values).max() <= 1e-6
 
 
+_SADDLE = np.array([[0.0, 2.0], [1.0, 0.0]])  # eigenvalues +-sqrt(2)
+
+
+@pytest.mark.parametrize("T, N", [(5.0, 500), (10.0, 1000), (20.0, 2000)])
+def test_a_saddle_drift_solves_on_long_horizons(T, N):
+    # the drift-only flow of a saddle over [0, T] has condition ~e^{2 sqrt(2) T}:
+    # conjugating every window by that flow anchored at 0 exhausted the
+    # halving at T = 5, warned and failed at T = 10 and hit a singular
+    # matrix at T = 20.  Each window conjugates by its own flow instead
+    I = np.eye(2)
+    p = constant_problem(A=_SADDLE, B=I, Q=I, S=None, M=I, G=I, T=T)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_riccati(p, TimeGrid.uniform(T, N))
+    assert np.abs(sol.values - classical_riccati(p, sol.grid).values).max() <= 1e-6
+
+
+def _random_drift_problem():
+    """Hyperbolic, n = m = 3, T = 10, entries of A up to 0.95 (rng 124)."""
+    rng = np.random.default_rng(124)
+    n = int(rng.integers(1, 4))
+    m, T = int(rng.integers(1, n + 1)), float(rng.choice([0.5, 1, 2, 5, 10]))
+    A = rng.uniform(0, 0.8) * rng.standard_normal((n, n))
+    B = rng.standard_normal((n, m))
+    Q, M, G = (rng.uniform(0.2, 3) * np.eye(n), rng.uniform(0.3, 2) * np.eye(m),
+               rng.uniform(0, 2) * np.eye(n))
+    return hyperbolic_problem(Q, M, G, A=A, B=B, k=rng.uniform(0.2, 2), theta=1.0, T=T)
+
+
+@pytest.mark.parametrize("make, N", [
+    (lambda: hyperbolic_problem(np.eye(2), np.eye(2), np.eye(2), A=_SADDLE, B=np.eye(2),
+                                k=1.0, theta=1.0, T=5.0), 500),
+    (lambda: hyperbolic_problem(np.eye(2), np.eye(2), np.eye(2), A=_SADDLE, B=np.eye(2),
+                                k=1.0, theta=1.0, T=10.0), 1000),
+    (_random_drift_problem, 1000),
+], ids=["saddle-5", "saddle-10", "random-124"])
+def test_long_horizon_drifts_solve_to_the_residual_tolerance(make, N):
+    # the time-inconsistent twins of the saddle above, and a random drift
+    # whose halving was exhausted next to T while every window conjugated by
+    # the drift-only flow from 0
+    p = make()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_riccati(p, TimeGrid.uniform(p.T, N))
+    assert riccati_residual_profile(p, sol).max() <= RICCATI_TOL
+
+
 def test_m_singular_between_nodes_is_an_input_error():
     # M(s, s) = 2 (s - h/2)^2 is positive at every node, so validation
     # passes, but the feedback tables need M^{-1} at the first midpoint too
@@ -911,11 +982,11 @@ def test_picard_iterate_computes_the_gain_once(monkeypatch, a, b):
                       engine.upsilon_nodes(values, a, c))
     ups = engine.upsilon_nodes(values, a, b + 1)
     quad = np.swapaxes(ups, -1, -2) @ engine.M_nodes[a:b + 1] @ ups
-    U = engine.psi.values[a:b + 1]
+    # the map conjugates by the drift-only flow of the window, I at s_a
+    U = rk4_flow(g.nodes[a:b + 1], p.A.eval(half_times(g.nodes[a:b + 1])))
     Y = np.swapaxes(U, -1, -2) @ (engine.Q_nodes[a:b + 1] - F - quad) @ U
-    C = U[-1].T @ values[b] @ U[-1] + np.tensordot(simpson_weights(g.nodes[a:b + 1]), Y,
-                                                   axes=(0, 0))
-    first = engine.psi.inverse[a].T @ C @ engine.psi.inverse[a]
+    first = U[-1].T @ values[b] @ U[-1] + np.tensordot(simpson_weights(g.nodes[a:b + 1]), Y,
+                                                       axes=(0, 0))
     assert np.abs(got[0] - 0.5 * (first + first.T)).max() <= 1e-13 * np.abs(first).max()
     np.testing.assert_array_equal(got[-1], values[b])
 
@@ -1165,7 +1236,9 @@ def test_slow_contraction_on_a_certified_window_is_an_error(monkeypatch, hyperbo
 
 @pytest.mark.parametrize("T_grid", [2.0, 0.5])
 def test_a_grid_off_the_horizon_is_refused_before_any_evaluation(monkeypatch, T_grid):
-    # a T = 2 grid on a T = 1 problem used to return P(0) = tanh 2, not tanh 1
+    # a T = 2 grid on a T = 1 problem used to return P(0) = tanh 2, not tanh 1;
+    # a solution of another horizon passed the residual leg (9.8e-12), q_bar
+    # answered past T, and simulate on a grid ending at 0.5 stopped there
     from tilq import problem, run_verification, verify
 
     p = constant_problem(0, 1, 1, None, 1, 0, 1.0)
@@ -1175,13 +1248,21 @@ def test_a_grid_off_the_horizon_is_refused_before_any_evaluation(monkeypatch, T_
         raise AssertionError("evaluated before the horizon check")
 
     for module, name in [(riccati, "_triangle_pass"), (problem, "_triangle_pass"),
-                         (riccati, "fundamental_solution"),
                          (verify, "riccati_residual_profile")]:
         monkeypatch.setattr(module, name, evaluated)
     wrong_solution = RiccatiSolution(g, np.zeros((101, 1, 1)))
+    pol = build_policy(p, RiccatiSolution(right, np.zeros((101, 1, 1))))
     for call in (lambda: solve_riccati(p, g), lambda: validate_assumptions(p, g),
                  lambda: contraction_constants(p, g), lambda: run_verification(p, g),
-                 lambda: run_verification(p, right, solution=wrong_solution)):
+                 lambda: run_verification(p, right, solution=wrong_solution),
+                 lambda: riccati.riccati_residual_profile(p, wrong_solution),
+                 lambda: riccati_residual(p, wrong_solution, g.nodes[1]),
+                 lambda: riccati_residual(p, wrong_solution, 0.3333),
+                 lambda: q_bar_nodes(p, wrong_solution),
+                 lambda: q_bar(p, wrong_solution, [g.nodes[1], 0.3333]),
+                 lambda: picard_step(p, wrong_solution, (g.nodes[0], g.nodes[10]), 0.0),
+                 lambda: build_policy(p, wrong_solution),
+                 lambda: simulate(pol, 0.0, [1.0], g=g)):
         with pytest.raises(InvalidInputError, match="horizon"):
             call()
 

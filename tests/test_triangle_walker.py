@@ -37,7 +37,7 @@ from tilq import (
     kernel_norms,
     validate_assumptions,
 )
-from tilq import problem, riccati
+from tilq import kernels, problem, riccati
 from tilq._quad import integrate
 from tilq.kernels import _ROW_BLOCK, _row_sums, matrix_norm_many
 from tilq.problem import CheckResult, ValidationReport
@@ -317,7 +317,7 @@ def _grid(K):
     return TimeGrid.uniform(1.0, K - 1)
 
 
-def _one_block(K, a=0, b=None):
+def _one_block(K):
     yield np.triu_indices(K)
 
 
@@ -349,7 +349,7 @@ def test_walker_matches_whole_triangle(monkeypatch, name, K):
     except InvalidInputError as exc:
         got = str(exc)
     monkeypatch.setattr(riccati, "kernel_norms", whole_kernel_norms)
-    monkeypatch.setattr(problem, "_triangle_rows", _one_block)
+    monkeypatch.setattr(kernels, "_triangle_rows", _one_block)
     try:
         want = contraction_constants(p, g).to_dict()
     except InvalidInputError as exc:
@@ -580,13 +580,13 @@ def test_validated_solve_walks_the_triangle_once(monkeypatch, name):
                                     symmetry_required=True, vectorized=True)
     p = LQProblem(A=base.A, B=base.B, Q=base.Q, S=base.S, M=M, G=base.G)
     walks = []
-    rows = problem._triangle_rows
+    rows = kernels._triangle_rows
 
-    def counted(K, a=0, b=None):
-        walks.append((K, a, b))
-        return rows(K, a, b)
+    def counted(K):
+        walks.append(K)
+        return rows(K)
 
-    monkeypatch.setattr(problem, "_triangle_rows", counted)
+    monkeypatch.setattr(kernels, "_triangle_rows", counted)
     pairs.clear()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # failed sign conditions
@@ -595,7 +595,7 @@ def test_validated_solve_walks_the_triangle_once(monkeypatch, name):
         except InvalidInputError:
             sol = None
     K = g.nodes.size
-    assert walks == [(K, 0, None)]
+    assert walks == [K]
     off_diagonal = Counter((t, s) for t, s in pairs if t < s)
     assert len(off_diagonal) == K * (K - 1) // 2 and set(off_diagonal.values()) == {1}
     if sol is None:  # the hard checks fail
