@@ -22,13 +22,6 @@ def _base_matrix(base) -> np.ndarray:
     return base
 
 
-def _profile_kernel(base, horizon, profile, dprofile, *, symmetry_required):
-    base = _base_matrix(base)
-    return TwoTimeKernel.lag(lambda lag: profile(lag)[..., None, None] * base, base.shape,
-                             horizon, lambda lag: dprofile(lag)[..., None, None] * base,
-                             symmetry_required=symmetry_required, vectorized=True)
-
-
 def _profile_terminal(base, horizon, profile, dprofile):
     """G(t) = profile(T - t) * base, with dG/dt = dprofile(T - t) * base."""
     base = _base_matrix(base)
@@ -73,14 +66,14 @@ def _hyperbolic_profile(k, theta):
 
 def exponential_kernel(base, rho, horizon, *, symmetry_required=True) -> TwoTimeKernel:
     """k(t, s) = e^{-rho*(s-t)} * base."""
-    return _profile_kernel(base, horizon, *_exponential_profile(rho),
-                           symmetry_required=symmetry_required)
+    return TwoTimeKernel.profile(*_exponential_profile(rho), _base_matrix(base), horizon,
+                                 symmetry_required=symmetry_required)
 
 
 def hyperbolic_kernel(base, k, theta, horizon, *, symmetry_required=True) -> TwoTimeKernel:
     """k(t, s) = (1 + k*(s-t))^{-theta} * base."""
-    return _profile_kernel(base, horizon, *_hyperbolic_profile(k, theta),
-                           symmetry_required=symmetry_required)
+    return TwoTimeKernel.profile(*_hyperbolic_profile(k, theta), _base_matrix(base), horizon,
+                                 symmetry_required=symmetry_required)
 
 
 def exponential_terminal(base, rho, horizon) -> OneTimeMatrixFn:

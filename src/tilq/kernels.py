@@ -354,10 +354,14 @@ class TwoTimeKernel(_Coefficient):
     closure.  symmetry_required marks kernels (weights Q, M) whose values
     must be symmetric; the check itself runs in problem validation.
     lag_only is true for the kernels of TwoTimeKernel.lag, which depend on
-    (t, s) only through the lag s - t.
+    (t, s) only through the lag s - t.  base is set on the kernels of
+    TwoTimeKernel.profile and constant, profile(s - t) base: their partial is
+    dprofile(s - t) base, and dprofile is None when it is zero.  Other
+    kernels have base None.
     """
 
     lag_only = False
+    base = None
 
     def __init__(self, fn, dims, horizon, dfn=None, *, symmetry_required=False,
                  vectorized=False):
@@ -389,18 +393,25 @@ class TwoTimeKernel(_Coefficient):
                           vectorized=vectorized)
 
     @classmethod
+    def profile(cls, profile, dprofile, base, horizon, *,
+                symmetry_required=False) -> "TwoTimeKernel":
+        """Kernel k(t, s) = profile(s - t) base, a scalar profile of the lag
+        times a constant matrix, with first-argument partial dprofile(s - t)
+        base (so dprofile is minus the lag derivative of profile).
+
+        A lag kernel (TwoTimeKernel.lag) whose closures take a 1-d array of
+        lags and return the profile there; declaring the structure lets the
+        solver's window maps weight one scalar per node pair and contract
+        base once per column instead of an n x n partial per pair.
+        """
+        return _ProfileKernel(profile, dprofile, base, horizon,
+                              symmetry_required=symmetry_required)
+
+    @classmethod
     def constant(cls, value, horizon, *, symmetry_required=False) -> "TwoTimeKernel":
-        value = np.atleast_2d(np.asarray(value, dtype=float))
-        zero = np.zeros_like(value)
-
-        def fn(lag):
-            return np.broadcast_to(value, lag.shape + value.shape).copy()
-
-        def dfn(lag):
-            return np.broadcast_to(zero, lag.shape + value.shape).copy()
-
-        return cls.lag(fn, value.shape, horizon, dfn,
-                       symmetry_required=symmetry_required, vectorized=True)
+        """Kernel k(t, s) = value: the profile 1 with a declared zero partial."""
+        return _ProfileKernel(np.ones_like, None, value, horizon,
+                              symmetry_required=symmetry_required)
 
     @classmethod
     def from_callable(cls, fn, dims, horizon, dfn=None, *, symmetry_required=False,
@@ -430,6 +441,26 @@ class _LagKernel(TwoTimeKernel):
             raise InvalidInputError("first-argument differences need 0 <= t <= s <= horizon")
         out, kinds = super()._difference(s - t, None, h)
         return -out, kinds
+
+
+class _ProfileKernel(_LagKernel):
+    """The kernels of TwoTimeKernel.profile: the closures weight base by the
+    profile at the lag; dprofile None declares a zero partial."""
+
+    def __init__(self, profile, dprofile, base, horizon, *, symmetry_required):
+        base = np.atleast_2d(np.asarray(base, dtype=float))
+        self.base, self.dprofile = base, dprofile
+
+        def fn(lag):
+            return profile(lag)[..., None, None] * base
+
+        def dfn(lag):
+            if dprofile is None:
+                return np.zeros(lag.shape + base.shape)
+            return dprofile(lag)[..., None, None] * base
+
+        super().__init__(fn, base.shape, horizon, dfn, symmetry_required=symmetry_required,
+                         vectorized=True)
 
 
 def finite_difference_dt(k: TwoTimeKernel, t: float, s: float, h: float,

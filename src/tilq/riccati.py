@@ -40,20 +40,27 @@ which the closed loop reads solved nodes only: the tail r >= c is folded
 once per window into one n x n matrix per row, so each iterate integrates
 the flow and contracts the kernel partials on [a, c] alone.  Those partials
 are evaluated once per window, on the rectangle of each 32-row block and its
-columns, and written in place into the layout the iterates contract.  No
-K x K weight matrix is kept: the pair weights of row i are one full-grid
-vector plus a band of four next to the diagonal, and every integral to the
-end of a window or of the grid is a reverse sum of interval integrals.
+columns, and written in place into the layout the iterates contract.  A
+profile kernel (TwoTimeKernel.profile: the families and constant) has the
+partial dprofile(r - s_i) base, so the window maps weight one scalar per
+node pair and contract base once per column: Y_r = L_r' base L_r, then one
+matrix product with the block's table sums the rows.  A declared zero
+partial is neither evaluated nor contracted.  The residual pass
+(q_bar_table) keeps the dense n x n partials of every kernel as the
+independent reference of those tables.  No K x K weight matrix is kept:
+the pair weights of row i are one full-grid vector plus a band of four
+next to the diagonal, and every integral to the end of a window or of the
+grid is a reverse sum of interval integrals.
 
 An iterate recomputes only what depends on the iterate: M^{-1}B' and
 M^{-1}S are tabulated when the engine is built and each window keeps the
 inverse of its drift-only flow, so the gain, the drift and the window map
 multiply instead of solving.  A window builds once the cubic basis its
 drift interpolates by, the interval weights its map integrates by, its
-drift-only flow and its kernel partials, one array per kernel (none for an
-S_t that is zero on the block); the condition of the closed-loop flow is
-checked once per accepted window.  Each window after the first starts from
-the local cubic through the solved nodes next to it.
+drift-only flow and its kernel partials, one array or table per kernel
+(none for an S_t that is zero on the block); the condition of the
+closed-loop flow is checked once per accepted window.  Each window after
+the first starts from the local cubic through the solved nodes next to it.
 """
 from __future__ import annotations
 
@@ -337,34 +344,54 @@ class _Anderson:
         return g
 
 
-class _Pairs(NamedTuple):
-    """Weighted kernel partials of a triangle block, one array per kernel in
-    the layout (tail, p, rows, q): Q holds W Q_t, S holds -W S_t (None when
-    it is zero at every pair of the block), M holds W M_t."""
+class _Profiled(NamedTuple):
+    """Weighted partials of a profile kernel (TwoTimeKernel.profile) on a
+    triangle block: the pair (r, row k) holds table[r, k] base."""
 
-    Q: np.ndarray
-    S: np.ndarray | None
-    M: np.ndarray
+    table: np.ndarray
+    base: np.ndarray
+
+
+class _Pairs(NamedTuple):
+    """Weighted kernel partials of a triangle block, one part per kernel:
+    Q holds W Q_t, S holds -W S_t and M holds W M_t, each either an array in
+    the layout (tail, p, rows, q) or a _Profiled table (tail, rows).  A part
+    is None when it is zero at every pair of the block: S always, Q and M
+    only as _Profiled tables."""
+
+    Q: np.ndarray | _Profiled | None
+    S: np.ndarray | _Profiled | None
+    M: np.ndarray | _Profiled | None
 
 
 def _pair_sum(block, left, right) -> np.ndarray:
     """sum_r left_r' block[r, :, k, :] right_r for every row k of a triangle
-    block: one matrix product per tail node serves all rows."""
-    tail, p, rows, q = block.shape
+    block.  An array block takes one matrix product per tail node for all
+    rows; a _Profiled block contracts its base once per tail node, Y_r =
+    left_r' base right_r, and sums the rows' weights of Y in one product."""
     n = right.shape[-1]
+    if isinstance(block, _Profiled):
+        tail, rows = block.table.shape
+        Y = np.swapaxes(left, -1, -2) @ block.base @ right
+        return (block.table.T @ Y.reshape(tail, n * n)).reshape(rows, n, n)
+    tail, p, rows, q = block.shape
     inner = block.reshape(tail, p * rows, q) @ right
     sums = left.reshape(tail * p, n).T @ inner.reshape(tail * p, rows * n)
     return sums.reshape(n, rows, n).transpose(1, 0, 2)
 
 
-def _contract(pairs: _Pairs, X, Y) -> np.ndarray:
+def _contract(pairs: _Pairs, X, Y):
     """sum_r L_r' core_r L_r for every row of a triangle block, L_r = [X_r;
     Y_r] and core_r = [[Q, S'], [S, M]]: the S terms are one product and its
-    transpose, and a block without S skips them."""
-    out = _pair_sum(pairs.Q, X, X) + _pair_sum(pairs.M, Y, Y)
+    transpose.  A part that is None is skipped; with none left the sum is
+    0.0."""
+    out = 0.0
+    for block, left in ((pairs.Q, X), (pairs.M, Y)):
+        if block is not None:
+            out = out + _pair_sum(block, left, left)
     if pairs.S is not None:
         cross = _pair_sum(pairs.S, Y, X)
-        out += cross + np.swapaxes(cross, -1, -2)
+        out = out + (cross + np.swapaxes(cross, -1, -2))
     return out
 
 
@@ -458,7 +485,8 @@ class _Engine:
         K = self.nodes.size
         return b + 1 if b <= K - 4 else K - 1
 
-    def triangle_block(self, i0: int, i1: int, c: int) -> tuple[_Pairs, _Pairs]:
+    def triangle_block(self, i0: int, i1: int, c: int,
+                       profiles: bool = False) -> tuple[_Pairs, _Pairs]:
         """Weighted kernel partials of the rows i0 <= i < i1 against the
         columns r >= i0, split at column c.
 
@@ -474,9 +502,14 @@ class _Engine:
         zero at every pair it holds has S = None.  core and folded are separate
         arrays, so a window that keeps its cores does not keep the folded
         columns alive.
+
+        With profiles, the part of a profile kernel (TwoTimeKernel.profile,
+        kernel.base set) is the _Profiled table W[i, r] dprofile(r - s_i) at
+        [r - i0, i - i0] (r - c in folded), negated for S, with the kernel's
+        base; a declared zero partial (dprofile None) is not evaluated, and
+        a table that is zero at every pair it holds is None.
         """
         p, nodes, K = self.p, self.nodes, self.nodes.size
-        n, m = p.n, p.m
         rows, cols = i1 - i0, K - i0
         i = np.arange(i0, i1)
         s = np.broadcast_to(nodes[i], (cols, rows)).ravel()
@@ -484,25 +517,34 @@ class _Engine:
         v, band = self.tail_rule
         d = np.arange(i0, K)[:, None] - i  # column minus row
         w = np.where(d < 0, 0.0, np.where(d < 4, band[i, np.clip(d, 0, 3)], v[i0:, None]))
-        # kernels in pair order (column, row), read through transposed views
-        # (column, :, row, :) and weighted into arrays of that layout
-        w = w[:, None, :, None]
-        Qd = p.Q.eval_dt(s, r).reshape(cols, rows, n, n).transpose(0, 2, 1, 3)
-        Sd = p.S.eval_dt(s, r).reshape(cols, rows, m, n).transpose(0, 2, 1, 3)
-        Md = p.M.eval_dt(s, r).reshape(cols, rows, m, m).transpose(0, 2, 1, 3)
+        halves = ((0, c - i0), (c - i0, cols))
 
-        def part(lo, hi):
-            def laid(weights, pairs):
-                return np.multiply(weights[lo:hi], pairs[lo:hi],
-                                   out=np.empty(pairs[lo:hi].shape))
+        def parts(k, weights, optional):
+            """The (core, folded) parts of kernel k, weighted by weights; with
+            optional, a part whose partial is zero at every pair is None."""
+            def own(wt, pd, lo, hi):
+                # an array of its own, not a view of the rectangle
+                return np.multiply(wt[lo:hi], pd[lo:hi], out=np.empty(pd[lo:hi].shape))
 
-            S = laid(-w, Sd) if Sd[lo:hi].any() else None
-            return _Pairs(laid(w, Qd), S, laid(w, Md))
+            if profiles and k.base is not None:
+                dp = None if k.dprofile is None else k.dprofile(r - s).reshape(cols, rows)
+                return tuple(_Profiled(own(weights, dp, lo, hi), k.base)
+                             if dp is not None and dp[lo:hi].any() else None
+                             for lo, hi in halves)
+            # the partials in pair order (column, row), read through
+            # transposed views (column, :, row, :) and weighted into arrays
+            # of that layout
+            pd = k.eval_dt(s, r).reshape((cols, rows) + k.dims).transpose(0, 2, 1, 3)
+            return tuple(own(weights[:, None, :, None], pd, lo, hi)
+                         if not optional or pd[lo:hi].any() else None for lo, hi in halves)
 
-        return part(0, c - i0), part(c - i0, cols)
+        (Qc, Qf), (Sc, Sf), (Mc, Mf) = parts(p.Q, w, False), parts(p.S, -w, True), \
+            parts(p.M, w, False)
+        return _Pairs(Qc, Sc, Mc), _Pairs(Qf, Sf, Mf)
 
-    def window(self, values: np.ndarray, a: int, b: int) -> _Window:
-        """The _Window of rows [a, b], its blocks built one at a time.
+    def window(self, values: np.ndarray, a: int, b: int, profiles: bool = False) -> _Window:
+        """The _Window of rows [a, b], its blocks built one at a time, their
+        pairs as triangle_block(..., profiles) gives them.
 
         The flow past the split node c and Ups there read the solved nodes
         only, so they are fixed while the window iterates; Z_i =
@@ -518,7 +560,7 @@ class _Engine:
         def blocks():
             for i0 in range(a, b + 1, _ROW_BLOCK):
                 i1 = min(i0 + _ROW_BLOCK, b + 1)
-                core, folded = self.triangle_block(i0, i1, c)
+                core, folded = self.triangle_block(i0, i1, c, profiles)
                 yield i0, core, _contract(folded, flow, ups_flow) \
                     + end.T @ self.Gd_nodes[i0:i1] @ end
 
@@ -527,11 +569,14 @@ class _Engine:
                        interval_rule(self.nodes[a:b + 1]), blocks())
 
     def cached_window(self, values: np.ndarray, a: int, b: int) -> _Window:
-        """window(values, a, b) with its blocks listed and its conj, kept
-        until another window asks: every iterate of a window shares them."""
+        """window(values, a, b, profiles=True) with its blocks listed and its
+        conj, kept until another window asks: every iterate of a window
+        shares them.  The window maps contract the profile kernels' scalar
+        tables; the residual pass (q_bar_table) keeps the dense pairs as the
+        independent reference."""
         if self._window_key != (a, b):
             self._window = None  # free the old window's before building
-            win = self.window(values, a, b)
+            win = self.window(values, a, b, profiles=True)
             V = rk4_flow(self.nodes[a:b + 1], self.A_half[2 * a:2 * b + 1])
             self._window = win._replace(blocks=list(win.blocks), conj=(V, np.linalg.inv(V)))
             self._window_key = (a, b)
@@ -712,7 +757,9 @@ class _Engine:
 
     @cached_property
     def q_bar_table(self) -> np.ndarray:
-        """Effective state weight Q(s,s) - F(s; s, P) at every node."""
+        """Effective state weight Q(s,s) - F(s; s, P) at every node, from
+        the dense pairs of every kernel (window without profiles): the
+        residual pass checks P independently of the window maps' tables."""
         last = self.nodes.size - 1
         window = self.window(self.values, 0, last)
         self.check_condition(self.values, 0, window)

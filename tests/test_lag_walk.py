@@ -3,8 +3,10 @@
 When Q, S and M depend on (t, s) only through s - t, problem._triangle_pass
 evaluates and bounds them once per distinct float lag of the grid and each
 block of rows reads its pairs' values from that table.  The same closures
-behind TwoTimeKernel.from_callable are walked pair by pair; reports,
-constants and the solved P must match those bit for bit.
+behind TwoTimeKernel.from_callable are walked pair by pair; reports and
+constants must match those bit for bit.  The window maps contract a profile
+kernel (TwoTimeKernel.profile) as one scalar table per block, so P matches
+the pair solve to rounding; the residual pass stays on the dense pairs.
 """
 import tracemalloc
 from collections import Counter
@@ -22,10 +24,12 @@ from tilq import (
     exponential_terminal,
     hyperbolic_problem,
     kernel_norms,
+    riccati_residual_profile,
     solve_riccati,
     validate_assumptions,
 )
 from tilq.kernels import _ROW_BLOCK, _lag_table, finite_difference_dt
+from tilq.riccati import _contract, _Engine, _Profiled
 
 
 def _n3():
@@ -44,6 +48,15 @@ def _s_lag():
                      S=TwoTimeKernel.constant(0.1 * np.arange(6.0).reshape(2, 3) - 0.2, 1.0),
                      M=exponential_kernel(np.array([[1.0, 0.2], [0.2, 0.8]]), 0.7, 1.0),
                      G=exponential_terminal(np.eye(3), 0.7, 1.0))
+
+
+def _s_exp():
+    # exponential Q, M and S, S nonzero: every window map has a cross term
+    s_lag = _s_lag()
+    return LQProblem(A=s_lag.A, B=s_lag.B, Q=s_lag.Q,
+                     S=exponential_kernel(0.1 * np.arange(6.0).reshape(2, 3) - 0.2, 0.4, 1.0,
+                                          symmetry_required=False),
+                     M=s_lag.M, G=s_lag.G)
 
 
 def _profile(base, calls=None, name=""):
@@ -123,11 +136,97 @@ def test_lag_walk_matches_the_pair_walk(name, N):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_lag_solve_matches_the_pair_solve(name):
+    # the plain lag closures take the dense pairs in the window maps, as the
+    # pair closures do: the same P and meta bit for bit.  The families'
+    # profile kernels are contracted as scalar tables, which sums in another
+    # order: P agrees to rounding and the march is the same
     lag, pair = (make() for make in CASES[name])
     g = TimeGrid.uniform(1.0, 200)
     got, want = solve_riccati(lag, g), solve_riccati(pair, g)
-    np.testing.assert_array_equal(got.values, want.values)
-    assert got.meta == want.meta
+    if name == "plain":
+        np.testing.assert_array_equal(got.values, want.values)
+        assert got.meta == want.meta
+        return
+    assert np.abs(got.values - want.values).max() <= 1e-14
+    for key in ("mode", "halvings"):
+        assert got.meta[key] == want.meta[key]
+    assert [w["iterations"] for w in got.meta["windows"]] \
+        == [w["iterations"] for w in want.meta["windows"]]
+    # the residual pass reads the dense pairs of either problem: on the same
+    # P it is the same profile bit for bit
+    np.testing.assert_array_equal(riccati_residual_profile(lag, got),
+                                  riccati_residual_profile(pair, got))
+
+
+@pytest.mark.parametrize("name", ["n3", "s-exp"])
+@pytest.mark.parametrize("N", [64, 400])
+@pytest.mark.parametrize("grid", ["uniform", "jittered"])
+def test_profile_contraction_matches_the_dense_one(name, N, grid):
+    # every block, core and folded, of every window map of the n3 solve and
+    # of the window of the whole grid, whose last block at N = 64 holds no
+    # column before its split node: the profile tables contract as the
+    # dense pairs do, S's cross term included
+    p = _n3() if name == "n3" else _s_exp()
+    g = TimeGrid.uniform(1.0, N) if grid == "uniform" else _jittered(N)
+    engine, K = _Engine(p, g), g.nodes.size
+    windows = [(g.index_of(w["a"]), g.index_of(w["b"]))
+               for w in solve_riccati(_n3(), g).meta["windows"]] + [(0, K - 1)]
+    rng = np.random.default_rng(1)
+    X, Y = rng.standard_normal((K, 3, 3)), rng.standard_normal((K, 2, 3))
+    empty = 0
+    for a, b in windows:
+        c = engine.split_node(b)
+        for i0 in range(a, b + 1, _ROW_BLOCK):
+            i1 = min(i0 + _ROW_BLOCK, b + 1)
+            for lo, dense, tables in zip((i0, c), engine.triangle_block(i0, i1, c),
+                                         engine.triangle_block(i0, i1, c, profiles=True)):
+                cols = dense.Q.shape[0]
+                assert all(part is None or isinstance(part, _Profiled) and
+                           part.table.shape == (cols, i1 - i0) for part in tables)
+                assert (tables.S is None) == (name == "n3" or cols == 0)
+                L = slice(lo, lo + cols)
+                want, got = _contract(dense, X[L], Y[L]), _contract(tables, X[L], Y[L])
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+                empty += cols == 0
+    assert empty == (N % _ROW_BLOCK == 0)
+
+
+def test_residual_pass_and_lag_kernels_take_the_dense_pairs(monkeypatch):
+    # the residual pass is the independent reference of the window maps'
+    # tables: on a family problem it builds dense pairs and evaluates the
+    # kernels' partials.  TwoTimeKernel.lag and from_callable kernels declare
+    # no profile, so their window maps take the dense pairs too
+    built = []
+    real = _Engine.triangle_block
+
+    def spy(self, *args, **kwargs):
+        halves = real(self, *args, **kwargs)
+        built.extend(part for half in halves for part in half)
+        return halves
+
+    monkeypatch.setattr(_Engine, "triangle_block", spy)
+    g = TimeGrid.uniform(1.0, 64)
+    p = _n3()
+    sol = solve_riccati(p, g)
+    assert built and all(part is None or isinstance(part, _Profiled) for part in built)
+    built.clear()
+    calls = Counter()
+    for name in "QSM":
+        k = getattr(p, name)
+
+        def counted(t, s, k=k, name=name):
+            calls[name] += 1
+            return type(k).eval_dt(k, t, s)
+
+        monkeypatch.setattr(k, "eval_dt", counted)
+    riccati_residual_profile(p, sol)
+    assert calls["Q"] == calls["S"] == calls["M"] == len(built) // 6 > 0
+    assert all(part is None or isinstance(part, np.ndarray) and part.ndim == 4
+               for part in built)
+    for make in (_plain, _plain_pairwise):
+        built.clear()
+        solve_riccati(make(), g)
+        assert built and all(isinstance(part, np.ndarray) for part in built[0::3] + built[2::3])
 
 
 def test_lag_closure_is_called_per_distinct_lag():
@@ -214,6 +313,37 @@ def test_non_vectorized_lag_closure_runs_once_per_distinct_lag():
     got = k.eval(nodes[ii], nodes[jj])
     assert calls["k"] == np.unique(lags).size < lags.size
     np.testing.assert_array_equal(got[:, 0, 0], 1.0 / (1.0 + lags))
+
+
+def test_profile_kernel_declares_its_structure():
+    # profile(s - t) base and its partial, through the families' closures;
+    # constant declares a zero partial; lag and pair kernels declare none
+    base = np.array([[1.0, 0.2], [0.2, 0.8]])
+
+    def profile(lag):
+        return np.exp(-0.7 * lag)
+
+    def dprofile(lag):
+        return 0.7 * np.exp(-0.7 * lag)
+
+    k = TwoTimeKernel.profile(profile, dprofile, base, 1.0, symmetry_required=True)
+    t, s = np.array([0.0, 0.25, 0.5]), np.array([0.5, 0.75, 1.0])
+    np.testing.assert_array_equal(k.eval(t, s), profile(s - t)[:, None, None] * base)
+    np.testing.assert_array_equal(k.eval_dt(t, s), dprofile(s - t)[:, None, None] * base)
+    family = exponential_kernel(base, 0.7, 1.0)
+    np.testing.assert_array_equal(family.eval(t, s), k.eval(t, s))
+    np.testing.assert_array_equal(family.eval_dt(t, s), k.eval_dt(t, s))
+    assert k.lag_only and k.provenance == "analytic" and k.dprofile is dprofile
+    np.testing.assert_array_equal(k.base, base)
+    with pytest.raises(InvalidInputError, match="symmetric"):
+        TwoTimeKernel.profile(profile, dprofile, np.triu(base), 1.0, symmetry_required=True)
+    c = TwoTimeKernel.constant(-base, 1.0)
+    assert c.dprofile is None and c.lag_only
+    np.testing.assert_array_equal(c.eval(t, s), np.broadcast_to(-base, (3, 2, 2)))
+    np.testing.assert_array_equal(c.eval_dt(t, s), np.zeros((3, 2, 2)))
+    fn, dfn = _profile(base)
+    assert TwoTimeKernel.lag(fn, (2, 2), 1.0, dfn).base is None
+    assert TwoTimeKernel.from_callable(lambda t, s: fn(s - t), (2, 2), 1.0).base is None
 
 
 @pytest.mark.parametrize("vectorized", [False, True])

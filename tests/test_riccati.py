@@ -489,9 +489,10 @@ def test_f_diag_matches_row_loop(nodes, a, b, vectorized):
     ups = engine.upsilon_nodes(values, a)
     got = engine.f_diag(values, a, b, cached, ups)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-    # an iterate reuses the cached window, which equals a fresh one bit for bit
+    # an iterate reuses the cached window, which equals a fresh one with the
+    # profile tables bit for bit
     assert engine.cached_window(values, a, b) is cached
-    fresh = engine.window(values, a, b)
+    fresh = engine.window(values, a, b, profiles=True)
     assert fresh.c == cached.c
     np.testing.assert_array_equal(fresh.flow, cached.flow)
     np.testing.assert_array_equal(fresh.inverse, cached.inverse)
@@ -499,12 +500,22 @@ def test_f_diag_matches_row_loop(nodes, a, b, vectorized):
     assert len(fresh_blocks) == len(cached.blocks)
     for (i0, core, Z), (j0, core_c, Z_c) in zip(fresh_blocks, cached.blocks):
         assert i0 == j0 and core.S is not None  # this problem's S_t is nonzero
+        # the hyperbolic Q (unless it is a pair callable), the exponential S
+        # and the hyperbolic M are profile tables
+        profiled = [isinstance(part, riccati._Profiled) for part in core_c]
+        assert profiled == [vectorized, True, True]
         for block, block_c in zip(core, core_c):  # Q, S and M
-            assert block.shape[0] == cached.c - i0  # in-window columns only
+            if isinstance(block_c, riccati._Profiled):
+                np.testing.assert_array_equal(block.base, block_c.base)
+                block, block_c = block.table, block_c.table
+            assert block_c.shape[0] == cached.c - i0  # in-window columns only
             np.testing.assert_array_equal(block, block_c)
         np.testing.assert_array_equal(Z, Z_c)
-    streamed = engine.f_diag(values, a, b, engine.window(values, a, b), ups)
+    streamed = engine.f_diag(values, a, b, engine.window(values, a, b, profiles=True), ups)
     np.testing.assert_array_equal(streamed, got)
+    # the dense pairs, which the residual pass reads, give the same F
+    dense = engine.f_diag(values, a, b, engine.window(values, a, b), ups)
+    assert np.abs(dense - got).max() <= 1e-13 * np.abs(got).max()
 
 
 @pytest.mark.parametrize("nodes", [_UNIFORM, _NONUNIFORM])
