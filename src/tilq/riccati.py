@@ -20,14 +20,16 @@ flow plus a windowed integral of the effective weight), which is a
 contraction on windows below the width tau certified by
 contraction_constants.  It conjugates by the drift-only flow of A on its
 own window, anchored at the window start: no solve inverts a flow over the
-whole horizon.  Certified windows iterate that map plainly.  The certified
-width collapses numerically whenever B is nonzero, so by default the solver
-falls back to practical windows of width T/4, which it halves on observed
-divergence.  A practical window iterates the map with type-II Anderson
-mixing of depth 5 (Walker & Ni 2011): fewer map applications than plain
-Picard, and convergence where the plain map expands.  In both regimes a
-window stops only when one application of the map to a plain image moves it
-by at most tol, so every accepted window is a fixed point of its map to tol.
+whole horizon, and every flow a window map builds is a forward product of
+chunk flows (_Chunked), with no linear solve.  Certified windows iterate
+that map plainly.  The certified width collapses numerically whenever B is
+nonzero, so by default the solver falls back to practical windows of width
+T/4, which it halves on observed divergence.  A practical window iterates
+the map with type-II Anderson mixing of depth 5 (Walker & Ni 2011): fewer
+map applications than plain Picard, and convergence where the plain map
+expands.  In both regimes a window stops only when one application of the
+map to a plain image moves it by at most tol, so every accepted window is a
+fixed point of its map to tol.
 
 Each node pair (s_i, r) is reduced O(1) times per solve.  One walk of the
 triangle of node pairs, 32 rows at a time, both validates the problem and
@@ -55,7 +57,11 @@ grid is a reverse sum of interval integrals.
 An iterate recomputes only what depends on the iterate: M^{-1}B' and
 M^{-1}S are tabulated when the engine is built and each window keeps the
 inverse of its drift-only flow, so the gain, the drift and the window map
-multiply instead of solving.  A window builds once the cubic basis its
+multiply instead of solving.  The closed-loop flow is anchored at each
+32-row block by forward products (_Engine.block_flows): the RK4 steps of
+the window, cut into chunks that line up with the blocks, advance in one
+loop of 32 steps, and a block reaches the chunks past its own through the
+products of their end flows.  A window builds once the cubic basis its
 drift interpolates by, the interval weights its map integrates by, its
 drift-only flow and its kernel partials, one array or table per kernel
 (none for an S_t that is zero on the block); the condition of the
@@ -79,7 +85,8 @@ from .errors import InvalidInputError, NonconvergenceError, NotPositiveDefiniteE
 from .grids import TimeGrid, node_index
 from .kernels import _ROW_BLOCK, kernel_norms, matrix_norm, matrix_norm_many
 from .problem import LQProblem, _check_horizon, _sym, _triangle_pass
-from .propagators import feedback_tables, flow_condition, half_times, rk4_flow
+from .propagators import (feedback_tables, flow_condition, flow_prefix, half_times, rk4_flow,
+                          rk4_steps)
 
 
 def _exp(x: float) -> float:
@@ -395,26 +402,70 @@ def _contract(pairs: _Pairs, X, Y):
     return out
 
 
-def _anchored(U, U0) -> np.ndarray:
-    """U_r U0^{-1} for every r, from one factorization of U0: the transposes
-    U_r' stand side by side as the right-hand sides of U0' X = U_r'."""
-    k, n = U.shape[0], U.shape[-1]
-    X = np.linalg.solve(U0.T, U.transpose(2, 0, 1).reshape(n, k * n))
-    return X.reshape(n, k, n).transpose(1, 2, 0)
+def _half_steps(nodes: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """rk4_steps of x' = C(t) x on nodes, C sampled at half_times(nodes)."""
+    return rk4_steps(np.diff(nodes), C[0:-1:2], C[1::2], C[2::2])
+
+
+class _Chunked(NamedTuple):
+    """Flows of a run of step matrices E (k, n, n) cut into chunks of
+    _ROW_BLOCK steps, the last padded with identity steps.
+
+    local[m, j] is the product of the m steps of chunk j from its start
+    (E[jB + m - 1] ... E[jB], I at m = 0), shape (_ROW_BLOCK + 1, chunks, n,
+    n); one flow_prefix advances every chunk.  carry[d, j] is the product of
+    the chunk ends local[-1] of chunks j .. j + d - 1 for the first anchors
+    chunks j, shape (chunks + 1, anchors, n, n); past the last chunk it stays
+    at the flow to the last node.  Every entry is a forward product."""
+
+    local: np.ndarray
+    carry: np.ndarray
+
+    @classmethod
+    def of(cls, E: np.ndarray, anchors: int) -> "_Chunked":
+        k, n = E.shape[0], E.shape[-1]
+        chunks = -(-k // _ROW_BLOCK)
+        steps = np.empty((chunks * _ROW_BLOCK, n, n))
+        steps[:k] = E
+        steps[k:] = np.eye(n)
+        local = flow_prefix(steps.reshape(chunks, _ROW_BLOCK, n, n).swapaxes(0, 1))
+        d = np.arange(chunks)[:, None] + np.arange(anchors)
+        ends = np.where((d < chunks)[..., None, None],
+                        local[-1][np.minimum(d, chunks - 1)], np.eye(n))
+        return cls(local, flow_prefix(ends))
+
+    def flow(self, j: int, count: int) -> np.ndarray:
+        """Phi(r, s) for the count nodes r from the start s of chunk j: each
+        chunk's local flows times its carry from chunk j."""
+        chunks, n = self.local.shape[1], self.local.shape[-1]
+        out = np.empty(((chunks - j) * _ROW_BLOCK + 1, n, n))
+        np.matmul(self.local[:-1, j:].swapaxes(0, 1), self.carry[:chunks - j, j, None],
+                  out=out[:-1].reshape(chunks - j, _ROW_BLOCK, n, n))
+        out[-1] = self.carry[chunks - j, j]
+        return out[:count]
+
+
+def _forward_flow(nodes: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """rk4_flow(nodes, C) from forward products of chunk flows (_Chunked):
+    one loop over a chunk's steps and one over the chunks, not one over
+    every step."""
+    return _Chunked.of(_half_steps(nodes, C), 1).flow(0, nodes.size)
 
 
 class _Window(NamedTuple):
     """What every iterate of window [a, b] shares; see _Engine.f_diag.
 
-    c is the split node, flow holds Phi(r, s_c) for r in nodes[c:] and
-    inverse their inverses.  cubic is the cubic_rule of the closed-loop
-    drift (_Engine.drift) at the half times of nodes a..c, on nodes[a:], and
-    rule the interval_rule of nodes[a:b+1], which the window map integrates
-    by.  blocks yields, per block of rows from i0, (i0, core, Z): core holds
-    the weighted kernel partials of the rows against the columns [i0, c) as
-    _Pairs (_Engine.triangle_block), Z the rows' tail past c folded into one
-    n x n matrix each.  conj (cached_window only) holds the drift-only flow
-    V_j = Phi_A(s_j, s_a) on nodes[a:b+1] and its inverses.
+    c is the split node, flow holds Phi(r, s_c) for r in nodes[c:], chained
+    from chunk flows (_forward_flow), and inverse their inverses.  cubic is
+    the cubic_rule of the closed-loop drift (_Engine.drift) at the half
+    times of nodes a..c, on nodes[a:], and rule the interval_rule of
+    nodes[a:b+1], which the window map integrates by.  blocks yields, per
+    block of rows from i0, (i0, core, Z): core holds the weighted kernel
+    partials of the rows against the columns [i0, c) as _Pairs
+    (_Engine.triangle_block), Z the rows' tail past c folded into one n x n
+    matrix each.  conj (cached_window only) holds the drift-only flow
+    V_j = Phi_A(s_j, s_a) on nodes[a:b+1], chained the same way, and its
+    inverses.
     """
 
     c: int
@@ -553,7 +604,7 @@ class _Engine:
         """
         K = self.nodes.size
         c = self.split_node(b)
-        flow = rk4_flow(self.nodes[c:], self.drift(values, a, c, K - 1))
+        flow = _forward_flow(self.nodes[c:], self.drift(values, a, c, K - 1))
         ups_flow = self.upsilon_nodes(values, c) @ flow
         end = flow[-1]
 
@@ -577,7 +628,7 @@ class _Engine:
         if self._window_key != (a, b):
             self._window = None  # free the old window's before building
             win = self.window(values, a, b, profiles=True)
-            V = rk4_flow(self.nodes[a:b + 1], self.A_half[2 * a:2 * b + 1])
+            V = _forward_flow(self.nodes[a:b + 1], self.A_half[2 * a:2 * b + 1])
             self._window = win._replace(blocks=list(win.blocks), conj=(V, np.linalg.inv(V)))
             self._window_key = (a, b)
         return self._window
@@ -602,36 +653,43 @@ class _Engine:
         of the window, and contracts the pairs r < c.  The flow is anchored
         per block, not at the window start, so each U_i spans fewer than
         _ROW_BLOCK intervals: inverting the flow of a whole window would
-        amplify rounding by its condition number squared.  The anchoring is
-        one solve per block, and one inverse of the block's U_i conjugates
-        its rows.  The condition of the flow over [s_a, T] is not checked
-        here: run_window checks it once on the accepted values, and
-        q_bar_table on its own (check_condition).
+        amplify rounding by its condition number squared.  block_flows builds
+        each U from forward products of chunk flows, with no solve, and one
+        inverse of the block's U_i conjugates its rows.  The condition of the
+        flow over [s_a, T] is not checked here: run_window checks it once on
+        the accepted values, and q_bar_table on its own (check_condition).
 
         W[i] is the rule on nodes[i:] alone (triangle_block), so row K-2 is
         the trapezoid rule and row K-3 the parabola.
         """
-        c = window.c
-        U = self.closed_flow(values, a, window)
-        n = U.shape[-1]
+        c, n = window.c, values.shape[-1]
         out = np.empty((b - a + 1, n, n))
-        for i0, core, Z in window.blocks:
+        for (i0, core, Z), Ub in zip(window.blocks, self.block_flows(values, a, b, window)):
             j0, rows = i0 - a, Z.shape[0]
-            Ub = _anchored(U[j0:], U[j0])
             acc = _contract(core, Ub[:-1], ups[j0:c - a] @ Ub[:-1]) + Ub[-1].T @ Z @ Ub[-1]
             Ui_inv = np.linalg.inv(Ub[:rows])
             out[j0:j0 + rows] = np.swapaxes(Ui_inv, -1, -2) @ acc @ Ui_inv
         return _sym(out)
 
-    def closed_flow(self, values: np.ndarray, a: int, window: _Window) -> np.ndarray:
-        """Phi(r, s_a) of the closed loop of values for r in nodes[a:c+1]."""
+    def block_flows(self, values: np.ndarray, a: int, b: int, window: _Window):
+        """Phi(r, s_i0) of the closed loop of values for r in nodes[i0:c+1],
+        one array per row block of window [a, b], from i0 = a in steps of
+        _ROW_BLOCK: the RK4 steps on [s_a, s_c] cut into chunks that line up
+        with the blocks (_Chunked), each chunk's local flows times its carry
+        from the chunk of i0.  Only forward products; no flow is inverted."""
         c = window.c
-        return rk4_flow(self.nodes[a:c + 1], self.drift(values, a, a, c, window.cubic))
+        drift = self.drift(values, a, a, c, window.cubic)
+        starts = range(a, b + 1, _ROW_BLOCK)
+        flows = _Chunked.of(_half_steps(self.nodes[a:c + 1], drift), len(starts))
+        for j, i0 in enumerate(starts):
+            yield flows.flow(j, c - i0 + 1)
 
     def check_condition(self, values: np.ndarray, a: int, window: _Window) -> None:
         """flow_condition of the closed loop of values over [s_a, T], composed
-        as Phi(r, s_c) U_c past the split node (warns via flow_condition)."""
-        U = self.closed_flow(values, a, window)
+        as Phi(r, s_c) U_c past the split node (warns via flow_condition).
+        Phi(r, s_a) is the sequential rk4_flow of the drift on nodes[a:c+1]."""
+        c = window.c
+        U = rk4_flow(self.nodes[a:c + 1], self.drift(values, a, a, c, window.cubic))
         U_inv = np.linalg.inv(U)
         flow_condition(np.concatenate([U, window.flow[1:] @ U[-1]]),
                        np.concatenate([U_inv, U_inv[-1] @ window.inverse[1:]]))

@@ -557,6 +557,45 @@ def test_f_diag_ill_conditioned_flow():
         assert np.abs(got - want).max() <= 1e-7 * np.abs(want).max()
 
 
+_GRID64 = np.linspace(0.0, 1.0, 65)
+_NONUNIFORM64 = np.sort(np.concatenate([[0.0, 1.0],
+                                        np.random.default_rng(7).uniform(0, 1, 63)]))
+
+
+@pytest.mark.parametrize("nodes", [_GRID64, _NONUNIFORM64], ids=["uniform", "nonuniform"])
+@pytest.mark.parametrize("a, b", [
+    (10, 30),  # c - a = 21 steps, fewer than _ROW_BLOCK
+    (10, 41),  # c - a = 32 steps, one row block
+    (5, 37),   # c - a = 33 steps: the second row block has one row
+    (0, 62),   # c = K - 1 past b = K - 3: c - a = 64 steps, 63 rows
+    (20, 63),  # c = K - 1 = b + 1
+    (0, 64),   # the full grid: its last row block starts at c = K - 1
+])
+def test_block_flows_match_the_sequential_flow(nodes, a, b):
+    # each row block's flow is built from forward products of chunk flows;
+    # it must equal U_r U_i0^{-1} of the sequential rk4_flow
+    engine = _Engine(_coupled_problem(), TimeGrid(nodes))
+    values = _smooth_values(nodes)
+    window = engine.cached_window(values, a, b)
+    c = window.c
+    assert c == (b + 1 if b <= nodes.size - 4 else nodes.size - 1)
+    U = rk4_flow(nodes[a:c + 1], engine.drift(values, a, a, c))
+    flows = list(engine.block_flows(values, a, b, window))
+    starts = range(a, b + 1, _ROW_BLOCK)
+    assert len(flows) == len(starts) == len(window.blocks)
+    for i0, got in zip(starts, flows):
+        want = U[i0 - a:] @ np.linalg.inv(U[i0 - a])
+        assert got.shape == want.shape == (c - i0 + 1,) + U.shape[1:]
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    # the tail past c and the drift-only flow are chained the same way
+    K = nodes.size
+    tail = rk4_flow(nodes[c:], engine.drift(values, a, c, K - 1))
+    V = rk4_flow(nodes[a:b + 1], engine.A_half[2 * a:2 * b + 1])
+    for got, want in ((window.flow, tail), (window.conj[0], V)):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def test_kernel_partials_once_per_window(hyperbolic_scalar):
     # every iterate of a window reuses its partials: more iterations, no
     # more eval_dt calls
@@ -734,10 +773,11 @@ def test_triangle_block_matches_pair_scatter(problem, nodes):
             assert block is None or not np.shares_memory(block, other)
 
 
-def test_picard_iterate_solves_against_neither_m_nor_psi(monkeypatch):
+def test_picard_iterate_solves_no_linear_system(monkeypatch):
     # one iterate of an n3 window at N=400 multiplies by the tabulated
-    # M^{-1}B', M^{-1}S and the inverse of the window's drift-only flow; only
-    # the per-block anchoring of the closed-loop flow still solves
+    # M^{-1}B', M^{-1}S and the stored inverse of the window's drift-only
+    # flow, and anchors the closed-loop flow at each row block by forward
+    # products of chunk flows: it calls np.linalg.solve zero times
     p, g = _n3_problem(), TimeGrid.uniform(1.0, 400)
     engine = _Engine(p, g)
     nodes = g.nodes
@@ -753,8 +793,7 @@ def test_picard_iterate_solves_against_neither_m_nor_psi(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", counted)
     engine.picard_iterate(values, a, b, values[b])
     monkeypatch.undo()
-    assert set(callers) <= {"_anchored"}
-    assert len(callers) <= math.ceil((b - a + 1) / _ROW_BLOCK)
+    assert callers == []
 
     # the tables give the solve-based gain and closed-loop drift
     def gain(ts, P):
