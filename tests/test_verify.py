@@ -5,8 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tilq import RiccatiSolution, TimeGrid, hyperbolic_problem, run_verification, solve_riccati
-from tilq.verify import default_state_samples
+from tilq import (RiccatiSolution, TimeGrid, constant_problem, hyperbolic_problem,
+                  run_verification, solve_riccati)
+from tilq.verify import _STATE_DRAWS, default_state_samples
 
 
 def _n3_problem(seed):
@@ -49,6 +50,31 @@ def test_default_state_samples(hyperbolic_scalar):
     for (a, xa), (b, xb) in zip(samples, again):
         assert a == b
         np.testing.assert_array_equal(xa, xb)
+
+
+def test_kept_state_draws_are_the_generators():
+    # a numpy that changes its normal stream fails here, not in a verify
+    draws = np.random.default_rng(20260815).standard_normal(40)
+    np.testing.assert_array_equal(np.array(_STATE_DRAWS), draws)
+
+
+@pytest.mark.parametrize("count", [1, 5])
+@pytest.mark.parametrize("n", [1, 3, 8, 9])
+def test_default_state_samples_are_the_generators_bit_for_bit(n, count):
+    # count * n <= 40 reads the kept draws, n = 9 at count = 5 the generator;
+    # either way sample k is the k-th standard_normal(n) call of the
+    # fixed-seed generator
+    p = constant_problem(A=np.zeros((n, n)), B=np.eye(n), Q=np.eye(n), S=None,
+                         M=np.eye(n), G=np.eye(n), T=1.0)
+    g = TimeGrid.uniform(1.0, 100)
+    rng = np.random.default_rng(20260815)
+    samples = default_state_samples(p, g, count)
+    assert len(samples) == count
+    for t0, x0 in samples:
+        want = rng.standard_normal(n)
+        want /= max(1.0, np.abs(want).max())
+        assert x0.shape == (n,)
+        assert x0.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("seed", [0, 3])
