@@ -24,11 +24,10 @@ from .kernels import (NormBundle, OneTimeMatrixFn, TwoTimeKernel,
                       kernel_norms, matrix_norm)
 from .oracle import brute_force_cost, classical_riccati
 from .problem import CheckResult, LQProblem, ValidationReport, validate_assumptions
-from .propagators import Propagator, closed_loop_coefficient, fundamental_solution
+from .propagators import Propagator, fundamental_solution
 from .riccati import (ContractionConstants, RiccatiSolution, SolveOptions,
-                      WindowIterate, contraction_constants, picard_step,
-                      q_bar, riccati_residual, riccati_residual_profile,
-                      solve_riccati, upsilon)
+                      contraction_constants, q_bar, riccati_residual,
+                      riccati_residual_profile, solve_riccati, upsilon)
 from .verify import VerificationReport, run_verification
 
 __version__ = "0.1.0"
@@ -48,9 +47,9 @@ __all__ = [
     "matrix_norm",
     "brute_force_cost", "classical_riccati",
     "CheckResult", "LQProblem", "ValidationReport", "validate_assumptions",
-    "Propagator", "closed_loop_coefficient", "fundamental_solution",
-    "ContractionConstants", "RiccatiSolution", "SolveOptions", "WindowIterate",
-    "contraction_constants", "picard_step", "q_bar",
+    "Propagator", "fundamental_solution",
+    "ContractionConstants", "RiccatiSolution", "SolveOptions",
+    "contraction_constants", "q_bar",
     "riccati_residual", "riccati_residual_profile", "solve_riccati", "upsilon",
     "VerificationReport", "run_verification",
     "__version__",

@@ -38,7 +38,7 @@ from ._quad import integrate, simpson_weights
 from .errors import GridTooCoarseError, InvalidInputError
 from .grids import TimeGrid, node_index
 from .kernels import _unique
-from .problem import LQProblem, _check_horizon
+from .problem import LQProblem, _check_horizon, _vector
 from .propagators import flow_prefix, half_times, rk4_flow, rk4_steps
 from .riccati import RiccatiSolution, _write_csv, upsilon
 
@@ -76,7 +76,7 @@ class EquilibriumPolicy:
 
     def control(self, t, x) -> np.ndarray:
         """Feedback value u(t, x)."""
-        return self.gain(t) @ np.asarray(x, dtype=float).reshape(self.problem.n)
+        return self.gain(t) @ _vector(x, self.problem.n, "state x")
 
 
 def build_policy(p: LQProblem, P: RiccatiSolution) -> EquilibriumPolicy:
@@ -119,9 +119,7 @@ def simulate(pol: EquilibriumPolicy, t0: float, x0, g: TimeGrid | None = None
     t0 = float(nodes[i]) if i >= 0 else t0
     if not 0.0 <= t0 < p.T:
         raise InvalidInputError("simulate needs t0 in [0, T)")
-    x0 = np.asarray(x0, dtype=float).reshape(p.n)
-    if not np.all(np.isfinite(x0)):
-        raise InvalidInputError("x0 must be finite")
+    x0 = _vector(x0, p.n, "initial state x0")
     ts = np.concatenate([[t0], nodes[nodes > t0]])
     X, U = _integrate_segment(p, ts, x0, _AffineControl(gain=pol.gain_many))
     return Trajectory(ts, X, U, t0, x0)
@@ -166,12 +164,10 @@ def _as_control(u, m: int) -> _AffineControl:
                     f"a control function is called as u(s), giving {m} values: {exc}") from exc
         return _AffineControl(shift=shift)
     try:
-        v = np.asarray(u, dtype=float).reshape(m)
-    except (TypeError, ValueError):
-        v = None
-    if v is None or not np.all(np.isfinite(v)):
+        v = _vector(u, m, "control")
+    except InvalidInputError as exc:
         raise InvalidInputError(f"a control is a policy, a time function u(s) or a "
-                                f"finite constant vector of {m} values")
+                                f"finite constant vector of {m} values") from exc
     return _AffineControl(shift=lambda ts: np.broadcast_to(v, (ts.size, m)))
 
 
@@ -238,9 +234,7 @@ def cost(p: LQProblem, t: float, x, u, grid: TimeGrid | None = None, *,
     t = float(t)
     if not 0.0 <= t <= T + 1e-12 * (1 + T):
         raise InvalidInputError("cost needs t in [0, T]")
-    x = np.asarray(x, dtype=float).reshape(p.n)
-    if not np.all(np.isfinite(x)):
-        raise InvalidInputError("cost needs a finite state x")
+    x = _vector(x, p.n, "state x")
     tiny = 1e-12 * (1.0 + T)
     if T - t <= tiny:
         return float(x @ p.G.eval(t) @ x)
@@ -381,7 +375,7 @@ def _splice_batch(p: LQProblem, pol: EquilibriumPolicy, plan: list,
 def value_identity_gap(p: LQProblem, pol: EquilibriumPolicy, t: float, x,
                        grid: TimeGrid | None = None) -> float:
     """|J(t, x; policy) - <P(t)x, x>|, the two sides computed independently."""
-    x = np.asarray(x, dtype=float).reshape(p.n)
+    x = _vector(x, p.n, "state x")
     J = cost(p, t, x, pol, grid if grid is not None else pol.P.grid)
     return abs(J - float(x @ pol.P(float(t)) @ x))
 
@@ -400,8 +394,7 @@ def perturbation_limit_closed_form(p: LQProblem, pol: EquilibriumPolicy,
     at the policy value.
     """
     ts = np.asarray([float(t)])
-    x = np.asarray(x, dtype=float).reshape(1, p.n)
-    v = np.asarray(v, dtype=float).reshape(1, p.m)
+    x, v = _vector(x, p.n, "state x")[None], _vector(v, p.m, "deviation v")[None]
     return float(_closed_forms(pol.gain_many(ts), p.M.eval(ts, ts), x, v)[0])
 
 
@@ -449,11 +442,11 @@ def perturbation_limit_finite_eps(p: LQProblem, pol: EquilibriumPolicy,
     Neither depends on P beyond the policy itself.
     Returns (dict eps -> quotient, extrapolated).
     """
+    x, v = _vector(x, p.n, "state x"), _vector(v, p.m, "deviation v")
     gnodes = (grid if grid is not None else pol.P.grid).nodes
     t = float(t)
     [mats] = _splice_batch(p, pol, [(t, _checked_eps(p, t, eps_list, gnodes))], gnodes)
-    return _quotients(mats, np.asarray(x, dtype=float).reshape(p.n),
-                      np.asarray(v, dtype=float).reshape(p.m))
+    return _quotients(mats, x, v)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import InvalidInputError, TimeConsistencyError
 from .grids import TimeGrid
 from .kernels import matrix_norm_many
-from .problem import LQProblem, _check_horizon, _weight_tables
+from .problem import LQProblem, _check_horizon, _vector, _weight_tables
 from .propagators import half_times
 from .riccati import RiccatiSolution
 from .equilibrium import _as_control
@@ -91,9 +91,7 @@ def brute_force_cost(p: LQProblem, t: float, x, u, refinement: int = 8) -> float
     T = p.T
     if not 0.0 <= t <= T + 1e-12 * (1 + T):
         raise InvalidInputError("cost needs t in [0, T]")
-    x = np.asarray(x, dtype=float).reshape(p.n)
-    if not np.all(np.isfinite(x)):
-        raise InvalidInputError("cost needs a finite state x")
+    x = _vector(x, p.n, "state x")
     if T - t <= 1e-12 * (1 + T):
         return float(x @ p.G.eval(t) @ x)
     ts = np.linspace(t, T, 64 * refinement + 1)

@@ -105,8 +105,6 @@ class ValidationReport:
         """All checks including the advisory sign conditions on the partials."""
         return all(c.passed for c in self.checks)
 
-    overall = monotone_ok
-
     def to_dict(self) -> dict:
         return {
             "pd_floor": float(self.pd_floor),
@@ -417,6 +415,18 @@ class _PairChecks:
             "H5-Q-SMS-psd": nodes.size * (nodes.size + 1) // 2}
         skipped["H5-Qt-combo-psd"] = skipped_live
         return ValidationReport(tuple(checks), pd_floor, float(tol), skipped)
+
+
+def _vector(x, size: int, what: str) -> np.ndarray:
+    """x as a float vector of size finite entries; any other length, shape
+    or entry is an InvalidInputError that names what."""
+    try:
+        v = np.asarray(x, dtype=float).reshape(size)
+    except (TypeError, ValueError):
+        v = None
+    if v is None or not np.all(np.isfinite(v)):
+        raise InvalidInputError(f"expected a finite {what} of length {size}")
+    return v
 
 
 def _check_horizon(p: LQProblem, g) -> None:

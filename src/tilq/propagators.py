@@ -1,5 +1,9 @@
 """Fundamental solutions of linear time-varying systems dU/dt = C(t) U, and
-the feedback gain whose closed loop they integrate.
+the feedback tables whose gain drives the closed loop.
+
+rk4_steps is the one RK4 step primitive: every flow in the package is a
+product of its step matrices, sequential (rk4_flow) or chunked
+(riccati._Chunked).
 
 The propagator stores U at the grid nodes (classical fourth-order one-step
 Runge-Kutta per interval, U(nodes[0]) = I) and their inverses, which the
@@ -130,21 +134,3 @@ def feedback_tables(p, ts) -> tuple[np.ndarray, np.ndarray]:
         raise InvalidInputError(f"M(s, s) is singular at s = {where:.6g}") from exc
     return M_inv @ np.swapaxes(p.B.eval(ts), -1, -2), M_inv @ p.S.eval(ts, ts)
 
-
-def closed_loop_coefficient(p, P) -> OneTimeMatrixFn:
-    """Drift of the state under the linear feedback induced by P:
-    A(t) - B(t) Ups(t), Ups = M(t,t)^{-1} (B(t)' P(t) + S(t,t)) from
-    feedback_tables.
-
-    P must be callable on time arrays (node values with cubic interpolation,
-    as produced by the equilibrium solver).
-    """
-    def fn(ts):
-        ts = np.asarray(ts, dtype=float)
-        scalar = ts.ndim == 0
-        ts = np.atleast_1d(ts)
-        MiBt, MiS = feedback_tables(p, ts)
-        out = p.A.eval(ts) - p.B.eval(ts) @ (MiBt @ P(ts) + MiS)
-        return out[0] if scalar else out
-
-    return OneTimeMatrixFn(fn, (p.n, p.n), p.T, vectorized=True)

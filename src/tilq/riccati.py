@@ -83,10 +83,9 @@ from ._quad import (apply_cubic, cubic_rule, interval_rule, local_cubic, tail_ba
                     tail_integrals, tail_sums)
 from .errors import InvalidInputError, NonconvergenceError, NotPositiveDefiniteError
 from .grids import TimeGrid, node_index
-from .kernels import _ROW_BLOCK, kernel_norms, matrix_norm, matrix_norm_many
+from .kernels import _ROW_BLOCK, _as_batch, kernel_norms, matrix_norm, matrix_norm_many
 from .problem import LQProblem, _check_horizon, _sym, _triangle_pass
-from .propagators import (feedback_tables, flow_condition, flow_prefix, half_times, rk4_flow,
-                          rk4_steps)
+from .propagators import feedback_tables, flow_condition, flow_prefix, half_times, rk4_steps
 
 
 def _exp(x: float) -> float:
@@ -122,9 +121,7 @@ class RiccatiSolution:
         return self.values.shape[1]
 
     def eval_many(self, ts) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        scalar = ts.ndim == 0
-        ts = np.atleast_1d(ts)
+        ts, scalar = _as_batch(ts)
         if not np.all(np.isfinite(ts)):
             raise InvalidInputError("evaluation times ts must be finite")
         nodes = self.grid.nodes
@@ -278,13 +275,12 @@ def _constants(p: LQProblem, g: TimeGrid, pair_norms) -> ContractionConstants:
 def upsilon(p: LQProblem, P, s) -> np.ndarray:
     """Feedback gain factor M(s,s)^{-1} (B(s)' P(s) + S(s,s)) at a time s or
     at each time of a 1-d array s, from feedback_tables."""
-    s = np.asarray(s, dtype=float)
-    if not np.all(np.isfinite(s)):
+    ts, scalar = _as_batch(s)
+    if not np.all(np.isfinite(ts)):
         raise InvalidInputError("upsilon needs finite times s")
-    ts = np.atleast_1d(s)
     MiBt, MiS = feedback_tables(p, ts)
     ups = MiBt @ P(ts) + MiS
-    return ups[0] if s.ndim == 0 else ups
+    return ups[0] if scalar else ups
 
 
 @dataclass
@@ -446,31 +442,29 @@ class _Chunked(NamedTuple):
 
 
 def _forward_flow(nodes: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """rk4_flow(nodes, C) from forward products of chunk flows (_Chunked):
-    one loop over a chunk's steps and one over the chunks, not one over
-    every step."""
+    """Phi(s_k, s_0) of x' = C(t) x on nodes, C sampled at their half times:
+    forward products of chunk flows (_Chunked), one loop over a chunk's
+    steps and one over the chunks, not one over every step."""
     return _Chunked.of(_half_steps(nodes, C), 1).flow(0, nodes.size)
 
 
 class _Window(NamedTuple):
     """What every iterate of window [a, b] shares; see _Engine.f_diag.
 
-    c is the split node, flow holds Phi(r, s_c) for r in nodes[c:], chained
-    from chunk flows (_forward_flow), and inverse their inverses.  cubic is
-    the cubic_rule of the closed-loop drift (_Engine.drift) at the half
-    times of nodes a..c, on nodes[a:], and rule the interval_rule of
-    nodes[a:b+1], which the window map integrates by.  blocks yields, per
-    block of rows from i0, (i0, core, Z): core holds the weighted kernel
-    partials of the rows against the columns [i0, c) as _Pairs
-    (_Engine.triangle_block), Z the rows' tail past c folded into one n x n
-    matrix each.  conj (cached_window only) holds the drift-only flow
-    V_j = Phi_A(s_j, s_a) on nodes[a:b+1], chained the same way, and its
-    inverses.
+    c is the split node and flow holds Phi(r, s_c) for r in nodes[c:],
+    chained from chunk flows (_forward_flow).  cubic is the cubic_rule of
+    the closed-loop drift (_Engine.drift) at the half times of nodes a..c,
+    on nodes[a:], and rule the interval_rule of nodes[a:b+1], which the
+    window map integrates by.  blocks yields, per block of rows from i0,
+    (i0, core, Z): core holds the weighted kernel partials of the rows
+    against the columns [i0, c) as _Pairs (_Engine.triangle_block), Z the
+    rows' tail past c folded into one n x n matrix each.  conj
+    (cached_window only) holds the drift-only flow V_j = Phi_A(s_j, s_a) on
+    nodes[a:b+1], chained the same way, and its inverses.
     """
 
     c: int
     flow: np.ndarray
-    inverse: np.ndarray
     cubic: tuple
     rule: tuple
     blocks: Iterable
@@ -615,8 +609,7 @@ class _Engine:
                 yield i0, core, _contract(folded, flow, ups_flow) \
                     + end.T @ self.Gd_nodes[i0:i1] @ end
 
-        return _Window(c, flow, np.linalg.inv(flow),
-                       cubic_rule(self.nodes[a:], self.half[2 * a:2 * c + 1]),
+        return _Window(c, flow, cubic_rule(self.nodes[a:], self.half[2 * a:2 * c + 1]),
                        interval_rule(self.nodes[a:b + 1]), blocks())
 
     def cached_window(self, values: np.ndarray, a: int, b: int) -> _Window:
@@ -687,12 +680,15 @@ class _Engine:
     def check_condition(self, values: np.ndarray, a: int, window: _Window) -> None:
         """flow_condition of the closed loop of values over [s_a, T], composed
         as Phi(r, s_c) U_c past the split node (warns via flow_condition).
-        Phi(r, s_a) is the sequential rk4_flow of the drift on nodes[a:c+1]."""
+        U = Phi(r, s_a) on nodes[a:c+1] is a forward product of chunk flows
+        (_forward_flow), as the window's tail flow is; the check inverts
+        both."""
         c = window.c
-        U = rk4_flow(self.nodes[a:c + 1], self.drift(values, a, a, c, window.cubic))
+        U = _forward_flow(self.nodes[a:c + 1], self.drift(values, a, a, c, window.cubic))
         U_inv = np.linalg.inv(U)
-        flow_condition(np.concatenate([U, window.flow[1:] @ U[-1]]),
-                       np.concatenate([U_inv, U_inv[-1] @ window.inverse[1:]]))
+        tail = window.flow[1:]
+        flow_condition(np.concatenate([U, tail @ U[-1]]),
+                       np.concatenate([U_inv, U_inv[-1] @ np.linalg.inv(tail)]))
 
     def picard_iterate(self, values: np.ndarray, a: int, b: int,
                        boundary: np.ndarray) -> np.ndarray:
@@ -844,30 +840,6 @@ def _engine_for(p: LQProblem, P: "RiccatiSolution") -> _Engine:
     return engine
 
 
-@dataclass(frozen=True)
-class WindowIterate:
-    """Result of a single fixed-point application on one window."""
-
-    nodes: np.ndarray
-    values: np.ndarray
-
-
-def picard_step(p: LQProblem, P: RiccatiSolution, window, boundary) -> WindowIterate:
-    """Apply the window map once.
-
-    window is a (a, b) pair of grid-node times, boundary the matrix pinned at
-    b; P supplies both the in-window iterate and the already-solved tail on
-    [b, T].  Returns the mapped values on the window nodes.
-    """
-    a_idx = P.grid.index_of(window[0])
-    b_idx = P.grid.index_of(window[1])
-    if a_idx >= b_idx:
-        raise InvalidInputError("window must span at least one grid interval")
-    boundary = _sym(np.atleast_2d(np.asarray(boundary, dtype=float)))
-    new = _engine_for(p, P).picard_iterate(P.values, a_idx, b_idx, boundary)
-    return WindowIterate(P.grid.nodes[a_idx:b_idx + 1].copy(), new)
-
-
 def solve_riccati(p: LQProblem, g: TimeGrid, opts: SolveOptions | None = None
                   ) -> RiccatiSolution:
     """Solve the equilibrium Riccati integral equation on grid g.
@@ -883,9 +855,10 @@ def solve_riccati(p: LQProblem, g: TimeGrid, opts: SolveOptions | None = None
     a scale of the problem's weights, not of the a-priori bound r.  Raises
     NonconvergenceError when an iteration cap or halving floor is hit, and
     InvalidInputError for a grid that does not end at p.T, a tol outside
-    (0, inf), a max_iter below 1 or a problem that fails a hard check of
-    validate_assumptions; when M is not positive definite that error is a
-    NotPositiveDefiniteError whose where is the check's node pair.
+    (0, inf), a max_iter that is not an integer >= 1 or a problem that
+    fails a hard check of validate_assumptions; when M is not positive
+    definite that error is a NotPositiveDefiniteError whose where is the
+    check's node pair.
 
     Validation (opts.validate) and the two-time norms of the constants come
     from one walk of the node-pair triangle; the report and constants equal
@@ -895,8 +868,8 @@ def solve_riccati(p: LQProblem, g: TimeGrid, opts: SolveOptions | None = None
     opts = opts or SolveOptions()
     if opts.tol is not None and not 0.0 < opts.tol < math.inf:
         raise InvalidInputError("tol must be positive and finite")
-    if opts.max_iter < 1:
-        raise InvalidInputError("max_iter must be >= 1")
+    if not isinstance(opts.max_iter, (int, np.integer)) or opts.max_iter < 1:
+        raise InvalidInputError("max_iter must be an integer >= 1")
     report, pair_norms = _triangle_pass(p, g, validate=opts.validate)
     if report is not None:
         if not report.hard_ok:
@@ -1005,9 +978,7 @@ def q_bar(p: LQProblem, P: RiccatiSolution, ts) -> np.ndarray:
     the rows of all of them: an inserted row integrates over t and the nodes
     past it, with the closed-loop drift interpolated on the whole union.
     """
-    ts = np.asarray(ts, dtype=float)
-    scalar = ts.ndim == 0
-    ts = np.atleast_1d(ts)
+    ts, scalar = _as_batch(ts)
     nodes = P.grid.nodes
     j = node_index(nodes, ts)
     on_node = j >= 0

@@ -14,6 +14,7 @@ from tilq import (
     cost,
     equilibrium_certificate,
     exponential_kernel,
+    from_riccati,
     hyperbolic_problem,
     perturbation_limit_closed_form,
     perturbation_limit_finite_eps,
@@ -317,6 +318,33 @@ def test_cost_refuses_a_non_finite_state(tanh_problem):
     for fn in (cost, brute_force_cost):
         with pytest.raises(InvalidInputError, match="finite state x"):
             fn(tanh_problem, 0.0, [np.nan], np.zeros(1))
+
+
+_VECTOR_DOORS = {
+    "control": lambda p, pol, bad: pol.control(0.0, bad),
+    "simulate": lambda p, pol, bad: simulate(pol, 0.0, bad),
+    "from_riccati": lambda p, pol, bad: from_riccati(p, pol.P, 0.0, bad),
+    "cost": lambda p, pol, bad: cost(p, 0.0, bad, pol),
+    "brute_force_cost": lambda p, pol, bad: brute_force_cost(p, 0.0, bad, pol),
+    "value_identity_gap": lambda p, pol, bad: value_identity_gap(p, pol, 0.0, bad),
+    "closed_form_x": lambda p, pol, bad: perturbation_limit_closed_form(p, pol, 0.0, bad, [0.0]),
+    "closed_form_v": lambda p, pol, bad: perturbation_limit_closed_form(p, pol, 0.0, [1.0], bad),
+    "finite_eps_x": lambda p, pol, bad: perturbation_limit_finite_eps(p, pol, 0.0, bad, [0.0],
+                                                                      [0.2, 0.1]),
+    "finite_eps_v": lambda p, pol, bad: perturbation_limit_finite_eps(p, pol, 0.0, [1.0], bad,
+                                                                      [0.2, 0.1]),
+}
+
+
+@pytest.mark.parametrize("bad", [[1.0, 2.0], [np.nan], [np.inf]],
+                         ids=["wrong-length", "nan", "inf"])
+@pytest.mark.parametrize("door", list(_VECTOR_DOORS))
+def test_every_state_and_control_vector_is_checked(tanh_problem, tanh_policy, door, bad):
+    # a wrong length used to be an untyped ValueError from reshape; a NaN or
+    # inf came back as nan from the closed form, as inf quotients from the
+    # finite-eps limit and as [nan] from control
+    with pytest.raises(InvalidInputError, match="expected a finite .* of length 1"):
+        _VECTOR_DOORS[door](tanh_problem, tanh_policy, bad)
 
 
 def _path_quotients(p, pol, t, x, v, eps):

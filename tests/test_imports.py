@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import subprocess
 import sys
@@ -6,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-DEMO_VERIFY = Path(__file__).resolve().parents[1] / "demos" / "configs" / "hyperbolic_verify.json"
+ROOT = Path(__file__).resolve().parents[1]
+DEMO_VERIFY = ROOT / "demos" / "configs" / "hyperbolic_verify.json"
 
 
 def test_import_does_not_load_scipy():
@@ -65,3 +67,47 @@ def test_cli_verify_loads_no_scipy_and_no_random_stack(config, tmp_path):
     loaded = {m for m in names - baseline
               if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "random"]}
     assert loaded == set()
+
+
+def _load_tracer():
+    """perfbench/tracer.py as a module, loaded by path."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  ROOT / "perfbench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_benchmark_tracer_binds_every_traced_name():
+    # the benchmark's traced runs wrap each name of tracer.TARGETS; a name
+    # that the package no longer has, or a cost without its breakpoints
+    # parameter, breaks them at install or at the first traced call
+    import tilq
+
+    tracer_mod = _load_tracer()
+
+    def binding(modname, name):
+        owner = sys.modules[modname]
+        cls_name, _, attr = name.rpartition(".")
+        return (vars(getattr(owner, cls_name)) if cls_name else vars(owner))[attr]
+
+    for modname in tracer_mod.TARGETS:
+        __import__(modname)
+    targets = [(m, n) for m, names in tracer_mod.TARGETS.items() for n in names]
+    originals = [binding(m, n) for m, n in targets]
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        assert all(hasattr(binding(m, n), "__wrapped__") for m, n in targets)
+        p = tilq.constant_problem(A=0.0, B=1.0, Q=1.0, S=0.0, M=1.0, G=0.0, T=1.0)
+        g = tilq.TimeGrid.uniform(1.0, 32)
+        pol = tilq.build_policy(p, tilq.solve_riccati(p, g))
+        tilq.cost(p, 0.0, [1.0], pol, g, breakpoints=[0.5])
+        tilq.fundamental_solution(p.A, g)
+    finally:
+        tracer.uninstall()
+    assert [binding(m, n) for m, n in targets] == originals
+    metrics = tracer_mod.layer_metrics(tracer.snapshot())
+    assert metrics["equilibrium.cost.calls"] == 1
+    assert metrics["propagators.fundamental_solution.calls"] == 1
+    assert metrics["riccati.windows"] >= 1

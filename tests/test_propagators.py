@@ -58,15 +58,6 @@ def test_rk4_convergence_order():
     assert err(16) / err(32) > 8.0
 
 
-def test_closed_loop_coefficient(tanh_solution, tanh_problem):
-    from tilq import closed_loop_coefficient
-
-    c = closed_loop_coefficient(tanh_problem, tanh_solution)
-    # A - B M^{-1} (B'P + S) = -tanh(1 - t) for the scalar instance
-    np.testing.assert_allclose(c.eval(0.0), [[-np.tanh(1.0)]], atol=1e-7)
-    np.testing.assert_allclose(c.eval(1.0), [[0.0]], atol=1e-7)
-
-
 def test_fundamental_solution_takes_a_coefficient_fn_and_a_grid():
     # a plain callable or a bare node array is no longer sampled
     A = np.array([[0.0, 1.0], [-1.0, 0.0]])
