@@ -399,11 +399,17 @@ def perturbation_limit_closed_form(p: LQProblem, pol: EquilibriumPolicy,
 
 
 def _checked_eps(p: LQProblem, t: float, eps_list, gnodes: np.ndarray) -> tuple:
-    """eps_list without repeats, largest first, after checking that each eps
-    is positive, fits before T and spans >= 4 grid nodes."""
-    eps = sorted({float(e) for e in eps_list}, reverse=True)
-    if not eps or eps[-1] <= 0.0:
-        raise InvalidInputError("eps_list must contain positive values")
+    """eps_list without repeats, largest first, after checking that t is in
+    [0, T) and each eps is a positive finite number that fits before T and
+    spans >= 4 grid nodes."""
+    if not 0.0 <= t < p.T:
+        raise InvalidInputError(f"the deviation time t must be in [0, T), not {t!r}")
+    try:
+        eps = sorted({float(e) for e in eps_list}, reverse=True)
+    except (TypeError, ValueError):
+        eps = None
+    if not eps or not all(0.0 < e < np.inf for e in eps):
+        raise InvalidInputError(f"eps_list must hold positive finite widths, not {eps_list!r}")
     if t + eps[0] > p.T + 1e-12 * (1 + p.T):
         raise InvalidInputError("t + eps exceeds the horizon")
     hmax = float(np.diff(gnodes).max())

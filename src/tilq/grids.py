@@ -51,8 +51,8 @@ class TimeGrid:
         if not isinstance(num_intervals, (int, np.integer)) or num_intervals < 1:
             raise InvalidInputError(
                 f"uniform grid needs an integer num_intervals >= 1, not {num_intervals!r}")
-        if not float(T) > 0:
-            raise InvalidInputError("uniform grid needs T > 0")
+        if not 0.0 < float(T) < np.inf:
+            raise InvalidInputError(f"uniform grid needs a finite T > 0, not {T!r}")
         return cls(np.linspace(0.0, float(T), num_intervals + 1))
 
     @property
@@ -62,8 +62,9 @@ class TimeGrid:
 
     def refine(self, factor: int) -> "TimeGrid":
         """Insert factor-1 equally spaced nodes into every interval."""
-        if factor < 1:
-            raise InvalidInputError("refinement factor must be >= 1")
+        if not isinstance(factor, (int, np.integer)) or factor < 1:
+            raise InvalidInputError(
+                f"refinement factor must be an integer >= 1, not {factor!r}")
         if factor == 1:
             return self
         pieces = [

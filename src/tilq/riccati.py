@@ -44,15 +44,14 @@ the flow and contracts the kernel partials on [a, c] alone.  Those partials
 are evaluated once per window, on the rectangle of each 32-row block and its
 columns, and written in place into the layout the iterates contract.  A
 profile kernel (TwoTimeKernel.profile: the families and constant) has the
-partial dprofile(r - s_i) base, so the window maps weight one scalar per
-node pair and contract base once per column: Y_r = L_r' base L_r, then one
-matrix product with the block's table sums the rows.  A declared zero
-partial is neither evaluated nor contracted.  The residual pass
-(q_bar_table) keeps the dense n x n partials of every kernel as the
-independent reference of those tables.  No K x K weight matrix is kept:
-the pair weights of row i are one full-grid vector plus a band of four
-next to the diagonal, and every integral to the end of a window or of the
-grid is a reverse sum of interval integrals.
+partial dprofile(r - s_i) base, so the window maps and the residual pass
+weight one scalar per node pair and contract base once per column: Y_r =
+L_r' base L_r, then one matrix product with the block's table sums the
+rows.  A declared zero partial is neither evaluated nor contracted; other
+kernels (lag, from_callable) keep their dense n x n partials.  No K x K
+weight matrix is kept: the pair weights of row i are one full-grid vector
+plus a band of four next to the diagonal, and every integral to the end of
+a window or of the grid is a reverse sum of interval integrals.
 
 An iterate recomputes only what depends on the iterate: M^{-1}B' and
 M^{-1}S are tabulated when the engine is built and each window keeps the
@@ -530,8 +529,7 @@ class _Engine:
         K = self.nodes.size
         return b + 1 if b <= K - 4 else K - 1
 
-    def triangle_block(self, i0: int, i1: int, c: int,
-                       profiles: bool = False) -> tuple[_Pairs, _Pairs]:
+    def triangle_block(self, i0: int, i1: int, c: int) -> tuple[_Pairs, _Pairs]:
         """Weighted kernel partials of the rows i0 <= i < i1 against the
         columns r >= i0, split at column c.
 
@@ -548,11 +546,10 @@ class _Engine:
         arrays, so a window that keeps its cores does not keep the folded
         columns alive.
 
-        With profiles, the part of a profile kernel (TwoTimeKernel.profile,
-        kernel.base set) is the _Profiled table W[i, r] dprofile(r - s_i) at
-        [r - i0, i - i0] (r - c in folded), negated for S, with the kernel's
-        base; a declared zero partial (dprofile None) is not evaluated, and
-        a table that is zero at every pair it holds is None.
+        A profile kernel's part (kernel.base set) is instead the _Profiled
+        table W[i, r] dprofile(r - s_i) at [r - i0, i - i0] (r - c in
+        folded), negated for S, with its base; a declared zero partial
+        (dprofile None) is not evaluated, and a zero table is None.
         """
         p, nodes, K = self.p, self.nodes, self.nodes.size
         rows, cols = i1 - i0, K - i0
@@ -571,7 +568,7 @@ class _Engine:
                 # an array of its own, not a view of the rectangle
                 return np.multiply(wt[lo:hi], pd[lo:hi], out=np.empty(pd[lo:hi].shape))
 
-            if profiles and k.base is not None:
+            if k.base is not None:
                 dp = None if k.dprofile is None else k.dprofile(r - s).reshape(cols, rows)
                 return tuple(_Profiled(own(weights, dp, lo, hi), k.base)
                              if dp is not None and dp[lo:hi].any() else None
@@ -587,9 +584,9 @@ class _Engine:
             parts(p.M, w, False)
         return _Pairs(Qc, Sc, Mc), _Pairs(Qf, Sf, Mf)
 
-    def window(self, values: np.ndarray, a: int, b: int, profiles: bool = False) -> _Window:
+    def window(self, values: np.ndarray, a: int, b: int) -> _Window:
         """The _Window of rows [a, b], its blocks built one at a time, their
-        pairs as triangle_block(..., profiles) gives them.
+        pairs as triangle_block gives them.
 
         The flow past the split node c and Ups there read the solved nodes
         only, so they are fixed while the window iterates; Z_i =
@@ -605,7 +602,7 @@ class _Engine:
         def blocks():
             for i0 in range(a, b + 1, _ROW_BLOCK):
                 i1 = min(i0 + _ROW_BLOCK, b + 1)
-                core, folded = self.triangle_block(i0, i1, c, profiles)
+                core, folded = self.triangle_block(i0, i1, c)
                 yield i0, core, _contract(folded, flow, ups_flow) \
                     + end.T @ self.Gd_nodes[i0:i1] @ end
 
@@ -613,14 +610,11 @@ class _Engine:
                        interval_rule(self.nodes[a:b + 1]), blocks())
 
     def cached_window(self, values: np.ndarray, a: int, b: int) -> _Window:
-        """window(values, a, b, profiles=True) with its blocks listed and its
-        conj, kept until another window asks: every iterate of a window
-        shares them.  The window maps contract the profile kernels' scalar
-        tables; the residual pass (q_bar_table) keeps the dense pairs as the
-        independent reference."""
+        """window(values, a, b) with its blocks listed and its conj, kept
+        until another window asks: every iterate of a window shares them."""
         if self._window_key != (a, b):
             self._window = None  # free the old window's before building
-            win = self.window(values, a, b, profiles=True)
+            win = self.window(values, a, b)
             V = _forward_flow(self.nodes[a:b + 1], self.A_half[2 * a:2 * b + 1])
             self._window = win._replace(blocks=list(win.blocks), conj=(V, np.linalg.inv(V)))
             self._window_key = (a, b)
@@ -811,9 +805,8 @@ class _Engine:
 
     @cached_property
     def q_bar_table(self) -> np.ndarray:
-        """Effective state weight Q(s,s) - F(s; s, P) at every node, from
-        the dense pairs of every kernel (window without profiles): the
-        residual pass checks P independently of the window maps' tables."""
+        """Effective state weight Q(s,s) - F(s; s, P) at every node: f_diag
+        over the window of the whole grid."""
         last = self.nodes.size - 1
         window = self.window(self.values, 0, last)
         self.check_condition(self.values, 0, window)
@@ -979,6 +972,8 @@ def q_bar(p: LQProblem, P: RiccatiSolution, ts) -> np.ndarray:
     past it, with the closed-loop drift interpolated on the whole union.
     """
     ts, scalar = _as_batch(ts)
+    if not np.all(np.isfinite(ts)):
+        raise InvalidInputError("q_bar needs finite times ts")
     nodes = P.grid.nodes
     j = node_index(nodes, ts)
     on_node = j >= 0
@@ -1010,8 +1005,12 @@ def riccati_residual(p: LQProblem, P: RiccatiSolution, t: float) -> float:
 
     At a grid node (grids.node_index) this is the entry of the profile.  Off
     a node, it is the entry at t of the profile on the grid with t inserted,
-    the engine q_bar reads there: one nonlocal pass.
+    the engine q_bar reads there: one nonlocal pass.  t is one finite time.
     """
+    ts, scalar = _as_batch(t)
+    if not scalar or not math.isfinite(ts[0]):
+        raise InvalidInputError(f"riccati_residual needs one finite time t, not {t!r}")
+    t = float(ts[0])
     nodes = P.grid.nodes
     i = int(node_index(nodes, t))
     if i >= 0:

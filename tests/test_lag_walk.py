@@ -4,9 +4,10 @@ When Q, S and M depend on (t, s) only through s - t, problem._triangle_pass
 evaluates and bounds them once per distinct float lag of the grid and each
 block of rows reads its pairs' values from that table.  The same closures
 behind TwoTimeKernel.from_callable are walked pair by pair; reports and
-constants must match those bit for bit.  The window maps contract a profile
-kernel (TwoTimeKernel.profile) as one scalar table per block, so P matches
-the pair solve to rounding; the residual pass stays on the dense pairs.
+constants must match those bit for bit.  The window maps and the residual
+pass contract a profile kernel (TwoTimeKernel.profile) as one scalar table
+per block, so P and the residual profile match the pair problem's dense
+pairs to rounding.
 """
 import tracemalloc
 from collections import Counter
@@ -29,7 +30,7 @@ from tilq import (
     validate_assumptions,
 )
 from tilq.kernels import _ROW_BLOCK, _lag_table, finite_difference_dt
-from tilq.riccati import _contract, _Engine, _Profiled
+from tilq.riccati import RiccatiSolution, _contract, _Engine, _Profiled, q_bar_nodes
 
 
 def _n3():
@@ -118,6 +119,7 @@ def _jittered(N, seed=3):
 
 CASES = {"n3": (_n3, lambda: _pairwise(_n3())),
          "s-lag": (_s_lag, lambda: _pairwise(_s_lag())),
+         "s-exp": (_s_exp, lambda: _pairwise(_s_exp())),
          "plain": (_plain, _plain_pairwise)}
 
 
@@ -143,19 +145,25 @@ def test_lag_solve_matches_the_pair_solve(name):
     lag, pair = (make() for make in CASES[name])
     g = TimeGrid.uniform(1.0, 200)
     got, want = solve_riccati(lag, g), solve_riccati(pair, g)
+    # the residual pass contracts as the window maps do: on the same P the
+    # plain closures give the pair closures' profile and q_bar bit for bit,
+    # the families' tables the dense pairs' to rounding (s-exp with the
+    # cross term of a nonzero S_t)
+    residual = riccati_residual_profile(lag, got), riccati_residual_profile(pair, got)
+    qbar = q_bar_nodes(lag, got), q_bar_nodes(pair, got)
     if name == "plain":
         np.testing.assert_array_equal(got.values, want.values)
         assert got.meta == want.meta
+        np.testing.assert_array_equal(*residual)
+        np.testing.assert_array_equal(*qbar)
         return
     assert np.abs(got.values - want.values).max() <= 1e-14
     for key in ("mode", "halvings"):
         assert got.meta[key] == want.meta[key]
     assert [w["iterations"] for w in got.meta["windows"]] \
         == [w["iterations"] for w in want.meta["windows"]]
-    # the residual pass reads the dense pairs of either problem: on the same
-    # P it is the same profile bit for bit
-    np.testing.assert_array_equal(riccati_residual_profile(lag, got),
-                                  riccati_residual_profile(pair, got))
+    assert np.abs(residual[0] - residual[1]).max() <= 1e-15
+    assert np.abs(qbar[0] - qbar[1]).max() <= 1e-14
 
 
 @pytest.mark.parametrize("name", ["n3", "s-exp"])
@@ -163,12 +171,12 @@ def test_lag_solve_matches_the_pair_solve(name):
 @pytest.mark.parametrize("grid", ["uniform", "jittered"])
 def test_profile_contraction_matches_the_dense_one(name, N, grid):
     # every block, core and folded, of every window map of the n3 solve and
-    # of the window of the whole grid, whose last block at N = 64 holds no
-    # column before its split node: the profile tables contract as the
-    # dense pairs do, S's cross term included
+    # of the window of the whole grid (the residual pass), whose last block
+    # at N = 64 holds no column before its split node: the profile tables
+    # contract as the pair twin's dense pairs do, S's cross term included
     p = _n3() if name == "n3" else _s_exp()
     g = TimeGrid.uniform(1.0, N) if grid == "uniform" else _jittered(N)
-    engine, K = _Engine(p, g), g.nodes.size
+    engine, twin, K = _Engine(p, g), _Engine(_pairwise(p), g), g.nodes.size
     windows = [(g.index_of(w["a"]), g.index_of(w["b"]))
                for w in solve_riccati(_n3(), g).meta["windows"]] + [(0, K - 1)]
     rng = np.random.default_rng(1)
@@ -178,9 +186,10 @@ def test_profile_contraction_matches_the_dense_one(name, N, grid):
         c = engine.split_node(b)
         for i0 in range(a, b + 1, _ROW_BLOCK):
             i1 = min(i0 + _ROW_BLOCK, b + 1)
-            for lo, dense, tables in zip((i0, c), engine.triangle_block(i0, i1, c),
-                                         engine.triangle_block(i0, i1, c, profiles=True)):
+            for lo, dense, tables in zip((i0, c), twin.triangle_block(i0, i1, c),
+                                         engine.triangle_block(i0, i1, c)):
                 cols = dense.Q.shape[0]
+                assert dense.Q.ndim == dense.M.ndim == 4
                 assert all(part is None or isinstance(part, _Profiled) and
                            part.table.shape == (cols, i1 - i0) for part in tables)
                 assert (tables.S is None) == (name == "n3" or cols == 0)
@@ -191,11 +200,12 @@ def test_profile_contraction_matches_the_dense_one(name, N, grid):
     assert empty == (N % _ROW_BLOCK == 0)
 
 
-def test_residual_pass_and_lag_kernels_take_the_dense_pairs(monkeypatch):
-    # the residual pass is the independent reference of the window maps'
-    # tables: on a family problem it builds dense pairs and evaluates the
-    # kernels' partials.  TwoTimeKernel.lag and from_callable kernels declare
-    # no profile, so their window maps take the dense pairs too
+def test_profile_kernels_take_the_tables_and_lag_kernels_the_dense_pairs(monkeypatch):
+    # a kernel's declaration alone picks its contraction.  The families'
+    # profile kernels are scalar tables in the window maps and in the
+    # residual pass, which evaluates none of their matrix partials.
+    # TwoTimeKernel.lag and from_callable kernels declare no profile, so
+    # both take their dense pairs
     built = []
     real = _Engine.triangle_block
 
@@ -207,9 +217,6 @@ def test_residual_pass_and_lag_kernels_take_the_dense_pairs(monkeypatch):
     monkeypatch.setattr(_Engine, "triangle_block", spy)
     g = TimeGrid.uniform(1.0, 64)
     p = _n3()
-    sol = solve_riccati(p, g)
-    assert built and all(part is None or isinstance(part, _Profiled) for part in built)
-    built.clear()
     calls = Counter()
     for name in "QSM":
         k = getattr(p, name)
@@ -219,14 +226,36 @@ def test_residual_pass_and_lag_kernels_take_the_dense_pairs(monkeypatch):
             return type(k).eval_dt(k, t, s)
 
         monkeypatch.setattr(k, "eval_dt", counted)
+    sol = solve_riccati(p, g)
+    assert built and all(part is None or isinstance(part, _Profiled) for part in built)
+    built.clear()
+    calls.clear()
     riccati_residual_profile(p, sol)
-    assert calls["Q"] == calls["S"] == calls["M"] == len(built) // 6 > 0
-    assert all(part is None or isinstance(part, np.ndarray) and part.ndim == 4
-               for part in built)
+    assert built and all(part is None or isinstance(part, _Profiled) for part in built)
+    assert any(isinstance(part, _Profiled) for part in built) and not calls
     for make in (_plain, _plain_pairwise):
-        built.clear()
-        solve_riccati(make(), g)
-        assert built and all(isinstance(part, np.ndarray) for part in built[0::3] + built[2::3])
+        q = make()
+        for run in (lambda: solve_riccati(q, g), lambda: riccati_residual_profile(q, sol)):
+            built.clear()
+            run()
+            # Q and M dense; n3's S is the constant zero, so it is None
+            assert built and all(isinstance(part, np.ndarray) and part.ndim == 4
+                                 for part in built[0::3] + built[2::3])
+            assert all(part is None for part in built[1::3])
+
+
+def test_residual_pass_on_tables_flags_a_moved_node():
+    # s-exp, S nonzero: a P moved by 1e-6 at one interior node reads a
+    # residual above 1e-7 there, through the tables as through the dense
+    # pairs of the pair twin
+    p, twin = _s_exp(), _pairwise(_s_exp())
+    sol = solve_riccati(p, TimeGrid.uniform(1.0, 200))
+    values = sol.values.copy()
+    values[77] += 1e-6 * np.eye(3)
+    bad = RiccatiSolution(sol.grid, values)
+    assert riccati_residual_profile(p, sol).max() < 1e-7
+    for q in (p, twin):
+        assert riccati_residual_profile(q, bad)[77] > 1e-7
 
 
 def test_lag_closure_is_called_per_distinct_lag():

@@ -19,6 +19,7 @@ from tilq import (
     constant_problem,
     contraction_constants,
     bvp_residual,
+    equilibrium_certificate,
     classical_riccati,
     exponential_kernel,
     exponential_terminal,
@@ -26,6 +27,7 @@ from tilq import (
     hyperbolic_kernel,
     hyperbolic_problem,
     hyperbolic_terminal,
+    perturbation_limit_finite_eps,
     q_bar,
     riccati_residual,
     riccati_residual_profile,
@@ -40,6 +42,7 @@ from tilq._quad import (apply_cubic, local_cubic, simpson_weights, tail_integral
 from tilq.kernels import _ROW_BLOCK, matrix_norm_many
 from tilq.propagators import flow_condition, half_times, rk4_flow
 from tilq.bvp import BvpSolution
+from tilq.equilibrium import SampleSpec
 from tilq.riccati import RiccatiSolution, _Engine, _engine_for, q_bar_nodes
 from tilq.verify import RICCATI_TOL
 
@@ -424,6 +427,17 @@ def _coupled_problem(*, vectorized=True, b_scale=0.5):
     )
 
 
+def _pair_twin(p):
+    """p with Q, S and M given to from_callable by their own closures: the
+    same values, but no declared profile, so an engine takes dense pairs."""
+    def pair(k):
+        return TwoTimeKernel.from_callable(k.eval, k.dims, k.horizon, k.eval_dt,
+                                           symmetry_required=k.symmetry_required,
+                                           vectorized=True)
+
+    return LQProblem(A=p.A, B=p.B, Q=pair(p.Q), S=pair(p.S), M=pair(p.M), G=p.G)
+
+
 def _smooth_values(nodes):
     C = np.array([[1.0, 0.3, 0.0], [0.3, 0.5, -0.2], [0.0, -0.2, 0.7]])
     t = nodes[:, None, None]
@@ -479,10 +493,10 @@ def test_f_diag_matches_row_loop(nodes, a, b, vectorized):
     ups = engine.upsilon_nodes(values, a)
     got = engine.f_diag(values, a, b, cached, ups)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-    # an iterate reuses the cached window, which equals a fresh one with the
-    # profile tables bit for bit
+    # an iterate reuses the cached window, which equals a fresh one bit for
+    # bit, profile tables included
     assert engine.cached_window(values, a, b) is cached
-    fresh = engine.window(values, a, b, profiles=True)
+    fresh = engine.window(values, a, b)
     assert fresh.c == cached.c
     np.testing.assert_array_equal(fresh.flow, cached.flow)
     fresh_blocks = list(fresh.blocks)
@@ -500,10 +514,15 @@ def test_f_diag_matches_row_loop(nodes, a, b, vectorized):
             assert block_c.shape[0] == cached.c - i0  # in-window columns only
             np.testing.assert_array_equal(block, block_c)
         np.testing.assert_array_equal(Z, Z_c)
-    streamed = engine.f_diag(values, a, b, engine.window(values, a, b, profiles=True), ups)
+    streamed = engine.f_diag(values, a, b, engine.window(values, a, b), ups)
     np.testing.assert_array_equal(streamed, got)
-    # the dense pairs, which the residual pass reads, give the same F
-    dense = engine.f_diag(values, a, b, engine.window(values, a, b), ups)
+    # the pair twin's engine contracts every kernel's dense pairs, and gives
+    # the same F
+    twin = _Engine(_pair_twin(p), TimeGrid(nodes))
+    dense_window = twin.cached_window(values, a, b)
+    assert all(isinstance(part, np.ndarray) for _, core, _ in dense_window.blocks
+               for part in core)
+    dense = twin.f_diag(values, a, b, dense_window, ups)
     assert np.abs(dense - got).max() <= 1e-13 * np.abs(got).max()
 
 
@@ -739,15 +758,28 @@ _RANDOM101 = np.sort(np.concatenate([[0.0, 1.0], np.random.default_rng(8).unifor
 @pytest.mark.parametrize("problem, nodes", [
     ("n3", _K101), ("n3", _RANDOM101), ("guarded", _K41), ("guarded", _RANDOM41)])
 def test_triangle_block_matches_pair_scatter(problem, nodes):
+    # n3's family kernels are profile tables, so the dense layout is that of
+    # its pair twin; the tables expand to the same partials to rounding
     p = _n3_problem() if problem == "n3" else _guarded_problem()
     engine = _Engine(p, TimeGrid(nodes))
+    dense = _Engine(_pair_twin(p), TimeGrid(nodes)) if problem == "n3" else engine
     K = nodes.size
     # (i0, i1, c): the last block of a window split at c = b + 1, an inner
     # block, and the blocks of windows with b = K - 1 and b = K - 3, which
     # split at c = K - 1
     for i0, i1, c in [(1, 33, 33), (8, 20, 30), (K - 31, K, K - 1), (K - 26, K - 2, K - 1)]:
-        got = engine.triangle_block(i0, i1, c)
-        for part, want_part in zip(got, _scatter_block(engine, i0, i1, c)):
+        got, scatter = dense.triangle_block(i0, i1, c), _scatter_block(engine, i0, i1, c)
+        if problem == "n3":
+            for part, want_part in zip(engine.triangle_block(i0, i1, c), scatter):
+                for block, want in zip(part, want_part):
+                    if block is None:  # the zero S_t
+                        assert not want.any()
+                        continue
+                    assert isinstance(block, riccati._Profiled)
+                    np.testing.assert_allclose(
+                        block.table[:, None, :, None] * block.base[:, None], want,
+                        rtol=1e-15, atol=0.0)
+        for part, want_part in zip(got, scatter):
             for name, block, want in zip(part._fields, part, want_part):
                 if block is None:  # only a zero S_t is left out
                     assert name == "S" and not want.any()
@@ -1325,3 +1357,32 @@ def test_time_arrays_beyond_one_dimension_are_refused(tanh_problem, tanh_solutio
                  lambda: q_bar(tanh_problem, tanh_solution, ts)):
         with pytest.raises(InvalidInputError, match="1-d"):
             call()
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda p, P, pol: q_bar(p, P, np.nan), "finite times ts"),
+    (lambda p, P, pol: q_bar(p, P, [0.3, np.nan]), "finite times ts"),
+    (lambda p, P, pol: riccati_residual(p, P, np.nan), "one finite time t"),
+    (lambda p, P, pol: riccati_residual(p, P, [0.5, 0.6]), "one finite time t"),
+    (lambda p, P, pol: perturbation_limit_finite_eps(p, pol, np.nan, [1.0], [0.5], [0.2]),
+     "deviation time t"),
+    (lambda p, P, pol: perturbation_limit_finite_eps(p, pol, -0.5, [1.0], [0.5], [0.2]),
+     "deviation time t"),
+    (lambda p, P, pol: perturbation_limit_finite_eps(p, pol, 0.1, [1.0], [0.5],
+                                                     [np.nan, 0.2]), "eps_list"),
+    (lambda p, P, pol: equilibrium_certificate(p, pol, SampleSpec(eps_list=(np.nan, 0.1))),
+     "eps_list"),
+    (lambda p, P, pol: equilibrium_certificate(p, pol, SampleSpec(eps_list=0.1)),
+     "eps_list"),
+    (lambda p, P, pol: P.grid.refine(2.5), "refinement factor"),
+    (lambda p, P, pol: TimeGrid.uniform(np.inf, 10), "finite T"),
+], ids=["q_bar-nan", "q_bar-nan-entry", "residual-nan", "residual-array",
+        "finite-eps-t-nan", "finite-eps-t-negative", "finite-eps-nan-eps",
+        "certificate-nan-eps", "certificate-scalar-eps", "refine-float", "uniform-T-inf"])
+def test_malformed_times_and_factors_name_the_input(tanh_problem, tanh_solution, call, name):
+    # a malformed time, width or factor is an input error that names that
+    # input: not a message about grid nodes or [0, T], not a coarse grid
+    # (GridTooCoarseError) and not a bare TypeError
+    pol = build_policy(tanh_problem, tanh_solution)
+    with pytest.raises(InvalidInputError, match=name):
+        call(tanh_problem, tanh_solution, pol)
