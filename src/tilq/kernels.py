@@ -68,7 +68,10 @@ def matrix_norm_many(stack: np.ndarray) -> np.ndarray:
 
 
 def _as_batch(t) -> tuple[np.ndarray, bool]:
-    t = np.asarray(t, dtype=float)
+    try:
+        t = np.asarray(t, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"time arguments must be numbers, not {t!r}") from exc
     if t.ndim == 0:
         return t.reshape(1), True
     if t.ndim == 1:

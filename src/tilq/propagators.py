@@ -2,8 +2,12 @@
 the feedback tables whose gain drives the closed loop.
 
 rk4_steps is the one RK4 step primitive: every flow in the package is a
-product of its step matrices, sequential (rk4_flow) or chunked
-(riccati._Chunked).
+product of its step matrices, formed by flow_prefix (rk4_flow) or, with a
+flow anchored at every row block, by _Chunked.  A single flow past 32 steps
+is cut into chunks of 32: one loop of 32 steps advances every chunk's local
+flows, a loop over the chunk ends carries them, and one product joins the
+two.  Shorter flows, and stacked flows that advance together, take one
+loop over the steps.
 
 The propagator stores U at the grid nodes (classical fourth-order one-step
 Runge-Kutta per interval, U(nodes[0]) = I) and their inverses, which the
@@ -19,12 +23,13 @@ closed-loop drift A - B Ups, is MiBt P + MiS from its two tables.
 from __future__ import annotations
 
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidInputError
 from .grids import TimeGrid
-from .kernels import OneTimeMatrixFn, matrix_norm_many
+from .kernels import _ROW_BLOCK, OneTimeMatrixFn, matrix_norm_many
 
 _COND_WARN = 1e12
 
@@ -54,13 +59,8 @@ def rk4_steps(hs: np.ndarray, C0: np.ndarray, Cm: np.ndarray, C1: np.ndarray
     return eye + (hs / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)
 
 
-def flow_prefix(E: np.ndarray) -> np.ndarray:
-    """Prefix products U[0] = I, U[i+1] = E[i] U[i] of step matrices.
-
-    E has shape (K-1, ..., n, n): axes between the step axis and the matrix
-    axes stack independent flows, which one loop over the steps advances
-    together.  Returns U of shape (K, ..., n, n).
-    """
+def _prefix(E: np.ndarray) -> np.ndarray:
+    """Prefix products U[0] = I, U[i+1] = E[i] U[i], one step at a time."""
     U = np.empty((E.shape[0] + 1,) + E.shape[1:])
     U[0] = np.eye(E.shape[-1])
     for e, u, nxt in zip(E, U[:-1], U[1:]):
@@ -68,13 +68,73 @@ def flow_prefix(E: np.ndarray) -> np.ndarray:
     return U
 
 
+class _Chunked(NamedTuple):
+    """Flows of a run of step matrices E (k, n, n) cut into chunks of
+    B = _ROW_BLOCK steps, the last padded with identity steps.
+
+    local[m, j] is the product of the m steps of chunk j from its start
+    (E[jB + m - 1] ... E[jB], I at m = 0), shape (B + 1, chunks, n, n); one
+    loop of B passes advances every chunk.  carry[d, j] is the product of
+    the chunk ends local[-1] of chunks j .. j + d - 1 for the first anchors
+    chunks j, shape (chunks + 1, anchors, n, n); past the last chunk it stays
+    at the flow to the last node.  Every entry is a forward product."""
+
+    local: np.ndarray
+    carry: np.ndarray
+
+    @classmethod
+    def of(cls, E: np.ndarray, anchors: int) -> "_Chunked":
+        k, n = E.shape[0], E.shape[-1]
+        chunks = -(-k // _ROW_BLOCK)
+        steps = np.empty((chunks * _ROW_BLOCK, n, n))
+        steps[:k] = E
+        steps[k:] = np.eye(n)
+        local = _prefix(steps.reshape(chunks, _ROW_BLOCK, n, n).swapaxes(0, 1))
+        d = np.arange(chunks)[:, None] + np.arange(anchors)
+        ends = np.where((d < chunks)[..., None, None],
+                        local[-1][np.minimum(d, chunks - 1)], np.eye(n))
+        return cls(local, _prefix(ends))
+
+    def flow(self, j: int, count: int) -> np.ndarray:
+        """Phi(r, s) for the count nodes r from the start s of chunk j: each
+        chunk's local flows times its carry from chunk j, in one product."""
+        chunks, n = self.local.shape[1], self.local.shape[-1]
+        out = np.empty(((chunks - j) * _ROW_BLOCK + 1, n, n))
+        np.matmul(self.local[:-1, j:].swapaxes(0, 1), self.carry[:chunks - j, j, None],
+                  out=out[:-1].reshape(chunks - j, _ROW_BLOCK, n, n))
+        out[-1] = self.carry[chunks - j, j]
+        return out[:count]
+
+
+def flow_prefix(E: np.ndarray) -> np.ndarray:
+    """Prefix products U[0] = I, U[i+1] = E[i] U[i] of step matrices.
+
+    E has shape (K-1, ..., n, n): axes between the step axis and the matrix
+    axes stack independent flows, which one loop over the steps advances
+    together.  A single flow (E of shape (K-1, n, n)) past _ROW_BLOCK steps
+    is chunked instead (_Chunked): U[jB + m] = local[m, j] carry[j], from a
+    loop of B steps, a loop over the chunk ends and one product.  Stacked
+    flows keep the step loop, whose every product already spans the flows.
+    Returns U of shape (K, ..., n, n).
+    """
+    if E.ndim == 3 and E.shape[0] > _ROW_BLOCK:
+        return _Chunked.of(E, 1).flow(0, E.shape[0] + 1)
+    return _prefix(E)
+
+
+def _half_steps(nodes: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """rk4_steps of x' = C(t) x on nodes, C sampled at half_times(nodes)."""
+    return rk4_steps(np.diff(nodes), C[0:-1:2], C[1::2], C[2::2])
+
+
 def rk4_flow(nodes: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Classical RK4 fundamental matrices of x' = C(t) x.
 
     C is sampled at half_times(nodes), shape (2K-1, n, n).  Returns U of
-    shape (K, n, n) with U[0] = I and x(nodes[k]) = U[k] x(nodes[0]).
+    shape (K, n, n) with U[0] = I and x(nodes[k]) = U[k] x(nodes[0]): the
+    flow_prefix of its steps.
     """
-    return flow_prefix(rk4_steps(np.diff(nodes), C[0:-1:2], C[1::2], C[2::2]))
+    return flow_prefix(_half_steps(nodes, C))
 
 
 def flow_condition(values, inverses, *, stacklevel: int = 2) -> float:

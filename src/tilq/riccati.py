@@ -36,22 +36,25 @@ triangle of node pairs, 32 rows at a time, both validates the problem and
 reduces the norms behind the contraction constants.  It evaluates and
 bounds the weights once per node pair, or, when Q, S and M are lag kernels
 (TwoTimeKernel.lag), once per distinct lag s_j - s_i of the grid, and
-reduces that table as it stands (problem._triangle_pass).  On a
-window [a, b] the nonlocal term splits at the first node c past b from
-which the closed loop reads solved nodes only: the tail r >= c is folded
-once per window into one n x n matrix per row, so each iterate integrates
-the flow and contracts the kernel partials on [a, c] alone.  Those partials
-are evaluated once per window, on the rectangle of each 32-row block and its
-columns, and written in place into the layout the iterates contract.  A
-profile kernel (TwoTimeKernel.profile: the families and constant) has the
-partial dprofile(r - s_i) base, so the window maps and the residual pass
-weight one scalar per node pair and contract base once per column: Y_r =
-L_r' base L_r, then one matrix product with the block's table sums the
-rows.  A declared zero partial is neither evaluated nor contracted; other
-kernels (lag, from_callable) keep their dense n x n partials.  No K x K
-weight matrix is kept: the pair weights of row i are one full-grid vector
-plus a band of four next to the diagonal, and every integral to the end of
-a window or of the grid is a reverse sum of interval integrals.
+reduces that table as it stands (problem._triangle_pass).  On a window
+[a, b] the nonlocal term splits at the first node c past b from which the
+closed loop reads solved nodes only: the tail r >= c is folded once per
+window into one n x n matrix per row, so each iterate integrates the flow
+and contracts the kernel partials on [a, c] alone.  Those partials are
+evaluated once per window, on each 32-row block and its columns (the lags
+one broadcast, the weights the full-grid vector but on the few columns at
+the diagonal), each written into an array of its own in the layout the
+iterates contract.  Blocks that fold the same tail contract each profile
+kernel's base against it once.  A profile kernel (TwoTimeKernel.profile:
+the families and constant) has the partial dprofile(r - s_i) base, so the
+window maps and the residual pass weight one scalar per node pair and
+contract base once per column: Y_r = L_r' base L_r, then one matrix product
+with the block's table sums the rows.  A declared zero partial is neither
+evaluated nor contracted; other kernels (lag, from_callable) keep their
+dense n x n partials.  No K x K weight matrix is kept: the pair weights of
+row i are one full-grid vector plus a band of four next to the diagonal,
+and every integral to the end of a window or of the grid is a reverse sum
+of interval integrals.
 
 An iterate recomputes only what depends on the iterate: M^{-1}B' and
 M^{-1}S are tabulated when the engine is built and each window keeps the
@@ -60,7 +63,9 @@ multiply instead of solving.  The closed-loop flow is anchored at each
 32-row block by forward products (_Engine.block_flows): the RK4 steps of
 the window, cut into chunks that line up with the blocks, advance in one
 loop of 32 steps, and a block reaches the chunks past its own through the
-products of their end flows.  A window builds once the cubic basis its
+products of their end flows.  The blocks' contractions run one by one; the
+folded tails, the inverses of the rows' flows and the conjugation take one
+call each for the whole window.  A window builds once the cubic basis its
 drift interpolates by, the interval weights its map integrates by, its
 drift-only flow and its kernel partials, one array or table per kernel
 (none for an S_t that is zero on the block); the condition of the
@@ -84,7 +89,8 @@ from .errors import InvalidInputError, NonconvergenceError, NotPositiveDefiniteE
 from .grids import TimeGrid, node_index
 from .kernels import _ROW_BLOCK, _as_batch, kernel_norms, matrix_norm, matrix_norm_many
 from .problem import LQProblem, _check_horizon, _sym, _triangle_pass
-from .propagators import feedback_tables, flow_condition, flow_prefix, half_times, rk4_steps
+from .propagators import (_Chunked, _half_steps, feedback_tables, flow_condition, half_times,
+                          rk4_flow)
 
 
 def _exp(x: float) -> float:
@@ -366,92 +372,48 @@ class _Pairs(NamedTuple):
     M: np.ndarray | _Profiled | None
 
 
-def _pair_sum(block, left, right) -> np.ndarray:
+def _pair_sum(block, left, right, shared=None, key=None) -> np.ndarray:
     """sum_r left_r' block[r, :, k, :] right_r for every row k of a triangle
     block.  An array block takes one matrix product per tail node for all
     rows; a _Profiled block contracts its base once per tail node, Y_r =
-    left_r' base right_r, and sums the rows' weights of Y in one product."""
+    left_r' base right_r, and sums the rows' weights of Y in one product.
+    shared, a dict kept over blocks that share left and right, holds each
+    kernel's Y under key, so those blocks contract the base once."""
     n = right.shape[-1]
     if isinstance(block, _Profiled):
         tail, rows = block.table.shape
-        Y = np.swapaxes(left, -1, -2) @ block.base @ right
-        return (block.table.T @ Y.reshape(tail, n * n)).reshape(rows, n, n)
+        Y = None if shared is None else shared.get(key)
+        if Y is None:
+            Y = (left.swapaxes(-1, -2) @ block.base @ right).reshape(tail, n * n)
+            if shared is not None:
+                shared[key] = Y
+        return (block.table.T @ Y).reshape(rows, n, n)
     tail, p, rows, q = block.shape
     inner = block.reshape(tail, p * rows, q) @ right
     sums = left.reshape(tail * p, n).T @ inner.reshape(tail * p, rows * n)
     return sums.reshape(n, rows, n).transpose(1, 0, 2)
 
 
-def _contract(pairs: _Pairs, X, Y):
+def _contract(pairs: _Pairs, X, Y, shared=None):
     """sum_r L_r' core_r L_r for every row of a triangle block, L_r = [X_r;
     Y_r] and core_r = [[Q, S'], [S, M]]: the S terms are one product and its
     transpose.  A part that is None is skipped; with none left the sum is
-    0.0."""
+    0.0.  shared is _pair_sum's, for blocks that share X and Y."""
     out = 0.0
-    for block, left in ((pairs.Q, X), (pairs.M, Y)):
+    for key, block, left in (("Q", pairs.Q, X), ("M", pairs.M, Y)):
         if block is not None:
-            out = out + _pair_sum(block, left, left)
+            out = out + _pair_sum(block, left, left, shared, key)
     if pairs.S is not None:
-        cross = _pair_sum(pairs.S, Y, X)
+        cross = _pair_sum(pairs.S, Y, X, shared, "S")
         out = out + (cross + np.swapaxes(cross, -1, -2))
     return out
-
-
-def _half_steps(nodes: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """rk4_steps of x' = C(t) x on nodes, C sampled at half_times(nodes)."""
-    return rk4_steps(np.diff(nodes), C[0:-1:2], C[1::2], C[2::2])
-
-
-class _Chunked(NamedTuple):
-    """Flows of a run of step matrices E (k, n, n) cut into chunks of
-    _ROW_BLOCK steps, the last padded with identity steps.
-
-    local[m, j] is the product of the m steps of chunk j from its start
-    (E[jB + m - 1] ... E[jB], I at m = 0), shape (_ROW_BLOCK + 1, chunks, n,
-    n); one flow_prefix advances every chunk.  carry[d, j] is the product of
-    the chunk ends local[-1] of chunks j .. j + d - 1 for the first anchors
-    chunks j, shape (chunks + 1, anchors, n, n); past the last chunk it stays
-    at the flow to the last node.  Every entry is a forward product."""
-
-    local: np.ndarray
-    carry: np.ndarray
-
-    @classmethod
-    def of(cls, E: np.ndarray, anchors: int) -> "_Chunked":
-        k, n = E.shape[0], E.shape[-1]
-        chunks = -(-k // _ROW_BLOCK)
-        steps = np.empty((chunks * _ROW_BLOCK, n, n))
-        steps[:k] = E
-        steps[k:] = np.eye(n)
-        local = flow_prefix(steps.reshape(chunks, _ROW_BLOCK, n, n).swapaxes(0, 1))
-        d = np.arange(chunks)[:, None] + np.arange(anchors)
-        ends = np.where((d < chunks)[..., None, None],
-                        local[-1][np.minimum(d, chunks - 1)], np.eye(n))
-        return cls(local, flow_prefix(ends))
-
-    def flow(self, j: int, count: int) -> np.ndarray:
-        """Phi(r, s) for the count nodes r from the start s of chunk j: each
-        chunk's local flows times its carry from chunk j."""
-        chunks, n = self.local.shape[1], self.local.shape[-1]
-        out = np.empty(((chunks - j) * _ROW_BLOCK + 1, n, n))
-        np.matmul(self.local[:-1, j:].swapaxes(0, 1), self.carry[:chunks - j, j, None],
-                  out=out[:-1].reshape(chunks - j, _ROW_BLOCK, n, n))
-        out[-1] = self.carry[chunks - j, j]
-        return out[:count]
-
-
-def _forward_flow(nodes: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Phi(s_k, s_0) of x' = C(t) x on nodes, C sampled at their half times:
-    forward products of chunk flows (_Chunked), one loop over a chunk's
-    steps and one over the chunks, not one over every step."""
-    return _Chunked.of(_half_steps(nodes, C), 1).flow(0, nodes.size)
 
 
 class _Window(NamedTuple):
     """What every iterate of window [a, b] shares; see _Engine.f_diag.
 
     c is the split node and flow holds Phi(r, s_c) for r in nodes[c:],
-    chained from chunk flows (_forward_flow).  cubic is the cubic_rule of
+    forward products of chunk flows (rk4_flow).  cubic is the cubic_rule of
     the closed-loop drift (_Engine.drift) at the half times of nodes a..c,
     on nodes[a:], and rule the interval_rule of nodes[a:b+1], which the
     window map integrates by.  blocks yields, per block of rows from i0,
@@ -538,50 +500,65 @@ class _Engine:
         i0 <= r < c, where W[i] = simpson_weights(nodes[i:]) is band[i] on
         columns i..i+3 and v past them (tail_rule); folded holds the columns
         r >= c in the same way, at r - c.  Tail nodes lead, so one matrix
-        product per tail node serves every row.  The kernels are evaluated
-        once on the rectangle of rows and columns, column by column.  A
-        column left of the diagonal is clipped to the pair (s_i, s_i):
-        W[i, r] = 0 there, and no kernel sees t > s.  A part whose S_t is
-        zero at every pair it holds has S = None.  core and folded are separate
-        arrays, so a window that keeps its cores does not keep the folded
-        columns alive.
+        product per tail node serves every row.  The weights are v on every
+        column and, on the head of rows + 3 columns from i0 (the only ones
+        that reach the band or the left of the diagonal), the band and
+        zeros.  The kernels are evaluated once on the rectangle of rows and
+        columns, column by column.  A column left of the diagonal is clipped
+        to the pair (s_i, s_i): W[i, r] = 0 there, and no kernel sees t > s.
+        A part whose S_t is zero at every pair it holds has S = None.  Every
+        part is a C-contiguous array of its own, so a window that keeps its
+        cores does not keep the folded columns alive.
 
         A profile kernel's part (kernel.base set) is instead the _Profiled
         table W[i, r] dprofile(r - s_i) at [r - i0, i - i0] (r - c in
-        folded), negated for S, with its base; a declared zero partial
+        folded), negated for S, with its base; the lags r - s_i are one
+        broadcast, max(nodes[r] - nodes[i], 0).  A declared zero partial
         (dprofile None) is not evaluated, and a zero table is None.
         """
         p, nodes, K = self.p, self.nodes, self.nodes.size
         rows, cols = i1 - i0, K - i0
-        i = np.arange(i0, i1)
-        s = np.broadcast_to(nodes[i], (cols, rows)).ravel()
-        r = nodes[np.maximum(np.arange(i0, K)[:, None], i)].ravel()
         v, band = self.tail_rule
-        d = np.arange(i0, K)[:, None] - i  # column minus row
-        w = np.where(d < 0, 0.0, np.where(d < 4, band[i, np.clip(d, 0, 3)], v[i0:, None]))
+        head = min(rows + 3, cols)
+        d = np.arange(head)[:, None] - np.arange(rows)  # column minus row
+        w_head = np.where(d < 0, 0.0, np.where(
+            d < 4, band[np.arange(i0, i1), np.clip(d, 0, 3)], v[i0:i0 + head, None]))
+        lag = np.maximum(nodes[i0:, None] - nodes[i0:i1], 0.0)
+        if any(k.base is None for k in (p.Q, p.S, p.M)):
+            # the pairs in (column, row) order, each column clipped to the row
+            r = np.maximum(nodes[i0:, None], nodes[i0:i1]).ravel()
+            s = np.broadcast_to(nodes[i0:i1], (cols, rows)).ravel()
         halves = ((0, c - i0), (c - i0, cols))
 
-        def parts(k, weights, optional):
-            """The (core, folded) parts of kernel k, weighted by weights; with
-            optional, a part whose partial is zero at every pair is None."""
-            def own(wt, pd, lo, hi):
-                # an array of its own, not a view of the rectangle
-                return np.multiply(wt[lo:hi], pd[lo:hi], out=np.empty(pd[lo:hi].shape))
-
+        def parts(k, sign, optional):
+            """The (core, folded) parts of kernel k, weighted by sign * W;
+            with optional, a part whose partial is zero at every pair is
+            None."""
             if k.base is not None:
-                dp = None if k.dprofile is None else k.dprofile(r - s).reshape(cols, rows)
-                return tuple(_Profiled(own(weights, dp, lo, hi), k.base)
-                             if dp is not None and dp[lo:hi].any() else None
-                             for lo, hi in halves)
-            # the partials in pair order (column, row), read through
-            # transposed views (column, :, row, :) and weighted into arrays
-            # of that layout
-            pd = k.eval_dt(s, r).reshape((cols, rows) + k.dims).transpose(0, 2, 1, 3)
-            return tuple(own(weights[:, None, :, None], pd, lo, hi)
-                         if not optional or pd[lo:hi].any() else None for lo, hi in halves)
+                if k.dprofile is None:
+                    return None, None
+                pd = k.dprofile(lag)
+                wv, wh = v[i0:, None], w_head
+            else:
+                # the partials read through transposed views (column, :, row, :)
+                pd = k.eval_dt(s, r).reshape((cols, rows) + k.dims).transpose(0, 2, 1, 3)
+                wv, wh = v[i0:, None, None, None], w_head[:, None, :, None]
+            if sign < 0:
+                wv, wh = -wv, -wh
+            out = []
+            for lo, hi in halves:
+                if (optional or k.base is not None) and not pd[lo:hi].any():
+                    out.append(None)
+                    continue
+                part = np.multiply(wv[lo:hi], pd[lo:hi], out=np.empty(pd[lo:hi].shape))
+                top = min(head, hi)
+                if top > lo:
+                    np.multiply(wh[lo:top], pd[lo:top], out=part[:top - lo])
+                out.append(_Profiled(part, k.base) if k.base is not None else part)
+            return out
 
-        (Qc, Qf), (Sc, Sf), (Mc, Mf) = parts(p.Q, w, False), parts(p.S, -w, True), \
-            parts(p.M, w, False)
+        (Qc, Qf), (Sc, Sf), (Mc, Mf) = parts(p.Q, 1, False), parts(p.S, -1, True), \
+            parts(p.M, 1, False)
         return _Pairs(Qc, Sc, Mc), _Pairs(Qf, Sf, Mf)
 
     def window(self, values: np.ndarray, a: int, b: int) -> _Window:
@@ -595,15 +572,16 @@ class _Engine:
         """
         K = self.nodes.size
         c = self.split_node(b)
-        flow = _forward_flow(self.nodes[c:], self.drift(values, a, c, K - 1))
+        flow = rk4_flow(self.nodes[c:], self.drift(values, a, c, K - 1))
         ups_flow = self.upsilon_nodes(values, c) @ flow
         end = flow[-1]
 
         def blocks():
+            shared = {}  # every block folds the same tail flow
             for i0 in range(a, b + 1, _ROW_BLOCK):
                 i1 = min(i0 + _ROW_BLOCK, b + 1)
                 core, folded = self.triangle_block(i0, i1, c)
-                yield i0, core, _contract(folded, flow, ups_flow) \
+                yield i0, core, _contract(folded, flow, ups_flow, shared) \
                     + end.T @ self.Gd_nodes[i0:i1] @ end
 
         return _Window(c, flow, cubic_rule(self.nodes[a:], self.half[2 * a:2 * c + 1]),
@@ -615,7 +593,7 @@ class _Engine:
         if self._window_key != (a, b):
             self._window = None  # free the old window's before building
             win = self.window(values, a, b)
-            V = _forward_flow(self.nodes[a:b + 1], self.A_half[2 * a:2 * b + 1])
+            V = rk4_flow(self.nodes[a:b + 1], self.A_half[2 * a:2 * b + 1])
             self._window = win._replace(blocks=list(win.blocks), conj=(V, np.linalg.inv(V)))
             self._window_key = (a, b)
         return self._window
@@ -641,29 +619,41 @@ class _Engine:
         per block, not at the window start, so each U_i spans fewer than
         _ROW_BLOCK intervals: inverting the flow of a whole window would
         amplify rounding by its condition number squared.  block_flows builds
-        each U from forward products of chunk flows, with no solve, and one
-        inverse of the block's U_i conjugates its rows.  The condition of the
-        flow over [s_a, T] is not checked here: run_window checks it once on
-        the accepted values, and q_bar_table on its own (check_condition).
+        each U from forward products of chunk flows, with no solve.  The
+        contractions run block by block; then U_c' Z_i U_c is folded for every
+        row at once, and one inverse of the rows' U_i and one product
+        conjugate the whole window.  The condition of the flow over [s_a, T]
+        is not checked here: run_window checks it once on the accepted
+        values, and q_bar_table on its own (check_condition).
 
         W[i] is the rule on nodes[i:] alone (triangle_block), so row K-2 is
         the trapezoid rule and row K-3 the parabola.
         """
-        c, n = window.c, values.shape[-1]
-        out = np.empty((b - a + 1, n, n))
-        for (i0, core, Z), Ub in zip(window.blocks, self.block_flows(values, a, b, window)):
-            j0, rows = i0 - a, Z.shape[0]
-            acc = _contract(core, Ub[:-1], ups[j0:c - a] @ Ub[:-1]) + Ub[-1].T @ Z @ Ub[-1]
-            Ui_inv = np.linalg.inv(Ub[:rows])
-            out[j0:j0 + rows] = np.swapaxes(Ui_inv, -1, -2) @ acc @ Ui_inv
-        return _sym(out)
+        c, n, size = window.c, values.shape[-1], b - a + 1
+        # per block of _ROW_BLOCK rows (the last padded with zeros): the
+        # contracted pairs, the folded tails Z and U_c
+        shape = (-(-size // _ROW_BLOCK), _ROW_BLOCK, n, n)
+        acc, Z, Uc = np.zeros(shape), np.zeros(shape), np.empty((shape[0], 1, n, n))
+        acc_rows, Z_rows, Ui = acc.reshape(-1, n, n), Z.reshape(-1, n, n), np.empty((size, n, n))
+        for j, ((i0, core, Zb), Ub) in enumerate(zip(window.blocks,
+                                                      self.block_flows(values, a, b, window))):
+            j0, rows = i0 - a, Zb.shape[0]
+            acc_rows[j0:j0 + rows] = _contract(core, Ub[:-1], ups[j0:c - a] @ Ub[:-1])
+            Z_rows[j0:j0 + rows] = Zb
+            Uc[j, 0] = Ub[-1]
+            Ui[j0:j0 + rows] = Ub[:rows]
+        acc = (acc + Uc.swapaxes(-1, -2) @ Z @ Uc).reshape(-1, n, n)[:size]
+        Ui_inv = np.linalg.inv(Ui)
+        return _sym(Ui_inv.swapaxes(-1, -2) @ acc @ Ui_inv)
 
     def block_flows(self, values: np.ndarray, a: int, b: int, window: _Window):
         """Phi(r, s_i0) of the closed loop of values for r in nodes[i0:c+1],
         one array per row block of window [a, b], from i0 = a in steps of
         _ROW_BLOCK: the RK4 steps on [s_a, s_c] cut into chunks that line up
         with the blocks (_Chunked), each chunk's local flows times its carry
-        from the chunk of i0.  Only forward products; no flow is inverted."""
+        from the chunk of i0.  Only forward products; no flow is inverted.
+        The flows are yielded block by block, so a full-grid pass keeps one
+        block's, not all of them."""
         c = window.c
         drift = self.drift(values, a, a, c, window.cubic)
         starts = range(a, b + 1, _ROW_BLOCK)
@@ -675,10 +665,9 @@ class _Engine:
         """flow_condition of the closed loop of values over [s_a, T], composed
         as Phi(r, s_c) U_c past the split node (warns via flow_condition).
         U = Phi(r, s_a) on nodes[a:c+1] is a forward product of chunk flows
-        (_forward_flow), as the window's tail flow is; the check inverts
-        both."""
+        (rk4_flow), as the window's tail flow is; the check inverts both."""
         c = window.c
-        U = _forward_flow(self.nodes[a:c + 1], self.drift(values, a, a, c, window.cubic))
+        U = rk4_flow(self.nodes[a:c + 1], self.drift(values, a, a, c, window.cubic))
         U_inv = np.linalg.inv(U)
         tail = window.flow[1:]
         flow_condition(np.concatenate([U, tail @ U[-1]]),

@@ -56,6 +56,9 @@ def test_rk4_convergence_order():
 
     # fourth order: halving h shrinks the error ~16x
     assert err(16) / err(32) > 8.0
+    # past 32 steps the flow is chunked (flow_prefix), and the order stays 4
+    for n in (64, 128):
+        assert np.log2(err(n) / err(2 * n)) > 3.9
 
 
 def test_fundamental_solution_takes_a_coefficient_fn_and_a_grid():
@@ -79,6 +82,27 @@ def test_flow_prefix_matches_the_step_loop():
         for e in E:
             want.append(e @ want[-1])
         np.testing.assert_array_equal(flow_prefix(E), np.array(want))
+
+
+@pytest.mark.parametrize("steps", [31, 32, 33, 64, 65, 401])
+def test_chunked_flow_prefix_matches_the_step_loop(steps):
+    # past 32 steps a single flow runs in chunks of 32, carried by the chunk
+    # ends, and agrees with the step loop to rounding; up to 32 steps it is
+    # the loop, and stacked (K, S, d, d) flows are the loop at every length
+    from tilq.propagators import flow_prefix
+
+    rng = np.random.default_rng(steps)
+    for shape in ((steps, 3, 3), (steps, 4, 2, 2)):
+        E = np.eye(shape[-1]) + rng.standard_normal(shape) / steps
+        want = [np.broadcast_to(np.eye(shape[-1]), shape[1:])]
+        for e in E:
+            want.append(e @ want[-1])
+        want = np.array(want)
+        got = flow_prefix(E)
+        assert got.shape == want.shape
+        if steps <= 32 or len(shape) > 3:
+            np.testing.assert_array_equal(got, want)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_a_flow_singular_to_working_precision_is_an_input_error():

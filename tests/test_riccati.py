@@ -468,7 +468,7 @@ _UNIFORM = np.linspace(0.0, 1.0, 81)
 _NONUNIFORM = np.sort(np.concatenate([[0.0, 1.0], np.random.default_rng(5).uniform(0, 1, 79)]))
 
 
-@pytest.mark.parametrize("nodes, a, b, vectorized", [
+_F_DIAG_WINDOWS = [
     (_UNIFORM, 0, 80, True),  # full grid, as behind q_bar_nodes
     (_UNIFORM, 11, 11 + _ROW_BLOCK + 9, True),  # crosses a block edge mid-grid
     (_UNIFORM, 79, 80, True),  # one-interval window: the trapezoid row K-2
@@ -481,7 +481,10 @@ _NONUNIFORM = np.sort(np.concatenate([[0.0, 1.0], np.random.default_rng(5).unifo
     (_UNIFORM, 60, 78, True),  # b = K - 3: the drift past b + 1 reads node b - 1
     (_NONUNIFORM, 20, 60, True),
     (_UNIFORM, 33, 70, False),
-])
+]
+
+
+@pytest.mark.parametrize("nodes, a, b, vectorized", _F_DIAG_WINDOWS)
 def test_f_diag_matches_row_loop(nodes, a, b, vectorized):
     p = _coupled_problem(vectorized=vectorized)
     engine = _Engine(p, TimeGrid(nodes))
@@ -524,6 +527,36 @@ def test_f_diag_matches_row_loop(nodes, a, b, vectorized):
                for part in core)
     dense = twin.f_diag(values, a, b, dense_window, ups)
     assert np.abs(dense - got).max() <= 1e-13 * np.abs(got).max()
+
+
+def _per_block_f_diag(engine, values, a, b, window, ups):
+    """f_diag block by block: each row block folds U_c' Z U_c, inverts its
+    rows' U_i and conjugates its rows on its own."""
+    c, n = window.c, values.shape[-1]
+    out = np.empty((b - a + 1, n, n))
+    for (i0, core, Z), Ub in zip(window.blocks, engine.block_flows(values, a, b, window)):
+        j0, rows = i0 - a, Z.shape[0]
+        acc = riccati._contract(core, Ub[:-1], ups[j0:c - a] @ Ub[:-1]) \
+            + Ub[-1].T @ Z @ Ub[-1]
+        Ui_inv = np.linalg.inv(Ub[:rows])
+        out[j0:j0 + rows] = np.swapaxes(Ui_inv, -1, -2) @ acc @ Ui_inv
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
+
+
+@pytest.mark.parametrize("nodes, a, b, vectorized", _F_DIAG_WINDOWS)
+def test_f_diag_matches_the_per_block_loop(nodes, a, b, vectorized):
+    # f_diag folds, inverts and conjugates every row of the window in one
+    # call each; the numbers are those of the block-by-block loop, bit for
+    # bit, for profile tables, dense pairs and a zero S_t
+    p = _coupled_problem(vectorized=vectorized)
+    values = _smooth_values(nodes)
+    for problem in (p, _pair_twin(p), _n3_problem()):
+        engine = _Engine(problem, TimeGrid(nodes))
+        window = engine.cached_window(values, a, b)
+        ups = engine.upsilon_nodes(values, a)
+        want = _per_block_f_diag(engine, values, a, b, window, ups)
+        got = engine.f_diag(values, a, b, window, ups)
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("nodes", [_UNIFORM, _NONUNIFORM])
@@ -792,6 +825,66 @@ def test_triangle_block_matches_pair_scatter(problem, nodes):
         # a window keeps its cores; they must not keep the folded columns
         for block, other in zip(core, folded):
             assert block is None or not np.shares_memory(block, other)
+
+
+def _rectangle_block(engine, i0, i1, c):
+    """_Engine.triangle_block built on rectangles: the row times, the clipped
+    column times, the column-minus-row offsets and the weights of every pair
+    of the block as (cols, rows) arrays, the weights by two nested
+    np.where, and each profile kernel's lags as r - s."""
+    p, nodes, K = engine.p, engine.nodes, engine.nodes.size
+    rows, cols = i1 - i0, K - i0
+    i = np.arange(i0, i1)
+    s = np.broadcast_to(nodes[i], (cols, rows)).ravel()
+    r = nodes[np.maximum(np.arange(i0, K)[:, None], i)].ravel()
+    v, band = engine.tail_rule
+    d = np.arange(i0, K)[:, None] - i
+    w = np.where(d < 0, 0.0, np.where(d < 4, band[i, np.clip(d, 0, 3)], v[i0:, None]))
+    halves = ((0, c - i0), (c - i0, cols))
+
+    def parts(k, weights, optional):
+        if k.base is not None:
+            dp = None if k.dprofile is None else k.dprofile(r - s).reshape(cols, rows)
+            return [riccati._Profiled(weights[lo:hi] * dp[lo:hi], k.base)
+                    if dp is not None and dp[lo:hi].any() else None for lo, hi in halves]
+        pd = k.eval_dt(s, r).reshape((cols, rows) + k.dims).transpose(0, 2, 1, 3)
+        return [weights[lo:hi, None, :, None] * pd[lo:hi]
+                if not optional or pd[lo:hi].any() else None for lo, hi in halves]
+
+    (Qc, Qf), (Sc, Sf), (Mc, Mf) = parts(p.Q, w, False), parts(p.S, -w, True), \
+        parts(p.M, w, False)
+    return riccati._Pairs(Qc, Sc, Mc), riccati._Pairs(Qf, Sf, Mf)
+
+
+@pytest.mark.parametrize("problem, nodes", [
+    ("n3", _K101), ("n3", _RANDOM101), ("guarded", _K41), ("guarded", _RANDOM41)])
+def test_triangle_block_matches_the_rectangle_build(problem, nodes):
+    # the lags as one broadcast and the weights as v plus a head of rows + 3
+    # columns give the rectangle build's profile tables and dense parts bit
+    # for bit, each a C-contiguous array of its own
+    p = _n3_problem() if problem == "n3" else _guarded_problem()
+    engines = [_Engine(p, TimeGrid(nodes))]
+    if problem == "n3":
+        engines.append(_Engine(_pair_twin(p), TimeGrid(nodes)))
+    K = nodes.size
+    last = (K - 1) // _ROW_BLOCK * _ROW_BLOCK
+    blocks = [(1, 33, 33), (8, 20, 30),
+              (K - 31, K, K - 1), (K - 26, K - 2, K - 1),  # cols < rows + 3
+              (last, K, K - 1),  # the last, short block of the full-grid window
+              (K - 1, K, K - 1)]  # one row, one column
+    for engine in engines:
+        for i0, i1, c in blocks:
+            for got, want in zip(engine.triangle_block(i0, i1, c),
+                                 _rectangle_block(engine, i0, i1, c)):
+                for block, ref in zip(got, want):
+                    if ref is None:
+                        assert block is None
+                        continue
+                    if isinstance(ref, riccati._Profiled):
+                        assert isinstance(block, riccati._Profiled) and block.base is ref.base
+                        block, ref = block.table, ref.table
+                    assert block.flags.c_contiguous and block.base is None
+                    assert block.shape == ref.shape and block.tobytes() == ref.tobytes()
 
 
 def test_picard_iterate_solves_no_linear_system(monkeypatch):
@@ -1376,9 +1469,13 @@ def test_time_arrays_beyond_one_dimension_are_refused(tanh_problem, tanh_solutio
      "eps_list"),
     (lambda p, P, pol: P.grid.refine(2.5), "refinement factor"),
     (lambda p, P, pol: TimeGrid.uniform(np.inf, 10), "finite T"),
+    (lambda p, P, pol: riccati_residual(p, P, "abc"), "time arguments must be numbers"),
+    (lambda p, P, pol: q_bar(p, P, "abc"), "time arguments must be numbers"),
+    (lambda p, P, pol: P.eval_many("x"), "time arguments must be numbers"),
 ], ids=["q_bar-nan", "q_bar-nan-entry", "residual-nan", "residual-array",
         "finite-eps-t-nan", "finite-eps-t-negative", "finite-eps-nan-eps",
-        "certificate-nan-eps", "certificate-scalar-eps", "refine-float", "uniform-T-inf"])
+        "certificate-nan-eps", "certificate-scalar-eps", "refine-float", "uniform-T-inf",
+        "residual-string", "q_bar-string", "eval-many-string"])
 def test_malformed_times_and_factors_name_the_input(tanh_problem, tanh_solution, call, name):
     # a malformed time, width or factor is an input error that names that
     # input: not a message about grid nodes or [0, T], not a coarse grid
