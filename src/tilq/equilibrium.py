@@ -228,8 +228,11 @@ def cost(p: LQProblem, t: float, x, u, grid: TimeGrid | None = None, *,
     shorter than _MIN_SEGMENT_NODES grid nodes are refined to that count.
 
     A breakpoint at T closes an empty last segment; its control, when u
-    lists one, is not integrated.
+    lists one, is not integrated.  A grid that does not end at the horizon
+    is an InvalidInputError.
     """
+    if grid is not None:
+        _check_horizon(p, grid)
     T = p.T
     t = float(t)
     if not 0.0 <= t <= T + 1e-12 * (1 + T):
@@ -374,7 +377,9 @@ def _splice_batch(p: LQProblem, pol: EquilibriumPolicy, plan: list,
 
 def value_identity_gap(p: LQProblem, pol: EquilibriumPolicy, t: float, x,
                        grid: TimeGrid | None = None) -> float:
-    """|J(t, x; policy) - <P(t)x, x>|, the two sides computed independently."""
+    """|J(t, x; policy) - <P(t)x, x>|, the two sides computed independently.
+    J is cost's on grid, else on the policy's grid; a grid that does not end
+    at the horizon is an InvalidInputError."""
     x = _vector(x, p.n, "state x")
     J = cost(p, t, x, pol, grid if grid is not None else pol.P.grid)
     return abs(J - float(x @ pol.P(float(t)) @ x))
@@ -446,8 +451,11 @@ def perturbation_limit_finite_eps(p: LQProblem, pol: EquilibriumPolicy,
     quadrature bias cancels in the quotient, but read as quadratic forms:
     x' H_pol x and z' H_dev z with z = (x, v) (see _splice_batch).
     Neither depends on P beyond the policy itself.
-    Returns (dict eps -> quotient, extrapolated).
+    Returns (dict eps -> quotient, extrapolated).  A grid that does not end
+    at the horizon is an InvalidInputError.
     """
+    if grid is not None:
+        _check_horizon(p, grid)
     x, v = _vector(x, p.n, "state x"), _vector(v, p.m, "deviation v")
     gnodes = (grid if grid is not None else pol.P.grid).nodes
     t = float(t)

@@ -80,13 +80,12 @@ def brute_force_cost(p: LQProblem, t: float, x, u, refinement: int = 8) -> float
     u(s, x) = gain(s) x + shift(s) of a policy (gain), a constant vector or
     a time function u(s) (shift).  The state follows an explicit order-2
     scheme (Heun) on x' = (A + B gain) x + B shift and the running cost uses
-    trapezoid quadrature; both choices differ on purpose from the order-4
+    the trapezoid rule; both choices differ on purpose from the order-4
     path so the two evaluations are independent witnesses.  The fine grid
-    has 64 * refinement intervals on [t, T].
+    has 64 * refinement intervals on [t, T]; refinement is an integer >= 4.
     """
-    refinement = int(refinement)
-    if refinement < 4:
-        raise InvalidInputError("refinement must be at least 4")
+    if not isinstance(refinement, (int, np.integer)) or refinement < 4:
+        raise InvalidInputError(f"refinement must be an integer >= 4, not {refinement!r}")
     t = float(t)
     T = p.T
     if not 0.0 <= t <= T + 1e-12 * (1 + T):
@@ -106,6 +105,6 @@ def brute_force_cost(p: LQProblem, t: float, x, u, refinement: int = 8) -> float
     vals = (np.einsum("ki,kij,kj->k", X, p.Q.eval(t, ts), X)
             + 2.0 * np.einsum("ki,kij,kj->k", U, p.S.eval(t, ts), X)
             + np.einsum("ki,kij,kj->k", U, p.M.eval(t, ts), U))
-    running = float(np.trapezoid(vals, ts)) if hasattr(np, "trapezoid") \
-        else float(np.trapz(vals, ts))
+    # the trapezoid rule on the uniform fine grid
+    running = (T - t) / (ts.size - 1) * float(vals.sum() - 0.5 * (vals[0] + vals[-1]))
     return running + float(X[-1] @ p.G.eval(t) @ X[-1])

@@ -9,6 +9,7 @@ the problem time-inconsistent when the kernels genuinely depend on it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -507,7 +508,10 @@ def validate_assumptions(p: LQProblem, g, tol: float = 1e-8) -> ValidationReport
     likewise formed only where 1/||M|| and Varah's bound 1/min_i(|m_ii| -
     sum_{j != i} |m_ij|) leave an entry able to reach the table's largest
     ||M^{-1}||.  The report is the same as with every pair evaluated.
-    A grid that does not end at p.T is an InvalidInputError.
+    A grid that does not end at p.T, or a tol that is not a finite number
+    >= 0, is an InvalidInputError.
     """
     _check_horizon(p, g)
+    if not isinstance(tol, numbers.Real) or not 0.0 <= tol < math.inf:
+        raise InvalidInputError(f"tol must be a finite number >= 0, not {tol!r}")
     return _triangle_pass(p, g, tol)[0]

@@ -49,9 +49,10 @@ kernel's base against it once.  A profile kernel (TwoTimeKernel.profile:
 the families and constant) has the partial dprofile(r - s_i) base, so the
 window maps and the residual pass weight one scalar per node pair and
 contract base once per column: Y_r = L_r' base L_r, then one matrix product
-with the block's table sums the rows.  A declared zero partial is neither
-evaluated nor contracted; other kernels (lag, from_callable) keep their
-dense n x n partials.  No K x K weight matrix is kept: the pair weights of
+with the block's table sums the rows; other kernels (lag, from_callable)
+keep their dense n x n partials.  A declared zero partial is not
+evaluated, and a part that is zero on a block, of any kernel, is neither
+stored nor contracted.  No K x K weight matrix is kept: the pair weights of
 row i are one full-grid vector plus a band of four next to the diagonal,
 and every integral to the end of a window or of the grid is a reverse sum
 of interval integrals.
@@ -68,15 +69,17 @@ folded tails, the inverses of the rows' flows and the conjugation take one
 call each for the whole window.  A window builds once the cubic basis its
 drift interpolates by, the interval weights its map integrates by, its
 drift-only flow and its kernel partials, one array or table per kernel
-(none for an S_t that is zero on the block); the condition of the
-closed-loop flow is checked once per accepted window.  Each window after
-the first starts from the local cubic through the solved nodes next to it.
+(none for a partial that is zero on the block), and every iterate reuses
+them; the condition of the closed-loop flow is checked once per accepted
+window.  Each window after the first starts from the local cubic through
+the solved nodes next to it.
 """
 from __future__ import annotations
 
 import math
 import warnings
 from collections.abc import Iterable
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -314,6 +317,18 @@ class _Diverged(Exception):
     pass
 
 
+@contextmanager
+def _singular_diverges(what: str):
+    """A window's numerics with overflow and invalid values silent, since
+    run_window rejects a non-finite iterate itself, and a LinAlgError made
+    _Diverged: singular {what}."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield
+    except np.linalg.LinAlgError as exc:
+        raise _Diverged(f"singular {what}: {exc}") from exc
+
+
 _MIX_DEPTH = 5
 _SPAN = 2 * _MIX_DEPTH  # iterates over which a window must make progress
 
@@ -362,10 +377,9 @@ class _Profiled(NamedTuple):
 
 class _Pairs(NamedTuple):
     """Weighted kernel partials of a triangle block, one part per kernel:
-    Q holds W Q_t, S holds -W S_t and M holds W M_t, each either an array in
-    the layout (tail, p, rows, q) or a _Profiled table (tail, rows).  A part
-    is None when it is zero at every pair of the block: S always, Q and M
-    only as _Profiled tables."""
+    each part is W times the kernel's partial (Q_t, S_t or M_t), either an
+    array in the layout (tail, p, rows, q) or a _Profiled table (tail,
+    rows), or None when that partial is zero at every pair of the block."""
 
     Q: np.ndarray | _Profiled | None
     S: np.ndarray | _Profiled | None
@@ -396,16 +410,17 @@ def _pair_sum(block, left, right, shared=None, key=None) -> np.ndarray:
 
 def _contract(pairs: _Pairs, X, Y, shared=None):
     """sum_r L_r' core_r L_r for every row of a triangle block, L_r = [X_r;
-    Y_r] and core_r = [[Q, S'], [S, M]]: the S terms are one product and its
-    transpose.  A part that is None is skipped; with none left the sum is
-    0.0.  shared is _pair_sum's, for blocks that share X and Y."""
+    Y_r] and core_r = [[Q, -S'], [-S, M]]: the S terms are one product and
+    its transpose, subtracted.  A part that is None is skipped; with none
+    left the sum is 0.0.  shared is _pair_sum's, for blocks that share X
+    and Y."""
     out = 0.0
     for key, block, left in (("Q", pairs.Q, X), ("M", pairs.M, Y)):
         if block is not None:
             out = out + _pair_sum(block, left, left, shared, key)
     if pairs.S is not None:
         cross = _pair_sum(pairs.S, Y, X, shared, "S")
-        out = out + (cross + np.swapaxes(cross, -1, -2))
+        out = out - (cross + np.swapaxes(cross, -1, -2))
     return out
 
 
@@ -419,11 +434,13 @@ class _Window(NamedTuple):
     window map integrates by.  blocks yields, per block of rows from i0,
     (i0, core, Z): core holds the weighted kernel partials of the rows
     against the columns [i0, c) as _Pairs (_Engine.triangle_block), Z the
-    rows' tail past c folded into one n x n matrix each.  conj
-    (cached_window only) holds the drift-only flow V_j = Phi_A(s_j, s_a) on
-    nodes[a:b+1], chained the same way, and its inverses.
+    rows' tail past c folded into one n x n matrix each.  conj, set by
+    _Engine.iterated_window, holds the drift-only flow V_j = Phi_A(s_j, s_a)
+    on nodes[a:b+1], chained the same way, and its inverses.
     """
 
+    a: int
+    b: int
     c: int
     flow: np.ndarray
     cubic: tuple
@@ -460,8 +477,6 @@ class _Engine:
         self.Q_nodes = p.Q.eval(nodes, nodes)
         self.Gd_nodes = p.G.eval_dt(nodes)
         self.G_T = _sym(p.G.eval(grid.T))
-        self._window_key = None
-        self._window = None
 
     @cached_property
     def tail_rule(self) -> tuple[np.ndarray, np.ndarray]:
@@ -496,7 +511,7 @@ class _Engine:
         columns r >= i0, split at column c.
 
         Returns (core, folded), each a _Pairs: core.Q[r - i0, :, i - i0, :]
-        = W[i, r] Q_t(s_i, r), core.S the same of -S_t and core.M of M_t, for
+        = W[i, r] Q_t(s_i, r), core.S the same of S_t and core.M of M_t, for
         i0 <= r < c, where W[i] = simpson_weights(nodes[i:]) is band[i] on
         columns i..i+3 and v past them (tail_rule); folded holds the columns
         r >= c in the same way, at r - c.  Tail nodes lead, so one matrix
@@ -506,15 +521,15 @@ class _Engine:
         zeros.  The kernels are evaluated once on the rectangle of rows and
         columns, column by column.  A column left of the diagonal is clipped
         to the pair (s_i, s_i): W[i, r] = 0 there, and no kernel sees t > s.
-        A part whose S_t is zero at every pair it holds has S = None.  Every
+        A part whose partial is zero at every pair it holds is None.  Every
         part is a C-contiguous array of its own, so a window that keeps its
         cores does not keep the folded columns alive.
 
         A profile kernel's part (kernel.base set) is instead the _Profiled
         table W[i, r] dprofile(r - s_i) at [r - i0, i - i0] (r - c in
-        folded), negated for S, with its base; the lags r - s_i are one
-        broadcast, max(nodes[r] - nodes[i], 0).  A declared zero partial
-        (dprofile None) is not evaluated, and a zero table is None.
+        folded), with its base; the lags r - s_i are one broadcast,
+        max(nodes[r] - nodes[i], 0).  A declared zero partial (dprofile
+        None) is not evaluated.
         """
         p, nodes, K = self.p, self.nodes, self.nodes.size
         rows, cols = i1 - i0, K - i0
@@ -530,10 +545,9 @@ class _Engine:
             s = np.broadcast_to(nodes[i0:i1], (cols, rows)).ravel()
         halves = ((0, c - i0), (c - i0, cols))
 
-        def parts(k, sign, optional):
-            """The (core, folded) parts of kernel k, weighted by sign * W;
-            with optional, a part whose partial is zero at every pair is
-            None."""
+        def parts(k):
+            """The (core, folded) parts of kernel k: W times its partial, or
+            None where that is zero at every pair."""
             if k.base is not None:
                 if k.dprofile is None:
                     return None, None
@@ -543,11 +557,9 @@ class _Engine:
                 # the partials read through transposed views (column, :, row, :)
                 pd = k.eval_dt(s, r).reshape((cols, rows) + k.dims).transpose(0, 2, 1, 3)
                 wv, wh = v[i0:, None, None, None], w_head[:, None, :, None]
-            if sign < 0:
-                wv, wh = -wv, -wh
             out = []
             for lo, hi in halves:
-                if (optional or k.base is not None) and not pd[lo:hi].any():
+                if not pd[lo:hi].any():
                     out.append(None)
                     continue
                 part = np.multiply(wv[lo:hi], pd[lo:hi], out=np.empty(pd[lo:hi].shape))
@@ -557,9 +569,8 @@ class _Engine:
                 out.append(_Profiled(part, k.base) if k.base is not None else part)
             return out
 
-        (Qc, Qf), (Sc, Sf), (Mc, Mf) = parts(p.Q, 1, False), parts(p.S, -1, True), \
-            parts(p.M, 1, False)
-        return _Pairs(Qc, Sc, Mc), _Pairs(Qf, Sf, Mf)
+        core, folded = zip(*(parts(k) for k in (p.Q, p.S, p.M)))
+        return _Pairs(*core), _Pairs(*folded)
 
     def window(self, values: np.ndarray, a: int, b: int) -> _Window:
         """The _Window of rows [a, b], its blocks built one at a time, their
@@ -584,69 +595,58 @@ class _Engine:
                 yield i0, core, _contract(folded, flow, ups_flow, shared) \
                     + end.T @ self.Gd_nodes[i0:i1] @ end
 
-        return _Window(c, flow, cubic_rule(self.nodes[a:], self.half[2 * a:2 * c + 1]),
+        return _Window(a, b, c, flow, cubic_rule(self.nodes[a:], self.half[2 * a:2 * c + 1]),
                        interval_rule(self.nodes[a:b + 1]), blocks())
 
-    def cached_window(self, values: np.ndarray, a: int, b: int) -> _Window:
-        """window(values, a, b) with its blocks listed and its conj, kept
-        until another window asks: every iterate of a window shares them."""
-        if self._window_key != (a, b):
-            self._window = None  # free the old window's before building
-            win = self.window(values, a, b)
-            V = rk4_flow(self.nodes[a:b + 1], self.A_half[2 * a:2 * b + 1])
-            self._window = win._replace(blocks=list(win.blocks), conj=(V, np.linalg.inv(V)))
-            self._window_key = (a, b)
-        return self._window
+    def iterated_window(self, values: np.ndarray, a: int, b: int) -> _Window:
+        """window(values, a, b) with its blocks listed and its conj: what
+        every iterate of run_window shares."""
+        win = self.window(values, a, b)
+        V = rk4_flow(self.nodes[a:b + 1], self.A_half[2 * a:2 * b + 1])
+        return win._replace(blocks=list(win.blocks), conj=(V, np.linalg.inv(V)))
 
-    def f_diag(self, values: np.ndarray, a: int, b: int, window: _Window,
-               ups: np.ndarray) -> np.ndarray:
-        """F(s_i; s_i, P) for window nodes i in [a, b], tail from values.
+    def f_diag(self, values: np.ndarray, window: _Window, ups: np.ndarray) -> np.ndarray:
+        """F(s_i; s_i, P) for the nodes i in [a, b] of window, tail from values.
 
-        window is the _Window of rows [a, b] and ups[j] the gain Ups of values
-        at node a + j, for a + j < c at least.  In a block of rows from i0,
-        let U_r = Phi(r, s_i0), the closed-loop flow of values.  Then
-        Phi(r, s_i) = U_r U_i^{-1} takes the conjugation out of the integral:
+        ups[j] is the gain Ups of values at node a + j, for a + j < c at
+        least.  In a block of rows from i0, let U_r = Phi(r, s_i0), the
+        closed-loop flow of values.  Then Phi(r, s_i) = U_r U_i^{-1} takes
+        the conjugation out of the integral:
 
             F_i = U_i^{-T} [ sum_{i <= r < c} W[i, r] L_r' core(s_i, r) L_r
                              + U_c' Z_i U_c ] U_i^{-1},
 
         L_r = [U_r; Ups_r U_r], core = [[Q_t, -S_t'], [-S_t, M_t]], which
-        _contract sums kernel by kernel (a block without S_t skips its two
-        terms).  The tail past the split node c (window) is folded into Z_i
-        once per window, since Phi(r, s_i0) = Phi(r, s_c) U_c there; so an
-        iterate runs RK4 and Ups on [a, c] only, with the drift's cubic basis
-        of the window, and contracts the pairs r < c.  The flow is anchored
-        per block, not at the window start, so each U_i spans fewer than
-        _ROW_BLOCK intervals: inverting the flow of a whole window would
+        _contract sums kernel by kernel (a part that is zero on the block
+        is skipped).  The tail past the split node c (window) is folded into
+        Z_i once per window, since Phi(r, s_i0) = Phi(r, s_c) U_c there; so
+        an iterate runs RK4 and Ups on [a, c] only, with the drift's cubic
+        basis of the window, and contracts the pairs r < c.  The flow is
+        anchored per block, not at the window start, so each U_i spans fewer
+        than _ROW_BLOCK intervals: inverting the flow of a whole window would
         amplify rounding by its condition number squared.  block_flows builds
         each U from forward products of chunk flows, with no solve.  The
-        contractions run block by block; then U_c' Z_i U_c is folded for every
-        row at once, and one inverse of the rows' U_i and one product
-        conjugate the whole window.  The condition of the flow over [s_a, T]
-        is not checked here: run_window checks it once on the accepted
-        values, and q_bar_table on its own (check_condition).
+        contractions run block by block, each row's into one array with its
+        Z_i, its U_c and its U_i; then U_c' Z_i U_c is folded for every row
+        at once, and one inverse of the U_i and one product conjugate the
+        whole window.  The condition of the flow over [s_a, T] is not checked
+        here: run_window checks it once on the accepted values, and
+        q_bar_table on its own (check_condition).
 
         W[i] is the rule on nodes[i:] alone (triangle_block), so row K-2 is
         the trapezoid rule and row K-3 the parabola.
         """
-        c, n, size = window.c, values.shape[-1], b - a + 1
-        # per block of _ROW_BLOCK rows (the last padded with zeros): the
-        # contracted pairs, the folded tails Z and U_c
-        shape = (-(-size // _ROW_BLOCK), _ROW_BLOCK, n, n)
-        acc, Z, Uc = np.zeros(shape), np.zeros(shape), np.empty((shape[0], 1, n, n))
-        acc_rows, Z_rows, Ui = acc.reshape(-1, n, n), Z.reshape(-1, n, n), np.empty((size, n, n))
-        for j, ((i0, core, Zb), Ub) in enumerate(zip(window.blocks,
-                                                      self.block_flows(values, a, b, window))):
-            j0, rows = i0 - a, Zb.shape[0]
-            acc_rows[j0:j0 + rows] = _contract(core, Ub[:-1], ups[j0:c - a] @ Ub[:-1])
-            Z_rows[j0:j0 + rows] = Zb
-            Uc[j, 0] = Ub[-1]
-            Ui[j0:j0 + rows] = Ub[:rows]
-        acc = (acc + Uc.swapaxes(-1, -2) @ Z @ Uc).reshape(-1, n, n)[:size]
+        a, c, n = window.a, window.c, values.shape[-1]
+        acc, Z, Uc, Ui = np.empty((4, window.b - a + 1, n, n))
+        for (i0, core, Zb), Ub in zip(window.blocks, self.block_flows(values, window)):
+            rows = slice(i0 - a, i0 - a + Zb.shape[0])
+            acc[rows] = _contract(core, Ub[:-1], ups[i0 - a:c - a] @ Ub[:-1])
+            Z[rows], Uc[rows], Ui[rows] = Zb, Ub[-1], Ub[:Zb.shape[0]]
+        acc += Uc.swapaxes(-1, -2) @ Z @ Uc
         Ui_inv = np.linalg.inv(Ui)
         return _sym(Ui_inv.swapaxes(-1, -2) @ acc @ Ui_inv)
 
-    def block_flows(self, values: np.ndarray, a: int, b: int, window: _Window):
+    def block_flows(self, values: np.ndarray, window: _Window):
         """Phi(r, s_i0) of the closed loop of values for r in nodes[i0:c+1],
         one array per row block of window [a, b], from i0 = a in steps of
         _ROW_BLOCK: the RK4 steps on [s_a, s_c] cut into chunks that line up
@@ -654,37 +654,38 @@ class _Engine:
         from the chunk of i0.  Only forward products; no flow is inverted.
         The flows are yielded block by block, so a full-grid pass keeps one
         block's, not all of them."""
-        c = window.c
+        a, c = window.a, window.c
         drift = self.drift(values, a, a, c, window.cubic)
-        starts = range(a, b + 1, _ROW_BLOCK)
+        starts = range(a, window.b + 1, _ROW_BLOCK)
         flows = _Chunked.of(_half_steps(self.nodes[a:c + 1], drift), len(starts))
         for j, i0 in enumerate(starts):
             yield flows.flow(j, c - i0 + 1)
 
-    def check_condition(self, values: np.ndarray, a: int, window: _Window) -> None:
+    def check_condition(self, values: np.ndarray, window: _Window) -> None:
         """flow_condition of the closed loop of values over [s_a, T], composed
         as Phi(r, s_c) U_c past the split node (warns via flow_condition).
         U = Phi(r, s_a) on nodes[a:c+1] is a forward product of chunk flows
         (rk4_flow), as the window's tail flow is; the check inverts both."""
-        c = window.c
+        a, c = window.a, window.c
         U = rk4_flow(self.nodes[a:c + 1], self.drift(values, a, a, c, window.cubic))
         U_inv = np.linalg.inv(U)
         tail = window.flow[1:]
         flow_condition(np.concatenate([U, tail @ U[-1]]),
                        np.concatenate([U_inv, U_inv[-1] @ np.linalg.inv(tail)]))
 
-    def picard_iterate(self, values: np.ndarray, a: int, b: int,
+    def picard_iterate(self, values: np.ndarray, window: _Window,
                        boundary: np.ndarray) -> np.ndarray:
-        """One application of the window map; returns values on nodes[a:b+1].
+        """One application of the map of window [a, b] (iterated_window);
+        returns values on nodes[a:b+1].
 
         The map conjugates by the window's drift-only flow V_j = Phi_A(s_j,
         s_a) and its stored inverse (_Window.conj), so rounding grows with
         the flow's condition over the window, not over [0, s_b].  Ups,
         computed once on nodes a..max(b, c - 1), serves f_diag too.
         """
-        window = self.cached_window(values, a, b)
+        a, b = window.a, window.b
         ups = self.upsilon_nodes(values, a, max(window.c, b + 1))
-        F = self.f_diag(values, a, b, window, ups)
+        F = self.f_diag(values, window, ups)
         ups = ups[:b + 1 - a]
         quad = np.swapaxes(ups, -1, -2) @ self.M_nodes[a:b + 1] @ ups
         R = self.Q_nodes[a:b + 1] - F - quad
@@ -702,7 +703,9 @@ class _Engine:
         The window starts from the local cubic through the solved nodes
         b..b+3, extrapolated to nodes[a:b].  The first window has no such
         nodes, and an extrapolation that is not finite or leaves the a-priori
-        ball (ball_cap) is dropped; those windows start from boundary.
+        ball (ball_cap) is dropped; those windows start from boundary.  The
+        window (iterated_window) is then built once, from the start, and
+        every iterate and the closing check_condition read it.
 
         Every iterate applies the window map once (picard_iterate), and the
         window stops when an application to a plain image, or to the start,
@@ -730,12 +733,17 @@ class _Engine:
             if np.all(np.isfinite(cubic)) and float(matrix_norm_many(cubic).max()) <= ball_cap:
                 start = cubic
         values[a:b] = start
+        with _singular_diverges("matrix in the iterate"):
+            window = self.iterated_window(values, a, b)
         mixer = _Anderson(ball_cap) if mix else None
         plain = True  # values[a:b + 1] is the start or a plain image
         diffs = []
         since = 0  # the progress rules read diffs[since:]
         for it in range(1, max_iter + 1):
-            new = self._mapped(values, a, b, boundary)
+            with _singular_diverges("matrix in the iterate"):
+                new = self.picard_iterate(values, window, boundary)
+            if not np.all(np.isfinite(new)):
+                raise _Diverged("non-finite iterate")
             d = float(matrix_norm_many(new - values[a:b + 1]).max())
             diffs.append(d)
             if d <= tol:
@@ -766,11 +774,8 @@ class _Engine:
                 diagnostics={"window": [float(self.nodes[a]), float(self.nodes[b])],
                              "diffs": diffs})
         values[a:b + 1] = new
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                self.check_condition(values, a, self.cached_window(values, a, b))
-        except np.linalg.LinAlgError as exc:
-            raise _Diverged(f"singular closed-loop flow: {exc}") from exc
+        with _singular_diverges("closed-loop flow"):
+            self.check_condition(values, window)
         first = 1 if mixer is None else max(1, len(diffs) - 1)
         factors = [diffs[k] / diffs[k - 1]
                    for k in range(first, len(diffs)) if diffs[k - 1] > 0]
@@ -780,26 +785,13 @@ class _Engine:
             "contraction_factor": max(factors) if factors else 0.0,
         }
 
-    def _mapped(self, values: np.ndarray, a: int, b: int, boundary: np.ndarray) -> np.ndarray:
-        """picard_iterate, with a diverging iterate made _Diverged: it
-        overflows, or leaves a flow singular."""
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                new = self.picard_iterate(values, a, b, boundary)
-        except np.linalg.LinAlgError as exc:
-            raise _Diverged(f"singular matrix in the iterate: {exc}") from exc
-        if not np.all(np.isfinite(new)):
-            raise _Diverged("non-finite iterate")
-        return new
-
     @cached_property
     def q_bar_table(self) -> np.ndarray:
         """Effective state weight Q(s,s) - F(s; s, P) at every node: f_diag
-        over the window of the whole grid."""
-        last = self.nodes.size - 1
-        window = self.window(self.values, 0, last)
-        self.check_condition(self.values, 0, window)
-        F = self.f_diag(self.values, 0, last, window, self.upsilon_nodes(self.values, 0))
+        over the window of the whole grid, its blocks streamed."""
+        window = self.window(self.values, 0, self.nodes.size - 1)
+        self.check_condition(self.values, window)
+        F = self.f_diag(self.values, window, self.upsilon_nodes(self.values, 0))
         return _sym(self.Q_nodes - F)
 
     @cached_property
@@ -867,20 +859,14 @@ def solve_riccati(p: LQProblem, g: TimeGrid, opts: SolveOptions | None = None
                           stacklevel=2)
     cc = _constants(p, g, pair_norms)
 
-    g_solve = g
-    refined_by = 1
-    if cc.tau >= _MIN_WINDOW_NODES * g.h:
-        mode = "guaranteed"
-        width = cc.tau
-    elif cc.tau > 0 and math.ceil(_MIN_WINDOW_NODES * g.h / cc.tau) \
-            <= _GUARANTEED_MAX_REFINE:
-        refined_by = math.ceil(_MIN_WINDOW_NODES * g.h / cc.tau)
-        g_solve = g.refine(refined_by)
-        mode = "guaranteed"
-        width = cc.tau
+    # the refinement that puts _MIN_WINDOW_NODES nodes in a certified window,
+    # ceil(ratio); none (inf) without a positive tau
+    ratio = _MIN_WINDOW_NODES * g.h / cc.tau if cc.tau > 0 else math.inf
+    if ratio <= _GUARANTEED_MAX_REFINE:
+        mode, width, refined_by = "guaranteed", cc.tau, max(1, math.ceil(ratio))
     else:
-        mode = "practical"
-        width = g.T / 4.0
+        mode, width, refined_by = "practical", g.T / 4.0, 1
+    g_solve = g.refine(refined_by)
 
     engine = _Engine(p, g_solve)
     nodes = g_solve.nodes

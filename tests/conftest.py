@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -42,6 +45,37 @@ def tanh_solution(tanh_problem, grid200):
 @pytest.fixture(scope="session")
 def hyperbolic_solution(hyperbolic_scalar, grid200):
     return solve_riccati(hyperbolic_scalar, grid200)
+
+
+def _n3_drift():
+    """A = 0.3 randn (3 x 3) and B = randn (3 x 2), drawn from seed 0."""
+    rng = np.random.default_rng(0)
+    return 0.3 * rng.standard_normal((3, 3)), rng.standard_normal((3, 2))
+
+
+def n3_problem():
+    """The benchmark's n3 instance: hyperbolic Q, M and G with identity
+    bases, k = theta = 1 and T = 1, and the drift of _n3_drift."""
+    A, B = _n3_drift()
+    return hyperbolic_problem(np.eye(3), np.eye(2), np.eye(3), A=A, B=B,
+                              k=1.0, theta=1.0, T=1.0)
+
+
+def write_n3_config(path):
+    """n3_problem at N=400 written to path as a CLI config; returns path."""
+    A, B = _n3_drift()
+
+    def hyperbolic(n):
+        return {"kind": "hyperbolic", "base": np.eye(n).tolist(), "k": 1.0, "theta": 1.0}
+
+    problem = {"n": 3, "m": 2, "T": 1.0,
+               "A": {"kind": "constant", "base": A.tolist()},
+               "B": {"kind": "constant", "base": B.tolist()},
+               "Q": hyperbolic(3), "M": hyperbolic(2), "G": hyperbolic(3),
+               "S": {"kind": "constant", "base": np.zeros((2, 3)).tolist()}}
+    Path(path).write_text(json.dumps({"schema_version": 1, "problem": problem,
+                                      "grid": {"N": 400}}))
+    return path
 
 
 def random_tc_instance(rng, n, m):

@@ -29,6 +29,7 @@ from tilq.equilibrium import SampleSpec
 from tilq.kernels import matrix_norm_many
 from tilq.riccati import RiccatiSolution, q_bar_nodes
 from tilq.verify import default_state_samples
+from conftest import random_tc_instance
 
 TANH1 = 0.7615941559557649  # tanh(1)
 
@@ -43,16 +44,6 @@ def _report(capsys, name, passed, detail=""):
         sys.stdout.write("\n" + line + "\n")
         sys.stdout.flush()
     assert passed, line
-
-
-def _random_tc_instance(rng, n, m):
-    A = rng.standard_normal((n, n))
-    B = rng.standard_normal((n, m))
-    Wq = rng.standard_normal((n, n))
-    Wg = rng.standard_normal((n, n))
-    Wm = rng.standard_normal((m, m))
-    return constant_problem(A=A, B=B, Q=Wq @ Wq.T / n, S=np.zeros((m, n)),
-                            M=Wm @ Wm.T / m + np.eye(m), G=Wg @ Wg.T / n, T=1.0)
 
 
 def _hyperbolic_instance(k, theta, n):
@@ -73,7 +64,7 @@ def test_criterion_1_time_consistent_reduction(capsys):
     worst = 0.0
     slowest = 0.0
     for n, m in dims:
-        p = _random_tc_instance(rng, n, m)
+        p = random_tc_instance(rng, n, m)
         t0 = time.perf_counter()
         sol = solve_riccati(p, TimeGrid.uniform(1.0, 400))
         elapsed = time.perf_counter() - t0

@@ -7,12 +7,12 @@ from tilq import (
     build_policy,
     bvp_residual,
     from_riccati,
-    hyperbolic_problem,
     q_hat_quadratic,
     simulate,
     solve_riccati,
 )
 from tilq.bvp import BvpSolution
+from conftest import n3_problem
 
 
 def test_tanh_forward_backward_closed_form(tanh_problem, tanh_solution):
@@ -96,17 +96,9 @@ def test_csv_header(tanh_problem, tanh_solution):
     assert len(lines) == sol.nodes.size + 1
 
 
-def _n3_problem():
-    rng = np.random.default_rng(0)
-    A = 0.3 * rng.standard_normal((3, 3))
-    B = rng.standard_normal((3, 2))
-    return hyperbolic_problem(np.eye(3), np.eye(2), np.eye(3), A=A, B=B,
-                              k=1.0, theta=1.0, T=1.0)
-
-
 @pytest.fixture(scope="module")
 def n3_solution():
-    p = _n3_problem()
+    p = n3_problem()
     return p, solve_riccati(p, TimeGrid.uniform(1.0, 400))
 
 

@@ -15,7 +15,6 @@ from tilq import (
     equilibrium_certificate,
     exponential_kernel,
     from_riccati,
-    hyperbolic_problem,
     perturbation_limit_closed_form,
     perturbation_limit_finite_eps,
     simulate,
@@ -26,6 +25,7 @@ import tilq.equilibrium as eq
 from tilq._quad import simpson_weights
 from tilq.equilibrium import SampleSpec, _splice_batch
 from tilq.propagators import half_times
+from conftest import n3_problem
 
 TANH1 = 0.7615941559557649  # tanh(1)
 TANH1_SQ = 0.5800256583859739  # tanh(1)^2
@@ -41,18 +41,9 @@ def hyp_policy(hyperbolic_scalar, hyperbolic_solution):
     return build_policy(hyperbolic_scalar, hyperbolic_solution)
 
 
-def _n3_problem():
-    """Hyperbolic n=3, m=2, k=theta=1 with A = 0.3 randn, B = randn (rng 0)."""
-    rng = np.random.default_rng(0)
-    A = 0.3 * rng.standard_normal((3, 3))
-    B = rng.standard_normal((3, 2))
-    return hyperbolic_problem(np.eye(3), np.eye(2), np.eye(3), A=A, B=B,
-                              k=1.0, theta=1.0, T=1.0)
-
-
 def _two_time_s_problem():
     """The n3 problem with a two-time cross weight S(t, s)."""
-    n3 = _n3_problem()
+    n3 = n3_problem()
     return LQProblem(A=n3.A, B=n3.B, Q=n3.Q, M=n3.M, G=n3.G,
                      S=exponential_kernel(0.3 * np.arange(6.0).reshape(2, 3) - 0.5,
                                           0.7, 1.0, symmetry_required=False))
@@ -60,7 +51,7 @@ def _two_time_s_problem():
 
 @pytest.fixture(scope="module")
 def n3_policy():
-    p = _n3_problem()
+    p = n3_problem()
     return p, build_policy(p, solve_riccati(p, TimeGrid.uniform(1.0, 400)))
 
 
@@ -294,7 +285,6 @@ def test_certificate_flags_corruption(hyperbolic_scalar, hyperbolic_solution):
     rep = equilibrium_certificate(hyperbolic_scalar, pol, spec)
     assert not rep.passed
     assert rep.worst_extrapolated < -1e-4
-
 
 
 def test_certificate_rejects_empty_times(hyperbolic_scalar, hyp_policy):

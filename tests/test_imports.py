@@ -4,8 +4,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
+
+from conftest import write_n3_config
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMO_VERIFY = ROOT / "demos" / "configs" / "hyperbolic_verify.json"
@@ -31,31 +32,11 @@ def _imported(args):
     return names, proc.returncode
 
 
-def _n3_config(path):
-    """The hyperbolic n=3, m=2 instance of the benchmark (A = 0.3 randn,
-    B = randn from seed 0, k = theta = 1) at N=400, written as a config."""
-    rng = np.random.default_rng(0)
-    A = 0.3 * rng.standard_normal((3, 3))
-    B = rng.standard_normal((3, 2))
-
-    def hyperbolic(n):
-        return {"kind": "hyperbolic", "base": np.eye(n).tolist(), "k": 1.0, "theta": 1.0}
-
-    cfg = {"schema_version": 1, "mode": "verify", "grid": {"N": 400},
-           "problem": {"n": 3, "m": 2, "T": 1.0,
-                       "A": {"kind": "constant", "base": A.tolist()},
-                       "B": {"kind": "constant", "base": B.tolist()},
-                       "Q": hyperbolic(3), "M": hyperbolic(2), "G": hyperbolic(3),
-                       "S": {"kind": "constant", "base": np.zeros((2, 3)).tolist()}}}
-    path.write_text(json.dumps(cfg))
-    return path
-
-
 @pytest.mark.parametrize("config", ["demo", "n3"])
 def test_cli_verify_loads_no_scipy_and_no_random_stack(config, tmp_path):
     # the verification states of n <= 8 are kept draws, so a verify builds no
     # generator; numpy.random would also pull in secrets, hmac and libcrypto
-    path = DEMO_VERIFY if config == "demo" else _n3_config(tmp_path / "n3.json")
+    path = DEMO_VERIFY if config == "demo" else write_n3_config(tmp_path / "n3.json")
     baseline, code = _imported(["-c", "import numpy"])
     assert code == 0
     names, code = _imported(["-m", "tilq.cli", "--config", str(path), "--mode", "verify",

@@ -23,7 +23,6 @@ from tilq import (
     contraction_constants,
     exponential_kernel,
     exponential_terminal,
-    hyperbolic_problem,
     kernel_norms,
     riccati_residual_profile,
     solve_riccati,
@@ -31,20 +30,13 @@ from tilq import (
 )
 from tilq.kernels import _ROW_BLOCK, _lag_table, finite_difference_dt
 from tilq.riccati import RiccatiSolution, _contract, _Engine, _Profiled, q_bar_nodes
-
-
-def _n3():
-    rng = np.random.default_rng(0)
-    A = 0.3 * rng.standard_normal((3, 3))
-    B = rng.standard_normal((3, 2))
-    return hyperbolic_problem(np.eye(3), np.eye(2), np.eye(3), A=A, B=B,
-                              k=1.0, theta=1.0, T=1.0)
+from conftest import n3_problem
 
 
 def _s_lag():
     # exponential Q and M with a constant nonzero S, so the Schur-type
     # check solves on every entry (and passes)
-    n3 = _n3()
+    n3 = n3_problem()
     return LQProblem(A=n3.A, B=n3.B, Q=exponential_kernel(np.eye(3), 0.7, 1.0),
                      S=TwoTimeKernel.constant(0.1 * np.arange(6.0).reshape(2, 3) - 0.2, 1.0),
                      M=exponential_kernel(np.array([[1.0, 0.2], [0.2, 0.8]]), 0.7, 1.0),
@@ -77,7 +69,7 @@ def _profile(base, calls=None, name=""):
 
 def _plain(calls=None):
     """n3 with Q and M declared by plain non-vectorized lag callables."""
-    n3 = _n3()
+    n3 = n3_problem()
     Qf, Qd = _profile(np.eye(3), calls, "Q")
     Mf, Md = _profile(np.eye(2), calls, "M")
     return LQProblem(A=n3.A, B=n3.B,
@@ -99,7 +91,7 @@ def _pairwise(p):
 
 def _plain_pairwise():
     # the same closures as _plain, given the lag s - t by from_callable
-    n3 = _n3()
+    n3 = n3_problem()
 
     def pair(base, dims):
         fn, dfn = _profile(base)
@@ -117,7 +109,7 @@ def _jittered(N, seed=3):
     return TimeGrid(nodes)
 
 
-CASES = {"n3": (_n3, lambda: _pairwise(_n3())),
+CASES = {"n3": (n3_problem, lambda: _pairwise(n3_problem())),
          "s-lag": (_s_lag, lambda: _pairwise(_s_lag())),
          "s-exp": (_s_exp, lambda: _pairwise(_s_exp())),
          "plain": (_plain, _plain_pairwise)}
@@ -174,11 +166,11 @@ def test_profile_contraction_matches_the_dense_one(name, N, grid):
     # of the window of the whole grid (the residual pass), whose last block
     # at N = 64 holds no column before its split node: the profile tables
     # contract as the pair twin's dense pairs do, S's cross term included
-    p = _n3() if name == "n3" else _s_exp()
+    p = n3_problem() if name == "n3" else _s_exp()
     g = TimeGrid.uniform(1.0, N) if grid == "uniform" else _jittered(N)
     engine, twin, K = _Engine(p, g), _Engine(_pairwise(p), g), g.nodes.size
     windows = [(g.index_of(w["a"]), g.index_of(w["b"]))
-               for w in solve_riccati(_n3(), g).meta["windows"]] + [(0, K - 1)]
+               for w in solve_riccati(n3_problem(), g).meta["windows"]] + [(0, K - 1)]
     rng = np.random.default_rng(1)
     X, Y = rng.standard_normal((K, 3, 3)), rng.standard_normal((K, 2, 3))
     empty = 0
@@ -186,10 +178,13 @@ def test_profile_contraction_matches_the_dense_one(name, N, grid):
         c = engine.split_node(b)
         for i0 in range(a, b + 1, _ROW_BLOCK):
             i1 = min(i0 + _ROW_BLOCK, b + 1)
-            for lo, dense, tables in zip((i0, c), twin.triangle_block(i0, i1, c),
-                                         engine.triangle_block(i0, i1, c)):
-                cols = dense.Q.shape[0]
-                assert dense.Q.ndim == dense.M.ndim == 4
+            for lo, hi, dense, tables in zip((i0, c), (c, K), twin.triangle_block(i0, i1, c),
+                                             engine.triangle_block(i0, i1, c)):
+                cols = hi - lo
+                # a half without columns stores no part, dense or table
+                assert (dense.Q is None) == (dense.M is None) == (cols == 0)
+                assert all(part is None or part.ndim == 4 and part.shape[0] == cols
+                           for part in dense)
                 assert all(part is None or isinstance(part, _Profiled) and
                            part.table.shape == (cols, i1 - i0) for part in tables)
                 assert (tables.S is None) == (name == "n3" or cols == 0)
@@ -206,17 +201,18 @@ def test_profile_kernels_take_the_tables_and_lag_kernels_the_dense_pairs(monkeyp
     # residual pass, which evaluates none of their matrix partials.
     # TwoTimeKernel.lag and from_callable kernels declare no profile, so
     # both take their dense pairs
-    built = []
+    built = []  # (columns, part) of every part of every half built
     real = _Engine.triangle_block
 
-    def spy(self, *args, **kwargs):
-        halves = real(self, *args, **kwargs)
-        built.extend(part for half in halves for part in half)
+    def spy(self, i0, i1, c):
+        halves = real(self, i0, i1, c)
+        for cols, half in zip((c - i0, self.nodes.size - c), halves):
+            built.extend((cols, part) for part in half)
         return halves
 
     monkeypatch.setattr(_Engine, "triangle_block", spy)
     g = TimeGrid.uniform(1.0, 64)
-    p = _n3()
+    p = n3_problem()
     calls = Counter()
     for name in "QSM":
         k = getattr(p, name)
@@ -227,21 +223,22 @@ def test_profile_kernels_take_the_tables_and_lag_kernels_the_dense_pairs(monkeyp
 
         monkeypatch.setattr(k, "eval_dt", counted)
     sol = solve_riccati(p, g)
-    assert built and all(part is None or isinstance(part, _Profiled) for part in built)
+    assert built and all(part is None or isinstance(part, _Profiled) for _, part in built)
     built.clear()
     calls.clear()
     riccati_residual_profile(p, sol)
-    assert built and all(part is None or isinstance(part, _Profiled) for part in built)
-    assert any(isinstance(part, _Profiled) for part in built) and not calls
+    assert built and all(part is None or isinstance(part, _Profiled) for _, part in built)
+    assert any(isinstance(part, _Profiled) for _, part in built) and not calls
     for make in (_plain, _plain_pairwise):
         q = make()
         for run in (lambda: solve_riccati(q, g), lambda: riccati_residual_profile(q, sol)):
             built.clear()
             run()
-            # Q and M dense; n3's S is the constant zero, so it is None
-            assert built and all(isinstance(part, np.ndarray) and part.ndim == 4
-                                 for part in built[0::3] + built[2::3])
-            assert all(part is None for part in built[1::3])
+            # Q and M dense on every half with columns; n3's S is the
+            # constant zero, so it is None
+            assert built and all(isinstance(part, np.ndarray) and part.ndim == 4 if cols
+                                 else part is None for cols, part in built[0::3] + built[2::3])
+            assert all(part is None for _, part in built[1::3])
 
 
 def test_residual_pass_on_tables_flags_a_moved_node():
@@ -280,7 +277,7 @@ def test_jittered_grid_takes_the_pair_table():
     # past the 32 K entries a block holds, so each block is its own table
     g = _jittered(400)
     assert _lag_table(g.nodes) is None
-    lag, pair = _n3(), _pairwise(_n3())
+    lag, pair = n3_problem(), _pairwise(n3_problem())
     assert validate_assumptions(lag, g).to_dict() == validate_assumptions(pair, g).to_dict()
     assert contraction_constants(lag, g).to_dict() == contraction_constants(pair, g).to_dict()
     assert kernel_norms(lag.Q, g) == kernel_norms(pair.Q, g)
@@ -291,7 +288,7 @@ def test_lag_walk_holds_no_array_over_the_pairs():
     # as float64; the walk holds the 11 358 distinct lags with their first
     # pairs, counts and values, and while it builds that table one block's
     # rows at a time (10.4 MiB here; 65 MiB pair by pair)
-    p, g = _n3(), TimeGrid.uniform(1.0, 3200)
+    p, g = n3_problem(), TimeGrid.uniform(1.0, 3200)
     tracemalloc.start()
     try:
         validate_assumptions(p, g)

@@ -15,6 +15,7 @@ from tilq import (
     SolveOptions,
     TimeGrid,
     TwoTimeKernel,
+    brute_force_cost,
     build_policy,
     constant_problem,
     contraction_constants,
@@ -27,6 +28,7 @@ from tilq import (
     hyperbolic_kernel,
     hyperbolic_problem,
     hyperbolic_terminal,
+    cost,
     perturbation_limit_finite_eps,
     q_bar,
     riccati_residual,
@@ -35,6 +37,7 @@ from tilq import (
     solve_riccati,
     upsilon,
     validate_assumptions,
+    value_identity_gap,
 )
 from tilq import riccati
 from tilq._quad import (apply_cubic, local_cubic, simpson_weights, tail_integrals,
@@ -45,6 +48,7 @@ from tilq.bvp import BvpSolution
 from tilq.equilibrium import SampleSpec
 from tilq.riccati import RiccatiSolution, _Engine, _engine_for, q_bar_nodes
 from tilq.verify import RICCATI_TOL
+from conftest import n3_problem
 
 TANH1 = 0.7615941559557649  # tanh(1)
 
@@ -92,7 +96,7 @@ def test_q_bar_closed_form(hyperbolic_decoupled):
 def test_q_bar_off_the_nodes_matches_a_finer_table():
     # the odd nodes of a 4N grid are off the nodes of N = 400; away from the
     # last two intervals their rows agree with the 4N solve's node table
-    p = _n3_problem()
+    p = n3_problem()
     coarse = solve_riccati(p, TimeGrid.uniform(1.0, 400))
     fine = solve_riccati(p, TimeGrid.uniform(1.0, 1600))
     idx = np.arange(1, 1592, 6)
@@ -120,7 +124,7 @@ def test_q_bar_outside_the_horizon_raises(hyperbolic_scalar, hyperbolic_solution
 def test_bvp_residual_off_the_grid(monkeypatch):
     # a pair on 300 intervals against P on 400: two thirds of its times are
     # off the nodes of P, and q_bar reads all of them from one engine
-    p = _n3_problem()
+    p = n3_problem()
     P = solve_riccati(p, TimeGrid.uniform(1.0, 400))
     traj = simulate(build_policy(p, P), 0.0, [1.0, -0.5, 0.3], g=TimeGrid.uniform(1.0, 300))
     phi = np.einsum("kij,kj->ki", P(traj.nodes), traj.states)
@@ -178,7 +182,7 @@ def test_off_node_residual_in_the_last_interval_tanh(tanh_problem, tanh_solution
 def test_off_node_residual_in_the_last_interval_n3():
     # at T - 0.7h the trapezoid on [t, T] alone reads 1.7e-6, above
     # RICCATI_TOL on a correct P; the parabola reads 1.2e-7
-    p = _n3_problem()
+    p = n3_problem()
     sol = solve_riccati(p, TimeGrid.uniform(1.0, 400))
     assert riccati_residual(p, sol, 1.0 - 0.7 / 400) < 0.25 * RICCATI_TOL
 
@@ -187,7 +191,7 @@ def test_residual_one_ulp_from_a_node_reads_the_node():
     # node 201 of the N = 400 grid is 0.5025000000000001; taken off the grid,
     # 0.5025 would be integrated across a 1e-16-wide interval and read 3.9e-6,
     # above RICCATI_TOL on a correct P whose profile reads 2.7e-9 there
-    p = _n3_problem()
+    p = n3_problem()
     sol = solve_riccati(p, TimeGrid.uniform(1.0, 400))
     assert sol.grid.nodes[201] != 0.5025
     profile = riccati_residual_profile(p, sol)
@@ -297,8 +301,8 @@ def test_picard_fixed_point(tanh_problem, tanh_solution):
     # the solved values are a fixed point of the window map that
     # solve_riccati iterates
     values = tanh_solution.values
-    mapped = _engine_for(tanh_problem, tanh_solution).picard_iterate(values, 150, 200,
-                                                                     values[200])
+    engine = _engine_for(tanh_problem, tanh_solution)
+    mapped = engine.picard_iterate(values, engine.iterated_window(values, 150, 200), values[200])
     diff = np.abs(mapped - values[150:201]).max()
     assert diff < 1e-8
 
@@ -314,8 +318,9 @@ def test_picard_contraction_rate(tanh_problem, tanh_solution):
     v2[188:201] -= 0.3
     s1 = RiccatiSolution(tanh_solution.grid, v1, {})
     s2 = RiccatiSolution(tanh_solution.grid, v2, {})
-    m1 = _engine_for(tanh_problem, s1).picard_iterate(s1.values, a, b, boundary)
-    m2 = _engine_for(tanh_problem, s2).picard_iterate(s2.values, a, b, boundary)
+    e1, e2 = _engine_for(tanh_problem, s1), _engine_for(tanh_problem, s2)
+    m1 = e1.picard_iterate(s1.values, e1.iterated_window(s1.values, a, b), boundary)
+    m2 = e2.picard_iterate(s2.values, e2.iterated_window(s2.values, a, b), boundary)
     before = np.abs(v1[188:201] - v2[188:201]).max()
     after = np.abs(m1 - m2).max()
     assert after <= 0.5 * before
@@ -492,13 +497,12 @@ def test_f_diag_matches_row_loop(nodes, a, b, vectorized):
     assert engine.split_node(b) == (b + 1 if b <= K - 4 else K - 1)
     values = _smooth_values(nodes)
     want = _loop_f_diag(engine, values, a, b)
-    cached = engine.cached_window(values, a, b)
+    cached = engine.iterated_window(values, a, b)
     ups = engine.upsilon_nodes(values, a)
-    got = engine.f_diag(values, a, b, cached, ups)
+    got = engine.f_diag(values, cached, ups)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-    # an iterate reuses the cached window, which equals a fresh one bit for
-    # bit, profile tables included
-    assert engine.cached_window(values, a, b) is cached
+    # the window every iterate reads equals a fresh one bit for bit, profile
+    # tables included (a solve builds it once: test_a_solve_builds_each_window_once)
     fresh = engine.window(values, a, b)
     assert fresh.c == cached.c
     np.testing.assert_array_equal(fresh.flow, cached.flow)
@@ -517,24 +521,24 @@ def test_f_diag_matches_row_loop(nodes, a, b, vectorized):
             assert block_c.shape[0] == cached.c - i0  # in-window columns only
             np.testing.assert_array_equal(block, block_c)
         np.testing.assert_array_equal(Z, Z_c)
-    streamed = engine.f_diag(values, a, b, engine.window(values, a, b), ups)
+    streamed = engine.f_diag(values, engine.window(values, a, b), ups)
     np.testing.assert_array_equal(streamed, got)
     # the pair twin's engine contracts every kernel's dense pairs, and gives
     # the same F
     twin = _Engine(_pair_twin(p), TimeGrid(nodes))
-    dense_window = twin.cached_window(values, a, b)
+    dense_window = twin.iterated_window(values, a, b)
     assert all(isinstance(part, np.ndarray) for _, core, _ in dense_window.blocks
                for part in core)
-    dense = twin.f_diag(values, a, b, dense_window, ups)
+    dense = twin.f_diag(values, dense_window, ups)
     assert np.abs(dense - got).max() <= 1e-13 * np.abs(got).max()
 
 
-def _per_block_f_diag(engine, values, a, b, window, ups):
+def _per_block_f_diag(engine, values, window, ups):
     """f_diag block by block: each row block folds U_c' Z U_c, inverts its
     rows' U_i and conjugates its rows on its own."""
-    c, n = window.c, values.shape[-1]
-    out = np.empty((b - a + 1, n, n))
-    for (i0, core, Z), Ub in zip(window.blocks, engine.block_flows(values, a, b, window)):
+    a, c, n = window.a, window.c, values.shape[-1]
+    out = np.empty((window.b - a + 1, n, n))
+    for (i0, core, Z), Ub in zip(window.blocks, engine.block_flows(values, window)):
         j0, rows = i0 - a, Z.shape[0]
         acc = riccati._contract(core, Ub[:-1], ups[j0:c - a] @ Ub[:-1]) \
             + Ub[-1].T @ Z @ Ub[-1]
@@ -550,12 +554,12 @@ def test_f_diag_matches_the_per_block_loop(nodes, a, b, vectorized):
     # bit, for profile tables, dense pairs and a zero S_t
     p = _coupled_problem(vectorized=vectorized)
     values = _smooth_values(nodes)
-    for problem in (p, _pair_twin(p), _n3_problem()):
+    for problem in (p, _pair_twin(p), n3_problem()):
         engine = _Engine(problem, TimeGrid(nodes))
-        window = engine.cached_window(values, a, b)
+        window = engine.iterated_window(values, a, b)
         ups = engine.upsilon_nodes(values, a)
-        want = _per_block_f_diag(engine, values, a, b, window, ups)
-        got = engine.f_diag(values, a, b, window, ups)
+        want = _per_block_f_diag(engine, values, window, ups)
+        got = engine.f_diag(values, window, ups)
         assert got.tobytes() == want.tobytes()
 
 
@@ -568,7 +572,7 @@ def test_window_rules_reproduce_local_cubic_and_tail_integrals(nodes):
     values = _smooth_values(nodes)
     Y = np.random.default_rng(2).standard_normal(values.shape)
     for a, b in [(0, 80), (11, 52), (60, 78), (79, 80)]:
-        window = engine.cached_window(values, a, b)
+        window = engine.iterated_window(values, a, b)
         c = window.c
         half = engine.half[2 * a:2 * c + 1]
         np.testing.assert_array_equal(apply_cubic(window.cubic, values[a:]),
@@ -593,7 +597,7 @@ def test_f_diag_ill_conditioned_flow():
     assert flow_condition(U, np.linalg.inv(U)) > 1e8
     for a, b in ((0, 80), (10, 60)):
         want = _loop_f_diag(engine, values, a, b)
-        got = engine.f_diag(values, a, b, engine.cached_window(values, a, b),
+        got = engine.f_diag(values, engine.iterated_window(values, a, b),
                             engine.upsilon_nodes(values, a))
         assert np.abs(got - want).max() <= 1e-7 * np.abs(want).max()
 
@@ -617,11 +621,11 @@ def test_block_flows_match_the_sequential_flow(nodes, a, b):
     # it must equal U_r U_i0^{-1} of the sequential rk4_flow
     engine = _Engine(_coupled_problem(), TimeGrid(nodes))
     values = _smooth_values(nodes)
-    window = engine.cached_window(values, a, b)
+    window = engine.iterated_window(values, a, b)
     c = window.c
     assert c == (b + 1 if b <= nodes.size - 4 else nodes.size - 1)
     U = rk4_flow(nodes[a:c + 1], engine.drift(values, a, a, c))
-    flows = list(engine.block_flows(values, a, b, window))
+    flows = list(engine.block_flows(values, window))
     starts = range(a, b + 1, _ROW_BLOCK)
     assert len(flows) == len(starts) == len(window.blocks)
     for i0, got in zip(starts, flows):
@@ -678,18 +682,9 @@ def test_derivative_free_kernel_validates_and_solves(hyperbolic_scalar):
     assert np.abs(got.values - want.values).max() < 1e-6
 
 
-def _n3_problem():
-    """Hyperbolic n=3, m=2, k=theta=1 with A = 0.3 randn, B = randn (rng 0)."""
-    rng = np.random.default_rng(0)
-    A = 0.3 * rng.standard_normal((3, 3))
-    B = rng.standard_normal((3, 2))
-    return hyperbolic_problem(np.eye(3), np.eye(2), np.eye(3), A=A, B=B,
-                              k=1.0, theta=1.0, T=1.0)
-
-
 def test_node_residual_matches_profile(tanh_problem, tanh_solution):
     # every node, K-2 included, integrates by the profile's rule
-    n3 = _n3_problem()
+    n3 = n3_problem()
     for p, sol in [(tanh_problem, tanh_solution),
                    (n3, solve_riccati(n3, TimeGrid.uniform(1.0, 100)))]:
         prof = riccati_residual_profile(p, sol)
@@ -701,7 +696,7 @@ def test_solve_memory_keeps_in_window_columns():
     # a window keeps its kernel partials against the in-window columns only
     # and folds the tail past the split node; keeping every block against the
     # whole tail peaked at 42.5 MiB here
-    p, g = _n3_problem(), TimeGrid.uniform(1.0, 800)
+    p, g = n3_problem(), TimeGrid.uniform(1.0, 800)
     tracemalloc.start()
     try:
         solve_riccati(p, g, SolveOptions(validate=False))
@@ -745,7 +740,7 @@ def test_diverging_window_emits_no_numpy_warning(monkeypatch):
 # --- the window pair blocks, the feedback tables and the warm start ------------
 
 def _scatter_block(engine, i0, i1, c):
-    """Reference build of _Engine.triangle_block: Q_t, -S_t and M_t on the
+    """Reference build of _Engine.triangle_block: Q_t, S_t and M_t on the
     triangle pairs of rows [i0, i1) only, weighted by
     simpson_weights(nodes[i:]) row by row and scattered into zero-filled
     arrays, one per kernel, for the columns before c and from c."""
@@ -754,7 +749,7 @@ def _scatter_block(engine, i0, i1, c):
     tail = np.concatenate([np.arange(i, K) for i in range(i0, i1)])
     s, r = nodes[row_of], nodes[tail]
     w = np.concatenate([simpson_weights(nodes[i:]) for i in range(i0, i1)])[:, None, None]
-    kernels = (w * p.Q.eval_dt(s, r), w * -p.S.eval_dt(s, r), w * p.M.eval_dt(s, r))
+    kernels = (w * p.Q.eval_dt(s, r), w * p.S.eval_dt(s, r), w * p.M.eval_dt(s, r))
     out = []
     for lo, hi, sel in ((i0, c, tail < c), (c, K, tail >= c)):
         part = []
@@ -793,7 +788,7 @@ _RANDOM101 = np.sort(np.concatenate([[0.0, 1.0], np.random.default_rng(8).unifor
 def test_triangle_block_matches_pair_scatter(problem, nodes):
     # n3's family kernels are profile tables, so the dense layout is that of
     # its pair twin; the tables expand to the same partials to rounding
-    p = _n3_problem() if problem == "n3" else _guarded_problem()
+    p = n3_problem() if problem == "n3" else _guarded_problem()
     engine = _Engine(p, TimeGrid(nodes))
     dense = _Engine(_pair_twin(p), TimeGrid(nodes)) if problem == "n3" else engine
     K = nodes.size
@@ -813,9 +808,9 @@ def test_triangle_block_matches_pair_scatter(problem, nodes):
                         block.table[:, None, :, None] * block.base[:, None], want,
                         rtol=1e-15, atol=0.0)
         for part, want_part in zip(got, scatter):
-            for name, block, want in zip(part._fields, part, want_part):
-                if block is None:  # only a zero S_t is left out
-                    assert name == "S" and not want.any()
+            for block, want in zip(part, want_part):
+                assert (block is None) == (not want.any())  # only a zero part is left out
+                if block is None:
                     continue
                 assert block.shape == want.shape and block.flags.c_contiguous
                 np.testing.assert_array_equal(block, want)
@@ -842,18 +837,17 @@ def _rectangle_block(engine, i0, i1, c):
     w = np.where(d < 0, 0.0, np.where(d < 4, band[i, np.clip(d, 0, 3)], v[i0:, None]))
     halves = ((0, c - i0), (c - i0, cols))
 
-    def parts(k, weights, optional):
+    def parts(k):
         if k.base is not None:
             dp = None if k.dprofile is None else k.dprofile(r - s).reshape(cols, rows)
-            return [riccati._Profiled(weights[lo:hi] * dp[lo:hi], k.base)
+            return [riccati._Profiled(w[lo:hi] * dp[lo:hi], k.base)
                     if dp is not None and dp[lo:hi].any() else None for lo, hi in halves]
         pd = k.eval_dt(s, r).reshape((cols, rows) + k.dims).transpose(0, 2, 1, 3)
-        return [weights[lo:hi, None, :, None] * pd[lo:hi]
-                if not optional or pd[lo:hi].any() else None for lo, hi in halves]
+        return [w[lo:hi, None, :, None] * pd[lo:hi] if pd[lo:hi].any() else None
+                for lo, hi in halves]
 
-    (Qc, Qf), (Sc, Sf), (Mc, Mf) = parts(p.Q, w, False), parts(p.S, -w, True), \
-        parts(p.M, w, False)
-    return riccati._Pairs(Qc, Sc, Mc), riccati._Pairs(Qf, Sf, Mf)
+    core, folded = zip(*(parts(k) for k in (p.Q, p.S, p.M)))
+    return riccati._Pairs(*core), riccati._Pairs(*folded)
 
 
 @pytest.mark.parametrize("problem, nodes", [
@@ -862,7 +856,7 @@ def test_triangle_block_matches_the_rectangle_build(problem, nodes):
     # the lags as one broadcast and the weights as v plus a head of rows + 3
     # columns give the rectangle build's profile tables and dense parts bit
     # for bit, each a C-contiguous array of its own
-    p = _n3_problem() if problem == "n3" else _guarded_problem()
+    p = n3_problem() if problem == "n3" else _guarded_problem()
     engines = [_Engine(p, TimeGrid(nodes))]
     if problem == "n3":
         engines.append(_Engine(_pair_twin(p), TimeGrid(nodes)))
@@ -892,7 +886,7 @@ def test_picard_iterate_solves_no_linear_system(monkeypatch):
     # M^{-1}B', M^{-1}S and the stored inverse of the window's drift-only
     # flow, and anchors the closed-loop flow at each row block by forward
     # products of chunk flows: it calls np.linalg.solve zero times
-    p, g = _n3_problem(), TimeGrid.uniform(1.0, 400)
+    p, g = n3_problem(), TimeGrid.uniform(1.0, 400)
     engine = _Engine(p, g)
     nodes = g.nodes
     a, b = 200, 300
@@ -905,7 +899,7 @@ def test_picard_iterate_solves_no_linear_system(monkeypatch):
         return real_solve(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "solve", counted)
-    engine.picard_iterate(values, a, b, values[b])
+    engine.picard_iterate(values, engine.iterated_window(values, a, b), values[b])
     monkeypatch.undo()
     assert callers == []
 
@@ -928,7 +922,7 @@ def test_validated_solve_memory_at_n1600():
     # the window blocks are built in place, and a window's cores do not keep
     # its folded columns: a core that viewed one buffer with the folded
     # columns peaked at 137.8 MiB here, the pair-scatter build at 74.8 MiB
-    p, g = _n3_problem(), TimeGrid.uniform(1.0, 1600)
+    p, g = n3_problem(), TimeGrid.uniform(1.0, 1600)
     tracemalloc.start()
     try:
         solve_riccati(p, g)
@@ -943,7 +937,7 @@ def test_windows_start_from_the_extrapolated_tail():
     # four solved nodes past it: 57 plain iterations from the boundary, 50
     # plain ones here, and 39 map applications with mixing (45 from the
     # boundary)
-    sol = solve_riccati(_n3_problem(), TimeGrid.uniform(1.0, 400))
+    sol = solve_riccati(n3_problem(), TimeGrid.uniform(1.0, 400))
     assert len(sol.meta["windows"]) > 1
     assert sol.meta["iterations_total"] <= 40
 
@@ -1095,7 +1089,7 @@ def test_gain_matches_a_solve_off_the_grid(problem):
     # with M(s, s) at random off-grid times; the policy's gain is -Ups
     g = TimeGrid.uniform(1.0, 400)
     if problem == "n3":
-        p = _n3_problem()
+        p = n3_problem()
         P = solve_riccati(p, g)
     else:
         p = _coupled_problem()
@@ -1125,10 +1119,10 @@ def test_picard_iterate_computes_the_gain_once(monkeypatch, a, b):
     # the window's fixed tail takes its gain once per window; each iterate
     # then computes Ups once and shares it between f_diag and the quadratic
     # term, with the map unchanged
-    p, g = _n3_problem(), TimeGrid.uniform(1.0, 400)
+    p, g = n3_problem(), TimeGrid.uniform(1.0, 400)
     values = _smooth_values(g.nodes)
     engine = _Engine(p, g)
-    engine.cached_window(values, a, b)
+    window = engine.iterated_window(values, a, b)
     calls = []
     real = _Engine.upsilon_nodes
 
@@ -1137,12 +1131,11 @@ def test_picard_iterate_computes_the_gain_once(monkeypatch, a, b):
         return real(self, *args)
 
     monkeypatch.setattr(_Engine, "upsilon_nodes", counted)
-    got = engine.picard_iterate(values, a, b, values[b])
+    got = engine.picard_iterate(values, window, values[b])
     monkeypatch.undo()
     assert len(calls) == 1
     c = engine.split_node(b)
-    F = engine.f_diag(values, a, b, engine.cached_window(values, a, b),
-                      engine.upsilon_nodes(values, a, c))
+    F = engine.f_diag(values, window, engine.upsilon_nodes(values, a, c))
     ups = engine.upsilon_nodes(values, a, b + 1)
     quad = np.swapaxes(ups, -1, -2) @ engine.M_nodes[a:b + 1] @ ups
     # the map conjugates by the drift-only flow of the window, I at s_a
@@ -1169,7 +1162,7 @@ def test_bad_solver_options_are_invalid_input(hyperbolic_scalar, opts):
 
 def test_eval_many_takes_a_time_next_to_the_ends_as_the_end():
     # within 1e-9 (1 + T) of 0 or T a time is that node (grids.node_index)
-    p, g = _n3_problem(), TimeGrid.uniform(1.0, 400)
+    p, g = n3_problem(), TimeGrid.uniform(1.0, 400)
     sol = solve_riccati(p, g)
     np.testing.assert_array_equal(sol(1.0 + 5e-10), sol.values[-1])
     np.testing.assert_array_equal(sol.eval_many([-5e-10, 0.5, 1.0 + 5e-10])[[0, 2]],
@@ -1204,8 +1197,8 @@ def _crawling_picard(steps):
     the pinned last one by steps(k): a window map with a chosen contraction."""
     calls = []
 
-    def fake(self, values, a, b, boundary):
-        new = values[a:b + 1] + steps(len(calls))
+    def fake(self, values, window, boundary):
+        new = values[window.a:window.b + 1] + steps(len(calls))
         calls.append(1)
         new[-1] = boundary
         return new
@@ -1253,11 +1246,11 @@ def test_a_closing_image_that_moves_resumes_mixing(monkeypatch, tanh_problem):
     crawl = _crawling_picard(lambda k: steps[k])
     calls = []
 
-    def closing_moves_once(self, values, a, b, boundary):
+    def closing_moves_once(self, values, window, boundary):
         calls.append(1)
         if len(calls) <= len(steps):
-            return crawl(self, values, a, b, boundary)
-        return real(self, values, a, b, boundary)
+            return crawl(self, values, window, boundary)
+        return real(self, values, window, boundary)
 
     seen = _recorded_divergences(monkeypatch)
     g = TimeGrid.uniform(1.0, 64)
@@ -1279,11 +1272,11 @@ def test_a_stalled_practical_window_is_halved(monkeypatch, hyperbolic_scalar):
     stall = _crawling_picard(lambda k: 1e-3)
     calls = []
 
-    def first_stalls(self, values, a, b, boundary):
+    def first_stalls(self, values, window, boundary):
         calls.append(1)
         if len(calls) <= riccati._SPAN + 1:
-            return stall(self, values, a, b, boundary)
-        return real(self, values, a, b, boundary)
+            return stall(self, values, window, boundary)
+        return real(self, values, window, boundary)
 
     seen = _recorded_divergences(monkeypatch)
     g = TimeGrid.uniform(1.0, 200)
@@ -1321,11 +1314,11 @@ def test_a_singular_flow_at_acceptance_halves_the_window(monkeypatch, tanh_probl
     real = _Engine.check_condition
     calls = []
 
-    def first_singular(self, values, a, window):
+    def first_singular(self, values, window):
         calls.append(1)
         if len(calls) == 1:
             raise np.linalg.LinAlgError("Singular matrix")
-        return real(self, values, a, window)
+        return real(self, values, window)
 
     seen = _recorded_divergences(monkeypatch)
     monkeypatch.setattr(_Engine, "check_condition", first_singular)
@@ -1357,11 +1350,11 @@ def _first_iterate_singular(monkeypatch):
     real = _Engine.picard_iterate
     calls = []
 
-    def first_singular(self, values, a, b, boundary):
+    def first_singular(self, values, window, boundary):
         calls.append(1)
         if len(calls) == 1:
             raise np.linalg.LinAlgError("Singular matrix")
-        return real(self, values, a, b, boundary)
+        return real(self, values, window, boundary)
 
     monkeypatch.setattr(_Engine, "picard_iterate", first_singular)
 
@@ -1377,6 +1370,29 @@ def test_a_singular_iterate_halves_a_practical_window(monkeypatch, tanh_problem)
     assert seen == ["singular matrix in the iterate: Singular matrix"]
     # other windows, the same fixed point to the iteration tolerance
     assert np.abs(sol.values - want.values).max() <= 10.0 * want.meta["tol"]
+
+
+def test_a_solve_builds_each_window_once(monkeypatch, tanh_problem):
+    # every iterate of a window and its closing condition check read the one
+    # window run_window builds, a window that diverges on its first iterate
+    # included; its halves build their own
+    built, runs = [], []
+    real_window, real_run = _Engine.window, _Engine.run_window
+
+    def window(self, values, a, b):
+        built.append((a, b))
+        return real_window(self, values, a, b)
+
+    def run_window(self, values, a, b, *args):
+        runs.append((a, b))
+        return real_run(self, values, a, b, *args)
+
+    _first_iterate_singular(monkeypatch)
+    monkeypatch.setattr(_Engine, "window", window)
+    monkeypatch.setattr(_Engine, "run_window", run_window)
+    sol = solve_riccati(tanh_problem, TimeGrid.uniform(1.0, 64))
+    assert sol.meta["halvings"] == 1 and len(runs) == len(sol.meta["windows"]) + 1
+    assert built == runs and sol.meta["iterations_total"] > 2 * len(runs)
 
 
 def test_a_singular_iterate_in_a_certified_window_is_an_error(monkeypatch,
@@ -1426,7 +1442,10 @@ def test_a_grid_off_the_horizon_is_refused_before_any_evaluation(monkeypatch, T_
                  lambda: q_bar_nodes(p, wrong_solution),
                  lambda: q_bar(p, wrong_solution, [g.nodes[1], 0.3333]),
                  lambda: build_policy(p, wrong_solution),
-                 lambda: simulate(pol, 0.0, [1.0], g=g)):
+                 lambda: simulate(pol, 0.0, [1.0], g=g),
+                 lambda: cost(p, 0.0, [1.0], pol, g),
+                 lambda: value_identity_gap(p, pol, 0.0, [1.0], g),
+                 lambda: perturbation_limit_finite_eps(p, pol, 0.0, [1.0], [0.5], [0.2], g)):
         with pytest.raises(InvalidInputError, match="horizon"):
             call()
 
@@ -1472,10 +1491,20 @@ def test_time_arrays_beyond_one_dimension_are_refused(tanh_problem, tanh_solutio
     (lambda p, P, pol: riccati_residual(p, P, "abc"), "time arguments must be numbers"),
     (lambda p, P, pol: q_bar(p, P, "abc"), "time arguments must be numbers"),
     (lambda p, P, pol: P.eval_many("x"), "time arguments must be numbers"),
+    (lambda p, P, pol: validate_assumptions(p, P.grid, np.nan), "tol must be a finite number"),
+    (lambda p, P, pol: validate_assumptions(p, P.grid, -1.0), "tol must be a finite number"),
+    (lambda p, P, pol: validate_assumptions(p, P.grid, "x"), "tol must be a finite number"),
+    (lambda p, P, pol: validate_assumptions(p, P.grid, None), "tol must be a finite number"),
+    (lambda p, P, pol: brute_force_cost(p, 0.0, [1.0], pol, refinement=4.5),
+     "refinement must be an integer"),
+    (lambda p, P, pol: brute_force_cost(p, 0.0, [1.0], pol, refinement="8"),
+     "refinement must be an integer"),
 ], ids=["q_bar-nan", "q_bar-nan-entry", "residual-nan", "residual-array",
         "finite-eps-t-nan", "finite-eps-t-negative", "finite-eps-nan-eps",
         "certificate-nan-eps", "certificate-scalar-eps", "refine-float", "uniform-T-inf",
-        "residual-string", "q_bar-string", "eval-many-string"])
+        "residual-string", "q_bar-string", "eval-many-string", "validate-tol-nan",
+        "validate-tol-negative", "validate-tol-string", "validate-tol-none",
+        "brute-force-refinement-float", "brute-force-refinement-string"])
 def test_malformed_times_and_factors_name_the_input(tanh_problem, tanh_solution, call, name):
     # a malformed time, width or factor is an input error that names that
     # input: not a message about grid nodes or [0, T], not a coarse grid

@@ -41,6 +41,7 @@ from tilq import kernels, problem, riccati
 from tilq._quad import integrate
 from tilq.kernels import _ROW_BLOCK, _row_sums, matrix_norm_many
 from tilq.problem import CheckResult, ValidationReport
+from conftest import n3_problem
 
 
 # --- whole-triangle copies ---------------------------------------------------
@@ -398,14 +399,6 @@ def test_problems_reach_every_branch():
     assert "pairs skipped" in tie["H5-Qt-combo-psd"].note and tie["H5-Qt-combo-psd"].passed
 
 
-def _n3():
-    rng = np.random.default_rng(0)
-    A = 0.3 * rng.standard_normal((3, 3))
-    B = rng.standard_normal((3, 2))
-    return hyperbolic_problem(np.eye(3), np.eye(2), np.eye(3), A=A, B=B,
-                              k=1.0, theta=1.0, T=1.0)
-
-
 def _peak_mib(fn, *args):
     tracemalloc.start()
     try:
@@ -431,7 +424,7 @@ def test_screening_sends_few_pairs_to_lapack(monkeypatch):
     # n3 at N=400: the bounds rule out all but a few pairs of each block, so
     # at most 1 % of the pair matrices of M, Q, Q_t and M_t reach eigvalsh
     # and of M reach inv (S = 0, so no Schur-type matrix is formed)
-    p, g = _n3(), TimeGrid.uniform(1.0, 400)
+    p, g = n3_problem(), TimeGrid.uniform(1.0, 400)
     counts = _count_lapack(monkeypatch)
     riccati.solve_riccati(p, g)
     pairs = g.nodes.size * (g.nodes.size + 1) // 2
@@ -475,7 +468,6 @@ def test_singular_iterate_is_a_diverged_window():
         except NonconvergenceError:
             return
     assert float(riccati.riccati_residual_profile(p, sol).max()) <= 1e-6
-
 
 
 # --- the screening helper ------------------------------------------------------
@@ -560,7 +552,7 @@ def test_screening_matches_whole_stack(case):
 
 def test_memory_grows_as_block_times_nodes():
     # whole-triangle stacks peaked at 243 and 64 MiB here
-    p, g = _n3(), TimeGrid.uniform(1.0, 800)
+    p, g = n3_problem(), TimeGrid.uniform(1.0, 800)
     assert _peak_mib(validate_assumptions, p, g) <= 32.0
     assert _peak_mib(contraction_constants, p, g) <= 16.0
 
